@@ -6,6 +6,8 @@
 //!
 //! The crate provides:
 //!
+//! * [`base`] — [`Base`], the replica state every protocol embeds (identity,
+//!   view, quorum draws, identifier horizons, metrics).
 //! * [`id`] — process, client and command identifiers ([`Dot`], [`Rifl`]).
 //! * [`command`] — multi-key key-value commands and the *conflict* relation
 //!   used by leaderless protocols.
@@ -25,6 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod base;
 pub mod command;
 pub mod config;
 pub mod id;
@@ -33,6 +36,7 @@ pub mod protocol;
 pub mod util;
 pub mod view;
 
+pub use base::Base;
 pub use command::{shard_of, Command, Key, KvOp, ReconfigOp, Value};
 pub use config::Config;
 pub use id::{ClientId, Dot, DotGen, ProcessId, Rifl};

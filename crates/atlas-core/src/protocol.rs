@@ -3,12 +3,13 @@
 //! its runtime (the discrete-event simulator, or any networked runtime).
 //!
 //! Protocols are written as *pure state machines*: every input (a client
-//! submission, an incoming message, a periodic tick, a failure suspicion)
+//! submission, an incoming message, a failure suspicion, an epoch switch)
 //! returns a list of [`Action`]s — messages to send and commands that became
 //! executable. This makes protocols trivially testable and lets the planet
 //! simulator drive Atlas, EPaxos, Flexible Paxos and Mencius through the very
 //! same code path.
 
+use crate::base::Base;
 use crate::command::Command;
 use crate::config::Config;
 use crate::id::{Dot, ProcessId};
@@ -46,8 +47,11 @@ pub enum Action<M> {
         cmd: Command,
     },
     /// The command with identifier `dot` was committed locally (its final
-    /// dependencies / log slot are known). Used only for bookkeeping; clients
-    /// are answered at execution time.
+    /// dependencies / log slot are known). Emitted once per command, before
+    /// the `Execute` of the same `dot`, and never for a `noOp` (which is not
+    /// executed). Used only for bookkeeping — it is what separates commit
+    /// latency from the wait on dependencies; clients are answered at
+    /// execution time.
     Commit {
         /// Identifier of the committed command.
         dot: Dot,
@@ -59,15 +63,6 @@ impl<M> Action<M> {
     pub fn send(targets: impl IntoIterator<Item = ProcessId>, msg: M) -> Self {
         Action::Send {
             targets: targets.into_iter().collect(),
-            msg,
-        }
-    }
-
-    /// Convenience constructor for a broadcast to all `n` processes
-    /// (identifiers `1..=n`).
-    pub fn broadcast(n: usize, msg: M) -> Self {
-        Action::Send {
-            targets: (1..=n as ProcessId).collect(),
             msg,
         }
     }
@@ -139,41 +134,42 @@ impl Topology {
         );
         self.by_distance[..size].to_vec()
     }
-
-    /// The closest `size` processes drawn only from `alive`, including the
-    /// owning process itself. Returns `None` if fewer than `size` processes
-    /// are alive.
-    pub fn closest_alive_quorum(&self, size: usize, alive: &[ProcessId]) -> Option<Vec<ProcessId>> {
-        let quorum: Vec<ProcessId> = self
-            .by_distance
-            .iter()
-            .copied()
-            .filter(|p| alive.contains(p))
-            .take(size)
-            .collect();
-        (quorum.len() == size).then_some(quorum)
-    }
 }
 
 /// A replication protocol, written as a deterministic state machine.
 ///
-/// All methods take the current [`Time`] so protocols can record latency
-/// metrics and schedule timeout-based behaviour without reading a clock.
+/// Contracts every implementation upholds, each enforced in one place:
+///
+/// * **Replay determinism.** `submit`, `handle`, `suspect`, `reconfigure`,
+///   `gc_executed` and `advance_identifiers` are the protocol's *inputs*: the
+///   networked runtime journals them and replays them in order after a
+///   crash, so their effect depends only on state and arguments — never on
+///   a clock or randomness (`time` only feeds metrics and is 0 in replay).
+/// * **Idempotent re-dispatch.** The runtime repeats `suspect` every
+///   `suspect_after` while a peer stays silent and may deliver an epoch
+///   switch twice; a repeat re-sends what is in flight at the ballot it
+///   already owns and never corrupts state (see [`Base::install_view`] and
+///   each protocol's takeover). A wrong suspicion is safe, merely not free.
+/// * **GC-floor respect.** After [`gc_executed`](Protocol::gc_executed),
+///   any message about a collected identifier — duplicates, stragglers,
+///   recovery probes, re-driven proposals — is ignored as if the entry were
+///   still there in its terminal phase; nothing resurrects bookkeeping.
+/// * **Ballot hygiene.** Ballots minted in a view exceed its
+///   [`ballot_floor`](ClusterView::ballot_floor).
 pub trait Protocol: Sized {
     /// The wire message type of the protocol.
     type Message: Clone + std::fmt::Debug;
 
-    /// Human-readable protocol name (used in experiment reports).
+    /// Protocol name (experiment reports, stats plane).
     fn name() -> &'static str;
 
     /// Creates a replica with identifier `id`.
     fn new(id: ProcessId, config: Config, topology: Topology) -> Self;
 
-    /// This replica's identifier.
-    fn id(&self) -> ProcessId;
+    /// The embedded [`Base`]: identity, view, horizons, metrics.
+    fn base(&self) -> &Base;
 
-    /// Submits a command on behalf of a local client; the replica becomes the
-    /// command's (initial) coordinator.
+    /// Submits a local client's command; this replica coordinates it.
     fn submit(&mut self, cmd: Command, time: Time) -> Vec<Action<Self::Message>>;
 
     /// Handles a protocol message from `from`.
@@ -184,266 +180,90 @@ pub trait Protocol: Sized {
         time: Time,
     ) -> Vec<Action<Self::Message>>;
 
-    /// Approximate wire size of a message in bytes. Runtimes use it to model
-    /// serialization/bandwidth costs (e.g. a leader broadcasting 3 KB
-    /// payloads to every replica). The default is a small fixed overhead.
-    fn message_size(_msg: &Self::Message) -> usize {
-        128
-    }
+    /// `suspected` is believed to have failed: recover its in-flight
+    /// commands (leaderless) or replace it as leader.
+    fn suspect(&mut self, suspected: ProcessId, time: Time) -> Vec<Action<Self::Message>>;
 
-    /// Periodic tick (the simulator calls this at a fixed cadence). Default:
-    /// no-op.
-    fn tick(&mut self, _time: Time) -> Vec<Action<Self::Message>> {
-        Vec::new()
-    }
+    /// Installs a newer [`ClusterView`] (called when a `Reconfigure` barrier
+    /// executes, at the same point of the order on every replica) and
+    /// re-drives this replica's in-flight proposals under it.
+    fn reconfigure(&mut self, view: &ClusterView, time: Time) -> Vec<Action<Self::Message>>;
 
-    /// Notifies the replica that `suspected` is believed to have failed.
-    /// Leaderless protocols recover the suspected process's in-flight
-    /// commands; leader-based protocols elect a new leader. Default: no-op.
-    ///
-    /// Both the simulator and the networked runtime's failure detector call
-    /// this, so implementations must uphold two contracts:
-    ///
-    /// * **Idempotent under re-dispatch.** The runtime repeats the call
-    ///   every `suspect_after` while a peer stays suspected (recovery of
-    ///   one command can surface further identifiers of the dead peer that
-    ///   only a later pass can pick up), and a flapping peer may be
-    ///   suspected, trusted and suspected again. Re-suspecting must never
-    ///   corrupt state — at worst it reissues recovery traffic at higher
-    ///   ballots.
-    /// * **Deterministic.** The networked runtime journals suspicions as
-    ///   protocol inputs (they can mint recovery ballots, i.e. promises)
-    ///   and replays them in order after a crash; `suspect` must depend
-    ///   only on protocol state and its arguments, never on a clock or
-    ///   randomness (`time` may be 0 during replay, as for every other
-    ///   replayed input).
-    ///
-    /// A wrong suspicion must be *safe* (consensus-protected), merely not
-    /// free: the paper only requires the detector to be eventually accurate
-    /// for liveness.
-    fn suspect(&mut self, _suspected: ProcessId, _time: Time) -> Vec<Action<Self::Message>> {
-        Vec::new()
-    }
+    /// Approximate wire size of `msg` in bytes (the simulator's CPU model).
+    fn message_size(msg: &Self::Message) -> usize;
 
-    /// The configuration epoch this replica currently operates in (see
-    /// [`ClusterView`]). Protocols without reconfiguration support stay at
-    /// the default `0` forever.
-    fn epoch(&self) -> u64 {
-        0
-    }
+    /// The replica's complete state for a durable snapshot (always `Some`).
+    fn save_state(&self) -> Option<Vec<u8>>;
 
-    /// The full [`ClusterView`] this replica currently operates in, when
-    /// the protocol supports reconfiguration (`None`, the default,
-    /// otherwise). The runtime derives the target of a `Reconfigure`
-    /// barrier from **this** view — `enter`/`finalize` applied to the
-    /// protocol's own configuration, which may lag the runtime's
-    /// announcement-fed view — so it must advance exactly and only at
-    /// [`Protocol::reconfigure`] calls (and marker/state restores).
-    fn cluster_view(&self) -> Option<ClusterView> {
-        None
-    }
-
-    /// Installs a new [`ClusterView`]: the replica switches to gathering
-    /// quorums from `view.members` (and, while `view.is_joint()`, from the
-    /// outgoing members too), and re-drives any of its own in-flight
-    /// proposals under the new view so they cannot strand waiting for
-    /// quorums that no longer form. Default: no-op (no reconfiguration
-    /// support — the runtime then never changes the member set).
-    ///
-    /// The runtime calls this when a `Reconfigure` barrier command executes
-    /// (the same position of the execution order on every replica) or when
-    /// a journaled/peer-announced epoch switch is applied. Implementations
-    /// must uphold the same contracts as [`Protocol::suspect`] and
-    /// [`Protocol::gc_executed`]:
-    ///
-    /// * **Idempotent.** Applying a view whose `epoch` is not newer than
-    ///   [`Protocol::epoch`] must change nothing and return no actions —
-    ///   the runtime may deliver the same switch twice (once from the
-    ///   barrier's execution, once from a journal record or a peer's epoch
-    ///   announcement).
-    /// * **Deterministic for replay.** Epoch switches are protocol inputs:
-    ///   they are journaled (or re-derived by re-executing the barrier)
-    ///   and replayed in order after a crash. The result must depend only
-    ///   on protocol state and `view`, never on a clock or randomness
-    ///   (`time` may be 0 during replay).
-    /// * **GC-floor respecting.** Re-driven proposals must skip entries at
-    ///   or below the compaction floor, exactly like recovery traffic; the
-    ///   switch must never resurrect a collected entry. Watermarks keep the
-    ///   [`executed_watermarks`](Protocol::executed_watermarks) contract
-    ///   (monotone, truthful) across the switch — identifier spaces of
-    ///   removed members must still be reported until fully collected, so
-    ///   the GC horizon can keep advancing over their leftover entries.
-    /// * **Ballot hygiene.** Ballots minted after the switch must exceed
-    ///   [`ClusterView::ballot_floor`], so ballot-to-owner arithmetic
-    ///   (which is modular in the member count) can never collide across
-    ///   epochs.
-    fn reconfigure(&mut self, _view: &ClusterView, _time: Time) -> Vec<Action<Self::Message>> {
-        Vec::new()
-    }
-
-    /// Serializes the replica's complete state for a durable snapshot.
-    ///
-    /// A runtime with a write-ahead log calls this periodically so it can
-    /// truncate the journaled input prefix the snapshot covers;
-    /// [`Protocol::restore_state`] must rebuild an equivalent replica from
-    /// the returned bytes. Returning `None` (the default) tells the runtime
-    /// the protocol does not support snapshotting — the runtime then keeps
-    /// the full input journal and recovers by replaying it from the start.
-    fn save_state(&self) -> Option<Vec<u8>> {
-        None
-    }
-
-    /// Rebuilds a replica from bytes produced by [`Protocol::save_state`] on
-    /// a replica with the same identifier and configuration. Returns `None`
-    /// if the bytes cannot be decoded or belong to a different replica — the
-    /// caller must treat that as corruption, not as an empty state.
+    /// Rebuilds a replica from [`save_state`](Protocol::save_state) bytes;
+    /// `None` for bytes that do not decode or belong to another replica,
+    /// configuration or protocol — corruption, not an empty state.
     fn restore_state(
-        _id: ProcessId,
-        _config: Config,
-        _topology: Topology,
-        _state: &[u8],
-    ) -> Option<Self> {
-        None
+        id: ProcessId,
+        config: Config,
+        topology: Topology,
+        state: &[u8],
+    ) -> Option<Self>;
+
+    /// Idempotent commit messages conveying every retained committed
+    /// command: the tail of a catch-up, replayed through `handle` on top of
+    /// a [`save_executed`](Protocol::save_executed) base.
+    fn committed_log(&self) -> Vec<Self::Message>;
+
+    /// Per identifier space (a coordinator, or the sentinel `0` for a slot
+    /// log), the highest `w` with every identifier `1..=w` executed here.
+    /// Sorted, monotone, truthful: reporting `w` promises never to need a
+    /// peer's commit for an identifier `<= w`.
+    fn executed_watermarks(&self) -> Vec<(ProcessId, u64)>;
+
+    /// Drops bookkeeping at or below `horizon`, the pointwise minimum of
+    /// every replica's watermarks; returns how many entries went. The floor
+    /// only rises, so a repeated or lower horizon drops nothing.
+    fn gc_executed(&mut self, horizon: &[(ProcessId, u64)]) -> u64;
+
+    /// Which identifiers the state machine has executed (plus the view), as
+    /// opaque bytes: the base of a catch-up stream.
+    fn save_executed(&self) -> Vec<u8>;
+
+    /// Installs a peer's executed marker into a replica that has executed
+    /// nothing yet; `false` for bytes that do not decode, a marker of
+    /// another protocol, or a replica with progress of its own.
+    fn restore_executed(&mut self, marker: &[u8]) -> bool;
+
+    /// Per-command bookkeeping entries currently held (observability).
+    fn tracked_entries(&self) -> usize;
+
+    /// The highest identifier sequence seen, committed or not, from `source`.
+    fn seen_horizon(&self, source: ProcessId) -> u64 {
+        self.base().seen_horizon(source)
     }
 
-    /// Messages that, replayed through [`Protocol::handle`] on a fresh
-    /// replica, convey every command this replica has committed — the
-    /// payload of a peer-assisted catch-up (state transfer). Commit-style
-    /// messages are idempotent in every protocol of this workspace, so
-    /// applying a committed log on top of partially known state is safe.
-    /// Default: empty (no catch-up support).
-    ///
-    /// Note that after [`Protocol::gc_executed`] has run, only entries
-    /// above the compaction floor remain here — a runtime serving catch-up
-    /// must pair this retained log with the executed-state base from
-    /// [`Protocol::save_executed`], which covers everything any replica
-    /// has collected. The receiver's executed-state marker makes replaying
-    /// entries the base already reflects an idempotent no-op, so shipping
-    /// the full retained log (executed entries included) is what keeps
-    /// catch-up complete: an entry executed here may still be unknown to
-    /// the peer whose base the receiver installed.
-    fn committed_log(&self) -> Vec<Self::Message> {
-        Vec::new()
+    /// Makes every identifier generated from now on exceed `past` (the
+    /// peers' seen horizon for a replica that lost its state).
+    fn advance_identifiers(&mut self, past: u64);
+
+    /// This replica's identifier.
+    fn id(&self) -> ProcessId {
+        self.base().id()
     }
 
-    /// This replica's **executed watermarks**: for every identifier space
-    /// (a coordinating process for dot-based protocols, the sentinel
-    /// process `0` for the single shared log of slot-based protocols), the
-    /// highest sequence `w` such that *every* identifier `1..=w` of that
-    /// space has been executed by the local state machine — the contiguous
-    /// executed prefix, not merely the highest executed identifier.
-    ///
-    /// Watermarks drive garbage collection: the runtime exchanges them
-    /// between replicas and hands the **pointwise minimum** (the
-    /// all-executed horizon) to [`Protocol::gc_executed`]. They must be
-    ///
-    /// * **monotone** — a watermark never regresses on a live replica
-    ///   (restoring a peer's base via [`Protocol::restore_executed`] after
-    ///   a wipe may legitimately report lower values than the lost
-    ///   incarnation once did; see `ARCHITECTURE.md` for why that stale
-    ///   window is safe), and
-    /// * **truthful** — reporting `w` promises this replica will never
-    ///   need a peer to re-send a commit for an identifier `<= w`.
-    ///
-    /// Sorted by space identifier, deterministic for a given state.
-    /// Default: empty (the runtime then never garbage-collects).
-    fn executed_watermarks(&self) -> Vec<(ProcessId, u64)> {
-        Vec::new()
+    /// The configuration epoch this replica operates in.
+    fn epoch(&self) -> u64 {
+        self.base().view().epoch
     }
 
-    /// Drops bookkeeping for entries at or below `horizon` — the pointwise
-    /// minimum of every replica's [`executed
-    /// watermarks`](Protocol::executed_watermarks), i.e. identifiers that
-    /// **every** replica has already executed. Returns how many entries
-    /// were dropped (0 = nothing to do).
-    ///
-    /// The caller guarantees `horizon` is an all-executed horizon; the
-    /// implementation in turn guarantees:
-    ///
-    /// * **Idempotent and monotone.** Re-applying the same (or a lower)
-    ///   horizon drops nothing and changes nothing; the compaction floor
-    ///   only ever rises.
-    /// * **Deterministic for replay.** The networked runtime journals each
-    ///   GC round (as a `Gc` input record) and replays it in order after a
-    ///   crash, exactly like `suspect`; the result must depend only on
-    ///   protocol state and `horizon`.
-    /// * **Invisible to the protocol's future behaviour.** Messages that
-    ///   still arrive for a collected entry (duplicates from at-least-once
-    ///   links, stragglers, recovery probes) must be ignored exactly as if
-    ///   the entry were still present in its terminal phase — never
-    ///   treated as a fresh command. Digests and per-key execution order
-    ///   must be indistinguishable from a never-collected replica.
-    ///
-    /// Default: no-op returning 0 (no GC support).
-    fn gc_executed(&mut self, _horizon: &[(ProcessId, u64)]) -> u64 {
-        0
+    /// The view this replica operates in. The runtime derives a barrier's
+    /// target from it, not from its own announcement-fed view.
+    fn cluster_view(&self) -> ClusterView {
+        self.base().view().clone()
     }
-
-    /// Serializes this replica's **executed-state marker**: an opaque,
-    /// protocol-defined encoding of *which* identifiers the local state
-    /// machine has executed (e.g. per-source contiguous frontiers plus the
-    /// out-of-order executed set, or a single slot watermark). Paired with
-    /// the runtime's copy of the state machine (store + execution record),
-    /// it forms the base of a streamed catch-up: a wiped peer installs the
-    /// base, marks exactly these identifiers executed via
-    /// [`Protocol::restore_executed`], and replays the peers' retained
-    /// [`committed_log`](Protocol::committed_log)s on top (base-covered
-    /// entries replay as no-ops).
-    /// Returning `None` (the default) disables base transfer — catch-up
-    /// then falls back to replaying the full committed log, which is only
-    /// complete while [`Protocol::gc_executed`] has never collected
-    /// anything.
-    fn save_executed(&self) -> Option<Vec<u8>> {
-        None
-    }
-
-    /// Installs an executed-state marker produced by a **peer's**
-    /// [`Protocol::save_executed`] into this replica. Must only be called
-    /// on a replica whose state machine is otherwise untouched (a wiped
-    /// rejoiner before it has executed anything); marking an identifier
-    /// executed suppresses its future execution, so installing a marker
-    /// over real progress would skip commands. Returns `false` if the
-    /// bytes cannot be decoded — the caller must treat that as a failed
-    /// catch-up attempt, not as an empty marker. Default: `false`.
-    fn restore_executed(&mut self, _marker: &[u8]) -> bool {
-        false
-    }
-
-    /// Number of per-command bookkeeping entries currently held (command
-    /// info maps, decided-slot maps, …) — the quantity
-    /// [`Protocol::gc_executed`] exists to bound. Observability only; the
-    /// runtime exposes it to clients so tests and operators can assert the
-    /// maps stay bounded under GC. Default: 0.
-    fn tracked_entries(&self) -> usize {
-        0
-    }
-
-    /// The highest command sequence number (dot sequence or log slot) this
-    /// replica has *seen* — committed or not — originating from `source`.
-    ///
-    /// A replica that lost its state and rejoins asks its peers for this
-    /// horizon and calls [`Protocol::advance_identifiers`] with the maximum,
-    /// so the identifiers of its previous incarnation are never reissued for
-    /// different commands. Default: 0 (nothing seen).
-    fn seen_horizon(&self, _source: ProcessId) -> u64 {
-        0
-    }
-
-    /// Ensures every identifier this replica generates from now on is
-    /// strictly greater than `past` (in its own identifier space). Called
-    /// during peer-assisted catch-up with the peers' [`seen
-    /// horizon`](Protocol::seen_horizon) for this replica. Default: no-op.
-    fn advance_identifiers(&mut self, _past: u64) {}
 
     /// Protocol metrics accumulated so far.
-    fn metrics(&self) -> &ProtocolMetrics;
+    fn metrics(&self) -> &ProtocolMetrics {
+        &self.base().metrics
+    }
 
-    /// Constant-size digest of [`metrics`](Protocol::metrics) for export
-    /// over the stats plane: scalar counters (fast/slow paths, commits,
-    /// recoveries, …) plus histogram moments, no retained samples. The
-    /// default derives it from `metrics()`, so every protocol — including
-    /// ones outside this workspace — reports a fast-path ratio for free;
-    /// override only to export counters `ProtocolMetrics` does not carry.
+    /// Constant-size digest of the metrics for the stats plane.
     fn protocol_stats(&self) -> crate::metrics::ProtocolStats {
         crate::metrics::ProtocolStats::from(self.metrics())
     }
@@ -474,25 +294,5 @@ mod tests {
     fn closest_quorum_rejects_oversized_requests() {
         let t = Topology::identity(1, 3);
         let _ = t.closest_quorum(4);
-    }
-
-    #[test]
-    fn closest_alive_quorum_skips_dead_processes() {
-        let t = Topology::identity(1, 5);
-        let alive = vec![1, 3, 5];
-        assert_eq!(t.closest_alive_quorum(3, &alive), Some(vec![1, 3, 5]));
-        assert_eq!(t.closest_alive_quorum(4, &alive), None);
-    }
-
-    #[test]
-    fn broadcast_targets_all_processes() {
-        let action: Action<&str> = Action::broadcast(4, "m");
-        match action {
-            Action::Send { targets, msg } => {
-                assert_eq!(targets, vec![1, 2, 3, 4]);
-                assert_eq!(msg, "m");
-            }
-            _ => panic!("expected send"),
-        }
     }
 }

@@ -1,25 +1,26 @@
-//! A seeded chaos harness for protocol state machines, generic over
-//! [`Protocol`].
+//! The in-memory cluster driver of every protocol's unit tests, generic over
+//! [`Protocol`], in two delivery modes.
 //!
-//! Delivers queued messages in seeded-random order with random duplication —
-//! the message schedule of a real network with at-least-once links — while
-//! messages to or from crashed processes are lost. Self-addressed messages
+//! [`ChaosNet::new`] delivers queued messages in seeded-random order with
+//! random duplication — the message schedule of a real network with
+//! at-least-once links; [`ChaosNet::fifo`] delivers them in order, exactly
+//! once, for tests that pin one schedule. In both, messages to or from
+//! crashed processes are lost, and self-addressed messages
 //! are delivered immediately to fixpoint, exactly like the networked
 //! runtime's `perform` (the paper's zero-delay self-delivery assumption:
 //! e.g. a coordinator always processes its own `MCollect` before any of the
 //! acks it provokes).
 //!
-//! The harness exists for the recovery test sweeps: every protocol's
+//! The chaotic mode exists for the recovery test sweeps: every protocol's
 //! kill-the-coordinator scenario runs across many seeds with commands
-//! stranded at random propagation stages (see the seeded sweeps in this
-//! crate's `recovery` tests and in the `epaxos` / `mencius` crates). It is
-//! a test harness, not a simulator — for latency-modeled experiments use
-//! the `planet-sim` crate. It is compiled only for this crate's own tests
-//! and behind the `chaos` cargo feature (which the epaxos/mencius crates
-//! enable from their dev-dependencies), so it never ships in production
-//! builds.
+//! stranded at random propagation stages (see the seeded sweeps in the
+//! `epaxos` and `mencius` crates). It is a test harness, not a simulator —
+//! for latency-modeled experiments use the `planet-sim` crate. It is
+//! compiled only for this crate's own tests and behind the `chaos` cargo
+//! feature (which the other protocol crates enable from their
+//! dev-dependencies), so it never ships in production builds.
 
-use atlas_core::{Action, Command, Config, Dot, ProcessId, Protocol, Topology};
+use atlas_core::{Action, Command, Config, Dot, ProcessId, Protocol, Rifl, Topology};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
@@ -53,31 +54,44 @@ const DUPLICATION_PROBABILITY: f64 = 0.2;
 /// schedule cannot amplify itself without bound.
 const DUPLICATION_QUEUE_CAP: usize = 4096;
 
-/// A cluster of `P` replicas driven with seeded-chaotic message delivery.
+/// A cluster of `P` replicas driven with seeded-chaotic (or in-order)
+/// message delivery.
 pub struct ChaosNet<P: Protocol> {
     /// The replicas, indexed by `ProcessId - 1`. Tests inspect protocol
     /// state directly through this field.
     pub replicas: Vec<P>,
     /// Processes whose inbound and outbound messages are dropped.
     pub crashed: HashSet<ProcessId>,
-    /// Identifiers executed per process, in execution order.
-    pub executed: HashMap<ProcessId, Vec<Dot>>,
+    /// What each process executed, in execution order.
+    pub executed: HashMap<ProcessId, Vec<(Dot, Rifl)>>,
     rng: SmallRng,
+    /// Reorder and duplicate deliveries (else: in order, exactly once).
+    chaotic: bool,
 }
 
 impl<P: Protocol> ChaosNet<P> {
     /// Builds an `n`-replica cluster with identity topologies and the given
     /// chaos seed.
     pub fn new(n: usize, f: usize, seed: u64) -> Self {
-        let config = Config::new(n, f);
-        let replicas = (1..=n as ProcessId)
-            .map(|id| P::new(id, config, Topology::identity(id, n)))
+        Self {
+            rng: SmallRng::seed_from_u64(seed),
+            chaotic: true,
+            ..Self::fifo(Config::new(n, f))
+        }
+    }
+
+    /// Builds a `config.n`-replica cluster with identity topologies that
+    /// delivers every message in order and exactly once.
+    pub fn fifo(config: Config) -> Self {
+        let replicas = (1..=config.n as ProcessId)
+            .map(|id| P::new(id, config, Topology::identity(id, config.n)))
             .collect();
         Self {
             replicas,
             crashed: HashSet::new(),
             executed: HashMap::new(),
-            rng: SmallRng::seed_from_u64(seed),
+            rng: SmallRng::seed_from_u64(0),
+            chaotic: false,
         }
     }
 
@@ -97,21 +111,28 @@ impl<P: Protocol> ChaosNet<P> {
         &mut self.rng
     }
 
-    /// Runs `actions` produced by `source` to quiescence under chaotic
+    /// Runs `actions` produced by `source` to quiescence. Chaotic
     /// delivery: each step delivers a uniformly random queued message,
     /// possibly duplicating it.
     pub fn run(&mut self, source: ProcessId, actions: Vec<Action<P::Message>>) {
         let mut queue: Vec<(ProcessId, ProcessId, P::Message)> = Vec::new();
         self.enqueue(source, actions, &mut queue);
         while !queue.is_empty() {
-            // Reordering: deliver a uniformly random queued message.
-            let idx = self.rng.gen_range(0..queue.len());
-            let (from, to, msg) = queue.swap_remove(idx);
+            let (from, to, msg) = if self.chaotic {
+                // Reordering: deliver a uniformly random queued message.
+                let idx = self.rng.gen_range(0..queue.len());
+                queue.swap_remove(idx)
+            } else {
+                queue.remove(0)
+            };
             if self.crashed.contains(&from) || self.crashed.contains(&to) {
                 continue; // loss
             }
             // Duplication: an at-least-once link may deliver twice.
-            if queue.len() < DUPLICATION_QUEUE_CAP && self.rng.gen_bool(DUPLICATION_PROBABILITY) {
+            if self.chaotic
+                && queue.len() < DUPLICATION_QUEUE_CAP
+                && self.rng.gen_bool(DUPLICATION_PROBABILITY)
+            {
                 queue.push((from, to, msg.clone()));
             }
             let out = self.replica(to).handle(from, msg, 0);
@@ -153,8 +174,9 @@ impl<P: Protocol> ChaosNet<P> {
                         }
                     }
                 }
-                Action::Execute { dot, .. } => {
-                    self.executed.entry(source).or_default().push(dot);
+                Action::Execute { dot, cmd } => {
+                    let executed = self.executed.entry(source).or_default();
+                    executed.push((dot, cmd.rifl));
                 }
                 Action::Commit { .. } => {}
             }
@@ -192,6 +214,13 @@ impl<P: Protocol> ChaosNet<P> {
 
     /// The identifiers executed at `id`, in execution order.
     pub fn executed_at(&self, id: ProcessId) -> Vec<Dot> {
-        self.executed.get(&id).cloned().unwrap_or_default()
+        let executed = self.executed.get(&id).into_iter().flatten();
+        executed.map(|(dot, _)| *dot).collect()
+    }
+
+    /// The requests executed at `id`, in execution order.
+    pub fn rifls_at(&self, id: ProcessId) -> Vec<Rifl> {
+        let executed = self.executed.get(&id).into_iter().flatten();
+        executed.map(|(_, rifl)| *rifl).collect()
     }
 }

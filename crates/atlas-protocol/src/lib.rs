@@ -4,7 +4,12 @@
 //! *"State-Machine Replication for Planet-Scale Systems"* (EuroSys 2020),
 //! together with its dependency-graph execution layer.
 //!
-//! Highlights of the protocol (see the paper and `ARCHITECTURE.md`):
+//! The protocol is written as one dependency-commit engine, [`Deps`], whose
+//! [`CommitRule`] parameter holds the five decisions the paper's two
+//! leaderless protocols take differently: [`Atlas`] is `Deps<AtlasRule>`,
+//! and the `epaxos` crate supplies the other rule. Both speak [`Message`].
+//!
+//! Highlights of the Atlas rule (see the paper and `ARCHITECTURE.md`):
 //!
 //! * **Small fast quorums** of size `⌊n/2⌋ + f`, where the number of
 //!   tolerated concurrent site failures `f` is chosen independently of `n`.
@@ -49,9 +54,11 @@ pub mod keydeps;
 pub mod messages;
 pub mod protocol;
 pub mod recovery;
+pub mod rule;
 
 pub use graph::{DependencyGraph, ExecutedMarker};
 pub use keydeps::KeyDeps;
 pub use messages::{Ballot, Message};
-pub use protocol::Atlas;
-pub use recovery::{ballot_owner, highest_accepted, takeover_ballot, RecAck};
+pub use protocol::{Atlas, Deps};
+pub use recovery::{highest_accepted, RecAck};
+pub use rule::{AtlasRule, CommitRule};

@@ -1,58 +1,41 @@
-//! Recovery path of the Atlas protocol (Algorithm 2 of the paper), plus the
-//! ballot machinery shared by every takeover-style recovery in this
-//! workspace.
+//! Takeover recovery of the dependency-commit engine (Algorithm 2 of the
+//! paper), plus the ballot machinery shared by every takeover-style recovery
+//! in this workspace.
 //!
 //! When a replica suspects that the initial coordinator of a command has
 //! failed, it takes over by running an analogue of Paxos phase 1 with a
-//! ballot it owns (`i + n·(⌊bal/n⌋ + 1)`, always greater than `n`). From the
-//! `n − f` replies it either:
+//! ballot it owns (see [`takeover_ballot_in`]). From a recovery quorum of
+//! replies it either:
 //!
 //! 1. adopts the consensus proposal accepted at the highest ballot, if any;
-//! 2. reconstructs the (possible) fast-path proposal by taking the union of
-//!    the dependencies reported by fast-quorum members (Property 2), when
-//!    some reply shows the fast quorum; or
+//! 2. reconstructs the (possible) fast-path proposal from what the
+//!    fast-quorum members report — the one step that is the
+//!    [`CommitRule`]'s — when some reply shows the fast quorum; or
 //! 3. proposes a `noOp` if no replica ever saw the command.
 //!
 //! The chosen proposal then goes through the regular consensus phase 2
 //! (`MConsensus` / `MConsensusAck`) before being committed.
 //!
-//! The building blocks — process-owned takeover ballots
-//! ([`takeover_ballot`] / [`ballot_owner`]) and the phase-1 reply shape
-//! ([`RecAck`]) — are exported because EPaxos instance recovery and Mencius
-//! slot revocation run the same message flow with protocol-specific value
-//! selection; see the `epaxos` and `mencius` crates.
+//! The building blocks — process-owned takeover ballots and the phase-1
+//! reply shape ([`RecAck`]) — are exported because Mencius slot revocation
+//! runs the same message flow with its own value selection.
 
 use crate::messages::{Ballot, Message};
-use crate::protocol::{Atlas, Phase};
-use atlas_core::protocol::Time;
-use atlas_core::{Action, ClusterView, Command, Config, Dot, ProcessId};
+use crate::protocol::{Phase, State};
+use crate::rule::CommitRule;
+use atlas_core::{Action, ClusterView, Command, Dot, ProcessId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
-/// The smallest ballot owned by process `id` that is strictly greater than
-/// both `seen` and `n`: `id + n·(⌊seen/n⌋ + 1)`. Ballots `1..=n` are
-/// reserved for initial coordinators (process `i` implicitly leads ballot
-/// `i`), so every takeover ballot is recognizably a recovery ballot, and
-/// ballots minted by different processes can never collide.
-pub fn takeover_ballot(id: ProcessId, n: usize, seen: Ballot) -> Ballot {
-    let n = n as Ballot;
-    id as Ballot + n * (seen / n + 1)
-}
-
-/// The process that owns `ballot` under the [`takeover_ballot`] scheme:
-/// `((ballot − 1) mod n) + 1`. Only meaningful for `ballot ≥ 1`.
-pub fn ballot_owner(n: usize, ballot: Ballot) -> ProcessId {
-    debug_assert!(ballot >= 1, "ballot 0 has no owner");
-    (((ballot - 1) % n as Ballot) + 1) as ProcessId
-}
-
-/// View-aware [`takeover_ballot`]: the smallest ballot owned by `id` under
-/// `view` that is strictly greater than both `seen` and the view's
-/// [`ballot floor`](ClusterView::ballot_floor). Ownership positions are
-/// drawn from the view's member list (old and new members during the joint
-/// window), so takeover ballots work with non-contiguous identifiers; the
-/// epoch floor keeps ballots minted under different member counts from
-/// colliding (the owner arithmetic is modular in the member count).
+/// The smallest ballot owned by `id` under `view` that is strictly greater
+/// than `seen`, the member count (at epoch 0 ballot `i ≤ n` is reserved for
+/// initial coordinator `i`, so a takeover ballot is recognizably one) and
+/// the view's [`ballot floor`](ClusterView::ballot_floor) — the **ballot
+/// hygiene** contract of [`Protocol`](atlas_core::Protocol). Ownership is the position
+/// in the view's member list (old and new members during the joint window),
+/// so ballots of different members never collide and identifiers may be
+/// non-contiguous; the epoch floor keeps ballots minted under different
+/// member counts apart (the owner arithmetic is modular in the count).
 pub fn takeover_ballot_in(view: &ClusterView, id: ProcessId, seen: Ballot) -> Ballot {
     let members = view.all_members();
     let n = members.len() as Ballot;
@@ -67,7 +50,7 @@ pub fn takeover_ballot_in(view: &ClusterView, id: ProcessId, seen: Ballot) -> Ba
     pos + n * (floor / n + 1)
 }
 
-/// View-aware [`ballot_owner`]: decodes the member that minted `ballot`
+/// Decodes the member that minted `ballot` with [`takeover_ballot_in`]
 /// under `view`, or `None` when the ballot predates the view's epoch (or is
 /// an initial-coordinator ballot) — the caller should then mint a fresh
 /// ballot instead of trusting cross-epoch owner arithmetic.
@@ -111,62 +94,60 @@ where
         .max_by_key(|ack| ack.accepted_ballot)
 }
 
-impl Atlas {
-    /// Starts recovery for every in-flight command coordinated by
-    /// `suspected`, including commands this replica only knows as missing
-    /// dependencies of committed commands.
-    pub(crate) fn recover_suspected(
-        &mut self,
-        suspected: ProcessId,
-        time: Time,
-    ) -> Vec<Action<Message>> {
-        if suspected == self.id {
+impl State {
+    /// Starts (or re-drives) recovery for every in-flight command
+    /// coordinated by `suspected`, including commands this replica only
+    /// knows as missing dependencies of committed commands.
+    pub(crate) fn recover_suspected(&mut self, suspected: ProcessId) -> Vec<Action<Message>> {
+        if suspected == self.base.id() {
             return Vec::new();
         }
         let mut dots: HashSet<Dot> = self
             .info
             .iter()
-            .filter(|(dot, info)| {
-                dot.coordinator() == suspected
-                    && !matches!(info.phase, Phase::Commit | Phase::Execute)
-            })
+            .filter(|(dot, info)| dot.coordinator() == suspected && !info.phase.is_committed())
             .map(|(dot, _)| *dot)
             .collect();
-        for dot in self.graph.missing_dependencies() {
-            if dot.coordinator() == suspected {
-                dots.insert(dot);
-            }
-        }
+        let missing = self.graph.missing_dependencies().into_iter();
+        dots.extend(missing.filter(|dot| dot.coordinator() == suspected));
         // Deterministic recovery order keeps runs reproducible.
         let mut dots: Vec<Dot> = dots.into_iter().collect();
         dots.sort_unstable();
-        let mut actions = Vec::new();
-        for dot in dots {
-            actions.extend(self.recover(dot, time));
-        }
-        actions
+        dots.into_iter().flat_map(|dot| self.recover(dot)).collect()
     }
 
     /// Takes over as coordinator of `dot` (Algorithm 2, line 31).
-    pub(crate) fn recover(&mut self, dot: Dot, _time: Time) -> Vec<Action<Message>> {
+    ///
+    /// **Idempotent under re-dispatch**: the runtime repeats a suspicion
+    /// every `suspect_after` while the peer stays silent (recovering one
+    /// command can surface further identifiers of the dead peer). While
+    /// this replica still owns the identifier's current ballot, a repeat
+    /// re-sends the *same* `MRec` — lost-message recovery, which acceptors
+    /// re-acknowledge — instead of opening a second ballot; only a ballot
+    /// minted by someone else, or in an older epoch, is outbid.
+    pub(crate) fn recover(&mut self, dot: Dot) -> Vec<Action<Message>> {
         if self.collected(&dot) {
             // Executed everywhere and garbage-collected; nothing can be
             // blocked on it, so there is nothing to recover.
             return Vec::new();
         }
-        self.metrics.recoveries += 1;
-        let id = self.id;
-        let view = self.view.clone();
-        let everyone = self.everyone();
         let info = self.info_mut(dot);
-        if matches!(info.phase, Phase::Commit | Phase::Execute) {
+        if info.phase.is_committed() {
             return Vec::new();
         }
-        // Pick a ballot owned by this replica under the current view,
-        // higher than any it has seen.
-        let ballot = takeover_ballot_in(&view, id, info.bal);
-        let cmd = info.cmd.clone().unwrap_or_else(Command::noop);
-        vec![Action::send(everyone, Message::MRec { dot, cmd, ballot })]
+        let (bal, cmd) = (info.bal, info.cmd.clone().unwrap_or_else(Command::noop));
+        let (id, view) = (self.base.id(), self.base.view());
+        let ballot = if ballot_owner_in(view, bal) == Some(id) {
+            bal
+        } else {
+            let ballot = takeover_ballot_in(view, id, bal);
+            self.base.metrics.recoveries += 1;
+            ballot
+        };
+        vec![Action::send(
+            self.base.everyone(),
+            Message::MRec { dot, cmd, ballot },
+        )]
     }
 
     /// Handles `MRec` (Algorithm 2, lines 34-43).
@@ -185,27 +166,24 @@ impl Atlas {
             // and unnecessary: no live replica is blocked on this dot.
             return Vec::new();
         }
-        // If the command is already committed or executed here, short-circuit
-        // the recovery with an MCommit (line 35-36).
-        {
-            let info = self.info_mut(dot);
-            if matches!(info.phase, Phase::Commit | Phase::Execute) {
-                let cmd = info.cmd.clone().expect("committed command is known");
-                let deps = info.deps.clone();
-                return vec![Action::send([from], Message::MCommit { dot, cmd, deps })];
-            }
-            if info.bal >= ballot {
-                // Stale recovery attempt.
-                return Vec::new();
-            }
+        let info = self.info_mut(dot);
+        if info.phase.is_committed() {
+            // Already decided here: short-circuit the recovery with an
+            // MCommit (line 35-36).
+            let cmd = info.cmd.clone().expect("committed command is known");
+            let deps = info.deps.clone();
+            return vec![Action::send([from], Message::MCommit { dot, cmd, deps })];
         }
-        // If this replica has never seen the command (line 39-40), its
-        // contribution is its current set of conflicts for the command.
-        let seen_before = {
-            let info = self.info_mut(dot);
-            !(info.bal == 0 && info.phase == Phase::Start)
-        };
-        if !seen_before {
+        if info.bal > ballot {
+            // Stale recovery attempt. A *re-sent* MRec at exactly the
+            // promised ballot is re-acknowledged (at-least-once links, and
+            // the re-dispatch rule of `recover`).
+            return Vec::new();
+        }
+        if info.bal == 0 && info.phase == Phase::Start {
+            // This replica has never seen the command (line 39-40): its
+            // contribution is its current set of conflicts for it — and the
+            // command is indexed so later conflicting commands observe it.
             let deps = self.key_deps.conflicts(&cmd);
             self.key_deps.add(dot, &cmd);
             let info = self.info_mut(dot);
@@ -228,107 +206,62 @@ impl Atlas {
 
     /// Handles `MRecAck` at the recovery coordinator (Algorithm 2,
     /// lines 44-52).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn handle_rec_ack(
+    pub(crate) fn handle_rec_ack<R: CommitRule>(
         &mut self,
         from: ProcessId,
         dot: Dot,
-        cmd: Command,
-        deps: HashSet<Dot>,
-        quorum: Vec<ProcessId>,
-        accepted_ballot: Ballot,
+        ack: RecAck,
         ballot: Ballot,
     ) -> Vec<Action<Message>> {
-        if self.collected(&dot) {
-            // A straggling ack for a collected identifier; `info_mut` below
-            // would resurrect an empty entry that GC could never drop.
-            return Vec::new();
-        }
-        let view = self.view.clone();
-        let base = self.config;
-        let everyone = self.everyone();
-        let info = self.info_mut(dot);
-        if matches!(info.phase, Phase::Commit | Phase::Execute) || info.committed_sent {
-            return Vec::new();
-        }
-        // Precondition (line 45): we are still leading ballot `ballot`.
-        if info.bal != ballot {
+        let Some(info) = self.info.get_mut(&dot) else {
+            return Vec::new(); // a straggler for a collected identifier
+        };
+        // Precondition (line 45): we are still leading ballot `ballot`, and
+        // the identifier is not decided.
+        if info.phase.is_committed() || info.committed_sent || info.bal != ballot {
             return Vec::new();
         }
         let acks = info.rec_acks.entry(ballot).or_default();
-        acks.insert(
-            from,
-            RecAck {
-                cmd,
-                deps,
-                quorum,
-                accepted_ballot,
-            },
-        );
-        // `n − f` replies in the current configuration — and, during the
+        acks.insert(from, ack);
+        // A recovery quorum in the current configuration — and, during the
         // joint window, in the outgoing one too, so a proposal accepted
         // under either configuration is guaranteed to be visible here.
-        let responder_set: HashSet<ProcessId> = acks.keys().copied().collect();
-        if !view.quorum_met(&responder_set, base, Config::recovery_quorum_size) {
+        let responders: HashSet<ProcessId> = acks.keys().copied().collect();
+        if !self.base.quorum_met(&responders, R::recovery_quorum_size) {
             return Vec::new();
         }
-        if let Some((cmd, deps)) = info.rec_proposed.get(&ballot) {
-            // A proposal was already derived for this ballot: a straggling
-            // ack (or a re-sent one) only re-sends it. Deriving again could
-            // produce a *larger* union — two values at one ballot.
-            let (cmd, deps) = (cmd.clone(), deps.clone());
-            return vec![Action::send(
-                everyone,
-                Message::MConsensus {
-                    dot,
-                    cmd,
-                    deps,
-                    ballot,
-                },
-            )];
-        }
-
-        // Compute the proposal from the n - f replies.
-        let acks = acks.clone();
-        let (cmd, deps) = if let Some(highest) = highest_accepted(acks.values()) {
-            // Case 1 (line 46-48): adopt the proposal accepted at the highest
-            // ballot, by the standard Paxos rules.
-            (highest.cmd.clone(), highest.deps.clone())
-        } else if let Some((_, witness)) = acks.iter().find(|(_, ack)| !ack.quorum.is_empty()) {
-            // Case 2 (line 49-51): some replica saw the initial MCollect.
-            let responders: HashSet<ProcessId> = acks.keys().copied().collect();
-            let initial_coordinator = dot.coordinator();
-            let union_over: Vec<ProcessId> = if responders.contains(&initial_coordinator) {
-                // The initial coordinator replied, so it has not taken (and
-                // will never take) the fast path: the union over all replies
-                // is a safe proposal.
-                responders.into_iter().collect()
-            } else {
-                // The initial coordinator may have taken the fast path; by
-                // Property 2 the union over the fast-quorum members that
-                // replied reconstructs any fast-path proposal.
-                responders
-                    .intersection(&witness.quorum.iter().copied().collect())
-                    .copied()
-                    .collect()
-            };
-            let mut union = HashSet::new();
-            for member in &union_over {
-                if let Some(ack) = acks.get(member) {
-                    union.extend(ack.deps.iter().copied());
-                }
+        // A proposal is derived at most once per ballot: a straggling ack
+        // (or a re-sent one) only re-sends it. Deriving again could produce
+        // a *larger* union — two values at one ballot.
+        let (cmd, deps) = match info.rec_proposed.get(&ballot) {
+            Some(proposed) => proposed.clone(),
+            None => {
+                let proposal = if let Some(highest) = highest_accepted(acks.values()) {
+                    // Case 1 (line 46-48): adopt the proposal accepted at
+                    // the highest ballot, by the standard Paxos rules. It
+                    // agrees with any fast-path commit: the coordinator
+                    // decides between the paths exactly once.
+                    (highest.cmd.clone(), highest.deps.clone())
+                } else if let Some(witness) = acks.values().find(|ack| !ack.quorum.is_empty()) {
+                    // Case 2 (line 49-51): some replica saw the initial
+                    // MCollect; the rule rebuilds what the fast path may
+                    // have committed.
+                    let mut deps = R::recovered_deps(acks, &witness.quorum, dot.coordinator());
+                    deps.remove(&dot);
+                    (witness.cmd.clone(), deps)
+                } else {
+                    // Case 3 (line 52): nobody saw the command; replace it
+                    // with a noOp so dependants stop waiting.
+                    (Command::noop(), HashSet::new())
+                };
+                info.rec_proposed.insert(ballot, proposal.clone());
+                proposal
             }
-            (witness.cmd.clone(), union)
-        } else {
-            // Case 3 (line 52): nobody saw the command; replace it with noOp.
-            (Command::noop(), HashSet::new())
         };
-
-        self.info_mut(dot)
-            .rec_proposed
-            .insert(ballot, (cmd.clone(), deps.clone()));
+        // Phase 2 is open to every replica (the suspected one included — a
+        // falsely suspected coordinator is a perfectly good acceptor).
         vec![Action::send(
-            everyone,
+            self.base.everyone(),
             Message::MConsensus {
                 dot,
                 cmd,
@@ -342,101 +275,21 @@ impl Atlas {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::Phase;
-    use atlas_core::{Command, Config, Dot, Protocol, Rifl, Topology};
+    use crate::chaos::ChaosNet;
+    use crate::protocol::{Atlas, Info};
+    use atlas_core::{Config, Protocol, Rifl};
 
     fn put(client: u64, seq: u64, key: u64) -> Command {
         Command::put(Rifl::new(client, seq), key, client, 100)
     }
 
-    /// A small harness that lets tests drop messages to/from crashed
-    /// processes and deliver the rest immediately.
-    struct Net {
-        replicas: Vec<Atlas>,
-        crashed: HashSet<ProcessId>,
-        executed: std::collections::HashMap<ProcessId, Vec<Dot>>,
+    fn cluster() -> ChaosNet<Atlas> {
+        ChaosNet::fifo(Config::new(5, 2))
     }
 
-    impl Net {
-        fn new(n: usize, f: usize) -> Self {
-            let config = Config::new(n, f);
-            let replicas = (1..=n as ProcessId)
-                .map(|id| Atlas::new(id, config, Topology::identity(id, n)))
-                .collect();
-            Self {
-                replicas,
-                crashed: HashSet::new(),
-                executed: Default::default(),
-            }
-        }
-
-        fn replica(&mut self, id: ProcessId) -> &mut Atlas {
-            &mut self.replicas[(id - 1) as usize]
-        }
-
-        fn crash(&mut self, id: ProcessId) {
-            self.crashed.insert(id);
-        }
-
-        fn run(&mut self, source: ProcessId, actions: Vec<Action<Message>>) {
-            let mut queue: Vec<(ProcessId, ProcessId, Message)> = Vec::new();
-            self.enqueue(source, actions, &mut queue);
-            while !queue.is_empty() {
-                let (from, to, msg) = queue.remove(0);
-                if self.crashed.contains(&from) || self.crashed.contains(&to) {
-                    continue;
-                }
-                let out = self.replica(to).handle(from, msg, 0);
-                self.enqueue(to, out, &mut queue);
-            }
-        }
-
-        fn enqueue(
-            &mut self,
-            source: ProcessId,
-            actions: Vec<Action<Message>>,
-            queue: &mut Vec<(ProcessId, ProcessId, Message)>,
-        ) {
-            for action in actions {
-                match action {
-                    Action::Send { targets, msg } => {
-                        let mut targets = targets;
-                        targets.sort_by_key(|t| if *t == source { 0 } else { 1 });
-                        for to in targets {
-                            queue.push((source, to, msg.clone()));
-                        }
-                    }
-                    Action::Execute { dot, .. } => {
-                        self.executed.entry(source).or_default().push(dot);
-                    }
-                    Action::Commit { .. } => {}
-                }
-            }
-        }
-
-        /// Submits at `at` but drops every message except those addressed to
-        /// processes in `reach` — used to create partially propagated
-        /// commands before a crash.
-        fn submit_reaching(&mut self, at: ProcessId, cmd: Command, reach: &[ProcessId]) {
-            let actions = self.replica(at).submit(cmd, 0);
-            // Deliver only the MCollect to the chosen subset; drop the acks
-            // by temporarily marking the coordinator as crashed.
-            for action in actions {
-                if let Action::Send { targets, msg } = action {
-                    for to in targets {
-                        if reach.contains(&to) {
-                            // Deliver but discard the replica's reply.
-                            let _ = self.replica(to).handle(at, msg.clone(), 0);
-                        }
-                    }
-                }
-            }
-        }
-
-        fn suspect(&mut self, at: ProcessId, suspected: ProcessId) {
-            let actions = self.replica(at).suspect(suspected, 0);
-            self.run(at, actions);
-        }
+    fn info(net: &ChaosNet<Atlas>, at: ProcessId, dot: Dot) -> &Info {
+        let replica = &net.replicas[(at - 1) as usize];
+        replica.state.info.get(&dot).expect("identifier is known")
     }
 
     #[test]
@@ -445,7 +298,7 @@ mod tests {
         // MCollect, the quorum members see it, but the coordinator crashes
         // before committing. Recovery by process 2 must commit the command
         // (not a noOp) with the union of the reported dependencies.
-        let mut net = Net::new(5, 2);
+        let mut net = cluster();
         let cmd = put(1, 1, 0);
         net.submit_reaching(1, cmd.clone(), &[2, 3, 4]);
         net.crash(1);
@@ -453,14 +306,13 @@ mod tests {
         // The command was committed and executed at the surviving replicas.
         for id in 2..=5 {
             assert_eq!(
-                net.executed.get(&id).map(Vec::len).unwrap_or(0),
+                net.executed_at(id).len(),
                 1,
                 "process {id} must execute the recovered command"
             );
         }
         // And it was recovered as the real command, not a noOp.
-        let dot = Dot::new(1, 1);
-        let info_cmd = net.replicas[1].info.get(&dot).unwrap().cmd.clone().unwrap();
+        let info_cmd = info(&net, 2, Dot::new(1, 1)).cmd.clone().unwrap();
         assert!(!info_cmd.is_noop());
         assert_eq!(info_cmd.rifl, cmd.rifl);
         assert!(net.replicas[1].metrics().recoveries >= 1);
@@ -471,17 +323,17 @@ mod tests {
         // The coordinator crashes before any replica sees the command, but
         // another replica learned the identifier as a dependency. Recovery
         // must commit a noOp so dependants can execute.
-        let mut net = Net::new(5, 2);
+        let mut net = cluster();
         // Nobody ever saw ⟨1,1⟩; process 3 recovers it directly.
         let dot = Dot::new(1, 1);
         net.crash(1);
-        let actions = net.replica(3).recover(dot, 0);
+        let actions = net.replica(3).state.recover(dot);
         net.run(3, actions);
-        let info = net.replicas[2].info.get(&dot).unwrap();
-        assert!(matches!(info.phase, Phase::Commit | Phase::Execute));
+        let info = info(&net, 3, dot);
+        assert!(info.phase.is_committed());
         assert!(info.cmd.as_ref().unwrap().is_noop());
         // noOps are not applied to the state machine.
-        assert_eq!(net.executed.get(&3).map(Vec::len).unwrap_or(0), 0);
+        assert!(net.executed_at(3).is_empty());
         assert!(net.replicas[2].metrics().noops >= 1);
     }
 
@@ -489,17 +341,16 @@ mod tests {
     fn recovery_of_committed_command_returns_existing_commit() {
         // If the command is already committed somewhere, recovery must adopt
         // that exact commit (Invariant 1).
-        let mut net = Net::new(5, 2);
+        let mut net = cluster();
         let cmd = put(1, 1, 7);
-        let actions = net.replica(1).submit(cmd.clone(), 0);
-        net.run(1, actions);
+        net.submit(1, cmd.clone());
         // All replicas committed; now replica 4 runs a (redundant) recovery.
         let dot = Dot::new(1, 1);
-        let deps_before = net.replicas[0].info.get(&dot).unwrap().deps.clone();
-        let actions = net.replica(4).recover(dot, 0);
+        let deps_before = info(&net, 1, dot).deps.clone();
+        let actions = net.replica(4).state.recover(dot);
         net.run(4, actions);
-        for replica in &net.replicas {
-            let info = replica.info.get(&dot).unwrap();
+        for id in 1..=5 {
+            let info = info(&net, id, dot);
             assert_eq!(info.deps, deps_before);
             assert_eq!(info.cmd.as_ref().unwrap().rifl, cmd.rifl);
         }
@@ -507,42 +358,21 @@ mod tests {
 
     #[test]
     fn recovery_unblocks_dependant_commands() {
-        // A command b depends on a, whose coordinator crashed before a was
-        // committed anywhere. Recovering a (as noOp or real) must unblock b.
-        let mut net = Net::new(5, 2);
-        // a = ⟨1,1⟩ reaches only replica 4 (plus nobody else), so b picks it
-        // up as a dependency.
-        let a_cmd = put(1, 1, 0);
-        net.submit_reaching(1, a_cmd, &[4]);
+        // A command a reaches a single replica before its coordinator
+        // crashes, so later conflicting commands pick it up as a dependency
+        // nobody can commit. Suspecting the coordinator at every survivor
+        // must commit a (as the real command or as a noOp) at the survivors.
+        let mut net = cluster();
+        net.submit_reaching(1, put(1, 1, 0), &[4]);
         net.crash(1);
-        // b is submitted at 5 with fast quorum {5, 1, 2, 3}? With identity
-        // topology the quorum of 5 is {5, 1, 2, 3}; 1 is crashed so b cannot
-        // finish its collect phase. Use replica 4 as the coordinator of b so
-        // its quorum {4, 1, 2, 3} also includes the crashed replica... To keep
-        // the test focused, submit b at 2 and deliver MCollect to everyone
-        // alive manually.
-        let b_cmd = put(2, 1, 0);
-        let actions = net.replica(2).submit(b_cmd, 0);
-        // Deliver MCollect to alive quorum members only; coordinator collects
-        // acks from all quorum members except the crashed one, so it cannot
-        // take a decision yet. Instead of modelling timeouts here, suspect
-        // process 1 at every alive replica: recovery commits a (possibly as
-        // noOp), and a fresh submission of b afterwards completes.
-        drop(actions);
         for id in 2..=5 {
             net.suspect(id, 1);
         }
-        // a is now committed everywhere that participated in recovery.
         let dot_a = Dot::new(1, 1);
-        let committed = net
-            .replicas
+        let committed = net.replicas[1..]
             .iter()
-            .filter(|r| {
-                r.info
-                    .get(&dot_a)
-                    .map(|i| matches!(i.phase, Phase::Commit | Phase::Execute))
-                    .unwrap_or(false)
-            })
+            .filter_map(|r| r.state.info.get(&dot_a))
+            .filter(|info| info.phase.is_committed())
             .count();
         assert!(committed >= 3, "a must be committed at the survivors");
     }
@@ -551,187 +381,51 @@ mod tests {
     fn highest_accepted_ballot_wins_recovery() {
         // A consensus proposal accepted by f+1 replicas must survive
         // recovery: the new coordinator adopts the highest accepted proposal.
-        let mut net = Net::new(5, 2);
+        let mut net = cluster();
         let dot = Dot::new(1, 1);
         let cmd = put(1, 1, 3);
         let deps: HashSet<Dot> = [Dot::new(2, 9)].into_iter().collect();
         // Simulate a slow-path proposal from coordinator 1 accepted by
         // {1, 2, 3} at ballot 1, without the commit being sent.
         for id in [1u32, 2, 3] {
-            let out = net.replica(id).handle(
-                1,
-                Message::MConsensus {
-                    dot,
-                    cmd: cmd.clone(),
-                    deps: deps.clone(),
-                    ballot: 1,
-                },
-                0,
-            );
-            drop(out); // acks are lost
+            let accept = Message::MConsensus {
+                dot,
+                cmd: cmd.clone(),
+                deps: deps.clone(),
+                ballot: 1,
+            };
+            let _acks_are_lost = net.replica(id).handle(1, accept, 0);
         }
         net.crash(1);
-        // Replica 5 recovers; it must learn the accepted proposal (from 2 or
-        // 3) and commit exactly those dependencies.
+        // Replica 5 does not know the identifier at all, so a suspicion
+        // alone recovers nothing there; recover it explicitly. It must
+        // learn the accepted proposal (from 2 or 3) and commit exactly
+        // those dependencies.
         net.suspect(5, 1);
-        // 5 only knows about the dot through recovery of... it doesn't know
-        // the dot at all, so nothing happens. Recover explicitly.
-        let actions = net.replica(5).recover(dot, 0);
+        let actions = net.replica(5).state.recover(dot);
         net.run(5, actions);
-        let info = net.replicas[4].info.get(&dot).unwrap();
-        assert!(matches!(info.phase, Phase::Commit | Phase::Execute));
+        let info = info(&net, 5, dot);
+        assert!(info.phase.is_committed());
         assert_eq!(info.cmd.as_ref().unwrap().rifl, cmd.rifl);
         assert_eq!(info.deps, deps);
-    }
-
-    /// Atlas recovery under realistic schedules: commands stranded at
-    /// random propagation stages, the coordinator crashed, and the
-    /// survivors' concurrent recoveries delivered with random reordering,
-    /// duplication and loss-to-the-dead — across many seeds, every
-    /// survivor must commit the *same* `(command, dependencies)` per
-    /// identifier (Invariant 1) and execute in the same order.
-    #[test]
-    fn recovery_converges_under_reordering_and_duplication() {
-        crate::chaos::sweep(
-            "atlas-recovery-convergence",
-            0xC4A05,
-            0..25,
-            recovery_chaos_at,
-        );
-    }
-
-    /// One exact schedule from the sweep above, pinned in-tree: if the
-    /// sweep ever fails, its printed seed gets the same treatment, and this
-    /// one documents how.
-    #[test]
-    fn recovery_converges_at_pinned_seed() {
-        recovery_chaos_at(0xC4A05 + 13);
-    }
-
-    /// The per-seed body of the Atlas recovery chaos sweep.
-    fn recovery_chaos_at(seed: u64) {
-        use crate::chaos::ChaosNet;
-        use rand::Rng;
-        {
-            let mut net = ChaosNet::<Atlas>::new(5, 2, seed);
-            // A few conflicting commands stranded at random subsets of the
-            // fast quorum; coordinator 1 owns them all and then crashes.
-            // The coordinator always processes its own MCollect (the
-            // runtime delivers self-addressed messages immediately), so
-            // `survivor_reach` tracks who *else* saw each command.
-            let stranded = net.rng().gen_range(1..=3u64);
-            let mut survivor_reach: Vec<Vec<ProcessId>> = Vec::new();
-            for seq in 1..=stranded {
-                let reach_mask: [bool; 3] = [
-                    net.rng().gen_bool(0.6),
-                    net.rng().gen_bool(0.6),
-                    net.rng().gen_bool(0.6),
-                ];
-                let survivors: Vec<ProcessId> = [2u32, 3, 4]
-                    .into_iter()
-                    .zip(reach_mask)
-                    .filter(|(_, keep)| *keep)
-                    .map(|(id, _)| id)
-                    .collect();
-                let mut reach = vec![1u32];
-                reach.extend(&survivors);
-                net.submit_reaching(1, put(1, seq, 0), &reach);
-                survivor_reach.push(survivors);
-            }
-            // One fully propagated conflicting command from a survivor, so
-            // there is always something blocked behind the stranded ones.
-            let actions = net.replica(2).submit(put(2, 1, 0), 0);
-            net.run(2, actions);
-            net.crashed.insert(1);
-
-            // Every survivor suspects the coordinator, in random order,
-            // with chaotic delivery of the recovery traffic. Two passes,
-            // mirroring the runtime's periodic re-dispatch while a peer
-            // stays suspected: recovering one command can *surface* further
-            // identifiers of the dead coordinator (a recovered command's
-            // dependencies may name dots no survivor had seen), and only a
-            // later pass can noOp those.
-            for _pass in 0..2 {
-                let mut suspecters = vec![2u32, 3, 4, 5];
-                while !suspecters.is_empty() {
-                    let idx = net.rng().gen_range(0..suspecters.len());
-                    let at = suspecters.swap_remove(idx);
-                    let actions = net.replica(at).suspect(1, 0);
-                    net.run(at, actions);
-                }
-            }
-
-            // Invariant 1: for every identifier any survivor committed, all
-            // survivors that committed it agree on command + dependencies.
-            let mut by_dot: std::collections::HashMap<Dot, (bool, HashSet<Dot>)> =
-                Default::default();
-            for replica in &net.replicas[1..] {
-                for (dot, info) in &replica.info {
-                    if !matches!(info.phase, Phase::Commit | Phase::Execute) {
-                        continue;
-                    }
-                    let noop = info.cmd.as_ref().unwrap().is_noop();
-                    let entry = by_dot
-                        .entry(*dot)
-                        .or_insert_with(|| (noop, info.deps.clone()));
-                    assert_eq!(entry.0, noop, "seed {seed}: {dot:?} noop-ness differs");
-                    assert_eq!(
-                        entry.1, info.deps,
-                        "seed {seed}: {dot:?} committed deps differ"
-                    );
-                }
-            }
-            // Every stranded identifier that at least one *survivor* saw
-            // was resolved by recovery (an identifier nobody alive ever
-            // saw is rightly left alone — nothing can reference it).
-            for seq in 1..=stranded {
-                if !survivor_reach[(seq - 1) as usize].is_empty() {
-                    assert!(
-                        by_dot.contains_key(&Dot::new(1, seq)),
-                        "seed {seed}: stranded dot ⟨1,{seq}⟩ (seen by {:?}) never committed",
-                        survivor_reach[(seq - 1) as usize]
-                    );
-                }
-            }
-            // And the survivor's blocked command executed everywhere alive,
-            // in the same global order.
-            let reference = net.executed.get(&2).cloned().unwrap_or_default();
-            assert!(
-                !reference.is_empty(),
-                "seed {seed}: survivor 2 executed nothing"
-            );
-            for id in [3u32, 4, 5] {
-                assert_eq!(
-                    net.executed.get(&id),
-                    Some(&reference),
-                    "seed {seed}: execution order diverges at {id}"
-                );
-            }
-        }
     }
 
     #[test]
     fn recovery_is_idempotent_across_multiple_recoverers() {
         // Two surviving replicas recover the same command concurrently; the
         // final committed dependencies must be identical everywhere.
-        let mut net = Net::new(5, 2);
-        let cmd = put(1, 1, 0);
-        net.submit_reaching(1, cmd, &[2, 3, 4]);
+        let mut net = cluster();
+        net.submit_reaching(1, put(1, 1, 0), &[2, 3, 4]);
         net.crash(1);
         net.suspect(2, 1);
         net.suspect(3, 1);
         let dot = Dot::new(1, 1);
-        let mut committed_deps: Vec<HashSet<Dot>> = Vec::new();
-        for replica in &net.replicas {
-            if replica.id() == 1 {
-                continue;
-            }
-            if let Some(info) = replica.info.get(&dot) {
-                if matches!(info.phase, Phase::Commit | Phase::Execute) {
-                    committed_deps.push(info.deps.clone());
-                }
-            }
-        }
+        let committed_deps: Vec<&HashSet<Dot>> = net.replicas[1..]
+            .iter()
+            .filter_map(|r| r.state.info.get(&dot))
+            .filter(|info| info.phase.is_committed())
+            .map(|info| &info.deps)
+            .collect();
         assert!(committed_deps.len() >= 3);
         for deps in &committed_deps {
             assert_eq!(deps, &committed_deps[0], "Invariant 1: same final deps");

@@ -25,7 +25,7 @@ const ADMIN_CLIENT_BASE: u64 = 0xAD31_0000;
 /// process crash keeps the journal, and tests never power-fail the host).
 #[derive(Debug, Clone)]
 pub struct ClusterOptions {
-    /// Cadence of [`Protocol::tick`] events.
+    /// Cadence of the replica tick (acks, heartbeats, detector, GC).
     pub tick_interval: Duration,
     /// fsync batching of the per-replica journals.
     pub flush_policy: FlushPolicy,
@@ -200,7 +200,7 @@ impl Cluster {
         Self::spawn_with::<P>(config, ClusterOptions::default()).await
     }
 
-    /// Like [`Cluster::spawn`], with an explicit [`Protocol::tick`] cadence.
+    /// Like [`Cluster::spawn`], with an explicit replica tick cadence.
     pub async fn spawn_with_tick<P>(config: Config, tick_interval: Duration) -> io::Result<Self>
     where
         P: Protocol + Send + 'static,

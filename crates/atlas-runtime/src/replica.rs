@@ -18,8 +18,9 @@
 //!   session's replies;
 //! * one **writer task per outbound peer link** (see [`crate::transport`]);
 //! * a **ticker** emitting tick events at a fixed cadence, which the event
-//!   loop forwards to [`Protocol::tick`] as periodic events (and uses to
-//!   flush pending delivery acks).
+//!   loop uses to flush pending delivery acks, heartbeat the links, advance
+//!   the failure detector and pace GC (protocols themselves take no ticks:
+//!   an un-journaled periodic input would break replay determinism).
 //!
 //! ## Durability and crash recovery
 //!
@@ -162,7 +163,7 @@ pub struct ReplicaConfig {
     pub config: Config,
     /// Listen/dial addresses of **all** replicas, own id included.
     pub addrs: HashMap<ProcessId, SocketAddr>,
-    /// Cadence of [`Protocol::tick`] periodic events.
+    /// Cadence of the replica tick (acks, heartbeats, detector, GC).
     pub tick_interval: Duration,
     /// Where to keep the durable journal and snapshots. `None` runs the
     /// replica ephemeral (crash = state loss), the pre-durability behaviour.
@@ -1120,16 +1121,13 @@ where
         Ok(())
     }
 
-    /// Periodic tick: forward to the protocol, flush pending acks, probe
-    /// (heartbeat) every outbound link, advance the failure detector —
-    /// suspicions it reports are journaled and dispatched to
-    /// [`Protocol::suspect`] right here, through the same action pipeline
-    /// as every other protocol input — and, on the GC cadence, exchange
-    /// executed watermarks and run a garbage-collection round.
+    /// Periodic tick: flush pending acks, probe (heartbeat) every outbound
+    /// link, advance the failure detector — suspicions it reports are
+    /// journaled and dispatched to [`Protocol::suspect`] right here, through
+    /// the same action pipeline as every other protocol input — and, on the
+    /// GC cadence, exchange executed watermarks and run a garbage-collection
+    /// round.
     fn tick(&mut self) -> io::Result<()> {
-        let now = self.now();
-        let actions = self.protocol.tick(now);
-        self.perform(actions, now);
         self.ticks += 1;
         // Sessions whose reply channel an executor thread found closed are
         // reported back here and dropped on the protocol thread, which owns
@@ -1214,9 +1212,6 @@ where
     /// the on-disk half of compaction.
     fn gc_round(&mut self) -> io::Result<()> {
         let mine = self.protocol.executed_watermarks();
-        if mine.is_empty() {
-            return Ok(()); // protocol without GC support
-        }
         for link in self.links.values() {
             link.send_watermarks(mine.clone());
         }
@@ -1318,38 +1313,34 @@ where
         self.exec.drain();
         let store = self.exec.flat_store();
         let budget = self.catch_up_chunk_bytes;
-        let executed = self.protocol.save_executed();
-        let base = executed.is_some();
         let mut stream = ChunkStream {
             frames: Vec::new(),
             held: None,
         };
         stream.push(CatchUpPayload::Start {
             horizon: self.protocol.seen_horizon(from),
-            executed,
-            store_executed: if base { store.executed() } else { 0 },
+            executed: self.protocol.save_executed(),
+            store_executed: store.executed(),
             view: self.view.clone(),
             addrs: self.addrs_wire(),
         });
-        if base {
-            // Fixed-size records: chunk by count against the byte budget,
-            // batching straight off the iterators (no full intermediate
-            // copy of the store).
-            let per_store = (budget / 24).max(1);
-            let mut batch: Vec<(Key, Value)> = Vec::with_capacity(per_store);
-            for record in store.records() {
-                batch.push(record);
-                if batch.len() == per_store {
-                    stream.push(CatchUpPayload::Store(std::mem::take(&mut batch)));
-                }
+        // Fixed-size records: chunk by count against the byte budget,
+        // batching straight off the iterators (no full intermediate
+        // copy of the store).
+        let per_store = (budget / 24).max(1);
+        let mut batch: Vec<(Key, Value)> = Vec::with_capacity(per_store);
+        for record in store.records() {
+            batch.push(record);
+            if batch.len() == per_store {
+                stream.push(CatchUpPayload::Store(std::mem::take(&mut batch)));
             }
-            if !batch.is_empty() {
-                stream.push(CatchUpPayload::Store(batch));
-            }
-            let per_log = (budget / 40).max(1);
-            for slice in self.log.chunks(per_log) {
-                stream.push(CatchUpPayload::Log(slice.to_vec()));
-            }
+        }
+        if !batch.is_empty() {
+            stream.push(CatchUpPayload::Store(batch));
+        }
+        let per_log = (budget / 40).max(1);
+        for slice in self.log.chunks(per_log) {
+            stream.push(CatchUpPayload::Log(slice.to_vec()));
         }
         // Messages vary in size: pack by actual encoded bytes.
         let mut group: Vec<Vec<u8>> = Vec::new();
@@ -1372,33 +1363,21 @@ where
     /// Applies one `Msgs` chunk of a peer's catch-up stream through the
     /// message path.
     ///
-    /// With `journal_msgs` false (a snapshot-capable protocol), the bulk
-    /// messages are *not* journaled — `catch_up_from_peers` snapshots once
-    /// when the whole catch-up completes, instead of writing up to `n-1`
-    /// copies of the cluster history through the write-ahead path. A crash
-    /// before that snapshot only loses un-journaled catch-up progress, which
-    /// restarting with catch-up enabled (the documented flow for a wiped
-    /// replica: rerun the same command line) simply redoes.
-    fn apply_catch_up_msgs(
-        &mut self,
-        peer: ProcessId,
-        msgs: Vec<Vec<u8>>,
-        journal_msgs: bool,
-    ) -> io::Result<()> {
+    /// The bulk messages are *not* journaled — `catch_up_from_peers`
+    /// snapshots once when the whole catch-up completes, instead of writing
+    /// up to `n-1` copies of the cluster history through the write-ahead
+    /// path. A crash before that snapshot only loses un-journaled catch-up
+    /// progress, which restarting with catch-up enabled (the documented flow
+    /// for a wiped replica: rerun the same command line) simply redoes.
+    fn apply_catch_up_msgs(&mut self, peer: ProcessId, msgs: Vec<Vec<u8>>) {
         for payload in msgs {
             let Ok(msg) = bincode::deserialize::<P::Message>(&payload) else {
                 continue; // peer speaking another protocol version
             };
-            if journal_msgs {
-                let epoch = self.view.epoch;
-                self.peer_msg(peer, 0, epoch, payload, msg)?;
-            } else {
-                let now = self.now();
-                let actions = self.protocol.handle(peer, msg, now);
-                self.perform(actions, now);
-            }
+            let now = self.now();
+            let actions = self.protocol.handle(peer, msg, now);
+            self.perform(actions, now);
         }
-        Ok(())
     }
 
     /// Answers an execution-record query. The digest drains the executor
@@ -1459,8 +1438,7 @@ where
         }
     }
 
-    /// Snapshots and truncates the journal when due (and supported by the
-    /// protocol — a protocol without `save_state` keeps the full journal).
+    /// Snapshots and truncates the journal when due.
     fn maybe_snapshot(&mut self) -> io::Result<()> {
         match &self.journal {
             Some(journal) if journal.snapshot_due() => self.snapshot_now(),
@@ -1469,11 +1447,13 @@ where
     }
 
     /// Snapshots and truncates the journal unconditionally (no-op without a
-    /// journal or for a protocol that does not support `save_state`).
+    /// journal).
     fn snapshot_now(&mut self) -> io::Result<()> {
-        let Some(protocol) = self.protocol.save_state() else {
+        if self.journal.is_none() {
             return Ok(());
-        };
+        }
+        let protocol = self.protocol.save_state();
+        let protocol = protocol.expect("every protocol snapshots its state");
         // Snapshots always store the *flat* (merged) KVS, never per-shard
         // parts: the on-disk format stays shard-count independent, so a
         // replica may restart with a different `--shards` and re-split.
@@ -1654,9 +1634,7 @@ where
         local: &mut VecDeque<(ProcessId, P::Message)>,
         now: u64,
     ) {
-        let Some(current) = self.protocol.cluster_view() else {
-            return; // protocol without reconfiguration support
-        };
+        let current = self.protocol.cluster_view();
         let next = match op {
             ReconfigOp::Enter { members, f } => {
                 for (id, addr) in members {
@@ -1851,10 +1829,7 @@ where
                     self.log.push((dot, rifl));
                     // Lifecycle: a commit time was remembered for every
                     // dot; the samples only count when this replica owns
-                    // the command's lifecycle (it was submitted here). A
-                    // protocol that skips `Action::Commit` still yields a
-                    // committed sample — execution implies commit, so the
-                    // execute stamp is a sound upper bound. The
+                    // the command's lifecycle (it was submitted here). The
                     // commit/execute/reply stamps themselves are taken by
                     // the executor in stage order, so the percentile series
                     // stays monotone under concurrent executors.
@@ -1962,7 +1937,6 @@ async fn fetch_catch_up<P>(
     core: &mut Core<P>,
     peer: ProcessId,
     addr: SocketAddr,
-    journal_msgs: bool,
     base_installed: &mut bool,
 ) -> io::Result<()>
 where
@@ -2026,15 +2000,13 @@ where
                     core.journal_append(&JournalRecord::Advance { past: horizon })?;
                     core.protocol.advance_identifiers(horizon);
                 }
-                if let Some(marker) = executed {
-                    if !*base_installed {
-                        pending = Some(PendingBase {
-                            marker,
-                            store_executed,
-                            records: Vec::new(),
-                            log: Vec::new(),
-                        });
-                    }
+                if !*base_installed {
+                    pending = Some(PendingBase {
+                        marker: executed,
+                        store_executed,
+                        records: Vec::new(),
+                        log: Vec::new(),
+                    });
                 }
             }
             CatchUpPayload::Store(records) => {
@@ -2051,7 +2023,7 @@ where
                 if let Some(base) = pending.take() {
                     base.install(core, base_installed)?;
                 }
-                core.apply_catch_up_msgs(peer, msgs, journal_msgs)?;
+                core.apply_catch_up_msgs(peer, msgs);
             }
         }
         if chunk.last {
@@ -2088,9 +2060,6 @@ where
         .map(|(&peer, &addr)| (peer, addr))
         .collect();
     pending.sort_unstable_by_key(|(peer, _)| *peer);
-    // Snapshot-capable protocols get the bulk messages un-journaled plus one
-    // snapshot at the end; others fall back to journaling every message.
-    let journal_msgs = core.protocol.save_state().is_none();
     // At most one peer's executed-state base is installed (the first whose
     // stream reaches its message tail); every other stream contributes only
     // messages on top. One base plus every peer's retained committed log is
@@ -2103,7 +2072,7 @@ where
     for round in 0..CATCH_UP_ROUNDS {
         let mut still_pending = Vec::new();
         for &(peer, addr) in &pending {
-            match fetch_catch_up(core, peer, addr, journal_msgs, &mut base_installed).await {
+            match fetch_catch_up(core, peer, addr, &mut base_installed).await {
                 Ok(()) => heard_from_any = true,
                 Err(_) => still_pending.push((peer, addr)),
             }

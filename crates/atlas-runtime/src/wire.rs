@@ -128,8 +128,7 @@ pub struct EpochUpdate {
 /// One frame of the streamed answer to a [`Hello::CatchUp`] request.
 ///
 /// The serving replica sends `Start`, then the executed-state base (its
-/// `Store` records and `Log` slices, present when the hosted protocol
-/// supports an executed marker), then its retained committed log as
+/// `Store` records and `Log` slices), then its retained committed log as
 /// `Msgs` — every frame bounded by the configured chunk budget, the
 /// final one flagged [`last`](CatchUpChunk::last). The receiver applies
 /// chunks incrementally, but installs the base **atomically** when the
@@ -157,13 +156,10 @@ pub enum CatchUpPayload {
         /// reissue identifiers at or below it.
         horizon: u64,
         /// The serving protocol's [`executed
-        /// marker`](atlas_core::Protocol::save_executed), when supported:
-        /// which identifiers the transferred store already reflects.
-        /// `None` means no base follows — the stream is a plain committed
-        /// log, complete only while the server never garbage-collected.
-        executed: Option<Vec<u8>>,
-        /// The serving store's executed-command counter (meaningful only
-        /// with an executed marker).
+        /// marker`](atlas_core::Protocol::save_executed): which identifiers
+        /// the transferred store already reflects.
+        executed: Vec<u8>,
+        /// The serving store's executed-command counter.
         store_executed: u64,
         /// The serving replica's runtime configuration view, so a joiner
         /// bootstrapping into a reconfigured cluster learns the current
@@ -513,18 +509,6 @@ mod tests {
     #[test]
     fn baseline_messages_round_trip_through_bincode() {
         let cmd = Command::put(Rifl::new(1, 1), 0, 1, 64);
-        let epx = epaxos::Message::MPreAccept {
-            dot: Dot::new(2, 9),
-            cmd: cmd.clone(),
-            deps: [Dot::new(1, 1)].into_iter().collect(),
-            quorum: vec![1, 2, 3, 4],
-        };
-        let bytes = bincode::serialize(&epx).unwrap();
-        assert_eq!(
-            bincode::deserialize::<epaxos::Message>(&bytes).unwrap(),
-            epx
-        );
-
         let fpx = fpaxos::Message::MPromise {
             ballot: 12,
             accepted: [(3u64, (7u64, cmd.clone()))].into_iter().collect(),
@@ -616,7 +600,7 @@ mod tests {
                 last: false,
                 payload: CatchUpPayload::Start {
                     horizon: 42,
-                    executed: Some(vec![1, 2, 3]),
+                    executed: vec![1, 2, 3],
                     store_executed: 17,
                     view: atlas_core::ClusterView::initial(Config::new(3, 1)),
                     addrs: vec![(1, "127.0.0.1:7001".to_string())],

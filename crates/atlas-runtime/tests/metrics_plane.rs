@@ -263,6 +263,50 @@ fn lifecycle_invariants_epaxos_sharded() {
     lifecycle_invariants::<epaxos::EPaxos>(8);
 }
 
+/// Commit and execution are stamped apart: a command that commits at once
+/// but names an *uncommitted* dependency must show the wait in
+/// `submit_to_executed`, not in `submit_to_committed`. (Before protocols
+/// emitted `Action::Commit` the commit stamp silently fell back to the
+/// execute stamp, so dependency waits hid inside the commit stage.)
+///
+/// Replica 3 coordinates `a` with fast quorum {3, 1}; replica 1 records it
+/// at once, but its ack travels a 400 ms link, so `a` stays uncommitted for
+/// that long. Replica 1 then coordinates a conflicting `b` with fast quorum
+/// {1, 2}: it commits within a round trip to 2, depending on `a`, and can
+/// execute only once `a`'s commit arrives.
+#[test]
+fn dependency_wait_lands_in_the_executed_stage() {
+    const ACK_DELAY: Duration = Duration::from_millis(400);
+    let options = ClusterOptions {
+        tick_interval: Duration::from_millis(10),
+        ..ClusterOptions::default()
+    }
+    .with_net(NetProfile::new(0xDE).rule(LinkRule::link(1, 3).delay(ACK_DELAY)));
+    let rt = tokio::runtime::Runtime::new().unwrap();
+    rt.block_on(async {
+        let cluster = Cluster::spawn_with::<Atlas>(Config::new(REPLICAS, 1), options)
+            .await
+            .expect("cluster boots");
+        let mut slow = Client::connect(cluster.addr(3), 3).await.expect("client");
+        let a = tokio::spawn(async move { slow.put(7, 1).await });
+        // `b` must be submitted after replica 1 recorded `a`'s collect.
+        snapshots_when(&cluster, |all| all[0].tracked_entries >= 1, "the collect").await;
+        let mut client = Client::connect(cluster.addr(1), 1).await.expect("client");
+        client.put(7, 2).await.expect("b executes once a commits");
+        a.await.expect("client task").expect("a executes");
+
+        let all = snapshots_when(&cluster, |all| all[0].lifecycle.replied == 1, "b").await;
+        let l = &all[0].lifecycle;
+        let (committed, executed) = (l.submit_to_committed.max(), l.submit_to_executed.min());
+        assert!(
+            committed + ACK_DELAY.as_micros() as u64 / 4 < executed,
+            "b committed after {committed} µs but executed after {executed} µs: \
+             the wait for its dependency must separate the two stages"
+        );
+        cluster.shutdown();
+    });
+}
+
 /// Kill-the-coordinator drill, metrics edition: replica 3 coordinates a
 /// burst of conflicting commands and dies mid-burst; the survivors must not
 /// only finish the workload (tests/recovery.rs proves that end) but *show*

@@ -410,3 +410,29 @@ durability_hook_tests!(atlas, ::atlas_protocol::Atlas);
 durability_hook_tests!(epaxos, ::epaxos::EPaxos);
 durability_hook_tests!(fpaxos, ::fpaxos::FPaxos);
 durability_hook_tests!(mencius, ::mencius::Mencius);
+
+/// Atlas and EPaxos are one engine with one state layout, so decoding alone
+/// cannot tell their snapshots and executed markers apart — the rule name
+/// the bytes carry must: restoring a replica under the other rule would
+/// silently change its quorum sizes and recovery rule mid-history.
+#[test]
+fn snapshots_and_markers_do_not_cross_rules() {
+    use ::atlas_protocol::Atlas;
+    use ::epaxos::EPaxos;
+    let atlas = &drive::<Atlas>(4).replicas[0];
+    let epaxos = &drive::<EPaxos>(4).replicas[0];
+    let (config, topology) = (Config::new(3, 1), Topology::identity(1, 3));
+    let atlas_state = atlas.save_state().unwrap();
+    let epaxos_state = epaxos.save_state().unwrap();
+    assert!(Atlas::restore_state(1, config, topology.clone(), &atlas_state).is_some());
+    assert!(EPaxos::restore_state(1, config, topology.clone(), &atlas_state).is_none());
+    assert!(Atlas::restore_state(1, config, topology.clone(), &epaxos_state).is_none());
+
+    let mut fresh = EPaxos::new(1, config, topology);
+    assert!(
+        !fresh.restore_executed(&atlas.save_executed()),
+        "an Atlas marker must not install into EPaxos"
+    );
+    assert!(fresh.executed_watermarks().iter().all(|&(_, w)| w == 0));
+    assert!(fresh.restore_executed(&epaxos.save_executed()));
+}

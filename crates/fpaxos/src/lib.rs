@@ -27,7 +27,7 @@
 use atlas_core::protocol::Time;
 use atlas_core::view::EPOCH_BALLOT_STRIDE;
 use atlas_core::{
-    Action, ClusterView, Command, Config, Dot, ProcessId, Protocol, ProtocolMetrics, Rifl, Topology,
+    Action, Base, ClusterView, Command, Config, Dot, ProcessId, Protocol, Rifl, Topology,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -138,9 +138,10 @@ struct SlotState {
 /// A Flexible Paxos replica.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct FPaxos {
-    id: ProcessId,
-    config: Config,
-    topology: Topology,
+    /// Identity, view and metrics. Slots are assigned centrally by the
+    /// leader rather than per process, so the seen horizon is a single one:
+    /// the highest slot seen in any role, kept under the sentinel space 0.
+    base: Base,
     /// Highest ballot this replica has promised or accepted.
     ballot: Ballot,
     /// Ballot this replica believes is currently leading.
@@ -166,31 +167,27 @@ pub struct FPaxos {
     in_flight: BTreeMap<Rifl, Command>,
     /// Phase-1 promises received while campaigning, keyed by ballot.
     promises: HashMap<Ballot, HashMap<ProcessId, PromisedEntries>>,
-    /// Commit times per slot (for commit→execute metrics).
-    commit_times: HashMap<Slot, Time>,
+    /// Per decided, not yet executed slot: the leader its `Commit` action
+    /// named (so the `Execute` names the same one) and the commit time.
+    commit_times: HashMap<Slot, (ProcessId, Time)>,
     /// Compaction floor: slots at or below it executed at **every** replica
     /// and were dropped from `log`/`decided` by [`Protocol::gc_executed`];
     /// messages about them are stragglers and are ignored.
     gc_floor: Slot,
-    /// Highest slot seen in any role; kept separately from the trimmed maps
-    /// so the seen horizon survives garbage collection.
-    max_seen_slot: Slot,
-    /// The configuration epoch this replica operates in.
-    view: ClusterView,
     /// Member rings of recent epochs, oldest first. Ballots encode the
     /// leader by position in the ring of the epoch that minted them
     /// (`ballot / EPOCH_BALLOT_STRIDE`), so decoding a ballot adopted
     /// before a reconfiguration needs that epoch's ring — a leader that
     /// survives a membership change keeps riding its old ballot.
     rings: Vec<(u64, Vec<ProcessId>)>,
-    metrics: ProtocolMetrics,
 }
 
 impl FPaxos {
     /// Records that `slot` exists (for the GC-surviving seen horizon).
     fn note_slot(&mut self, slot: Slot) {
-        self.max_seen_slot = self.max_seen_slot.max(slot);
+        self.base.note_seen(0, slot);
     }
+
     /// The member ring of `epoch` (falls back to the current member set for
     /// epochs whose ring has been forgotten).
     fn ring_of(&self, epoch: u64) -> Vec<ProcessId> {
@@ -199,7 +196,7 @@ impl FPaxos {
             .rev()
             .find(|(e, _)| *e == epoch)
             .map(|(_, ring)| ring.clone())
-            .unwrap_or_else(|| self.view.all_members())
+            .unwrap_or_else(|| self.base.view().all_members())
     }
 
     /// The leader encoded by a ballot: its position in the ring of the
@@ -216,10 +213,10 @@ impl FPaxos {
     /// `at_least`, minted in the **current** epoch (above its ballot floor,
     /// so cross-epoch ballots decode with the right ring).
     fn next_ballot_for(&self, leader: ProcessId, at_least: Ballot) -> Ballot {
-        let ring = self.view.all_members();
+        let ring = self.base.view().all_members();
         let len = ring.len() as Ballot;
         let base = ring.iter().position(|&p| p == leader).unwrap_or(0) as Ballot;
-        let floor = self.view.ballot_floor();
+        let floor = self.base.view().ballot_floor();
         let mut round = at_least.saturating_sub(floor) / len;
         loop {
             let candidate = floor + round * len + base;
@@ -230,18 +227,6 @@ impl FPaxos {
         }
     }
 
-    /// Every process this replica talks to (all current members plus
-    /// itself). Replaces `Action::broadcast(n, ..)`, whose `1..=n` targets
-    /// are wrong once a reconfiguration makes identifiers non-contiguous.
-    fn everyone(&self) -> Vec<ProcessId> {
-        let mut all = self.topology.processes.clone();
-        if !all.contains(&self.id) {
-            all.push(self.id);
-            all.sort_unstable();
-        }
-        all
-    }
-
     /// Current leader according to this replica.
     pub fn current_leader(&self) -> ProcessId {
         self.ballot_leader(self.leader_ballot)
@@ -249,27 +234,19 @@ impl FPaxos {
 
     /// Whether this replica believes itself to be the leader.
     pub fn is_leader(&self) -> bool {
-        self.current_leader() == self.id
+        self.current_leader() == self.base.id()
     }
 
     /// The phase-2 quorum: the `f + 1` closest replicas (leader included),
     /// restricted to replicas not suspected of having failed.
     fn phase2_quorum(&self) -> Vec<ProcessId> {
-        if self.view.is_joint() {
+        if self.base.view().is_joint() {
             // Joint window: the accept needs `f + 1` in both configurations;
             // send to everyone and let `handle_accepted`'s dual count decide.
-            return self.everyone();
+            return self.base.everyone();
         }
-        let alive: Vec<ProcessId> = self
-            .topology
-            .processes
-            .iter()
-            .copied()
-            .filter(|p| !self.suspected.contains(p))
-            .collect();
-        self.topology
-            .closest_alive_quorum(self.config.slow_quorum_size(), &alive)
-            .unwrap_or_else(|| self.topology.closest_quorum(self.config.slow_quorum_size()))
+        let size = self.base.config().slow_quorum_size();
+        self.base.closest_unsuspected(size, &self.suspected)
     }
 
     /// Leader side: assign the next slot to `cmd` and replicate it.
@@ -382,7 +359,7 @@ impl FPaxos {
         for cmd in pending {
             // Slow path: these commands stalled behind a leader election
             // and only proceed under the new ballot.
-            self.metrics.slow_paths += 1;
+            self.base.metrics.slow_paths += 1;
             if self.is_leader() {
                 actions.extend(self.propose(cmd));
             } else {
@@ -405,9 +382,6 @@ impl FPaxos {
         ballot: Ballot,
         time: Time,
     ) -> Vec<Action<Message>> {
-        let view = self.view.clone();
-        let base = self.config;
-        let everyone = self.everyone();
         let Some(state) = self.log.get_mut(&slot) else {
             return Vec::new();
         };
@@ -417,11 +391,12 @@ impl FPaxos {
         state.acks.insert(from);
         // `f + 1` accepts in the current configuration — and, during the
         // joint window, in the outgoing one too.
-        if !view.quorum_met(&state.acks, base, Config::slow_quorum_size) {
+        if !self.base.quorum_met(&state.acks, Config::slow_quorum_size) {
             return Vec::new();
         }
         state.committed = true;
         let cmd = state.cmd.clone();
+        let everyone = self.base.everyone();
         let mut actions = vec![Action::send(everyone, Message::MCommit { slot, cmd })];
         actions.extend(self.try_execute(time));
         actions
@@ -432,10 +407,19 @@ impl FPaxos {
             return Vec::new();
         }
         self.note_slot(slot);
+        // Leader-based protocols have no per-command identifiers; the slot
+        // under the current leader is a synthetic one for reporting.
+        let leader = self.current_leader();
+        let mut actions = Vec::new();
+        if !cmd.is_noop() {
+            let dot = Dot::new(leader, slot);
+            actions.push(Action::Commit { dot });
+        }
         self.decided.insert(slot, cmd);
-        self.metrics.commits += 1;
-        self.commit_times.insert(slot, time);
-        self.try_execute(time)
+        self.base.metrics.commits += 1;
+        self.commit_times.insert(slot, (leader, time));
+        actions.extend(self.try_execute(time));
+        actions
     }
 
     /// Executes decided slots in order, stopping at the first gap.
@@ -444,19 +428,18 @@ impl FPaxos {
         while let Some(cmd) = self.decided.get(&self.execute_next).cloned() {
             let slot = self.execute_next;
             self.execute_next += 1;
-            self.metrics.executions += 1;
-            if let Some(commit_time) = self.commit_times.remove(&slot) {
-                self.metrics
-                    .commit_to_execute
-                    .record(time.saturating_sub(commit_time));
-            }
+            self.base.metrics.executions += 1;
+            let (leader, commit_time) = self
+                .commit_times
+                .remove(&slot)
+                .expect("every decided slot records its commit");
+            let waited = time.saturating_sub(commit_time);
+            self.base.metrics.commit_to_execute.record(waited);
             if !cmd.is_noop() {
                 // Executed: the forward provably reached a leader and was
                 // ordered; no retry will ever be needed.
                 self.in_flight.remove(&cmd.rifl);
-                // Leader-based protocols have no per-command identifiers;
-                // reuse the slot as a synthetic one for reporting purposes.
-                let dot = Dot::new(self.current_leader(), slot);
+                let dot = Dot::new(leader, slot);
                 actions.push(Action::Execute { dot, cmd });
             }
         }
@@ -465,10 +448,25 @@ impl FPaxos {
 
     /// Starts a leader election for this replica (phase 1 over all replicas).
     fn campaign(&mut self) -> Vec<Action<Message>> {
-        let ballot = self.next_ballot_for(self.id, self.ballot.max(self.leader_ballot));
+        let ballot = self.next_ballot_for(self.base.id(), self.ballot.max(self.leader_ballot));
         self.ballot = ballot;
-        self.metrics.recoveries += 1;
-        vec![Action::send(self.everyone(), Message::MPrepare { ballot })]
+        self.base.metrics.recoveries += 1;
+        vec![Action::send(
+            self.base.everyone(),
+            Message::MPrepare { ballot },
+        )]
+    }
+
+    /// Campaigns if this replica is the deterministic successor: the
+    /// unsuspected member with the smallest identifier.
+    fn campaign_if_successor(&mut self) -> Vec<Action<Message>> {
+        let members = self.base.view().all_members();
+        let successor = members.into_iter().find(|p| !self.suspected.contains(p));
+        if successor == Some(self.base.id()) {
+            self.campaign()
+        } else {
+            Vec::new()
+        }
     }
 
     fn handle_prepare(&mut self, from: ProcessId, ballot: Ballot) -> Vec<Action<Message>> {
@@ -494,15 +492,16 @@ impl FPaxos {
         if ballot != self.ballot || self.leader_ballot == ballot {
             return Vec::new();
         }
-        let view = self.view.clone();
-        let base = self.config;
         let promises = self.promises.entry(ballot).or_default();
         promises.insert(from, accepted);
         // `n − f` promises in the current configuration — and, during the
         // joint window, in the outgoing one too, so every value accepted
         // under either configuration is visible to the new leader.
         let responder_set: HashSet<ProcessId> = promises.keys().copied().collect();
-        if !view.quorum_met(&responder_set, base, Config::recovery_quorum_size) {
+        if !self
+            .base
+            .quorum_met(&responder_set, Config::recovery_quorum_size)
+        {
             return Vec::new();
         }
         // Elected: adopt the highest accepted value per slot, fill gaps with
@@ -510,7 +509,7 @@ impl FPaxos {
         let promises = promises.clone();
         self.leader_ballot = ballot;
         let mut actions = vec![Action::send(
-            self.everyone(),
+            self.base.everyone(),
             Message::MNewLeader { ballot },
         )];
         let mut chosen: BTreeMap<Slot, (Ballot, Command)> = BTreeMap::new();
@@ -578,15 +577,13 @@ impl Protocol for FPaxos {
 
     fn new(id: ProcessId, config: Config, topology: Topology) -> Self {
         let leader = topology.leader.unwrap_or(1);
-        let view = ClusterView::at(0, topology.processes.clone(), config.f);
-        let ring = view.all_members();
+        let base = Base::new(id, config, topology);
+        let ring = base.view().all_members();
         // The initial leader's first ballot is the smallest ballot it owns.
         let leader_ballot = ring.iter().position(|&p| p == leader).unwrap_or(0) as Ballot;
         let rings = vec![(0, ring)];
         Self {
-            id,
-            config,
-            topology,
+            base,
             ballot: leader_ballot,
             leader_ballot,
             log: BTreeMap::new(),
@@ -599,15 +596,12 @@ impl Protocol for FPaxos {
             promises: HashMap::new(),
             commit_times: HashMap::new(),
             gc_floor: 0,
-            max_seen_slot: 0,
-            view,
             rings,
-            metrics: ProtocolMetrics::new(),
         }
     }
 
-    fn id(&self) -> ProcessId {
-        self.id
+    fn base(&self) -> &Base {
+        &self.base
     }
 
     // Path classification: FPaxos has no per-command fast quorum — "fast"
@@ -616,14 +610,14 @@ impl Protocol for FPaxos {
     // prepare phase (see `learn_leader`).
     fn submit(&mut self, cmd: Command, _time: Time) -> Vec<Action<Message>> {
         if self.is_leader() {
-            self.metrics.fast_paths += 1;
+            self.base.metrics.fast_paths += 1;
             self.propose(cmd)
         } else if self.suspected.contains(&self.current_leader()) {
             // Leader change in progress: buffer until a new leader is known.
             self.pending_forward.push(cmd);
             Vec::new()
         } else {
-            self.metrics.fast_paths += 1;
+            self.base.metrics.fast_paths += 1;
             // Track the forward until it is seen executed, so a leader
             // change re-forwards it instead of losing it with the leader.
             self.in_flight.insert(cmd.rifl, cmd.clone());
@@ -670,9 +664,7 @@ impl Protocol for FPaxos {
         state: &[u8],
     ) -> Option<Self> {
         let state: FPaxos = bincode::deserialize(state).ok()?;
-        // Past epoch 0 the snapshot's view carries the authoritative
-        // configuration; the caller can only know the boot-time one.
-        (state.id == id && (state.view.epoch > 0 || state.config == config)).then_some(state)
+        state.base.restores_as(id, config).then_some(state)
     }
 
     fn committed_log(&self) -> Vec<Message> {
@@ -715,18 +707,18 @@ impl Protocol for FPaxos {
         dropped
     }
 
-    fn save_executed(&self) -> Option<Vec<u8>> {
+    fn save_executed(&self) -> Vec<u8> {
         // Watermark plus configuration: the view and ring history let a
         // joiner whose bootstrap base covers an executed `Reconfigure`
         // barrier decode old-epoch leader ballots, and the observed leader
         // ballot points its submissions at the current leader immediately.
         let marker = (
             self.execute_next - 1,
-            self.view.clone(),
+            self.base.view().clone(),
             self.rings.clone(),
             self.leader_ballot,
         );
-        Some(bincode::serialize(&marker).expect("markers always encode"))
+        bincode::serialize(&marker).expect("markers always encode")
     }
 
     fn restore_executed(&mut self, marker: &[u8]) -> bool {
@@ -742,11 +734,8 @@ impl Protocol for FPaxos {
         self.gc_floor = watermark;
         self.next_slot = self.next_slot.max(watermark + 1);
         self.note_slot(watermark);
-        if view.epoch > self.view.epoch {
-            self.config = view.config(self.config);
-            self.topology = Topology::from_members(self.id, &view.all_members());
+        if self.base.install_view(&view) {
             self.rings = rings;
-            self.view = view;
         }
         // Adopting the peer's *observed* leader ballot is pure learning —
         // no promise is made — and keeps a fresh joiner from forwarding
@@ -760,10 +749,7 @@ impl Protocol for FPaxos {
     }
 
     fn seen_horizon(&self, _source: ProcessId) -> u64 {
-        // Slots are assigned centrally by the leader rather than per
-        // process, so the horizon is the highest slot this replica has seen
-        // in any role — tracked separately from the (GC-trimmed) maps.
-        self.max_seen_slot
+        self.base.seen_horizon(0)
     }
 
     fn advance_identifiers(&mut self, past: u64) {
@@ -777,7 +763,7 @@ impl Protocol for FPaxos {
     // recovery). Trust restoration has no protocol hook — a falsely
     // suspected leader stays deposed, which ballots make safe.
     fn suspect(&mut self, suspected: ProcessId, _time: Time) -> Vec<Action<Message>> {
-        if suspected == self.id {
+        if suspected == self.base.id() {
             return Vec::new();
         }
         self.suspected.insert(suspected);
@@ -785,48 +771,20 @@ impl Protocol for FPaxos {
             return Vec::new();
         }
         // The leader failed: the smallest-id surviving replica campaigns.
-        let successor = self
-            .topology
-            .processes
-            .iter()
-            .copied()
-            .filter(|p| !self.suspected.contains(p))
-            .min();
-        if successor == Some(self.id) {
-            self.campaign()
-        } else {
-            Vec::new()
-        }
-    }
-
-    fn metrics(&self) -> &ProtocolMetrics {
-        &self.metrics
-    }
-
-    fn epoch(&self) -> u64 {
-        self.view.epoch
-    }
-
-    fn cluster_view(&self) -> Option<ClusterView> {
-        Some(self.view.clone())
+        self.campaign_if_successor()
     }
 
     fn reconfigure(&mut self, view: &ClusterView, _time: Time) -> Vec<Action<Message>> {
-        // Idempotence: apply only strictly newer views.
-        if view.epoch <= self.view.epoch {
+        let old_leader = self.current_leader();
+        if !self.base.install_view(view) {
             return Vec::new();
         }
-        let old_leader = self.current_leader();
-        self.view = view.clone();
-        self.config = view.config(self.config);
-        self.topology = Topology::from_members(self.id, &view.all_members());
-        self.rings.push((view.epoch, view.all_members()));
+        let members = view.all_members();
+        self.rings.push((view.epoch, members.clone()));
         if self.rings.len() > 4 {
             self.rings.remove(0);
         }
-        let members = view.all_members();
-        if !members.contains(&self.id) {
-            // Removed replicas stop participating; the runtime retires them.
+        if !self.base.is_member() {
             return Vec::new();
         }
         self.suspected.retain(|p| members.contains(p));
@@ -842,18 +800,7 @@ impl Protocol for FPaxos {
         // ballot floor. Phase 1 re-proposes every undecided slot, which is
         // what re-drives the old leader's in-flight proposals.
         self.suspected.insert(old_leader);
-        let successor = self
-            .topology
-            .processes
-            .iter()
-            .copied()
-            .filter(|p| !self.suspected.contains(p))
-            .min();
-        if successor == Some(self.id) {
-            self.campaign()
-        } else {
-            Vec::new()
-        }
+        self.campaign_if_successor()
     }
 }
 
@@ -861,86 +808,18 @@ impl Protocol for FPaxos {
 mod tests {
     use super::*;
     use atlas_core::Rifl;
+    use atlas_protocol::chaos::ChaosNet;
 
-    struct Cluster {
-        replicas: Vec<FPaxos>,
-        executed: HashMap<ProcessId, Vec<Command>>,
-        crashed: HashSet<ProcessId>,
+    /// An `n`-replica cluster led by replica 1 (the identity topology's
+    /// leader), with in-order delivery.
+    fn cluster(n: usize, f: usize) -> ChaosNet<FPaxos> {
+        ChaosNet::fifo(Config::new(n, f))
     }
 
-    impl Cluster {
-        fn new(n: usize, f: usize, leader: ProcessId) -> Self {
-            let config = Config::new(n, f);
-            let replicas = (1..=n as ProcessId)
-                .map(|id| {
-                    let mut topology = Topology::identity(id, n);
-                    topology.leader = Some(leader);
-                    FPaxos::new(id, config, topology)
-                })
-                .collect();
-            Self {
-                replicas,
-                executed: HashMap::new(),
-                crashed: HashSet::new(),
-            }
-        }
-
-        fn replica(&mut self, id: ProcessId) -> &mut FPaxos {
-            &mut self.replicas[(id - 1) as usize]
-        }
-
-        fn run(&mut self, source: ProcessId, actions: Vec<Action<Message>>) {
-            let mut queue: Vec<(ProcessId, ProcessId, Message)> = Vec::new();
-            self.enqueue(source, actions, &mut queue);
-            while !queue.is_empty() {
-                let (from, to, msg) = queue.remove(0);
-                if self.crashed.contains(&from) || self.crashed.contains(&to) {
-                    continue;
-                }
-                let out = self.replica(to).handle(from, msg, 0);
-                self.enqueue(to, out, &mut queue);
-            }
-        }
-
-        fn enqueue(
-            &mut self,
-            source: ProcessId,
-            actions: Vec<Action<Message>>,
-            queue: &mut Vec<(ProcessId, ProcessId, Message)>,
-        ) {
-            for action in actions {
-                match action {
-                    Action::Send { targets, msg } => {
-                        let mut targets = targets;
-                        targets.sort_by_key(|t| if *t == source { 0 } else { 1 });
-                        for to in targets {
-                            queue.push((source, to, msg.clone()));
-                        }
-                    }
-                    Action::Execute { cmd, .. } => {
-                        self.executed.entry(source).or_default().push(cmd);
-                    }
-                    Action::Commit { .. } => {}
-                }
-            }
-        }
-
-        fn submit(&mut self, at: ProcessId, cmd: Command) {
-            let actions = self.replica(at).submit(cmd, 0);
-            self.run(at, actions);
-        }
-
-        fn crash(&mut self, id: ProcessId) {
-            self.crashed.insert(id);
-        }
-
-        fn suspect_everywhere(&mut self, suspected: ProcessId) {
-            for id in 1..=self.replicas.len() as ProcessId {
-                if self.crashed.contains(&id) {
-                    continue;
-                }
-                let actions = self.replica(id).suspect(suspected, 0);
-                self.run(id, actions);
+    fn suspect_everywhere(net: &mut ChaosNet<FPaxos>, suspected: ProcessId) {
+        for id in 1..=net.replicas.len() as ProcessId {
+            if !net.crashed.contains(&id) {
+                net.suspect(id, suspected);
             }
         }
     }
@@ -951,31 +830,15 @@ mod tests {
 
     #[test]
     fn leader_orders_commands_from_any_proxy() {
-        let mut cluster = Cluster::new(5, 1, 1);
-        cluster.submit(3, put(3, 1, 0));
-        cluster.submit(5, put(5, 1, 0));
-        cluster.submit(1, put(1, 1, 0));
-        for id in 1..=5u32 {
-            let executed = cluster.executed.get(&id).unwrap();
-            assert_eq!(executed.len(), 3, "process {id}");
-        }
+        let mut net = cluster(5, 1);
+        net.submit(3, put(3, 1, 0));
+        net.submit(5, put(5, 1, 0));
+        net.submit(1, put(1, 1, 0));
         // Same order everywhere.
-        let reference: Vec<Rifl> = cluster
-            .executed
-            .get(&1)
-            .unwrap()
-            .iter()
-            .map(|c| c.rifl)
-            .collect();
+        let reference = net.rifls_at(1);
+        assert_eq!(reference.len(), 3);
         for id in 2..=5u32 {
-            let order: Vec<Rifl> = cluster
-                .executed
-                .get(&id)
-                .unwrap()
-                .iter()
-                .map(|c| c.rifl)
-                .collect();
-            assert_eq!(order, reference);
+            assert_eq!(net.rifls_at(id), reference, "process {id}");
         }
     }
 
@@ -989,8 +852,10 @@ mod tests {
 
     #[test]
     fn non_leader_forwards_to_leader() {
-        let mut cluster = Cluster::new(3, 1, 2);
-        let actions = cluster.replica(1).submit(put(1, 1, 0), 0);
+        let mut topology = Topology::identity(1, 3);
+        topology.leader = Some(2);
+        let mut replica = FPaxos::new(1, Config::new(3, 1), topology);
+        let actions = replica.submit(put(1, 1, 0), 0);
         match &actions[0] {
             Action::Send { targets, msg } => {
                 assert_eq!(targets, &vec![2]);
@@ -1002,48 +867,35 @@ mod tests {
 
     #[test]
     fn leader_failover_elects_new_leader_and_continues() {
-        let mut cluster = Cluster::new(3, 1, 1);
-        cluster.submit(2, put(2, 1, 0));
+        let mut net = cluster(3, 1);
+        net.submit(2, put(2, 1, 0));
         // Crash the leader; the surviving replicas elect a new one.
-        cluster.crash(1);
-        cluster.suspect_everywhere(1);
-        assert!(cluster.replica(2).is_leader());
-        assert_eq!(cluster.replica(3).current_leader(), 2);
+        net.crash(1);
+        suspect_everywhere(&mut net, 1);
+        assert!(net.replica(2).is_leader());
+        assert_eq!(net.replica(3).current_leader(), 2);
         // New submissions still complete at the survivors.
-        cluster.submit(3, put(3, 1, 0));
-        cluster.submit(2, put(2, 2, 0));
-        assert_eq!(cluster.executed.get(&2).unwrap().len(), 3);
-        assert_eq!(cluster.executed.get(&3).unwrap().len(), 3);
+        net.submit(3, put(3, 1, 0));
+        net.submit(2, put(2, 2, 0));
+        assert_eq!(net.rifls_at(2).len(), 3);
+        assert_eq!(net.rifls_at(3).len(), 3);
     }
 
     #[test]
     fn failover_preserves_previously_executed_commands() {
-        let mut cluster = Cluster::new(5, 2, 1);
+        let mut net = cluster(5, 2);
         for seq in 1..=5 {
-            cluster.submit(2, put(2, seq, 0));
+            net.submit(2, put(2, seq, 0));
         }
-        cluster.crash(1);
-        cluster.suspect_everywhere(1);
-        cluster.submit(3, put(3, 1, 0));
+        net.crash(1);
+        suspect_everywhere(&mut net, 1);
+        net.submit(3, put(3, 1, 0));
         // The five pre-crash commands plus the new one execute at survivors
         // in the same order.
-        let reference: Vec<Rifl> = cluster
-            .executed
-            .get(&2)
-            .unwrap()
-            .iter()
-            .map(|c| c.rifl)
-            .collect();
+        let reference = net.rifls_at(2);
         assert_eq!(reference.len(), 6);
         for id in 3..=5u32 {
-            let order: Vec<Rifl> = cluster
-                .executed
-                .get(&id)
-                .unwrap()
-                .iter()
-                .map(|c| c.rifl)
-                .collect();
-            assert_eq!(order, reference, "process {id}");
+            assert_eq!(net.rifls_at(id), reference, "process {id}");
         }
     }
 
@@ -1053,19 +905,13 @@ mod tests {
         // with the leader before being proposed. After failover the proxy
         // must re-forward it to the new leader — before this existed, the
         // command (and its client) hung forever.
-        let mut cluster = Cluster::new(3, 1, 1);
+        let mut net = cluster(3, 1);
         let cmd = put(3, 1, 0);
-        let actions = cluster.replica(3).submit(cmd.clone(), 0);
-        drop(actions); // the MForward is lost in flight
-        cluster.crash(1);
-        cluster.suspect_everywhere(1);
-        let executed: Vec<Rifl> = cluster
-            .executed
-            .get(&3)
-            .map(|cmds| cmds.iter().map(|c| c.rifl).collect())
-            .unwrap_or_default();
+        let _forward_is_lost = net.replica(3).submit(cmd.clone(), 0);
+        net.crash(1);
+        suspect_everywhere(&mut net, 1);
         assert_eq!(
-            executed,
+            net.rifls_at(3),
             vec![cmd.rifl],
             "the re-forwarded command must execute after failover"
         );
@@ -1077,32 +923,27 @@ mod tests {
         // it before 1 died; the election's gap-filling re-proposes it. The
         // proxy's retry must then be deduplicated by rifl, or the command
         // would be ordered (and executed) twice.
-        let mut cluster = Cluster::new(3, 1, 1);
+        let mut net = cluster(3, 1);
         let cmd = put(3, 1, 0);
-        let forward = cluster.replica(3).submit(cmd.clone(), 0);
+        let forward = net.replica(3).submit(cmd.clone(), 0);
         // Deliver the forward to leader 1; its MAccept reaches acceptor 2,
         // whose ack is lost.
         let Action::Send { msg, .. } = &forward[0] else {
             panic!("expected the forward send");
         };
-        let accepts = cluster.replica(1).handle(3, msg.clone(), 0);
+        let accepts = net.replica(1).handle(3, msg.clone(), 0);
         for action in accepts {
             if let Action::Send { targets, msg } = action {
                 if targets.contains(&2) {
-                    let _ = cluster.replica(2).handle(1, msg, 0);
+                    let _ = net.replica(2).handle(1, msg, 0);
                 }
             }
         }
-        cluster.crash(1);
-        cluster.suspect_everywhere(1);
+        net.crash(1);
+        suspect_everywhere(&mut net, 1);
         for id in 2..=3u32 {
-            let executed: Vec<Rifl> = cluster
-                .executed
-                .get(&id)
-                .map(|cmds| cmds.iter().map(|c| c.rifl).collect())
-                .unwrap_or_default();
             assert_eq!(
-                executed,
+                net.rifls_at(id),
                 vec![cmd.rifl],
                 "replica {id}: the command must execute exactly once"
             );
@@ -1111,19 +952,16 @@ mod tests {
 
     #[test]
     fn commands_buffered_during_leader_change_are_not_lost() {
-        let mut cluster = Cluster::new(3, 1, 1);
-        cluster.crash(1);
+        let mut net = cluster(3, 1);
+        net.crash(1);
         // Replica 3 suspects the leader before a new one is elected and
         // buffers its submission.
-        let actions = cluster.replica(3).suspect(1, 0);
-        cluster.run(3, actions);
-        let actions = cluster.replica(3).submit(put(3, 1, 0), 0);
-        assert!(actions.is_empty() || !cluster.executed.contains_key(&3));
-        cluster.run(3, actions);
+        net.suspect(3, 1);
+        net.submit(3, put(3, 1, 0));
+        assert!(net.rifls_at(3).is_empty(), "no leader yet: buffered");
         // Once replica 2 campaigns and wins, new commands flow again.
-        cluster.suspect_everywhere(1);
-        cluster.submit(3, put(3, 2, 0));
-        let executed = cluster.executed.get(&3).unwrap();
-        assert!(!executed.is_empty());
+        suspect_everywhere(&mut net, 1);
+        net.submit(3, put(3, 2, 0));
+        assert!(!net.rifls_at(3).is_empty());
     }
 }

@@ -74,9 +74,7 @@
 #![warn(missing_docs)]
 
 use atlas_core::protocol::Time;
-use atlas_core::{
-    Action, ClusterView, Command, Config, Dot, ProcessId, Protocol, ProtocolMetrics, Topology,
-};
+use atlas_core::{Action, Base, ClusterView, Command, Config, Dot, ProcessId, Protocol, Topology};
 use atlas_protocol::recovery::takeover_ballot_in;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -275,11 +273,9 @@ impl RevState {
 /// A Mencius replica.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct Mencius {
-    id: ProcessId,
-    config: Config,
-    /// The configuration epoch this replica operates in; `config` mirrors
-    /// it. Advanced by [`Protocol::reconfigure`] at barrier execution.
-    view: ClusterView,
+    /// Identity, view (advanced by [`Protocol::reconfigure`] at barrier
+    /// execution), metrics, and the highest slot seen per owning process.
+    base: Base,
     /// Ownership rings, ordered by `start`. Never empty.
     rings: Vec<RingSeg>,
     /// Commands gated behind the proposal window (see [`RECONFIG_ALPHA`]):
@@ -302,9 +298,6 @@ pub struct Mencius {
     /// and were dropped from `decided` by [`Protocol::gc_executed`];
     /// messages about them are stragglers and are ignored.
     gc_floor: Slot,
-    /// Highest slot seen per owning process; kept separately from the
-    /// (GC-trimmed) maps so the seen horizon survives garbage collection.
-    max_seen: HashMap<ProcessId, Slot>,
     /// Acceptor: highest revocation ballot promised per slot (absent = 0,
     /// the owner's implicit ballot).
     promised: HashMap<Slot, Ballot>,
@@ -326,7 +319,6 @@ pub struct Mencius {
     /// [`Mencius::revoke_suspected_below`]; the scan resumes past it, so
     /// repeated calls stay linear overall.
     revoke_scan: HashMap<ProcessId, Slot>,
-    metrics: ProtocolMetrics,
 }
 
 impl Mencius {
@@ -345,18 +337,6 @@ impl Mencius {
         seg.members[(slot.saturating_sub(seg.start) % seg.members.len() as Slot) as usize]
     }
 
-    /// Everyone this replica talks to: the view's members (old and new
-    /// during the joint window) plus itself, so self-delivery keeps working
-    /// while this replica is on its way in or out.
-    fn everyone(&self) -> Vec<ProcessId> {
-        let mut all = self.view.all_members();
-        if !all.contains(&self.id) {
-            all.push(self.id);
-            all.sort_unstable();
-        }
-        all
-    }
-
     /// The first slot strictly above `after` owned by this replica, or
     /// `Slot::MAX` when it owns none from there on.
     fn next_owned_after(&self, after: Slot) -> Slot {
@@ -366,7 +346,7 @@ impl Mencius {
             if end.is_some_and(|end| lo >= end) {
                 continue;
             }
-            let Some(pos) = seg.members.iter().position(|&p| p == self.id) else {
+            let Some(pos) = seg.members.iter().position(|&p| p == self.base.id()) else {
                 continue;
             };
             let len = seg.members.len() as Slot;
@@ -388,8 +368,7 @@ impl Mencius {
     /// Records that `slot` exists (for the GC-surviving seen horizon).
     fn note_slot(&mut self, slot: Slot) {
         let owner = self.owner(slot);
-        let seen = self.max_seen.entry(owner).or_insert(0);
-        *seen = (*seen).max(slot);
+        self.base.note_seen(owner, slot);
     }
 
     /// First owned slot of this replica (`Slot::MAX` when it owns none).
@@ -436,7 +415,8 @@ impl Mencius {
         let in_ring = acks.iter().filter(|p| seg.members.contains(p)).count();
         in_ring > seg.members.len() / 2
             && self
-                .view
+                .base
+                .view()
                 .all_members()
                 .iter()
                 .filter(|p| !self.suspected.contains(p))
@@ -456,7 +436,7 @@ impl Mencius {
             Vec::new()
         } else {
             vec![Action::send(
-                self.everyone(),
+                self.base.everyone(),
                 Message::MSkip { slots: skipped },
             )]
         }
@@ -476,14 +456,14 @@ impl Mencius {
                 // been chosen for it (we never proposed a command there, so
                 // no acceptor holds one), so re-deciding and re-announcing
                 // it is safe and unsticks the log.
-                if self.owner(slot) == self.id
+                if self.owner(slot) == self.base.id()
                     && slot < self.next_owned
                     && !self.proposals.contains_key(&slot)
                 {
                     self.decided.insert(slot, None);
                     self.slot_decided_cleanup(slot);
                     actions.push(Action::send(
-                        self.everyone(),
+                        self.base.everyone(),
                         Message::MSkip { slots: vec![slot] },
                     ));
                     continue;
@@ -492,9 +472,10 @@ impl Mencius {
             };
             self.execute_next += 1;
             if let Some(cmd) = entry {
-                self.metrics.executions += 1;
+                self.base.metrics.executions += 1;
                 if let Some(commit_time) = self.commit_times.remove(&slot) {
-                    self.metrics
+                    self.base
+                        .metrics
                         .commit_to_execute
                         .record(time.saturating_sub(commit_time));
                 }
@@ -517,7 +498,7 @@ impl Mencius {
         self.note_slot(slot);
         self.proposals.insert(slot, (cmd.clone(), HashSet::new()));
         vec![Action::send(
-            self.everyone(),
+            self.base.everyone(),
             Message::MPropose { slot, cmd },
         )]
     }
@@ -532,7 +513,7 @@ impl Mencius {
     /// Announces a chosen decision for `slot` with the ordinary decision
     /// messages (this replica learns it through its own broadcast).
     fn announce_decision(&mut self, slot: Slot, value: Option<Command>) -> Vec<Action<Message>> {
-        let all = self.everyone();
+        let all = self.base.everyone();
         match value {
             Some(cmd) => vec![Action::send(all, Message::MCommit { slot, cmd })],
             None => vec![Action::send(all, Message::MSkip { slots: vec![slot] })],
@@ -552,7 +533,9 @@ impl Mencius {
         if self.suspected.is_empty() {
             return Vec::new();
         }
-        let frontier = self.max_seen.values().copied().max().unwrap_or(0);
+        // The highest slot observed from any owner.
+        let spaces = self.base.spaces().into_iter();
+        let frontier = spaces.map(|p| self.base.seen_horizon(p)).max().unwrap_or(0);
         let mut fresh: Vec<Slot> = Vec::new();
         let mut owners: Vec<ProcessId> = self.suspected.iter().copied().collect();
         owners.sort_unstable();
@@ -563,7 +546,7 @@ impl Mencius {
         // history inside a message handler.
         let floor = self.gc_floor.max(self.execute_next.saturating_sub(1));
         for owner in owners {
-            if owner == self.id {
+            if owner == self.base.id() {
                 continue;
             }
             let base = floor.max(self.revoke_scan.get(&owner).copied().unwrap_or(0));
@@ -576,9 +559,9 @@ impl Mencius {
                 }
                 if !self.decided.contains_key(&slot) && !self.revoking.contains_key(&slot) {
                     let promised = self.promised.get(&slot).copied().unwrap_or(0);
-                    let ballot = takeover_ballot_in(&self.view, self.id, promised);
+                    let ballot = takeover_ballot_in(self.base.view(), self.base.id(), promised);
                     self.revoking.insert(slot, RevState::new(ballot));
-                    self.metrics.recoveries += 1;
+                    self.base.metrics.recoveries += 1;
                     fresh.push(slot);
                 }
             }
@@ -601,15 +584,15 @@ impl Mencius {
                 // our stale ballot would be refused forever. Mint above the
                 // promise; idempotence holds, since while our ballot *is*
                 // the current one we only ever re-send it.
-                let ballot = takeover_ballot_in(&self.view, self.id, promised);
+                let ballot = takeover_ballot_in(self.base.view(), self.base.id(), promised);
                 *rev = RevState::new(ballot);
-                self.metrics.recoveries += 1;
+                self.base.metrics.recoveries += 1;
                 batches.entry(ballot).or_default().push(slot);
             } else if resend_all || fresh.contains(&slot) {
                 batches.entry(rev.ballot).or_default().push(slot);
             }
         }
-        let all = self.everyone();
+        let all = self.base.everyone();
         batches
             .into_iter()
             .map(|(ballot, slots)| Action::send(all.clone(), Message::MRevoke { slots, ballot }))
@@ -687,7 +670,7 @@ impl Mencius {
         if !ready {
             return Vec::new();
         }
-        self.metrics.fast_paths += 1;
+        self.base.metrics.fast_paths += 1;
         let mut actions = self.commit_own_proposal(slot, time);
         actions.extend(self.try_execute(time));
         actions
@@ -699,14 +682,26 @@ impl Mencius {
     /// undecided in between), then announce.
     fn commit_own_proposal(&mut self, slot: Slot, time: Time) -> Vec<Action<Message>> {
         let (cmd, _) = self.proposals.remove(&slot).expect("proposal exists");
-        self.decided.insert(slot, Some(cmd.clone()));
-        self.slot_decided_cleanup(slot);
-        self.metrics.commits += 1;
-        self.commit_times.insert(slot, time);
-        vec![Action::send(
-            self.everyone(),
+        let mut actions = self.decide(slot, cmd.clone(), time);
+        actions.push(Action::send(
+            self.base.everyone(),
             Message::MCommit { slot, cmd },
-        )]
+        ));
+        actions
+    }
+
+    /// Records `cmd` as the decision of `slot` and reports the commit.
+    fn decide(&mut self, slot: Slot, cmd: Command, time: Time) -> Vec<Action<Message>> {
+        let mut actions = Vec::new();
+        if !cmd.is_noop() {
+            let dot = Dot::new(self.owner(slot), slot);
+            actions.push(Action::Commit { dot });
+        }
+        self.decided.insert(slot, Some(cmd));
+        self.slot_decided_cleanup(slot);
+        self.base.metrics.commits += 1;
+        self.commit_times.insert(slot, time);
+        actions
     }
 
     fn handle_skip(&mut self, slots: Vec<Slot>, time: Time) -> Vec<Action<Message>> {
@@ -738,18 +733,16 @@ impl Mencius {
             return Vec::new();
         }
         self.note_slot(slot);
-        self.decided.insert(slot, Some(cmd));
-        self.slot_decided_cleanup(slot);
+        let mut actions = self.decide(slot, cmd, time);
         // A revocation may decide one of our own slots with our command
         // (it was acknowledged somewhere before the suspicion); the
         // proposal is satisfied, the client is answered at execution —
         // but it took a revocation to get there, so count it slow.
         if self.proposals.remove(&slot).is_some() {
-            self.metrics.slow_paths += 1;
+            self.base.metrics.slow_paths += 1;
         }
-        self.metrics.commits += 1;
-        self.commit_times.insert(slot, time);
-        self.try_execute(time)
+        actions.extend(self.try_execute(time));
+        actions
     }
 
     /// Revocation phase 1 at an acceptor: promise the ballot per slot and
@@ -850,7 +843,7 @@ impl Mencius {
         }
         if !accept_batch.is_empty() {
             actions.push(Action::send(
-                self.everyone(),
+                self.base.everyone(),
                 Message::MRevokeAccept {
                     ballot,
                     slots: accept_batch,
@@ -942,16 +935,10 @@ impl Protocol for Mencius {
     }
 
     fn new(id: ProcessId, config: Config, topology: Topology) -> Self {
-        let members: Vec<ProcessId> = if topology.processes.is_empty() {
-            (1..=config.n as ProcessId).collect()
-        } else {
-            topology.processes.clone()
-        };
-        let view = ClusterView::at(0, members.clone(), config.f);
+        let base = Base::new(id, config, topology);
+        let members = base.view().members.clone();
         let mut mencius = Self {
-            id,
-            config,
-            view,
+            base,
             rings: vec![RingSeg {
                 epoch: 0,
                 start: 1,
@@ -964,20 +951,18 @@ impl Protocol for Mencius {
             execute_next: 1,
             commit_times: HashMap::new(),
             gc_floor: 0,
-            max_seen: HashMap::new(),
             promised: HashMap::new(),
             accepted: HashMap::new(),
             suspected: HashSet::new(),
             revoking: BTreeMap::new(),
             revoke_scan: HashMap::new(),
-            metrics: ProtocolMetrics::new(),
         };
         mencius.next_owned = mencius.first_owned();
         mencius
     }
 
-    fn id(&self) -> ProcessId {
-        self.id
+    fn base(&self) -> &Base {
+        &self.base
     }
 
     fn submit(&mut self, cmd: Command, _time: Time) -> Vec<Action<Message>> {
@@ -1021,9 +1006,7 @@ impl Protocol for Mencius {
         state: &[u8],
     ) -> Option<Self> {
         let state: Mencius = bincode::deserialize(state).ok()?;
-        // After a reconfiguration the journaled view is authoritative; the
-        // caller-supplied boot config only gates epoch-0 state.
-        (state.id == id && (state.view.epoch > 0 || state.config == config)).then_some(state)
+        state.base.restores_as(id, config).then_some(state)
     }
 
     fn committed_log(&self) -> Vec<Message> {
@@ -1058,7 +1041,7 @@ impl Protocol for Mencius {
     /// existing ballots — and deterministic (state-only), as the
     /// journal-replay contract requires.
     fn suspect(&mut self, suspected: ProcessId, time: Time) -> Vec<Action<Message>> {
-        if suspected == self.id {
+        if suspected == self.base.id() {
             return Vec::new();
         }
         self.suspected.insert(suspected);
@@ -1075,7 +1058,7 @@ impl Protocol for Mencius {
         for slot in ready {
             // Slow path: the proposal only commits because the detector
             // shrank the expected ack set — it waited out a failure.
-            self.metrics.slow_paths += 1;
+            self.base.metrics.slow_paths += 1;
             actions.extend(self.commit_own_proposal(slot, time));
         }
         actions.extend(self.try_execute(time));
@@ -1083,14 +1066,6 @@ impl Protocol for Mencius {
         // observed frontier, re-driving in-flight revocations.
         actions.extend(self.revoke_suspected_below(true));
         actions
-    }
-
-    fn epoch(&self) -> u64 {
-        self.view.epoch
-    }
-
-    fn cluster_view(&self) -> Option<ClusterView> {
-        Some(self.view.clone())
     }
 
     /// Installs the epoch's ownership ring (see [`RECONFIG_ALPHA`] and the
@@ -1101,11 +1076,9 @@ impl Protocol for Mencius {
     /// are ignored, an already-known ring is not re-installed) and
     /// deterministic, as the replay contract requires.
     fn reconfigure(&mut self, view: &ClusterView, time: Time) -> Vec<Action<Message>> {
-        if view.epoch <= self.view.epoch {
+        if !self.base.install_view(view) {
             return Vec::new();
         }
-        self.view = view.clone();
-        self.config = view.config(self.config);
         let members = view.all_members();
         if !self.rings.iter().any(|seg| seg.epoch == view.epoch) {
             let cut = (self.execute_next - 1) + RECONFIG_ALPHA;
@@ -1118,10 +1091,10 @@ impl Protocol for Mencius {
         // Our next owned slot may have moved: pre-cut slots keep their
         // owners, but a joiner owns nothing before its cut and a removed
         // replica nothing after it.
-        if self.next_owned == Slot::MAX || self.owner(self.next_owned) != self.id {
+        if self.next_owned == Slot::MAX || self.owner(self.next_owned) != self.base.id() {
             self.next_owned = self.next_owned_after(self.execute_next.saturating_sub(1));
         }
-        if !view.contains(self.id) {
+        if !view.contains(self.base.id()) {
             // On the way out: keep acknowledging until the runtime retires
             // this replica, but never propose again.
             return Vec::new();
@@ -1138,7 +1111,7 @@ impl Protocol for Mencius {
             .collect();
         ready.sort_unstable();
         for slot in ready {
-            self.metrics.slow_paths += 1;
+            self.base.metrics.slow_paths += 1;
             actions.extend(self.commit_own_proposal(slot, time));
         }
         actions.extend(self.try_execute(time));
@@ -1176,13 +1149,13 @@ impl Protocol for Mencius {
         dropped
     }
 
-    fn save_executed(&self) -> Option<Vec<u8>> {
+    fn save_executed(&self) -> Vec<u8> {
         let marker = RingMarker {
             watermark: self.execute_next - 1,
             rings: self.rings.clone(),
-            view: self.view.clone(),
+            view: self.base.view().clone(),
         };
-        Some(bincode::serialize(&marker).expect("markers always encode"))
+        bincode::serialize(&marker).expect("markers always encode")
     }
 
     fn restore_executed(&mut self, marker: &[u8]) -> bool {
@@ -1199,10 +1172,7 @@ impl Protocol for Mencius {
         self.execute_next = marker.watermark + 1;
         self.gc_floor = marker.watermark;
         self.rings = marker.rings;
-        if marker.view.epoch > self.view.epoch {
-            self.view = marker.view;
-            self.config = self.view.config(self.config);
-        }
+        self.base.install_view(&marker.view);
         self.next_owned = self.next_owned_after(marker.watermark);
         // Every slot up to the watermark was seen (it executed); record the
         // last ring's worth so seen horizons stay truthful.
@@ -1210,7 +1180,7 @@ impl Protocol for Mencius {
             .rings
             .last()
             .map(|seg| seg.members.len())
-            .unwrap_or(self.config.n) as Slot;
+            .unwrap_or(self.base.config().n) as Slot;
         let base = marker
             .watermark
             .saturating_sub(span.saturating_sub(1))
@@ -1225,18 +1195,10 @@ impl Protocol for Mencius {
         self.decided.len() + self.proposals.len()
     }
 
-    fn seen_horizon(&self, source: ProcessId) -> u64 {
-        self.max_seen.get(&source).copied().unwrap_or(0)
-    }
-
     fn advance_identifiers(&mut self, past: u64) {
         if self.next_owned != Slot::MAX && self.next_owned <= past {
             self.next_owned = self.next_owned_after(past);
         }
-    }
-
-    fn metrics(&self) -> &ProtocolMetrics {
-        &self.metrics
     }
 }
 
@@ -1244,94 +1206,10 @@ impl Protocol for Mencius {
 mod tests {
     use super::*;
     use atlas_core::Rifl;
+    use atlas_protocol::chaos::{sweep, ChaosNet};
 
-    struct Cluster {
-        replicas: Vec<Mencius>,
-        executed: HashMap<ProcessId, Vec<Command>>,
-        crashed: HashSet<ProcessId>,
-    }
-
-    impl Cluster {
-        fn new(n: usize) -> Self {
-            let config = Config::new(n, 1);
-            let replicas = (1..=n as ProcessId)
-                .map(|id| Mencius::new(id, config, Topology::identity(id, n)))
-                .collect();
-            Self {
-                replicas,
-                executed: HashMap::new(),
-                crashed: HashSet::new(),
-            }
-        }
-
-        fn replica(&mut self, id: ProcessId) -> &mut Mencius {
-            &mut self.replicas[(id - 1) as usize]
-        }
-
-        fn crash(&mut self, id: ProcessId) {
-            self.crashed.insert(id);
-        }
-
-        fn run(&mut self, source: ProcessId, actions: Vec<Action<Message>>) {
-            let mut queue: Vec<(ProcessId, ProcessId, Message)> = Vec::new();
-            self.enqueue(source, actions, &mut queue);
-            while !queue.is_empty() {
-                let (from, to, msg) = queue.remove(0);
-                if self.crashed.contains(&from) || self.crashed.contains(&to) {
-                    continue;
-                }
-                let out = self.replica(to).handle(from, msg, 0);
-                self.enqueue(to, out, &mut queue);
-            }
-        }
-
-        fn enqueue(
-            &mut self,
-            source: ProcessId,
-            actions: Vec<Action<Message>>,
-            queue: &mut Vec<(ProcessId, ProcessId, Message)>,
-        ) {
-            for action in actions {
-                match action {
-                    Action::Send { targets, msg } => {
-                        let mut targets = targets;
-                        targets.sort_by_key(|t| if *t == source { 0 } else { 1 });
-                        for to in targets {
-                            queue.push((source, to, msg.clone()));
-                        }
-                    }
-                    Action::Execute { cmd, .. } => {
-                        self.executed.entry(source).or_default().push(cmd);
-                    }
-                    Action::Commit { .. } => {}
-                }
-            }
-        }
-
-        fn submit(&mut self, at: ProcessId, cmd: Command) {
-            let actions = self.replica(at).submit(cmd, 0);
-            self.run(at, actions);
-        }
-
-        /// Submits at `at`, delivering the MPropose only to `reach` and
-        /// losing every reply — a proposal stranded mid-propagation.
-        fn submit_reaching(&mut self, at: ProcessId, cmd: Command, reach: &[ProcessId]) {
-            let actions = self.replica(at).submit(cmd, 0);
-            for action in actions {
-                if let Action::Send { targets, msg } = action {
-                    for to in targets {
-                        if reach.contains(&to) {
-                            let _ = self.replica(to).handle(at, msg.clone(), 0);
-                        }
-                    }
-                }
-            }
-        }
-
-        fn suspect(&mut self, at: ProcessId, suspected: ProcessId) {
-            let actions = self.replica(at).suspect(suspected, 0);
-            self.run(at, actions);
-        }
+    fn cluster(n: usize) -> ChaosNet<Mencius> {
+        ChaosNet::fifo(Config::new(n, 1))
     }
 
     fn put(client: u64, seq: u64, key: u64) -> Command {
@@ -1351,14 +1229,10 @@ mod tests {
 
     #[test]
     fn single_command_executes_everywhere() {
-        let mut cluster = Cluster::new(3);
+        let mut cluster = cluster(3);
         cluster.submit(2, put(2, 1, 0));
         for id in 1..=3u32 {
-            assert_eq!(
-                cluster.executed.get(&id).map(Vec::len).unwrap_or(0),
-                1,
-                "process {id}"
-            );
+            assert_eq!(cluster.rifls_at(id).len(), 1, "process {id}");
         }
     }
 
@@ -1366,76 +1240,52 @@ mod tests {
     fn skips_keep_logs_gap_free() {
         // A command from replica 3 lands in slot 3; replicas 1 and 2 must
         // skip their unused slots 1 and 2 so execution can proceed.
-        let mut cluster = Cluster::new(3);
+        let mut cluster = cluster(3);
         cluster.submit(3, put(3, 1, 0));
         for id in 1..=3u32 {
-            assert_eq!(cluster.executed.get(&id).map(Vec::len).unwrap_or(0), 1);
+            assert_eq!(cluster.rifls_at(id).len(), 1);
         }
         // Replica 1's own next command lands in a slot after 3.
         cluster.submit(1, put(1, 1, 0));
         for id in 1..=3u32 {
-            assert_eq!(cluster.executed.get(&id).map(Vec::len).unwrap_or(0), 2);
+            assert_eq!(cluster.rifls_at(id).len(), 2);
         }
     }
 
     #[test]
     fn commands_execute_in_same_order_everywhere() {
-        let mut cluster = Cluster::new(5);
+        let mut cluster = cluster(5);
         for seq in 1..=4u64 {
             for source in 1..=5u32 {
                 cluster.submit(source, put(source as u64, seq, 0));
             }
         }
-        let reference: Vec<Rifl> = cluster
-            .executed
-            .get(&1)
-            .unwrap()
-            .iter()
-            .map(|c| c.rifl)
-            .collect();
+        let reference = cluster.rifls_at(1);
         assert_eq!(reference.len(), 20);
         for id in 2..=5u32 {
-            let order: Vec<Rifl> = cluster
-                .executed
-                .get(&id)
-                .unwrap()
-                .iter()
-                .map(|c| c.rifl)
-                .collect();
+            let order = cluster.rifls_at(id);
             assert_eq!(order, reference, "process {id}");
         }
     }
 
     #[test]
     fn interleaved_submissions_preserve_slot_order() {
-        let mut cluster = Cluster::new(3);
+        let mut cluster = cluster(3);
         cluster.submit(1, put(1, 1, 0));
         cluster.submit(3, put(3, 1, 0));
         cluster.submit(2, put(2, 1, 0));
         cluster.submit(1, put(1, 2, 0));
-        let reference: Vec<Rifl> = cluster
-            .executed
-            .get(&1)
-            .unwrap()
-            .iter()
-            .map(|c| c.rifl)
-            .collect();
+        let reference = cluster.rifls_at(1);
         assert_eq!(reference.len(), 4);
         for id in 2..=3u32 {
-            let order: Vec<Rifl> = cluster
-                .executed
-                .get(&id)
-                .unwrap()
-                .iter()
-                .map(|c| c.rifl)
-                .collect();
+            let order = cluster.rifls_at(id);
             assert_eq!(order, reference);
         }
     }
 
     #[test]
     fn metrics_count_commits_and_executions() {
-        let mut cluster = Cluster::new(3);
+        let mut cluster = cluster(3);
         cluster.submit(1, put(1, 1, 0));
         cluster.submit(2, put(2, 1, 0));
         let m = cluster.replicas[0].metrics();
@@ -1449,7 +1299,7 @@ mod tests {
         // suspect it; their later commands must commit without 3's acks,
         // and 3's unused slots must be revoked to skips so execution
         // proceeds past the holes.
-        let mut cluster = Cluster::new(3);
+        let mut cluster = cluster(3);
         cluster.submit_reaching(3, put(3, 1, 0), &[]);
         cluster.crash(3);
         cluster.suspect(1, 3);
@@ -1461,13 +1311,7 @@ mod tests {
         // the hole revoked.
         cluster.submit(1, put(1, 2, 0));
         for id in 1..=2u32 {
-            let executed: Vec<Rifl> = cluster
-                .executed
-                .get(&id)
-                .unwrap()
-                .iter()
-                .map(|c| c.rifl)
-                .collect();
+            let executed = cluster.rifls_at(id);
             assert_eq!(
                 executed,
                 vec![Rifl::new(1, 1), Rifl::new(2, 1), Rifl::new(1, 2)],
@@ -1484,7 +1328,7 @@ mod tests {
         // Replica 3's proposal reached replica 1 (which acknowledged it,
         // recording it as accepted at ballot 0) before 3 died. Revocation
         // must discover and preserve the command, not skip it.
-        let mut cluster = Cluster::new(3);
+        let mut cluster = cluster(3);
         let cmd = put(3, 1, 0);
         cluster.submit_reaching(3, cmd.clone(), &[1]);
         cluster.crash(3);
@@ -1496,13 +1340,7 @@ mod tests {
         cluster.submit(1, put(1, 1, 0));
         cluster.submit(1, put(1, 2, 0));
         for id in 1..=2u32 {
-            let executed: Vec<Rifl> = cluster
-                .executed
-                .get(&id)
-                .unwrap()
-                .iter()
-                .map(|c| c.rifl)
-                .collect();
+            let executed = cluster.rifls_at(id);
             assert_eq!(
                 executed,
                 vec![cmd.rifl, Rifl::new(1, 1), Rifl::new(1, 2)],
@@ -1526,7 +1364,7 @@ mod tests {
         // n = 5, majority 3: with only two replicas reachable, the
         // revocation stalls mid-prepare. A re-dispatched suspicion must
         // re-send the same ballot, not open a second one per slot.
-        let mut cluster = Cluster::new(5);
+        let mut cluster = cluster(5);
         cluster.submit_reaching(3, put(3, 1, 0), &[]);
         cluster.crash(3);
         cluster.crash(4);
@@ -1559,7 +1397,7 @@ mod tests {
         // A competing revoker's higher ballot supersedes ours. If that
         // revoker dies too, re-dispatch must mint a fresh ballot above the
         // promise instead of re-sending the refused one forever.
-        let mut cluster = Cluster::new(5);
+        let mut cluster = cluster(5);
         cluster.submit_reaching(3, put(3, 1, 0), &[]);
         cluster.crash(3);
         cluster.crash(4);
@@ -1592,7 +1430,7 @@ mod tests {
         // Regression: a revocation message for a slot that executed at
         // every replica and was garbage-collected must be ignored — not
         // panic, and not resurrect per-slot bookkeeping.
-        let mut cluster = Cluster::new(3);
+        let mut cluster = cluster(3);
         for seq in 1..=3u64 {
             cluster.submit(1, put(1, seq, 0));
         }
@@ -1628,7 +1466,7 @@ mod tests {
     fn own_revoked_proposal_is_reproposed_in_a_fresh_slot() {
         // A falsely suspected replica whose slot was revoked to a skip
         // re-proposes the command in a fresh slot: delayed, never lost.
-        let mut cluster = Cluster::new(3);
+        let mut cluster = cluster(3);
         let cmd = put(3, 1, 0);
         // Replica 3 proposes into slot 3, but nobody hears it.
         cluster.submit_reaching(3, cmd.clone(), &[]);
@@ -1659,7 +1497,7 @@ mod tests {
     /// way and execute identically.
     #[test]
     fn revocation_converges_under_reordering_and_duplication() {
-        atlas_protocol::chaos::sweep(
+        sweep(
             "mencius-revocation-convergence",
             0x3E9C1,
             0..25,
@@ -1676,7 +1514,6 @@ mod tests {
 
     /// The per-seed body of the Mencius revocation chaos sweep.
     fn revocation_chaos_at(seed: u64) {
-        use atlas_protocol::chaos::ChaosNet;
         use rand::Rng;
         {
             let mut net = ChaosNet::<Mencius>::new(5, 2, seed);
