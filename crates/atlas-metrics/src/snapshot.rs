@@ -86,14 +86,26 @@ pub struct LifecycleStats {
 pub struct DurabilityStats {
     /// Records appended to the input journal.
     pub journal_records: u64,
-    /// fsync (`sync_data`) calls actually issued by the WAL.
+    /// fsync calls actually issued: the WAL's, and the two (file,
+    /// directory) of every snapshot the writer thread persists.
     pub fsyncs: u64,
     /// Latency of each issued fsync (µs).
     pub fsync_us: BoundedHistogram,
     /// Live WAL segment files (after GC truncation).
     pub wal_segments: u64,
-    /// Replica snapshots written.
+    /// Replica snapshots published and their journal prefix truncated.
     pub snapshots_saved: u64,
+    /// Event-loop time per snapshot cut (µs) — what a snapshot still costs
+    /// the commit path.
+    pub snapshot_cut_us: BoundedHistogram,
+    /// Snapshot-writer time per snapshot (µs), serialise → directory
+    /// fsync — off the event loop.
+    pub snapshot_write_us: BoundedHistogram,
+    /// Encoded size of the last snapshot written (bytes).
+    pub snapshot_bytes: u64,
+    /// Snapshots that fell due while the writer was busy and were folded
+    /// into the next cut.
+    pub snapshots_coalesced: u64,
 }
 
 /// Failure-detector and recovery counters.
@@ -307,8 +319,15 @@ impl MetricsSnapshot {
         ));
         push_summary(&mut o, &d.fsync_us);
         o.push_str(&format!(
-            ",\"wal_segments\":{},\"snapshots_saved\":{}}}",
+            ",\"wal_segments\":{},\"snapshots_saved\":{},\"snapshot_cut_us\":",
             d.wal_segments, d.snapshots_saved
+        ));
+        push_summary(&mut o, &d.snapshot_cut_us);
+        o.push_str(",\"snapshot_write_us\":");
+        push_summary(&mut o, &d.snapshot_write_us);
+        o.push_str(&format!(
+            ",\"snapshot_bytes\":{},\"snapshots_coalesced\":{}}}",
+            d.snapshot_bytes, d.snapshots_coalesced
         ));
 
         o.push_str(&format!(
@@ -394,6 +413,11 @@ mod tests {
         }
         s.protocol_stats.fast_paths = 9;
         s.protocol_stats.slow_paths = 1;
+        s.durability.snapshots_saved = 3;
+        s.durability.snapshot_cut_us.record(700);
+        s.durability.snapshot_write_us.record(9_000);
+        s.durability.snapshot_bytes = 4_096;
+        s.durability.snapshots_coalesced = 2;
         s.gc.horizon = vec![(1, 5), (2, 3)];
         s.links.push(LinkSnapshot {
             peer: 2,
@@ -443,6 +467,9 @@ mod tests {
             "\"protocol\":\"atlas\"",
             "\"fast_path_ratio\":0.900",
             "\"submit_to_replied\":{\"count\":3",
+            "\"snapshots_saved\":3,\"snapshot_cut_us\":{\"count\":1",
+            "\"snapshot_write_us\":{\"count\":1",
+            "\"snapshot_bytes\":4096,\"snapshots_coalesced\":2}",
             "\"horizon\":[[1,5],[2,3]]",
             "\"peer\":2",
             "\"epoch\":2",

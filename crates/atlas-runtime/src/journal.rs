@@ -10,11 +10,25 @@
 //!   journaled inputs in order reconstructs exactly the state the previous
 //!   incarnation reached — including the dots it assigned, the dependencies
 //!   it reported and the promises it made to peers;
-//! * every `snapshot_every` records the replica serializes a
-//!   [`ReplicaSnapshot`] — the protocol's
-//!   [`save_state`](atlas_core::Protocol::save_state), the key–value store
-//!   and the execution record — and truncates the journal prefix the
-//!   snapshot covers, so replay work and disk usage stay bounded.
+//! * every `snapshot_every` records — and after every GC round that shrank
+//!   the protocol state — the replica persists a [`ReplicaSnapshot`] (the
+//!   protocol's [`save_state`](atlas_core::Protocol::save_state), the
+//!   key–value store and the execution record) in three steps, of which
+//!   only the first runs on the event loop:
+//!   1. **cut** (`Journal::save_snapshot`): at an event boundary — every
+//!      journaled record applied — the loop copies its state, fsyncs the
+//!      WAL and stamps the copy with the WAL's next index;
+//!   2. **write**: the journal's writer thread serialises the cut and
+//!      publishes it (temporary file, fsync, rename, directory fsync, prune
+//!      older snapshots) while the loop keeps serving, then reports back;
+//!   3. **truncate** (`Journal::snapshot_written`): the loop drops the
+//!      WAL segments the published snapshot covers, so replay work and
+//!      disk usage stay bounded.
+//!
+//!   At most one snapshot is in flight; one falling due meanwhile is taken
+//!   when the writer reports. A crash at any point leaves the newest
+//!   published snapshot and a WAL still holding every record at or above
+//!   its index (`ARCHITECTURE.md` has the crash matrix).
 //!
 //! Recovery is then: load the latest snapshot (if any), restore the
 //! protocol with [`restore_state`](atlas_core::Protocol::restore_state),
@@ -22,12 +36,17 @@
 //! additionally performs peer-assisted catch-up (see
 //! [`crate::replica`]).
 
+use crate::metrics::ReplicaMetrics;
 use atlas_core::{ClusterView, Command, Dot, ProcessId, Rifl};
 use atlas_log::{FlushPolicy, SnapshotStore, Wal};
 use kvstore::KVStore;
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// One journaled protocol input.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -112,15 +131,84 @@ pub struct ReplicaSnapshot {
     pub addrs: Vec<(ProcessId, String)>,
 }
 
+/// What a [`Journal`] needs from the replica that hosts it.
+pub(crate) struct Host {
+    /// Where disk time and counts are recorded (shared with the writer).
+    pub metrics: Arc<ReplicaMetrics>,
+    /// `ReplicaConfig::fsync_stall`: injected latency per fsync.
+    pub fsync_stall: Duration,
+    /// The incarnation's stop flag: once set, the writer publishes nothing.
+    pub stop: Arc<AtomicBool>,
+    /// How the writer thread reports `(index, published)`; the replica
+    /// turns it into an event that ends in [`Journal::snapshot_written`].
+    pub report: Box<dyn Fn(u64, io::Result<bool>) + Send + Sync>,
+}
+
+/// The part of the durable state the event loop and the snapshot writer
+/// both use: where snapshots go and how disk time is accounted.
+struct Disk {
+    snapshots: SnapshotStore,
+    host: Host,
+}
+
+impl Disk {
+    /// Counts one real fsync that started at `t0`.
+    fn count_fsync(&self, t0: Instant) {
+        self.host.metrics.fsyncs.inc();
+        let us = (t0.elapsed().as_micros() as u64).max(1);
+        self.host.metrics.fsync_us.record(us);
+    }
+
+    /// [`Self::count_fsync`] behind the injected slow-disk stall, applied
+    /// where a slow device would stall — on the calling thread, inside the
+    /// timed window, so it lands in `fsync_us` and delays what a slow fsync
+    /// delays (on the event loop: outbound heartbeats too, which the WAN
+    /// harness drills against the detector).
+    fn stalled_fsync(&self, t0: Instant) {
+        if !self.host.fsync_stall.is_zero() {
+            std::thread::sleep(self.host.fsync_stall);
+        }
+        self.count_fsync(t0);
+    }
+
+    /// Serialises `snapshot` and publishes it as covering WAL records below
+    /// `index` — the one write path, run by the writer thread and by the
+    /// synchronous snapshot that ends catch-up. `Ok(false)`: abandoned
+    /// unpublished because the replica stopped meanwhile; its directory may
+    /// already belong to the next incarnation (wiped and recreated, even),
+    /// where this journal's snapshot would cover records never written.
+    fn write(&self, index: u64, snapshot: &ReplicaSnapshot) -> io::Result<bool> {
+        let t0 = Instant::now();
+        let bytes = bincode::serialize(snapshot).expect("snapshots always encode");
+        let published = self.snapshots.save_with(index, &bytes, |sync_t0| {
+            self.stalled_fsync(sync_t0);
+            !self.host.stop.load(Ordering::SeqCst)
+        })?;
+        self.host.metrics.snapshot_bytes.set(bytes.len() as u64);
+        let us = t0.elapsed().as_micros() as u64;
+        self.host.metrics.snapshot_write_us.record(us);
+        Ok(published)
+    }
+}
+
+/// What the writer is handed: the WAL index the snapshot covers up to, and it.
+type Cut = (u64, ReplicaSnapshot);
+
 /// The open durable state of a running replica.
-#[derive(Debug)]
 pub(crate) struct Journal {
     wal: Wal,
-    snapshots: SnapshotStore,
+    disk: Arc<Disk>,
     /// Take a snapshot after this many journaled records (0 = never).
     snapshot_every: u64,
-    /// Records appended since the last snapshot.
+    /// Records appended since the last cut.
     since_snapshot: u64,
+    /// A GC round asked for a snapshot ([`Journal::want_snapshot`]).
+    wanted: bool,
+    /// WAL index of the cut the writer is persisting. At most one snapshot
+    /// is ever in flight; one that falls due meanwhile waits for the report.
+    in_flight: Option<u64>,
+    /// The snapshot writer and its inbox, spawned with the first hand-off.
+    writer: Option<(mpsc::Sender<Cut>, JoinHandle<()>)>,
 }
 
 /// An `InvalidData` error for journal/snapshot corruption — the class of
@@ -137,6 +225,7 @@ impl Journal {
         dir: &Path,
         policy: FlushPolicy,
         snapshot_every: u64,
+        host: Host,
     ) -> io::Result<(Self, Option<ReplicaSnapshot>, Vec<JournalRecord>)> {
         let snapshots = SnapshotStore::open(dir)?;
         let (wal, raw_records) = Wal::open(&dir.join("wal"), policy)?;
@@ -165,9 +254,12 @@ impl Journal {
         Ok((
             Self {
                 wal,
-                snapshots,
+                disk: Arc::new(Disk { snapshots, host }),
                 snapshot_every,
                 since_snapshot,
+                wanted: false,
+                in_flight: None,
+                writer: None,
             },
             snapshot,
             records,
@@ -175,24 +267,24 @@ impl Journal {
     }
 
     /// Appends one input record (write-ahead: call this *before* handing the
-    /// input to the protocol). Returns whether the append itself issued an
-    /// fsync — every append under [`FlushPolicy::Always`], every `n`-th
-    /// under [`FlushPolicy::EveryN`] — so the caller can meter real disk
-    /// syncs that [`Journal::make_durable`] will never see as pending.
-    pub fn append(&mut self, record: &JournalRecord) -> io::Result<bool> {
+    /// input to the protocol). An append that itself fsyncs — every one
+    /// under [`FlushPolicy::Always`], every `n`-th under
+    /// [`FlushPolicy::EveryN`] — is metered here, because
+    /// [`Journal::make_durable`] never sees that sync as pending.
+    pub fn append(&mut self, record: &JournalRecord) -> io::Result<()> {
+        let t0 = Instant::now();
         let bytes = bincode::serialize(record).expect("journal records always encode");
         self.wal.append(&bytes)?;
+        let metrics = &self.disk.host.metrics;
+        metrics.journal_records.inc();
+        if !matches!(self.wal.policy(), FlushPolicy::OsBuffered) && self.wal.pending() == 0 {
+            self.disk.stalled_fsync(t0);
+        }
         self.since_snapshot += 1;
-        let synced = match self.wal.policy() {
-            FlushPolicy::OsBuffered => false,
-            _ => self.wal.pending() == 0,
-        };
-        Ok(synced)
-    }
-
-    /// Whether enough records accumulated since the last snapshot.
-    pub fn snapshot_due(&self) -> bool {
-        self.snapshot_every > 0 && self.since_snapshot >= self.snapshot_every
+        if self.since_snapshot == self.snapshot_every && self.in_flight.is_some() {
+            metrics.snapshots_coalesced.inc();
+        }
+        Ok(())
     }
 
     /// Makes every appended record durable before an effect derived from it
@@ -201,12 +293,13 @@ impl Journal {
     /// identifier (reissuing it after losing the record would be unsound).
     /// Under [`FlushPolicy::OsBuffered`] this is a no-op — that policy
     /// explicitly trades host-power-loss durability away (process crashes
-    /// are still covered by the page cache).
-    ///
-    /// Returns whether an fsync was actually issued, so the caller can meter
-    /// real disk syncs without timing no-ops.
-    pub fn make_durable(&mut self) -> io::Result<bool> {
-        self.wal.sync_pending()
+    /// are still covered by the page cache). Only real syncs are metered.
+    pub fn make_durable(&mut self) -> io::Result<()> {
+        let t0 = Instant::now();
+        if self.wal.sync_pending()? {
+            self.disk.stalled_fsync(t0);
+        }
+        Ok(())
     }
 
     /// Number of live WAL segment files (compaction health metric).
@@ -214,17 +307,105 @@ impl Journal {
         self.wal.segment_count()
     }
 
-    /// Persists `snapshot` as covering every record journaled so far and
-    /// truncates the log prefix it covers.
-    pub fn save_snapshot(&mut self, snapshot: &ReplicaSnapshot) -> io::Result<()> {
-        let index = self.wal.next_index();
-        let bytes = bincode::serialize(snapshot).expect("snapshots always encode");
-        // Snapshot must be durable before the log it replaces goes away.
+    /// A GC round shrank the protocol state: snapshot at the next event
+    /// boundary whatever the cadence says, so the WAL and the older
+    /// snapshot files shrink with it.
+    pub fn want_snapshot(&mut self) {
+        if self.in_flight.is_some() {
+            self.disk.host.metrics.snapshots_coalesced.inc();
+        }
+        self.wanted = true;
+    }
+
+    /// Whether to cut a snapshot now: one is due (cadence or GC) and the
+    /// writer is free. While it is busy, due snapshots coalesce into the
+    /// one this reports once [`Journal::snapshot_written`] ran — which also
+    /// keeps a slow disk from queueing cuts.
+    pub fn snapshot_due(&self) -> bool {
+        let cadence = self.snapshot_every > 0 && self.since_snapshot >= self.snapshot_every;
+        self.in_flight.is_none() && (self.wanted || cadence)
+    }
+
+    /// Takes `snapshot` — the replica's state after applying **every**
+    /// record journaled so far, so only ever cut at an event boundary — as
+    /// covering the journal up to here, and hands it to the writer thread;
+    /// [`Journal::snapshot_written`] finishes the job when the writer
+    /// reports. `cut_started` is when the caller began copying its state:
+    /// `snapshot_cut_us` runs from there to the hand-off. `inline` writes on
+    /// the calling thread instead (the snapshot that ends catch-up must be
+    /// on disk before the replica serves).
+    ///
+    /// The WAL is fsynced first, whatever the flush policy: the snapshot
+    /// may only become loadable once the records below its index are
+    /// durable. Were they lost to a power failure, the restarted WAL would
+    /// reissue indices below the snapshot's and [`Journal::open`] would
+    /// skip those records. This is the one disk wait a snapshot leaves on
+    /// the event loop; it is counted in `fsyncs` but exempt from the
+    /// injected stall, which drills use to hold the *writer* busy.
+    pub fn save_snapshot(
+        &mut self,
+        snapshot: ReplicaSnapshot,
+        cut_started: Instant,
+        inline: bool,
+    ) -> io::Result<()> {
+        debug_assert!(self.in_flight.is_none(), "one snapshot in flight at most");
+        let t0 = Instant::now();
         self.wal.sync()?;
-        self.snapshots.save(index, &bytes)?;
-        self.wal.truncate_below(index)?;
+        self.disk.count_fsync(t0);
+        let index = self.wal.next_index();
         self.since_snapshot = 0;
+        self.wanted = false;
+        if inline {
+            let result = self.disk.write(index, &snapshot);
+            return self.snapshot_written(index, result);
+        }
+        if self.writer.is_none() {
+            let (tx, rx) = mpsc::channel();
+            let disk = Arc::clone(&self.disk);
+            let handle = std::thread::Builder::new()
+                .name("snapshot-writer".into())
+                .spawn(move || {
+                    for (index, snapshot) in rx {
+                        (disk.host.report)(index, disk.write(index, &snapshot));
+                    }
+                })?;
+            self.writer = Some((tx, handle));
+        }
+        let (inbox, _) = self.writer.as_ref().expect("spawned above");
+        inbox
+            .send((index, snapshot))
+            .map_err(|_| io::Error::other("snapshot writer thread is gone"))?;
+        self.in_flight = Some(index);
+        let cut_us = cut_started.elapsed().as_micros() as u64;
+        self.disk.host.metrics.snapshot_cut_us.record(cut_us);
         Ok(())
+    }
+
+    /// The snapshot cut at `index` finished: if it was published, the log
+    /// prefix it covers goes away — only now, never at hand-off, so a crash
+    /// while the writer works restarts from the previous snapshot and the
+    /// full journal suffix.
+    pub fn snapshot_written(&mut self, index: u64, result: io::Result<bool>) -> io::Result<()> {
+        self.in_flight = None;
+        if result? {
+            self.wal.truncate_below(index)?;
+            self.disk.host.metrics.snapshots_saved.inc();
+        }
+        Ok(())
+    }
+}
+
+impl Drop for Journal {
+    /// Waits for the writer to finish the cut it holds (it publishes
+    /// nothing once the stop flag is set), so no write outlives the journal
+    /// unobserved and a writer panic is not lost.
+    fn drop(&mut self) {
+        if let Some((inbox, handle)) = self.writer.take() {
+            drop(inbox);
+            if handle.join().is_err() {
+                eprintln!("snapshot writer thread panicked");
+            }
+        }
     }
 }
 
@@ -239,11 +420,43 @@ mod tests {
         }
     }
 
+    /// What the writer thread reported, in order.
+    type Reports = mpsc::Receiver<(u64, io::Result<bool>)>;
+
+    /// A host whose writer reports into a channel the test drains by hand —
+    /// the test plays the event loop.
+    fn host() -> (Host, Reports) {
+        let (tx, rx) = mpsc::channel();
+        let tx = std::sync::Mutex::new(tx);
+        let host = Host {
+            metrics: Arc::new(ReplicaMetrics::new()),
+            fsync_stall: Duration::ZERO,
+            stop: Arc::new(AtomicBool::new(false)),
+            report: Box::new(move |index, result| {
+                let _ = tx.lock().expect("report lock").send((index, result));
+            }),
+        };
+        (host, rx)
+    }
+
+    fn open(dir: &TempDir, every: u64) -> (Journal, Option<ReplicaSnapshot>, Vec<JournalRecord>) {
+        Journal::open(dir.path(), FlushPolicy::OsBuffered, every, host().0).unwrap()
+    }
+
+    fn snapshot(marker: u8) -> ReplicaSnapshot {
+        ReplicaSnapshot {
+            protocol: vec![marker, marker],
+            store: KVStore::new(),
+            log: vec![(Dot::new(1, 1), Rifl::new(1, 1))],
+            view: ClusterView::at(2, [1, 2, 4], 1),
+            addrs: vec![(1, "a:1".into()), (2, "a:2".into()), (4, "a:4".into())],
+        }
+    }
+
     #[test]
     fn journal_records_round_trip_across_reopen() {
         let dir = TempDir::new("journal-roundtrip").unwrap();
-        let (mut journal, snap, records) =
-            Journal::open(dir.path(), FlushPolicy::OsBuffered, 0).unwrap();
+        let (mut journal, snap, records) = open(&dir, 0);
         assert!(snap.is_none());
         assert!(records.is_empty());
         journal.append(&submit(1)).unwrap();
@@ -261,7 +474,7 @@ mod tests {
             .unwrap();
         drop(journal);
 
-        let (_, snap, records) = Journal::open(dir.path(), FlushPolicy::OsBuffered, 0).unwrap();
+        let (_, snap, records) = open(&dir, 0);
         assert!(snap.is_none());
         assert_eq!(records.len(), 4);
         assert_eq!(records[0], submit(1));
@@ -284,24 +497,19 @@ mod tests {
     #[test]
     fn snapshot_truncates_the_covered_prefix() {
         let dir = TempDir::new("journal-snap").unwrap();
-        let (mut journal, _, _) = Journal::open(dir.path(), FlushPolicy::OsBuffered, 3).unwrap();
+        let (mut journal, _, _) = open(&dir, 3);
         for i in 0..3 {
             journal.append(&submit(i)).unwrap();
         }
         assert!(journal.snapshot_due());
-        let snapshot = ReplicaSnapshot {
-            protocol: vec![9, 9],
-            store: KVStore::new(),
-            log: vec![(Dot::new(1, 1), Rifl::new(1, 1))],
-            view: ClusterView::at(2, [1, 2, 4], 1),
-            addrs: vec![(1, "a:1".into()), (2, "a:2".into()), (4, "a:4".into())],
-        };
-        journal.save_snapshot(&snapshot).unwrap();
+        journal
+            .save_snapshot(snapshot(9), Instant::now(), true)
+            .unwrap();
         assert!(!journal.snapshot_due());
         journal.append(&submit(7)).unwrap();
         drop(journal);
 
-        let (_, snap, records) = Journal::open(dir.path(), FlushPolicy::OsBuffered, 3).unwrap();
+        let (_, snap, records) = open(&dir, 3);
         let snap = snap.expect("snapshot restored");
         assert_eq!(snap.protocol, vec![9, 9]);
         assert_eq!(snap.log.len(), 1);
@@ -310,10 +518,108 @@ mod tests {
         assert_eq!(records, vec![submit(7)], "only the suffix replays");
     }
 
+    /// Records physically present in the WAL files right now.
+    fn wal_records(dir: &TempDir) -> usize {
+        let (_, records) = Wal::open(&dir.path().join("wal"), FlushPolicy::OsBuffered).unwrap();
+        records.len()
+    }
+
+    /// The write-behind protocol, with the test in the event loop's seat:
+    /// handing a cut off truncates nothing — not even once the writer has
+    /// published it — only the completion call does; and what falls due
+    /// while the writer is busy waits for it as **one** snapshot.
+    #[test]
+    fn truncation_waits_for_the_completion_call_and_due_snapshots_coalesce() {
+        let dir = TempDir::new("journal-writer").unwrap();
+        let (host, reports) = host();
+        let metrics = Arc::clone(&host.metrics);
+        let (mut journal, _, _) =
+            Journal::open(dir.path(), FlushPolicy::OsBuffered, 3, host).unwrap();
+        for i in 0..3 {
+            journal.append(&submit(i)).unwrap();
+        }
+        assert!(journal.snapshot_due());
+        journal
+            .save_snapshot(snapshot(1), Instant::now(), false)
+            .unwrap();
+        let (index, result) = reports.recv().expect("writer reports");
+        assert_eq!(index, 3);
+        assert!(result.as_ref().is_ok_and(|published| *published));
+        assert_eq!(wal_records(&dir), 3, "hand-off must not truncate");
+        assert_eq!(metrics.snapshots_saved.get(), 0);
+        journal.snapshot_written(index, result).unwrap();
+        assert_eq!(wal_records(&dir), 0, "completion truncates");
+        assert_eq!(metrics.snapshots_saved.get(), 1);
+
+        for i in 3..6 {
+            journal.append(&submit(i)).unwrap();
+        }
+        journal
+            .save_snapshot(snapshot(2), Instant::now(), false)
+            .unwrap();
+        // Cadence and a GC round both fall due while that one is in flight
+        // (in flight until the loop has seen the report): neither is taken.
+        for i in 6..9 {
+            journal.append(&submit(i)).unwrap();
+        }
+        journal.want_snapshot();
+        assert!(!journal.snapshot_due(), "one snapshot in flight at most");
+        assert_eq!(metrics.snapshots_coalesced.get(), 2);
+        let (index, result) = reports.recv().expect("writer reports");
+        assert_eq!(index, 6);
+        journal.snapshot_written(index, result).unwrap();
+        assert!(journal.snapshot_due(), "the coalesced snapshot is due now");
+        journal
+            .save_snapshot(snapshot(3), Instant::now(), false)
+            .unwrap();
+        let (index, result) = reports.recv().expect("writer reports");
+        assert_eq!(index, 9);
+        journal.snapshot_written(index, result).unwrap();
+        assert!(!journal.snapshot_due(), "two fell due, one was taken");
+        assert_eq!(metrics.snapshots_saved.get(), 3);
+        assert_eq!(metrics.snapshot_write_us.load().count(), 3);
+        assert!(metrics.snapshot_bytes.get() > 0);
+        // Per snapshot: the cut's WAL sync, the file's, the directory's.
+        assert_eq!(metrics.fsyncs.get(), 9);
+        drop(journal);
+
+        let (_, snap, records) = open(&dir, 3);
+        assert_eq!(snap.expect("snapshot restored").protocol, vec![3, 3]);
+        assert!(records.is_empty());
+    }
+
+    /// An unpublished write (the writer saw the stop flag) truncates
+    /// nothing: the previous snapshot and the full journal stay the truth.
+    #[test]
+    fn a_stopped_replica_publishes_and_truncates_nothing() {
+        let dir = TempDir::new("journal-stopped").unwrap();
+        let (host, reports) = host();
+        let stop = Arc::clone(&host.stop);
+        let (mut journal, _, _) =
+            Journal::open(dir.path(), FlushPolicy::OsBuffered, 2, host).unwrap();
+        journal.append(&submit(0)).unwrap();
+        journal.append(&submit(1)).unwrap();
+        stop.store(true, Ordering::SeqCst);
+        journal
+            .save_snapshot(snapshot(1), Instant::now(), false)
+            .unwrap();
+        let (index, result) = reports.recv().expect("writer reports");
+        assert!(result.as_ref().is_ok_and(|published| !*published));
+        journal.snapshot_written(index, result).unwrap();
+        drop(journal);
+
+        let files = std::fs::read_dir(dir.path()).unwrap();
+        let names: Vec<_> = files.map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(names, ["wal"], "no snapshot, no temporary file");
+        let (_, snap, records) = open(&dir, 2);
+        assert!(snap.is_none());
+        assert_eq!(records, vec![submit(0), submit(1)]);
+    }
+
     #[test]
     fn epoch_records_round_trip_across_reopen() {
         let dir = TempDir::new("journal-epoch").unwrap();
-        let (mut journal, _, _) = Journal::open(dir.path(), FlushPolicy::OsBuffered, 0).unwrap();
+        let (mut journal, _, _) = open(&dir, 0);
         let record = JournalRecord::Epoch {
             view: ClusterView::at(4, [1, 2, 4, 5, 6], 2),
             addrs: (1..=6).map(|i| (i, format!("h:{i}"))).collect(),
@@ -321,7 +627,7 @@ mod tests {
         journal.append(&record).unwrap();
         drop(journal);
 
-        let (_, _, records) = Journal::open(dir.path(), FlushPolicy::OsBuffered, 0).unwrap();
+        let (_, _, records) = open(&dir, 0);
         assert_eq!(records, vec![record]);
     }
 }

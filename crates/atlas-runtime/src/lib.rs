@@ -33,10 +33,12 @@
 //!
 //! With [`ReplicaConfig::data_dir`](replica::ReplicaConfig) set, a replica
 //! journals every protocol input (client submissions, peer messages) to a
-//! write-ahead log **before** processing it, and periodically checkpoints
-//! its full state — [`Protocol::save_state`](atlas_core::Protocol), the
-//! KVS, the execution record — truncating the journal prefix the snapshot
-//! covers. A crashed replica restarted **under the same identifier** first
+//! write-ahead log **before** processing it — a client request as a unit,
+//! with one fsync — and periodically checkpoints its full state —
+//! [`Protocol::save_state`](atlas_core::Protocol), the KVS, the execution
+//! record: the event loop takes the cut, a writer thread persists it, and
+//! the loop then truncates the journal prefix the snapshot covers. A
+//! crashed replica restarted **under the same identifier** first
 //! restores the snapshot, then replays the journal suffix (protocols are
 //! deterministic state machines, so replay reconstructs exactly the state
 //! its peers observed), and only then serves traffic. A replica that lost
@@ -68,7 +70,7 @@
 //! — entries executed at **every** replica — to
 //! [`Protocol::gc_executed`](atlas_core::Protocol::gc_executed), dropping
 //! per-command bookkeeping that can never be needed again. Each advancing
-//! round is journaled and followed by a snapshot, which truncates the WAL
+//! round is journaled and asks for a snapshot, which truncates the WAL
 //! and prunes older snapshots — protocol maps, journal and on-disk state
 //! all stay bounded on a long-lived cluster.
 //!

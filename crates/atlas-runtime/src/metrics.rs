@@ -72,12 +72,24 @@ pub struct ReplicaMetrics {
 
     /// Records appended to the input journal (all kinds, not just submits).
     pub journal_records: Counter,
-    /// fsyncs actually issued by the WAL (no-op syncs are not counted).
+    /// fsyncs actually issued, by the WAL and by the snapshot writer (no-op
+    /// syncs are not counted).
     pub fsyncs: Counter,
     /// Latency of each issued fsync (µs).
     pub fsync_us: AtomicHistogram,
-    /// Replica snapshots written.
+    /// Replica snapshots published (renamed into place) and the journal
+    /// prefix they cover truncated.
     pub snapshots_saved: Counter,
+    /// Event-loop time per snapshot cut (µs): protocol state, store and
+    /// execution record copied, one WAL fsync, hand-off to the writer.
+    pub snapshot_cut_us: AtomicHistogram,
+    /// Snapshot-writer time per snapshot (µs): serialise → directory fsync.
+    pub snapshot_write_us: AtomicHistogram,
+    /// Encoded size of the last snapshot written (bytes).
+    pub snapshot_bytes: Gauge,
+    /// Snapshots that fell due (cadence or GC round) while the writer was
+    /// busy; they fold into the one cut taken when the writer reports.
+    pub snapshots_coalesced: Counter,
 
     /// Detector Trusted → Suspected transitions.
     pub suspicions: Counter,
@@ -165,6 +177,10 @@ impl ReplicaMetrics {
             fsync_us: self.fsync_us.load(),
             wal_segments,
             snapshots_saved: self.snapshots_saved.get(),
+            snapshot_cut_us: self.snapshot_cut_us.load(),
+            snapshot_write_us: self.snapshot_write_us.load(),
+            snapshot_bytes: self.snapshot_bytes.get(),
+            snapshots_coalesced: self.snapshots_coalesced.get(),
         }
     }
 

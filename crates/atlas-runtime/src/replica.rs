@@ -13,8 +13,8 @@
 //!   client session, or a one-shot catch-up exchange;
 //! * one **peer reader** per inbound peer connection, decoding
 //!   [`PeerFrame`](crate::wire::PeerFrame)s into peer events;
-//! * one **client session** per connected client: a reader turning
-//!   `Submit` batches into submit events and a writer draining that
+//! * one **client session** per connected client: a reader turning each
+//!   `Submit` request into one submit event and a writer draining that
 //!   session's replies;
 //! * one **writer task per outbound peer link** (see [`crate::transport`]);
 //! * a **ticker** emitting tick events at a fixed cadence, which the event
@@ -25,9 +25,14 @@
 //! ## Durability and crash recovery
 //!
 //! With [`ReplicaConfig::data_dir`] set, every protocol input is journaled
-//! **before** it reaches the protocol (see [`crate::journal`]), and the
-//! replica snapshots its full state every
-//! [`ReplicaConfig::snapshot_every`] records. On startup the replica
+//! **before** it reaches the protocol (see [`crate::journal`]). A client
+//! request is journaled as a unit — all its records, one fsync, then each
+//! command through the protocol in order — so nothing derived from a
+//! record (an identifier, an ack) leaves before the record is durable, at
+//! one disk wait per request. Every [`ReplicaConfig::snapshot_every`]
+//! records the loop takes a **cut** of its full state between two events;
+//! the journal's writer thread serialises and syncs it, and the loop
+//! truncates the journal when the writer reports. On startup the replica
 //! restores the latest snapshot, replays the journal suffix — re-emitting
 //! the outbound messages the inputs produce, which peers deduplicate by
 //! protocol-level idempotence — and only then starts consuming live events.
@@ -57,7 +62,7 @@
 //! has reported, hands the **pointwise minimum** — identifiers executed at
 //! *every* replica — to [`Protocol::gc_executed`]. Each advancing GC round
 //! is journaled (as [`JournalRecord::Gc`], a protocol input like any
-//! other) and followed by a snapshot, which truncates the WAL below the
+//! other) and marks a snapshot wanted, which truncates the WAL below the
 //! new snapshot and prunes older snapshot files — so the protocol's
 //! per-command maps, the journal *and* the on-disk history all stay
 //! bounded while the cluster runs. See `ARCHITECTURE.md` for the safety
@@ -86,7 +91,7 @@
 
 use crate::detector::{DetectorEvent, FailureDetector};
 use crate::executor::{ExecCtx, ExecutorPool};
-use crate::journal::{Journal, JournalRecord, ReplicaSnapshot};
+use crate::journal::{corrupt, Host, Journal, JournalRecord, ReplicaSnapshot};
 use crate::metrics::ReplicaMetrics;
 use crate::netem::NetProfile;
 use crate::transport::{PeerLink, DEFAULT_RESEND_BUFFER_CAP};
@@ -211,7 +216,7 @@ pub struct ReplicaConfig {
     /// Run an executed-entry garbage-collection round every this many
     /// ticks: broadcast this replica's executed watermarks to the peers
     /// and, once every peer has reported, hand the pointwise minimum to
-    /// [`Protocol::gc_executed`] (journaled, followed by a snapshot that
+    /// [`Protocol::gc_executed`] (journaled, and a snapshot follows that
     /// trims the WAL and prunes older snapshots). 0 disables GC — the
     /// protocol's per-command maps then grow with the full history, the
     /// pre-compaction behaviour. GC only ever collects entries executed at
@@ -238,10 +243,11 @@ pub struct ReplicaConfig {
     /// see [`crate::netem`]). `None` runs every link unshaped. Cut
     /// schedules are measured from replica boot.
     pub net: Option<NetProfile>,
-    /// Injected storage latency: stall this long inside every journal
-    /// fsync (zero disables). A WAN-harness knob for drilling slow-disk
-    /// replicas against the failure detector — the stall happens on the
-    /// event-loop thread, exactly like a real fsync that takes this long.
+    /// Injected storage latency: stall this long inside every write-ahead
+    /// fsync (on the event loop, heartbeats included) and every fsync of
+    /// the snapshot writer (on its thread), exactly like a real fsync that
+    /// takes this long; zero disables. A harness knob for slow-disk drills.
+    /// The WAL fsync inside a snapshot cut is metered but not stalled.
     pub fsync_stall: Duration,
     /// Executor shards: partition the keyspace into this many hash shards
     /// and execute protocol-ordered commands on one executor thread per
@@ -323,12 +329,19 @@ enum Event<M> {
         /// The announced view and member addresses.
         update: EpochUpdate,
     },
-    /// A local client submitted a command.
+    /// A local client submitted one request.
     Submit {
-        /// The command.
-        cmd: Command,
+        /// The request's commands, in submission order.
+        cmds: Vec<Command>,
         /// Where to route this client's replies from now on.
         session: UnboundedSender<ClientReply>,
+    },
+    /// The journal's snapshot writer finished the cut taken at `index`.
+    SnapshotWritten {
+        /// WAL index the snapshot covers up to.
+        index: u64,
+        /// Whether it was published (`false`: abandoned, replica stopping).
+        result: io::Result<bool>,
     },
     /// A client asked for the execution record.
     Query {
@@ -382,7 +395,9 @@ impl ReplicaHandle {
     /// deliberately indistinguishable from a crash as far as the durability
     /// layer is concerned, so every test of this path is also a crash test.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::Relaxed);
+        // Pairs with the snapshot writer's load: one that still reads
+        // `false` renames before the caller next touches the data directory.
+        self.stop.store(true, Ordering::SeqCst);
         (self.shutdown)();
         // The acceptor task is blocked in `accept`; a dummy connection
         // unblocks it so it can observe the stop flag and exit.
@@ -456,7 +471,12 @@ where
 
     // Recover durable state before accepting any input. Blocking file IO is
     // fine here: the runtime is thread-per-task.
-    let core = Core::<P>::recover(&cfg, links, Arc::clone(&stop), epoch_ctr, boot, addr)?;
+    let report_tx = event_tx.clone();
+    let report = Box::new(move |index, result| {
+        let _ = report_tx.send(Event::SnapshotWritten { index, result });
+    });
+    let stop_flag = Arc::clone(&stop);
+    let core = Core::<P>::recover(&cfg, links, stop_flag, epoch_ctr, boot, addr, report)?;
 
     tokio::spawn(acceptor(listener, event_tx.clone(), Arc::clone(&stop)));
     tokio::spawn(ticker(
@@ -623,18 +643,17 @@ async fn client_session<M>(
     loop {
         match read_frame::<_, ClientRequest>(&mut reader).await {
             Ok(ClientRequest::Submit { cmds }) => {
-                for cmd in cmds {
-                    debug_assert_eq!(
-                        cmd.rifl.client, client,
-                        "client {client} submitted a command with a foreign rifl"
-                    );
-                    let event = Event::Submit {
-                        cmd,
-                        session: reply_tx.clone(),
-                    };
-                    if event_tx.send(event).is_err() {
-                        return;
-                    }
+                debug_assert!(
+                    cmds.iter().all(|cmd| cmd.rifl.client == client),
+                    "client {client} submitted a command with a foreign rifl"
+                );
+                // One event: the loop journals and syncs a request as a unit.
+                let event = Event::Submit {
+                    cmds,
+                    session: reply_tx.clone(),
+                };
+                if event_tx.send(event).is_err() {
+                    return;
                 }
             }
             Ok(ClientRequest::ExecutionLog) => {
@@ -729,9 +748,6 @@ struct Core<P: Protocol> {
     /// Where the JSONL dump appends; `None` after a write error (the dump
     /// self-disables rather than spamming a broken disk).
     metrics_path: Option<PathBuf>,
-    /// Injected storage latency per fsync (zero = none); see
-    /// [`ReplicaConfig::fsync_stall`].
-    fsync_stall: Duration,
     /// The runtime's configuration view: which replicas are members, which
     /// are on their way out (joint window), and the current epoch. Advances
     /// from **both** executed `Reconfigure` barriers and peer epoch
@@ -769,8 +785,6 @@ struct Core<P: Protocol> {
     alloc_baseline: u64,
 }
 
-use crate::journal::corrupt;
-
 /// Lifecycle stage latency in µs, clamped to ≥ 1 so a stage completing
 /// within the clock's resolution still registers as a non-zero sample.
 fn stage_us(t0: u64, t1: u64) -> u64 {
@@ -794,6 +808,7 @@ where
         epoch_ctr: Arc<AtomicU64>,
         boot: Instant,
         self_addr: SocketAddr,
+        report: Box<dyn Fn(u64, io::Result<bool>) + Send + Sync>,
     ) -> io::Result<Self> {
         // A joiner is not (yet) a member: the configuration it boots into
         // is everyone in the address book *except* itself, and it stays a
@@ -849,7 +864,6 @@ where
             metrics_path: (cfg.metrics_every > 0)
                 .then(|| cfg.data_dir.as_ref().map(|dir| dir.join("metrics.jsonl")))
                 .flatten(),
-            fsync_stall: cfg.fsync_stall,
             view,
             addrs: cfg.addrs.clone(),
             epoch_ctr,
@@ -866,8 +880,14 @@ where
         let Some(dir) = &cfg.data_dir else {
             return Ok(core);
         };
+        let host = Host {
+            metrics: Arc::clone(&core.metrics),
+            fsync_stall: cfg.fsync_stall,
+            stop: Arc::clone(&core.stop),
+            report,
+        };
         let (journal, snapshot, records) =
-            Journal::open(dir, cfg.flush_policy, cfg.snapshot_every)?;
+            Journal::open(dir, cfg.flush_policy, cfg.snapshot_every, host)?;
         if let Some(snapshot) = snapshot {
             core.protocol = P::restore_state(cfg.id, config, topology, &snapshot.protocol)
                 .ok_or_else(|| {
@@ -899,53 +919,14 @@ where
         self.start.elapsed().as_micros() as u64
     }
 
+    /// Write-ahead append (no-op for an ephemeral replica).
     fn journal_append(&mut self, record: &JournalRecord) -> io::Result<()> {
-        match &mut self.journal {
-            Some(journal) => {
-                let t0 = Instant::now();
-                let synced = journal.append(record)?;
-                self.metrics.journal_records.inc();
-                if synced {
-                    // Appends sync inline under `FlushPolicy::Always` (and
-                    // on every n-th record under `EveryN`); those syncs
-                    // never show up as pending in `make_durable`, so they
-                    // are metered — and slow-disk-stalled — here.
-                    self.meter_fsync(t0);
-                }
-                Ok(())
-            }
-            None => Ok(()),
-        }
+        self.journal.as_mut().map_or(Ok(()), |j| j.append(record))
     }
 
-    /// [`Journal::make_durable`] with fsync metering: only syncs that
-    /// actually reached the disk are counted and timed (batched-away and
-    /// `OsBuffered` no-op syncs would otherwise flood the histogram with
-    /// zeros).
+    /// [`Journal::make_durable`] (no-op for an ephemeral replica).
     fn make_durable(&mut self) -> io::Result<()> {
-        if let Some(journal) = &mut self.journal {
-            let t0 = Instant::now();
-            if journal.make_durable()? {
-                self.meter_fsync(t0);
-            }
-        }
-        Ok(())
-    }
-
-    /// Accounts one real fsync that started at `t0`: applies the injected
-    /// slow-disk stall right where a slow device would stall — on the
-    /// event-loop thread, inside the timed sync window, so the stall lands
-    /// in `fsync_us` and delays exactly what a real slow fsync delays
-    /// (including outbound heartbeats, which is what the WAN harness
-    /// drills against the failure detector).
-    fn meter_fsync(&mut self, t0: Instant) {
-        if !self.fsync_stall.is_zero() {
-            std::thread::sleep(self.fsync_stall);
-        }
-        self.metrics.fsyncs.inc();
-        self.metrics
-            .fsync_us
-            .record((t0.elapsed().as_micros() as u64).max(1));
+        self.journal.as_mut().map_or(Ok(()), Journal::make_durable)
     }
 
     /// Re-applies one journaled input during recovery. Replay passes time 0:
@@ -1027,47 +1008,58 @@ where
         let now = self.now();
         let actions = self.protocol.suspect(peer, now);
         self.perform(actions, now);
-        self.maybe_snapshot()
+        Ok(())
     }
 
-    /// A local client submitted `cmd`. This replica owns the command's
-    /// lifecycle from here: each stage below timestamps against `t0`, and
-    /// the commit/execute/reply stages complete in [`Self::do_actions`]
-    /// via the `pending` entry inserted before the protocol runs.
-    fn submit(&mut self, cmd: Command, session: UnboundedSender<ClientReply>) -> io::Result<()> {
+    /// A local client submitted the request `cmds`. This replica owns each
+    /// command's lifecycle from here: every stage below timestamps against
+    /// the request's arrival `t0`, and the commit/execute/reply stages
+    /// complete in [`Self::do_actions`] via the `pending` entries inserted
+    /// before the protocol runs.
+    fn submit(
+        &mut self,
+        cmds: Vec<Command>,
+        session: UnboundedSender<ClientReply>,
+    ) -> io::Result<()> {
         let t0 = self.now();
-        self.metrics.submitted.inc();
-        self.journal_append(&JournalRecord::Submit { cmd: cmd.clone() })?;
-        // A submission mints a *new* command identifier that is about to
-        // reach peers; if the journal record behind it were lost to a host
-        // power failure, the restarted replica would reissue the identifier
-        // for a different command — unsound, not merely lossy. So make the
-        // journal durable before the identifier is externalized (no-op
-        // under `Always`, already synced; deliberate no-op under
-        // `OsBuffered`, which opts out of power-loss safety entirely).
+        self.metrics.submitted.add(cmds.len() as u64);
+        // Write-ahead for the whole request, then **one** sync. A
+        // submission mints a *new* command identifier that is about to
+        // reach peers; were its journal record lost to a power failure, the
+        // restarted replica would reissue the identifier for a different
+        // command — unsound, not merely lossy. So every record is durable
+        // before the first identifier is externalized (`Always` synced each
+        // append already; `OsBuffered` opts out of power-loss safety). The
+        // batch stops at the request: journal order is apply order.
+        for cmd in &cmds {
+            self.journal_append(&JournalRecord::Submit { cmd: cmd.clone() })?;
+        }
         self.make_durable()?;
         if self.journal.is_some() {
-            self.metrics.journaled.inc();
-            self.metrics
-                .submit_to_journaled
-                .record(stage_us(t0, self.now()));
+            let journaled = stage_us(t0, self.now());
+            for _ in &cmds {
+                self.metrics.journaled.inc();
+                self.metrics.submit_to_journaled.record(journaled);
+            }
         }
         // Route all of this client's replies through its session (a client
         // that reconnects simply re-registers here).
-        self.sessions.insert(cmd.rifl.client, session);
-        self.pending.insert(cmd.rifl, t0);
-        // "Proposed" is the hand-off to the protocol — recorded *before*
-        // `submit` runs so the stage series stays monotone even when the
-        // self-addressed message cascade commits (or executes) the command
-        // within this very call.
-        self.metrics.proposed.inc();
-        self.metrics
-            .submit_to_proposed
-            .record(stage_us(t0, self.now()));
-        let now = self.now();
-        let actions = self.protocol.submit(cmd, now);
-        self.perform(actions, now);
-        self.maybe_snapshot()
+        if let Some(first) = cmds.first() {
+            self.sessions.insert(first.rifl.client, session);
+        }
+        for cmd in cmds {
+            self.pending.insert(cmd.rifl, t0);
+            // "Proposed" is the hand-off to the protocol — recorded *before*
+            // `submit` runs so the stage series stays monotone even when the
+            // self-addressed message cascade commits (or executes) the
+            // command within this very call.
+            self.metrics.proposed.inc();
+            let now = self.now();
+            self.metrics.submit_to_proposed.record(stage_us(t0, now));
+            let actions = self.protocol.submit(cmd, now);
+            self.perform(actions, now);
+        }
+        Ok(())
     }
 
     /// Peer `from` sent a message frame.
@@ -1104,7 +1096,7 @@ where
                 self.send_ack(from)?;
             }
         }
-        self.maybe_snapshot()
+        Ok(())
     }
 
     /// Sends the pending cumulative ack to `peer` — after making the
@@ -1207,9 +1199,10 @@ where
     /// watermarks, then — once every peer has reported — compute the
     /// pointwise minimum (the all-executed horizon) and, if it advanced,
     /// journal it and hand it to [`Protocol::gc_executed`]. A round that
-    /// dropped entries is followed by a snapshot, which truncates the WAL
-    /// below the (now smaller) snapshot and prunes older snapshot files —
-    /// the on-disk half of compaction.
+    /// dropped entries marks a snapshot wanted; the one cut at the end of
+    /// this event (or when the busy writer reports) truncates the WAL below
+    /// the now smaller snapshot and prunes older snapshot files — the
+    /// on-disk half of compaction.
     fn gc_round(&mut self) -> io::Result<()> {
         let mine = self.protocol.executed_watermarks();
         for link in self.links.values() {
@@ -1256,8 +1249,8 @@ where
         for (space, h) in horizon {
             self.last_gc_horizon.insert(space, h);
         }
-        if dropped > 0 {
-            self.snapshot_now()?;
+        if let (true, Some(journal)) = (dropped > 0, &mut self.journal) {
+            journal.want_snapshot();
         }
         Ok(())
     }
@@ -1438,38 +1431,39 @@ where
         }
     }
 
-    /// Snapshots and truncates the journal when due.
+    /// Cuts a snapshot when one is due and the writer is free. Called
+    /// between events only: a request's records are all journaled before
+    /// the first is applied, and a cut in between would claim to cover
+    /// inputs the protocol has not seen.
     fn maybe_snapshot(&mut self) -> io::Result<()> {
         match &self.journal {
-            Some(journal) if journal.snapshot_due() => self.snapshot_now(),
+            Some(journal) if journal.snapshot_due() => self.snapshot_now(false),
             _ => Ok(()),
         }
     }
 
-    /// Snapshots and truncates the journal unconditionally (no-op without a
-    /// journal).
-    fn snapshot_now(&mut self) -> io::Result<()> {
+    /// The cut: copies everything a snapshot captures and gives it to the
+    /// journal, which fsyncs the WAL, stamps the index and has its writer
+    /// thread persist it (`inline`: this thread does, before returning).
+    /// No-op without a journal.
+    fn snapshot_now(&mut self, inline: bool) -> io::Result<()> {
         if self.journal.is_none() {
             return Ok(());
         }
+        let t0 = Instant::now();
         let protocol = self.protocol.save_state();
-        let protocol = protocol.expect("every protocol snapshots its state");
         // Snapshots always store the *flat* (merged) KVS, never per-shard
         // parts: the on-disk format stays shard-count independent, so a
         // replica may restart with a different `--shards` and re-split.
         let snapshot = ReplicaSnapshot {
-            protocol,
+            protocol: protocol.expect("every protocol snapshots its state"),
             store: self.exec.flat_store(),
             log: self.log.clone(),
             view: self.view.clone(),
             addrs: self.addrs_wire(),
         };
-        let Some(journal) = &mut self.journal else {
-            return Ok(());
-        };
-        journal.save_snapshot(&snapshot)?;
-        self.metrics.snapshots_saved.inc();
-        Ok(())
+        let journal = self.journal.as_mut().expect("checked above");
+        journal.save_snapshot(snapshot, t0, inline)
     }
 
     /// Remembers the highest configuration epoch seen in frames from `from`
@@ -1762,7 +1756,7 @@ where
         let now = self.now();
         let actions = self.protocol.submit(cmd, now);
         self.perform(actions, now);
-        self.maybe_snapshot()
+        Ok(())
     }
 
     /// Maps protocol [`Action`]s onto the runtime and drains self-addressed
@@ -2094,9 +2088,9 @@ where
                 core.id
             );
         }
-        // Persist the caught-up state in one stroke; until this completes a
-        // crash simply redoes the catch-up.
-        core.snapshot_now()?;
+        // Persist the caught-up state in one stroke, before serving (hence
+        // on this thread); until this completes a crash redoes the catch-up.
+        core.snapshot_now(true)?;
     }
     Ok(())
 }
@@ -2165,7 +2159,11 @@ async fn event_loop<P>(
                 Ok(())
             }
             Event::PeerEpoch { from, update } => core.handle_epoch_frame(from, update),
-            Event::Submit { cmd, session } => core.submit(cmd, session),
+            Event::Submit { cmds, session } => core.submit(cmds, session),
+            Event::SnapshotWritten { index, result } => match &mut core.journal {
+                Some(journal) => journal.snapshot_written(index, result),
+                None => Ok(()),
+            },
             Event::Query { session } => {
                 core.query(session);
                 Ok(())
@@ -2185,7 +2183,9 @@ async fn event_loop<P>(
             Event::Tick => core.tick(),
             Event::Shutdown => return,
         };
-        if let Err(e) = result {
+        // Every event boundary is a consistent cut: whatever the event
+        // journaled has been applied.
+        if let Err(e) = result.and_then(|()| core.maybe_snapshot()) {
             fatal_stop(core.id, "journal failure", e);
             return;
         }

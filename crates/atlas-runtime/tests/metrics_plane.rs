@@ -200,6 +200,30 @@ where
                 s.durability.fsyncs,
                 "replica {id} fsync histogram/counter mismatch"
             );
+            // GC rounds dropped entries, so snapshots were cut, written off
+            // the loop and published — and their fsyncs (one in the cut,
+            // two in the writer) are no longer invisible.
+            let d = &s.durability;
+            assert!(d.snapshots_saved > 0, "replica {id} never snapshotted");
+            assert!(
+                d.snapshot_cut_us.count() >= d.snapshots_saved
+                    && d.snapshot_write_us.count() >= d.snapshots_saved,
+                "replica {id}: {} published, {} cut, {} written",
+                d.snapshots_saved,
+                d.snapshot_cut_us.count(),
+                d.snapshot_write_us.count()
+            );
+            assert!(d.snapshot_bytes > 0, "replica {id} snapshot size");
+            assert!(
+                d.snapshots_coalesced <= d.snapshot_cut_us.count() + s.gc.rounds,
+                "replica {id} coalesced more snapshots than ever fell due"
+            );
+            assert!(
+                d.fsyncs >= 3 * d.snapshots_saved,
+                "replica {id}: {} fsyncs for {} snapshots",
+                d.fsyncs,
+                d.snapshots_saved
+            );
 
             // Healthy cluster: both peer links up, GC ran, nothing suspected.
             assert_eq!(s.links.len(), REPLICAS - 1, "replica {id} link count");
@@ -224,6 +248,15 @@ where
                         && line.contains(&format!("\"replica\":{id}")),
                     "replica {id} malformed dump line: {line}"
                 );
+                for name in [
+                    "\"snapshots_saved\":",
+                    "\"snapshot_cut_us\":{",
+                    "\"snapshot_write_us\":{",
+                    "\"snapshot_bytes\":",
+                    "\"snapshots_coalesced\":",
+                ] {
+                    assert!(line.contains(name), "replica {id} dump lacks {name}");
+                }
             }
         }
 

@@ -167,9 +167,8 @@ pub struct FPaxos {
     in_flight: BTreeMap<Rifl, Command>,
     /// Phase-1 promises received while campaigning, keyed by ballot.
     promises: HashMap<Ballot, HashMap<ProcessId, PromisedEntries>>,
-    /// Per decided, not yet executed slot: the leader its `Commit` action
-    /// named (so the `Execute` names the same one) and the commit time.
-    commit_times: HashMap<Slot, (ProcessId, Time)>,
+    /// Commit time of every decided, not yet executed slot.
+    commit_times: HashMap<Slot, Time>,
     /// Compaction floor: slots at or below it executed at **every** replica
     /// and were dropped from `log`/`decided` by [`Protocol::gc_executed`];
     /// messages about them are stragglers and are ignored.
@@ -180,6 +179,15 @@ pub struct FPaxos {
     /// before a reconfiguration needs that epoch's ring — a leader that
     /// survives a membership change keeps riding its old ballot.
     rings: Vec<(u64, Vec<ProcessId>)>,
+}
+
+/// The identifier a slot's command is reported under. Leader-based protocols
+/// have no per-command identifiers, so this is a synthetic one — and it names
+/// the slot alone (sentinel space 0, like the watermarks): which leader a
+/// replica believed in when it learned the decision differs between
+/// replicas across a failover, and their execution records must not.
+fn slot_dot(slot: Slot) -> Dot {
+    Dot::new(0, slot)
 }
 
 impl FPaxos {
@@ -407,17 +415,14 @@ impl FPaxos {
             return Vec::new();
         }
         self.note_slot(slot);
-        // Leader-based protocols have no per-command identifiers; the slot
-        // under the current leader is a synthetic one for reporting.
-        let leader = self.current_leader();
         let mut actions = Vec::new();
         if !cmd.is_noop() {
-            let dot = Dot::new(leader, slot);
+            let dot = slot_dot(slot);
             actions.push(Action::Commit { dot });
         }
         self.decided.insert(slot, cmd);
         self.base.metrics.commits += 1;
-        self.commit_times.insert(slot, (leader, time));
+        self.commit_times.insert(slot, time);
         actions.extend(self.try_execute(time));
         actions
     }
@@ -429,7 +434,7 @@ impl FPaxos {
             let slot = self.execute_next;
             self.execute_next += 1;
             self.base.metrics.executions += 1;
-            let (leader, commit_time) = self
+            let commit_time = self
                 .commit_times
                 .remove(&slot)
                 .expect("every decided slot records its commit");
@@ -439,7 +444,7 @@ impl FPaxos {
                 // Executed: the forward provably reached a leader and was
                 // ordered; no retry will ever be needed.
                 self.in_flight.remove(&cmd.rifl);
-                let dot = Dot::new(leader, slot);
+                let dot = slot_dot(slot);
                 actions.push(Action::Execute { dot, cmd });
             }
         }
@@ -549,6 +554,19 @@ impl FPaxos {
             actions.push(Action::send(
                 self.phase2_quorum(),
                 Message::MAccept { slot, ballot, cmd },
+            ));
+        }
+        // The old leader may have died mid-way through a commit broadcast:
+        // a slot decided here can be unknown elsewhere, and nobody else
+        // will ever send it again — the replica missing it would stop
+        // executing at that gap for good. Re-announce every decided slot
+        // above the GC floor (below it every replica has executed);
+        // `handle_commit` ignores the ones a receiver already has.
+        for (&slot, cmd) in self.decided.range(self.gc_floor + 1..) {
+            let cmd = cmd.clone();
+            actions.push(Action::send(
+                self.base.everyone(),
+                Message::MCommit { slot, cmd },
             ));
         }
         // Drain commands buffered while there was no leader, and re-route
@@ -879,6 +897,25 @@ mod tests {
         net.submit(2, put(2, 2, 0));
         assert_eq!(net.rifls_at(2).len(), 3);
         assert_eq!(net.rifls_at(3).len(), 3);
+    }
+
+    /// The old leader's commit broadcast reached replica 2 but not replica
+    /// 3 before it died. Phase 1 only re-proposes what is *undecided* at
+    /// the new leader, so unless it re-announces its decided slots replica
+    /// 3 keeps a hole at slot 1 and never executes anything again.
+    #[test]
+    fn new_leader_reannounces_commits_the_old_leader_left_half_broadcast() {
+        let mut net = cluster(3, 1);
+        net.crash(3); // cut off while the leader commits...
+        net.submit(1, put(1, 1, 0));
+        net.crashed.remove(&3); // ...and back, none the wiser
+        assert_eq!(net.rifls_at(2).len(), 1);
+        assert!(net.rifls_at(3).is_empty());
+        net.crash(1);
+        suspect_everywhere(&mut net, 1);
+        net.submit(3, put(3, 1, 0));
+        assert_eq!(net.rifls_at(2).len(), 2);
+        assert_eq!(net.rifls_at(3), net.rifls_at(2));
     }
 
     #[test]
