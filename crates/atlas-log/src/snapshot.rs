@@ -51,20 +51,22 @@ impl SnapshotStore {
     /// Atomically persists `payload` as the snapshot covering WAL records
     /// `.. index`, then prunes older snapshots.
     pub fn save(&self, index: u64, payload: &[u8]) -> io::Result<()> {
-        self.save_with(index, payload, |_| true).map(|_| ())
+        self.save_with(index, payload, |_| (), || false).map(|_| ())
     }
 
-    /// [`save`](Self::save) for a caller that accounts for the disk time or
-    /// may have to abandon the write: `synced` runs after each of the two
+    /// [`save`](Self::save) for a caller that accounts for the disk time and
+    /// may have to abandon the write. `synced` runs after each of the two
     /// fsyncs — the file's, then the directory's — with the instant that
-    /// fsync started. When it returns `false` after the first, the snapshot
-    /// is abandoned: the temporary file is removed, nothing is renamed into
-    /// place and the result is `Ok(false)`.
+    /// fsync started. `abandon` is asked once, after the file's fsync (and
+    /// its `synced`) and before the rename: if it says so, the temporary
+    /// file is removed, nothing is renamed into place and the result is
+    /// `Ok(false)`.
     pub fn save_with(
         &self,
         index: u64,
         payload: &[u8],
-        mut synced: impl FnMut(Instant) -> bool,
+        mut synced: impl FnMut(Instant),
+        abandon: impl FnOnce() -> bool,
     ) -> io::Result<bool> {
         let tmp = self.dir.join(format!("snap-{index:020}.tmp"));
         let mut file = OpenOptions::new()
@@ -77,7 +79,8 @@ impl SnapshotStore {
         let t0 = Instant::now();
         file.sync_data()?;
         drop(file);
-        if !synced(t0) {
+        synced(t0);
+        if abandon() {
             let _ = fs::remove_file(&tmp);
             return Ok(false);
         }
@@ -176,19 +179,13 @@ mod tests {
         let store = SnapshotStore::open(dir.path()).unwrap();
         store.save(3, b"three").unwrap();
         let mut syncs = 0;
-        let published = store.save_with(8, b"eight", |_| {
-            syncs += 1;
-            false
-        });
+        let published = store.save_with(8, b"eight", |_| syncs += 1, || true);
         assert!(!published.unwrap());
         assert_eq!(syncs, 1, "abandoned right after the file's fsync");
         assert_eq!(store.load_latest().unwrap(), Some((3, b"three".to_vec())));
         assert_eq!(fs::read_dir(dir.path()).unwrap().count(), 1);
         let mut syncs = 0;
-        let published = store.save_with(8, b"eight", |_| {
-            syncs += 1;
-            true
-        });
+        let published = store.save_with(8, b"eight", |_| syncs += 1, || false);
         assert!(published.unwrap());
         assert_eq!(syncs, 2, "file fsync, then directory fsync");
         assert_eq!(store.load_latest().unwrap(), Some((8, b"eight".to_vec())));

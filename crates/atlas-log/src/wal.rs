@@ -346,11 +346,14 @@ impl Wal {
     /// Deletes every segment whose records are *all* below `index` — called
     /// after a snapshot covering records `.. index` has been persisted.
     /// Truncation is segment-granular: a segment straddling `index` is kept
-    /// whole (replay filters by index).
-    pub fn truncate_below(&mut self, index: u64) -> io::Result<()> {
+    /// whole (replay filters by index). Returns whether any file went away,
+    /// in which case the directory was fsynced to make that durable.
+    pub fn truncate_below(&mut self, index: u64) -> io::Result<bool> {
+        let mut removed = false;
         while self.segments.len() > 1 && self.segments[1] <= index {
             let start = self.segments.remove(0);
             fs::remove_file(self.dir.join(segment_name(start)))?;
+            removed = true;
         }
         if self.segments.len() == 1 && index >= self.next_index && self.seg_len > 0 {
             // Everything in the open segment is covered too: replace it with
@@ -362,9 +365,12 @@ impl Wal {
             if start != self.next_index {
                 fs::remove_file(self.dir.join(segment_name(start)))?;
             }
+            removed = true;
         }
-        sync_dir(&self.dir)?;
-        Ok(())
+        if removed {
+            sync_dir(&self.dir)?;
+        }
+        Ok(removed)
     }
 }
 
@@ -533,7 +539,11 @@ mod tests {
             wal.append(&[i as u8; 24]).unwrap();
         }
         let boundary = wal.segments[wal.segments.len() / 2];
-        wal.truncate_below(boundary).unwrap();
+        assert!(wal.truncate_below(boundary).unwrap());
+        assert!(
+            !wal.truncate_below(boundary).unwrap(),
+            "nothing left to drop"
+        );
         drop(wal);
         let (wal, records) = reopen(dir.path());
         assert_eq!(
@@ -557,7 +567,7 @@ mod tests {
         for _ in 0..10 {
             wal.append(b"x").unwrap();
         }
-        wal.truncate_below(wal.next_index()).unwrap();
+        assert!(wal.truncate_below(wal.next_index()).unwrap());
         drop(wal);
         let (mut wal, records) = reopen(dir.path());
         assert!(records.is_empty());

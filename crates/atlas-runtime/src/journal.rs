@@ -144,31 +144,24 @@ pub(crate) struct Host {
     pub report: Box<dyn Fn(u64, io::Result<bool>) + Send + Sync>,
 }
 
-/// The part of the durable state the event loop and the snapshot writer
-/// both use: where snapshots go and how disk time is accounted.
+/// What the event loop and the snapshot writer share of the durable state.
 struct Disk {
     snapshots: SnapshotStore,
     host: Host,
 }
 
 impl Disk {
-    /// Counts one real fsync that started at `t0`.
-    fn count_fsync(&self, t0: Instant) {
-        self.host.metrics.fsyncs.inc();
-        let us = (t0.elapsed().as_micros() as u64).max(1);
-        self.host.metrics.fsync_us.record(us);
-    }
-
-    /// [`Self::count_fsync`] behind the injected slow-disk stall, applied
-    /// where a slow device would stall — on the calling thread, inside the
-    /// timed window, so it lands in `fsync_us` and delays what a slow fsync
-    /// delays (on the event loop: outbound heartbeats too, which the WAN
-    /// harness drills against the detector).
-    fn stalled_fsync(&self, t0: Instant) {
+    /// Accounts for one real fsync that started at `t0`: every fsync the
+    /// replica issues ends here, on the thread that issued it. The injected
+    /// slow-disk stall comes first, inside the timed window, so it delays
+    /// what a slow fsync delays (on the event loop: heartbeats too).
+    fn fsynced(&self, t0: Instant) {
         if !self.host.fsync_stall.is_zero() {
             std::thread::sleep(self.host.fsync_stall);
         }
-        self.count_fsync(t0);
+        self.host.metrics.fsyncs.inc();
+        let us = (t0.elapsed().as_micros() as u64).max(1);
+        self.host.metrics.fsync_us.record(us);
     }
 
     /// Serialises `snapshot` and publishes it as covering WAL records below
@@ -177,13 +170,18 @@ impl Disk {
     /// unpublished because the replica stopped meanwhile; its directory may
     /// already belong to the next incarnation (wiped and recreated, even),
     /// where this journal's snapshot would cover records never written.
+    ///
+    /// A writer overtaken by a kill between its stop check and its rename
+    /// needs no more synchronisation: its temporary file predates the kill,
+    /// so a wipe or the next `SnapshotStore::open` removes it and the rename
+    /// fails; landing in a directory restarted as is, the rename publishes
+    /// a valid snapshot of that same WAL (its prefix was synced at the cut).
     fn write(&self, index: u64, snapshot: &ReplicaSnapshot) -> io::Result<bool> {
         let t0 = Instant::now();
         let bytes = bincode::serialize(snapshot).expect("snapshots always encode");
-        let published = self.snapshots.save_with(index, &bytes, |sync_t0| {
-            self.stalled_fsync(sync_t0);
-            !self.host.stop.load(Ordering::SeqCst)
-        })?;
+        let stopped = || self.host.stop.load(Ordering::Relaxed);
+        let synced = |t0| self.fsynced(t0);
+        let published = self.snapshots.save_with(index, &bytes, synced, stopped)?;
         self.host.metrics.snapshot_bytes.set(bytes.len() as u64);
         let us = t0.elapsed().as_micros() as u64;
         self.host.metrics.snapshot_write_us.record(us);
@@ -278,7 +276,7 @@ impl Journal {
         let metrics = &self.disk.host.metrics;
         metrics.journal_records.inc();
         if !matches!(self.wal.policy(), FlushPolicy::OsBuffered) && self.wal.pending() == 0 {
-            self.disk.stalled_fsync(t0);
+            self.disk.fsynced(t0);
         }
         self.since_snapshot += 1;
         if self.since_snapshot == self.snapshot_every && self.in_flight.is_some() {
@@ -297,7 +295,7 @@ impl Journal {
     pub fn make_durable(&mut self) -> io::Result<()> {
         let t0 = Instant::now();
         if self.wal.sync_pending()? {
-            self.disk.stalled_fsync(t0);
+            self.disk.fsynced(t0);
         }
         Ok(())
     }
@@ -308,8 +306,7 @@ impl Journal {
     }
 
     /// A GC round shrank the protocol state: snapshot at the next event
-    /// boundary whatever the cadence says, so the WAL and the older
-    /// snapshot files shrink with it.
+    /// boundary whatever the cadence says, so the files on disk shrink too.
     pub fn want_snapshot(&mut self) {
         if self.in_flight.is_some() {
             self.disk.host.metrics.snapshots_coalesced.inc();
@@ -339,9 +336,9 @@ impl Journal {
     /// may only become loadable once the records below its index are
     /// durable. Were they lost to a power failure, the restarted WAL would
     /// reissue indices below the snapshot's and [`Journal::open`] would
-    /// skip those records. This is the one disk wait a snapshot leaves on
-    /// the event loop; it is counted in `fsyncs` but exempt from the
-    /// injected stall, which drills use to hold the *writer* busy.
+    /// skip those records. That fsync is a disk wait on the event loop, one
+    /// per snapshot and as slow as the device; so is the directory fsync of
+    /// a truncation that drops a segment ([`Journal::snapshot_written`]).
     pub fn save_snapshot(
         &mut self,
         snapshot: ReplicaSnapshot,
@@ -351,7 +348,7 @@ impl Journal {
         debug_assert!(self.in_flight.is_none(), "one snapshot in flight at most");
         let t0 = Instant::now();
         self.wal.sync()?;
-        self.disk.count_fsync(t0);
+        self.disk.fsynced(t0);
         let index = self.wal.next_index();
         self.since_snapshot = 0;
         self.wanted = false;
@@ -388,7 +385,10 @@ impl Journal {
     pub fn snapshot_written(&mut self, index: u64, result: io::Result<bool>) -> io::Result<()> {
         self.in_flight = None;
         if result? {
-            self.wal.truncate_below(index)?;
+            let t0 = Instant::now();
+            if self.wal.truncate_below(index)? {
+                self.disk.fsynced(t0);
+            }
             self.disk.host.metrics.snapshots_saved.inc();
         }
         Ok(())
@@ -579,8 +579,10 @@ mod tests {
         assert_eq!(metrics.snapshots_saved.get(), 3);
         assert_eq!(metrics.snapshot_write_us.load().count(), 3);
         assert!(metrics.snapshot_bytes.get() > 0);
-        // Per snapshot: the cut's WAL sync, the file's, the directory's.
-        assert_eq!(metrics.fsyncs.get(), 9);
+        // Per snapshot: the cut's WAL sync, the file's, the directory's —
+        // and the WAL directory's when a segment went away, which the
+        // second completion (records 6..9 already behind it) could not do.
+        assert_eq!(metrics.fsyncs.get(), 3 * 3 + 2);
         drop(journal);
 
         let (_, snap, records) = open(&dir, 3);
@@ -599,7 +601,7 @@ mod tests {
             Journal::open(dir.path(), FlushPolicy::OsBuffered, 2, host).unwrap();
         journal.append(&submit(0)).unwrap();
         journal.append(&submit(1)).unwrap();
-        stop.store(true, Ordering::SeqCst);
+        stop.store(true, Ordering::Relaxed);
         journal
             .save_snapshot(snapshot(1), Instant::now(), false)
             .unwrap();

@@ -395,9 +395,9 @@ impl ReplicaHandle {
     /// deliberately indistinguishable from a crash as far as the durability
     /// layer is concerned, so every test of this path is also a crash test.
     pub fn shutdown(&self) {
-        // Pairs with the snapshot writer's load: one that still reads
-        // `false` renames before the caller next touches the data directory.
-        self.stop.store(true, Ordering::SeqCst);
+        // Also read by the snapshot writer, which publishes nothing once it
+        // sees this (`journal.rs`, `Disk::write`, on what a late one does).
+        self.stop.store(true, Ordering::Relaxed);
         (self.shutdown)();
         // The acceptor task is blocked in `accept`; a dummy connection
         // unblocks it so it can observe the stop flag and exit.

@@ -1,8 +1,9 @@
 //! Drills for the write-behind snapshot and the per-request write-ahead
 //! sync, over a real 3-replica Atlas cluster:
 //!
-//! * a snapshot writer held busy by a slow disk never stalls the event
-//!   loop, and the snapshots that fall due meanwhile coalesce;
+//! * on a slow disk a snapshot costs the event loop one fsync (the cut's
+//!   WAL sync) and the writer the rest, and the snapshots that fall due
+//!   while the writer is busy coalesce;
 //! * killing a replica while its writer is mid-write loses nothing and the
 //!   dead incarnation publishes nothing afterwards — restarted on the same
 //!   directory, and restarted wiped;
@@ -73,12 +74,16 @@ async fn shutdown_leaving_no_temporary_files(cluster: Cluster) {
     }
 }
 
-/// The slow disk is the *writer's* problem: with 300 ms inside each of its
-/// fsyncs a snapshot takes 600 ms to persist, and meanwhile every request
-/// through that replica — which is in every fast quorum — still completes
-/// in a fraction of that.
+/// What a slow disk costs the event loop: one fsync per snapshot — the WAL
+/// sync inside the cut — and nothing of the writer's. With 300 ms inside
+/// every fsync a snapshot takes the writer 600 ms to persist; a request
+/// through that replica (it is in every fast quorum) waits for at most the
+/// one stalled cut that lands on it, and only as many requests are slow at
+/// all as there were cuts. Written inline, as at the parent commit, every
+/// snapshot held the loop for all three fsyncs.
 #[test]
 fn snapshot_does_not_stall_the_loop() {
+    const MARGIN: Duration = Duration::from_millis(100);
     let options = ClusterOptions {
         snapshot_every: 256,
         fsync_stall: HashMap::from([(1 as ProcessId, STALL)]),
@@ -91,13 +96,16 @@ fn snapshot_does_not_stall_the_loop() {
             .expect("cluster boots");
         let mut client = Client::connect(cluster.addr(1), 1).await.expect("client");
         let mut slowest = Duration::ZERO;
+        let mut slow = 0u64;
         let mut ops = 0u64;
         let deadline = Instant::now() + Duration::from_secs(60);
         let s1 = loop {
             for _ in 0..50 {
                 let t0 = Instant::now();
                 client.put(ops % 64, ops).await.expect("put");
-                slowest = slowest.max(t0.elapsed());
+                let took = t0.elapsed();
+                slowest = slowest.max(took);
+                slow += u64::from(took >= MARGIN);
                 ops += 1;
             }
             let s1 = stats(&cluster, 1).await;
@@ -106,23 +114,30 @@ fn snapshot_does_not_stall_the_loop() {
             }
             assert!(Instant::now() < deadline, "three snapshots never published");
         };
+        let d = &s1.durability;
+        let stall_us = STALL.as_micros() as u64;
+        // Each cut held the loop for exactly one stalled fsync...
+        let cuts = d.snapshot_cut_us.count();
         assert!(
-            slowest < Duration::from_millis(100),
+            cuts >= 3
+                && d.snapshot_cut_us.min() >= stall_us
+                && d.snapshot_cut_us.max() < (STALL + MARGIN).as_micros() as u64,
+            "{cuts} cuts of {}..{} us",
+            d.snapshot_cut_us.min(),
+            d.snapshot_cut_us.max()
+        );
+        // ...which is all a request ever waited for, one request per cut...
+        assert!(
+            slowest < STALL + MARGIN,
             "a request through the slow-disk replica took {slowest:?}"
         );
-        let d = &s1.durability;
-        // The stall really sat in the writer (two fsyncs per snapshot)...
+        assert!(slow <= cuts, "{slow} slow requests for {cuts} cuts");
+        // ...while the writer sat through two more per snapshot, and what
+        // fell due behind it was folded.
         assert!(
-            d.snapshot_write_us.min() >= 2 * STALL.as_micros() as u64,
+            d.snapshot_write_us.min() >= 2 * stall_us,
             "writer faster than its injected stalls: {:?} us",
             d.snapshot_write_us.min()
-        );
-        // ...never in a cut, and what fell due behind it was folded.
-        assert!(
-            d.snapshot_cut_us.count() >= 3 && d.snapshot_cut_us.max() < 100_000,
-            "cuts: {} of up to {} us",
-            d.snapshot_cut_us.count(),
-            d.snapshot_cut_us.max()
         );
         assert!(
             d.snapshots_coalesced > 0,

@@ -102,6 +102,14 @@ pub enum Message {
         /// The winning ballot.
         ballot: Ballot,
     },
+    /// Follower → the leader it just learned of: every slot below `next`
+    /// executed here; re-send what is decided from `next` on. The old leader
+    /// may have died half way through a commit broadcast, and nobody else
+    /// would ever fill the hole that leaves at a follower.
+    MSync {
+        /// The first slot the sender has not executed.
+        next: Slot,
+    },
 }
 
 impl Message {
@@ -113,9 +121,10 @@ impl Message {
             | Message::MForwardRetry { cmd }
             | Message::MCommit { cmd, .. }
             | Message::MAccept { cmd, .. } => HEADER + cmd.payload_size,
-            Message::MAccepted { .. } | Message::MPrepare { .. } | Message::MNewLeader { .. } => {
-                HEADER
-            }
+            Message::MAccepted { .. }
+            | Message::MPrepare { .. }
+            | Message::MNewLeader { .. }
+            | Message::MSync { .. } => HEADER,
             Message::MPromise { accepted, .. } => {
                 HEADER
                     + accepted
@@ -354,7 +363,8 @@ impl FPaxos {
     /// Adopts `ballot` as the current leader ballot and re-routes any command
     /// buffered while the previous leader was suspected — plus, on an actual
     /// leader *change*, every forwarded-but-not-yet-executed command, whose
-    /// original forward may have died with the old leader.
+    /// original forward may have died with the old leader, and a request for
+    /// the decided slots this replica has not executed ([`Message::MSync`]).
     fn learn_leader(&mut self, ballot: Ballot) -> Vec<Action<Message>> {
         self.ballot = self.ballot.max(ballot);
         if ballot < self.leader_ballot {
@@ -379,8 +389,27 @@ impl FPaxos {
         }
         if leader_changed {
             actions.extend(self.reforward_in_flight());
+            let next = self.execute_next;
+            actions.push(Action::send(
+                [self.current_leader()],
+                Message::MSync { next },
+            ));
         }
         actions
+    }
+
+    /// `from` executed every slot below `next`: re-send it the decided slots
+    /// from there on (`handle_commit` ignores those it has). The answer is
+    /// as long as `from` lags behind this replica — not as long as the
+    /// history, which without GC is every slot ever decided.
+    fn handle_sync(&self, from: ProcessId, next: Slot) -> Vec<Action<Message>> {
+        let missing = self.decided.range(next.max(self.gc_floor + 1)..);
+        missing
+            .map(|(&slot, cmd)| {
+                let cmd = cmd.clone();
+                Action::send([from], Message::MCommit { slot, cmd })
+            })
+            .collect()
     }
 
     fn handle_accepted(
@@ -556,19 +585,10 @@ impl FPaxos {
                 Message::MAccept { slot, ballot, cmd },
             ));
         }
-        // The old leader may have died mid-way through a commit broadcast:
-        // a slot decided here can be unknown elsewhere, and nobody else
-        // will ever send it again — the replica missing it would stop
-        // executing at that gap for good. Re-announce every decided slot
-        // above the GC floor (below it every replica has executed);
-        // `handle_commit` ignores the ones a receiver already has.
-        for (&slot, cmd) in self.decided.range(self.gc_floor + 1..) {
-            let cmd = cmd.clone();
-            actions.push(Action::send(
-                self.base.everyone(),
-                Message::MCommit { slot, cmd },
-            ));
-        }
+        // Slots already decided here are not re-proposed, and a follower may
+        // lack one (the old leader died mid-way through its commit
+        // broadcast): each follower asks for what it lacks when it learns of
+        // this ballot (`MSync`).
         // Drain commands buffered while there was no leader, and re-route
         // this replica's own forwarded-but-unexecuted commands through the
         // dedupe path (the old leader may have proposed them; they would
@@ -668,6 +688,7 @@ impl Protocol for FPaxos {
                     Vec::new()
                 }
             }
+            Message::MSync { next } => self.handle_sync(from, next),
         }
     }
 
@@ -901,8 +922,8 @@ mod tests {
 
     /// The old leader's commit broadcast reached replica 2 but not replica
     /// 3 before it died. Phase 1 only re-proposes what is *undecided* at
-    /// the new leader, so unless it re-announces its decided slots replica
-    /// 3 keeps a hole at slot 1 and never executes anything again.
+    /// the new leader, so unless replica 3 asks it for the decided slots it
+    /// lacks (`MSync`), 3 keeps a hole at slot 1 and never executes again.
     #[test]
     fn new_leader_reannounces_commits_the_old_leader_left_half_broadcast() {
         let mut net = cluster(3, 1);
@@ -915,6 +936,50 @@ mod tests {
         suspect_everywhere(&mut net, 1);
         net.submit(3, put(3, 1, 0));
         assert_eq!(net.rifls_at(2).len(), 2);
+        assert_eq!(net.rifls_at(3), net.rifls_at(2));
+    }
+
+    /// A failover costs messages in proportion to how far the followers lag,
+    /// not to the history: without GC `decided` holds every slot ever
+    /// decided, and an election that re-sent them all would put more frames
+    /// on each healthy link in one step than the runtime's resend buffer
+    /// holds (65 536), which gaps the link.
+    #[test]
+    fn failover_traffic_does_not_grow_with_the_history() {
+        const HISTORY: u64 = 70_000;
+        let mut net = cluster(3, 1);
+        for seq in 1..=HISTORY {
+            net.submit(1, put(1, seq, seq % 8));
+        }
+        assert_eq!(net.replica(2).decided.len() as u64, HISTORY, "GC is off");
+        net.crash(1);
+        // The election, delivered by hand so every frame can be counted.
+        let mut frames = 0;
+        let mut queue: Vec<(ProcessId, ProcessId, Message)> = Vec::new();
+        let mut emit = |source: ProcessId, actions: Vec<Action<Message>>, queue: &mut Vec<_>| {
+            for action in actions {
+                if let Action::Send { targets, msg } = action {
+                    for to in targets.into_iter().filter(|to| *to != 1) {
+                        frames += 1;
+                        queue.push((source, to, msg.clone()));
+                    }
+                }
+            }
+        };
+        let prepare = net.replica(2).suspect(1, 0);
+        emit(2, prepare, &mut queue);
+        let also_suspects = net.replica(3).suspect(1, 0);
+        emit(3, also_suspects, &mut queue);
+        while !queue.is_empty() {
+            let (from, to, msg) = queue.remove(0);
+            let out = net.replica(to).handle(from, msg, 0);
+            emit(to, out, &mut queue);
+        }
+        assert!(net.replica(2).is_leader());
+        assert_eq!(net.replica(3).current_leader(), 2);
+        assert!(frames < 32, "{frames} frames for one quiet failover");
+        net.submit(3, put(3, 1, 0));
+        assert_eq!(net.rifls_at(3).len() as u64, HISTORY + 1);
         assert_eq!(net.rifls_at(3), net.rifls_at(2));
     }
 
