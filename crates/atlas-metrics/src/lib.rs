@@ -36,5 +36,5 @@ pub use histogram::{BoundedHistogram, BUCKETS, SUBBUCKETS};
 pub use registry::{AtomicHistogram, Counter, Gauge};
 pub use snapshot::{
     DetectorStats, DurabilityStats, ExecutorShardStats, ExecutorStats, GcStats, HistogramSummary,
-    LifecycleStats, LinkSnapshot, MetricsSnapshot,
+    LifecycleStats, LinkSnapshot, MetricsSnapshot, ReactorStats,
 };

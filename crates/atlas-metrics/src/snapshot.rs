@@ -181,6 +181,29 @@ pub struct ExecutorStats {
     pub shards: Vec<ExecutorShardStats>,
 }
 
+/// The async runtime's scheduler and reactor vitals since it booted.
+/// **Process-wide, not per-replica**: replicas hosted in one process share
+/// one runtime and report the same numbers.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct ReactorStats {
+    /// `epoll_wait` calls, blocking and fairness polls alike.
+    pub epoll_waits: u64,
+    /// Readiness events those calls returned.
+    pub io_events: u64,
+    /// Task polls.
+    pub tasks_polled: u64,
+    /// Times a worker went to sleep on the pool's condvar.
+    pub worker_parks: u64,
+    /// Condvar notifications sent to parked workers.
+    pub worker_unparks: u64,
+    /// Eventfd writes that interrupted a worker blocked in `epoll_wait`.
+    pub eventfd_signals: u64,
+    /// Timers the wheel fired.
+    pub timers_fired: u64,
+    /// High-water mark of the run queue.
+    pub queue_depth_max: u64,
+}
+
 /// Everything one replica reports about itself.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
@@ -217,9 +240,12 @@ pub struct MetricsSnapshot {
     /// started, counted by [`crate::CountingAllocator`] — zero when that
     /// allocator is not installed as the process's `#[global_allocator]`.
     /// Divided by [`store_executed`](Self::store_executed) this is the
-    /// allocations-per-command gauge the bench gate watches. Appended last
-    /// (positional serde).
+    /// allocations-per-command gauge the bench gate watches. Appended at
+    /// the tail (positional serde).
     pub alloc_count: u64,
+    /// Runtime scheduler/reactor vitals — of the whole process, see
+    /// [`ReactorStats`]. Appended at the tail (positional serde).
+    pub reactor: ReactorStats,
 }
 
 fn push_f64(out: &mut String, v: f64) {
@@ -390,6 +416,13 @@ impl MetricsSnapshot {
             Some(r) => push_f64(&mut o, r),
             None => o.push_str("null"),
         }
+
+        let r = &self.reactor;
+        o.push_str(&format!(
+            ",\"reactor\":{{\"epoll_waits\":{},\"io_events\":{},\"tasks_polled\":{},\"worker_parks\":{},\"worker_unparks\":{},\"eventfd_signals\":{},\"timers_fired\":{},\"queue_depth_max\":{}}}",
+            r.epoll_waits, r.io_events, r.tasks_polled, r.worker_parks, r.worker_unparks,
+            r.eventfd_signals, r.timers_fired, r.queue_depth_max
+        ));
         o.push('}');
         o
     }
@@ -438,6 +471,8 @@ mod tests {
         s.executor.shards.push(shard);
         s.store_executed = 10;
         s.alloc_count = 1234;
+        s.reactor.epoll_waits = 40;
+        s.reactor.queue_depth_max = 6;
         s
     }
 
@@ -476,6 +511,8 @@ mod tests {
             "\"executor\":{\"shards_configured\":4",
             "\"queue_depth\":2,\"execute_us\":{\"count\":1",
             "\"alloc_count\":1234,\"allocs_per_cmd\":123.400",
+            "\"reactor\":{\"epoll_waits\":40,\"io_events\":0",
+            "\"timers_fired\":0,\"queue_depth_max\":6}}",
         ] {
             assert!(j.contains(needle), "missing {needle} in {j}");
         }

@@ -13,7 +13,7 @@
 //! this client so the proxy can route executions back.
 
 use crate::wire::{
-    decode_payload, encode_frame_into, read_frame, write_frame, ClientReply, ClientRequest, Hello,
+    decode_payload, encode_frame_into, write_frame, ClientReply, ClientRequest, FrameReader, Hello,
 };
 use atlas_core::{ClientId, Command, Dot, Key, ReconfigOp, Rifl, Value};
 use atlas_metrics::MetricsSnapshot;
@@ -31,12 +31,20 @@ use tokio::task::JoinHandle;
 async fn connect(
     addr: SocketAddr,
     client: ClientId,
-) -> io::Result<(OwnedReadHalf, OwnedWriteHalf)> {
+) -> io::Result<(FrameReader<OwnedReadHalf>, OwnedWriteHalf)> {
     let stream = TcpStream::connect(addr).await?;
     stream.set_nodelay(true)?;
     let (reader, mut writer) = stream.into_split();
     write_frame(&mut writer, &Hello::Client { client }).await?;
-    Ok((reader, writer))
+    Ok((FrameReader::new(reader), writer))
+}
+
+/// The next reply on the connection; a replica that hangs up is an error.
+async fn next_reply(replies: &mut FrameReader<OwnedReadHalf>) -> io::Result<ClientReply> {
+    match replies.next().await? {
+        Some(payload) => decode_payload(payload),
+        None => Err(io::ErrorKind::UnexpectedEof.into()),
+    }
 }
 
 fn bad_reply(what: &ClientReply) -> io::Error {
@@ -51,14 +59,12 @@ fn bad_reply(what: &ClientReply) -> io::Error {
 pub struct Client {
     id: ClientId,
     next_seq: u64,
-    reader: OwnedReadHalf,
+    replies: FrameReader<OwnedReadHalf>,
     writer: OwnedWriteHalf,
-    /// Reusable encode/decode scratch: a closed-loop client round-trips
-    /// thousands of frames over one connection, so request encoding and
-    /// reply payloads share two long-lived buffers instead of allocating
-    /// per frame.
+    /// Reusable encode scratch: a closed-loop client round-trips thousands
+    /// of frames over one connection, so requests encode into one
+    /// long-lived buffer (and replies arrive through the reader's).
     scratch: Vec<u8>,
-    read_buf: Vec<u8>,
 }
 
 impl Client {
@@ -76,14 +82,13 @@ impl Client {
         id: ClientId,
         first_seq: u64,
     ) -> io::Result<Self> {
-        let (reader, writer) = connect(addr, id).await?;
+        let (replies, writer) = connect(addr, id).await?;
         Ok(Self {
             id,
             next_seq: first_seq,
-            reader,
+            replies,
             writer,
             scratch: Vec::new(),
-            read_buf: Vec::new(),
         })
     }
 
@@ -105,12 +110,6 @@ impl Client {
         self.writer.write_all(&self.scratch).await
     }
 
-    /// Reads the next reply through the reusable read buffer.
-    async fn read_reply(&mut self) -> io::Result<ClientReply> {
-        crate::wire::read_frame_into(&mut self.reader, &mut self.read_buf).await?;
-        decode_payload(&self.read_buf)
-    }
-
     /// Submits one command and waits for its execution, returning the
     /// per-key outputs.
     pub async fn submit(&mut self, cmd: Command) -> io::Result<Vec<(Key, Output)>> {
@@ -118,7 +117,7 @@ impl Client {
         self.send_request(&ClientRequest::Submit { cmds: vec![cmd] })
             .await?;
         loop {
-            match self.read_reply().await? {
+            match next_reply(&mut self.replies).await? {
                 ClientReply::Executed {
                     rifl: got, outputs, ..
                 } if got == rifl => return Ok(outputs),
@@ -141,7 +140,7 @@ impl Client {
         self.send_request(&ClientRequest::Submit { cmds }).await?;
         let mut done = Vec::with_capacity(expected);
         while !waiting.is_empty() {
-            match self.read_reply().await? {
+            match next_reply(&mut self.replies).await? {
                 ClientReply::Executed { rifl, outputs } => {
                     if waiting.remove(&rifl) {
                         done.push((rifl, outputs));
@@ -189,7 +188,7 @@ impl Client {
     pub async fn execution_log(&mut self) -> io::Result<(Vec<(Dot, Rifl)>, u64)> {
         self.send_request(&ClientRequest::ExecutionLog).await?;
         loop {
-            match self.read_reply().await? {
+            match next_reply(&mut self.replies).await? {
                 ClientReply::ExecutionLog { entries, digest } => return Ok((entries, digest)),
                 // Executions of older submissions (or other queries) may
                 // interleave.
@@ -206,7 +205,7 @@ impl Client {
     pub async fn stats(&mut self) -> io::Result<MetricsSnapshot> {
         self.send_request(&ClientRequest::Stats).await?;
         loop {
-            match self.read_reply().await? {
+            match next_reply(&mut self.replies).await? {
                 ClientReply::Stats { snapshot } => return Ok(*snapshot),
                 _ => continue,
             }
@@ -233,7 +232,7 @@ pub struct OpenLoopClient {
 impl OpenLoopClient {
     /// Connects client `id` to the replica at `addr`.
     pub async fn connect(addr: SocketAddr, id: ClientId) -> io::Result<Self> {
-        let (mut reader, writer) = connect(addr, id).await?;
+        let (mut replies, writer) = connect(addr, id).await?;
         let (sent_tx, mut sent_rx) = mpsc::unbounded_channel::<(Rifl, Instant)>();
         let collector = tokio::spawn(async move {
             let mut latencies_us = Vec::new();
@@ -256,7 +255,7 @@ impl OpenLoopClient {
                 if closing && in_flight.is_empty() {
                     return latencies_us;
                 }
-                match read_frame::<_, ClientReply>(&mut reader).await {
+                match next_reply(&mut replies).await {
                     Ok(ClientReply::Executed { rifl, .. }) => {
                         let at = in_flight.remove(&rifl).or_else(|| {
                             // The submission side enqueues the timestamp
@@ -306,7 +305,7 @@ impl OpenLoopClient {
     /// latencies in microseconds (reply order).
     pub async fn finish(mut self) -> io::Result<Vec<u64>> {
         let _ = self.sent_tx.send((OPEN_LOOP_DONE, Instant::now()));
-        // The collector may be parked in `read_frame` with nothing in
+        // The collector may be parked in `next_reply` with nothing in
         // flight; an ExecutionLog probe forces one reply so it wakes up and
         // observes the done marker.
         encode_frame_into(&mut self.scratch, &ClientRequest::ExecutionLog)?;

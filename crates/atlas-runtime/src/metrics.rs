@@ -16,8 +16,24 @@
 
 use atlas_metrics::{
     AtomicHistogram, Counter, DetectorStats, DurabilityStats, ExecutorShardStats, ExecutorStats,
-    Gauge, GcStats, LifecycleStats,
+    Gauge, GcStats, LifecycleStats, ReactorStats,
 };
+
+/// The runtime's scheduler/reactor counters as a snapshot section — the
+/// process's, not a replica's: every replica hosted here exports the same.
+pub fn reactor_stats() -> ReactorStats {
+    let s = tokio::runtime::stats();
+    ReactorStats {
+        epoll_waits: s.epoll_waits,
+        io_events: s.io_events,
+        tasks_polled: s.tasks_polled,
+        worker_parks: s.worker_parks,
+        worker_unparks: s.worker_unparks,
+        eventfd_signals: s.eventfd_signals,
+        timers_fired: s.timers_fired,
+        queue_depth_max: s.queue_depth_max,
+    }
+}
 
 /// One executor shard's metric cells, recorded from that shard's thread
 /// (dispatch counters from the protocol thread): everything is a relaxed

@@ -4,18 +4,19 @@
 //! protocol's [`Action`] output language onto sockets, timers, client
 //! sessions and the durable journal.
 //!
-//! One replica runs these tasks:
+//! One replica runs these tasks (a pool worker that wakes a task usually
+//! runs it itself, so a command's chain is one thread, not a hop per task):
 //!
 //! * the **event loop** (this module's heart) — single owner of all mutable
 //!   protocol state; consumes events from one mpsc queue;
 //! * an **acceptor** on the replica's listen address; each inbound connection
 //!   identifies itself with a [`Hello`] frame and becomes a peer reader, a
 //!   client session, or a one-shot catch-up exchange;
-//! * one **peer reader** per inbound peer connection, decoding
-//!   [`PeerFrame`](crate::wire::PeerFrame)s into peer events;
+//! * one **peer reader** per inbound peer connection, bulk-reading
+//!   [`PeerFrame`](crate::wire::PeerFrame)s ([`FrameReader`]) into peer events;
 //! * one **client session** per connected client: a reader turning each
-//!   `Submit` request into one submit event and a writer draining that
-//!   session's replies;
+//!   `Submit` request into one submit event and a writer sending each burst
+//!   of that session's replies in one write;
 //! * one **writer task per outbound peer link** (see [`crate::transport`]);
 //! * a **ticker** emitting tick events at a fixed cadence, which the event
 //!   loop uses to flush pending delivery acks, heartbeat the links, advance
@@ -96,8 +97,8 @@ use crate::metrics::ReplicaMetrics;
 use crate::netem::NetProfile;
 use crate::transport::{PeerLink, DEFAULT_RESEND_BUFFER_CAP};
 use crate::wire::{
-    decode_peer_frame, encode_frame_into, frame_payload_into, read_frame, read_frame_into,
-    write_frame, CatchUpChunk, CatchUpPayload, ClientReply, ClientRequest, EpochUpdate, Hello,
+    append_frame, decode_payload, decode_peer_frame, frame_payload_into, read_frame, write_frame,
+    CatchUpChunk, CatchUpPayload, ClientReply, ClientRequest, EpochUpdate, FrameReader, Hello,
     PeerBodyView, MAX_FRAME_BYTES,
 };
 use atlas_core::{
@@ -153,6 +154,9 @@ const CATCH_UP_ROUNDS: u32 = 3;
 /// per-chunk bound, so a long stream that keeps flowing never times out
 /// while a stalled one fails fast).
 const CATCH_UP_FETCH_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Where a session writer stops draining replies into one write.
+const REPLY_BURST_BYTES: usize = 64 << 10;
 
 /// Default budget for one catch-up chunk's payload. Deliberately far below
 /// [`MAX_FRAME_BYTES`]: the point of chunking is that no frame ever
@@ -569,23 +573,20 @@ async fn acceptor<M>(
 
 /// Pumps frames from one inbound peer connection into the event loop. Ends
 /// at EOF / connection error (the peer will redial).
-async fn peer_reader<M>(
-    mut reader: OwnedReadHalf,
-    from: ProcessId,
-    event_tx: UnboundedSender<Event<M>>,
-) where
+async fn peer_reader<M>(reader: OwnedReadHalf, from: ProcessId, event_tx: UnboundedSender<Event<M>>)
+where
     M: Deserialize,
 {
-    // One scratch buffer reused for every frame on this connection; the
+    // One buffer for the connection's life, filled by bulk reads; the
     // borrowed decode means the only per-message allocation left here is
     // the owned payload copy the event loop keeps (it can outlive the
     // buffer in the journal and the protocol's committed log).
-    let mut buf = Vec::new();
+    let mut frames = FrameReader::new(reader);
     loop {
-        if read_frame_into(&mut reader, &mut buf).await.is_err() {
+        let Ok(Some(payload)) = frames.next().await else {
             return; // EOF or broken connection; the peer will redial
-        }
-        let Ok(frame) = decode_peer_frame(&buf) else {
+        };
+        let Ok(frame) = decode_peer_frame(payload) else {
             return; // corrupt stream; drop the connection
         };
         debug_assert_eq!(frame.from, from, "peer hello/frame sender mismatch");
@@ -623,7 +624,7 @@ async fn peer_reader<M>(
 /// One connected client: forwards submissions into the event loop and drains
 /// the session's replies back into the socket.
 async fn client_session<M>(
-    mut reader: OwnedReadHalf,
+    reader: OwnedReadHalf,
     mut writer: OwnedWriteHalf,
     client: ClientId,
     event_tx: UnboundedSender<Event<M>>,
@@ -631,48 +632,43 @@ async fn client_session<M>(
     let (reply_tx, mut reply_rx) = mpsc::unbounded_channel::<ClientReply>();
     // Writer side: one task per session so a slow client only stalls itself.
     tokio::spawn(async move {
-        // Replies encode into one reusable buffer for the session's life.
+        // One reusable buffer, one write per burst: whatever queued behind
+        // the reply that woke us goes out with it, in channel order.
         let mut buf = Vec::new();
-        while let Some(reply) = reply_rx.recv().await {
-            if encode_frame_into(&mut buf, &reply).is_err() || writer.write_all(&buf).await.is_err()
-            {
+        while let Some(first) = reply_rx.recv().await {
+            buf.clear();
+            let mut next = Some(first);
+            while let Some(reply) = next {
+                if append_frame(&mut buf, &reply).is_err() {
+                    return;
+                }
+                next = (buf.len() < REPLY_BURST_BYTES)
+                    .then(|| reply_rx.try_recv().ok())
+                    .flatten();
+            }
+            if writer.write_all(&buf).await.is_err() {
                 return;
             }
         }
     });
-    loop {
-        match read_frame::<_, ClientRequest>(&mut reader).await {
+    let mut frames = FrameReader::new(reader);
+    while let Ok(Some(payload)) = frames.next().await {
+        let session = reply_tx.clone();
+        let event = match decode_payload(payload) {
             Ok(ClientRequest::Submit { cmds }) => {
                 debug_assert!(
                     cmds.iter().all(|cmd| cmd.rifl.client == client),
                     "client {client} submitted a command with a foreign rifl"
                 );
                 // One event: the loop journals and syncs a request as a unit.
-                let event = Event::Submit {
-                    cmds,
-                    session: reply_tx.clone(),
-                };
-                if event_tx.send(event).is_err() {
-                    return;
-                }
+                Event::Submit { cmds, session }
             }
-            Ok(ClientRequest::ExecutionLog) => {
-                let event = Event::Query {
-                    session: reply_tx.clone(),
-                };
-                if event_tx.send(event).is_err() {
-                    return;
-                }
-            }
-            Ok(ClientRequest::Stats) => {
-                let event = Event::Stats {
-                    session: reply_tx.clone(),
-                };
-                if event_tx.send(event).is_err() {
-                    return;
-                }
-            }
-            Err(_) => return, // client disconnected
+            Ok(ClientRequest::ExecutionLog) => Event::Query { session },
+            Ok(ClientRequest::Stats) => Event::Stats { session },
+            Err(_) => return, // garbage; drop the connection
+        };
+        if event_tx.send(event).is_err() {
+            return;
         }
     }
 }
@@ -1428,6 +1424,7 @@ where
             epoch: self.view.epoch,
             executor: self.metrics.executor_stats(self.exec.shards()),
             alloc_count: atlas_metrics::allocations().saturating_sub(self.alloc_baseline),
+            reactor: crate::metrics::reactor_stats(),
         }
     }
 

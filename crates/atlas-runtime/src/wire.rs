@@ -247,13 +247,21 @@ where
     T: Serialize,
 {
     buf.clear();
+    append_frame(buf, value)
+}
+
+/// Appends one length-prefixed frame to `buf`, keeping what is there: a
+/// writer that drains a burst encodes it into one buffer and writes once.
+/// After an error `buf` ends in a torn frame and must not be sent.
+pub fn append_frame<T: Serialize>(buf: &mut Vec<u8>, value: &T) -> io::Result<()> {
+    let start = buf.len();
     buf.extend_from_slice(&[0u8; 4]);
     bincode::serialize_into(buf, value).map_err(encode_err)?;
-    let len = buf.len() - 4;
+    let len = buf.len() - start - 4;
     if len > MAX_FRAME_BYTES {
         return Err(oversize_err(len));
     }
-    buf[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    buf[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
     Ok(())
 }
 
@@ -340,8 +348,8 @@ pub fn encode_peer_frame_into(
 
 /// Decoded [`PeerFrame`] whose `Msg` payload borrows from the input buffer
 /// (control bodies are small and decode owned). Pairs with
-/// [`read_frame_into`]: the receive path reuses one scratch buffer per
-/// connection and copies only the protocol payload out of it.
+/// [`FrameReader`]: the receive path reuses one buffer per connection and
+/// copies only the protocol payload out of it.
 #[derive(Debug, PartialEq, Eq)]
 pub struct PeerFrameView<'a> {
     /// See [`PeerFrame::from`].
@@ -436,12 +444,20 @@ pub async fn write_raw_frame<W: AsyncWriteExt>(writer: &mut W, payload: &[u8]) -
     writer.write_all(&buf).await
 }
 
-/// Reads one length-prefixed frame's payload into `buf` (replacing its
-/// contents, reusing its allocation), for receive loops that decode
-/// borrowed views out of one per-connection scratch buffer.
-pub async fn read_frame_into<R>(reader: &mut R, buf: &mut Vec<u8>) -> io::Result<()>
+/// Decodes a frame payload as a `T`.
+pub fn decode_payload<T: Deserialize>(payload: &[u8]) -> io::Result<T> {
+    bincode::deserialize(payload)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+}
+
+/// Reads one length-prefixed frame with two exact reads and decodes it as a
+/// `T` — for one-shot exchanges (the `Hello`, a catch-up stream). It takes
+/// exactly the frame's bytes off the socket, so the read half can go to a
+/// [`FrameReader`] afterwards; never the other way round.
+pub async fn read_frame<R, T>(reader: &mut R) -> io::Result<T>
 where
     R: AsyncReadExt,
+    T: Deserialize,
 {
     let mut len_buf = [0u8; 4];
     reader.read_exact(&mut len_buf).await?;
@@ -449,27 +465,76 @@ where
     if len > MAX_FRAME_BYTES {
         return Err(oversize_err(len));
     }
-    buf.clear();
-    buf.resize(len, 0);
-    reader.read_exact(buf).await?;
-    Ok(())
-}
-
-/// Decodes a frame payload (as filled by [`read_frame_into`]) as a `T`.
-pub fn decode_payload<T: Deserialize>(payload: &[u8]) -> io::Result<T> {
-    bincode::deserialize(payload)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-}
-
-/// Reads one length-prefixed frame and decodes it as a `T`.
-pub async fn read_frame<R, T>(reader: &mut R) -> io::Result<T>
-where
-    R: AsyncReadExt,
-    T: Deserialize,
-{
-    let mut payload = Vec::new();
-    read_frame_into(reader, &mut payload).await?;
+    let mut payload = vec![0; len];
+    reader.read_exact(&mut payload).await?;
     decode_payload(&payload)
+}
+
+/// Initial size of a [`FrameReader`]'s buffer; a larger frame grows it.
+const READ_BUF_BYTES: usize = 8 << 10;
+
+/// Buffered frame reading for a long-lived connection: one reusable buffer
+/// filled by bulk reads, frames served out of it as borrowed slices — a
+/// burst of frames costs one `read`, not two per frame. It reads ahead, so
+/// it **owns** the read half from creation on; create it only after the
+/// exact-length [`read_frame`] of the `Hello`.
+#[derive(Debug)]
+pub struct FrameReader<R> {
+    reader: R,
+    buf: Vec<u8>,
+    /// `buf[start..end]` holds received bytes not yet served.
+    start: usize,
+    end: usize,
+}
+
+impl<R: AsyncReadExt> FrameReader<R> {
+    /// Takes ownership of `reader`.
+    pub fn new(reader: R) -> Self {
+        Self {
+            reader,
+            buf: Vec::new(),
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// The next frame's payload; `None` when the peer closed between
+    /// frames. Serves a complete buffered frame, or moves the partial one to
+    /// the front and issues **one** read into the space behind it.
+    pub async fn next(&mut self) -> io::Result<Option<&[u8]>> {
+        loop {
+            let have = self.end - self.start;
+            let mut need = 4;
+            if let Some(prefix) = self.buf[self.start..self.end].first_chunk::<4>() {
+                let len = u32::from_le_bytes(*prefix) as usize;
+                // Checked before any space is reserved for it.
+                if len > MAX_FRAME_BYTES {
+                    return Err(oversize_err(len));
+                }
+                need += len;
+                if have >= need {
+                    let payload = self.start + 4..self.start + need;
+                    self.start = payload.end;
+                    return Ok(Some(&self.buf[payload]));
+                }
+            }
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, have);
+            if self.buf.len() < need.max(READ_BUF_BYTES) {
+                self.buf.resize(need.max(READ_BUF_BYTES), 0);
+            }
+            match self.reader.read(&mut self.buf[have..]).await? {
+                0 if have == 0 => return Ok(None),
+                0 => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "connection closed mid-frame",
+                    ))
+                }
+                n => self.end += n,
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -725,6 +790,137 @@ mod tests {
         // At the cap exactly the frame is legal.
         frame_payload_into(&mut buf, &payload[..MAX_FRAME_BYTES]).unwrap();
         assert_eq!(buf.len(), 4 + MAX_FRAME_BYTES);
+    }
+
+    /// A socket stand-in: serves `data` in reads of 1, 2, 3, … bytes
+    /// (`trickle`) or as much as fits, then reports EOF; counts the reads.
+    struct Script {
+        data: Vec<u8>,
+        at: usize,
+        trickle: bool,
+        reads: usize,
+    }
+
+    impl Script {
+        fn new(data: Vec<u8>, trickle: bool) -> Self {
+            Self {
+                data,
+                at: 0,
+                trickle,
+                reads: 0,
+            }
+        }
+    }
+
+    impl AsyncReadExt for Script {
+        async fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let step = if self.trickle { self.reads } else { usize::MAX };
+            let n = step.min(buf.len()).min(self.data.len() - self.at);
+            buf[..n].copy_from_slice(&self.data[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+
+        async fn read_exact(&mut self, _buf: &mut [u8]) -> io::Result<usize> {
+            unreachable!("a FrameReader only issues plain reads")
+        }
+    }
+
+    fn frames_of(
+        mut reader: FrameReader<Script>,
+    ) -> (io::Result<Vec<Vec<u8>>>, FrameReader<Script>) {
+        let rt = tokio::runtime::Runtime::new().unwrap();
+        let frames = rt.block_on(async {
+            let mut frames = Vec::new();
+            while let Some(payload) = reader.next().await? {
+                frames.push(payload.to_vec());
+            }
+            Ok(frames)
+        });
+        (frames, reader)
+    }
+
+    /// Payloads from empty to well past the read buffer, so frames straddle
+    /// reads, partial frames move to the front and one frame grows the
+    /// buffer.
+    fn sample_stream() -> (Vec<Vec<u8>>, Vec<u8>) {
+        let payloads: Vec<Vec<u8>> = [0, 1, 3, 200, 4_000, 3 * READ_BUF_BYTES, 17, 0, 5_000]
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| (0..len).map(|j| (i * 31 + j) as u8).collect())
+            .collect();
+        let mut stream = Vec::new();
+        let mut frame = Vec::new();
+        for payload in &payloads {
+            frame_payload_into(&mut frame, payload).unwrap();
+            stream.extend_from_slice(&frame);
+        }
+        (payloads, stream)
+    }
+
+    #[test]
+    fn frame_reader_yields_the_same_frames_however_the_bytes_arrive() {
+        let (payloads, stream) = sample_stream();
+        let (bulk, _) = frames_of(FrameReader::new(Script::new(stream.clone(), false)));
+        assert_eq!(bulk.unwrap(), payloads);
+        let (trickled, _) = frames_of(FrameReader::new(Script::new(stream, true)));
+        assert_eq!(trickled.unwrap(), payloads);
+    }
+
+    #[test]
+    fn frame_reader_serves_a_burst_of_frames_from_one_read() {
+        let mut stream = Vec::new();
+        for i in 0..16u64 {
+            append_frame(&mut stream, &i).unwrap();
+        }
+        let (frames, reader) = frames_of(FrameReader::new(Script::new(stream, false)));
+        let decoded: Vec<u64> = frames
+            .unwrap()
+            .iter()
+            .map(|f| decode_payload(f).unwrap())
+            .collect();
+        assert_eq!(decoded, (0..16).collect::<Vec<u64>>());
+        assert_eq!(
+            reader.reader.reads, 2,
+            "one read for the burst, one for EOF"
+        );
+    }
+
+    #[test]
+    fn frame_reader_rejects_an_oversize_prefix_before_reserving() {
+        let mut stream = ((MAX_FRAME_BYTES + 1) as u32).to_le_bytes().to_vec();
+        stream.extend_from_slice(&[0xEE; 64]);
+        let (frames, reader) = frames_of(FrameReader::new(Script::new(stream, false)));
+        assert_eq!(frames.unwrap_err().kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            reader.buf.len(),
+            READ_BUF_BYTES,
+            "nothing reserved for the claim"
+        );
+        // At the cap exactly the prefix is legal (and then the stream ends).
+        let stream = (MAX_FRAME_BYTES as u32).to_le_bytes().to_vec();
+        let (frames, _) = frames_of(FrameReader::new(Script::new(stream, false)));
+        assert_eq!(frames.unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn frame_reader_tells_a_clean_end_from_a_cut_frame() {
+        let (payloads, stream) = sample_stream();
+        // Cut inside the last frame's payload, and inside a length prefix.
+        for cut in [stream.len() - 1, stream.len() - 5_000 - 2] {
+            let (frames, _) =
+                frames_of(FrameReader::new(Script::new(stream[..cut].to_vec(), true)));
+            assert_eq!(frames.unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+        }
+        // Cut exactly between two frames: a clean end after the first eight.
+        let (frames, _) = frames_of(FrameReader::new(Script::new(
+            stream[..stream.len() - 5_004].to_vec(),
+            true,
+        )));
+        assert_eq!(frames.unwrap(), payloads[..8]);
+        let (frames, _) = frames_of(FrameReader::new(Script::new(Vec::new(), false)));
+        assert_eq!(frames.unwrap(), Vec::<Vec<u8>>::new());
     }
 
     /// `Protocol::new` only sees `Config` and `Topology`; make sure both the

@@ -1,7 +1,7 @@
 //! The runtime is generic over the hosted protocol: boot a small TCP cluster
 //! of every protocol in the workspace and drive traffic through it.
 
-use atlas_core::{Config, Protocol};
+use atlas_core::{Command, Config, Protocol};
 use atlas_runtime::{Client, Cluster};
 use serde::{Deserialize, Serialize};
 
@@ -34,6 +34,17 @@ where
             "{}: unexpected final value {last}",
             P::name()
         );
+        // One request of 16 conflicting writes: they execute in submission
+        // order, and the session writer — which drains a burst of replies
+        // into one write — must hand them back in that order too.
+        let cmds: Vec<Command> = (0..16u64)
+            .map(|i| Command::put(b.next_rifl(), 9, i, 64))
+            .collect();
+        let submitted: Vec<_> = cmds.iter().map(|c| c.rifl).collect();
+        let replies = b.submit_batch(cmds).await.unwrap();
+        let replied: Vec<_> = replies.iter().map(|(rifl, _)| *rifl).collect();
+        assert_eq!(replied, submitted, "{}: reply order", P::name());
+        assert_eq!(b.get(9).await.unwrap(), Some(15), "{}", P::name());
         cluster.shutdown();
     });
 }

@@ -236,6 +236,19 @@ where
             assert_eq!(s.detector.suspicions, 0, "replica {id} spurious suspicion");
             assert_eq!(s.detector.takeovers, 0, "replica {id} spurious takeover");
 
+            // The runtime's vitals (process-wide: every replica here reports
+            // the one shared pool). Each wake-up of a sleeping worker was
+            // either a parked worker's or the blocked poller's.
+            let r = &s.reactor;
+            assert!(r.tasks_polled >= TOTAL, "replica {id} reactor: {r:?}");
+            assert!(r.epoll_waits > 0 && r.io_events > 0, "replica {id}: {r:?}");
+            assert!(
+                r.timers_fired > 0,
+                "replica {id} ticked without timers: {r:?}"
+            );
+            assert!(r.worker_unparks <= r.worker_parks, "replica {id}: {r:?}");
+            assert!(r.queue_depth_max >= 1, "replica {id}: {r:?}");
+
             // The JSONL dump cadence fired and produced parseable lines.
             let dump =
                 std::fs::read_to_string(cluster.data_dir(id as ProcessId).join("metrics.jsonl"))
@@ -254,6 +267,14 @@ where
                     "\"snapshot_write_us\":{",
                     "\"snapshot_bytes\":",
                     "\"snapshots_coalesced\":",
+                    "\"reactor\":{\"epoll_waits\":",
+                    "\"io_events\":",
+                    "\"tasks_polled\":",
+                    "\"worker_parks\":",
+                    "\"worker_unparks\":",
+                    "\"eventfd_signals\":",
+                    "\"timers_fired\":",
+                    "\"queue_depth_max\":",
                 ] {
                     assert!(line.contains(name), "replica {id} dump lacks {name}");
                 }

@@ -3,8 +3,9 @@
 //!
 //! Under the old thread-per-task runtime this workload would have meant
 //! tens of thousands of threads (two tasks per connection on the client
-//! side alone); the epoll reactor runs it on single-digit reactor/worker
-//! threads plus the configured shard executors. The drill asserts exactly
+//! side alone); the epoll reactor runs it on single-digit worker threads
+//! (which poll epoll themselves — there is no reactor thread) plus the
+//! configured shard executors. The drill asserts exactly
 //! that — the process thread count stays bounded while every client's
 //! commands execute — and emits `BENCH_open_loop_10k.json` for
 //! `ci/bench_guard.py --fig`.
@@ -37,8 +38,8 @@ use std::time::{Duration, Instant};
 const SHARDS: usize = 2;
 
 /// Ceiling on the process's OS thread count while 10k clients are in
-/// flight: test harness + reactor + worker pool + `3 * SHARDS` executor
-/// threads + the sampler thread is ~13; the bound leaves slack for the
+/// flight: test harness + worker pool + `3 * SHARDS` executor threads +
+/// three snapshot writers + the sampler thread is ~15; the bound leaves slack for the
 /// harness without ever tolerating per-connection threads.
 const MAX_THREADS: u64 = 24;
 
