@@ -19,7 +19,7 @@
 //!
 //! [`Protocol`]: crate::Protocol
 
-use crate::{ClusterView, Config, ProcessId, ProtocolMetrics, Topology};
+use crate::{ClusterView, Config, ProcessId, ProtocolStats, Topology};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
@@ -35,7 +35,7 @@ pub struct Base {
     /// Highest sequence seen per identifier space.
     seen: HashMap<ProcessId, u64>,
     /// Protocol metrics accumulated so far.
-    pub metrics: ProtocolMetrics,
+    pub metrics: ProtocolStats,
 }
 
 impl Base {
@@ -59,7 +59,7 @@ impl Base {
             topology,
             view,
             seen: HashMap::new(),
-            metrics: ProtocolMetrics::new(),
+            metrics: ProtocolStats::default(),
         }
     }
 

@@ -16,8 +16,8 @@
 //! * [`protocol`] — the [`Protocol`] trait every replication protocol in this
 //!   workspace implements, plus the [`Action`] output language consumed by the
 //!   discrete-event simulator (or any other runtime).
-//! * [`metrics`] — latency histograms and per-protocol counters (fast/slow
-//!   path ratios, commit-to-execute delays, …).
+//! * [`metrics`] — [`ProtocolStats`], the constant-size per-replica counters
+//!   (fast/slow path ratios, commit-to-execute delays, batch sizes, …).
 //! * [`util`] — deterministic helpers (stable sorting by distance, simple
 //!   statistics).
 //!
@@ -40,6 +40,6 @@ pub use base::Base;
 pub use command::{shard_of, Command, Key, KvOp, ReconfigOp, Value};
 pub use config::Config;
 pub use id::{ClientId, Dot, DotGen, ProcessId, Rifl};
-pub use metrics::{Histogram, ProtocolMetrics, ProtocolStats};
+pub use metrics::ProtocolStats;
 pub use protocol::{Action, Protocol, Topology};
 pub use view::ClusterView;

@@ -13,7 +13,7 @@ use crate::base::Base;
 use crate::command::Command;
 use crate::config::Config;
 use crate::id::{Dot, ProcessId};
-use crate::metrics::ProtocolMetrics;
+use crate::metrics::ProtocolStats;
 use crate::view::ClusterView;
 use serde::{Deserialize, Serialize};
 
@@ -126,7 +126,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `size` exceeds the number of processes.
-    pub fn closest_quorum(&self, size: usize) -> Vec<ProcessId> {
+    pub(crate) fn closest_quorum(&self, size: usize) -> Vec<ProcessId> {
         assert!(
             size <= self.by_distance.len(),
             "quorum of size {size} requested but only {} processes exist",
@@ -259,13 +259,8 @@ pub trait Protocol: Sized {
     }
 
     /// Protocol metrics accumulated so far.
-    fn metrics(&self) -> &ProtocolMetrics {
+    fn metrics(&self) -> &ProtocolStats {
         &self.base().metrics
-    }
-
-    /// Constant-size digest of the metrics for the stats plane.
-    fn protocol_stats(&self) -> crate::metrics::ProtocolStats {
-        crate::metrics::ProtocolStats::from(self.metrics())
     }
 }
 

@@ -1,9 +1,8 @@
 //! A bounded log-bucketed histogram for long-lived replicas.
 //!
-//! The simulator's [`atlas_core::Histogram`] keeps every sample, which is
-//! exact but grows without bound — fine for a finite simulation run, fatal
-//! for a replica that stays up for weeks. [`BoundedHistogram`] instead keeps
-//! a fixed array of counters: values below [`SUBBUCKETS`] get their own
+//! Keeping every sample is exact but grows without bound — fatal for a
+//! replica that stays up for weeks. [`BoundedHistogram`] instead keeps a
+//! fixed array of counters: values below [`SUBBUCKETS`] get their own
 //! bucket (exact), larger values share one bucket per `1/SUBBUCKETS` slice
 //! of their power-of-two octave. Memory is constant (~8 KiB) regardless of
 //! sample count and quantiles carry a bounded relative error of at most
@@ -51,11 +50,8 @@ pub(crate) fn bucket_value(index: usize) -> u64 {
 /// A constant-memory histogram of `u64` samples (latencies in µs, sizes, …)
 /// safe to keep for the lifetime of a replica.
 ///
-/// Mirrors the exact [`atlas_core::Histogram`] API (`record`, `count`,
-/// `sum`, `mean`, `min`/`max`, `percentile`, `merge`, `clear`) with two
-/// deliberate differences: `percentile` takes `&self` (no sort needed) and
-/// returns a bucket representative within 6.25% of the exact value, and
-/// `min`/`max` are tracked exactly on the side.
+/// `percentile` returns a bucket representative within 6.25% of the exact
+/// value; `count`, `sum`, `min` and `max` are tracked exactly on the side.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
 pub struct BoundedHistogram {
     buckets: Vec<u64>,
@@ -191,19 +187,6 @@ impl BoundedHistogram {
         self.sum = 0;
         self.min = u64::MAX;
         self.max = 0;
-    }
-}
-
-/// Lossy conversion from the simulator's exact histogram: every retained
-/// sample is folded into its log bucket. Quantiles of the result agree with
-/// the exact ones to within the 6.25% bucket error (see the conversion test).
-impl From<&atlas_core::Histogram> for BoundedHistogram {
-    fn from(exact: &atlas_core::Histogram) -> Self {
-        let mut h = Self::new();
-        for &s in exact.samples() {
-            h.record(s);
-        }
-        h
     }
 }
 

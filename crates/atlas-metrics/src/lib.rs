@@ -4,12 +4,12 @@
 //! counter/gauge cells, and the [`MetricsSnapshot`] a replica exports over
 //! the stats plane.
 //!
-//! The simulator measures with the exact, sample-retaining
-//! [`atlas_core::Histogram`]; a long-lived replica cannot afford that, so
-//! the runtime records into [`BoundedHistogram`] (plain, for export) and
+//! A long-lived replica cannot afford to retain samples, so the runtime
+//! records into [`BoundedHistogram`] (plain, for export) and
 //! [`AtomicHistogram`] (shared, for the hot path) — log-bucketed at 16
 //! sub-buckets per octave, 6.25% worst-case quantile error, ~8 KiB each,
-//! forever.
+//! forever. Protocol counters need no histogram at all: they are the flat
+//! [`atlas_core::ProtocolStats`] the protocol records into directly.
 //!
 //! Three consumers read the same [`MetricsSnapshot`]:
 //!

@@ -23,11 +23,6 @@ use std::collections::{HashMap, HashSet};
 /// commands that became executable, in execution order.
 pub type ExecutionBatch = Vec<(Dot, Command)>;
 
-/// Bound on the per-batch size record kept for metrics; garbage collection
-/// drains the oldest entries beyond it so the record cannot grow without
-/// bound on a long-lived replica.
-const BATCH_SIZES_CAP: usize = 4096;
-
 /// Compact encoding of the graph's executed set — the protocol's
 /// executed-state marker shipped to a wiped peer during catch-up base
 /// transfer (see `Protocol::save_executed`). Every dot `⟨s, 1..=f⟩` for
@@ -77,9 +72,9 @@ pub struct DependencyGraph {
     waiting_on: HashMap<Dot, HashSet<Dot>>,
     /// Total number of executed commands.
     executed_count: u64,
-    /// Sizes of the batches executed so far (bounded; GC drains the oldest
-    /// entries past [`BATCH_SIZES_CAP`]).
-    batch_sizes: Vec<usize>,
+    /// Batches (strongly connected components) executed so far, and the
+    /// commands in them, `noOp`s included.
+    batches: (u64, u64),
     /// Per-source contiguous executed prefix: every dot `⟨s, 1..=f⟩` is
     /// executed. Drives the executed watermarks exchanged for GC.
     frontiers: HashMap<ProcessId, u64>,
@@ -135,10 +130,6 @@ impl DependencyGraph {
         let floor = &self.floor;
         self.executed
             .retain(|dot| dot.seq > floor.get(&dot.source).copied().unwrap_or(0));
-        if self.batch_sizes.len() > BATCH_SIZES_CAP {
-            let excess = self.batch_sizes.len() - BATCH_SIZES_CAP;
-            self.batch_sizes.drain(..excess);
-        }
         (before - self.executed.len()) as u64
     }
 
@@ -203,9 +194,10 @@ impl DependencyGraph {
         self.executed_count
     }
 
-    /// Sizes of all executed batches so far.
-    pub fn batch_sizes(&self) -> &[usize] {
-        &self.batch_sizes
+    /// `(batches, commands)` executed by this graph so far: their quotient
+    /// is the mean execution batch size.
+    pub fn batches(&self) -> (u64, u64) {
+        self.batches
     }
 
     /// The dots that some committed command is waiting for (i.e. dependencies
@@ -245,7 +237,7 @@ impl DependencyGraph {
         // candidates short-circuit instead of re-walking the same blocked
         // region — without it, a long dependency chain committed in reverse
         // order costs a full closure walk per waiter per commit (cubic
-        // overall; see the `graph_commit_2k_reverse_chain` bench).
+        // overall).
         let mut blocked_on: HashMap<Dot, Dot> = HashMap::new();
         for candidate in candidates {
             if self.pending.contains_key(&candidate) && !blocked_on.contains_key(&candidate) {
@@ -356,7 +348,8 @@ impl DependencyGraph {
             // Inside a batch, commands follow the fixed total order `<` on
             // identifiers (Algorithm 3, line 55).
             scc.sort_unstable();
-            self.batch_sizes.push(scc.len());
+            self.batches.0 += 1;
+            self.batches.1 += scc.len() as u64;
             for dot in scc {
                 let vertex = self
                     .pending
@@ -507,7 +500,7 @@ mod tests {
         // Processes 1 and 2 commit a first, then b: two singleton batches.
         assert_eq!(dots(&g.commit(a, cmd(1), vec![])), vec![a]);
         assert_eq!(dots(&g.commit(b, cmd(2), vec![a])), vec![b]);
-        assert_eq!(g.batch_sizes(), &[1, 1]);
+        assert_eq!(g.batches(), (2, 2));
     }
 
     #[test]
@@ -521,7 +514,7 @@ mod tests {
         // When a commits, both execute — a first, in two singleton batches.
         let out = g.commit(a, cmd(1), vec![]);
         assert_eq!(dots(&out), vec![a, b]);
-        assert_eq!(g.batch_sizes(), &[1, 1]);
+        assert_eq!(g.batches(), (2, 2));
     }
 
     #[test]
@@ -534,7 +527,7 @@ mod tests {
         let out = g.commit(b, cmd(2), vec![a]);
         // b = ⟨1,1⟩ < a = ⟨2,1⟩, so b executes first within the batch.
         assert_eq!(dots(&out), vec![b, a]);
-        assert_eq!(g.batch_sizes(), &[2]);
+        assert_eq!(g.batches(), (1, 2));
     }
 
     #[test]

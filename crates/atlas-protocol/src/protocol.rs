@@ -384,11 +384,10 @@ impl State {
         // this replica was not in its fast quorum.
         self.key_deps.add(dot, &cmd);
         let metrics = &mut self.base.metrics;
-        metrics.commits += 1;
+        metrics.record_commit(deps.len());
         if cmd.is_noop() {
             metrics.noops += 1;
         }
-        metrics.dependency_counts.record(deps.len() as u64);
         self.commit_times.insert(dot, time);
 
         // A noOp is never executed, so the runtime is told of no commit it
@@ -401,15 +400,11 @@ impl State {
             if let Some(info) = self.info.get_mut(&dot) {
                 info.phase = Phase::Execute;
             }
-            let metrics = &mut self.base.metrics;
-            metrics.executions += 1;
-            if let Some(commit_time) = self.commit_times.remove(&dot) {
-                metrics
-                    .commit_to_execute
-                    .record(time.saturating_sub(commit_time));
-            }
+            let committed_at = self.commit_times.remove(&dot);
+            self.base.metrics.record_execution(committed_at, time);
             actions.push(Action::Execute { dot, cmd });
         }
+        self.base.metrics.set_batches(self.graph.batches());
         actions
     }
 
@@ -761,6 +756,11 @@ mod tests {
         let m = net.replicas[0].metrics();
         assert_eq!(m.commits, 2);
         assert_eq!(m.executions, 2);
-        assert!(m.dependency_counts.count() >= 2);
+        assert_eq!(m.dependency_count, 2);
+        assert!(
+            m.mean_dependencies() > 0.0,
+            "the second put depends on the first"
+        );
+        assert_eq!((m.batch_count, m.batch_sum), (2, 2));
     }
 }

@@ -9,9 +9,8 @@
 //!
 //! The registry holds what the *runtime* measures. Protocol-level counters
 //! (fast/slow paths, recoveries) live inside the hosted protocol and are
-//! digested via
-//! [`Protocol::protocol_stats`](atlas_core::Protocol::protocol_stats) when
-//! a [`MetricsSnapshot`](atlas_metrics::MetricsSnapshot) is assembled in
+//! copied from [`Protocol::metrics`](atlas_core::Protocol::metrics) when a
+//! [`MetricsSnapshot`](atlas_metrics::MetricsSnapshot) is assembled in
 //! [`crate::replica`].
 
 use atlas_metrics::{

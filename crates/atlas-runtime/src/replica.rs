@@ -209,14 +209,6 @@ pub struct ReplicaConfig {
     /// exceed `tick_interval`: "audible" means heard within the last
     /// `trust_after`, and heartbeats only arrive once per tick.
     pub trust_after: Duration,
-    /// Cap on buffered-but-unacknowledged frames per outbound peer link; at
-    /// the cap the newest frame is dropped (logged on first drop, counted
-    /// in [`LinkStatus::dropped`](crate::transport::LinkStatus::dropped))
-    /// so a long-dead peer cannot balloon memory. Dropping gaps the link
-    /// permanently: a replica that was down past the cap **must** rejoin
-    /// wiped via `catch_up` — a plain restart would leave it missing the
-    /// dropped frames forever.
-    pub resend_buffer_cap: usize,
     /// Run an executed-entry garbage-collection round every this many
     /// ticks: broadcast this replica's executed watermarks to the peers
     /// and, once every peer has reported, hand the pointwise minimum to
@@ -281,7 +273,6 @@ impl ReplicaConfig {
             join: false,
             suspect_after: Some(Duration::from_millis(1_500)),
             trust_after: Duration::from_millis(250),
-            resend_buffer_cap: DEFAULT_RESEND_BUFFER_CAP,
             gc_every: 0,
             catch_up_chunk_bytes: DEFAULT_CATCH_UP_CHUNK_BYTES,
             metrics_every: 0,
@@ -465,7 +456,7 @@ where
                     peer,
                     peer_addr,
                     Arc::clone(&stop),
-                    cfg.resend_buffer_cap,
+                    DEFAULT_RESEND_BUFFER_CAP,
                     shaper,
                     Arc::clone(&epoch_ctr),
                 ),
@@ -769,8 +760,7 @@ struct Core<P: Protocol> {
     /// address — needed to retire the replica when a `Finalize` removes it.
     stop: Arc<AtomicBool>,
     self_addr: SocketAddr,
-    /// Link-spawning parameters for members added at runtime.
-    resend_buffer_cap: usize,
+    /// Link-shaping parameters for members added at runtime.
     net: Option<NetProfile>,
     boot: Instant,
     /// Process-wide allocation count at replica construction
@@ -868,7 +858,6 @@ where
             finalize_sent: None,
             stop,
             self_addr,
-            resend_buffer_cap: cfg.resend_buffer_cap,
             net: cfg.net.clone(),
             boot,
             alloc_baseline: atlas_metrics::allocations(),
@@ -1412,7 +1401,7 @@ where
             protocol: P::name().to_string(),
             uptime_us: self.now(),
             lifecycle: self.metrics.lifecycle_stats(),
-            protocol_stats: self.protocol.protocol_stats(),
+            protocol_stats: self.protocol.metrics().clone(),
             durability: self
                 .metrics
                 .durability_stats(self.journal.as_ref().map_or(0, |j| j.wal_segments() as u64)),
@@ -1557,7 +1546,7 @@ where
                     peer,
                     addr,
                     Arc::clone(&self.stop),
-                    self.resend_buffer_cap,
+                    DEFAULT_RESEND_BUFFER_CAP,
                     shaper,
                     Arc::clone(&self.epoch_ctr),
                 ),

@@ -328,6 +328,11 @@ fn lifecycle_invariants_epaxos_sharded() {
 /// that long. Replica 1 then coordinates a conflicting `b` with fast quorum
 /// {1, 2}: it commits within a round trip to 2, depending on `a`, and can
 /// execute only once `a`'s commit arrives.
+///
+/// The same two commands pin the protocol moments replica 1 exports, over
+/// the stats plane and in the JSON dump alike: two singleton execution
+/// batches and one dependency between two commits (`mean_batch_size` read 0
+/// for as long as nothing recorded batches).
 #[test]
 fn dependency_wait_lands_in_the_executed_stage() {
     const ACK_DELAY: Duration = Duration::from_millis(400);
@@ -356,6 +361,15 @@ fn dependency_wait_lands_in_the_executed_stage() {
             committed + ACK_DELAY.as_micros() as u64 / 4 < executed,
             "b committed after {committed} µs but executed after {executed} µs: \
              the wait for its dependency must separate the two stages"
+        );
+
+        let p = &all[0].protocol_stats;
+        assert_eq!((p.batch_count, p.mean_batch_size()), (2, 1.0), "{p:?}");
+        assert_eq!((p.commits, p.mean_dependencies()), (2, 0.5), "{p:?}");
+        let json = all[0].to_json();
+        assert!(
+            json.contains("\"mean_batch\":1.000,\"mean_dependencies\":0.500}"),
+            "{json}"
         );
         cluster.shutdown();
     });

@@ -2,8 +2,9 @@
 //!
 //! The benchmark harness: one binary per table/figure of the paper's
 //! evaluation (run with `cargo run -p bench --release --bin fig<N>_...`),
-//! plus Criterion micro-benchmarks of the protocol hot paths
-//! (`cargo bench`).
+//! plus the two Criterion CI gates over the networked runtime
+//! (`cargo bench -p bench --bench runtime_loopback` / `--bench shard_scaling`;
+//! per-layer timings live in `benchmark/src/walk.rs`).
 //!
 //! Every figure binary accepts:
 //!

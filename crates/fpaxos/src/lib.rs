@@ -462,13 +462,11 @@ impl FPaxos {
         while let Some(cmd) = self.decided.get(&self.execute_next).cloned() {
             let slot = self.execute_next;
             self.execute_next += 1;
-            self.base.metrics.executions += 1;
-            let commit_time = self
+            let committed_at = self
                 .commit_times
                 .remove(&slot)
                 .expect("every decided slot records its commit");
-            let waited = time.saturating_sub(commit_time);
-            self.base.metrics.commit_to_execute.record(waited);
+            self.base.metrics.record_execution(Some(committed_at), time);
             if !cmd.is_noop() {
                 // Executed: the forward provably reached a leader and was
                 // ordered; no retry will ever be needed.

@@ -472,13 +472,8 @@ impl Mencius {
             };
             self.execute_next += 1;
             if let Some(cmd) = entry {
-                self.base.metrics.executions += 1;
-                if let Some(commit_time) = self.commit_times.remove(&slot) {
-                    self.base
-                        .metrics
-                        .commit_to_execute
-                        .record(time.saturating_sub(commit_time));
-                }
+                let committed_at = self.commit_times.remove(&slot);
+                self.base.metrics.record_execution(committed_at, time);
                 if !cmd.is_noop() {
                     let dot = Dot::new(self.owner(slot), slot);
                     actions.push(Action::Execute { dot, cmd });

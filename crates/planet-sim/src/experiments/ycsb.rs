@@ -128,7 +128,7 @@ pub fn run_experiment(params: &Params) -> Vec<Point> {
                         0.0
                     },
                     fast_path_ratio: report.fast_path_ratio().unwrap_or(0.0),
-                    commit_to_execute_ms: report.protocol_metrics.commit_to_execute.mean()
+                    commit_to_execute_ms: report.protocol_metrics.commit_to_execute_mean_us()
                         / 1_000.0,
                 });
             }

@@ -10,8 +10,7 @@ use crate::workload::WorkloadSpec;
 use atlas_core::protocol::Time;
 use atlas_core::util::sort_by_distance;
 use atlas_core::{
-    Action, ClientId, Command, Config, Dot, Histogram, ProcessId, Protocol, ProtocolMetrics, Rifl,
-    Topology,
+    Action, ClientId, Command, Config, Dot, ProcessId, Protocol, ProtocolStats, Rifl, Topology,
 };
 use kvstore::{KVStore, Workload};
 use rand::rngs::SmallRng;
@@ -126,13 +125,11 @@ impl SimConfig {
 #[derive(Debug, Clone, Default)]
 pub struct SimReport {
     /// Client-perceived latency of every completed command, in µs.
-    pub latency: Histogram,
+    pub latency: Vec<u64>,
     /// Completion events: (completion time µs, site that served the client).
     pub completions: Vec<(Time, ProcessId)>,
     /// Aggregated protocol metrics over all sites.
-    pub protocol_metrics: ProtocolMetrics,
-    /// Per-site protocol metrics.
-    pub per_site_metrics: Vec<ProtocolMetrics>,
+    pub protocol_metrics: ProtocolStats,
     /// Final key-value store digest per site (crashed sites keep the digest
     /// they had when they crashed).
     pub store_digests: Vec<u64>,
@@ -145,7 +142,11 @@ pub struct SimReport {
 impl SimReport {
     /// Mean client-perceived latency in milliseconds.
     pub fn mean_latency_ms(&self) -> f64 {
-        self.latency.mean() / 1_000.0
+        if self.latency.is_empty() {
+            return 0.0;
+        }
+        let sum: u128 = self.latency.iter().map(|&us| us as u128).sum();
+        sum as f64 / self.latency.len() as f64 / 1_000.0
     }
 
     /// Overall throughput in commands per second.
@@ -202,7 +203,7 @@ struct Client {
     workload: Box<dyn Workload>,
     seq: u64,
     pending: Option<(Rifl, Time, Command)>,
-    latency: Histogram,
+    latency: Vec<u64>,
 }
 
 /// Events processed by the simulator.
@@ -338,7 +339,7 @@ impl<P: Protocol> Simulation<P> {
                     workload: workload_prototype.clone_box(),
                     seq: 0,
                     pending: None,
-                    latency: Histogram::new(),
+                    latency: Vec::new(),
                 });
             }
         }
@@ -571,7 +572,7 @@ impl<P: Protocol> Simulation<P> {
         if *pending_rifl != rifl {
             return;
         }
-        c.latency.record(now - submitted);
+        c.latency.push(now - submitted);
         c.pending = None;
         self.completions.push((now, served_by));
         self.push(now, EventKind::ClientNext { client });
@@ -651,21 +652,14 @@ impl<P: Protocol> Simulation<P> {
     }
 
     fn report(self, duration: Time) -> SimReport {
-        let mut latency = Histogram::new();
-        for client in &self.clients {
-            latency.merge(&client.latency);
-        }
-        let per_site_metrics: Vec<ProtocolMetrics> =
-            self.processes.iter().map(|p| p.metrics().clone()).collect();
-        let mut protocol_metrics = ProtocolMetrics::new();
-        for m in &per_site_metrics {
-            protocol_metrics.merge(m);
+        let mut protocol_metrics = ProtocolStats::default();
+        for process in &self.processes {
+            protocol_metrics.merge(process.metrics());
         }
         SimReport {
-            latency,
+            latency: self.clients.into_iter().flat_map(|c| c.latency).collect(),
             completions: self.completions,
             protocol_metrics,
-            per_site_metrics,
             store_digests: self.stores.iter().map(|s| s.digest()).collect(),
             executed_per_site: self.executed_per_site,
             duration,
@@ -746,7 +740,7 @@ mod tests {
         let a = Simulation::<Atlas>::new(quick_cfg(3, 1, 2)).run();
         let b = Simulation::<Atlas>::new(quick_cfg(3, 1, 2)).run();
         assert_eq!(a.completions, b.completions);
-        assert_eq!(a.latency.samples(), b.latency.samples());
+        assert_eq!(a.latency, b.latency);
     }
 
     #[test]
