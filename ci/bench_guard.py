@@ -3,6 +3,7 @@
 
 Usage: bench_guard.py [<current.json> <baseline.json>] [--max-ratio 3.0]
            [--metrics <file>] [--min-fast-path-ratio 0.9]
+           [--max-allocs-per-cmd 300] [--max-wal-writes-per-cmd 1.5]
            [--fig <BENCH_fig*.json> ...]
 
 Both positional files carry ``{"benches": {"<name>": {"mean_ns": <int>,
@@ -34,6 +35,14 @@ gauge. The job fails when any snapshot's gauge exceeds the ceiling — the
 canary for a pooled wire path silently regressing to per-frame allocation —
 or when no snapshot carries the gauge at all (an uninstalled counting
 allocator must not pass as "zero allocations").
+
+``--max-wal-writes-per-cmd`` gates a count the hypervisor cannot blur: in
+the snapshot the loopback bench labels ``runtime_loopback/put_batch_16``
+(the coordinator of 16-command requests), ``durability.wal_writes`` — one
+per event-loop turn that journaled anything — over ``store_executed`` must
+stay under the ceiling. A replica that writes its journal once per record
+again reads 2 there (a submission and a collect ack per command); one write
+per turn reads about 0.2. A missing snapshot or counter fails the gate.
 
 ``--fig`` ingests the ``BENCH_fig*.json`` artifacts the WAN scenario
 harness (``crates/atlas-runtime/tests/wan_scenarios.rs``) emits: each file
@@ -116,6 +125,33 @@ def check_allocs(path: str, ceiling: float, failures: list) -> None:
         )
 
 
+BATCH_BENCH = "runtime_loopback/put_batch_16"
+
+
+def check_wal_writes(path: str, ceiling: float, failures: list) -> None:
+    """Gates WAL writes per command in the snapshot of the batched loopback
+    bench; fails when that snapshot or its counters are absent."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    batched = [s for s in doc.get("snapshots") or [] if s.get("bench") == BATCH_BENCH]
+    if not batched:
+        failures.append(f"{path}: no snapshot labelled {BATCH_BENCH}")
+    for s in batched:
+        writes = s.get("durability", {}).get("wal_writes")
+        cmds = s.get("store_executed")
+        if not isinstance(writes, int) or not isinstance(cmds, int) or cmds == 0:
+            failures.append(f"{path}: {BATCH_BENCH} lacks wal_writes/store_executed")
+            continue
+        per_cmd = writes / cmds
+        verdict = "FAIL" if per_cmd > ceiling else "ok"
+        print(
+            f"{verdict:4} WAL writes/cmd: {per_cmd:.3f} "
+            f"({writes} writes / {cmds} cmds, ceiling {ceiling:.2f})"
+        )
+        if per_cmd > ceiling:
+            failures.append(f"WAL writes/cmd {per_cmd:.3f} over ceiling {ceiling:.2f}")
+
+
 def check_figure(path: str, failures: list) -> None:
     """Validates one WAN-figure artifact and re-enforces its bounds."""
     with open(path) as fh:
@@ -160,6 +196,7 @@ def main() -> int:
     parser.add_argument("--metrics", default=None)
     parser.add_argument("--min-fast-path-ratio", type=float, default=0.9)
     parser.add_argument("--max-allocs-per-cmd", type=float, default=None)
+    parser.add_argument("--max-wal-writes-per-cmd", type=float, default=None)
     parser.add_argument("--fig", nargs="+", default=None)
     args = parser.parse_args()
 
@@ -192,8 +229,10 @@ def main() -> int:
         check_fast_path(args.metrics, args.min_fast_path_ratio, failures)
         if args.max_allocs_per_cmd is not None:
             check_allocs(args.metrics, args.max_allocs_per_cmd, failures)
-    elif args.max_allocs_per_cmd is not None:
-        parser.error("--max-allocs-per-cmd needs --metrics")
+        if args.max_wal_writes_per_cmd is not None:
+            check_wal_writes(args.metrics, args.max_wal_writes_per_cmd, failures)
+    elif args.max_allocs_per_cmd is not None or args.max_wal_writes_per_cmd is not None:
+        parser.error("--max-allocs-per-cmd and --max-wal-writes-per-cmd need --metrics")
 
     if args.fig is not None:
         for path in expand_figs(args.fig):

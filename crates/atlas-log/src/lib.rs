@@ -33,18 +33,22 @@
 //! [len: u32 LE][crc32(payload): u32 LE][payload: len bytes]
 //! ```
 //!
-//! and appended with a single `write(2)`. On replay, a **torn final record**
+//! Records are **staged** into one buffer ([`Wal::stage_with`] frames them
+//! in place) and written together: one [`Wal::flush`] is one `write(2)`,
+//! however many records it carries. On replay, a **torn final record**
 //! (fewer bytes on disk than the header promises — the signature of a crash
-//! mid-append) is discarded and the file truncated back to the last complete
-//! record; a **CRC mismatch on a complete record** means silent corruption
-//! and fails loudly instead of being papered over.
+//! mid-write; the complete records of the same flush before it survive) is
+//! discarded and the file truncated back to the last complete record; a
+//! **CRC mismatch on a complete record** means silent corruption and fails
+//! loudly instead of being papered over.
 //!
 //! ## Flush policy
 //!
-//! [`FlushPolicy`] controls fsync batching: `Always` fsyncs every append
-//! (maximum durability, slowest), `EveryN(n)` amortizes one fsync over `n`
-//! records, and `OsBuffered` never fsyncs explicitly — data survives process
-//! crashes (the OS holds the pages) but not host power loss.
+//! [`FlushPolicy`] controls fsync batching ([`Wal::sync_if`], after a
+//! flush): `Always` fsyncs every flush (maximum durability, slowest),
+//! `EveryN(n)` amortizes one fsync over `n` records, and `OsBuffered` never
+//! fsyncs explicitly — data survives process crashes (the OS holds the
+//! pages) but not host power loss.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -13,19 +13,25 @@ const DEFAULT_SEGMENT_BYTES: u64 = 4 << 20;
 /// Bytes of framing per record: `len: u32` + `crc: u32`.
 const HEADER_BYTES: u64 = 8;
 
+/// Staging capacity kept across flushes; one oversized record (a 16 MiB
+/// peer frame) must not pin its buffer for the life of the log.
+const STAGE_KEEP_BYTES: usize = 1 << 20;
+
 /// When to fsync the log file.
 ///
-/// Appends always reach the OS immediately (one `write(2)` per record); the
-/// policy only controls how often the file is additionally `fdatasync`ed.
+/// Records reach the OS with the [`Wal::flush`] that follows their staging
+/// (one `write(2)` per flush, however many records it carries); the policy
+/// only controls when [`Wal::sync_if`] additionally `fdatasync`s the file.
 /// Callers that externalize effects derived from a record (acknowledge it
-/// to a peer, mint a fresh identifier from it) should force durability
-/// first via [`Wal::sync_pending`] — the replica runtime does this for
-/// delivery acks and client submissions.
+/// to a peer, mint a fresh identifier from it) force durability first with
+/// `sync_if(true)` — the replica runtime does this once per event-loop turn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushPolicy {
-    /// fsync after every record: full host-power-loss safety, slowest.
+    /// fsync after every flush that wrote a record: full host-power-loss
+    /// safety, slowest.
     Always,
-    /// fsync once every `n` records: bounds what a host power failure can
+    /// fsync once `n` records are written and unsynced: bounds what a host
+    /// power failure can
     /// lose to the last `< n` *un-externalized* records while amortizing
     /// the sync cost. Responses already sent for records lost this way may
     /// be recomputed differently after recovery (peers redeliver the
@@ -64,7 +70,7 @@ pub struct Record {
     /// Position of the record in the log (0-based, monotonically
     /// increasing across segments for the lifetime of the log).
     pub index: u64,
-    /// The opaque payload handed to [`Wal::append`].
+    /// The opaque payload handed to [`Wal::stage`].
     pub payload: Vec<u8>,
 }
 
@@ -76,13 +82,15 @@ pub struct Record {
 /// let dir = TempDir::new("wal-doc").unwrap();
 /// let (mut wal, records) = Wal::open(dir.path(), FlushPolicy::OsBuffered).unwrap();
 /// assert!(records.is_empty()); // fresh directory boots clean
-/// wal.append(b"hello").unwrap();
+/// wal.stage(b"hello");
+/// wal.stage(b"world");
+/// assert!(wal.flush().unwrap()); // both records, one write
 /// drop(wal);
 ///
 /// let (wal, records) = Wal::open(dir.path(), FlushPolicy::OsBuffered).unwrap();
-/// assert_eq!(records.len(), 1);
+/// assert_eq!(records.len(), 2);
 /// assert_eq!(records[0].payload, b"hello");
-/// assert_eq!(wal.next_index(), 1);
+/// assert_eq!(wal.next_index(), 2);
 /// ```
 #[derive(Debug)]
 pub struct Wal {
@@ -95,10 +103,14 @@ pub struct Wal {
     file: File,
     /// Bytes currently in the last segment.
     seg_len: u64,
-    /// Index the next appended record will get.
+    /// Index the next staged record will get.
     next_index: u64,
-    /// Records appended since the last fsync.
-    unsynced: u32,
+    /// Records written since the last fsync.
+    unsynced: u64,
+    /// Framed records staged for the next [`Wal::flush`]; reused.
+    staged: Vec<u8>,
+    /// How many records `staged` holds.
+    staged_records: u64,
 }
 
 fn segment_name(start: u64) -> String {
@@ -193,6 +205,8 @@ impl Wal {
                 seg_len,
                 next_index,
                 unsynced: 0,
+                staged: Vec::new(),
+                staged_records: 0,
             },
             records,
         ))
@@ -254,70 +268,102 @@ impl Wal {
         Ok(index)
     }
 
-    /// Index the next appended record will get (equivalently: the number of
-    /// records ever appended to this log).
+    /// Index the next staged record will get (equivalently: the number of
+    /// records ever staged or appended to this log).
     pub fn next_index(&self) -> u64 {
         self.next_index
     }
 
-    /// Appends one record, returning its index. The record reaches the OS
-    /// before this returns; whether it is also fsynced is up to the
-    /// [`FlushPolicy`].
-    pub fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
+    /// Stages one record for the next [`Wal::flush`] and returns its index:
+    /// `encode` appends the payload to the staging buffer and the framing
+    /// (length, CRC) is filled in around it in place — no copy of the
+    /// payload, no allocation per record. Nothing reaches the file yet.
+    pub fn stage_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> u64 {
+        let start = self.staged.len();
+        self.staged.extend_from_slice(&[0; HEADER_BYTES as usize]);
+        encode(&mut self.staged);
+        let body = start + HEADER_BYTES as usize;
+        assert!(
+            self.staged.len() >= body,
+            "encode shrank the staging buffer"
+        );
+        let len = u32::try_from(self.staged.len() - body).expect("record below 4 GiB");
+        let crc = crc32(&self.staged[body..]);
+        self.staged[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        self.staged[start + 4..body].copy_from_slice(&crc.to_le_bytes());
+        self.staged_records += 1;
+        self.next_index += 1;
+        self.next_index - 1
+    }
+
+    /// [`Wal::stage_with`] for a payload that already exists as bytes.
+    pub fn stage(&mut self, payload: &[u8]) -> u64 {
+        self.stage_with(|buf| buf.extend_from_slice(payload))
+    }
+
+    /// Puts every staged record in the file with **one** `write(2)` and
+    /// reports whether there was anything to write. The segment rotates
+    /// before the write if it is full, never inside it, so one flush lands
+    /// whole in one segment (which may overshoot the rotation threshold by
+    /// that flush). Whether the records are also fsynced is
+    /// [`Wal::sync_if`]'s call.
+    pub fn flush(&mut self) -> io::Result<bool> {
+        if self.staged.is_empty() {
+            return Ok(false);
+        }
         if self.seg_len >= self.segment_bytes {
             self.rotate()?;
         }
-        let index = self.next_index;
-        let mut buf = Vec::with_capacity(HEADER_BYTES as usize + payload.len());
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&crc32(payload).to_le_bytes());
-        buf.extend_from_slice(payload);
-        self.file.write_all(&buf)?;
-        self.seg_len += buf.len() as u64;
-        self.next_index += 1;
-        match self.policy {
-            FlushPolicy::Always => self.sync()?,
-            FlushPolicy::EveryN(n) => {
-                self.unsynced += 1;
-                if self.unsynced >= n {
-                    self.sync()?;
-                }
-            }
-            FlushPolicy::OsBuffered => {}
+        self.file.write_all(&self.staged)?;
+        self.seg_len += self.staged.len() as u64;
+        self.unsynced += self.staged_records;
+        self.staged_records = 0;
+        if self.staged.capacity() > STAGE_KEEP_BYTES {
+            self.staged = Vec::new();
+        } else {
+            self.staged.clear();
         }
+        Ok(true)
+    }
+
+    /// Appends one record write-through — stage, flush, policy sync — and
+    /// returns its index: the single-record convenience over the staged
+    /// path (tools and tests; the replica stages a turn and flushes once).
+    pub fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
+        let index = self.stage(payload);
+        self.flush()?;
+        self.sync_if(false)?;
         Ok(index)
     }
 
-    /// fsyncs the current segment regardless of policy.
+    /// fsyncs what has been written, regardless of policy (staged records
+    /// are not written by this: flush first). The one place the log issues
+    /// `fdatasync`.
     pub fn sync(&mut self) -> io::Result<()> {
         self.file.sync_data()?;
         self.unsynced = 0;
         Ok(())
     }
 
-    /// fsyncs only if records were appended since the last sync — the cheap
-    /// way for a caller to make the log durable before externalizing an
-    /// acknowledgement, without issuing redundant syncs. Under
-    /// [`FlushPolicy::OsBuffered`] the unsynced counter is not maintained
-    /// (the policy promises no fsyncs), so this is a no-op there.
+    /// The policy's fsync, to be called after a flush: syncs when the
+    /// policy says the written records are due ([`FlushPolicy::Always`]: any
+    /// unsynced record; [`FlushPolicy::EveryN`]: `n` of them) or when the
+    /// caller is about to externalize something derived from them (`force`)
+    /// and any are unsynced. Never under [`FlushPolicy::OsBuffered`], which
+    /// trades host-power-loss durability away.
     ///
     /// Returns whether an fsync was actually issued, so callers can meter
     /// fsync count and latency without false samples from the no-op path.
-    pub fn sync_pending(&mut self) -> io::Result<bool> {
-        if self.unsynced > 0 {
+    pub fn sync_if(&mut self, force: bool) -> io::Result<bool> {
+        let due = match self.policy {
+            FlushPolicy::Always => self.unsynced > 0,
+            FlushPolicy::EveryN(n) => self.unsynced >= u64::from(n) || (force && self.unsynced > 0),
+            FlushPolicy::OsBuffered => false,
+        };
+        if due {
             self.sync()?;
-            return Ok(true);
         }
-        Ok(false)
-    }
-
-    /// Records appended since the last fsync. Zero right after an append
-    /// means that append itself issued the sync (always the case under
-    /// [`FlushPolicy::Always`], every `n`-th append under
-    /// [`FlushPolicy::EveryN`]). Not maintained under
-    /// [`FlushPolicy::OsBuffered`], which never syncs.
-    pub fn pending(&self) -> u32 {
-        self.unsynced
+        Ok(due)
     }
 
     /// Number of live segment files (including the active one). Grows with
@@ -327,17 +373,14 @@ impl Wal {
         self.segments.len()
     }
 
-    /// The flush policy the log was opened with.
-    pub fn policy(&self) -> FlushPolicy {
-        self.policy
-    }
-
     /// Closes the current segment and starts a fresh one named after the
-    /// next record index.
+    /// first record it will hold — the oldest staged one: rotation only
+    /// happens at the start of a flush.
     fn rotate(&mut self) -> io::Result<()> {
-        self.file.sync_data()?;
-        self.file = create_segment(&self.dir, self.next_index)?;
-        self.segments.push(self.next_index);
+        self.sync()?;
+        let start = self.next_index - self.staged_records;
+        self.file = create_segment(&self.dir, start)?;
+        self.segments.push(start);
         self.seg_len = 0;
         sync_dir(&self.dir)?;
         Ok(())
@@ -355,9 +398,12 @@ impl Wal {
             fs::remove_file(self.dir.join(segment_name(start)))?;
             removed = true;
         }
-        if self.segments.len() == 1 && index >= self.next_index && self.seg_len > 0 {
+        let none_staged = self.staged_records == 0;
+        if self.segments.len() == 1 && index >= self.next_index && self.seg_len > 0 && none_staged {
             // Everything in the open segment is covered too: replace it with
-            // an empty segment starting at the next index.
+            // an empty segment starting at the next index (a staged record
+            // would belong in the old one, so such a log waits for a later
+            // snapshot instead).
             let start = self.segments[0];
             self.file = create_segment(&self.dir, self.next_index)?;
             self.segments[0] = self.next_index;
@@ -573,6 +619,134 @@ mod tests {
         assert!(records.is_empty());
         assert_eq!(wal.next_index(), 10);
         assert_eq!(wal.append(b"post-snapshot").unwrap(), 10);
+    }
+
+    /// Payload of test record `i`: distinct lengths, so a cut falls in
+    /// every part of some record.
+    fn payload(i: u64) -> Vec<u8> {
+        vec![i as u8; 3 + 5 * i as usize]
+    }
+
+    #[test]
+    fn a_flush_torn_at_any_byte_replays_the_complete_prefix() {
+        let dir = TempDir::new("wal-torn-flush").unwrap();
+        let (mut wal, _) = reopen(dir.path());
+        wal.append(b"before the flush").unwrap();
+        let path = dir.path().join(segment_name(0));
+        let base = fs::metadata(&path).unwrap().len();
+        let mut ends = vec![base];
+        for i in 0..6 {
+            wal.stage(&payload(i));
+            ends.push(ends[i as usize] + HEADER_BYTES + payload(i).len() as u64);
+        }
+        assert_eq!(fs::metadata(&path).unwrap().len(), base, "staging writes");
+        assert!(wal.flush().unwrap());
+        assert!(!wal.flush().unwrap(), "nothing left to write");
+        drop(wal);
+        let whole = fs::read(&path).unwrap();
+        // The on-disk format is the per-record framing, back to back.
+        let mut expected = whole[..base as usize].to_vec();
+        for i in 0..6 {
+            expected.extend_from_slice(&(payload(i).len() as u32).to_le_bytes());
+            expected.extend_from_slice(&crc32(&payload(i)).to_le_bytes());
+            expected.extend_from_slice(&payload(i));
+        }
+        assert_eq!(whole, expected);
+
+        for cut in base..=whole.len() as u64 {
+            fs::write(&path, &whole[..cut as usize]).unwrap();
+            let complete = ends.iter().filter(|&&end| end <= cut).count() as u64 - 1;
+            let (mut wal, records) = reopen(dir.path());
+            assert_eq!(records.len() as u64, 1 + complete, "cut at byte {cut}");
+            for (i, record) in records.iter().skip(1).enumerate() {
+                assert_eq!(record.payload, payload(i as u64), "cut at byte {cut}");
+            }
+            // The log stays appendable: the freed indices are reused.
+            assert_eq!(wal.append(b"after").unwrap(), 1 + complete);
+            drop(wal);
+            let (_, records) = reopen(dir.path());
+            assert_eq!(records.len() as u64, 2 + complete, "cut at byte {cut}");
+            assert_eq!(records.last().unwrap().payload, b"after");
+        }
+    }
+
+    #[test]
+    fn a_flush_lands_whole_in_one_segment() {
+        let dir = TempDir::new("wal-straddle").unwrap();
+        let (mut wal, _) =
+            Wal::open_with_segment_bytes(dir.path(), FlushPolicy::OsBuffered, 64).unwrap();
+        // 40 bytes in: below the threshold, so the next flush stays here
+        // however far it overshoots.
+        wal.append(&[0; 32]).unwrap();
+        for i in 1..=4u8 {
+            wal.stage(&[i; 32]);
+        }
+        wal.flush().unwrap();
+        assert_eq!(wal.segments, [0], "rotation inside a flush");
+        assert_eq!(
+            fs::metadata(dir.path().join(segment_name(0)))
+                .unwrap()
+                .len(),
+            200
+        );
+        // Full now: the next flush rotates first and names the new segment
+        // after its first record, not after the last one staged.
+        wal.stage(&[5; 32]);
+        wal.stage(&[6; 32]);
+        wal.flush().unwrap();
+        assert_eq!(wal.segments, [0, 5]);
+        assert_eq!(
+            fs::metadata(dir.path().join(segment_name(5)))
+                .unwrap()
+                .len(),
+            80
+        );
+        drop(wal);
+        let (wal, records) = reopen(dir.path());
+        assert_eq!(wal.next_index(), 7);
+        assert!(records
+            .iter()
+            .enumerate()
+            .all(|(i, r)| r.index == i as u64 && r.payload == [i as u8; 32]));
+    }
+
+    #[test]
+    fn each_policy_syncs_exactly_when_documented() {
+        /// Stages and flushes `n` records, then asks for the policy's sync.
+        fn turn(wal: &mut Wal, n: usize, force: bool) -> bool {
+            for _ in 0..n {
+                wal.stage(b"record");
+            }
+            wal.flush().unwrap();
+            wal.sync_if(force).unwrap()
+        }
+        let dir = TempDir::new("wal-policies").unwrap();
+        let open = |name: &str, policy| Wal::open(&dir.path().join(name), policy).unwrap().0;
+
+        let mut always = open("always", FlushPolicy::Always);
+        assert!(
+            !turn(&mut always, 0, true),
+            "nothing written, nothing synced"
+        );
+        assert!(turn(&mut always, 3, false), "one sync covers the flush");
+        assert!(!turn(&mut always, 0, true), "already durable");
+
+        let mut every = open("every", FlushPolicy::EveryN(4));
+        assert!(!turn(&mut every, 3, false), "below the horizon");
+        assert!(turn(&mut every, 1, false), "the fourth record crosses it");
+        assert!(!turn(&mut every, 3, false), "the count restarted");
+        assert!(turn(&mut every, 0, true), "forced: three records are owed");
+        assert!(!turn(&mut every, 0, true), "forced with nothing owed");
+        assert!(turn(&mut every, 9, false), "one sync however far past");
+        every.stage(b"staged only");
+        assert!(
+            !every.sync_if(true).unwrap(),
+            "unwritten records owe no sync"
+        );
+
+        let mut os = open("os", FlushPolicy::OsBuffered);
+        assert!(!turn(&mut os, 100, false));
+        assert!(!turn(&mut os, 1, true), "the policy promises no fsyncs");
     }
 
     #[test]

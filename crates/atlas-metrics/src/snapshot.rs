@@ -106,6 +106,10 @@ pub struct DurabilityStats {
     /// Snapshots that fell due while the writer was busy and were folded
     /// into the next cut.
     pub snapshots_coalesced: u64,
+    /// `write(2)` calls that put journal records in the WAL: one per
+    /// event-loop turn that journaled anything, however many records it
+    /// carried. Appended at the tail (positional serde).
+    pub wal_writes: u64,
 }
 
 /// Failure-detector and recovery counters.
@@ -146,6 +150,9 @@ pub struct LinkSnapshot {
     pub dropped: u64,
     /// Frames rewritten after a reconnect (retransmissions).
     pub resent: u64,
+    /// Socket writes the link writer issued (frames that were due together
+    /// share one). Appended at the tail (positional serde).
+    pub writes: u64,
 }
 
 /// One executor shard's telemetry: dispatch/completion counters (their
@@ -352,8 +359,8 @@ impl MetricsSnapshot {
         o.push_str(",\"snapshot_write_us\":");
         push_summary(&mut o, &d.snapshot_write_us);
         o.push_str(&format!(
-            ",\"snapshot_bytes\":{},\"snapshots_coalesced\":{}}}",
-            d.snapshot_bytes, d.snapshots_coalesced
+            ",\"snapshot_bytes\":{},\"snapshots_coalesced\":{},\"wal_writes\":{}}}",
+            d.snapshot_bytes, d.snapshots_coalesced, d.wal_writes
         ));
 
         o.push_str(&format!(
@@ -379,8 +386,8 @@ impl MetricsSnapshot {
                 o.push(',');
             }
             o.push_str(&format!(
-                "{{\"peer\":{},\"connected\":{},\"reconnecting\":{},\"buffered\":{},\"dropped\":{},\"resent\":{}}}",
-                link.peer, link.connected, link.reconnecting, link.buffered, link.dropped, link.resent
+                "{{\"peer\":{},\"connected\":{},\"reconnecting\":{},\"buffered\":{},\"dropped\":{},\"resent\":{},\"writes\":{}}}",
+                link.peer, link.connected, link.reconnecting, link.buffered, link.dropped, link.resent, link.writes
             ));
         }
         o.push(']');
@@ -451,10 +458,12 @@ mod tests {
         s.durability.snapshot_write_us.record(9_000);
         s.durability.snapshot_bytes = 4_096;
         s.durability.snapshots_coalesced = 2;
+        s.durability.wal_writes = 17;
         s.gc.horizon = vec![(1, 5), (2, 3)];
         s.links.push(LinkSnapshot {
             peer: 2,
             connected: true,
+            writes: 5,
             ..Default::default()
         });
         s.epoch = 2;
@@ -504,9 +513,10 @@ mod tests {
             "\"submit_to_replied\":{\"count\":3",
             "\"snapshots_saved\":3,\"snapshot_cut_us\":{\"count\":1",
             "\"snapshot_write_us\":{\"count\":1",
-            "\"snapshot_bytes\":4096,\"snapshots_coalesced\":2}",
+            "\"snapshot_bytes\":4096,\"snapshots_coalesced\":2,\"wal_writes\":17}",
             "\"horizon\":[[1,5],[2,3]]",
             "\"peer\":2",
+            "\"resent\":0,\"writes\":5}",
             "\"epoch\":2",
             "\"executor\":{\"shards_configured\":4",
             "\"queue_depth\":2,\"execute_us\":{\"count\":1",

@@ -111,7 +111,7 @@ async fn poll(
 
 fn render(addrs: &[SocketAddr], snapshots: &[Option<MetricsSnapshot>]) {
     println!(
-        "{:<3} {:<8} {:>8} {:>10} {:>9} {:>9} {:>9} {:>6} {:>8} {:>7} {:>5} {:>7}",
+        "{:<3} {:<8} {:>8} {:>10} {:>9} {:>9} {:>9} {:>6} {:>8} {:>7} {:>5} {:>7} {:>8} {:>8}",
         "id",
         "proto",
         "uptime",
@@ -123,7 +123,9 @@ fn render(addrs: &[SocketAddr], snapshots: &[Option<MetricsSnapshot>]) {
         "tracked",
         "gc",
         "takeo",
-        "links"
+        "links",
+        "wal-wr",
+        "sock-wr"
     );
     let mut merged = BoundedHistogram::new();
     for (i, snapshot) in snapshots.iter().enumerate() {
@@ -139,8 +141,9 @@ fn render(addrs: &[SocketAddr], snapshots: &[Option<MetricsSnapshot>]) {
             None => "    -".to_string(),
         };
         let up = s.links.iter().filter(|l| l.connected).count();
+        let socket_writes: u64 = s.links.iter().map(|l| l.writes).sum();
         println!(
-            "{id:<3} {:<8} {:>7}s {:>10} {:>9} {:>9.2} {:>9.2} {fast} {:>8} {:>7} {:>5} {:>4}/{}",
+            "{id:<3} {:<8} {:>7}s {:>10} {:>9} {:>9.2} {:>9.2} {fast} {:>8} {:>7} {:>5} {:>4}/{} {:>8} {:>8}",
             s.protocol,
             s.uptime_us / 1_000_000,
             s.lifecycle.submitted,
@@ -152,6 +155,8 @@ fn render(addrs: &[SocketAddr], snapshots: &[Option<MetricsSnapshot>]) {
             s.detector.takeovers,
             up,
             s.links.len(),
+            s.durability.wal_writes,
+            socket_writes,
         );
     }
     if !merged.is_empty() {

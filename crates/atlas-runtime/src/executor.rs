@@ -523,6 +523,13 @@ impl ExecutorPool {
     }
 }
 
+/// A released turn's commands are dispatched in protocol order.
+impl crate::turn::Execute<(Command, ExecCtx)> for ExecutorPool {
+    fn execute(&mut self, (cmd, ctx): (Command, ExecCtx)) {
+        self.dispatch(cmd, ctx);
+    }
+}
+
 /// Sorts a command's output map by key (the reply wire order).
 fn sorted_outputs(outputs: std::collections::HashMap<Key, Output>) -> Vec<(Key, Output)> {
     let mut outputs: Vec<_> = outputs.into_iter().collect();

@@ -4,8 +4,10 @@
 //! **snapshots**, both kept under one data directory by `atlas-log`:
 //!
 //! * every protocol-relevant input — a client [`JournalRecord::Submit`] or a
-//!   peer [`JournalRecord::Peer`] message — is appended to the write-ahead
-//!   log *before* the protocol processes it. Protocols are deterministic
+//!   peer [`JournalRecord::Peer`] message — is staged for the write-ahead
+//!   log *before* the protocol processes it, and written (one `write` per
+//!   event-loop turn, see `turn.rs`) before anything derived from it
+//!   leaves the replica. Protocols are deterministic
 //!   state machines (wall-clock time only feeds metrics), so replaying the
 //!   journaled inputs in order reconstructs exactly the state the previous
 //!   incarnation reached — including the dots it assigned, the dependencies
@@ -15,7 +17,7 @@
 //!   protocol's [`save_state`](atlas_core::Protocol::save_state), the
 //!   key–value store and the execution record) in three steps, of which
 //!   only the first runs on the event loop:
-//!   1. **cut** (`Journal::save_snapshot`): at an event boundary — every
+//!   1. **cut** (`Journal::save_snapshot`): at a turn boundary — every
 //!      journaled record applied — the loop copies its state, fsyncs the
 //!      WAL and stamps the copy with the WAL's next index;
 //!   2. **write**: the journal's writer thread serialises the cut and
@@ -37,6 +39,7 @@
 //! [`crate::replica`]).
 
 use crate::metrics::ReplicaMetrics;
+use crate::turn::Log;
 use atlas_core::{ClusterView, Command, Dot, ProcessId, Rifl};
 use atlas_log::{FlushPolicy, SnapshotStore, Wal};
 use kvstore::KVStore;
@@ -264,42 +267,6 @@ impl Journal {
         ))
     }
 
-    /// Appends one input record (write-ahead: call this *before* handing the
-    /// input to the protocol). An append that itself fsyncs — every one
-    /// under [`FlushPolicy::Always`], every `n`-th under
-    /// [`FlushPolicy::EveryN`] — is metered here, because
-    /// [`Journal::make_durable`] never sees that sync as pending.
-    pub fn append(&mut self, record: &JournalRecord) -> io::Result<()> {
-        let t0 = Instant::now();
-        let bytes = bincode::serialize(record).expect("journal records always encode");
-        self.wal.append(&bytes)?;
-        let metrics = &self.disk.host.metrics;
-        metrics.journal_records.inc();
-        if !matches!(self.wal.policy(), FlushPolicy::OsBuffered) && self.wal.pending() == 0 {
-            self.disk.fsynced(t0);
-        }
-        self.since_snapshot += 1;
-        if self.since_snapshot == self.snapshot_every && self.in_flight.is_some() {
-            metrics.snapshots_coalesced.inc();
-        }
-        Ok(())
-    }
-
-    /// Makes every appended record durable before an effect derived from it
-    /// is externalized — a delivery ack (the peer then drops the record
-    /// from its resend buffer forever) or a freshly minted command
-    /// identifier (reissuing it after losing the record would be unsound).
-    /// Under [`FlushPolicy::OsBuffered`] this is a no-op — that policy
-    /// explicitly trades host-power-loss durability away (process crashes
-    /// are still covered by the page cache). Only real syncs are metered.
-    pub fn make_durable(&mut self) -> io::Result<()> {
-        let t0 = Instant::now();
-        if self.wal.sync_pending()? {
-            self.disk.fsynced(t0);
-        }
-        Ok(())
-    }
-
     /// Number of live WAL segment files (compaction health metric).
     pub fn wal_segments(&self) -> usize {
         self.wal.segment_count()
@@ -324,7 +291,7 @@ impl Journal {
     }
 
     /// Takes `snapshot` — the replica's state after applying **every**
-    /// record journaled so far, so only ever cut at an event boundary — as
+    /// record journaled so far, so only ever cut at a turn boundary — as
     /// covering the journal up to here, and hands it to the writer thread;
     /// [`Journal::snapshot_written`] finishes the job when the writer
     /// reports. `cut_started` is when the caller began copying its state:
@@ -346,6 +313,7 @@ impl Journal {
         inline: bool,
     ) -> io::Result<()> {
         debug_assert!(self.in_flight.is_none(), "one snapshot in flight at most");
+        self.write()?; // nothing is staged at a turn boundary; cheap to be sure
         let t0 = Instant::now();
         self.wal.sync()?;
         self.disk.fsynced(t0);
@@ -395,6 +363,42 @@ impl Journal {
     }
 }
 
+impl Log for Journal {
+    /// Encodes `record` straight into the WAL's staging buffer (write-ahead:
+    /// call this *before* handing the input to the protocol).
+    fn stage(&mut self, record: &JournalRecord) {
+        self.wal.stage_with(|buf| {
+            bincode::serialize_into(buf, record).expect("journal records always encode")
+        });
+        let metrics = &self.disk.host.metrics;
+        metrics.journal_records.inc();
+        self.since_snapshot += 1;
+        if self.since_snapshot == self.snapshot_every && self.in_flight.is_some() {
+            metrics.snapshots_coalesced.inc();
+        }
+    }
+
+    fn write(&mut self) -> io::Result<()> {
+        if self.wal.flush()? {
+            self.disk.host.metrics.wal_writes.inc();
+        }
+        Ok(())
+    }
+
+    /// The flush policy's fsync of what was written (`force`: an ack or a
+    /// fresh identifier is about to leave). Under
+    /// [`FlushPolicy::OsBuffered`] this is a no-op — that policy explicitly
+    /// trades host-power-loss durability away (process crashes are still
+    /// covered by the page cache). Only real syncs are metered.
+    fn sync(&mut self, force: bool) -> io::Result<()> {
+        let t0 = Instant::now();
+        if self.wal.sync_if(force)? {
+            self.disk.fsynced(t0);
+        }
+        Ok(())
+    }
+}
+
 impl Drop for Journal {
     /// Waits for the writer to finish the cut it holds (it publishes
     /// nothing once the stop flag is set), so no write outlives the journal
@@ -413,6 +417,12 @@ impl Drop for Journal {
 mod tests {
     use super::*;
     use atlas_log::TempDir;
+
+    /// Journals one record the way a one-event turn does: stage, write.
+    fn append(journal: &mut Journal, record: &JournalRecord) {
+        journal.stage(record);
+        journal.write().unwrap();
+    }
 
     fn submit(n: u64) -> JournalRecord {
         JournalRecord::Submit {
@@ -459,19 +469,21 @@ mod tests {
         let (mut journal, snap, records) = open(&dir, 0);
         assert!(snap.is_none());
         assert!(records.is_empty());
-        journal.append(&submit(1)).unwrap();
-        journal
-            .append(&JournalRecord::Peer {
+        append(&mut journal, &submit(1));
+        append(
+            &mut journal,
+            &JournalRecord::Peer {
                 from: 2,
                 payload: vec![1, 2, 3],
-            })
-            .unwrap();
-        journal.append(&JournalRecord::Suspect { peer: 3 }).unwrap();
-        journal
-            .append(&JournalRecord::Gc {
+            },
+        );
+        append(&mut journal, &JournalRecord::Suspect { peer: 3 });
+        append(
+            &mut journal,
+            &JournalRecord::Gc {
                 horizon: vec![(1, 9), (2, 4)],
-            })
-            .unwrap();
+            },
+        );
         drop(journal);
 
         let (_, snap, records) = open(&dir, 0);
@@ -499,14 +511,14 @@ mod tests {
         let dir = TempDir::new("journal-snap").unwrap();
         let (mut journal, _, _) = open(&dir, 3);
         for i in 0..3 {
-            journal.append(&submit(i)).unwrap();
+            append(&mut journal, &submit(i));
         }
         assert!(journal.snapshot_due());
         journal
             .save_snapshot(snapshot(9), Instant::now(), true)
             .unwrap();
         assert!(!journal.snapshot_due());
-        journal.append(&submit(7)).unwrap();
+        append(&mut journal, &submit(7));
         drop(journal);
 
         let (_, snap, records) = open(&dir, 3);
@@ -536,7 +548,7 @@ mod tests {
         let (mut journal, _, _) =
             Journal::open(dir.path(), FlushPolicy::OsBuffered, 3, host).unwrap();
         for i in 0..3 {
-            journal.append(&submit(i)).unwrap();
+            append(&mut journal, &submit(i));
         }
         assert!(journal.snapshot_due());
         journal
@@ -552,7 +564,7 @@ mod tests {
         assert_eq!(metrics.snapshots_saved.get(), 1);
 
         for i in 3..6 {
-            journal.append(&submit(i)).unwrap();
+            append(&mut journal, &submit(i));
         }
         journal
             .save_snapshot(snapshot(2), Instant::now(), false)
@@ -560,7 +572,7 @@ mod tests {
         // Cadence and a GC round both fall due while that one is in flight
         // (in flight until the loop has seen the report): neither is taken.
         for i in 6..9 {
-            journal.append(&submit(i)).unwrap();
+            append(&mut journal, &submit(i));
         }
         journal.want_snapshot();
         assert!(!journal.snapshot_due(), "one snapshot in flight at most");
@@ -599,8 +611,8 @@ mod tests {
         let stop = Arc::clone(&host.stop);
         let (mut journal, _, _) =
             Journal::open(dir.path(), FlushPolicy::OsBuffered, 2, host).unwrap();
-        journal.append(&submit(0)).unwrap();
-        journal.append(&submit(1)).unwrap();
+        append(&mut journal, &submit(0));
+        append(&mut journal, &submit(1));
         stop.store(true, Ordering::Relaxed);
         journal
             .save_snapshot(snapshot(1), Instant::now(), false)
@@ -626,7 +638,7 @@ mod tests {
             view: ClusterView::at(4, [1, 2, 4, 5, 6], 2),
             addrs: (1..=6).map(|i| (i, format!("h:{i}"))).collect(),
         };
-        journal.append(&record).unwrap();
+        append(&mut journal, &record);
         drop(journal);
 
         let (_, _, records) = open(&dir, 0);

@@ -18,9 +18,9 @@
 //!
 //! | `Action` | runtime effect |
 //! |---|---|
-//! | `Send { targets, msg }`, remote target | `msg` is bincode-encoded once, wrapped in a length-prefixed [`wire::PeerFrame`], and queued on the reconnecting [`transport::PeerLink`] to each target |
+//! | `Send { targets, msg }`, remote target | `msg` is bincode-encoded once, wrapped in a length-prefixed [`wire::PeerFrame`], and handed to the reconnecting [`transport::PeerLink`] to each target with the rest of the event-loop turn's frames for it (one hand-off, one socket write) |
 //! | `Send { .. }`, own id among targets | delivered back into `Protocol::handle` with zero delay, before the next event is taken (the paper's "self-addressed messages are delivered immediately") |
-//! | `Execute { dot, cmd }` | `cmd` is applied to the local KVS, `dot` is appended to the replica's execution record, and — if the submitting client's session lives on this replica — a [`wire::ClientReply::Executed`] is pushed to it |
+//! | `Execute { dot, cmd }` | `dot` is appended to the replica's execution record; when the turn's journal records are written `cmd` is applied to the local KVS and — if the submitting client's session lives on this replica — a [`wire::ClientReply::Executed`] is pushed to it |
 //! | `Commit { dot }` | bookkeeping only; clients are answered at execution time |
 //!
 //! Inbound, the runtime turns every network event back into protocol inputs:
@@ -33,8 +33,10 @@
 //!
 //! With [`ReplicaConfig::data_dir`](replica::ReplicaConfig) set, a replica
 //! journals every protocol input (client submissions, peer messages) to a
-//! write-ahead log **before** processing it — a client request as a unit,
-//! with one fsync — and periodically checkpoints its full state —
+//! write-ahead log — staged **before** processing it, written with one
+//! `write` per event-loop turn before anything derived from it leaves, a
+//! client request as a unit with one fsync — and periodically checkpoints
+//! its full state —
 //! [`Protocol::save_state`](atlas_core::Protocol), the KVS, the execution
 //! record: the event loop takes the cut, a writer thread persists it, and
 //! the loop then truncates the journal prefix the snapshot covers. A
@@ -110,7 +112,10 @@
 //!   detector and GC counters, exported as a
 //!   [`MetricsSnapshot`] over the stats plane;
 //! * [`replica`] — the event loop, acceptor, peer readers, client sessions
-//!   and ticker;
+//!   and ticker; its private `turn` module is the loop's unit of I/O — the
+//!   outbox that holds a turn's frames, acks and executions until the
+//!   turn's journal records are written (the write-ahead rule, in one
+//!   place);
 //! * [`client`] — closed-loop ([`Client`]) and open-loop
 //!   ([`OpenLoopClient`]) drivers with per-command latency capture;
 //! * [`cluster`] — [`Cluster`], a harness booting an n-replica localhost
@@ -147,6 +152,7 @@ pub mod metrics;
 pub mod netem;
 pub mod replica;
 pub mod transport;
+mod turn;
 pub mod wire;
 
 pub use client::{Client, OpenLoopClient};

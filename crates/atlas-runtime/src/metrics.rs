@@ -87,6 +87,8 @@ pub struct ReplicaMetrics {
 
     /// Records appended to the input journal (all kinds, not just submits).
     pub journal_records: Counter,
+    /// `write` calls that put those records in the WAL (one per flush).
+    pub wal_writes: Counter,
     /// fsyncs actually issued, by the WAL and by the snapshot writer (no-op
     /// syncs are not counted).
     pub fsyncs: Counter,
@@ -196,6 +198,7 @@ impl ReplicaMetrics {
             snapshot_write_us: self.snapshot_write_us.load(),
             snapshot_bytes: self.snapshot_bytes.get(),
             snapshots_coalesced: self.snapshots_coalesced.get(),
+            wal_writes: self.wal_writes.get(),
         }
     }
 

@@ -8,7 +8,8 @@
 //! runs it itself, so a command's chain is one thread, not a hop per task):
 //!
 //! * the **event loop** (this module's heart) — single owner of all mutable
-//!   protocol state; consumes events from one mpsc queue;
+//!   protocol state; consumes events from one mpsc queue, a
+//!   *turn* of ready events at a time (`turn.rs`);
 //! * an **acceptor** on the replica's listen address; each inbound connection
 //!   identifies itself with a [`Hello`] frame and becomes a peer reader, a
 //!   client session, or a one-shot catch-up exchange;
@@ -25,13 +26,13 @@
 //!
 //! ## Durability and crash recovery
 //!
-//! With [`ReplicaConfig::data_dir`] set, every protocol input is journaled
-//! **before** it reaches the protocol (see [`crate::journal`]). A client
-//! request is journaled as a unit — all its records, one fsync, then each
-//! command through the protocol in order — so nothing derived from a
-//! record (an identifier, an ack) leaves before the record is durable, at
-//! one disk wait per request. Every [`ReplicaConfig::snapshot_every`]
-//! records the loop takes a **cut** of its full state between two events;
+//! With [`ReplicaConfig::data_dir`] set, every protocol input is staged for
+//! the journal **before** it reaches the protocol (see [`crate::journal`])
+//! and what the protocol makes of it is held until the turn's records are
+//! written: `turn.rs` states that rule and alone enforces it. A
+//! client request costs one disk wait, before its first command is
+//! proposed. Every [`ReplicaConfig::snapshot_every`]
+//! records the loop takes a **cut** of its full state between two turns;
 //! the journal's writer thread serialises and syncs it, and the loop
 //! truncates the journal when the writer reports. On startup the replica
 //! restores the latest snapshot, replays the journal suffix — re-emitting
@@ -96,6 +97,7 @@ use crate::journal::{corrupt, Host, Journal, JournalRecord, ReplicaSnapshot};
 use crate::metrics::ReplicaMetrics;
 use crate::netem::NetProfile;
 use crate::transport::{PeerLink, DEFAULT_RESEND_BUFFER_CAP};
+use crate::turn::{Outbox, TURN_EVENTS};
 use crate::wire::{
     append_frame, decode_payload, decode_peer_frame, frame_payload_into, read_frame, write_frame,
     CatchUpChunk, CatchUpPayload, ClientReply, ClientRequest, EpochUpdate, FrameReader, Hello,
@@ -119,10 +121,6 @@ use tokio::io::AsyncWriteExt;
 use tokio::net::tcp::{OwnedReadHalf, OwnedWriteHalf};
 use tokio::net::{TcpListener, TcpStream};
 use tokio::sync::mpsc::{self, UnboundedReceiver, UnboundedSender};
-
-/// Send a cumulative delivery ack at latest after this many received
-/// message frames (ticks flush earlier).
-const ACK_EVERY: u64 = 64;
 
 /// Re-announce the configuration epoch to peers whose frames still carry an
 /// older one every this many ticks — the repair path for a replica (or
@@ -675,15 +673,6 @@ async fn ticker<M>(period: Duration, event_tx: UnboundedSender<Event<M>>, stop: 
     }
 }
 
-/// Per-peer inbound delivery bookkeeping (for outgoing acks).
-#[derive(Debug, Default)]
-struct AckState {
-    /// Sequence of the most recently received message frame.
-    last_seen: u64,
-    /// Message frames received since the last ack we sent.
-    unacked: u64,
-}
-
 /// The single-threaded owner of all replica state: the protocol state
 /// machine, the store, the execution record, the client reply routes, the
 /// journal and the outbound links.
@@ -699,7 +688,8 @@ struct Core<P: Protocol> {
     log: Vec<(Dot, Rifl)>,
     sessions: HashMap<ClientId, UnboundedSender<ClientReply>>,
     journal: Option<Journal>,
-    acks: HashMap<ProcessId, AckState>,
+    /// What the current turn produced and still holds ([`crate::turn`]).
+    outbox: Outbox<(Command, ExecCtx)>,
     detector: Option<FailureDetector>,
     start: Instant,
     /// GC cadence in ticks (0 = disabled) and chunk budget for catch-up
@@ -835,7 +825,7 @@ where
             log: Vec::new(),
             sessions: HashMap::new(),
             journal: None,
-            acks: HashMap::new(),
+            outbox: Outbox::new(),
             detector,
             start,
             gc_every: cfg.gc_every,
@@ -904,14 +894,15 @@ where
         self.start.elapsed().as_micros() as u64
     }
 
-    /// Write-ahead append (no-op for an ephemeral replica).
-    fn journal_append(&mut self, record: &JournalRecord) -> io::Result<()> {
-        self.journal.as_mut().map_or(Ok(()), |j| j.append(record))
+    /// [`Outbox::stage`] into this replica's journal.
+    fn stage(&mut self, record: &JournalRecord, minting: bool) {
+        self.outbox.stage(self.journal.as_mut(), record, minting);
     }
 
-    /// [`Journal::make_durable`] (no-op for an ephemeral replica).
-    fn make_durable(&mut self) -> io::Result<()> {
-        self.journal.as_mut().map_or(Ok(()), Journal::make_durable)
+    /// [`Outbox::release`]: ends a turn, and precedes a barrier or observer.
+    fn release(&mut self) -> io::Result<()> {
+        self.outbox
+            .release(self.journal.as_mut(), &self.links, &mut self.exec)
     }
 
     /// Re-applies one journaled input during recovery. Replay passes time 0:
@@ -920,13 +911,13 @@ where
         match record {
             JournalRecord::Submit { cmd } => {
                 let actions = self.protocol.submit(cmd, 0);
-                self.perform(actions, 0);
+                self.perform(actions, 0)?;
             }
             JournalRecord::Peer { from, payload } => {
                 let msg = bincode::deserialize::<P::Message>(&payload)
                     .map_err(|e| corrupt(format!("journaled message no longer decodes: {e}")))?;
                 let actions = self.protocol.handle(from, msg, 0);
-                self.perform(actions, 0);
+                self.perform(actions, 0)?;
             }
             JournalRecord::Advance { past } => self.protocol.advance_identifiers(past),
             JournalRecord::Gc { horizon } => {
@@ -952,10 +943,10 @@ where
                 // reissues the same recovery ballots (and the promises they
                 // imply), which is precisely why suspicions are journaled.
                 let actions = self.protocol.suspect(peer, 0);
-                self.perform(actions, 0);
+                self.perform(actions, 0)?;
             }
         }
-        Ok(())
+        self.release()
     }
 
     /// Records inbound evidence that `peer` is alive.
@@ -976,24 +967,21 @@ where
 
     /// The failure detector reported `peer` silent past the threshold:
     /// journal the suspicion (it is a protocol input — it can mint recovery
-    /// ballots whose promises must survive a crash), make it durable before
-    /// any `MRec` it produces is externalized (reissuing a recovery ballot
-    /// for a different proposal after losing the record would be unsound
-    /// Paxos), then let the protocol take over the peer's in-flight
-    /// commands.
+    /// ballots whose promises must survive a crash, so it is staged as
+    /// minting: reissuing a recovery ballot for a different proposal after
+    /// losing the record would be unsound Paxos), then let the protocol
+    /// take over the peer's in-flight commands.
     fn dispatch_suspect(&mut self, peer: ProcessId) -> io::Result<()> {
         eprintln!(
             "replica {}: suspecting replica {peer} (silent past threshold); \
              recovering its in-flight commands",
             self.id
         );
-        self.journal_append(&JournalRecord::Suspect { peer })?;
-        self.make_durable()?;
+        self.stage(&JournalRecord::Suspect { peer }, true);
         self.metrics.takeovers.inc();
         let now = self.now();
         let actions = self.protocol.suspect(peer, now);
-        self.perform(actions, now);
-        Ok(())
+        self.perform(actions, now)
     }
 
     /// A local client submitted the request `cmds`. This replica owns each
@@ -1008,18 +996,13 @@ where
     ) -> io::Result<()> {
         let t0 = self.now();
         self.metrics.submitted.add(cmds.len() as u64);
-        // Write-ahead for the whole request, then **one** sync. A
-        // submission mints a *new* command identifier that is about to
-        // reach peers; were its journal record lost to a power failure, the
-        // restarted replica would reissue the identifier for a different
-        // command — unsound, not merely lossy. So every record is durable
-        // before the first identifier is externalized (`Always` synced each
-        // append already; `OsBuffered` opts out of power-loss safety). The
-        // batch stops at the request: journal order is apply order.
+        // The early flush: the request's records are written and synced as
+        // a unit before the protocol sees the first command, so
+        // `journaled` precedes `proposed` for every one of them.
         for cmd in &cmds {
-            self.journal_append(&JournalRecord::Submit { cmd: cmd.clone() })?;
+            self.stage(&JournalRecord::Submit { cmd: cmd.clone() }, true);
         }
-        self.make_durable()?;
+        self.outbox.flush(self.journal.as_mut())?;
         if self.journal.is_some() {
             let journaled = stage_us(t0, self.now());
             for _ in &cmds {
@@ -1042,7 +1025,7 @@ where
             let now = self.now();
             self.metrics.submit_to_proposed.record(stage_us(t0, now));
             let actions = self.protocol.submit(cmd, now);
-            self.perform(actions, now);
+            self.perform(actions, now)?;
         }
         Ok(())
     }
@@ -1067,44 +1050,24 @@ where
         }
         self.note_peer_epoch(from, epoch);
         self.heard(from);
-        // Write-ahead: once we ack this frame the peer may drop it forever,
-        // so it must hit the journal before the protocol (and the ack).
-        self.journal_append(&JournalRecord::Peer { from, payload })?;
+        self.stage(&JournalRecord::Peer { from, payload }, false);
+        if seq > 0 {
+            self.outbox.received(from, seq);
+        }
         let now = self.now();
         let actions = self.protocol.handle(from, msg, now);
-        self.perform(actions, now);
-        if seq > 0 {
-            let state = self.acks.entry(from).or_default();
-            state.last_seen = seq;
-            state.unacked += 1;
-            if state.unacked >= ACK_EVERY {
-                self.send_ack(from)?;
-            }
-        }
-        Ok(())
+        self.perform(actions, now)
     }
 
-    /// Sends the pending cumulative ack to `peer` — after making the
-    /// journaled records durable: the ack releases the peer's resend
-    /// buffer, so it must never outrun the fsync horizon (under
-    /// `FlushPolicy::OsBuffered` the sync is a deliberate no-op and the
-    /// durability caveat is the policy's, not the ack's).
-    fn send_ack(&mut self, peer: ProcessId) -> io::Result<()> {
-        self.make_durable()?;
-        if let (Some(link), Some(state)) = (self.links.get(&peer), self.acks.get_mut(&peer)) {
-            link.send_ack(state.last_seen);
-            state.unacked = 0;
-        }
-        Ok(())
-    }
-
-    /// Periodic tick: flush pending acks, probe (heartbeat) every outbound
+    /// Periodic tick: owe every pending ack, probe (heartbeat) every outbound
     /// link, advance the failure detector — suspicions it reports are
     /// journaled and dispatched to [`Protocol::suspect`] right here, through
     /// the same action pipeline as every other protocol input — and, on the
     /// GC cadence, exchange executed watermarks and run a garbage-collection
     /// round.
     fn tick(&mut self) -> io::Result<()> {
+        // The tick observes (watermark reports, the metrics dump).
+        self.release()?;
         self.ticks += 1;
         // Sessions whose reply channel an executor thread found closed are
         // reported back here and dropped on the protocol thread, which owns
@@ -1115,15 +1078,7 @@ where
         if self.gc_every > 0 && self.ticks.is_multiple_of(self.gc_every) {
             self.gc_round()?;
         }
-        let pending: Vec<ProcessId> = self
-            .acks
-            .iter()
-            .filter(|(_, state)| state.unacked > 0)
-            .map(|(&peer, _)| peer)
-            .collect();
-        for peer in pending {
-            self.send_ack(peer)?;
-        }
+        self.outbox.ack_all();
         // Heartbeat every link (self-suppressed while a link is
         // mid-reconnect): keeps silently dead connections surfacing *and*
         // gives idle-but-alive peers the traffic their detectors listen for.
@@ -1225,9 +1180,10 @@ where
             return Ok(()); // nothing advanced since the last round
         }
         horizon.sort_unstable();
-        self.journal_append(&JournalRecord::Gc {
+        let record = JournalRecord::Gc {
             horizon: horizon.clone(),
-        })?;
+        };
+        self.stage(&record, false);
         let dropped = self.protocol.gc_executed(&horizon);
         self.metrics.gc_rounds.inc();
         self.metrics.gc_entries_dropped.add(dropped);
@@ -1347,33 +1303,39 @@ where
     /// path. A crash before that snapshot only loses un-journaled catch-up
     /// progress, which restarting with catch-up enabled (the documented flow
     /// for a wiped replica: rerun the same command line) simply redoes.
-    fn apply_catch_up_msgs(&mut self, peer: ProcessId, msgs: Vec<Vec<u8>>) {
+    fn apply_catch_up_msgs(&mut self, peer: ProcessId, msgs: Vec<Vec<u8>>) -> io::Result<()> {
         for payload in msgs {
             let Ok(msg) = bincode::deserialize::<P::Message>(&payload) else {
                 continue; // peer speaking another protocol version
             };
             let now = self.now();
             let actions = self.protocol.handle(peer, msg, now);
-            self.perform(actions, now);
+            self.perform(actions, now)?;
         }
+        Ok(())
     }
 
-    /// Answers an execution-record query. The digest drains the executor
-    /// pool, so the reply reflects everything protocol-ordered so far —
-    /// a client that observed a reply can never see a digest that predates
-    /// the replied command.
-    fn query(&self, session: UnboundedSender<ClientReply>) {
+    /// Answers an execution-record query. An observer: the turn so far is
+    /// released first and the digest drains the executor pool, so the reply
+    /// reflects everything protocol-ordered so far — a client that observed
+    /// a reply can never see a digest that predates the replied command.
+    fn query(&mut self, session: UnboundedSender<ClientReply>) -> io::Result<()> {
+        self.release()?;
         let _ = session.send(ClientReply::ExecutionLog {
             entries: self.log.clone(),
             digest: self.exec.digest(),
         });
+        Ok(())
     }
 
-    /// Answers a stats query with the full metrics snapshot.
-    fn stats(&self, session: UnboundedSender<ClientReply>) {
+    /// Answers a stats query with the full metrics snapshot (an observer
+    /// too: counters and store agree only once the turn is released).
+    fn stats(&mut self, session: UnboundedSender<ClientReply>) -> io::Result<()> {
+        self.release()?;
         let _ = session.send(ClientReply::Stats {
             snapshot: Box::new(self.metrics_snapshot()),
         });
+        Ok(())
     }
 
     /// Assembles the export snapshot: the registry's counters/histograms,
@@ -1418,9 +1380,9 @@ where
     }
 
     /// Cuts a snapshot when one is due and the writer is free. Called
-    /// between events only: a request's records are all journaled before
-    /// the first is applied, and a cut in between would claim to cover
-    /// inputs the protocol has not seen.
+    /// between turns only: records are staged before they are applied, and
+    /// a cut in between would claim to cover inputs the protocol has not
+    /// seen.
     fn maybe_snapshot(&mut self) -> io::Result<()> {
         match &self.journal {
             Some(journal) if journal.snapshot_due() => self.snapshot_now(false),
@@ -1436,6 +1398,8 @@ where
         if self.journal.is_none() {
             return Ok(());
         }
+        // The cut observes the store: everything collected executes first.
+        self.release()?;
         let t0 = Instant::now();
         let protocol = self.protocol.save_state();
         // Snapshots always store the *flat* (merged) KVS, never per-shard
@@ -1565,7 +1529,7 @@ where
             self.links.remove(&peer);
             self.peer_watermarks.remove(&peer);
             self.peer_epochs.remove(&peer);
-            self.acks.remove(&peer);
+            self.outbox.forget(peer);
             if let Some(detector) = &mut self.detector {
                 detector.remove_peer(peer);
             }
@@ -1584,10 +1548,11 @@ where
         if view.epoch <= self.view.epoch {
             return Ok(());
         }
-        self.journal_append(&JournalRecord::Epoch {
+        let record = JournalRecord::Epoch {
             view: view.clone(),
             addrs: addrs.to_vec(),
-        })?;
+        };
+        self.stage(&record, false);
         self.install_view(view, addrs);
         Ok(())
     }
@@ -1613,7 +1578,7 @@ where
         op: &ReconfigOp,
         local: &mut VecDeque<(ProcessId, P::Message)>,
         now: u64,
-    ) {
+    ) -> io::Result<()> {
         let current = self.protocol.cluster_view();
         let next = match op {
             ReconfigOp::Enter { members, f } => {
@@ -1628,7 +1593,7 @@ where
             ReconfigOp::Finalize => current.finalize(),
         };
         let Some(next) = next else {
-            return; // idempotent replay of an already-applied barrier
+            return Ok(()); // idempotent replay of an already-applied barrier
         };
         eprintln!(
             "replica {}: reconfigure barrier executed; epoch {} members {:?}{}",
@@ -1645,7 +1610,7 @@ where
             self.sync_links_to_view();
         }
         let actions = self.protocol.reconfigure(&next, now);
-        self.do_actions(actions, local, now);
+        self.do_actions(actions, local, now)
     }
 
     /// Re-announces the configuration epoch to peers still stamping older
@@ -1734,15 +1699,67 @@ where
     }
 
     /// Submits an internally minted command (no client session): journaled
-    /// and made durable exactly like a client submission.
+    /// as minting, like a client submission.
     fn submit_internal(&mut self, cmd: Command) -> io::Result<()> {
         self.metrics.submitted.inc();
-        self.journal_append(&JournalRecord::Submit { cmd: cmd.clone() })?;
-        self.make_durable()?;
+        self.stage(&JournalRecord::Submit { cmd: cmd.clone() }, true);
         let now = self.now();
         let actions = self.protocol.submit(cmd, now);
-        self.perform(actions, now);
-        Ok(())
+        self.perform(actions, now)
+    }
+
+    /// Applies one event of a turn.
+    fn handle(&mut self, event: Event<P::Message>) -> io::Result<()> {
+        match event {
+            Event::Peer {
+                from,
+                seq,
+                epoch,
+                payload,
+                msg,
+            } => self.peer_msg(from, seq, epoch, payload, msg),
+            Event::PeerAck { from, epoch, upto } => {
+                self.note_peer_epoch(from, epoch);
+                self.heard(from);
+                if let Some(link) = self.links.get(&from) {
+                    link.acked(upto);
+                }
+                Ok(())
+            }
+            Event::PeerWatermarks {
+                from,
+                epoch,
+                watermarks,
+            } => {
+                self.note_peer_epoch(from, epoch);
+                self.heard(from);
+                // A report from a non-member (just removed, or an epoch
+                // straggler) must not re-enter the horizon computation.
+                if self.view.all_members().contains(&from) {
+                    self.peer_watermarks.insert(from, watermarks);
+                }
+                Ok(())
+            }
+            Event::PeerEpoch { from, update } => self.handle_epoch_frame(from, update),
+            Event::Submit { cmds, session } => self.submit(cmds, session),
+            Event::SnapshotWritten { index, result } => match &mut self.journal {
+                Some(journal) => journal.snapshot_written(index, result),
+                None => Ok(()),
+            },
+            Event::Query { session } => self.query(session),
+            Event::Stats { session } => self.stats(session),
+            Event::CatchUp { from, reply } => {
+                self.release()?; // an observer of execution state
+                for frame in self.catch_up_chunks(from) {
+                    if reply.send(frame).is_err() {
+                        break; // requester hung up; it will retry
+                    }
+                }
+                Ok(())
+            }
+            Event::Tick => self.tick(),
+            Event::Shutdown => Ok(()), // the loop returns before handling it
+        }
     }
 
     /// Maps protocol [`Action`]s onto the runtime and drains self-addressed
@@ -1750,22 +1767,25 @@ where
     /// assumption; they may themselves produce more actions). Local
     /// deliveries are *not* journaled — they are a deterministic consequence
     /// of the journaled input that produced them.
-    fn perform(&mut self, actions: Vec<Action<P::Message>>, now: u64) {
+    fn perform(&mut self, actions: Vec<Action<P::Message>>, now: u64) -> io::Result<()> {
         let mut local: VecDeque<(ProcessId, P::Message)> = VecDeque::new();
-        self.do_actions(actions, &mut local, now);
+        self.do_actions(actions, &mut local, now)?;
         while let Some((from, msg)) = local.pop_front() {
             let actions = self.protocol.handle(from, msg, now);
-            self.do_actions(actions, &mut local, now);
+            self.do_actions(actions, &mut local, now)?;
         }
+        Ok(())
     }
 
-    /// One batch of actions:
+    /// One batch of actions, collected in the outbox until the turn's
+    /// records are written:
     ///
-    /// * `Send` to a remote peer → encode the message once, queue it on that
-    ///   peer's (at-least-once) link;
+    /// * `Send` to a remote peer → encode the message once, for that peer's
+    ///   (at-least-once) link;
     /// * `Send` to self → queue for immediate local handling;
-    /// * `Execute` → apply to the store, append to the execution record and
-    ///   answer the submitting client if its session lives here;
+    /// * `Execute` → append to the execution record; the execute stage
+    ///   applies the command to the store and answers the submitting
+    ///   client if its session lives here;
     /// * `Commit` → remember the commit time for the lifecycle latency
     ///   histograms (clients are answered at execution).
     fn do_actions(
@@ -1773,7 +1793,7 @@ where
         actions: Vec<Action<P::Message>>,
         local: &mut VecDeque<(ProcessId, P::Message)>,
         now: u64,
-    ) {
+    ) -> io::Result<()> {
         for action in actions {
             match action {
                 Action::Send { targets, msg } => {
@@ -1787,18 +1807,18 @@ where
                             local.push_back((self.id, msg.clone()));
                             continue;
                         }
-                        let Some(link) = self.links.get(&target) else {
+                        if !self.links.contains_key(&target) {
                             // A removed member (or a joiner not linked yet)
                             // can legitimately be targeted across an epoch
                             // switch; the frame is simply not deliverable.
                             continue;
-                        };
+                        }
                         let payload = payload.get_or_insert_with(|| {
                             Arc::new(
                                 bincode::serialize(&msg).expect("protocol messages always encode"),
                             )
                         });
-                        link.send(Arc::clone(payload));
+                        self.outbox.send(target, Arc::clone(payload));
                     }
                 }
                 Action::Execute { dot, cmd } => {
@@ -1821,16 +1841,17 @@ where
                     };
                     if cmd.is_noop() || cmd.is_reconfig() {
                         // Total-order barriers execute inline on this
-                        // thread (after a pool drain): a `Reconfigure`
-                        // mutates the protocol, which only this thread may
-                        // touch.
+                        // thread (after a release and a pool drain): a
+                        // `Reconfigure` mutates the protocol, which only
+                        // this thread may touch.
+                        self.release()?;
                         let reconfig = cmd.reconfig_op().cloned();
                         self.exec.execute_barrier(&cmd, ctx);
                         if let Some(op) = reconfig {
-                            self.apply_reconfig_barrier(&op, local, now);
+                            self.apply_reconfig_barrier(&op, local, now)?;
                         }
                     } else {
-                        self.exec.dispatch(cmd, ctx);
+                        self.outbox.execute((cmd, ctx));
                     }
                 }
                 Action::Commit { dot } => {
@@ -1838,6 +1859,7 @@ where
                 }
             }
         }
+        Ok(())
     }
 }
 
@@ -1977,7 +1999,7 @@ where
                 // the rest of the stream.
                 core.adopt_runtime_view(&view, &addrs)?;
                 if horizon > 0 {
-                    core.journal_append(&JournalRecord::Advance { past: horizon })?;
+                    core.stage(&JournalRecord::Advance { past: horizon }, false);
                     core.protocol.advance_identifiers(horizon);
                 }
                 if !*base_installed {
@@ -2003,9 +2025,10 @@ where
                 if let Some(base) = pending.take() {
                     base.install(core, base_installed)?;
                 }
-                core.apply_catch_up_msgs(peer, msgs);
+                core.apply_catch_up_msgs(peer, msgs)?;
             }
         }
+        core.release()?;
         if chunk.last {
             if let Some(base) = pending.take() {
                 base.install(core, base_installed)?;
@@ -2113,64 +2136,28 @@ async fn event_loop<P>(
     // Journal replay and catch-up can take arbitrarily long; only now does
     // peer silence start counting toward suspicion.
     core.arm_detector();
-    while let Some(event) = events.recv().await {
-        let result = match event {
-            Event::Peer {
-                from,
-                seq,
-                epoch,
-                payload,
-                msg,
-            } => core.peer_msg(from, seq, epoch, payload, msg),
-            Event::PeerAck { from, epoch, upto } => {
-                core.note_peer_epoch(from, epoch);
-                core.heard(from);
-                if let Some(link) = core.links.get(&from) {
-                    link.acked(upto);
-                }
-                Ok(())
+    while let Some(mut event) = events.recv().await {
+        // One turn: every event that is ready, up to the bound; their
+        // records reach the WAL together and their effects leave together,
+        // in `release`. A shutdown mid-turn releases nothing: from outside,
+        // the turn's inputs never arrived.
+        let mut result = Ok(());
+        for taken in 1..=TURN_EVENTS {
+            if matches!(event, Event::Shutdown) {
+                return;
             }
-            Event::PeerWatermarks {
-                from,
-                epoch,
-                watermarks,
-            } => {
-                core.note_peer_epoch(from, epoch);
-                core.heard(from);
-                // A report from a non-member (just removed, or an epoch
-                // straggler) must not re-enter the horizon computation.
-                if core.view.all_members().contains(&from) {
-                    core.peer_watermarks.insert(from, watermarks);
-                }
-                Ok(())
+            result = core.handle(event);
+            if result.is_err() || taken == TURN_EVENTS {
+                break;
             }
-            Event::PeerEpoch { from, update } => core.handle_epoch_frame(from, update),
-            Event::Submit { cmds, session } => core.submit(cmds, session),
-            Event::SnapshotWritten { index, result } => match &mut core.journal {
-                Some(journal) => journal.snapshot_written(index, result),
-                None => Ok(()),
-            },
-            Event::Query { session } => {
-                core.query(session);
-                Ok(())
+            match events.try_recv() {
+                Ok(next) => event = next,
+                Err(_) => break,
             }
-            Event::Stats { session } => {
-                core.stats(session);
-                Ok(())
-            }
-            Event::CatchUp { from, reply } => {
-                for frame in core.catch_up_chunks(from) {
-                    if reply.send(frame).is_err() {
-                        break; // requester hung up; it will retry
-                    }
-                }
-                Ok(())
-            }
-            Event::Tick => core.tick(),
-            Event::Shutdown => return,
-        };
-        // Every event boundary is a consistent cut: whatever the event
-        // journaled has been applied.
+        }
+        // Every turn boundary is a consistent cut: whatever the turn
+        // journaled has been applied, written and released.
+        let result = result.and_then(|()| core.release());
         if let Err(e) = result.and_then(|()| core.maybe_snapshot()) {
             fatal_stop(core.id, "journal failure", e);
             return;

@@ -56,13 +56,23 @@
 //! fire-and-forget: they are never buffered or resent (a lost ack merely
 //! delays trimming of the peer's resend buffer until the next ack).
 //!
+//! ## One hand-off, one write
+//!
+//! The event loop gives a link everything one of its turns produced for the
+//! peer at once ([`PeerLink::hand_off`]: the message payloads in order, plus
+//! the delivery ack the peer is owed, if any), and the writer puts every
+//! frame that is **due** — on an unshaped link, all of them, ack included —
+//! on the socket with one `write`. Sequence numbers, the resend buffer and
+//! the release deadlines stay per frame.
+//!
 //! ## Network-condition injection
 //!
 //! A link may carry a [`LinkShaper`] (resolved
 //! from the replica's [`NetProfile`](crate::netem::NetProfile)). Shaping
 //! sits **below the resend buffer**: release deadlines are stamped when a
 //! frame is handed to the link (so delays pipeline instead of serializing)
-//! and enforced by the writer task just before the bytes hit the socket,
+//! and enforced by the writer task just before the bytes hit the socket
+//! (frames share a write only once each one's own deadline has passed),
 //! while scheduled cuts make dials fail and sever live connections, and
 //! injected resets tear the connection down mid-stream. Every frame kind —
 //! protocol messages, acks, watermark reports and heartbeat probes — passes
@@ -128,6 +138,8 @@ pub struct LinkStatus {
     dropped: AtomicU64,
     /// Message frames rewritten after a reconnect (retransmissions).
     resent: AtomicU64,
+    /// Socket writes issued on established connections (the hello aside).
+    writes: AtomicU64,
 }
 
 impl LinkStatus {
@@ -168,8 +180,14 @@ impl LinkStatus {
         self.resent.load(Ordering::Relaxed)
     }
 
+    /// Socket writes the writer issued since the link spawned: one per
+    /// batch of due frames, one per lone control frame.
+    pub fn writes(&self) -> u64 {
+        self.writes.load(Ordering::Relaxed)
+    }
+
     /// One coherent-enough export of the whole status: the connection state
-    /// plus all three frame counters, read once each, instead of callers
+    /// plus all the counters, read once each, instead of callers
     /// assembling their own view field by field.
     pub fn snapshot(&self) -> LinkSnapshot {
         LinkSnapshot {
@@ -179,6 +197,7 @@ impl LinkStatus {
             buffered: self.buffered(),
             dropped: self.dropped(),
             resent: self.resent(),
+            writes: self.writes(),
         }
     }
 
@@ -194,12 +213,17 @@ impl LinkStatus {
 /// when the writer gets to it — is what makes injected delays pipeline
 /// like real propagation delay instead of serializing per frame.
 enum LinkCmd {
-    /// Deliver a protocol message payload (pre-encoded `Message` bytes,
-    /// shared by every link the replica fans the message out to);
-    /// sequenced, buffered and resent until acknowledged.
-    Msg(Arc<Vec<u8>>, Option<Instant>),
-    /// Send a cumulative delivery ack for the reverse link; best-effort.
-    SendAck(u64, Option<Instant>),
+    /// One event-loop turn's traffic for the peer.
+    Turn {
+        /// Protocol message payloads (pre-encoded `Message` bytes, shared
+        /// by every link the replica fans the message out to), in order;
+        /// each is sequenced, buffered and resent until acknowledged.
+        msgs: Vec<Arc<Vec<u8>>>,
+        /// Release deadline of each payload; empty on an unshaped link.
+        deadlines: Vec<Instant>,
+        /// A cumulative delivery ack for the reverse link; best-effort.
+        ack: Option<(u64, Option<Instant>)>,
+    },
     /// Send an executed-watermark report (GC cadence); best-effort like an
     /// ack — a lost report only delays the receiver's next GC round.
     SendWatermarks(Vec<(ProcessId, u64)>, Option<Instant>),
@@ -246,8 +270,7 @@ impl std::fmt::Debug for PeerLink {
 impl std::fmt::Debug for LinkCmd {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            LinkCmd::Msg(payload, _) => write!(f, "Msg({} bytes)", payload.len()),
-            LinkCmd::SendAck(upto, _) => write!(f, "SendAck({upto})"),
+            LinkCmd::Turn { msgs, ack, .. } => write!(f, "Turn({} msgs, ack {ack:?})", msgs.len()),
             LinkCmd::SendWatermarks(wm, _) => write!(f, "SendWatermarks({} spaces)", wm.len()),
             LinkCmd::SendEpoch(update, _) => write!(f, "SendEpoch({})", update.view.epoch),
             LinkCmd::Acked(upto) => write!(f, "Acked({upto})"),
@@ -319,15 +342,22 @@ impl PeerLink {
         &self.status
     }
 
-    /// Queues one pre-encoded protocol message payload for (at-least-once,
-    /// up to the resend-buffer cap) delivery. The payload rides behind an
-    /// `Arc` so a fan-out to `n` peers shares one encoding instead of
-    /// cloning the bytes per link.
-    pub fn send(&self, payload: Arc<Vec<u8>>) {
+    /// Hands the link one event-loop turn's traffic for the peer: the
+    /// pre-encoded protocol message payloads, in order, for (at-least-once,
+    /// up to the resend-buffer cap) delivery — each rides behind an `Arc`
+    /// so a fan-out to `n` peers shares one encoding — and, if the peer is
+    /// owed one, a cumulative delivery ack for frames received *from* it
+    /// (best-effort; it travels on this link, in the opposite direction of
+    /// the frames it acknowledges). One command, one wake-up of the writer,
+    /// and on an unshaped link one socket write.
+    pub fn hand_off(&self, mut msgs: Vec<Arc<Vec<u8>>>, ack: Option<u64>) {
         // The cap check races nothing: the replica event loop is the only
         // caller, and the writer task only ever *decreases* `buffered`.
-        if self.status.buffered() >= self.cap {
-            if self.status.dropped.fetch_add(1, Ordering::Relaxed) == 0 {
+        let room = self.cap.saturating_sub(self.status.buffered()) as usize;
+        if msgs.len() > room {
+            let dropped = (msgs.len() - room) as u64;
+            msgs.truncate(room);
+            if self.status.dropped.fetch_add(dropped, Ordering::Relaxed) == 0 {
                 // From the first drop on, this link is *gapped*: the peer's
                 // received stream is no longer a prefix of what was sent,
                 // and only a wiped rejoin (catch-up) restores completeness.
@@ -341,21 +371,31 @@ impl PeerLink {
                     cap = self.cap,
                 );
             }
+        }
+        self.status
+            .buffered
+            .fetch_add(msgs.len() as u64, Ordering::Relaxed);
+        let deadlines = msgs
+            .iter()
+            .filter_map(|payload| self.stamp(payload.len() + FRAME_OVERHEAD_BYTES))
+            .collect();
+        let ack = ack.map(|upto| (upto, self.stamp(FRAME_OVERHEAD_BYTES)));
+        if msgs.is_empty() && ack.is_none() {
             return;
         }
-        self.status.buffered.fetch_add(1, Ordering::Relaxed);
-        let deadline = self.stamp(payload.len() + FRAME_OVERHEAD_BYTES);
         // Send failure means the writer task exited (shutdown); dropping the
-        // frame is then correct.
-        let _ = self.tx.send(LinkCmd::Msg(payload, deadline));
+        // frames is then correct.
+        let _ = self.tx.send(LinkCmd::Turn {
+            msgs,
+            deadlines,
+            ack,
+        });
     }
 
-    /// Sends a cumulative delivery ack for frames received *from* this peer
-    /// (the ack travels on this link, in the opposite direction of the
-    /// frames it acknowledges). Best-effort.
-    pub fn send_ack(&self, upto: u64) {
-        let deadline = self.stamp(FRAME_OVERHEAD_BYTES);
-        let _ = self.tx.send(LinkCmd::SendAck(upto, deadline));
+    /// [`PeerLink::hand_off`] of a single message payload.
+    #[cfg(test)]
+    fn send(&self, payload: Arc<Vec<u8>>) {
+        self.hand_off(vec![payload], None);
     }
 
     /// Sends this replica's executed-watermark report (the GC cadence
@@ -393,6 +433,16 @@ impl PeerLink {
         }
         let deadline = self.stamp(FRAME_OVERHEAD_BYTES);
         let _ = self.tx.send(LinkCmd::Probe(deadline));
+    }
+}
+
+/// A released turn's frames go to the link of each peer — if it still has
+/// one: a member removed since they were collected does not.
+impl crate::turn::Links for std::collections::HashMap<ProcessId, PeerLink> {
+    fn hand_off(&self, peer: ProcessId, frames: Vec<Arc<Vec<u8>>>, ack: Option<u64>) {
+        if let Some(link) = self.get(&peer) {
+            link.hand_off(frames, ack);
+        }
     }
 }
 
@@ -458,9 +508,11 @@ async fn writer_task(
     // retained set stays small.
     let mut pool: Vec<Vec<u8>> = Vec::new();
     // Reused encode buffer for unsequenced control frames (acks, watermark
-    // reports, epoch announcements, heartbeats), which are written
-    // immediately and never enter the resend buffer.
+    // reports, epoch announcements, heartbeats), which never enter the
+    // resend buffer.
     let mut scratch: Vec<u8> = Vec::new();
+    // Reused write buffer: every frame that is due goes out in one write.
+    let mut batch: Vec<u8> = Vec::new();
     // How many frames at the front of `unacked` were already written on the
     // *current* connection; reset on reconnect so the whole buffer replays.
     let mut written: usize = 0;
@@ -468,7 +520,17 @@ async fn writer_task(
     // it is a replay of the resend buffer, counted in `LinkStatus::resent`.
     let mut max_written_seq: u64 = 0;
 
+    let control = |scratch: &mut Vec<u8>, body: PeerBodyRef<'_>| {
+        encode_peer_frame_into(scratch, self_id, 0, epoch.load(Ordering::Relaxed), body)
+            .expect("peer frames always encode");
+    };
+
     while let Some(cmd) = rx.recv().await {
+        // A control frame sits in `scratch`, to be written by itself right
+        // away (`lone`) or behind the turn's frames, in their write (`ack`);
+        // the value is its release deadline.
+        let mut lone: Option<Option<Instant>> = None;
+        let mut ack: Option<Option<Instant>> = None;
         match cmd {
             LinkCmd::Acked(upto) => {
                 let mut trimmed: u64 = 0;
@@ -486,121 +548,67 @@ async fn writer_task(
                 }
                 continue;
             }
-            // The control frames share the dial-once-then-write shape: an
-            // ack, watermark report or heartbeat alone is not worth
-            // stalling the queue with a backoff loop.
-            LinkCmd::SendAck(upto, deadline) => {
-                encode_peer_frame_into(
-                    &mut scratch,
-                    self_id,
-                    0,
-                    epoch.load(Ordering::Relaxed),
-                    PeerBodyRef::Ack(upto),
-                )
-                .expect("peer frames always encode");
-                dial_once_and_write(
-                    self_id,
-                    addr,
-                    &stop,
-                    &status,
-                    &shaper,
-                    &mut conn,
-                    &mut written,
-                    &mut backoff,
-                    deadline,
-                    &scratch,
-                )
-                .await;
-            }
             LinkCmd::SendWatermarks(watermarks, deadline) => {
-                encode_peer_frame_into(
-                    &mut scratch,
-                    self_id,
-                    0,
-                    epoch.load(Ordering::Relaxed),
-                    PeerBodyRef::Watermarks(&watermarks),
-                )
-                .expect("peer frames always encode");
-                dial_once_and_write(
-                    self_id,
-                    addr,
-                    &stop,
-                    &status,
-                    &shaper,
-                    &mut conn,
-                    &mut written,
-                    &mut backoff,
-                    deadline,
-                    &scratch,
-                )
-                .await;
+                control(&mut scratch, PeerBodyRef::Watermarks(&watermarks));
+                lone = Some(deadline);
             }
             LinkCmd::SendEpoch(update, deadline) => {
-                encode_peer_frame_into(
-                    &mut scratch,
-                    self_id,
-                    0,
-                    epoch.load(Ordering::Relaxed),
-                    PeerBodyRef::Epoch(&update),
-                )
-                .expect("peer frames always encode");
-                dial_once_and_write(
-                    self_id,
-                    addr,
-                    &stop,
-                    &status,
-                    &shaper,
-                    &mut conn,
-                    &mut written,
-                    &mut backoff,
-                    deadline,
-                    &scratch,
-                )
-                .await;
+                control(&mut scratch, PeerBodyRef::Epoch(&update));
+                lone = Some(deadline);
             }
             LinkCmd::Probe(deadline) => {
                 // Heartbeat: `Ack(0)` acknowledges nothing, so the frame is
                 // pure signal — it forces a write (surfacing a silently
                 // dead connection) and tells the peer's detector we live.
-                encode_peer_frame_into(
-                    &mut scratch,
-                    self_id,
-                    0,
-                    epoch.load(Ordering::Relaxed),
-                    PeerBodyRef::Ack(0),
-                )
-                .expect("peer frames always encode");
-                dial_once_and_write(
-                    self_id,
-                    addr,
-                    &stop,
-                    &status,
-                    &shaper,
-                    &mut conn,
-                    &mut written,
-                    &mut backoff,
-                    deadline,
-                    &scratch,
-                )
-                .await;
+                control(&mut scratch, PeerBodyRef::Ack(0));
+                lone = Some(deadline);
             }
-            LinkCmd::Msg(payload, deadline) => {
-                let seq = next_seq;
-                next_seq += 1;
-                // Encode into a pooled buffer: the shared payload is only
-                // borrowed, so fanning one message out to `n` peers costs
-                // one encoding plus `n` framed copies in reused buffers.
-                let mut frame = pool.pop().unwrap_or_default();
-                encode_peer_frame_into(
-                    &mut frame,
-                    self_id,
-                    seq,
-                    epoch.load(Ordering::Relaxed),
-                    PeerBodyRef::Msg(&payload),
-                )
-                .expect("peer frames always encode");
-                unacked.push_back((seq, frame, deadline));
+            LinkCmd::Turn {
+                msgs,
+                deadlines,
+                ack: turn_ack,
+            } => {
+                for (i, payload) in msgs.iter().enumerate() {
+                    let seq = next_seq;
+                    next_seq += 1;
+                    // Encode into a pooled buffer: the shared payload is
+                    // only borrowed, so fanning one message out to `n` peers
+                    // costs one encoding plus `n` framed copies in reused
+                    // buffers.
+                    let mut frame = pool.pop().unwrap_or_default();
+                    encode_peer_frame_into(
+                        &mut frame,
+                        self_id,
+                        seq,
+                        epoch.load(Ordering::Relaxed),
+                        PeerBodyRef::Msg(payload),
+                    )
+                    .expect("peer frames always encode");
+                    unacked.push_back((seq, frame, deadlines.get(i).copied()));
+                }
+                if let Some((upto, deadline)) = turn_ack {
+                    control(&mut scratch, PeerBodyRef::Ack(upto));
+                    ack = Some(deadline);
+                }
             }
+        }
+        // The lone control frames share the dial-once-then-write shape: a
+        // watermark report or heartbeat alone is not worth stalling the
+        // queue with a backoff loop.
+        if let Some(deadline) = lone {
+            dial_once_and_write(
+                self_id,
+                addr,
+                &stop,
+                &status,
+                &shaper,
+                &mut conn,
+                &mut written,
+                &mut backoff,
+                deadline,
+                &scratch,
+            )
+            .await;
         }
 
         // Deliver every pending frame, reconnecting as needed, until the
@@ -642,35 +650,74 @@ async fn writer_task(
                     }
                 }
             };
-            // Honor the frame's shaped release deadline, then roll the
-            // injected connection-reset die (TCP's rendition of frame
-            // loss: the frame stays buffered and replays after reconnect).
+            // Honor the next frame's shaped release deadline, then gather
+            // it and every frame behind it that is due as well (deadlines
+            // never decrease along the buffer) into one write. The injected
+            // connection-reset die (TCP's rendition of frame loss) is still
+            // rolled per frame: the frame it falls on and everything behind
+            // stay buffered and replay after the reconnect.
             if let Some(deadline) = unacked[written].2 {
                 wait_until(deadline).await;
             }
-            if shaper_reset(&shaper) {
-                conn = None;
-                continue;
+            let now = Instant::now();
+            let due = |deadline: Option<Instant>| deadline.is_none_or(|at| at <= now);
+            let mut end = written;
+            let mut reset = false;
+            batch.clear();
+            while end < unacked.len() && due(unacked[end].2) && !reset {
+                reset = shaper_reset(&shaper);
+                if !reset {
+                    // The buffered frames are wire-ready (prefix included).
+                    batch.extend_from_slice(&unacked[end].1);
+                    end += 1;
+                }
             }
-            // The buffered frame is already wire-ready (prefix included):
-            // one `write_all`, no framing copy.
-            match writer.write_all(&unacked[written].1).await {
-                Ok(()) => {
-                    let seq = unacked[written].0;
-                    if seq <= max_written_seq {
-                        status.resent.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        max_written_seq = seq;
+            // The turn's ack rides behind its last frame when due by then.
+            let acked = !reset && end == unacked.len() && ack.is_some_and(due);
+            if acked {
+                batch.extend_from_slice(&scratch);
+            }
+            if !batch.is_empty() {
+                status.writes.fetch_add(1, Ordering::Relaxed);
+                match writer.write_all(&batch).await {
+                    Ok(()) => {
+                        for (seq, _, _) in unacked.range(written..end) {
+                            if *seq <= max_written_seq {
+                                status.resent.fetch_add(1, Ordering::Relaxed);
+                            } else {
+                                max_written_seq = *seq;
+                            }
+                        }
+                        written = end;
+                        if acked {
+                            ack = None;
+                        }
                     }
-                    written += 1;
-                }
-                Err(_) => {
-                    // Connection broke mid-frame: the receiver discards the
-                    // partial frame with the dead connection; replay on a
-                    // fresh one.
-                    conn = None;
+                    // Connection broke mid-write: the receiver keeps the
+                    // complete frames and discards the partial one with the
+                    // dead connection; all of them replay on a fresh one.
+                    Err(_) => reset = true,
                 }
             }
+            if reset {
+                conn = None;
+            }
+        }
+        // An ack with no frame to ride behind (or not due when they left).
+        if let Some(deadline) = ack {
+            dial_once_and_write(
+                self_id,
+                addr,
+                &stop,
+                &status,
+                &shaper,
+                &mut conn,
+                &mut written,
+                &mut backoff,
+                deadline,
+                &scratch,
+            )
+            .await;
         }
         status.set_state(if conn.is_some() {
             state::CONNECTED
@@ -728,6 +775,7 @@ async fn dial_once_and_write(
         }
     }
     if let Some(writer) = conn {
+        status.writes.fetch_add(1, Ordering::Relaxed);
         if writer.write_all(frame).await.is_err() {
             *conn = None;
         }
@@ -895,6 +943,72 @@ mod tests {
                 epoch + CUT - *arrived
             );
             assert!(matches!(frame.body, PeerBody::Msg(_)));
+            stop.store(true, Ordering::Relaxed);
+        });
+    }
+
+    /// One hand-off is one write: 32 frames (and the ack riding behind
+    /// them) handed to an unshaped link together arrive in order, from a
+    /// single socket write.
+    #[test]
+    fn a_hand_off_of_due_frames_is_one_write() {
+        let rt = tokio::runtime::Runtime::new().unwrap();
+        rt.block_on(async {
+            let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.unwrap();
+            let addr = listener.local_addr().unwrap();
+            let reader = tokio::spawn(accept_and_time(listener, 33));
+            let stop = Arc::new(AtomicBool::new(false));
+            let link = PeerLink::spawn(1, 2, addr, Arc::clone(&stop), 64, None, Arc::default());
+
+            let frames = (0..32u8).map(|i| Arc::new(vec![i; 8])).collect();
+            link.hand_off(frames, Some(9));
+            let (_, frames) = reader.await.unwrap();
+            for (i, (frame, _)) in frames[..32].iter().enumerate() {
+                assert_eq!(frame.seq, i as u64 + 1, "sequence numbers stay per frame");
+                assert_eq!(frame.body, PeerBody::Msg(vec![i as u8; 8]));
+            }
+            assert_eq!(frames[32].0.body, PeerBody::Ack(9), "the ack rides last");
+            assert_eq!(link.status().buffered(), 32, "all in the resend buffer");
+            assert!(
+                link.status().writes() <= 2,
+                "{} socket writes for one hand-off",
+                link.status().writes()
+            );
+            stop.store(true, Ordering::Relaxed);
+        });
+    }
+
+    /// Coalescing never sends a frame early: on a rate-limited link every
+    /// frame of a hand-off still waits for its own stamped deadline, so
+    /// only frames already due share a write.
+    #[test]
+    fn a_shaped_hand_off_keeps_every_frames_deadline() {
+        const DELAY: Duration = Duration::from_millis(40);
+        // 1 KiB frames at 25 KiB/s: deadlines ~40 ms apart.
+        const SPACING: Duration = Duration::from_millis(40);
+        let rt = tokio::runtime::Runtime::new().unwrap();
+        rt.block_on(async {
+            let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.unwrap();
+            let addr = listener.local_addr().unwrap();
+            let reader = tokio::spawn(accept_and_time(listener, 6));
+            let profile = NetProfile::new(1).rule(LinkRule::any().delay(DELAY).rate(25 << 10));
+            let shaper = profile.shaper(1, 2, Instant::now());
+            let stop = Arc::new(AtomicBool::new(false));
+            let link = PeerLink::spawn(1, 2, addr, Arc::clone(&stop), 64, shaper, Arc::default());
+
+            let sent_at = Instant::now();
+            link.hand_off((0..6u8).map(|i| Arc::new(vec![i; 1000])).collect(), None);
+            let (_, frames) = reader.await.unwrap();
+            for (i, (frame, arrived)) in frames.iter().enumerate() {
+                assert_eq!(frame.seq, i as u64 + 1);
+                let earliest = sent_at + DELAY + SPACING * (i as u32 + 1);
+                assert!(
+                    *arrived >= earliest,
+                    "frame {i} left {:?} before its deadline",
+                    earliest - *arrived
+                );
+            }
+            assert!(link.status().writes() > 1, "frames not yet due were held");
             stop.store(true, Ordering::Relaxed);
         });
     }

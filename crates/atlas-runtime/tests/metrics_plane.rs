@@ -7,7 +7,7 @@
 //! coordinator mid-burst and asserts the survivors' detector counters
 //! recorded the suspicion and the recovery takeover.
 
-use atlas_core::{ClientId, Config, Key, ProcessId, Protocol};
+use atlas_core::{ClientId, Command, Config, Key, ProcessId, Protocol};
 use atlas_metrics::MetricsSnapshot;
 use atlas_protocol::Atlas;
 use atlas_runtime::{Client, Cluster, ClusterOptions, LinkRule, NetProfile, OpenLoopClient};
@@ -267,6 +267,8 @@ where
                     "\"snapshot_write_us\":{",
                     "\"snapshot_bytes\":",
                     "\"snapshots_coalesced\":",
+                    "\"wal_writes\":",
+                    "\"resent\":0,\"writes\":",
                     "\"reactor\":{\"epoll_waits\":",
                     "\"io_events\":",
                     "\"tasks_polled\":",
@@ -373,6 +375,90 @@ fn dependency_wait_lands_in_the_executed_stage() {
         );
         cluster.shutdown();
     });
+}
+
+/// Cluster-wide I/O counts of one closed-loop run: `clients` clients (client
+/// `i` at replica `i`) each submit `requests` requests of `batch` PUTs on
+/// private keys. Returns `(commands, journal records, WAL writes, message
+/// frames, link writes)`, after checking what batching must leave alone:
+/// five records per command and every commit on the fast path.
+fn io_counts(clients: u64, requests: u64, batch: u64) -> (u64, u64, u64, u64, u64) {
+    let rt = tokio::runtime::Runtime::new().unwrap();
+    rt.block_on(async {
+        let cluster = Cluster::spawn::<Atlas>(Config::new(REPLICAS, 1))
+            .await
+            .expect("cluster boots");
+        let drive = |addr, id: ClientId| async move {
+            let mut client = Client::connect(addr, id).await?;
+            for r in 0..requests {
+                let cmds = (0..batch)
+                    .map(|i| Command::put(client.next_rifl(), id * 10_000 + r * batch + i, r, 64))
+                    .collect();
+                client.submit_batch(cmds).await?;
+            }
+            std::io::Result::Ok(())
+        };
+        let tasks: Vec<_> = (1..=clients)
+            .map(|id| tokio::spawn(drive(cluster.addr(id as ProcessId), id)))
+            .collect();
+        for task in tasks {
+            task.await.expect("client task").expect("client run");
+        }
+        let total = clients * requests * batch;
+        let all = snapshots_when(
+            &cluster,
+            |all| all.iter().all(|s| s.store_executed == total),
+            "every replica to execute the workload",
+        )
+        .await;
+        cluster.shutdown();
+
+        let sum = |f: &dyn Fn(&MetricsSnapshot) -> u64| all.iter().map(f).sum::<u64>();
+        let records = sum(&|s| s.durability.journal_records);
+        // Submit, collect, collect-ack, two commits: batching writes records
+        // together, it does not merge them.
+        assert_eq!(records, 5 * total, "journal records per command");
+        assert_eq!(sum(&|s| s.protocol_stats.fast_paths), total, "fast paths");
+        assert_eq!(sum(&|s| s.protocol_stats.slow_paths), 0, "slow paths");
+        assert_eq!(sum(&|s| s.links.iter().map(|l| l.resent).sum()), 0);
+        // Every journaled record that is not a submission is a message
+        // frame some peer sent.
+        let frames = records - sum(&|s| s.lifecycle.submitted);
+        let wal_writes = sum(&|s| s.durability.wal_writes);
+        let link_writes = sum(&|s| s.links.iter().map(|l| l.writes).sum());
+        (total, records, wal_writes, frames, link_writes)
+    })
+}
+
+/// One write and one send per turn, counted where the work happens: under
+/// 16-command requests from two clients the replicas put at least four
+/// records in every WAL write and four message frames in every socket write
+/// (heartbeats and acks included in the writes), while a single-PUT closed
+/// loop — every turn one event — pays no more writes than it has records.
+#[test]
+fn a_turn_is_one_wal_write_and_one_send_per_link() {
+    let (total, records, wal_writes, frames, link_writes) = io_counts(2, 100, 16);
+    assert!(
+        4 * wal_writes <= records,
+        "{wal_writes} WAL writes for {records} records ({total} commands)"
+    );
+    assert!(
+        4 * link_writes <= frames,
+        "{link_writes} socket writes for {frames} message frames ({total} commands)"
+    );
+
+    let (total, records, wal_writes, frames, link_writes) = io_counts(1, 300, 1);
+    assert!(
+        wal_writes <= records,
+        "{wal_writes} WAL writes for {records} records ({total} commands)"
+    );
+    // Beside the frames: a heartbeat and at most one ack per link and tick
+    // (a generous bound on the ticks: the run takes well under 5 s).
+    let ticks = 5_000 / ClusterOptions::default().tick_interval.as_millis() as u64;
+    assert!(
+        link_writes <= frames + 6 * 2 * ticks,
+        "{link_writes} socket writes for {frames} message frames ({total} commands)"
+    );
 }
 
 /// Kill-the-coordinator drill, metrics edition: replica 3 coordinates a

@@ -25,8 +25,12 @@ use std::sync::Mutex;
 #[global_allocator]
 static ALLOC: atlas_metrics::CountingAllocator = atlas_metrics::CountingAllocator;
 
-/// Replica snapshots captured at the end of each benchmark, in run order.
-static SNAPSHOTS: Mutex<Vec<MetricsSnapshot>> = Mutex::new(Vec::new());
+/// Replica snapshots captured at the end of each benchmark, in run order,
+/// under the benchmark's name.
+static SNAPSHOTS: Mutex<Vec<(&str, MetricsSnapshot)>> = Mutex::new(Vec::new());
+
+const ROUND_TRIP: &str = "runtime_loopback/put_round_trip";
+const BATCH_16: &str = "runtime_loopback/put_batch_16";
 
 struct Harness {
     rt: tokio::runtime::Runtime,
@@ -60,7 +64,7 @@ impl Harness {
 
     /// Fetches the serving replica's view of the run and stashes it for
     /// [`capture_metrics`].
-    fn capture_snapshot(&mut self) {
+    fn capture_snapshot(&mut self, bench: &'static str) {
         let snapshot = self
             .rt
             .block_on(async {
@@ -68,19 +72,23 @@ impl Harness {
                 probe.stats().await
             })
             .expect("stats probe");
-        SNAPSHOTS.lock().unwrap().push(snapshot);
+        SNAPSHOTS.lock().unwrap().push((bench, snapshot));
     }
 }
 
 /// Writes the captured snapshots to `$ATLAS_BENCH_METRICS` (JSON, one
-/// `snapshots` array of [`MetricsSnapshot::to_json`] objects). No-op when
+/// `snapshots` array of [`MetricsSnapshot::to_json`] objects, each with a
+/// leading `bench` key so per-benchmark gates find theirs). No-op when
 /// the variable is unset, so local `cargo bench` runs stay file-free.
 fn capture_metrics() {
     let Some(path) = std::env::var_os("ATLAS_BENCH_METRICS") else {
         return;
     };
     let snapshots = SNAPSHOTS.lock().unwrap();
-    let body: Vec<String> = snapshots.iter().map(|s| s.to_json()).collect();
+    let body: Vec<String> = snapshots
+        .iter()
+        .map(|(bench, s)| format!("{{\"bench\":\"{bench}\",{}", &s.to_json()[1..]))
+        .collect();
     let json = format!("{{\"snapshots\":[{}]}}\n", body.join(","));
     std::fs::write(&path, json).expect("write ATLAS_BENCH_METRICS");
 }
@@ -89,7 +97,7 @@ fn capture_metrics() {
 /// reply round trip over loopback TCP.
 fn put_round_trip(c: &mut Criterion) {
     let mut h = Harness::new();
-    c.bench_function("runtime_loopback/put_round_trip", |b| {
+    c.bench_function(ROUND_TRIP, |b| {
         b.iter(|| {
             let rifl = h.next_rifl();
             let cmd = Command::put(rifl, 0, rifl.seq, 64);
@@ -97,14 +105,14 @@ fn put_round_trip(c: &mut Criterion) {
                 .expect("command executes")
         });
     });
-    h.capture_snapshot();
+    h.capture_snapshot(ROUND_TRIP);
 }
 
 /// A 16-command batch per iteration (single submit frame, 16 executions
 /// awaited): measures how much framing/syscall overhead batching amortizes.
 fn put_batch_16(c: &mut Criterion) {
     let mut h = Harness::new();
-    c.bench_function("runtime_loopback/put_batch_16", |b| {
+    c.bench_function(BATCH_16, |b| {
         b.iter(|| {
             let cmds: Vec<Command> = (0..16)
                 .map(|i| {
@@ -117,7 +125,7 @@ fn put_batch_16(c: &mut Criterion) {
                 .expect("batch executes")
         });
     });
-    h.capture_snapshot();
+    h.capture_snapshot(BATCH_16);
 }
 
 criterion_group! {
