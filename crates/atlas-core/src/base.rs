@@ -19,9 +19,9 @@
 //!
 //! [`Protocol`]: crate::Protocol
 
-use crate::{ClusterView, Config, ProcessId, ProtocolStats, Topology};
+use crate::{ClusterView, Config, IdMap, ProcessId, ProtocolStats, Topology};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// See the [module docs](self).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -33,7 +33,7 @@ pub struct Base {
     topology: Topology,
     view: ClusterView,
     /// Highest sequence seen per identifier space.
-    seen: HashMap<ProcessId, u64>,
+    seen: IdMap<ProcessId, u64>,
     /// Protocol metrics accumulated so far.
     pub metrics: ProtocolStats,
 }
@@ -58,7 +58,7 @@ impl Base {
             config,
             topology,
             view,
-            seen: HashMap::new(),
+            seen: IdMap::default(),
             metrics: ProtocolStats::default(),
         }
     }
@@ -138,7 +138,7 @@ impl Base {
     /// [`ClusterView::quorum_met`] under the current view and configuration.
     pub fn quorum_met(
         &self,
-        acks: &HashSet<ProcessId>,
+        acks: impl Iterator<Item = ProcessId> + Clone,
         size_of: impl Fn(&Config) -> usize,
     ) -> bool {
         self.view.quorum_met(acks, self.config, size_of)

@@ -10,8 +10,7 @@
 //! which "conflict ⇔ same key".
 
 use crate::id::{ProcessId, Rifl};
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use serde::{Deserialize, Error, Reader, Serialize};
 
 /// A membership-change request carried by a [`Command`] (see
 /// [`Command::reconfigure`]). Reconfiguration commands are sequenced through
@@ -102,7 +101,7 @@ pub struct Command {
     /// Request identifier of the client call that produced this command.
     pub rifl: Rifl,
     /// Operations, keyed by the key they access. Empty for `noOp`.
-    ops: BTreeMap<Key, KvOp>,
+    ops: Ops,
     /// Synthetic payload size in bytes (the paper uses 100 B and 3 KB).
     pub payload_size: usize,
     /// Marks the recovery `noOp` command, which conflicts with everything and
@@ -111,7 +110,44 @@ pub struct Command {
     /// A membership change riding in the log. Like `noOp` it conflicts with
     /// every command (the total-order barrier), but unlike `noOp` it **is**
     /// executed — the runtime intercepts the execution and switches epochs.
-    reconfig: Option<ReconfigOp>,
+    /// Boxed: one command in millions carries one, and every clone and every
+    /// table slot of the others would pay for its size.
+    reconfig: Option<Box<ReconfigOp>>,
+}
+
+/// A command's keyed operations: sorted by key, one operation per key (the
+/// last one given wins, as inserting into a map would have it). A vector
+/// rather than a tree because almost every command touches one key, and a
+/// command is cloned on its way to every replica's executor: this clone is
+/// one 24-byte allocation. Encodes as `len + (key, op) pairs`, the map
+/// encoding; decoding re-establishes the order, so no client can submit a
+/// command whose keys are unsorted or repeated.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+struct Ops(Vec<(Key, KvOp)>);
+
+impl FromIterator<(Key, KvOp)> for Ops {
+    fn from_iter<I: IntoIterator<Item = (Key, KvOp)>>(ops: I) -> Self {
+        let mut ops: Vec<(Key, KvOp)> = ops.into_iter().collect();
+        if !ops.windows(2).all(|w| w[0].0 < w[1].0) {
+            ops.sort_by_key(|(key, _)| *key); // stable: repeats keep their order
+            ops.dedup_by(|later, kept| {
+                let repeat = later.0 == kept.0;
+                if repeat {
+                    *kept = *later;
+                }
+                repeat
+            });
+        }
+        Self(ops)
+    }
+}
+
+impl Deserialize for Ops {
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
+        Ok(Vec::<(Key, KvOp)>::deserialize(input)?
+            .into_iter()
+            .collect())
+    }
 }
 
 impl Command {
@@ -145,7 +181,7 @@ impl Command {
     pub fn noop() -> Self {
         Self {
             rifl: Rifl::new(0, 0),
-            ops: BTreeMap::new(),
+            ops: Ops(Vec::new()),
             payload_size: 0,
             noop: true,
             reconfig: None,
@@ -164,16 +200,16 @@ impl Command {
     pub fn reconfigure(rifl: Rifl, op: ReconfigOp) -> Self {
         Self {
             rifl,
-            ops: BTreeMap::new(),
+            ops: Ops(Vec::new()),
             payload_size: 0,
             noop: false,
-            reconfig: Some(op),
+            reconfig: Some(Box::new(op)),
         }
     }
 
     /// The membership change this command carries, if it is one.
     pub fn reconfig_op(&self) -> Option<&ReconfigOp> {
-        self.reconfig.as_ref()
+        self.reconfig.as_deref()
     }
 
     /// Whether this command carries a membership change.
@@ -186,27 +222,27 @@ impl Command {
     /// Read-only commands are eligible for the NFR optimization (§4) when the
     /// conflict relation is transitive.
     pub fn is_read_only(&self) -> bool {
-        !self.noop && !self.ops.is_empty() && self.ops.values().all(KvOp::is_read)
+        !self.noop && !self.ops.0.is_empty() && self.ops().all(|(_, op)| op.is_read())
     }
 
     /// Whether the command writes at least one key.
     pub fn is_write(&self) -> bool {
-        self.ops.values().any(|op| !op.is_read())
+        self.ops().any(|(_, op)| !op.is_read())
     }
 
     /// Iterates over the keys accessed by the command.
     pub fn keys(&self) -> impl Iterator<Item = &Key> {
-        self.ops.keys()
+        self.ops.0.iter().map(|(key, _)| key)
     }
 
     /// Iterates over the keyed operations of the command.
     pub fn ops(&self) -> impl Iterator<Item = (&Key, &KvOp)> {
-        self.ops.iter()
+        self.ops.0.iter().map(|(key, op)| (key, op))
     }
 
     /// Number of keys accessed.
     pub fn key_count(&self) -> usize {
-        self.ops.len()
+        self.ops.0.len()
     }
 
     /// The executor shards this command's keys hash to under an `shards`-way
@@ -219,7 +255,7 @@ impl Command {
     /// barrier deadlock-free (every executor orders its acquisitions the
     /// same way).
     pub fn shard_ids(&self, shards: usize) -> Vec<usize> {
-        let mut ids: Vec<usize> = self.ops.keys().map(|&key| shard_of(key, shards)).collect();
+        let mut ids: Vec<usize> = self.keys().map(|&key| shard_of(key, shards)).collect();
         ids.sort_unstable();
         ids.dedup();
         ids
@@ -234,15 +270,15 @@ impl Command {
         if self.noop || other.noop || self.reconfig.is_some() || other.reconfig.is_some() {
             return true;
         }
-        // Iterate over the smaller op map for efficiency.
-        let (small, large) = if self.ops.len() <= other.ops.len() {
-            (&self.ops, &other.ops)
+        // Search the longer operation list for each key of the shorter.
+        let (small, large) = if self.ops.0.len() <= other.ops.0.len() {
+            (&self.ops.0, &other.ops.0)
         } else {
-            (&other.ops, &self.ops)
+            (&other.ops.0, &self.ops.0)
         };
-        small.iter().any(|(key, op)| match large.get(key) {
-            Some(other_op) => !(op.is_read() && other_op.is_read()),
-            None => false,
+        small.iter().any(|(key, op)| {
+            let found = large.binary_search_by_key(key, |(k, _)| *k);
+            found.is_ok_and(|at| !(op.is_read() && large[at].1.is_read()))
         })
     }
 
@@ -392,6 +428,33 @@ mod tests {
         assert!(Command::reconfigure(rifl(2), ReconfigOp::Finalize)
             .shard_ids(8)
             .is_empty());
+    }
+
+    #[test]
+    fn operations_are_sorted_by_key_and_the_last_one_per_key_wins() {
+        let ops = [
+            (7, KvOp::Get),
+            (3, KvOp::Put(1)),
+            (7, KvOp::Put(2)),
+            (3, KvOp::Delete),
+        ];
+        let cmd = Command::new(rifl(1), ops, 8);
+        let listed: Vec<(Key, KvOp)> = cmd.ops().map(|(k, op)| (*k, *op)).collect();
+        assert_eq!(listed, vec![(3, KvOp::Delete), (7, KvOp::Put(2))]);
+        assert_eq!(cmd.keys().copied().collect::<Vec<_>>(), vec![3, 7]);
+        // The encoding is the map's (`len`, then pairs in key order), and a
+        // crafted frame with unsorted, repeated keys decodes to the same
+        // command a well-behaved client would have built.
+        let encode = |ops: &[(Key, KvOp)]| {
+            let mut bytes = Vec::new();
+            ops.to_vec().serialize(&mut bytes);
+            bytes
+        };
+        let mut sorted = Vec::new();
+        cmd.ops.serialize(&mut sorted);
+        assert_eq!(sorted, encode(&listed));
+        let decoded = Ops::deserialize(&mut Reader::new(&encode(&ops))).unwrap();
+        assert_eq!(decoded, cmd.ops);
     }
 
     #[test]

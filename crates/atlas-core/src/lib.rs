@@ -9,6 +9,9 @@
 //! * [`base`] — [`Base`], the replica state every protocol embeds (identity,
 //!   view, quorum draws, identifier horizons, metrics).
 //! * [`id`] — process, client and command identifiers ([`Dot`], [`Rifl`]).
+//! * [`depset`] — [`DepSet`], the sorted small-vector every dependency set
+//!   is, and [`hash`] — [`IdMap`]/[`IdSet`], the tables keyed by
+//!   replica-minted identifiers.
 //! * [`command`] — multi-key key-value commands and the *conflict* relation
 //!   used by leaderless protocols.
 //! * [`config`] — cluster configuration (`n`, `f`, optimization switches) and
@@ -30,6 +33,8 @@
 pub mod base;
 pub mod command;
 pub mod config;
+pub mod depset;
+pub mod hash;
 pub mod id;
 pub mod metrics;
 pub mod protocol;
@@ -39,6 +44,8 @@ pub mod view;
 pub use base::Base;
 pub use command::{shard_of, Command, Key, KvOp, ReconfigOp, Value};
 pub use config::Config;
+pub use depset::DepSet;
+pub use hash::{IdMap, IdSet};
 pub use id::{ClientId, Dot, DotGen, ProcessId, Rifl};
 pub use metrics::ProtocolStats;
 pub use protocol::{Action, Protocol, Topology};

@@ -27,7 +27,6 @@
 use crate::config::Config;
 use crate::id::ProcessId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Ballots minted inside epoch `e` are strictly above `e * EPOCH_BALLOT_STRIDE`,
 /// so a takeover ballot minted under a new member count can never collide
@@ -128,28 +127,25 @@ impl ClusterView {
         self.epoch * EPOCH_BALLOT_STRIDE
     }
 
-    /// Whether `acks` satisfies a `size_of`-sized quorum in the current
-    /// configuration **and**, during the joint window, in the old one.
+    /// Whether `acks` (distinct processes) satisfies a `size_of`-sized
+    /// quorum in the current configuration **and**, during the joint window,
+    /// in the old one.
     ///
     /// `size_of` maps a configuration to the quorum size the caller needs
     /// (e.g. [`Config::slow_quorum_size`]); acks from non-members of a
     /// configuration do not count towards that configuration's threshold.
     pub fn quorum_met(
         &self,
-        acks: &HashSet<ProcessId>,
+        acks: impl Iterator<Item = ProcessId> + Clone,
         base: Config,
         size_of: impl Fn(&Config) -> usize,
     ) -> bool {
-        let new_cfg = self.config(base);
-        let in_new = acks.iter().filter(|id| self.members.contains(id)).count();
-        if in_new < size_of(&new_cfg) {
+        let count = |members: &[ProcessId]| acks.clone().filter(|id| members.contains(id)).count();
+        if count(&self.members) < size_of(&self.config(base)) {
             return false;
         }
         match (&self.old, self.old_config(base)) {
-            (Some((old_members, _)), Some(old_cfg)) => {
-                let in_old = acks.iter().filter(|id| old_members.contains(id)).count();
-                in_old >= size_of(&old_cfg)
-            }
+            (Some((old_members, _)), Some(old_cfg)) => count(old_members) >= size_of(&old_cfg),
             _ => true,
         }
     }
@@ -194,8 +190,8 @@ impl ClusterView {
 mod tests {
     use super::*;
 
-    fn acks(ids: &[ProcessId]) -> HashSet<ProcessId> {
-        ids.iter().copied().collect()
+    fn acks(ids: &[ProcessId]) -> impl Iterator<Item = ProcessId> + Clone + '_ {
+        ids.iter().copied()
     }
 
     #[test]
@@ -234,14 +230,14 @@ mod tests {
             .unwrap();
         let majority = |cfg: &Config| cfg.majority();
         // Majority of new (3 of {1,2,4,5,6}) but only one of old {1,2,3}.
-        assert!(!joint.quorum_met(&acks(&[4, 5, 6]), Config::new(3, 1), majority));
+        assert!(!joint.quorum_met(acks(&[4, 5, 6]), Config::new(3, 1), majority));
         // Majority of old but not of new.
-        assert!(!joint.quorum_met(&acks(&[1, 2, 3]), Config::new(3, 1), majority));
+        assert!(!joint.quorum_met(acks(&[1, 2, 3]), Config::new(3, 1), majority));
         // Both at once.
-        assert!(joint.quorum_met(&acks(&[1, 2, 4, 5]), Config::new(3, 1), majority));
+        assert!(joint.quorum_met(acks(&[1, 2, 4, 5]), Config::new(3, 1), majority));
         // Outside the window only the current configuration counts.
         let done = joint.finalize().unwrap();
-        assert!(done.quorum_met(&acks(&[4, 5, 6]), Config::new(3, 1), majority));
+        assert!(done.quorum_met(acks(&[4, 5, 6]), Config::new(3, 1), majority));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Process-wide heap-allocation counting for the allocations-per-command
 //! gauge.
 //!
-//! [`CountingAllocator`] wraps the system allocator and bumps one relaxed
-//! atomic per `alloc`/`realloc`/`alloc_zeroed` call (frees are not
-//! counted — the gauge tracks allocator *pressure*, not live bytes). A
-//! binary opts in with:
+//! [`CountingAllocator`] wraps the system allocator and bumps two relaxed
+//! atomics per `alloc`/`realloc`/`alloc_zeroed` call — the call and the
+//! bytes it asked for (frees are not counted — the gauges track allocator
+//! *pressure*, not live bytes). A binary opts in with:
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -28,11 +28,23 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Cumulative allocator calls in this process since start — zero unless
 /// [`CountingAllocator`] is installed as the `#[global_allocator]`.
 pub fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Cumulative bytes requested by the calls [`allocations`] counts (a
+/// `realloc` counts its new size).
+pub fn allocated_bytes() -> u64 {
+    ALLOCATED_BYTES.load(Ordering::Relaxed)
+}
+
+fn count(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    ALLOCATED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
 }
 
 /// A [`GlobalAlloc`] that delegates to [`System`] and counts every
@@ -45,17 +57,17 @@ pub struct CountingAllocator;
 #[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -76,7 +88,7 @@ mod tests {
 
     #[test]
     fn counts_allocations() {
-        let before = allocations();
+        let (before, bytes_before) = (allocations(), allocated_bytes());
         let v: Vec<u64> = (0..64).collect();
         let grown = format!("{v:?}");
         assert!(grown.len() > 64);
@@ -85,5 +97,6 @@ mod tests {
             after > before,
             "allocating work did not move the counter ({before} -> {after})"
         );
+        assert!(allocated_bytes() >= bytes_before + 64 * 8);
     }
 }

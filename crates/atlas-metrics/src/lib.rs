@@ -31,7 +31,7 @@ mod histogram;
 mod registry;
 mod snapshot;
 
-pub use alloc::{allocations, CountingAllocator};
+pub use alloc::{allocated_bytes, allocations, CountingAllocator};
 pub use histogram::{BoundedHistogram, BUCKETS, SUBBUCKETS};
 pub use registry::{AtomicHistogram, Counter, Gauge};
 pub use snapshot::{

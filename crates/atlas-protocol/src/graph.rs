@@ -15,9 +15,8 @@
 //! on a not-yet-committed dependency are indexed so they are retried exactly
 //! when that dependency commits.
 
-use atlas_core::{Command, Dot, ProcessId};
+use atlas_core::{Command, DepSet, Dot, IdMap, IdSet, ProcessId};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 
 /// Outcome of adding a committed command to the executor: the list of
 /// commands that became executable, in execution order.
@@ -42,7 +41,17 @@ pub struct ExecutedMarker {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Vertex {
     cmd: Command,
-    deps: Vec<Dot>,
+    deps: DepSet,
+}
+
+/// What is executed of one source's identifier space.
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+struct Marks {
+    source: ProcessId,
+    /// Contiguous executed prefix: every `⟨source, 1..=frontier⟩` executed.
+    frontier: u64,
+    /// Compaction floor (≤ the frontier), see `compact_below`.
+    floor: u64,
 }
 
 /// Incremental dependency-graph executor.
@@ -64,25 +73,20 @@ struct Vertex {
 #[derive(Debug, Default, Serialize, Deserialize)]
 pub struct DependencyGraph {
     /// Committed but not yet executed vertices.
-    pending: HashMap<Dot, Vertex>,
-    /// Dots already executed, except those at or below the compaction
-    /// `floor` (whose membership is implied).
-    executed: HashSet<Dot>,
+    pending: IdMap<Dot, Vertex>,
+    /// Per-source marks, sorted by source (a handful: a scan beats a hash).
+    marks: Vec<Marks>,
+    /// Dots executed *above* their source's frontier — out of order, so
+    /// usually none. With the frontiers this is the whole executed set: a
+    /// command executed in order costs the graph no memory.
+    above: IdSet<Dot>,
     /// For each not-yet-committed dot, the committed dots blocked on it.
-    waiting_on: HashMap<Dot, HashSet<Dot>>,
+    waiting_on: IdMap<Dot, IdSet<Dot>>,
     /// Total number of executed commands.
     executed_count: u64,
     /// Batches (strongly connected components) executed so far, and the
     /// commands in them, `noOp`s included.
     batches: (u64, u64),
-    /// Per-source contiguous executed prefix: every dot `⟨s, 1..=f⟩` is
-    /// executed. Drives the executed watermarks exchanged for GC.
-    frontiers: HashMap<ProcessId, u64>,
-    /// Per-source compaction floor (≤ the frontier): executed dots at or
-    /// below it were dropped from `executed` by [`compact
-    /// below`](DependencyGraph::compact_below); [`is
-    /// executed`](DependencyGraph::is_executed) still reports them.
-    floor: HashMap<ProcessId, u64>,
 }
 
 impl DependencyGraph {
@@ -91,66 +95,63 @@ impl DependencyGraph {
         Self::default()
     }
 
+    fn marks_of(&self, source: ProcessId) -> Marks {
+        let found = self.marks.iter().find(|m| m.source == source);
+        found.copied().unwrap_or_default()
+    }
+
+    fn marks_mut(&mut self, source: ProcessId) -> &mut Marks {
+        let at = self.marks.partition_point(|m| m.source < source);
+        if self.marks.get(at).is_none_or(|m| m.source != source) {
+            let fresh = Marks::default();
+            self.marks.insert(at, Marks { source, ..fresh });
+        }
+        &mut self.marks[at]
+    }
+
     /// Whether `dot` has already been executed.
     pub fn is_executed(&self, dot: &Dot) -> bool {
-        dot.seq <= self.floor_of(dot.source) || self.executed.contains(dot)
+        dot.seq <= self.executed_frontier(dot.source) || self.above.contains(dot)
     }
 
     /// The compaction floor for `source`: every dot of `source` at or below
     /// it is executed and has been garbage-collected.
     pub fn floor_of(&self, source: ProcessId) -> u64 {
-        self.floor.get(&source).copied().unwrap_or(0)
+        self.marks_of(source).floor
     }
 
     /// The contiguous executed prefix of `source`'s identifier space: every
     /// dot `⟨source, 1..=frontier⟩` has been executed here.
     pub fn executed_frontier(&self, source: ProcessId) -> u64 {
-        self.frontiers.get(&source).copied().unwrap_or(0)
+        self.marks_of(source).frontier
     }
 
-    /// Drops executed dots at or below `horizon` (per source) from the
-    /// executed set, raising the compaction floor. The effective floor per
-    /// source is clamped to its frontier, so a (buggy or malicious) horizon
-    /// can never imply execution of a dot that did not execute. Returns how
-    /// many set entries were dropped; idempotent and monotone.
+    /// Raises the compaction floor to `horizon` (per source), clamped to
+    /// the source's frontier, so a (buggy or malicious) horizon can never
+    /// imply execution of a dot that did not execute. Returns how many
+    /// identifiers the floor newly covers; idempotent and monotone.
     pub fn compact_below(&mut self, horizon: &[(ProcessId, u64)]) -> u64 {
-        let mut advanced = false;
+        let mut covered = 0;
         for &(source, h) in horizon {
-            let eff = h.min(self.executed_frontier(source));
-            let floor = self.floor.entry(source).or_insert(0);
-            if eff > *floor {
-                *floor = eff;
-                advanced = true;
+            if let Some(marks) = self.marks.iter_mut().find(|m| m.source == source) {
+                let floor = h.min(marks.frontier);
+                covered += floor.saturating_sub(marks.floor);
+                marks.floor = marks.floor.max(floor);
             }
         }
-        if !advanced {
-            return 0;
-        }
-        let before = self.executed.len();
-        let floor = &self.floor;
-        self.executed
-            .retain(|dot| dot.seq > floor.get(&dot.source).copied().unwrap_or(0));
-        (before - self.executed.len()) as u64
+        covered
     }
 
     /// Serializes the executed set as an [`ExecutedMarker`] (deterministic:
     /// both halves sorted).
     pub fn executed_marker(&self) -> ExecutedMarker {
-        let mut frontiers: Vec<(ProcessId, u64)> = self
-            .frontiers
-            .iter()
-            .filter(|(_, &f)| f > 0)
-            .map(|(&s, &f)| (s, f))
-            .collect();
-        frontiers.sort_unstable();
-        let mut above: Vec<Dot> = self
-            .executed
-            .iter()
-            .copied()
-            .filter(|dot| dot.seq > self.executed_frontier(dot.source))
-            .collect();
+        let marks = self.marks.iter().filter(|m| m.frontier > 0);
+        let mut above: Vec<Dot> = self.above.iter().copied().collect();
         above.sort_unstable();
-        ExecutedMarker { frontiers, above }
+        ExecutedMarker {
+            frontiers: marks.map(|m| (m.source, m.frontier)).collect(),
+            above,
+        }
     }
 
     /// Installs a peer's [`ExecutedMarker`] into a **fresh** graph (catch-up
@@ -160,19 +161,17 @@ impl DependencyGraph {
     /// store already reflects. Returns `false` (and changes nothing) if this
     /// graph has already executed anything.
     pub fn restore_marker(&mut self, marker: &ExecutedMarker) -> bool {
-        if self.executed_count > 0 || !self.executed.is_empty() {
+        if self.executed_count > 0 {
             return false;
         }
-        for &(source, f) in &marker.frontiers {
-            if f > 0 {
-                self.frontiers.insert(source, f);
-                self.floor.insert(source, f);
-                self.executed_count += f;
-            }
+        for &(source, frontier) in &marker.frontiers {
+            let marks = self.marks_mut(source);
+            (marks.frontier, marks.floor) = (frontier, frontier);
+            self.executed_count += frontier;
         }
-        for &dot in &marker.above {
-            if self.executed.insert(dot) {
-                self.executed_count += 1;
+        for dot in &marker.above {
+            if !self.is_executed(dot) {
+                self.mark_executed(*dot);
             }
         }
         true
@@ -218,62 +217,97 @@ impl DependencyGraph {
     /// dependants) but are filtered out of the returned batch since they must
     /// not be applied to the state machine.
     pub fn commit(&mut self, dot: Dot, cmd: Command, deps: Vec<Dot>) -> ExecutionBatch {
+        let mut executed = Vec::new();
+        self.commit_with(dot, cmd, deps.into(), &mut |dot, cmd| {
+            executed.push((dot, cmd))
+        });
+        executed
+    }
+
+    /// [`commit`](Self::commit) as the engine calls it: the set it already
+    /// holds, and each execution handed to `out` instead of collected.
+    pub(crate) fn commit_with(
+        &mut self,
+        dot: Dot,
+        cmd: Command,
+        deps: DepSet,
+        out: &mut impl FnMut(Dot, Command),
+    ) {
         if self.is_committed(&dot) {
             // Duplicate MCommit deliveries are possible (e.g. after recovery);
             // they must be idempotent.
-            return Vec::new();
+            return;
         }
-        self.pending.insert(dot, Vertex { cmd, deps });
-
-        let mut executed = Vec::new();
-        // Try the newly committed dot itself, then everything that was
-        // blocked waiting for it.
-        let mut candidates = vec![dot];
-        if let Some(waiters) = self.waiting_on.remove(&dot) {
-            candidates.extend(waiters);
+        let waiters = self.waiting_on.remove(&dot);
+        let mut candidates = Vec::new();
+        if deps.iter().all(|dep| *dep == dot || self.is_executed(dep)) {
+            // Nothing to wait for and nothing to order against: a batch of
+            // one, executed without a walk. This is almost every commit.
+            self.batches.0 += 1;
+            self.execute(dot, cmd, out);
+        } else {
+            self.pending.insert(dot, Vertex { cmd, deps });
+            candidates.push(dot);
         }
+        // Then everything that was blocked waiting for it.
+        candidates.extend(waiters.into_iter().flatten());
         // Vertices a failed walk of this very call proved blocked, mapped to
         // the uncommitted dot they (transitively) depend on. Lets sibling
         // candidates short-circuit instead of re-walking the same blocked
         // region — without it, a long dependency chain committed in reverse
         // order costs a full closure walk per waiter per commit (cubic
         // overall).
-        let mut blocked_on: HashMap<Dot, Dot> = HashMap::new();
+        let mut blocked_on: IdMap<Dot, Dot> = IdMap::default();
         for candidate in candidates {
             if self.pending.contains_key(&candidate) && !blocked_on.contains_key(&candidate) {
-                self.try_execute(candidate, &mut blocked_on, &mut executed);
+                self.try_execute(candidate, &mut blocked_on, out);
             }
         }
-        executed
     }
 
-    /// Advances `source`'s contiguous executed prefix over whatever run of
-    /// consecutive sequences is now present in the executed set.
-    fn advance_frontier(&mut self, source: ProcessId) {
-        let mut frontier = self.executed_frontier(source);
-        while self.executed.contains(&Dot::new(source, frontier + 1)) {
+    /// Marks `dot` executed, advancing its source's contiguous prefix over
+    /// whatever run of consecutive sequences is now executed.
+    fn mark_executed(&mut self, dot: Dot) {
+        self.executed_count += 1;
+        let at = self.marks_mut(dot.source).frontier + 1;
+        if dot.seq != at {
+            self.above.insert(dot);
+            return;
+        }
+        let mut frontier = at;
+        while self.above.remove(&Dot::new(dot.source, frontier + 1)) {
             frontier += 1;
         }
-        self.frontiers.insert(source, frontier);
+        self.marks_mut(dot.source).frontier = frontier;
     }
 
-    /// Attempts to execute the closure of `root`; appends executed commands
+    /// Executes one member of the current batch.
+    fn execute(&mut self, dot: Dot, cmd: Command, out: &mut impl FnMut(Dot, Command)) {
+        self.batches.1 += 1;
+        self.mark_executed(dot);
+        self.waiting_on.remove(&dot);
+        if !cmd.is_noop() {
+            out(dot, cmd);
+        }
+    }
+
+    /// Attempts to execute the closure of `root`; hands executed commands
     /// (in order) to `out`. On failure (the closure reaches an uncommitted
     /// dot), indexes the DFS path on that dot and records it in `blocked_on`.
     fn try_execute(
         &mut self,
         root: Dot,
-        blocked_on: &mut HashMap<Dot, Dot>,
-        out: &mut ExecutionBatch,
+        blocked_on: &mut IdMap<Dot, Dot>,
+        out: &mut impl FnMut(Dot, Command),
     ) {
         // 1. Compute the closure of `root` over non-executed dependencies,
         //    with a DFS that tracks its current path: on a missing (or
         //    known-blocked) dependency, every vertex on the path transitively
         //    reaches it, so all of them can be indexed at once.
         let mut closure: Vec<Dot> = Vec::new();
-        let mut seen: HashSet<Dot> = HashSet::new();
+        let mut seen: IdSet<Dot> = IdSet::default();
         // DFS frames: (vertex, its dependencies, next dependency position).
-        let mut path: Vec<(Dot, Vec<Dot>, usize)> = Vec::new();
+        let mut path: Vec<(Dot, DepSet, usize)> = Vec::new();
         seen.insert(root);
         closure.push(root);
         let root_deps = self
@@ -286,13 +320,12 @@ impl DependencyGraph {
 
         let mut missing: Option<Dot> = None;
         'walk: while let Some((_, deps, pos)) = path.last_mut() {
-            if *pos >= deps.len() {
+            let Some(&next) = deps.as_slice().get(*pos) else {
                 path.pop();
                 continue;
-            }
-            let next = deps[*pos];
+            };
             *pos += 1;
-            if dot_is_executed(&self.executed, &self.floor, &next) || !seen.insert(next) {
+            if self.is_executed(&next) || !seen.insert(next) {
                 continue;
             }
             if let Some(&m) = blocked_on.get(&next) {
@@ -327,18 +360,11 @@ impl DependencyGraph {
         // 2. All closure members are committed: find strongly connected
         //    components and execute them dependencies-first.
         let sccs = tarjan_sccs(&closure, |dot| {
-            self.pending
-                .get(dot)
-                .map(|v| {
-                    v.deps
-                        .iter()
-                        .copied()
-                        .filter(|d| {
-                            seen.contains(d) && !dot_is_executed(&self.executed, &self.floor, d)
-                        })
-                        .collect()
-                })
-                .unwrap_or_default()
+            let deps = self.pending.get(dot).map(|v| v.deps.iter().copied());
+            deps.into_iter()
+                .flatten()
+                .filter(|d| seen.contains(d) && !self.is_executed(d))
+                .collect()
         });
 
         // Tarjan emits SCCs in reverse topological order of the condensation,
@@ -349,28 +375,15 @@ impl DependencyGraph {
             // identifiers (Algorithm 3, line 55).
             scc.sort_unstable();
             self.batches.0 += 1;
-            self.batches.1 += scc.len() as u64;
             for dot in scc {
                 let vertex = self
                     .pending
                     .remove(&dot)
                     .expect("closure member must be pending");
-                self.executed.insert(dot);
-                self.executed_count += 1;
-                self.advance_frontier(dot.source);
-                self.waiting_on.remove(&dot);
-                if !vertex.cmd.is_noop() {
-                    out.push((dot, vertex.cmd));
-                }
+                self.execute(dot, vertex.cmd, out);
             }
         }
     }
-}
-
-/// Floor-aware executed check usable while individual fields of the graph
-/// are independently borrowed (the DFS holds other borrows of `self`).
-fn dot_is_executed(executed: &HashSet<Dot>, floor: &HashMap<ProcessId, u64>, dot: &Dot) -> bool {
-    dot.seq <= floor.get(&dot.source).copied().unwrap_or(0) || executed.contains(dot)
 }
 
 /// Iterative Tarjan strongly-connected-components over the vertices in
@@ -385,7 +398,8 @@ fn tarjan_sccs(vertices: &[Dot], mut successors: impl FnMut(&Dot) -> Vec<Dot>) -
         visited: bool,
     }
 
-    let mut state: HashMap<Dot, NodeState> = HashMap::with_capacity(vertices.len());
+    let mut state: IdMap<Dot, NodeState> = IdMap::default();
+    state.reserve(vertices.len());
     let mut next_index = 0usize;
     let mut stack: Vec<Dot> = Vec::new();
     let mut sccs: Vec<Vec<Dot>> = Vec::new();

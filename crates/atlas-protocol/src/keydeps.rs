@@ -15,16 +15,30 @@
 //!
 //! With the NFR optimization (§4), reads are not recorded at all, so they can
 //! never become dependencies of later commands.
+//!
+//! The index is keyed by [`Key`], which clients choose, so it keeps the
+//! standard library's keyed hasher (see [`atlas_core::hash`]).
 
-use atlas_core::{Command, Dot, Key, ProcessId};
+use atlas_core::{Command, DepSet, Dot, Key};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Per-key record: the last write and the reads issued after it.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct KeyEntry {
     last_write: Option<Dot>,
-    reads_after_write: Vec<Dot>,
+    reads_after_write: DepSet,
+}
+
+impl KeyEntry {
+    /// Adds what an access `op`-ing this key depends on to `deps`.
+    fn conflicts(&self, is_read: bool, deps: &mut DepSet) {
+        deps.extend(self.last_write);
+        if !is_read {
+            // A write also conflicts with preceding reads of the key.
+            deps.union_with(&self.reads_after_write);
+        }
+    }
 }
 
 /// Conflict index mapping keys to the identifiers of the latest conflicting
@@ -32,8 +46,6 @@ struct KeyEntry {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct KeyDeps {
     entries: HashMap<Key, KeyEntry>,
-    /// Identifiers already added, to keep [`KeyDeps::add`] idempotent.
-    known: HashSet<Dot>,
     /// When `true`, read-only commands are not recorded (NFR optimization).
     nfr: bool,
 }
@@ -48,97 +60,64 @@ impl KeyDeps {
         }
     }
 
-    /// Whether `dot` has already been added to the index.
-    pub fn contains(&self, dot: &Dot) -> bool {
-        self.known.contains(dot)
-    }
-
     /// Returns the dependencies of `cmd` — the latest conflicting command per
     /// accessed key — *without* recording `cmd` itself.
     ///
     /// A `noOp` command conflicts with everything, so its dependencies are
     /// the union of all per-key entries.
-    pub fn conflicts(&self, cmd: &Command) -> HashSet<Dot> {
-        let mut deps = HashSet::new();
+    pub fn conflicts(&self, cmd: &Command) -> DepSet {
         if cmd.is_noop() {
+            let mut all: Vec<Dot> = Vec::new();
             for entry in self.entries.values() {
-                deps.extend(entry.last_write);
-                deps.extend(entry.reads_after_write.iter().copied());
+                all.extend(entry.last_write);
+                all.extend(&entry.reads_after_write);
             }
-            return deps;
+            return all.into();
         }
+        let mut deps = DepSet::new();
         for (key, op) in cmd.ops() {
             if let Some(entry) = self.entries.get(key) {
-                if let Some(write) = entry.last_write {
-                    deps.insert(write);
-                }
-                if !op.is_read() {
-                    // A write also conflicts with preceding reads of the key.
-                    deps.extend(entry.reads_after_write.iter().copied());
-                }
+                entry.conflicts(op.is_read(), &mut deps);
             }
         }
         deps
     }
 
     /// Records `cmd` (with identifier `dot`) in the index so that later
-    /// commands report it as a dependency. Idempotent.
+    /// commands report it as a dependency. **Once per identifier**: a
+    /// repeated write would pass for the key's latest again. The engine
+    /// keeps that promise with a flag in its per-identifier record.
     pub fn add(&mut self, dot: Dot, cmd: &Command) {
-        if cmd.is_noop() {
-            // noOps are never dependencies of later commands: they are only
-            // produced by recovery and never applied to the state machine.
-            return;
+        self.conflicts_and_add(dot, cmd);
+    }
+
+    /// Computes the dependencies of `cmd` and records it, with one lookup
+    /// per key (a command's keys are distinct, so recording under one key
+    /// cannot change what another reports).
+    pub fn conflicts_and_add(&mut self, dot: Dot, cmd: &Command) -> DepSet {
+        // noOps are never dependencies of later commands: they are only
+        // produced by recovery and never applied to the state machine.
+        // Under NFR reads are excluded from later dependency sets.
+        if cmd.is_noop() || (self.nfr && cmd.is_read_only()) {
+            return self.conflicts(cmd);
         }
-        if self.nfr && cmd.is_read_only() {
-            // Under NFR reads are excluded from later dependency sets.
-            return;
-        }
-        if !self.known.insert(dot) {
-            return;
-        }
+        let mut deps = DepSet::new();
         for (key, op) in cmd.ops() {
             let entry = self.entries.entry(*key).or_default();
+            entry.conflicts(op.is_read(), &mut deps);
             if op.is_read() {
-                entry.reads_after_write.push(dot);
+                entry.reads_after_write.insert(dot);
             } else {
                 entry.last_write = Some(dot);
                 entry.reads_after_write.clear();
             }
         }
-    }
-
-    /// Convenience: computes the dependencies of `cmd` and then records it.
-    pub fn conflicts_and_add(&mut self, dot: Dot, cmd: &Command) -> HashSet<Dot> {
-        let deps = self.conflicts(cmd);
-        self.add(dot, cmd);
         deps
     }
 
     /// Number of distinct keys tracked.
     pub fn key_count(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Number of idempotence records held (one per command ever added);
-    /// bounded by [`KeyDeps::prune_below`] under garbage collection.
-    pub fn known_count(&self) -> usize {
-        self.known.len()
-    }
-
-    /// Drops the idempotence records of identifiers at or below `horizon`
-    /// (per source), returning how many were dropped. Only safe once the
-    /// caller guarantees [`KeyDeps::add`] is never again invoked for those
-    /// identifiers — the protocols' GC floor ignores their messages
-    /// outright. The per-key latest-conflict entries are untouched: they
-    /// stay bounded by the number of keys, and a dependency on an
-    /// everywhere-executed command is harmless (its order is already fixed
-    /// by state).
-    pub fn prune_below(&mut self, horizon: &[(ProcessId, u64)]) -> usize {
-        let floor: HashMap<ProcessId, u64> = horizon.iter().copied().collect();
-        let before = self.known.len();
-        self.known
-            .retain(|dot| dot.seq > floor.get(&dot.source).copied().unwrap_or(0));
-        before - self.known.len()
     }
 }
 
@@ -160,11 +139,11 @@ mod tests {
         let c2 = Command::put(rifl(2), 0, 2, 8);
         assert!(index.conflicts_and_add(w1, &c1).is_empty());
         let deps = index.conflicts_and_add(w2, &c2);
-        assert_eq!(deps, HashSet::from([w1]));
+        assert_eq!(deps, DepSet::from([w1]));
         // A third write depends only on the latest one.
         let w3 = Dot::new(3, 1);
         let deps = index.conflicts(&Command::put(rifl(3), 0, 3, 8));
-        assert_eq!(deps, HashSet::from([w2]));
+        assert_eq!(deps, DepSet::from([w2]));
         index.add(w3, &Command::put(rifl(3), 0, 3, 8));
         assert_eq!(index.key_count(), 1);
     }
@@ -186,7 +165,7 @@ mod tests {
         index.add(r1, &Command::get(rifl(2), 0));
         // Another read depends on the write but not on the first read.
         let deps = index.conflicts(&Command::get(rifl(3), 0));
-        assert_eq!(deps, HashSet::from([w]));
+        assert_eq!(deps, DepSet::from([w]));
     }
 
     #[test]
@@ -199,7 +178,7 @@ mod tests {
         index.add(r1, &Command::get(rifl(2), 0));
         index.add(r2, &Command::get(rifl(3), 0));
         let deps = index.conflicts(&Command::put(rifl(4), 0, 9, 8));
-        assert_eq!(deps, HashSet::from([w, r1, r2]));
+        assert_eq!(deps, DepSet::from([w, r1, r2]));
     }
 
     #[test]
@@ -209,7 +188,7 @@ mod tests {
         index.add(Dot::new(2, 1), &Command::get(rifl(2), 0));
         index.add(Dot::new(3, 1), &Command::put(rifl(3), 0, 2, 8));
         let deps = index.conflicts(&Command::put(rifl(4), 0, 3, 8));
-        assert_eq!(deps, HashSet::from([Dot::new(3, 1)]));
+        assert_eq!(deps, DepSet::from([Dot::new(3, 1)]));
     }
 
     #[test]
@@ -221,8 +200,7 @@ mod tests {
         index.add(r, &Command::get(rifl(2), 0));
         // The read was not recorded: a later write depends only on the write.
         let deps = index.conflicts(&Command::put(rifl(3), 0, 2, 8));
-        assert_eq!(deps, HashSet::from([w]));
-        assert!(!index.contains(&r));
+        assert_eq!(deps, DepSet::from([w]));
     }
 
     #[test]
@@ -235,43 +213,14 @@ mod tests {
         index.add(r1, &Command::get(rifl(2), 0));
         index.add(w2, &Command::put(rifl(3), 5, 1, 8));
         let deps = index.conflicts(&Command::noop());
-        assert_eq!(deps, HashSet::from([w1, r1, w2]));
+        assert_eq!(deps, DepSet::from([w1, r1, w2]));
     }
 
     #[test]
     fn noop_is_never_recorded() {
         let mut index = KeyDeps::new(false);
         index.add(Dot::new(1, 1), &Command::noop());
-        assert!(!index.contains(&Dot::new(1, 1)));
         assert_eq!(index.key_count(), 0);
-    }
-
-    #[test]
-    fn prune_below_drops_idempotence_records_but_keeps_conflicts() {
-        let mut index = KeyDeps::new(false);
-        let w1 = Dot::new(1, 1);
-        let w2 = Dot::new(1, 2);
-        index.add(w1, &Command::put(rifl(1), 0, 1, 8));
-        index.add(w2, &Command::put(rifl(2), 1, 1, 8));
-        assert_eq!(index.known_count(), 2);
-        assert_eq!(index.prune_below(&[(1, 1)]), 1);
-        assert_eq!(index.known_count(), 1);
-        assert!(!index.contains(&w1));
-        assert!(index.contains(&w2));
-        // Conflict entries survive: later commands still see the last write.
-        let deps = index.conflicts(&Command::put(rifl(3), 0, 2, 8));
-        assert_eq!(deps, HashSet::from([w1]));
-    }
-
-    #[test]
-    fn add_is_idempotent() {
-        let mut index = KeyDeps::new(false);
-        let w = Dot::new(1, 1);
-        let cmd = Command::put(rifl(1), 0, 1, 8);
-        index.add(w, &cmd);
-        index.add(w, &cmd);
-        let deps = index.conflicts(&Command::put(rifl(2), 0, 2, 8));
-        assert_eq!(deps, HashSet::from([w]));
     }
 
     #[test]
@@ -283,6 +232,6 @@ mod tests {
         index.add(w1, &Command::put(rifl(2), 1, 1, 8));
         let multi = Command::new(rifl(3), [(0, KvOp::Put(3)), (1, KvOp::Get)], 8);
         let deps = index.conflicts(&multi);
-        assert_eq!(deps, HashSet::from([w0, w1]));
+        assert_eq!(deps, DepSet::from([w0, w1]));
     }
 }

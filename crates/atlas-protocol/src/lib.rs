@@ -60,5 +60,5 @@ pub use graph::{DependencyGraph, ExecutedMarker};
 pub use keydeps::KeyDeps;
 pub use messages::{Ballot, Message};
 pub use protocol::{Atlas, Deps};
-pub use recovery::{highest_accepted, RecAck};
+pub use recovery::RecAck;
 pub use rule::{AtlasRule, CommitRule};

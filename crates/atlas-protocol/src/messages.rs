@@ -1,8 +1,8 @@
 //! Wire messages of the Atlas protocol (Algorithms 1, 2 and 4 of the paper).
 
-use atlas_core::{Command, Dot, ProcessId};
+use crate::recovery::RecAck;
+use atlas_core::{Command, DepSet, Dot, ProcessId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Ballot numbers used by the per-identifier consensus. Ballot `i ≤ n` is
 /// reserved for the initial coordinator `i`; recovery ballots are always
@@ -20,7 +20,7 @@ pub enum Message {
         /// The command payload.
         cmd: Command,
         /// Conflicting commands known to the coordinator (its `past`).
-        past: HashSet<Dot>,
+        past: DepSet,
         /// The fast quorum chosen by the coordinator.
         quorum: Vec<ProcessId>,
     },
@@ -30,7 +30,7 @@ pub enum Message {
         /// Command identifier.
         dot: Dot,
         /// Dependencies computed by the sender.
-        deps: HashSet<Dot>,
+        deps: DepSet,
     },
     /// Consensus phase-2 proposal (slow path or recovery; Algorithm 1,
     /// line 19 / Algorithm 2, lines 48–52).
@@ -40,7 +40,7 @@ pub enum Message {
         /// Proposed command payload (may be `noOp` after recovery).
         cmd: Command,
         /// Proposed dependency set.
-        deps: HashSet<Dot>,
+        deps: DepSet,
         /// Proposal ballot.
         ballot: Ballot,
     },
@@ -59,7 +59,7 @@ pub enum Message {
         /// Agreed command payload.
         cmd: Command,
         /// Agreed dependency set.
-        deps: HashSet<Dot>,
+        deps: DepSet,
     },
     /// Recovery phase-1: a new coordinator tries to take over `dot`
     /// (Algorithm 2, line 33).
@@ -76,16 +76,8 @@ pub enum Message {
     MRecAck {
         /// Command identifier being recovered.
         dot: Dot,
-        /// The command as known by the sender (`noOp` if unknown).
-        cmd: Command,
-        /// The sender's current dependency set for `dot`.
-        deps: HashSet<Dot>,
-        /// The fast quorum as known by the sender (empty if the sender never
-        /// saw the initial `MCollect`).
-        quorum: Vec<ProcessId>,
-        /// Ballot at which the sender last accepted a consensus proposal
-        /// (0 if none).
-        accepted_ballot: Ballot,
+        /// What the sender knows.
+        ack: RecAck,
         /// Ballot being acknowledged.
         ballot: Ballot,
     },
@@ -119,7 +111,9 @@ impl Message {
             Message::MConsensusAck { .. } => HEADER,
             Message::MCommit { cmd, deps, .. } => HEADER + cmd.payload_size + PER_DEP * deps.len(),
             Message::MRec { cmd, .. } => HEADER + cmd.payload_size,
-            Message::MRecAck { cmd, deps, .. } => HEADER + cmd.payload_size + PER_DEP * deps.len(),
+            Message::MRecAck { ack, .. } => {
+                HEADER + ack.cmd.payload_size + PER_DEP * ack.deps.len()
+            }
         }
     }
 }
@@ -137,24 +131,24 @@ mod tests {
             Message::MCollect {
                 dot,
                 cmd: cmd.clone(),
-                past: HashSet::new(),
+                past: DepSet::new(),
                 quorum: vec![1, 2, 3],
             },
             Message::MCollectAck {
                 dot,
-                deps: HashSet::new(),
+                deps: DepSet::new(),
             },
             Message::MConsensus {
                 dot,
                 cmd: cmd.clone(),
-                deps: HashSet::new(),
+                deps: DepSet::new(),
                 ballot: 9,
             },
             Message::MConsensusAck { dot, ballot: 9 },
             Message::MCommit {
                 dot,
                 cmd: cmd.clone(),
-                deps: HashSet::new(),
+                deps: DepSet::new(),
             },
             Message::MRec {
                 dot,
@@ -163,10 +157,12 @@ mod tests {
             },
             Message::MRecAck {
                 dot,
-                cmd,
-                deps: HashSet::new(),
-                quorum: vec![],
-                accepted_ballot: 0,
+                ack: RecAck {
+                    cmd,
+                    deps: DepSet::new(),
+                    quorum: vec![],
+                    accepted_ballot: 0,
+                },
                 ballot: 12,
             },
         ];
@@ -177,12 +173,26 @@ mod tests {
     }
 
     #[test]
+    fn messages_written_with_hash_set_dependencies_still_decode() {
+        // Journals and peers of the previous layout encoded a dependency
+        // set as a `HashSet<Dot>`: same framing, elements in byte order.
+        let dot = Dot::new(2, 7);
+        let cmd = Command::put(Rifl::new(1, 1), 0, 1, 100);
+        let deps = [Dot::new(1, 300), Dot::new(3, 2), Dot::new(2, 256)];
+        let old_set: std::collections::HashSet<Dot> = deps.into_iter().collect();
+        let old = bincode::serialize(&(4u32, dot, &cmd, &old_set)).unwrap();
+        let decoded: Message = bincode::deserialize(&old).unwrap();
+        let deps = deps.into();
+        assert_eq!(decoded, Message::MCommit { dot, cmd, deps });
+    }
+
+    #[test]
     fn message_size_grows_with_payload_and_deps() {
         let dot = Dot::new(1, 1);
         let small = Message::MCommit {
             dot,
             cmd: Command::put(Rifl::new(1, 1), 0, 1, 100),
-            deps: HashSet::new(),
+            deps: DepSet::new(),
         };
         let large = Message::MCommit {
             dot,

@@ -17,22 +17,23 @@ use crate::graph::{DependencyGraph, ExecutedMarker};
 use crate::keydeps::KeyDeps;
 use crate::messages::{Ballot, Message};
 use crate::recovery::RecAck;
-use crate::rule::{union, AtlasRule, CommitRule, Replies};
+use crate::rule::{sets, AtlasRule, CommitRule};
 use atlas_core::protocol::Time;
 use atlas_core::{
-    Action, Base, ClusterView, Command, Config, Dot, DotGen, ProcessId, Protocol, Topology,
+    Action, Base, ClusterView, Command, Config, DepSet, Dot, DotGen, IdMap, ProcessId, Protocol,
+    Topology,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 use std::marker::PhantomData;
 
 /// An Atlas replica: the engine under the paper's rule (§3.2).
 pub type Atlas = Deps<AtlasRule>;
 
 /// Progress of a command identifier at this replica (paper §3.2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub(crate) enum Phase {
     /// Nothing known beyond possibly the identifier itself.
+    #[default]
     Start,
     /// The replica has processed the `MCollect` for this identifier.
     Collect,
@@ -51,72 +52,134 @@ impl Phase {
     }
 }
 
-/// Per-identifier bookkeeping (the mappings at the bottom of Algorithm 1/4).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Per-identifier bookkeeping (the mappings at the bottom of Algorithm 1/4)
+/// that *every* replica keeps; what only the replica driving a round needs
+/// is in [`Proposer`].
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Info {
     pub phase: Phase,
-    pub cmd: Option<Command>,
-    pub deps: HashSet<Dot>,
-    /// Fast quorum chosen by the initial coordinator (empty if unknown).
-    pub quorum: Vec<ProcessId>,
-    /// Current ballot this replica participates in (`bal`).
-    pub bal: Ballot,
-    /// Last ballot at which a consensus proposal was accepted (`abal`).
-    pub abal: Ballot,
-    /// Coordinator side: `MCollectAck` replies received so far.
-    pub collect_acks: Replies,
-    /// Proposer side: `MConsensusAck` senders, per ballot.
-    pub consensus_acks: HashMap<Ballot, HashSet<ProcessId>>,
-    /// Recovery coordinator side: `MRecAck` replies, per ballot.
-    pub rec_acks: HashMap<Ballot, HashMap<ProcessId, RecAck>>,
-    /// Recovery coordinator side: the proposal computed for each ballot
-    /// this replica led. Replies beyond the recovery quorum re-send the
-    /// memoized proposal instead of re-deriving one — a straggling
-    /// `MRecAck` could otherwise grow the union and make the same ballot
-    /// carry two different values, which is unsound Paxos.
-    pub rec_proposed: HashMap<Ballot, (Command, HashSet<Dot>)>,
     /// Whether an `MCommit` has already been broadcast by this replica for
     /// this identifier (prevents duplicate commits by the same proposer).
     pub committed_sent: bool,
     /// Whether the coordinator already decided between fast and slow path
     /// for this identifier (prevents reprocessing duplicate collect acks).
     pub collect_decided: bool,
+    /// Whether the command is in the conflict index ([`KeyDeps::add`]).
+    pub indexed: bool,
+    /// Current ballot this replica participates in (`bal`).
+    pub bal: Ballot,
+    /// Last ballot at which a consensus proposal was accepted (`abal`).
+    pub abal: Ballot,
+    /// Local commit time, to measure the commit→execute delay.
+    pub committed_at: Time,
+    pub cmd: Option<Command>,
+    pub deps: DepSet,
+    /// Fast quorum chosen by the initial coordinator (empty if unknown, and
+    /// again once committed: only a takeover asks for it).
+    pub quorum: Vec<ProcessId>,
+    /// The round this replica drives, until the identifier commits.
+    pub proposer: Option<Box<Proposer>>,
 }
 
-impl Info {
-    fn new() -> Self {
-        Self {
-            phase: Phase::Start,
-            cmd: None,
-            deps: HashSet::new(),
-            quorum: Vec::new(),
-            bal: 0,
-            abal: 0,
-            collect_acks: HashMap::new(),
-            consensus_acks: HashMap::new(),
-            rec_acks: HashMap::new(),
-            rec_proposed: HashMap::new(),
-            committed_sent: false,
-            collect_decided: false,
+/// The replies to the round this replica drives at `ballot`, each list
+/// sorted by sender. Handlers only touch the round at the identifier's
+/// current ballot, and ballots only grow: a new ballot starts afresh.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub(crate) struct Proposer {
+    /// The ballot the replies answer (0: the initial collect).
+    pub ballot: Ballot,
+    /// Initial coordinator: `MCollectAck` replies received so far.
+    pub collect_acks: Vec<(ProcessId, DepSet)>,
+    /// `MConsensusAck` senders.
+    pub consensus_acks: Vec<(ProcessId, ())>,
+    /// Recovery coordinator: `MRecAck` replies.
+    pub rec_acks: Vec<(ProcessId, RecAck)>,
+    /// Recovery coordinator: the proposal computed for this ballot, re-sent
+    /// to replies beyond the recovery quorum — re-deriving it from a larger
+    /// union would make one ballot carry two values, which is unsound Paxos.
+    pub rec_proposed: Option<(Command, DepSet)>,
+}
+
+impl Proposer {
+    /// The round at `ballot` in `slot`, started now unless it is under way.
+    pub(crate) fn at(slot: &mut Option<Box<Proposer>>, ballot: Ballot) -> &mut Proposer {
+        if slot.as_ref().is_none_or(|round| round.ballot != ballot) {
+            let fresh = Proposer::default();
+            *slot = Some(Box::new(Proposer { ballot, ..fresh }));
+        }
+        slot.as_mut().expect("the round was just started")
+    }
+}
+
+/// Files `reply` under `from` in a list sorted by sender; a repeated reply
+/// replaces the earlier one.
+pub(crate) fn file<T>(replies: &mut Vec<(ProcessId, T)>, from: ProcessId, reply: T) {
+    match replies.binary_search_by_key(&from, |(sender, _)| *sender) {
+        Ok(at) => replies[at].1 = reply,
+        Err(at) => replies.insert(at, (from, reply)),
+    }
+}
+
+/// The senders of a list of replies.
+pub(crate) fn senders<T>(
+    replies: &[(ProcessId, T)],
+) -> impl Iterator<Item = ProcessId> + Clone + '_ {
+    replies.iter().map(|(sender, _)| *sender)
+}
+
+/// An executed identifier — nearly all of a snapshot — encodes as command
+/// and dependencies: every handler turns a committed identifier away (or
+/// answers with those two) before it reads anything else.
+impl Serialize for Info {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        let executed = self.phase == Phase::Execute;
+        (executed, &self.cmd, &self.deps).serialize(out);
+        if !executed {
+            let flags = (self.committed_sent, self.collect_decided, self.indexed);
+            (self.phase, flags, self.bal, self.abal, self.committed_at).serialize(out);
+            (&self.quorum, &self.proposer).serialize(out);
         }
     }
 }
+
+impl Deserialize for Info {
+    fn deserialize(input: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let (executed, cmd, deps): (bool, _, _) = Deserialize::deserialize(input)?;
+        let mut info = Info {
+            cmd,
+            deps,
+            ..Info::default()
+        };
+        (info.phase, info.indexed) = (Phase::Execute, true);
+        if !executed {
+            let flags;
+            (info.phase, flags, info.bal, info.abal, info.committed_at) =
+                Deserialize::deserialize(input)?;
+            (info.committed_sent, info.collect_decided, info.indexed) = flags;
+            (info.quorum, info.proposer) = Deserialize::deserialize(input)?;
+        }
+        Ok(info)
+    }
+}
+
+/// Leads [`State`], so bytes of another layout (the previous one led with
+/// its rule name's length) are refused whatever the rest decodes as.
+const LAYOUT: u32 = 0xA71A_5002;
 
 /// Everything a replica holds, whatever its rule. Kept non-generic so it
 /// derives serde; [`Deps::save_state`](Protocol::save_state) serializes
 /// exactly this (conflict index and execution graph included).
 #[derive(Debug, Serialize, Deserialize)]
 pub(crate) struct State {
+    layout: u32,
     /// `R::NAME` of the rule this state was built under. Both rules share
     /// this layout, so the name is what refuses the other rule's snapshot.
     rule: String,
     pub(crate) base: Base,
     dot_gen: DotGen,
     pub(crate) key_deps: KeyDeps,
-    pub(crate) info: HashMap<Dot, Info>,
+    pub(crate) info: IdMap<Dot, Info>,
     pub(crate) graph: DependencyGraph,
-    /// Local commit time per identifier, to measure commit→execute delay.
-    commit_times: HashMap<Dot, Time>,
 }
 
 /// A replica of the dependency-commit engine under rule `R`.
@@ -131,12 +194,16 @@ pub struct Deps<R: CommitRule> {
     rule: PhantomData<R>,
 }
 
-impl State {
-    pub(crate) fn info_mut(&mut self, dot: Dot) -> &mut Info {
-        self.base.note_seen(dot.source, dot.seq);
-        self.info.entry(dot).or_insert_with(Info::new)
-    }
+/// The entry of `dot`, created (and noted in the seen horizon) if missing. A
+/// free function, so callers can use [`State`]'s other fields beside it.
+pub(crate) fn track<'a>(info: &'a mut IdMap<Dot, Info>, base: &mut Base, dot: Dot) -> &'a mut Info {
+    info.entry(dot).or_insert_with(|| {
+        base.note_seen(dot.source, dot.seq);
+        Info::default()
+    })
+}
 
+impl State {
     /// Whether `dot` sits at or below the GC floor: committed and executed
     /// by **every** replica, with its bookkeeping dropped here. Messages
     /// about such identifiers (duplicates, stragglers, recovery probes) are
@@ -182,13 +249,13 @@ impl State {
         from: ProcessId,
         dot: Dot,
         cmd: Command,
-        past: HashSet<Dot>,
+        past: DepSet,
         quorum: Vec<ProcessId>,
     ) -> Vec<Action<Message>> {
         if self.collected(&dot) {
             return Vec::new();
         }
-        let info = self.info_mut(dot);
+        let info = track(&mut self.info, &mut self.base, dot);
         if info.phase != Phase::Start || info.bal != 0 {
             // Stale: a recovery took over, the command is committed, or a
             // consensus proposal for it was accepted here first — which a
@@ -199,13 +266,12 @@ impl State {
         // conflicts combined with the coordinator's `past` (line 8), and
         // record the command so later commands depend on it. NFR reads are
         // excluded from the dependencies of later commands, which
-        // `KeyDeps::add` takes care of.
-        let mut deps = self.key_deps.conflicts(&cmd);
-        deps.extend(past);
-        self.key_deps.add(dot, &cmd);
+        // `KeyDeps` takes care of. (`Start` with no ballot: not indexed yet.)
+        let mut deps = self.key_deps.conflicts_and_add(dot, &cmd);
+        deps.union_with(&past);
         deps.remove(&dot);
 
-        let info = self.info_mut(dot);
+        info.indexed = true;
         info.phase = Phase::Collect;
         info.cmd = Some(cmd);
         info.quorum = quorum;
@@ -219,7 +285,7 @@ impl State {
         &mut self,
         from: ProcessId,
         dot: Dot,
-        deps: HashSet<Dot>,
+        deps: DepSet,
     ) -> Vec<Action<Message>> {
         let Some(info) = self.info.get_mut(&dot) else {
             return Vec::new();
@@ -234,17 +300,17 @@ impl State {
         {
             return Vec::new();
         }
-        info.collect_acks.insert(from, deps);
+        let acks = &mut Proposer::at(&mut info.proposer, 0).collect_acks;
+        file(acks, from, deps);
         let joint = self.base.view().is_joint();
         let ready = if joint {
             // Joint window: a majority of each configuration — any two
             // collect quorums still intersect in both, which is what keeps
             // conflicting commands visible to each other. Waiting for the
             // full union would deadlock on the dead member a swap removes.
-            let have: HashSet<ProcessId> = info.collect_acks.keys().copied().collect();
-            self.base.quorum_met(&have, Config::majority)
+            self.base.quorum_met(senders(acks), Config::majority)
         } else {
-            info.collect_acks.len() >= info.quorum.len()
+            acks.len() >= info.quorum.len()
         };
         if !ready {
             return Vec::new();
@@ -258,9 +324,9 @@ impl State {
         // across two of them, so every joint-window command proposes the
         // plain union to consensus at dual quorums instead.
         let (fast_path, deps) = if joint {
-            (false, union(info.collect_acks.values()))
+            (false, DepSet::union(sets(acks)))
         } else {
-            R::decide(&config, &cmd, &info.collect_acks)
+            R::decide(&config, &cmd, acks)
         };
         if fast_path {
             // Fast path (line 16): commit after a single round trip.
@@ -299,7 +365,7 @@ impl State {
         from: ProcessId,
         dot: Dot,
         cmd: Command,
-        deps: HashSet<Dot>,
+        deps: DepSet,
         ballot: Ballot,
     ) -> Vec<Action<Message>> {
         if self.collected(&dot) {
@@ -308,7 +374,7 @@ impl State {
             // MCommit is needed — or possible, the payload is gone.
             return Vec::new();
         }
-        let info = self.info_mut(dot);
+        let info = track(&mut self.info, &mut self.base, dot);
         if info.phase.is_committed() {
             // Already decided: tell the proposer.
             let cmd = info.cmd.clone().expect("committed command is known");
@@ -340,11 +406,11 @@ impl State {
         if info.bal != ballot || info.committed_sent || info.phase.is_committed() {
             return Vec::new();
         }
-        let acks = info.consensus_acks.entry(ballot).or_default();
-        acks.insert(from);
+        let acks = &mut Proposer::at(&mut info.proposer, ballot).consensus_acks;
+        file(acks, from, ());
         // An accept quorum in the current configuration — and, during the
         // joint window, in the outgoing one too.
-        if !self.base.quorum_met(acks, R::accept_quorum_size) {
+        if !self.base.quorum_met(senders(acks), R::accept_quorum_size) {
             return Vec::new();
         }
         // The proposal survives the tolerated failures: commit it.
@@ -363,7 +429,7 @@ impl State {
         &mut self,
         dot: Dot,
         cmd: Command,
-        deps: HashSet<Dot>,
+        deps: DepSet,
         time: Time,
     ) -> Vec<Action<Message>> {
         if self.graph.is_executed(&dot) {
@@ -373,38 +439,43 @@ impl State {
             // duplicate commit must not resurrect bookkeeping.
             return Vec::new();
         }
-        let info = self.info_mut(dot);
+        let (table, base) = (&mut self.info, &mut self.base);
+        let info = track(table, base, dot);
         if info.phase.is_committed() {
             return Vec::new();
         }
         info.phase = Phase::Commit;
-        info.cmd = Some(cmd.clone());
-        info.deps = deps.clone();
-        // Make sure later commands observe this one as a conflict even if
-        // this replica was not in its fast quorum.
-        self.key_deps.add(dot, &cmd);
-        let metrics = &mut self.base.metrics;
-        metrics.record_commit(deps.len());
-        if cmd.is_noop() {
-            metrics.noops += 1;
+        info.committed_at = time;
+        // Only an undecided identifier has a round or a takeover to answer.
+        info.proposer = None;
+        info.quorum = Vec::new();
+        if !info.indexed {
+            // Make sure later commands observe this one as a conflict even
+            // if this replica was not in its fast quorum.
+            info.indexed = true;
+            self.key_deps.add(dot, &cmd);
         }
-        self.commit_times.insert(dot, time);
-
+        base.metrics.record_commit(deps.len());
         // A noOp is never executed, so the runtime is told of no commit it
         // would wait in vain to see executed.
-        let mut actions = Vec::new();
-        if !cmd.is_noop() {
+        let mut actions = Vec::with_capacity(2);
+        if cmd.is_noop() {
+            base.metrics.noops += 1;
+        } else {
             actions.push(Action::Commit { dot });
         }
-        for (dot, cmd) in self.graph.commit(dot, cmd, deps.into_iter().collect()) {
-            if let Some(info) = self.info.get_mut(&dot) {
+        // One copy stays for `committed_log`, one goes to the executor.
+        info.cmd = Some(cmd.clone());
+        info.deps = deps.clone();
+        self.graph.commit_with(dot, cmd, deps, &mut |dot, cmd| {
+            let committed_at = table.get_mut(&dot).map(|info| {
                 info.phase = Phase::Execute;
-            }
-            let committed_at = self.commit_times.remove(&dot);
-            self.base.metrics.record_execution(committed_at, time);
+                info.committed_at
+            });
+            base.metrics.record_execution(committed_at, time);
             actions.push(Action::Execute { dot, cmd });
-        }
-        self.base.metrics.set_batches(self.graph.batches());
+        });
+        base.metrics.set_batches(self.graph.batches());
         actions
     }
 
@@ -433,20 +504,7 @@ impl State {
             }
             Message::MCommit { dot, cmd, deps } => self.handle_commit(dot, cmd, deps, time),
             Message::MRec { dot, cmd, ballot } => self.handle_rec(from, dot, cmd, ballot),
-            Message::MRecAck {
-                dot,
-                cmd,
-                deps,
-                quorum,
-                accepted_ballot,
-                ballot,
-            } => {
-                let ack = RecAck {
-                    cmd,
-                    deps,
-                    quorum,
-                    accepted_ballot,
-                };
+            Message::MRecAck { dot, ack, ballot } => {
                 self.handle_rec_ack::<R>(from, dot, ack, ballot)
             }
         }
@@ -462,13 +520,13 @@ impl<R: CommitRule> Protocol for Deps<R> {
 
     fn new(id: ProcessId, config: Config, topology: Topology) -> Self {
         let state = State {
+            layout: LAYOUT,
             rule: R::NAME.to_string(),
             base: Base::new(id, config, topology),
             dot_gen: DotGen::new(id),
             key_deps: KeyDeps::new(config.nfr),
-            info: HashMap::new(),
+            info: IdMap::default(),
             graph: DependencyGraph::new(),
-            commit_times: HashMap::new(),
         };
         Self {
             state,
@@ -534,31 +592,24 @@ impl<R: CommitRule> Protocol for Deps<R> {
         state: &[u8],
     ) -> Option<Self> {
         let state: State = bincode::deserialize(state).ok()?;
-        (state.rule == R::NAME && state.base.restores_as(id, config)).then_some(Self {
+        let ours = state.layout == LAYOUT && state.rule == R::NAME;
+        (ours && state.base.restores_as(id, config)).then_some(Self {
             state,
             rule: PhantomData,
         })
     }
 
     fn committed_log(&self) -> Vec<Message> {
-        let mut commits: Vec<(Dot, Message)> = self
-            .state
-            .info
-            .iter()
-            .filter(|(_, info)| info.phase.is_committed())
-            .filter_map(|(dot, info)| {
-                Some((
-                    *dot,
-                    Message::MCommit {
-                        dot: *dot,
-                        cmd: info.cmd.clone()?,
-                        deps: info.deps.clone(),
-                    },
-                ))
+        let info = self.state.info.iter();
+        let committed = info.filter(|(_, info)| info.phase.is_committed());
+        let mut commits: Vec<Message> = committed
+            .filter_map(|(&dot, info)| {
+                let (cmd, deps) = (info.cmd.clone()?, info.deps.clone());
+                Some(Message::MCommit { dot, cmd, deps })
             })
             .collect();
-        commits.sort_by_key(|(dot, _)| *dot);
-        commits.into_iter().map(|(_, msg)| msg).collect()
+        commits.sort_by_key(Message::dot);
+        commits
     }
 
     fn executed_watermarks(&self) -> Vec<(ProcessId, u64)> {
@@ -580,7 +631,6 @@ impl<R: CommitRule> Protocol for Deps<R> {
         self.state
             .info
             .retain(|dot, _| dot.seq > graph.floor_of(dot.source));
-        self.state.key_deps.prune_below(horizon);
         (before - self.state.info.len()) as u64
     }
 
@@ -746,6 +796,58 @@ mod tests {
         for id in 1..=7 {
             assert_eq!(net.executed_at(id).len() as u64, total);
         }
+    }
+
+    #[test]
+    fn a_command_enters_the_conflict_index_once() {
+        // Replica 2 indexes w1 at its collect, then w2 on the same key. The
+        // commit of w1 must not index it again: it would pass for the key's
+        // latest write, and the next command would depend on w1, not w2.
+        let mut replica = Atlas::new(2, Config::new(3, 1), Topology::identity(2, 3));
+        let (w1, w2) = (Dot::new(1, 1), Dot::new(1, 2));
+        for (dot, past) in [(w1, DepSet::new()), (w2, [w1].into())] {
+            let collect = Message::MCollect {
+                dot,
+                cmd: put(1, dot.seq, 0),
+                past,
+                quorum: vec![1, 2],
+            };
+            replica.handle(1, collect, 0);
+        }
+        let commit = Message::MCommit {
+            dot: w1,
+            cmd: put(1, 1, 0),
+            deps: DepSet::new(),
+        };
+        replica.handle(1, commit, 0);
+        let actions = replica.submit(put(2, 1, 0), 0);
+        let [Action::Send {
+            msg: Message::MCollect { past, .. },
+            ..
+        }] = &actions[..]
+        else {
+            panic!("a submission is one MCollect: {actions:?}");
+        };
+        assert_eq!(*past, DepSet::from([w2]));
+    }
+
+    #[test]
+    fn restore_refuses_state_of_another_layout() {
+        let mut net = cluster(3, 1);
+        net.submit(1, put(1, 1, 0));
+        let replica = &net.replicas[0];
+        let restore = |bytes: &[u8]| {
+            Atlas::restore_state(1, Config::new(3, 1), Topology::identity(1, 3), bytes)
+        };
+        let bytes = replica.save_state().expect("state encodes");
+        assert!(restore(&bytes).is_some());
+        // What the previous layout wrote began with its rule's name.
+        let mut old = bincode::serialize(&"atlas".to_string()).unwrap();
+        old.extend_from_slice(&bytes[4..]);
+        assert!(restore(&old).is_none());
+        let mut stamped = bytes.clone();
+        stamped[0] ^= 1;
+        assert!(restore(&stamped).is_none(), "layout stamp is checked");
     }
 
     #[test]

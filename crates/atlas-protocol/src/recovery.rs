@@ -16,16 +16,14 @@
 //! The chosen proposal then goes through the regular consensus phase 2
 //! (`MConsensus` / `MConsensusAck`) before being committed.
 //!
-//! The building blocks — process-owned takeover ballots and the phase-1
-//! reply shape ([`RecAck`]) — are exported because Mencius slot revocation
-//! runs the same message flow with its own value selection.
+//! Process-owned takeover ballots are exported: Mencius slot revocation
+//! mints its ballots the same way.
 
 use crate::messages::{Ballot, Message};
-use crate::protocol::{Phase, State};
+use crate::protocol::{file, senders, track, Phase, Proposer, State};
 use crate::rule::CommitRule;
-use atlas_core::{Action, ClusterView, Command, Dot, ProcessId};
+use atlas_core::{Action, ClusterView, Command, DepSet, Dot, ProcessId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// The smallest ballot owned by `id` under `view` that is strictly greater
 /// than `seen`, the member count (at epoch 0 ballot `i ≤ n` is reserved for
@@ -69,29 +67,18 @@ pub fn ballot_owner_in(view: &ClusterView, ballot: Ballot) -> Option<ProcessId> 
 /// (empty if it never saw the initial round) and the ballot at which it
 /// last accepted a consensus proposal (0 if never). The new coordinator
 /// computes its proposal from a quorum of these.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RecAck {
     /// The command as known by the responder (`noOp` if unknown).
     pub cmd: Command,
     /// The responder's current dependency set for the identifier.
-    pub deps: HashSet<Dot>,
+    pub deps: DepSet,
     /// The fast quorum as known by the responder (empty if it never saw
     /// the initial fast-path round).
     pub quorum: Vec<ProcessId>,
     /// Ballot at which the responder last accepted a consensus proposal
     /// (0 if none).
     pub accepted_ballot: Ballot,
-}
-
-/// Selects the reply accepted at the highest ballot, if any — the standard
-/// Paxos phase-1 value rule, shared by every takeover recovery here.
-pub fn highest_accepted<'a, I>(acks: I) -> Option<&'a RecAck>
-where
-    I: IntoIterator<Item = &'a RecAck>,
-{
-    acks.into_iter()
-        .filter(|ack| ack.accepted_ballot != 0)
-        .max_by_key(|ack| ack.accepted_ballot)
 }
 
 impl State {
@@ -102,17 +89,16 @@ impl State {
         if suspected == self.base.id() {
             return Vec::new();
         }
-        let mut dots: HashSet<Dot> = self
-            .info
-            .iter()
-            .filter(|(dot, info)| dot.coordinator() == suspected && !info.phase.is_committed())
+        let in_flight = self.info.iter();
+        let mut dots: Vec<Dot> = in_flight
+            .filter(|(_, info)| !info.phase.is_committed())
             .map(|(dot, _)| *dot)
+            .chain(self.graph.missing_dependencies())
+            .filter(|dot| dot.coordinator() == suspected)
             .collect();
-        let missing = self.graph.missing_dependencies().into_iter();
-        dots.extend(missing.filter(|dot| dot.coordinator() == suspected));
         // Deterministic recovery order keeps runs reproducible.
-        let mut dots: Vec<Dot> = dots.into_iter().collect();
         dots.sort_unstable();
+        dots.dedup();
         dots.into_iter().flat_map(|dot| self.recover(dot)).collect()
     }
 
@@ -131,7 +117,7 @@ impl State {
             // blocked on it, so there is nothing to recover.
             return Vec::new();
         }
-        let info = self.info_mut(dot);
+        let info = track(&mut self.info, &mut self.base, dot);
         if info.phase.is_committed() {
             return Vec::new();
         }
@@ -166,7 +152,7 @@ impl State {
             // and unnecessary: no live replica is blocked on this dot.
             return Vec::new();
         }
-        let info = self.info_mut(dot);
+        let info = track(&mut self.info, &mut self.base, dot);
         if info.phase.is_committed() {
             // Already decided here: short-circuit the recovery with an
             // MCommit (line 35-36).
@@ -184,24 +170,19 @@ impl State {
             // This replica has never seen the command (line 39-40): its
             // contribution is its current set of conflicts for it — and the
             // command is indexed so later conflicting commands observe it.
-            let deps = self.key_deps.conflicts(&cmd);
-            self.key_deps.add(dot, &cmd);
-            let info = self.info_mut(dot);
-            info.deps = deps;
+            info.deps = self.key_deps.conflicts_and_add(dot, &cmd);
+            info.indexed = true;
             info.cmd = Some(cmd);
         }
-        let info = self.info_mut(dot);
         info.bal = ballot;
         info.phase = Phase::Recover;
-        let reply = Message::MRecAck {
-            dot,
+        let ack = RecAck {
             cmd: info.cmd.clone().unwrap_or_else(Command::noop),
             deps: info.deps.clone(),
             quorum: info.quorum.clone(),
             accepted_ballot: info.abal,
-            ballot,
         };
-        vec![Action::send([from], reply)]
+        vec![Action::send([from], Message::MRecAck { dot, ack, ballot })]
     }
 
     /// Handles `MRecAck` at the recovery coordinator (Algorithm 2,
@@ -221,43 +202,22 @@ impl State {
         if info.phase.is_committed() || info.committed_sent || info.bal != ballot {
             return Vec::new();
         }
-        let acks = info.rec_acks.entry(ballot).or_default();
-        acks.insert(from, ack);
+        let round = Proposer::at(&mut info.proposer, ballot);
+        file(&mut round.rec_acks, from, ack);
+        let acks = &round.rec_acks;
         // A recovery quorum in the current configuration — and, during the
         // joint window, in the outgoing one too, so a proposal accepted
         // under either configuration is guaranteed to be visible here.
-        let responders: HashSet<ProcessId> = acks.keys().copied().collect();
-        if !self.base.quorum_met(&responders, R::recovery_quorum_size) {
+        if !self.base.quorum_met(senders(acks), R::recovery_quorum_size) {
             return Vec::new();
         }
         // A proposal is derived at most once per ballot: a straggling ack
         // (or a re-sent one) only re-sends it. Deriving again could produce
         // a *larger* union — two values at one ballot.
-        let (cmd, deps) = match info.rec_proposed.get(&ballot) {
-            Some(proposed) => proposed.clone(),
-            None => {
-                let proposal = if let Some(highest) = highest_accepted(acks.values()) {
-                    // Case 1 (line 46-48): adopt the proposal accepted at
-                    // the highest ballot, by the standard Paxos rules. It
-                    // agrees with any fast-path commit: the coordinator
-                    // decides between the paths exactly once.
-                    (highest.cmd.clone(), highest.deps.clone())
-                } else if let Some(witness) = acks.values().find(|ack| !ack.quorum.is_empty()) {
-                    // Case 2 (line 49-51): some replica saw the initial
-                    // MCollect; the rule rebuilds what the fast path may
-                    // have committed.
-                    let mut deps = R::recovered_deps(acks, &witness.quorum, dot.coordinator());
-                    deps.remove(&dot);
-                    (witness.cmd.clone(), deps)
-                } else {
-                    // Case 3 (line 52): nobody saw the command; replace it
-                    // with a noOp so dependants stop waiting.
-                    (Command::noop(), HashSet::new())
-                };
-                info.rec_proposed.insert(ballot, proposal.clone());
-                proposal
-            }
-        };
+        let (cmd, deps) = round
+            .rec_proposed
+            .get_or_insert_with(|| propose::<R>(dot, acks))
+            .clone();
         // Phase 2 is open to every replica (the suspected one included — a
         // falsely suspected coordinator is a perfectly good acceptor).
         vec![Action::send(
@@ -269,6 +229,30 @@ impl State {
                 ballot,
             },
         )]
+    }
+}
+
+/// The value a takeover of `dot` proposes from a recovery quorum of `acks`
+/// (sorted by sender, so every choice below is the lowest-numbered reply
+/// that qualifies — the same on every replica and in every run).
+fn propose<R: CommitRule>(dot: Dot, acks: &[(ProcessId, RecAck)]) -> (Command, DepSet) {
+    let replies = || acks.iter().map(|(_, ack)| ack);
+    let accepted = replies().filter(|ack| ack.accepted_ballot != 0);
+    if let Some(highest) = accepted.max_by_key(|ack| ack.accepted_ballot) {
+        // Case 1 (line 46-48): adopt the proposal accepted at the highest
+        // ballot, by the standard Paxos rules. It agrees with any fast-path
+        // commit: the coordinator decides between the paths exactly once.
+        (highest.cmd.clone(), highest.deps.clone())
+    } else if let Some(witness) = replies().find(|ack| !ack.quorum.is_empty()) {
+        // Case 2 (line 49-51): some replica saw the initial MCollect; the
+        // rule rebuilds what the fast path may have committed.
+        let mut deps = R::recovered_deps(acks, &witness.quorum, dot.coordinator());
+        deps.remove(&dot);
+        (witness.cmd.clone(), deps)
+    } else {
+        // Case 3 (line 52): nobody saw the command; replace it with a noOp
+        // so dependants stop waiting.
+        (Command::noop(), DepSet::new())
     }
 }
 
@@ -290,6 +274,34 @@ mod tests {
     fn info(net: &ChaosNet<Atlas>, at: ProcessId, dot: Dot) -> &Info {
         let replica = &net.replicas[(at - 1) as usize];
         replica.state.info.get(&dot).expect("identifier is known")
+    }
+
+    #[test]
+    fn the_lowest_numbered_eligible_reply_is_the_witness() {
+        // Replies 3 and 4 both saw the collect (non-empty quorum); 2 did
+        // not. Whatever order they arrived in, the proposal is built from
+        // reply 3 — the choice used to follow a hash map's iteration order.
+        let reply = |client: u64, quorum: &[ProcessId], dep: u64| RecAck {
+            cmd: put(client, 1, 0),
+            deps: [Dot::new(5, dep)].into(),
+            quorum: quorum.to_vec(),
+            accepted_ballot: 0,
+        };
+        let arrivals = [
+            (4, reply(40, &[1, 4], 4)),
+            (2, reply(20, &[], 2)),
+            (3, reply(30, &[1, 3], 3)),
+        ];
+        for rotation in 0..arrivals.len() {
+            let mut acks = Vec::new();
+            for (from, ack) in arrivals.iter().cycle().skip(rotation).take(arrivals.len()) {
+                file(&mut acks, *from, ack.clone());
+            }
+            let (cmd, deps) = propose::<crate::AtlasRule>(Dot::new(1, 1), &acks);
+            assert_eq!(cmd.rifl, Rifl::new(30, 1));
+            // Atlas's union over the members of the *witness's* quorum.
+            assert_eq!(deps, DepSet::from([Dot::new(5, 3)]));
+        }
     }
 
     #[test]
@@ -384,7 +396,7 @@ mod tests {
         let mut net = cluster();
         let dot = Dot::new(1, 1);
         let cmd = put(1, 1, 3);
-        let deps: HashSet<Dot> = [Dot::new(2, 9)].into_iter().collect();
+        let deps: DepSet = [Dot::new(2, 9)].into();
         // Simulate a slow-path proposal from coordinator 1 accepted by
         // {1, 2, 3} at ballot 1, without the commit being sent.
         for id in [1u32, 2, 3] {
@@ -420,7 +432,7 @@ mod tests {
         net.suspect(2, 1);
         net.suspect(3, 1);
         let dot = Dot::new(1, 1);
-        let committed_deps: Vec<&HashSet<Dot>> = net.replicas[1..]
+        let committed_deps: Vec<&DepSet> = net.replicas[1..]
             .iter()
             .filter_map(|r| r.state.info.get(&dot))
             .filter(|info| info.phase.is_committed())

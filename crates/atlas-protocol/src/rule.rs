@@ -4,11 +4,16 @@
 //! once.
 
 use crate::recovery::RecAck;
-use atlas_core::{Command, Config, Dot, ProcessId};
-use std::collections::{HashMap, HashSet};
+use atlas_core::{Command, Config, DepSet, ProcessId};
 
-/// Dependency sets reported by fast-quorum members, by sender.
-pub type Replies = HashMap<ProcessId, HashSet<Dot>>;
+/// Dependency sets reported by fast-quorum members, sorted by sender.
+pub type Replies = [(ProcessId, DepSet)];
+
+/// The dependency sets of `replies` (for [`DepSet::union`] and
+/// [`DepSet::threshold_union`]).
+pub fn sets(replies: &Replies) -> impl Iterator<Item = &DepSet> + Clone {
+    replies.iter().map(|(_, deps)| deps)
+}
 
 /// The decisions a dependency-commit protocol takes its own way. A rule is a
 /// compile-time parameter of [`Deps`](crate::Deps) and carries no state.
@@ -22,7 +27,7 @@ pub trait CommitRule {
 
     /// With every fast-quorum reply in: `(true, deps)` commits `deps` on the
     /// fast path, `(false, deps)` proposes them to consensus.
-    fn decide(config: &Config, cmd: &Command, replies: &Replies) -> (bool, HashSet<Dot>);
+    fn decide(config: &Config, cmd: &Command, replies: &Replies) -> (bool, DepSet);
 
     /// Accepts that make a consensus proposal survive the tolerated failures.
     fn accept_quorum_size(config: &Config) -> usize;
@@ -31,23 +36,15 @@ pub trait CommitRule {
     /// enough of the fast quorum to reconstruct a fast-path commit.
     fn recovery_quorum_size(config: &Config) -> usize;
 
-    /// The dependencies a takeover proposes when no reply accepted anything
-    /// but some saw the collect with fast quorum `fast_quorum`: a value equal
-    /// to whatever `coordinator` may have committed on the fast path.
+    /// The dependencies a takeover proposes when no reply (`acks`, sorted by
+    /// sender) accepted anything but some saw the collect with fast quorum
+    /// `fast_quorum`: a value equal to whatever `coordinator` may have
+    /// committed on the fast path.
     fn recovered_deps(
-        acks: &HashMap<ProcessId, RecAck>,
+        acks: &[(ProcessId, RecAck)],
         fast_quorum: &[ProcessId],
         coordinator: ProcessId,
-    ) -> HashSet<Dot>;
-}
-
-/// Plain union `⋃ Q dep` of dependency sets.
-pub fn union<'a>(sets: impl IntoIterator<Item = &'a HashSet<Dot>>) -> HashSet<Dot> {
-    let mut union = HashSet::new();
-    for deps in sets {
-        union.extend(deps.iter().copied());
-    }
-    union
+    ) -> DepSet;
 }
 
 /// The Atlas rule (paper §3.2): fast quorums of `⌊n/2⌋ + f`, a fast path
@@ -56,22 +53,6 @@ pub fn union<'a>(sets: impl IntoIterator<Item = &'a HashSet<Dot>>) -> HashSet<Do
 #[derive(Debug)]
 pub struct AtlasRule;
 
-impl AtlasRule {
-    /// Threshold union `⋃_f Q dep`: the identifiers reported by at least `f`
-    /// fast-quorum processes (paper §3.2.4).
-    fn threshold_union(replies: &Replies, f: usize) -> HashSet<Dot> {
-        let mut counts: HashMap<Dot, usize> = HashMap::new();
-        for dot in replies.values().flatten() {
-            *counts.entry(*dot).or_insert(0) += 1;
-        }
-        counts
-            .into_iter()
-            .filter(|(_, count)| *count >= f)
-            .map(|(dot, _)| dot)
-            .collect()
-    }
-}
-
 impl CommitRule for AtlasRule {
     const NAME: &'static str = "atlas";
 
@@ -79,9 +60,9 @@ impl CommitRule for AtlasRule {
         config.atlas_fast_quorum_size()
     }
 
-    fn decide(config: &Config, cmd: &Command, replies: &Replies) -> (bool, HashSet<Dot>) {
-        let union = union(replies.values());
-        let threshold = Self::threshold_union(replies, config.f);
+    fn decide(config: &Config, cmd: &Command, replies: &Replies) -> (bool, DepSet) {
+        let union = DepSet::union(sets(replies));
+        let threshold = DepSet::threshold_union(sets(replies), config.f);
         // An NFR read (§4) commits from its majority whatever was reported.
         if (config.nfr && cmd.is_read_only()) || union == threshold {
             (true, union)
@@ -103,28 +84,28 @@ impl CommitRule for AtlasRule {
     }
 
     fn recovered_deps(
-        acks: &HashMap<ProcessId, RecAck>,
+        acks: &[(ProcessId, RecAck)],
         fast_quorum: &[ProcessId],
         coordinator: ProcessId,
-    ) -> HashSet<Dot> {
+    ) -> DepSet {
         // If the initial coordinator replied it has not taken (and will
         // never take) the fast path, so the union over all replies is safe.
         // Otherwise, by Property 2, the union over the fast-quorum members
         // that replied reconstructs any fast-path proposal.
-        let coordinator_replied = acks.contains_key(&coordinator);
-        union(
-            acks.iter()
-                .filter(|(p, _)| coordinator_replied || fast_quorum.contains(p))
-                .map(|(_, ack)| &ack.deps),
-        )
+        let coordinator_replied = acks.iter().any(|(p, _)| *p == coordinator);
+        let counted = acks
+            .iter()
+            .filter(|(p, _)| coordinator_replied || fast_quorum.contains(p));
+        DepSet::union(counted.map(|(_, ack)| &ack.deps))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atlas_core::Dot;
 
-    fn replies(sets: &[&[Dot]]) -> Replies {
+    fn replies(sets: &[&[Dot]]) -> Vec<(ProcessId, DepSet)> {
         (1..)
             .zip(sets)
             .map(|(p, s)| (p, s.iter().copied().collect()))

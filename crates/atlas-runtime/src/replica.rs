@@ -104,8 +104,8 @@ use crate::wire::{
     PeerBodyView, MAX_FRAME_BYTES,
 };
 use atlas_core::{
-    Action, ClientId, ClusterView, Command, Config, Dot, Key, ProcessId, Protocol, ReconfigOp,
-    Rifl, Topology, Value,
+    Action, ClientId, ClusterView, Command, Config, Dot, IdMap, Key, ProcessId, Protocol,
+    ReconfigOp, Rifl, Topology, Value,
 };
 use atlas_log::FlushPolicy;
 use atlas_metrics::MetricsSnapshot;
@@ -718,8 +718,9 @@ struct Core<P: Protocol> {
     /// Commit-observation time per identifier, recorded at `Action::Commit`
     /// for every command (only at execution do we know whether this replica
     /// owns its lifecycle) and removed at `Action::Execute` — bounded by
-    /// the committed-but-unexecuted window.
-    commit_times: HashMap<Dot, u64>,
+    /// the committed-but-unexecuted window. (Keyed by a replica-minted
+    /// identifier, unlike `pending`: see `atlas_core::hash`.)
+    commit_times: IdMap<Dot, u64>,
     /// JSONL dump cadence in ticks (0 = disabled).
     metrics_every: u64,
     /// Where the JSONL dump appends; `None` after a write error (the dump
@@ -835,7 +836,7 @@ where
             last_gc_horizon: HashMap::new(),
             metrics,
             pending: HashMap::new(),
-            commit_times: HashMap::new(),
+            commit_times: IdMap::default(),
             metrics_every: cfg.metrics_every,
             metrics_path: (cfg.metrics_every > 0)
                 .then(|| cfg.data_dir.as_ref().map(|dir| dir.join("metrics.jsonl")))

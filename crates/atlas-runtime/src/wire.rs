@@ -540,9 +540,8 @@ impl<R: AsyncReadExt> FrameReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atlas_core::{Command, Config, Rifl, Topology};
+    use atlas_core::{Command, Config, DepSet, Rifl, Topology};
     use atlas_protocol::Message as AtlasMessage;
-    use std::collections::HashSet;
 
     #[test]
     fn atlas_messages_round_trip_through_bincode() {
@@ -556,7 +555,7 @@ mod tests {
             },
             AtlasMessage::MCollectAck {
                 dot: Dot::new(1, 1),
-                deps: HashSet::new(),
+                deps: DepSet::new(),
             },
             AtlasMessage::MCommit {
                 dot: Dot::new(1, 1),
@@ -768,7 +767,7 @@ mod tests {
         let msg = AtlasMessage::MCommit {
             dot: Dot::new(1, 1),
             cmd,
-            deps: HashSet::new(),
+            deps: DepSet::new(),
         };
         let mut bytes = bincode::serialize(&msg).unwrap();
         bytes.truncate(bytes.len() / 2);

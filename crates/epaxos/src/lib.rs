@@ -63,10 +63,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use atlas_core::{Command, Config, Dot, ProcessId};
-use atlas_protocol::rule::{union, Replies};
+use atlas_core::{Command, Config, DepSet, ProcessId};
+use atlas_protocol::rule::{sets, Replies};
 use atlas_protocol::{CommitRule, Deps, RecAck};
-use std::collections::{HashMap, HashSet};
 
 pub use atlas_protocol::Message;
 
@@ -84,11 +83,11 @@ impl CommitRule for EPaxosRule {
         config.epaxos_fast_quorum_size()
     }
 
-    fn decide(_config: &Config, _cmd: &Command, replies: &Replies) -> (bool, HashSet<Dot>) {
-        let mut sets = replies.values();
-        let first = sets.next();
-        let matching = sets.all(|deps| Some(deps) == first);
-        (matching, union(replies.values()))
+    fn decide(_config: &Config, _cmd: &Command, replies: &Replies) -> (bool, DepSet) {
+        let mut reported = sets(replies);
+        let first = reported.next();
+        let matching = reported.all(|deps| Some(deps) == first);
+        (matching, DepSet::union(sets(replies)))
     }
 
     fn accept_quorum_size(config: &Config) -> usize {
@@ -100,10 +99,10 @@ impl CommitRule for EPaxosRule {
     }
 
     fn recovered_deps(
-        acks: &HashMap<ProcessId, RecAck>,
+        acks: &[(ProcessId, RecAck)],
         fast_quorum: &[ProcessId],
         _coordinator: ProcessId,
-    ) -> HashSet<Dot> {
+    ) -> DepSet {
         // Only fast-quorum members ever receive the pre-accept, so the
         // responders among them tell whether a fast-path commit is possible:
         // it required *every* member to pre-accept (non-empty quorum) the
@@ -122,7 +121,7 @@ impl CommitRule for EPaxosRule {
             // The strict matching condition proves the fast path was not
             // taken: free choice. The union over every reply keeps all
             // conflicting commands ordered.
-            _ => union(acks.values().map(|ack| &ack.deps)),
+            _ => DepSet::union(acks.iter().map(|(_, ack)| &ack.deps)),
         }
     }
 }
@@ -132,9 +131,10 @@ impl CommitRule for EPaxosRule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atlas_core::{Action, Protocol, Rifl};
+    use atlas_core::{Action, Dot, Protocol, Rifl};
     use atlas_protocol::chaos::{sweep, ChaosNet};
     use atlas_protocol::{AtlasRule, Ballot};
+    use std::collections::HashMap;
 
     fn cluster<R: CommitRule>(n: usize, f: usize) -> ChaosNet<Deps<R>> {
         ChaosNet::fifo(Config::new(n, f))
@@ -145,7 +145,7 @@ mod tests {
     }
 
     /// What `replica` committed for `dot`, if anything.
-    fn committed<R: CommitRule>(replica: &Deps<R>, dot: Dot) -> Option<(Command, HashSet<Dot>)> {
+    fn committed<R: CommitRule>(replica: &Deps<R>, dot: Dot) -> Option<(Command, DepSet)> {
         let mut commits = replica.committed_log().into_iter();
         commits.find_map(|msg| match msg {
             Message::MCommit { dot: d, cmd, deps } if d == dot => Some((cmd, deps)),
@@ -277,7 +277,7 @@ mod tests {
         let commit = Message::MCommit {
             dot: blocked,
             cmd: put(2, 1, 0),
-            deps: [missing].into_iter().collect(),
+            deps: [missing].into(),
         };
         let out = net.replica(3).handle(2, commit, 0);
         net.run(3, out);
@@ -362,7 +362,7 @@ mod tests {
         let mut net = cluster::<EPaxosRule>(5, 2);
         let dot = Dot::new(1, 1);
         let cmd = put(1, 1, 3);
-        let deps: HashSet<Dot> = [Dot::new(2, 9)].into_iter().collect();
+        let deps: DepSet = [Dot::new(2, 9)].into();
         for id in [1u32, 2, 3] {
             let accept = Message::MConsensus {
                 dot,
@@ -377,7 +377,7 @@ mod tests {
         let commit = Message::MCommit {
             dot: Dot::new(2, 5),
             cmd: put(2, 5, 7),
-            deps: [dot].into_iter().collect(),
+            deps: [dot].into(),
         };
         let _ = net.replica(5).handle(2, commit, 0);
         net.suspect(5, 1);
@@ -414,10 +414,12 @@ mod tests {
         );
         let ack = Message::MRecAck {
             dot,
-            cmd: Command::noop(),
-            deps: HashSet::new(),
-            quorum: vec![],
-            accepted_ballot: 0,
+            ack: RecAck {
+                cmd: Command::noop(),
+                deps: DepSet::new(),
+                quorum: vec![],
+                accepted_ballot: 0,
+            },
             ballot: 99,
         };
         assert!(
@@ -512,7 +514,7 @@ mod tests {
 
         // Invariant 1: for every identifier any survivor committed, all
         // survivors that committed it agree on command + dependencies.
-        let mut by_dot: HashMap<Dot, (bool, HashSet<Dot>)> = HashMap::new();
+        let mut by_dot: HashMap<Dot, (bool, DepSet)> = HashMap::new();
         for replica in &net.replicas[1..] {
             for msg in replica.committed_log() {
                 let Message::MCommit { dot, cmd, deps } = msg else {

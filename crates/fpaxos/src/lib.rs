@@ -428,7 +428,8 @@ impl FPaxos {
         state.acks.insert(from);
         // `f + 1` accepts in the current configuration — and, during the
         // joint window, in the outgoing one too.
-        if !self.base.quorum_met(&state.acks, Config::slow_quorum_size) {
+        let acks = state.acks.iter().copied();
+        if !self.base.quorum_met(acks, Config::slow_quorum_size) {
             return Vec::new();
         }
         state.committed = true;
@@ -529,11 +530,8 @@ impl FPaxos {
         // `n − f` promises in the current configuration — and, during the
         // joint window, in the outgoing one too, so every value accepted
         // under either configuration is visible to the new leader.
-        let responder_set: HashSet<ProcessId> = promises.keys().copied().collect();
-        if !self
-            .base
-            .quorum_met(&responder_set, Config::recovery_quorum_size)
-        {
+        let promised = promises.keys().copied();
+        if !self.base.quorum_met(promised, Config::recovery_quorum_size) {
             return Vec::new();
         }
         // Elected: adopt the highest accepted value per slot, fill gaps with
