@@ -34,10 +34,11 @@ in the serving process since the replica booted, counted by the bench's
 gauge. The job fails when the gauge of the snapshot labelled
 ``runtime_loopback/put_batch_16`` exceeds the ceiling — the canary for a
 pooled wire path regressing to per-frame allocation, or the protocol to a
-hash set per reply — or when that snapshot carries no gauge (an
-uninstalled counting allocator must not pass as "zero allocations"). The
-ceiling is 1.5 x what that snapshot reads (57 with cluster boot amortised
-over 176 commands).
+hash set per reply — or when a snapshot carries no gauge (an uninstalled
+counting allocator must not pass as "zero allocations"). The ceiling is
+1.5 x what that snapshot reads (57 with cluster boot amortised over 176
+commands). Every other snapshot (the round-trip bench: boot over 11
+commands, reads 113) keeps the loose ceiling of 300.
 
 ``--max-wal-writes-per-cmd`` gates a count the hypervisor cannot blur: in
 the snapshot the loopback bench labels ``runtime_loopback/put_batch_16``
@@ -98,36 +99,41 @@ def check_fast_path(path: str, floor: float, failures: list) -> None:
 
 
 BATCH_BENCH = "runtime_loopback/put_batch_16"
+# Snapshots other than the batched bench's: boot cost over a dozen commands
+# (reads 113), so only a per-frame allocation regression trips it.
+BOOT_ALLOCS_CEILING = 300.0
 
 
 def check_allocs(path: str, ceiling: float, failures: list) -> None:
-    """Gates the allocations-per-command gauge of the batched loopback
-    bench's snapshot (the round-trip bench executes a dozen commands, so
-    its gauge is cluster boot over almost nothing); fails when that
-    snapshot or its gauge is absent (counting allocator not installed) or
-    the gauge exceeds ``ceiling``."""
+    """Gates the allocations-per-command gauge of every snapshot: the
+    batched loopback bench's at ``ceiling``, any other at
+    ``BOOT_ALLOCS_CEILING`` (the round-trip bench executes a dozen commands,
+    so its gauge is mostly cluster boot). Fails when the batched snapshot is
+    absent or any snapshot lacks the gauge (counting allocator not
+    installed)."""
     with open(path) as fh:
         doc = json.load(fh)
-    gauged = [
-        s
-        for s in doc.get("snapshots") or []
-        if s.get("bench") == BATCH_BENCH and isinstance(s.get("allocs_per_cmd"), (int, float))
-    ]
-    if not gauged:
-        failures.append(
-            f"{path}: no {BATCH_BENCH} snapshot carries the allocs_per_cmd gauge "
-            "(is the counting allocator installed in the bench?)"
-        )
-    for s in gauged:
-        per_cmd = s["allocs_per_cmd"]
-        verdict = "FAIL" if per_cmd > ceiling else "ok"
+    snapshots = doc.get("snapshots") or []
+    if not any(s.get("bench") == BATCH_BENCH for s in snapshots):
+        failures.append(f"{path}: no snapshot labelled {BATCH_BENCH}")
+    for s in snapshots:
+        name = s.get("bench")
+        per_cmd = s.get("allocs_per_cmd")
+        if not isinstance(per_cmd, (int, float)):
+            failures.append(
+                f"{path}: {name} carries no allocs_per_cmd gauge "
+                "(is the counting allocator installed in the bench?)"
+            )
+            continue
+        limit = ceiling if name == BATCH_BENCH else max(ceiling, BOOT_ALLOCS_CEILING)
+        verdict = "FAIL" if per_cmd > limit else "ok"
         print(
-            f"{verdict:4} allocs/cmd: {per_cmd:.1f} "
+            f"{verdict:4} allocs/cmd {name}: {per_cmd:.1f} "
             f"({s.get('alloc_count')} allocs / {s.get('store_executed')} cmds, "
-            f"ceiling {ceiling:.0f})"
+            f"ceiling {limit:.0f})"
         )
-        if per_cmd > ceiling:
-            failures.append(f"allocs/cmd {per_cmd:.1f} over ceiling {ceiling:.0f}")
+        if per_cmd > limit:
+            failures.append(f"{name}: allocs/cmd {per_cmd:.1f} over ceiling {limit:.0f}")
 
 
 def check_wal_writes(path: str, ceiling: float, failures: list) -> None:

@@ -39,6 +39,17 @@ impl KeyEntry {
             deps.union_with(&self.reads_after_write);
         }
     }
+
+    /// Makes the access `dot` the key's latest: a read joins the reads since
+    /// the last write, a write replaces both.
+    fn record(&mut self, dot: Dot, is_read: bool) {
+        if is_read {
+            self.reads_after_write.insert(dot);
+        } else {
+            self.last_write = Some(dot);
+            self.reads_after_write.clear();
+        }
+    }
 }
 
 /// Conflict index mapping keys to the identifiers of the latest conflicting
@@ -83,34 +94,38 @@ impl KeyDeps {
         deps
     }
 
+    /// Whether the index records `cmd` at all. A `noOp` is never a
+    /// dependency of a later command (recovery produces it and nothing
+    /// applies it), and under NFR neither is a read.
+    pub fn records(&self, cmd: &Command) -> bool {
+        !(cmd.is_noop() || (self.nfr && cmd.is_read_only()))
+    }
+
     /// Records `cmd` (with identifier `dot`) in the index so that later
     /// commands report it as a dependency. **Once per identifier**: a
     /// repeated write would pass for the key's latest again. The engine
     /// keeps that promise with a flag in its per-identifier record.
     pub fn add(&mut self, dot: Dot, cmd: &Command) {
-        self.conflicts_and_add(dot, cmd);
+        if self.records(cmd) {
+            for (key, op) in cmd.ops() {
+                let entry = self.entries.entry(*key).or_default();
+                entry.record(dot, op.is_read());
+            }
+        }
     }
 
     /// Computes the dependencies of `cmd` and records it, with one lookup
     /// per key (a command's keys are distinct, so recording under one key
     /// cannot change what another reports).
     pub fn conflicts_and_add(&mut self, dot: Dot, cmd: &Command) -> DepSet {
-        // noOps are never dependencies of later commands: they are only
-        // produced by recovery and never applied to the state machine.
-        // Under NFR reads are excluded from later dependency sets.
-        if cmd.is_noop() || (self.nfr && cmd.is_read_only()) {
+        if !self.records(cmd) {
             return self.conflicts(cmd);
         }
         let mut deps = DepSet::new();
         for (key, op) in cmd.ops() {
             let entry = self.entries.entry(*key).or_default();
             entry.conflicts(op.is_read(), &mut deps);
-            if op.is_read() {
-                entry.reads_after_write.insert(dot);
-            } else {
-                entry.last_write = Some(dot);
-                entry.reads_after_write.clear();
-            }
+            entry.record(dot, op.is_read());
         }
         deps
     }

@@ -55,7 +55,7 @@ impl Phase {
 /// Per-identifier bookkeeping (the mappings at the bottom of Algorithm 1/4)
 /// that *every* replica keeps; what only the replica driving a round needs
 /// is in [`Proposer`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct Info {
     pub phase: Phase,
     /// Whether an `MCommit` has already been broadcast by this replica for
@@ -64,7 +64,9 @@ pub(crate) struct Info {
     /// Whether the coordinator already decided between fast and slow path
     /// for this identifier (prevents reprocessing duplicate collect acks).
     pub collect_decided: bool,
-    /// Whether the command is in the conflict index ([`KeyDeps::add`]).
+    /// Whether the conflict index recorded the command ([`KeyDeps::add`]).
+    /// A `noOp` placeholder is not recorded, so the flag stays clear and the
+    /// commit of the real command indexes it.
     pub indexed: bool,
     /// Current ballot this replica participates in (`bal`).
     pub bal: Ballot,
@@ -84,14 +86,14 @@ pub(crate) struct Info {
 /// The replies to the round this replica drives at `ballot`, each list
 /// sorted by sender. Handlers only touch the round at the identifier's
 /// current ballot, and ballots only grow: a new ballot starts afresh.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub(crate) struct Proposer {
     /// The ballot the replies answer (0: the initial collect).
     pub ballot: Ballot,
     /// Initial coordinator: `MCollectAck` replies received so far.
     pub collect_acks: Vec<(ProcessId, DepSet)>,
-    /// `MConsensusAck` senders.
-    pub consensus_acks: Vec<(ProcessId, ())>,
+    /// `MConsensusAck` senders, sorted.
+    pub consensus_acks: Vec<ProcessId>,
     /// Recovery coordinator: `MRecAck` replies.
     pub rec_acks: Vec<(ProcessId, RecAck)>,
     /// Recovery coordinator: the proposal computed for this ballot, re-sent
@@ -127,14 +129,31 @@ pub(crate) fn senders<T>(
     replies.iter().map(|(sender, _)| *sender)
 }
 
+impl Info {
+    /// What is left of an identifier once it has executed: every handler
+    /// turns a committed identifier away (or answers with command and
+    /// dependencies) before it reads anything else, so the rest is reset —
+    /// in memory at the execution, which is why a snapshot can leave it out.
+    fn executed(cmd: Option<Command>, deps: DepSet) -> Info {
+        Info {
+            phase: Phase::Execute,
+            indexed: true,
+            cmd,
+            deps,
+            ..Info::default()
+        }
+    }
+}
+
 /// An executed identifier — nearly all of a snapshot — encodes as command
-/// and dependencies: every handler turns a committed identifier away (or
-/// answers with those two) before it reads anything else.
+/// and dependencies, which is all of it (see [`Info::executed`]).
 impl Serialize for Info {
     fn serialize(&self, out: &mut Vec<u8>) {
         let executed = self.phase == Phase::Execute;
         (executed, &self.cmd, &self.deps).serialize(out);
-        if !executed {
+        if executed {
+            debug_assert_eq!(*self, Info::executed(self.cmd.clone(), self.deps.clone()));
+        } else {
             let flags = (self.committed_sent, self.collect_decided, self.indexed);
             (self.phase, flags, self.bal, self.abal, self.committed_at).serialize(out);
             (&self.quorum, &self.proposer).serialize(out);
@@ -145,12 +164,7 @@ impl Serialize for Info {
 impl Deserialize for Info {
     fn deserialize(input: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
         let (executed, cmd, deps): (bool, _, _) = Deserialize::deserialize(input)?;
-        let mut info = Info {
-            cmd,
-            deps,
-            ..Info::default()
-        };
-        (info.phase, info.indexed) = (Phase::Execute, true);
+        let mut info = Info::executed(cmd, deps);
         if !executed {
             let flags;
             (info.phase, flags, info.bal, info.abal, info.committed_at) =
@@ -271,7 +285,7 @@ impl State {
         deps.union_with(&past);
         deps.remove(&dot);
 
-        info.indexed = true;
+        info.indexed = self.key_deps.records(&cmd);
         info.phase = Phase::Collect;
         info.cmd = Some(cmd);
         info.quorum = quorum;
@@ -407,10 +421,13 @@ impl State {
             return Vec::new();
         }
         let acks = &mut Proposer::at(&mut info.proposer, ballot).consensus_acks;
-        file(acks, from, ());
+        if let Err(at) = acks.binary_search(&from) {
+            acks.insert(at, from);
+        }
         // An accept quorum in the current configuration — and, during the
         // joint window, in the outgoing one too.
-        if !self.base.quorum_met(senders(acks), R::accept_quorum_size) {
+        let senders = acks.iter().copied();
+        if !self.base.quorum_met(senders, R::accept_quorum_size) {
             return Vec::new();
         }
         // The proposal survives the tolerated failures: commit it.
@@ -469,8 +486,9 @@ impl State {
         info.deps = deps.clone();
         self.graph.commit_with(dot, cmd, deps, &mut |dot, cmd| {
             let committed_at = table.get_mut(&dot).map(|info| {
-                info.phase = Phase::Execute;
-                info.committed_at
+                let committed_at = info.committed_at;
+                *info = Info::executed(info.cmd.take(), std::mem::take(&mut info.deps));
+                committed_at
             });
             base.metrics.record_execution(committed_at, time);
             actions.push(Action::Execute { dot, cmd });
@@ -829,6 +847,118 @@ mod tests {
             panic!("a submission is one MCollect: {actions:?}");
         };
         assert_eq!(*past, DepSet::from([w2]));
+    }
+
+    #[test]
+    fn a_command_first_met_as_a_noop_is_indexed_at_its_commit() {
+        // A takeover by a replica that only knows c1 as a missing dependency
+        // probes with a noOp, which the index does not record. When c1 then
+        // commits as the real command it must enter the index, or the next
+        // write to its key would be ordered against nothing.
+        let mut replica = Atlas::new(3, Config::new(5, 1), Topology::identity(3, 5));
+        let c1 = Dot::new(1, 1);
+        let probe = Message::MRec {
+            dot: c1,
+            cmd: Command::noop(),
+            ballot: 7,
+        };
+        replica.handle(2, probe, 0);
+        let commit = Message::MCommit {
+            dot: c1,
+            cmd: put(1, 1, 0),
+            deps: DepSet::new(),
+        };
+        replica.handle(1, commit, 0);
+        let actions = replica.submit(put(3, 1, 0), 0);
+        let [Action::Send {
+            msg: Message::MCollect { past, .. },
+            ..
+        }] = &actions[..]
+        else {
+            panic!("a submission is one MCollect: {actions:?}");
+        };
+        assert_eq!(*past, DepSet::from([c1]));
+    }
+
+    #[test]
+    fn an_executed_identifier_answers_alike_before_and_after_a_restore() {
+        // A snapshot keeps only command and dependencies of an executed
+        // identifier. Replica 1 holds one it coordinated (decision flags
+        // set) and one it accepted at a ballot before the commit; after a
+        // restore every handler must still answer for them as before.
+        let mut net = cluster(3, 1);
+        net.submit(1, put(1, 1, 0));
+        let (coordinated, accepted) = (Dot::new(1, 1), Dot::new(2, 1));
+        let (cmd, deps) = (put(2, 1, 5), DepSet::new());
+        let replica = net.replica(1);
+        for msg in [
+            Message::MConsensus {
+                dot: accepted,
+                cmd: cmd.clone(),
+                deps: deps.clone(),
+                ballot: 2,
+            },
+            Message::MCommit {
+                dot: accepted,
+                cmd: cmd.clone(),
+                deps: deps.clone(),
+            },
+        ] {
+            replica.handle(2, msg, 0);
+        }
+        let bytes = replica.save_state().expect("state encodes");
+        let mut restored =
+            Atlas::restore_state(1, Config::new(3, 1), Topology::identity(1, 3), &bytes)
+                .expect("own snapshot restores");
+        assert_eq!(restored.save_state(), Some(bytes));
+        for dot in [coordinated, accepted] {
+            let ack = RecAck {
+                cmd: cmd.clone(),
+                deps: deps.clone(),
+                quorum: vec![1, 2],
+                accepted_ballot: 0,
+            };
+            let (cmd, deps, past) = (cmd.clone(), deps.clone(), deps.clone());
+            for (nth, msg) in [
+                Message::MCollect {
+                    dot,
+                    cmd: cmd.clone(),
+                    past,
+                    quorum: vec![1, 2],
+                },
+                Message::MCollectAck {
+                    dot,
+                    deps: deps.clone(),
+                },
+                Message::MConsensus {
+                    dot,
+                    cmd: cmd.clone(),
+                    deps: deps.clone(),
+                    ballot: 9,
+                },
+                Message::MConsensusAck { dot, ballot: 0 },
+                Message::MConsensusAck { dot, ballot: 2 },
+                Message::MCommit { dot, cmd, deps },
+                Message::MRec {
+                    dot,
+                    cmd: Command::noop(),
+                    ballot: 9,
+                },
+                Message::MRecAck {
+                    dot,
+                    ack,
+                    ballot: 0,
+                },
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let before = replica.handle(2, msg.clone(), 0);
+                assert_eq!(before, restored.handle(2, msg, 0), "message {nth}");
+            }
+        }
+        assert_eq!(replica.suspect(2, 0), restored.suspect(2, 0));
+        assert_eq!(replica.save_state(), restored.save_state());
     }
 
     #[test]

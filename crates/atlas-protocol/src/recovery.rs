@@ -169,9 +169,10 @@ impl State {
         if info.bal == 0 && info.phase == Phase::Start {
             // This replica has never seen the command (line 39-40): its
             // contribution is its current set of conflicts for it — and the
-            // command is indexed so later conflicting commands observe it.
+            // command is indexed so later conflicting commands observe it
+            // (unless the recoverer does not know it either: a `noOp`).
             info.deps = self.key_deps.conflicts_and_add(dot, &cmd);
-            info.indexed = true;
+            info.indexed = self.key_deps.records(&cmd);
             info.cmd = Some(cmd);
         }
         info.bal = ballot;
