@@ -8,7 +8,7 @@
 //! encoded and dropped. As a hash set each of those steps allocates and
 //! hashes; as a sorted inline vector a copy is 40 bytes, **union** is a
 //! merge ([`DepSet::union_with`]), the Atlas **threshold union** counts
-//! occurrences over sorted slices ([`DepSet::threshold_union`]), the
+//! occurrences over sorted slices ([`DepSet::union_and_threshold`]), the
 //! fast-path **test** is slice equality, and the encoding is the elements in
 //! order — equal sets encode to equal bytes with nothing to sort.
 //!
@@ -176,20 +176,22 @@ impl DepSet {
         union
     }
 
-    /// **Threshold union** `⋃_f Q dep`: the identifiers that at least `f` of
-    /// `sets` contain (paper §3.2.4). Equal to [`DepSet::union`] iff every
-    /// reported dependency was reported `f` times — the fast-path test.
-    pub fn threshold_union<'a>(
+    /// The plain union of `sets` and their **threshold union** `⋃_f Q dep`:
+    /// the identifiers that at least `f` of `sets` contain (paper §3.2.4).
+    /// The two are equal iff every reported dependency was reported `f`
+    /// times — the fast-path test.
+    pub fn union_and_threshold<'a>(
         sets: impl IntoIterator<Item = &'a DepSet> + Clone,
         f: usize,
-    ) -> DepSet {
+    ) -> (DepSet, DepSet) {
         let reported = |dot: &Dot| sets.clone().into_iter().filter(|s| s.contains(dot)).count();
         let union = Self::union(sets.clone());
-        union
+        let threshold = union
             .iter()
             .copied()
             .filter(|dot| reported(dot) >= f)
-            .collect()
+            .collect();
+        (union, threshold)
     }
 }
 
@@ -333,10 +335,13 @@ mod tests {
         let (a, b, c, d) = (dot(1, 1), dot(2, 1), dot(3, 1), dot(4, 1));
         let replies = [set(&[a, b]), set(&[b, c, d]), set(&[]), set(&[b, d])];
         assert_eq!(DepSet::union(&replies), set(&[a, b, c, d]));
-        assert_eq!(DepSet::threshold_union(&replies, 1), set(&[a, b, c, d]));
-        assert_eq!(DepSet::threshold_union(&replies, 2), set(&[b, d]));
-        assert_eq!(DepSet::threshold_union(&replies, 3), set(&[b]));
-        assert!(DepSet::threshold_union(&replies, 4).is_empty());
+        assert_eq!(
+            DepSet::union_and_threshold(&replies, 1).1,
+            set(&[a, b, c, d])
+        );
+        assert_eq!(DepSet::union_and_threshold(&replies, 2).1, set(&[b, d]));
+        assert_eq!(DepSet::union_and_threshold(&replies, 3).1, set(&[b]));
+        assert!(DepSet::union_and_threshold(&replies, 4).1.is_empty());
         let none: [DepSet; 0] = [];
         assert!(DepSet::union(&none).is_empty());
     }

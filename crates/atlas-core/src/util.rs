@@ -5,8 +5,7 @@ use crate::id::ProcessId;
 /// Sorts process identifiers by a distance function, breaking ties by
 /// identifier so the result is deterministic.
 ///
-/// Used by the simulator to build per-process [`crate::Topology`] values and
-/// by the linkfail analysis to order sites.
+/// Used by the simulator to order sites by distance.
 pub fn sort_by_distance(
     processes: impl IntoIterator<Item = ProcessId>,
     mut distance: impl FnMut(ProcessId) -> u64,

@@ -610,16 +610,19 @@ mod tests {
 
     #[test]
     fn long_chain_executes_in_dependency_order() {
-        let mut g = DependencyGraph::new();
-        let n = 100u64;
-        let dot = |i: u64| Dot::new(1, i);
-        // Commit the chain backwards: i depends on i-1.
-        for i in (2..=n).rev() {
-            assert!(g.commit(dot(i), cmd(i), vec![dot(i - 1)]).is_empty());
+        // At 1600 the test's own runtime is the guard: a graph that re-walks
+        // the pending chain per commit (cubic in n) took about a minute.
+        for n in [100u64, 1600] {
+            let mut g = DependencyGraph::new();
+            let dot = |i: u64| Dot::new(1, i);
+            // Commit the chain backwards: i depends on i-1.
+            for i in (2..=n).rev() {
+                assert!(g.commit(dot(i), cmd(i), vec![dot(i - 1)]).is_empty());
+            }
+            let out = g.commit(dot(1), cmd(1), vec![]);
+            let expected: Vec<Dot> = (1..=n).map(dot).collect();
+            assert_eq!(dots(&out), expected);
         }
-        let out = g.commit(dot(1), cmd(1), vec![]);
-        let expected: Vec<Dot> = (1..=n).map(dot).collect();
-        assert_eq!(dots(&out), expected);
     }
 
     #[test]

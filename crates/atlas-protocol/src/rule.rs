@@ -10,7 +10,7 @@ use atlas_core::{Command, Config, DepSet, ProcessId};
 pub type Replies = [(ProcessId, DepSet)];
 
 /// The dependency sets of `replies` (for [`DepSet::union`] and
-/// [`DepSet::threshold_union`]).
+/// [`DepSet::union_and_threshold`]).
 pub fn sets(replies: &Replies) -> impl Iterator<Item = &DepSet> + Clone {
     replies.iter().map(|(_, deps)| deps)
 }
@@ -61,8 +61,7 @@ impl CommitRule for AtlasRule {
     }
 
     fn decide(config: &Config, cmd: &Command, replies: &Replies) -> (bool, DepSet) {
-        let union = DepSet::union(sets(replies));
-        let threshold = DepSet::threshold_union(sets(replies), config.f);
+        let (union, threshold) = DepSet::union_and_threshold(sets(replies), config.f);
         // An NFR read (§4) commits from its majority whatever was reported.
         if (config.nfr && cmd.is_read_only()) || union == threshold {
             (true, union)

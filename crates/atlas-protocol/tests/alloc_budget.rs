@@ -3,72 +3,39 @@
 //! all three replicas of an in-memory cluster, and how many bytes of
 //! `save_state()` one tracked identifier costs.
 //!
-//! The cluster driver clones a message per target and queues it, as
-//! `benchmark/src/walk.rs` does; its own allocations are inside the budget.
-//! The counter is process-wide, so this file holds one test.
+//! The cluster is [`ChaosNet::fifo`], the driver of the protocol crates'
+//! unit tests. Its own allocations (a queue per run, a clone per target, the
+//! executed record) are inside the budget. The counter is process-wide, so
+//! this file holds one test.
 
-use atlas_core::{Action, Command, Config, ProcessId, Protocol, Rifl, Topology};
+use atlas_core::{Command, Config, ProcessId, Protocol, Rifl};
 use atlas_metrics::{allocations, CountingAllocator};
-use atlas_protocol::{Atlas, Message};
-use std::collections::VecDeque;
+use atlas_protocol::chaos::ChaosNet;
+use atlas_protocol::Atlas;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-struct Cluster {
-    replicas: Vec<Atlas>,
-    queue: VecDeque<(ProcessId, ProcessId, Message)>,
-    executed: u64,
+fn cluster() -> ChaosNet<Atlas> {
+    ChaosNet::fifo(Config::new(3, 1))
 }
 
-impl Cluster {
-    fn new() -> Self {
-        let config = Config::new(3, 1);
-        let replica = |id| Atlas::new(id, config, Topology::identity(id, 3));
-        Self {
-            replicas: (1..=3).map(replica).collect(),
-            queue: VecDeque::new(),
-            executed: 0,
-        }
-    }
+/// Executions recorded at all replicas together.
+fn executed(cluster: &ChaosNet<Atlas>) -> usize {
+    cluster.executed.values().map(Vec::len).sum()
+}
 
-    fn perform(&mut self, at: ProcessId, actions: Vec<Action<Message>>) {
-        for action in actions {
-            match action {
-                Action::Send { targets, msg } => {
-                    // Self-addressed first, as the runtime delivers them.
-                    let own = targets.iter().filter(|to| **to == at);
-                    for to in own.chain(targets.iter().filter(|to| **to != at)) {
-                        self.queue.push_back((at, *to, msg.clone()));
-                    }
-                }
-                Action::Execute { .. } => self.executed += 1,
-                Action::Commit { .. } => {}
-            }
-        }
+/// Mean allocations per command over `commands`, each submitted at replica
+/// 1 and executed at all three.
+fn allocations_per_command(cluster: &mut ChaosNet<Atlas>, commands: Vec<Command>) -> f64 {
+    let count = commands.len();
+    let (allocs, done) = (allocations(), executed(cluster));
+    for cmd in commands {
+        cluster.submit(1, cmd);
     }
-
-    /// One command from submission to `Execute` at all three replicas.
-    fn commit(&mut self, at: ProcessId, cmd: Command) {
-        let before = self.executed;
-        let actions = self.replicas[at as usize - 1].submit(cmd, 0);
-        self.perform(at, actions);
-        while let Some((from, to, msg)) = self.queue.pop_front() {
-            let actions = self.replicas[to as usize - 1].handle(from, msg, 0);
-            self.perform(to, actions);
-        }
-        assert_eq!(self.executed, before + 3, "executed at all three replicas");
-    }
-
-    /// Mean allocations per command over `commands`.
-    fn allocations_per_command(&mut self, commands: Vec<Command>) -> f64 {
-        let count = commands.len() as f64;
-        let before = allocations();
-        for cmd in commands {
-            self.commit(1, cmd);
-        }
-        (allocations() - before) as f64 / count
-    }
+    let allocs = allocations() - allocs;
+    assert_eq!(executed(cluster), done + 3 * count, "executed at all three");
+    allocs as f64 / count as f64
 }
 
 #[test]
@@ -78,9 +45,9 @@ fn a_commit_cycle_stays_within_its_allocation_and_state_budget() {
 
     // Writes to keys nobody touched: no dependencies anywhere. (Growing the
     // tables is in the count; it amortises to well under one allocation.)
-    let mut cluster = Cluster::new();
+    let mut net = cluster();
     let fresh = (1..=COMMANDS).map(|seq| put(seq, 1_000 + seq)).collect();
-    let free = cluster.allocations_per_command(fresh);
+    let free = allocations_per_command(&mut net, fresh);
     assert!(
         free <= 30.0,
         "{free:.1} allocations per dependency-free command (budget 30; the hash-set engine took 54)"
@@ -88,7 +55,7 @@ fn a_commit_cycle_stays_within_its_allocation_and_state_budget() {
 
     // Writes to one key: each depends on its predecessor, long executed.
     let chain = (1..=COMMANDS).map(|seq| put(COMMANDS + seq, 7)).collect();
-    let chained = cluster.allocations_per_command(chain);
+    let chained = allocations_per_command(&mut net, chain);
     assert!(
         chained <= 36.0,
         "{chained:.1} allocations per command with one dependency (budget 36)"
@@ -96,16 +63,17 @@ fn a_commit_cycle_stays_within_its_allocation_and_state_budget() {
 
     // State per tracked identifier: 10 000 commands from two coordinators,
     // half reads, over 64 keys, nothing collected.
-    let mut cluster = Cluster::new();
+    let mut net = cluster();
     for seq in 1..=10_000u64 {
         let (rifl, key) = (Rifl::new(2, seq), seq * 7 % 64);
         let cmd = match seq % 2 {
             0 => Command::get(rifl, key),
             _ => Command::put(rifl, key, seq, 64),
         };
-        cluster.commit((seq % 2 + 1) as ProcessId, cmd);
+        net.submit((seq % 2 + 1) as ProcessId, cmd);
     }
-    let replica = &cluster.replicas[2];
+    assert_eq!(executed(&net), 3 * 10_000, "executed at all three");
+    let replica = &net.replicas[2];
     assert_eq!(replica.tracked_entries(), 10_000);
     let state = replica.save_state().expect("Atlas snapshots its state");
     let per_entry = state.len() as f64 / 10_000.0;

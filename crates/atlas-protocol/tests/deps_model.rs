@@ -133,7 +133,7 @@ fn set_operations_match_btreeset() {
             let reports = |dot: &Dot| replies.iter().filter(|r| r.contains(dot)).count();
             let expected: BTreeSet<Dot> =
                 union.iter().copied().filter(|d| reports(d) >= f).collect();
-            let threshold = DepSet::threshold_union(&sets, f);
+            let threshold = DepSet::union_and_threshold(&sets, f).1;
             assert_eq!(members(&threshold), expected, "case {case} f {f}");
             // The fast-path test is the comparison of the two.
             assert_eq!(threshold == DepSet::union(&sets), expected == union);

@@ -392,12 +392,6 @@ impl PeerLink {
         });
     }
 
-    /// [`PeerLink::hand_off`] of a single message payload.
-    #[cfg(test)]
-    fn send(&self, payload: Arc<Vec<u8>>) {
-        self.hand_off(vec![payload], None);
-    }
-
     /// Sends this replica's executed-watermark report (the GC cadence
     /// piggybacks on the peer links rather than opening new connections).
     /// Best-effort, like an ack.
@@ -804,12 +798,12 @@ mod tests {
             let cap = 32;
             let link = PeerLink::spawn(1, 2, dead, Arc::clone(&stop), cap, None, Arc::default());
             for i in 0..(cap as u64 + 50) {
-                link.send(Arc::new(vec![i as u8; 16]));
+                link.hand_off(vec![Arc::new(vec![i as u8; 16])], None);
             }
             assert_eq!(link.status().buffered(), cap as u64, "buffer at the cap");
             assert_eq!(link.status().dropped(), 50, "overflow counted");
             // More sends while saturated only grow the drop counter.
-            link.send(Arc::new(vec![0; 16]));
+            link.hand_off(vec![Arc::new(vec![0; 16])], None);
             assert_eq!(link.status().buffered(), cap as u64);
             assert_eq!(link.status().dropped(), 51);
             stop.store(true, Ordering::Relaxed);
@@ -829,7 +823,7 @@ mod tests {
             let stop = Arc::new(AtomicBool::new(false));
             let link = PeerLink::spawn(1, 2, dead, Arc::clone(&stop), 8, None, Arc::default());
             // A message forces the writer into its dial/backoff loop.
-            link.send(Arc::new(vec![1, 2, 3]));
+            link.hand_off(vec![Arc::new(vec![1, 2, 3])], None);
             let deadline = std::time::Instant::now() + Duration::from_secs(5);
             while !link.status().is_reconnecting() {
                 assert!(
@@ -885,7 +879,7 @@ mod tests {
 
             let sent_at = Instant::now();
             for i in 0..8u8 {
-                link.send(Arc::new(vec![i; 8]));
+                link.hand_off(vec![Arc::new(vec![i; 8])], None);
             }
             let (hello, frames) = reader.await.unwrap();
             assert_eq!(hello, Hello::Peer { from: 1 });
@@ -926,7 +920,7 @@ mod tests {
             // Probes during the cut are dropped without dialing; a message
             // parks in the resend buffer behind the cut.
             link.probe();
-            link.send(Arc::new(vec![7; 8]));
+            link.hand_off(vec![Arc::new(vec![7; 8])], None);
             tokio::time::sleep(CUT / 4).await;
             link.probe();
             assert!(

@@ -134,8 +134,8 @@ criterion_group! {
     targets = put_round_trip, put_batch_16
 }
 
-// Expanded `criterion_main!(benches)` plus the metrics capture: the
-// snapshot file must be written after every group has run.
+// What criterion's `criterion_main!(benches)` expands to, plus the metrics
+// capture: the snapshot file must be written after every group has run.
 fn main() {
     benches();
     criterion::emit_json();

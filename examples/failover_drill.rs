@@ -1,5 +1,5 @@
 //! Failover drill over **real TCP** — the runtime counterpart of the
-//! simulator's `availability_drill` (§5.6): boot an Atlas cluster (3
+//! simulator's `fig8_availability` (§5.6): boot an Atlas cluster (3
 //! replicas by default; `ATLAS_EXAMPLE_N`/`ATLAS_EXAMPLE_F` resize it),
 //! drive conflicting traffic from a client pinned to the first member,
 //! then SIGKILL-equivalent the last member *with a burst of its own

@@ -4,8 +4,8 @@
 //! Planet-Scale Systems"* (EuroSys 2020): the **Atlas** leaderless SMR
 //! protocol, the baselines it is evaluated against (EPaxos, Flexible Paxos,
 //! Mencius), a replicated key–value store, a deterministic planet-scale WAN
-//! simulator, and the benchmark harness that regenerates every figure of the
-//! paper's evaluation.
+//! simulator, and the benchmark harness that regenerates the paper's
+//! evaluation figures.
 //!
 //! This crate is a thin facade that re-exports the workspace crates:
 //!
@@ -21,10 +21,9 @@
 //!   per-figure experiment drivers.
 //! * [`runtime`] (`atlas-runtime`) — the tokio-based networked runtime that
 //!   serves any of the protocols over real TCP.
-//! * [`linkfail`] — the §5.1 link-failure study.
 //!
-//! See `README.md` for a quickstart and `EXPERIMENTS.md` for the
-//! paper-vs-measured comparison of every figure.
+//! See `README.md` for a quickstart and for its figure table, which says
+//! how each of the paper's figures is reproduced here.
 //!
 //! ```
 //! use atlas::core::{Command, Config, Protocol, Rifl};
@@ -46,6 +45,5 @@ pub use atlas_runtime as runtime;
 pub use epaxos;
 pub use fpaxos;
 pub use kvstore;
-pub use linkfail;
 pub use mencius;
 pub use planet_sim as sim;
