@@ -13,6 +13,11 @@
 //!   exceed [`ClusterView::ballot_floor`] of the installed view, which keeps
 //!   ballot-owner arithmetic (modular in the member count) collision-free
 //!   across epochs.
+//! * **Quorums come from measured distance.** [`Base::closest`] is the one
+//!   place quorums are drawn, over the order last installed by
+//!   [`Base::discover`] (or [`Base::suspect`], which drops one process
+//!   from it); an epoch switch keeps that order, dropping departed members
+//!   and appending joiners until they are measured.
 //! * **Identifier horizons never shrink.** [`Base::note_seen`] is kept apart
 //!   from per-command bookkeeping so it survives garbage collection: it
 //!   protects identifier *reissue* after a wipe, not replay.
@@ -21,7 +26,6 @@
 
 use crate::{ClusterView, Config, IdMap, ProcessId, ProtocolStats, Topology};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// See the [module docs](self).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -29,7 +33,8 @@ pub struct Base {
     id: ProcessId,
     /// Always `view.config(..)`.
     config: Config,
-    /// Always spans `view.all_members()` (both member sets while joint).
+    /// Always spans `view.all_members()` (both member sets while joint);
+    /// its order is the last one [discovered](Self::discover).
     topology: Topology,
     view: ClusterView,
     /// Highest sequence seen per identifier space.
@@ -80,13 +85,25 @@ impl Base {
 
     /// Installs `view` if it is strictly newer (re-deriving `config` and
     /// `topology` from it) and returns whether it was. Used alike for a
-    /// `reconfigure` call and for the view a catch-up marker carries.
+    /// `reconfigure` call and for the view a catch-up marker carries. The
+    /// measured order survives the switch: departed members leave it and
+    /// joiners are appended, in identifier order, until measured.
     pub fn install_view(&mut self, view: &ClusterView) -> bool {
         if view.epoch <= self.view.epoch {
             return false;
         }
+        let members = view.all_members();
+        let old = &self.topology;
+        let kept = old.by_distance.iter().copied();
+        let kept = kept.filter(|p| *p == self.id || members.contains(p));
+        let joiners = members.iter().copied();
+        let joiners = joiners.filter(|p| *p != self.id && !old.processes.contains(p));
+        let by_distance = kept.chain(joiners).collect();
+        self.topology = Topology {
+            by_distance,
+            ..Topology::from_members(self.id, &members)
+        };
         self.config = view.config(self.config);
-        self.topology = Topology::from_members(self.id, &view.all_members());
         self.view = view.clone();
         true
     }
@@ -110,29 +127,45 @@ impl Base {
     }
 
     /// The closest `size` processes, this replica included — the one place
-    /// quorums are drawn, so re-selecting them over live members is a change
-    /// here alone.
+    /// quorums are drawn: a prefix of the [discovered](Self::discover)
+    /// order, then the members it leaves out.
     pub fn closest(&self, size: usize) -> Vec<ProcessId> {
         self.topology.closest_quorum(size)
     }
 
-    /// [`closest`](Self::closest) drawn from processes outside `suspected`,
-    /// falling back to the plain prefix when too few remain.
-    pub fn closest_unsuspected(
-        &self,
-        size: usize,
-        suspected: &HashSet<ProcessId>,
-    ) -> Vec<ProcessId> {
-        let by_distance = self.topology.by_distance.iter().copied();
-        let alive: Vec<ProcessId> = by_distance
-            .filter(|p| !suspected.contains(p))
-            .take(size)
-            .collect();
-        if alive.len() == size {
-            alive
-        } else {
-            self.closest(size)
+    /// The processes this replica reaches, closest first (itself first).
+    pub fn by_distance(&self) -> &[ProcessId] {
+        &self.topology.by_distance
+    }
+
+    /// Whether `process` is in the [discovered](Self::discover) order —
+    /// neither late nor suspected.
+    pub fn reaches(&self, process: ProcessId) -> bool {
+        self.topology.by_distance.contains(&process)
+    }
+
+    /// Installs a measured order: `by_distance` ranks the processes this
+    /// replica reaches, closest first. This replica always leads it,
+    /// non-members are ignored, and a member left out is late or suspected
+    /// and sorts last. Returns the members the order just left out, whose
+    /// proposals in flight the protocol must re-drive.
+    pub fn discover(&mut self, by_distance: &[ProcessId]) -> Vec<ProcessId> {
+        let mut order = vec![self.id];
+        for &p in by_distance {
+            if self.topology.processes.contains(&p) && !order.contains(&p) {
+                order.push(p);
+            }
         }
+        let before = std::mem::replace(&mut self.topology.by_distance, order);
+        let after = &self.topology.by_distance;
+        before.into_iter().filter(|p| !after.contains(p)).collect()
+    }
+
+    /// [`discover`](Self::discover)s the current order without `suspected`.
+    pub fn suspect(&mut self, suspected: ProcessId) -> Vec<ProcessId> {
+        let mut order = self.topology.by_distance.clone();
+        order.retain(|&p| p != suspected);
+        self.discover(&order)
     }
 
     /// [`ClusterView::quorum_met`] under the current view and configuration.
@@ -199,11 +232,46 @@ mod tests {
 
     #[test]
     fn quorums_prefer_unsuspected_processes() {
-        let b = Base::new(1, Config::new(5, 2), Topology::identity(1, 5));
+        let mut b = Base::new(1, Config::new(5, 2), Topology::identity(1, 5));
         assert_eq!(b.closest(3), vec![1, 2, 3]);
-        let suspected: HashSet<ProcessId> = [2, 4].into_iter().collect();
-        assert_eq!(b.closest_unsuspected(3, &suspected), vec![1, 3, 5]);
-        assert_eq!(b.closest_unsuspected(4, &suspected), vec![1, 2, 3, 4]);
+        assert_eq!(b.suspect(2), vec![2]);
+        assert_eq!(b.suspect(4), vec![4]);
+        assert!(b.suspect(4).is_empty() && b.suspect(1).is_empty());
+        assert_eq!(b.closest(3), vec![1, 3, 5]);
+        assert_eq!(b.closest(4), vec![1, 3, 5, 2], "suspects sort last");
+        assert!(!b.reaches(2) && b.reaches(5));
+    }
+
+    #[test]
+    fn discover_ranks_members_and_reports_who_left_the_order() {
+        let mut b = base(3);
+        assert_eq!(b.by_distance(), [3, 1, 2]);
+        assert!(b.discover(&[2, 1, 9]).is_empty(), "9 is not a member");
+        assert_eq!(b.by_distance(), [3, 2, 1]);
+        assert_eq!(b.closest(2), vec![3, 2]);
+        assert_eq!(b.discover(&[3, 1]), vec![2]);
+        assert_eq!(b.closest(2), vec![3, 1]);
+        assert_eq!(b.closest(3), vec![3, 1, 2]);
+    }
+
+    #[test]
+    fn measured_order_survives_an_epoch_switch() {
+        let mut b = Base::new(3, Config::new(4, 1), Topology::identity(3, 4));
+        b.discover(&[4, 2, 1]);
+        // 1 leaves, 5 joins: the measured rest keeps its order and the
+        // joiner is appended until measured.
+        let joint = b.view().enter(&[2, 3, 4, 5], 1).unwrap();
+        assert!(b.install_view(&joint));
+        assert_eq!(b.by_distance(), [3, 4, 2, 1, 5]);
+        assert!(b.install_view(&joint.finalize().unwrap()));
+        assert_eq!(b.by_distance(), [3, 4, 2, 5]);
+        assert_eq!(b.closest(3), vec![3, 4, 2]);
+        // A member left out (late) stays out across the switch.
+        b.suspect(4);
+        let next = b.view().enter(&[2, 3, 4, 5, 6], 1).unwrap();
+        b.install_view(&next);
+        assert_eq!(b.by_distance(), [3, 2, 5, 6]);
+        assert_eq!(b.closest(5), vec![3, 2, 5, 6, 4]);
     }
 
     #[test]

@@ -68,18 +68,23 @@ impl<M> Action<M> {
     }
 }
 
-/// Static placement information handed to a protocol at construction time.
+/// Where the processes are, as seen from one of them: its quorums are drawn
+/// from here ([`Base::closest`]).
 ///
-/// The planet simulator computes, for every process, the list of all
-/// processes sorted by network proximity; leaderless protocols use it to pick
-/// the *closest* fast quorum, while leader-based protocols learn the
-/// leader's identity.
+/// A replica boots with an unmeasured order (identifier order, itself
+/// first); from then on the order is a protocol *input*: the networked
+/// runtime measures it from heartbeat round trips and installs it through
+/// [`Protocol::discover`], and a suspicion ([`Protocol::suspect`]) drops the
+/// suspect from it. The planet simulator hands each process the true order
+/// of its site's matrix row at construction.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Topology {
-    /// All process identifiers in the deployment (`1..=n`).
+    /// All process identifiers in the deployment (sorted).
     pub processes: Vec<ProcessId>,
-    /// Processes sorted by distance from the owning process. The owning
-    /// process itself is always first (distance zero).
+    /// The processes this replica reaches, closest first; the owning
+    /// process itself is always first (distance zero). A member left out is
+    /// late or suspected and sorts after every listed one, in identifier
+    /// order.
     pub by_distance: Vec<ProcessId>,
     /// Leader process for leader-based protocols (ignored by leaderless
     /// ones). The paper selects the leader as the site minimizing the
@@ -88,25 +93,16 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Builds a topology where distance follows identifier order — handy in
-    /// unit tests where the network is not modeled.
+    /// [`from_members`](Self::from_members) over `1..=n` — for unit tests,
+    /// where no network is modeled.
     pub fn identity(id: ProcessId, n: usize) -> Self {
-        let processes: Vec<ProcessId> = (1..=n as ProcessId).collect();
-        let mut by_distance = vec![id];
-        by_distance.extend(processes.iter().copied().filter(|p| *p != id));
-        Self {
-            processes,
-            by_distance,
-            leader: Some(1),
-        }
+        Self::from_members(id, &(1..=n as ProcessId).collect::<Vec<_>>())
     }
 
-    /// Builds a topology over an explicit, possibly non-contiguous member
-    /// list (identifier order doubles as distance order). Used after a
-    /// reconfiguration, where a replacement replica's identifier need not be
-    /// `<= n`, and for a joiner that is not (yet) part of `members` — the
-    /// joiner still puts itself first in `by_distance` but does not appear
-    /// in `processes`.
+    /// The order a replica boots with, before anything is measured:
+    /// itself first, then `members` in identifier order; the smallest
+    /// member leads. A joiner that is not (yet) one of `members` still puts
+    /// itself first in `by_distance` but does not appear in `processes`.
     pub fn from_members(id: ProcessId, members: &[ProcessId]) -> Self {
         let mut processes: Vec<ProcessId> = members.to_vec();
         processes.sort_unstable();
@@ -121,18 +117,25 @@ impl Topology {
         }
     }
 
-    /// The closest `size` processes (including the owning process itself).
+    /// The closest `size` processes (including the owning process itself):
+    /// a prefix of `by_distance`, then the processes it leaves out.
     ///
     /// # Panics
     ///
     /// Panics if `size` exceeds the number of processes.
     pub(crate) fn closest_quorum(&self, size: usize) -> Vec<ProcessId> {
+        if let Some(reached) = self.by_distance.get(..size) {
+            return reached.to_vec();
+        }
+        let late = self.processes.iter();
+        let late = late.filter(|p| !self.by_distance.contains(p));
+        let order: Vec<ProcessId> = self.by_distance.iter().chain(late).copied().collect();
         assert!(
-            size <= self.by_distance.len(),
+            size <= order.len(),
             "quorum of size {size} requested but only {} processes exist",
-            self.by_distance.len()
+            order.len()
         );
-        self.by_distance[..size].to_vec()
+        order[..size].to_vec()
     }
 }
 
@@ -140,8 +143,9 @@ impl Topology {
 ///
 /// Contracts every implementation upholds, each enforced in one place:
 ///
-/// * **Replay determinism.** `submit`, `handle`, `suspect`, `reconfigure`,
-///   `gc_executed` and `advance_identifiers` are the protocol's *inputs*: the
+/// * **Replay determinism.** `submit`, `handle`, `suspect`, `discover`,
+///   `reconfigure`, `gc_executed` and `advance_identifiers` are the
+///   protocol's *inputs*: the
 ///   networked runtime journals them and replays them in order after a
 ///   crash, so their effect depends only on state and arguments — never on
 ///   a clock or randomness (`time` only feeds metrics and is 0 in replay).
@@ -180,9 +184,17 @@ pub trait Protocol: Sized {
         time: Time,
     ) -> Vec<Action<Self::Message>>;
 
-    /// `suspected` is believed to have failed: recover its in-flight
-    /// commands (leaderless) or replace it as leader.
+    /// `suspected` is believed to have failed: it leaves the distance order
+    /// (as if a [`discover`](Protocol::discover) had left it out), and its
+    /// in-flight commands are recovered (leaderless) or it is replaced as
+    /// leader.
     fn suspect(&mut self, suspected: ProcessId, time: Time) -> Vec<Action<Self::Message>>;
+
+    /// The runtime measured a new distance order ([`Base::discover`]):
+    /// quorums of new proposals come from it, and proposals this replica
+    /// drives that wait on a member the order just left out (late or
+    /// suspected) are re-driven without it.
+    fn discover(&mut self, by_distance: &[ProcessId], time: Time) -> Vec<Action<Self::Message>>;
 
     /// Installs a newer [`ClusterView`] (called when a `Reconfigure` barrier
     /// executes, at the same point of the order on every replica) and
@@ -282,6 +294,14 @@ mod tests {
         assert_eq!(t.closest_quorum(3), vec![2, 1, 3]);
         assert_eq!(t.closest_quorum(1), vec![2]);
         assert_eq!(t.closest_quorum(5).len(), 5);
+    }
+
+    #[test]
+    fn closest_quorum_puts_left_out_processes_last() {
+        let mut t = Topology::identity(2, 5);
+        t.by_distance = vec![2, 5, 1];
+        assert_eq!(t.closest_quorum(3), vec![2, 5, 1]);
+        assert_eq!(t.closest_quorum(5), vec![2, 5, 1, 3, 4]);
     }
 
     #[test]

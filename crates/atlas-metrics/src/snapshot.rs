@@ -8,10 +8,47 @@
 //! full ([`BoundedHistogram`] is constant-size) so consumers can merge
 //! across replicas before taking percentiles; the JSON form compresses each
 //! histogram to a summary object.
+//!
+//! The binary encoding is positional, so it leads with [`StatsVersion`]:
+//! a reader built against another layout refuses the snapshot with an error
+//! naming both versions instead of misreading every field after the first
+//! one that moved. Bump [`STATS_VERSION`] whenever a field is added.
 
 use crate::histogram::BoundedHistogram;
 use atlas_core::{ProcessId, ProtocolStats};
 use serde::{Deserialize, Serialize};
+
+/// Layout version of the [`MetricsSnapshot`] encoding (see the module docs).
+pub const STATS_VERSION: u32 = 2;
+
+/// The version stamp leading a [`MetricsSnapshot`]: always
+/// [`STATS_VERSION`] in this build, and decoding refuses any other value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StatsVersion(u32);
+
+impl Default for StatsVersion {
+    fn default() -> Self {
+        Self(STATS_VERSION)
+    }
+}
+
+impl Serialize for StatsVersion {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        self.0.serialize(out);
+    }
+}
+
+impl Deserialize for StatsVersion {
+    fn deserialize(input: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        match u32::deserialize(input)? {
+            STATS_VERSION => Ok(Self(STATS_VERSION)),
+            other => Err(serde::Error::custom(format!(
+                "stats snapshot of layout version {other}, this build reads version \
+                 {STATS_VERSION}: rebuild the reader and the replica from one tree"
+            ))),
+        }
+    }
+}
 
 /// Compact percentile summary of a [`BoundedHistogram`], used for JSON
 /// rendering and one-line displays.
@@ -121,6 +158,8 @@ pub struct DetectorStats {
     pub trusts: u64,
     /// Recovery takeovers dispatched to the protocol (`Protocol::suspect`).
     pub takeovers: u64,
+    /// Measured distance orders installed (`Protocol::discover`).
+    pub reorders: u64,
 }
 
 /// Executed-entry garbage-collection counters.
@@ -153,6 +192,9 @@ pub struct LinkSnapshot {
     /// Socket writes the link writer issued (frames that were due together
     /// share one). Appended at the tail (positional serde).
     pub writes: u64,
+    /// Windowed-minimum round trip to the peer measured by the heartbeat
+    /// probes (µs; 0 until the first echo).
+    pub rtt_us: u64,
 }
 
 /// One executor shard's telemetry: dispatch/completion counters (their
@@ -214,6 +256,8 @@ pub struct ReactorStats {
 /// Everything one replica reports about itself.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
+    /// Leads the encoding (see the module docs).
+    pub version: StatsVersion,
     /// Reporting replica.
     pub replica: ProcessId,
     /// Protocol name (`Protocol::name()`).
@@ -364,8 +408,11 @@ impl MetricsSnapshot {
         ));
 
         o.push_str(&format!(
-            ",\"detector\":{{\"suspicions\":{},\"trusts\":{},\"takeovers\":{}}}",
-            self.detector.suspicions, self.detector.trusts, self.detector.takeovers
+            ",\"detector\":{{\"suspicions\":{},\"trusts\":{},\"takeovers\":{},\"reorders\":{}}}",
+            self.detector.suspicions,
+            self.detector.trusts,
+            self.detector.takeovers,
+            self.detector.reorders
         ));
 
         o.push_str(&format!(
@@ -386,8 +433,8 @@ impl MetricsSnapshot {
                 o.push(',');
             }
             o.push_str(&format!(
-                "{{\"peer\":{},\"connected\":{},\"reconnecting\":{},\"buffered\":{},\"dropped\":{},\"resent\":{},\"writes\":{}}}",
-                link.peer, link.connected, link.reconnecting, link.buffered, link.dropped, link.resent, link.writes
+                "{{\"peer\":{},\"connected\":{},\"reconnecting\":{},\"buffered\":{},\"dropped\":{},\"resent\":{},\"writes\":{},\"rtt_us\":{}}}",
+                link.peer, link.connected, link.reconnecting, link.buffered, link.dropped, link.resent, link.writes, link.rtt_us
             ));
         }
         o.push(']');
@@ -464,8 +511,10 @@ mod tests {
             peer: 2,
             connected: true,
             writes: 5,
+            rtt_us: 30_250,
             ..Default::default()
         });
+        s.detector.reorders = 1;
         s.epoch = 2;
         s.executor.shards_configured = 4;
         s.executor.multi_shard_commands = 3;
@@ -497,6 +546,21 @@ mod tests {
     }
 
     #[test]
+    fn another_layout_version_is_refused_by_name() {
+        let mut bytes = Vec::new();
+        serde::Serialize::serialize(&sample_snapshot(), &mut bytes);
+        assert_eq!(bytes[..4], STATS_VERSION.to_le_bytes(), "the stamp leads");
+        bytes[..4].copy_from_slice(&(STATS_VERSION + 1).to_le_bytes());
+        let mut r = serde::Reader::new(&bytes);
+        let err = <MetricsSnapshot as serde::Deserialize>::deserialize(&mut r).unwrap_err();
+        let expected = format!(
+            "version {}, this build reads version {STATS_VERSION}",
+            STATS_VERSION + 1
+        );
+        assert!(err.to_string().contains(&expected), "{err}");
+    }
+
+    #[test]
     fn json_is_structurally_sound() {
         let j = sample_snapshot().to_json();
         assert!(j.starts_with('{') && j.ends_with('}'), "{j}");
@@ -516,7 +580,8 @@ mod tests {
             "\"snapshot_bytes\":4096,\"snapshots_coalesced\":2,\"wal_writes\":17}",
             "\"horizon\":[[1,5],[2,3]]",
             "\"peer\":2",
-            "\"resent\":0,\"writes\":5}",
+            "\"resent\":0,\"writes\":5,\"rtt_us\":30250}",
+            "\"takeovers\":0,\"reorders\":1}",
             "\"epoch\":2",
             "\"executor\":{\"shards_configured\":4",
             "\"queue_depth\":2,\"execute_us\":{\"count\":1",

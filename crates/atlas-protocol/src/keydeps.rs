@@ -114,6 +114,28 @@ impl KeyDeps {
         }
     }
 
+    /// Records the committed `cmd` (identifier `dot`, final dependencies
+    /// `deps`), which this replica did not collect, under every key where
+    /// it is ordered after what the index holds: the key's current
+    /// conflicts are all in `deps`. Under any other key an entry is missing
+    /// from `deps`, so that entry is (or, once committed, will be) ordered
+    /// after `cmd`, and keeping it as the key's latest keeps every later
+    /// command transitively after both; replacing it would drop it from
+    /// later commands' dependencies while nothing orders them.
+    pub fn add_committed(&mut self, dot: Dot, cmd: &Command, deps: &DepSet) {
+        if !self.records(cmd) {
+            return;
+        }
+        for (key, op) in cmd.ops() {
+            let entry = self.entries.entry(*key).or_default();
+            let mut held = DepSet::new();
+            entry.conflicts(op.is_read(), &mut held);
+            if held.iter().all(|d| *d == dot || deps.contains(d)) {
+                entry.record(dot, op.is_read());
+            }
+        }
+    }
+
     /// Computes the dependencies of `cmd` and records it, with one lookup
     /// per key (a command's keys are distinct, so recording under one key
     /// cannot change what another reports).

@@ -288,9 +288,17 @@ impl State {
         info.indexed = self.key_deps.records(&cmd);
         info.phase = Phase::Collect;
         info.cmd = Some(cmd);
-        info.quorum = quorum;
         info.deps = deps.clone();
-        vec![Action::send([from], Message::MCollectAck { dot, deps })]
+        // A quorum holding a member this coordinator no longer reaches
+        // would wait for it forever (fewer live members than a fast quorum
+        // needs): the coordinator takes its own command over at once.
+        let stalled = from == self.base.id() && quorum.iter().any(|p| !self.base.reaches(*p));
+        info.quorum = quorum;
+        let mut actions = vec![Action::send([from], Message::MCollectAck { dot, deps })];
+        if stalled {
+            actions.extend(self.recover(dot));
+        }
+        actions
     }
 
     /// Handles `MCollectAck` at the initial coordinator (Algorithm 1,
@@ -470,7 +478,7 @@ impl State {
             // Make sure later commands observe this one as a conflict even
             // if this replica was not in its fast quorum.
             info.indexed = true;
-            self.key_deps.add(dot, &cmd);
+            self.key_deps.add_committed(dot, &cmd, &deps);
         }
         base.metrics.record_commit(deps.len());
         // A noOp is never executed, so the runtime is told of no commit it
@@ -565,7 +573,15 @@ impl<R: CommitRule> Protocol for Deps<R> {
     }
 
     fn suspect(&mut self, suspected: ProcessId, _time: Time) -> Vec<Action<Message>> {
-        self.state.recover_suspected(suspected)
+        let late = self.state.base.suspect(suspected);
+        let mut actions = self.state.redrive(&late);
+        actions.extend(self.state.recover_suspected(suspected));
+        actions
+    }
+
+    fn discover(&mut self, by_distance: &[ProcessId], _time: Time) -> Vec<Action<Message>> {
+        let late = self.state.base.discover(by_distance);
+        self.state.redrive(&late)
     }
 
     fn reconfigure(&mut self, view: &ClusterView, _time: Time) -> Vec<Action<Message>> {
@@ -774,6 +790,69 @@ mod tests {
         }
     }
 
+    /// The quorum of the command `at` submits next (the `MCollect` targets).
+    fn next_quorum(net: &mut ChaosNet<Atlas>, at: ProcessId) -> Vec<ProcessId> {
+        let actions = net.replica(at).submit(put(at as u64, 99, 0), 0);
+        let [Action::Send { targets, .. }] = &actions[..] else {
+            panic!("a submission is one MCollect: {actions:?}");
+        };
+        targets.clone()
+    }
+
+    #[test]
+    fn new_commands_collect_from_the_discovered_order() {
+        let mut net = cluster(3, 1);
+        assert!(net.replica(3).discover(&[3, 2, 1], 0).is_empty());
+        assert_eq!(next_quorum(&mut net, 3), vec![3, 2]);
+        // Leaving 2 out re-drives nothing here (nothing collects from it).
+        assert!(net.replica(3).discover(&[1], 0).is_empty());
+        assert_eq!(next_quorum(&mut net, 3), vec![3, 1]);
+    }
+
+    #[test]
+    fn a_suspected_quorum_member_leaves_the_quorum() {
+        // Replica 1's fast quorum is {1, 2}; 2 halts with one of 1's
+        // commands collecting from it.
+        let mut net = cluster(3, 1);
+        net.crash(2);
+        net.submit(1, put(1, 1, 0));
+        assert!(net.executed_at(1).is_empty(), "stuck collecting from 2");
+        net.suspect(1, 2);
+        let stranded = vec![Dot::new(1, 1)];
+        assert_eq!(net.executed_at(1), stranded, "re-driven by replica 1");
+        assert_eq!(net.executed_at(3), stranded);
+        // New submissions commit on the fast path at the live quorum.
+        net.submit(1, put(1, 2, 0));
+        net.submit(1, put(1, 3, 7));
+        for id in [1, 3] {
+            assert_eq!(net.executed_at(id).len(), 3, "replica {id}");
+        }
+        let m = net.replicas[0].metrics();
+        assert_eq!((m.recoveries, m.fast_paths), (1, 2));
+    }
+
+    #[test]
+    fn two_suspected_quorum_members_leave_the_quorum() {
+        // n = 5, f = 2: replica 1's fast quorum is {1, 2, 3, 4}. Halting
+        // its two closest peers leaves three live members, fewer than any
+        // fast quorum, so every command commits through 1's own takeover.
+        let mut net = cluster(5, 2);
+        net.crash(2);
+        net.crash(3);
+        net.submit(1, put(1, 1, 0));
+        assert!(net.executed_at(1).is_empty(), "stuck collecting from 2, 3");
+        net.suspect(1, 2);
+        net.suspect(1, 3);
+        for seq in 2..=4 {
+            net.submit(1, put(1, seq, seq % 2));
+        }
+        let reference = net.executed_at(1);
+        assert_eq!(reference.len(), 4);
+        for id in [4, 5] {
+            assert_eq!(net.executed_at(id), reference, "replica {id}");
+        }
+    }
+
     #[test]
     fn commuting_commands_may_execute_without_waiting() {
         let mut net = cluster(5, 1);
@@ -847,6 +926,38 @@ mod tests {
             panic!("a submission is one MCollect: {actions:?}");
         };
         assert_eq!(*past, DepSet::from([w2]));
+    }
+
+    #[test]
+    fn a_commit_never_hides_a_collected_conflict() {
+        // Replica 1 collects c2 (from 2); then c3, which 3 committed with
+        // quorum {3, 2} and no edge to c2, commits here. c2 will be ordered
+        // after c3, so it must stay what the next write to the key depends
+        // on: were c3 to replace it, that write and c2 would be unordered.
+        let mut replica = Atlas::new(1, Config::new(3, 1), Topology::identity(1, 3));
+        let (c2, c3, next) = (Dot::new(2, 1), Dot::new(3, 1), Dot::new(3, 2));
+        let collect = |dot: Dot, past: DepSet| Message::MCollect {
+            dot,
+            cmd: put(dot.source as u64, dot.seq, 0),
+            past,
+            quorum: vec![dot.source, 1],
+        };
+        replica.handle(2, collect(c2, DepSet::new()), 0);
+        let commit = Message::MCommit {
+            dot: c3,
+            cmd: put(3, 1, 0),
+            deps: DepSet::new(),
+        };
+        replica.handle(3, commit, 0);
+        let actions = replica.handle(3, collect(next, [c3].into()), 0);
+        let [Action::Send {
+            msg: Message::MCollectAck { deps, .. },
+            ..
+        }] = &actions[..]
+        else {
+            panic!("a collect is answered with one ack: {actions:?}");
+        };
+        assert_eq!(*deps, DepSet::from([c2, c3]));
     }
 
     #[test]

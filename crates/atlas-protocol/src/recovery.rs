@@ -102,6 +102,27 @@ impl State {
         dots.into_iter().flat_map(|dot| self.recover(dot)).collect()
     }
 
+    /// Re-drives, through this replica's own takeover, every undecided
+    /// identifier it coordinates whose quorum holds one of `late` — members
+    /// the distance order just left out, which may never answer. The
+    /// coordinator answers its own `MRec`, so the rule proposes the union
+    /// of what the live replies report.
+    pub(crate) fn redrive(&mut self, late: &[ProcessId]) -> Vec<Action<Message>> {
+        if late.is_empty() {
+            return Vec::new();
+        }
+        let id = self.base.id();
+        let mut dots: Vec<Dot> = self
+            .info
+            .iter()
+            .filter(|(dot, info)| dot.coordinator() == id && !info.phase.is_committed())
+            .filter(|(_, info)| info.quorum.iter().any(|p| late.contains(p)))
+            .map(|(dot, _)| *dot)
+            .collect();
+        dots.sort_unstable();
+        dots.into_iter().flat_map(|dot| self.recover(dot)).collect()
+    }
+
     /// Takes over as coordinator of `dot` (Algorithm 2, line 31).
     ///
     /// **Idempotent under re-dispatch**: the runtime repeats a suspicion

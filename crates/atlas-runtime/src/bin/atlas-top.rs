@@ -12,7 +12,10 @@
 //! Replicas are numbered `1..=n` in `--addrs` order, exactly like
 //! `atlas-replica`. An unreachable replica shows as `down` and is retried
 //! every interval — `atlas-top` can outlive restarts and watch a recovery
-//! happen. `--iterations 0` polls forever; any other value exits after
+//! happen. A replica whose stats encoding has another layout version shows
+//! as `refused`, with both versions named, rather than as misread numbers.
+//! The `rtt(ms)` column lists each link's measured round trip as
+//! `peer:ms`. `--iterations 0` polls forever; any other value exits after
 //! that many screens (useful in scripts).
 
 use atlas_metrics::{BoundedHistogram, HistogramSummary, MetricsSnapshot};
@@ -83,35 +86,55 @@ fn parse_args() -> Args {
 /// the live replicas while the dead one shows as `down`.
 const POLL_TIMEOUT: Duration = Duration::from_millis(750);
 
-/// Fetches one replica's snapshot, reconnecting when needed. `None` means
-/// the replica is unreachable this round (the connection slot is cleared so
-/// the next round redials).
+/// Fetches one replica's snapshot, reconnecting when needed. `Err` says
+/// why there is none this round — unreachable, or a snapshot this build
+/// refuses to decode — and clears the connection slot so the next round
+/// redials.
 async fn poll(
     slot: &mut Option<Client>,
     addr: SocketAddr,
     client_id: u64,
-) -> Option<MetricsSnapshot> {
+) -> Result<MetricsSnapshot, String> {
+    let down = || format!("down ({addr})");
     if slot.is_none() {
         *slot = match tokio::time::timeout(POLL_TIMEOUT, Client::connect(addr, client_id)).await {
             Ok(conn) => conn.ok(),
             Err(_elapsed) => None,
         };
     }
-    let client = slot.as_mut()?;
-    match tokio::time::timeout(POLL_TIMEOUT, client.stats()).await {
-        Ok(Ok(snapshot)) => Some(snapshot),
+    let client = slot.as_mut().ok_or_else(down)?;
+    let polled = tokio::time::timeout(POLL_TIMEOUT, client.stats()).await;
+    if !matches!(polled, Ok(Ok(_))) {
         // Error or timeout: drop the connection (a timed-out stats reply
         // could still arrive and desync the request/reply stream).
-        Ok(Err(_)) | Err(_) => {
-            *slot = None;
-            None
+        *slot = None;
+    }
+    match polled {
+        Ok(Ok(snapshot)) => Ok(snapshot),
+        Ok(Err(e)) if e.kind() == std::io::ErrorKind::InvalidData => {
+            eprintln!("atlas-top: replica at {addr}: {e}");
+            Err(format!("refused: {e}"))
         }
+        Ok(Err(_)) | Err(_) => Err(down()),
     }
 }
 
-fn render(addrs: &[SocketAddr], snapshots: &[Option<MetricsSnapshot>]) {
+/// Each link's measured round trip, `peer:ms`.
+fn rtts(s: &MetricsSnapshot) -> String {
+    let rtt = |us: u64| match us {
+        0 => "-".to_string(),
+        us => format!("{:.1}", us as f64 / 1_000.0),
+    };
+    let links = s
+        .links
+        .iter()
+        .map(|l| format!("{}:{}", l.peer, rtt(l.rtt_us)));
+    links.collect::<Vec<_>>().join(" ")
+}
+
+fn render(snapshots: &[Result<MetricsSnapshot, String>]) {
     println!(
-        "{:<3} {:<8} {:>8} {:>10} {:>9} {:>9} {:>9} {:>6} {:>8} {:>7} {:>5} {:>7} {:>8} {:>8}",
+        "{:<3} {:<8} {:>8} {:>10} {:>9} {:>9} {:>9} {:>6} {:>8} {:>7} {:>5} {:>7} {:>8} {:>8} rtt(ms)",
         "id",
         "proto",
         "uptime",
@@ -130,9 +153,12 @@ fn render(addrs: &[SocketAddr], snapshots: &[Option<MetricsSnapshot>]) {
     let mut merged = BoundedHistogram::new();
     for (i, snapshot) in snapshots.iter().enumerate() {
         let id = i + 1;
-        let Some(s) = snapshot else {
-            println!("{id:<3} {:<8} down ({})", "-", addrs[i]);
-            continue;
+        let s = match snapshot {
+            Ok(s) => s,
+            Err(why) => {
+                println!("{id:<3} {:<8} {why}", "-");
+                continue;
+            }
         };
         merged.merge(&s.lifecycle.submit_to_replied);
         let reply = HistogramSummary::of(&s.lifecycle.submit_to_replied);
@@ -143,7 +169,7 @@ fn render(addrs: &[SocketAddr], snapshots: &[Option<MetricsSnapshot>]) {
         let up = s.links.iter().filter(|l| l.connected).count();
         let socket_writes: u64 = s.links.iter().map(|l| l.writes).sum();
         println!(
-            "{id:<3} {:<8} {:>7}s {:>10} {:>9} {:>9.2} {:>9.2} {fast} {:>8} {:>7} {:>5} {:>4}/{} {:>8} {:>8}",
+            "{id:<3} {:<8} {:>7}s {:>10} {:>9} {:>9.2} {:>9.2} {fast} {:>8} {:>7} {:>5} {:>4}/{} {:>8} {:>8} {}",
             s.protocol,
             s.uptime_us / 1_000_000,
             s.lifecycle.submitted,
@@ -157,6 +183,7 @@ fn render(addrs: &[SocketAddr], snapshots: &[Option<MetricsSnapshot>]) {
             s.links.len(),
             s.durability.wal_writes,
             socket_writes,
+            rtts(s),
         );
     }
     if !merged.is_empty() {
@@ -196,7 +223,7 @@ fn main() {
                 args.addrs.len(),
                 args.interval
             );
-            render(&args.addrs, &snapshots);
+            render(&snapshots);
             if args.iterations > 0 && round >= args.iterations {
                 return;
             }

@@ -45,10 +45,52 @@
 //! A freshly armed detector grants every peer a full `suspect_after` of
 //! grace, so replicas booting in any order do not suspect peers that simply
 //! have not finished binding their listeners yet.
+//!
+//! ## Distance
+//!
+//! The detector also measures how far each peer is, for the quorums the
+//! protocol draws ([`FailureDetector::reorder`]). A peer's distance is the
+//! windowed minimum of its probe round trips
+//! ([`FailureDetector::sample_rtt`]), counted once twenty probes are in, so
+//! neither jitter nor a busy scheduler's first few wake-ups reorder peers.
+//! A peer silent for longer than two ticks plus that round trip — plus
+//! however far its longest gap of the last few seconds exceeds a tick, so
+//! a peer that stalls now and then in a snapshot cut is not taken for a
+//! dead one — is **late**, and a suspected one is too: both are left out
+//! of the order, i.e. infinitely far, so a dead quorum member leaves the
+//! quorum within a few ticks, long before it is suspected. A peer never
+//! heard since boot is not late (it may still be booting), and no peer is
+//! late while *every* peer is silent: then the stall is our own. A new
+//! order is emitted only when it is better for four ticks running — the
+//! installed one reaches a late peer or leaves out a live one, or is at
+//! least 10 % and 5 ms farther at some quorum size — so quorums do not
+//! flap and a LAN never reorders.
 
 use atlas_core::ProcessId;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
+
+/// Silence beyond a peer's round trip after which it is late, in ticks.
+const LATE_TICKS: u32 = 2;
+
+/// How long a better order must stay better before it is emitted, in ticks.
+const SUSTAIN_TICKS: u32 = 4;
+
+/// Span of the windowed round trip and silence figures (two halves,
+/// rotated by samples).
+const WINDOW: Duration = Duration::from_secs(10);
+
+/// Round trips sampled before a peer's distance counts (half a second at
+/// the default 25 ms tick).
+const MIN_SAMPLES: u32 = 20;
+
+/// The smallest gain in distance, at some quorum size, worth a reorder.
+/// Loopback round trips of replicas sharing two loaded cores measure up to
+/// ~3 ms apart (reader wake-ups); sites worth telling apart differ by more.
+const MIN_GAIN: Duration = Duration::from_millis(5);
+
+/// Distance of a late, suspected or untracked process.
+const LATE: u64 = u64::MAX;
 
 /// A transition the replica must act on, returned by
 /// [`FailureDetector::tick`].
@@ -84,11 +126,73 @@ enum Trust {
     Probation(Instant),
 }
 
+/// The extreme (`pick`: min or max) of the samples recorded over the last
+/// [`WINDOW`] or so: two half-window extremes, rotated as samples arrive.
+#[derive(Debug)]
+struct Windowed {
+    pick: fn(Duration, Duration) -> Duration,
+    current: Option<Duration>,
+    previous: Option<Duration>,
+    since: Option<Instant>,
+    /// Samples ever recorded (saturating).
+    samples: u32,
+}
+
+impl Windowed {
+    fn new(pick: fn(Duration, Duration) -> Duration) -> Self {
+        Self {
+            pick,
+            current: None,
+            previous: None,
+            since: None,
+            samples: 0,
+        }
+    }
+
+    fn record(&mut self, sample: Duration, now: Instant) {
+        if self
+            .since
+            .is_none_or(|since| now.saturating_duration_since(since) >= WINDOW / 2)
+        {
+            self.previous = self.current.take();
+            self.since = Some(now);
+        }
+        let pick = self.pick;
+        self.current = Some(self.current.map_or(sample, |held| pick(held, sample)));
+        self.samples = self.samples.saturating_add(1);
+    }
+
+    fn get(&self) -> Option<Duration> {
+        let halves = self.current.into_iter().chain(self.previous);
+        halves.reduce(self.pick)
+    }
+}
+
 /// Per-peer bookkeeping.
 #[derive(Debug)]
 struct PeerState {
     last_heard: Instant,
+    /// Whether any frame arrived from the peer yet.
+    heard: bool,
     trust: Trust,
+    /// Windowed minimum round trip.
+    rtt: Windowed,
+    /// Windowed longest gap between two frames of a trusted peer: a peer
+    /// that stalls now and then (a snapshot cut on its event loop) is late
+    /// only once silent for two ticks beyond its usual worst.
+    gap: Windowed,
+}
+
+impl PeerState {
+    fn new(now: Instant) -> Self {
+        Self {
+            last_heard: now,
+            heard: false,
+            trust: Trust::Trusted,
+            rtt: Windowed::new(Duration::min),
+            gap: Windowed::new(Duration::max),
+        }
+    }
 }
 
 /// The replica-level failure detector: one state machine per remote peer.
@@ -97,40 +201,35 @@ pub struct FailureDetector {
     self_id: ProcessId,
     suspect_after: Duration,
     trust_after: Duration,
+    /// The replica's tick cadence, the unit of lateness.
+    tick: Duration,
     /// `BTreeMap` so `tick` emits events in deterministic peer order.
     peers: BTreeMap<ProcessId, PeerState>,
+    /// Since when a better order than the installed one exists.
+    better_since: Option<Instant>,
 }
 
 impl FailureDetector {
     /// Builds a detector for the peers in `peers` (the own identifier is
-    /// ignored if present: a replica never suspects itself). Every peer
-    /// starts `Trusted` with `now` as its last-heard instant, granting a
-    /// full `suspect_after` of boot grace.
+    /// ignored if present: a replica never suspects itself), ticked every
+    /// `tick`. Every peer starts `Trusted` with `now` as its last-heard
+    /// instant, granting a full `suspect_after` of boot grace.
     pub fn new(
         self_id: ProcessId,
         peers: impl IntoIterator<Item = ProcessId>,
         suspect_after: Duration,
         trust_after: Duration,
+        tick: Duration,
         now: Instant,
     ) -> Self {
-        let peers = peers
-            .into_iter()
-            .filter(|&peer| peer != self_id)
-            .map(|peer| {
-                (
-                    peer,
-                    PeerState {
-                        last_heard: now,
-                        trust: Trust::Trusted,
-                    },
-                )
-            })
-            .collect();
+        let peers = peers.into_iter().filter(|&peer| peer != self_id);
         Self {
             self_id,
             suspect_after,
             trust_after,
-            peers,
+            tick,
+            peers: peers.map(|peer| (peer, PeerState::new(now))).collect(),
+            better_since: None,
         }
     }
 
@@ -160,10 +259,109 @@ impl FailureDetector {
         let Some(state) = self.peers.get_mut(&peer) else {
             return; // not a configured peer (e.g. a client id); ignore
         };
+        let gap = now.saturating_duration_since(state.last_heard);
+        if state.heard && state.trust == Trust::Trusted && gap < self.suspect_after {
+            state.gap.record(gap, now);
+        }
         state.last_heard = now;
+        state.heard = true;
         if matches!(state.trust, Trust::Suspected(_)) {
             state.trust = Trust::Probation(now);
         }
+    }
+
+    /// Records a round trip to `peer` measured by a probe echo at `now`.
+    pub fn sample_rtt(&mut self, peer: ProcessId, rtt: Duration, now: Instant) {
+        if let Some(state) = self.peers.get_mut(&peer) {
+            state.rtt.record(rtt, now);
+        }
+    }
+
+    /// The windowed-minimum round trip to `peer`, once sampled.
+    pub fn rtt(&self, peer: ProcessId) -> Option<Duration> {
+        let state = self.peers.get(&peer)?;
+        state.rtt.get().filter(|_| state.rtt.samples >= MIN_SAMPLES)
+    }
+
+    /// `process`'s distance at `now` in µs ([`LATE`] when late, suspected
+    /// or untracked); `None` while a live peer is unmeasured.
+    fn distance(&self, process: ProcessId, now: Instant, all_silent: bool) -> Option<u64> {
+        if process == self.self_id {
+            return Some(0);
+        }
+        let Some(state) = self.peers.get(&process) else {
+            return Some(LATE);
+        };
+        let rtt = self.rtt(process);
+        let silence = now.saturating_duration_since(state.last_heard);
+        let usual = state
+            .gap
+            .get()
+            .unwrap_or_default()
+            .saturating_sub(self.tick);
+        let late = state.heard
+            && !all_silent
+            && silence > self.tick * LATE_TICKS + usual + rtt.unwrap_or_default();
+        if late || !matches!(state.trust, Trust::Trusted) {
+            return Some(LATE);
+        }
+        rtt.map(|rtt| rtt.as_micros() as u64)
+    }
+
+    /// The measured order of `members` (own identifier included) when it
+    /// beats `installed` — the order the protocol holds, closest first,
+    /// which leaves out whom it does not reach — for good (see the module
+    /// docs); late and suspected peers are left out of it. Called every
+    /// tick.
+    pub fn reorder(
+        &mut self,
+        now: Instant,
+        installed: &[ProcessId],
+        members: &[ProcessId],
+    ) -> Option<Vec<ProcessId>> {
+        let silent = |state: &PeerState| {
+            now.saturating_duration_since(state.last_heard) > self.tick * LATE_TICKS
+        };
+        let all_silent = self.peers.values().all(silent);
+        // The installed order in full: what it reaches, then the rest.
+        let left_out = members.iter().filter(|p| !installed.contains(p));
+        let order: Vec<ProcessId> = installed.iter().chain(left_out).copied().collect();
+        let distances: Option<Vec<u64>> = order
+            .iter()
+            .map(|&p| self.distance(p, now, all_silent))
+            .collect();
+        let Some(distances) = distances else {
+            self.better_since = None;
+            return None;
+        };
+        // Stable: ties keep their installed places.
+        let mut ranked: Vec<usize> = (0..order.len()).collect();
+        ranked.sort_by_key(|&i| distances[i]);
+        // Better: the installed order reaches a late peer or leaves out a
+        // live one, or at some quorum size its farthest member is 10 % and
+        // 5 ms farther than the ranked order's.
+        let reach_changed =
+            (0..order.len()).any(|k| (k < installed.len()) == (distances[k] == LATE));
+        let mut held = 0;
+        let closer = ranked
+            .iter()
+            .take(installed.len())
+            .enumerate()
+            .any(|(k, &i)| {
+                held = held.max(distances[k]);
+                held.saturating_sub(distances[i]) >= (held / 10).max(MIN_GAIN.as_micros() as u64)
+            });
+        if !(reach_changed || closer) {
+            self.better_since = None;
+            return None;
+        }
+        let since = *self.better_since.get_or_insert(now);
+        if now.saturating_duration_since(since) < self.tick * SUSTAIN_TICKS {
+            return None;
+        }
+        self.better_since = None;
+        let reached = ranked.into_iter().filter(|&i| distances[i] != LATE);
+        Some(reached.map(|i| order[i]).collect())
     }
 
     /// Advances every peer's state machine to `now` and returns the
@@ -222,10 +420,7 @@ impl FailureDetector {
         if peer == self.self_id {
             return;
         }
-        self.peers.entry(peer).or_insert(PeerState {
-            last_heard: now,
-            trust: Trust::Trusted,
-        });
+        self.peers.entry(peer).or_insert(PeerState::new(now));
     }
 
     /// Stops tracking `peer` (a replica removed by reconfiguration): its
@@ -256,9 +451,10 @@ mod tests {
 
     const SUSPECT: Duration = Duration::from_millis(100);
     const TRUST: Duration = Duration::from_millis(40);
+    const TICK: Duration = Duration::from_millis(10);
 
     fn detector(now: Instant) -> FailureDetector {
-        FailureDetector::new(1, 1..=3, SUSPECT, TRUST, now)
+        FailureDetector::new(1, 1..=3, SUSPECT, TRUST, TICK, now)
     }
 
     #[test]
@@ -383,9 +579,8 @@ mod tests {
         const SUSPECT_AFTER: Duration = Duration::from_millis(100);
         const TRUST_AFTER: Duration = Duration::from_millis(150);
         const CYCLE: Duration = Duration::from_millis(120); // > suspect, < trust
-        const TICK: Duration = Duration::from_millis(10);
         let t0 = Instant::now();
-        let mut d = FailureDetector::new(1, 1..=3, SUSPECT_AFTER, TRUST_AFTER, t0);
+        let mut d = FailureDetector::new(1, 1..=3, SUSPECT_AFTER, TRUST_AFTER, TICK, t0);
 
         let mut suspects = 0;
         let mut trusts = 0;
@@ -457,6 +652,155 @@ mod tests {
         d.heard(2, t0 + SUSPECT * 2);
         assert!(d.tick(t0 + SUSPECT * 2 + SUSPECT / 2).is_empty());
         assert_eq!(d.peers().collect::<Vec<_>>(), vec![2]);
+    }
+
+    const MS: Duration = Duration::from_millis(1);
+
+    /// Replica 3 of three, having heard from and measured 1 and 2 at `t0`.
+    fn measured(t0: Instant, rtt1: Duration, rtt2: Duration) -> FailureDetector {
+        let mut d = FailureDetector::new(3, 1..=3, SUSPECT, TRUST, TICK, t0);
+        for (peer, rtt) in [(1, rtt1), (2, rtt2)] {
+            d.heard(peer, t0);
+            sample(&mut d, peer, rtt, t0);
+        }
+        d
+    }
+
+    /// Enough probes for `peer`'s round trip to count, the fastest `rtt`.
+    fn sample(d: &mut FailureDetector, peer: ProcessId, rtt: Duration, at: Instant) {
+        for extra in (0..MIN_SAMPLES).rev() {
+            d.sample_rtt(peer, rtt + MS * extra, at);
+        }
+    }
+
+    #[test]
+    fn a_round_trip_counts_after_enough_probes() {
+        let t0 = Instant::now();
+        let mut d = detector(t0);
+        for _ in 1..MIN_SAMPLES {
+            d.sample_rtt(2, 3 * MS, t0);
+        }
+        assert_eq!(d.rtt(2), None, "one probe short");
+        d.sample_rtt(2, 2 * MS, t0);
+        assert_eq!(d.rtt(2), Some(2 * MS));
+    }
+
+    /// Ticks `d` from `from` for `ticks` ticks with `installed`, hearing
+    /// from `audible` each tick; returns the first order emitted and when.
+    fn tick_reorder(
+        d: &mut FailureDetector,
+        from: Instant,
+        ticks: u32,
+        installed: &[ProcessId],
+        audible: &[ProcessId],
+    ) -> Option<(Vec<ProcessId>, Duration)> {
+        (1..=ticks).find_map(|k| {
+            let now = from + TICK * k;
+            for &peer in audible {
+                d.heard(peer, now);
+            }
+            let order = d.reorder(now, installed, &[1, 2, 3])?;
+            Some((order, TICK * k))
+        })
+    }
+
+    #[test]
+    fn a_sustained_gain_reorders_once() {
+        let t0 = Instant::now();
+        let mut d = measured(t0, 40 * MS, 30 * MS);
+        assert_eq!(d.rtt(2), Some(30 * MS));
+        // Identifier order puts 1 (40 ms) before 2 (30 ms): 25 % and 10 ms
+        // worse at quorum size 2, so after four ticks of it, a reorder.
+        let (order, after) = tick_reorder(&mut d, t0, 10, &[3, 1, 2], &[1, 2]).unwrap();
+        assert_eq!((order, after), (vec![3, 2, 1], TICK * 5));
+        assert_eq!(
+            tick_reorder(&mut d, t0 + after, 20, &[3, 2, 1], &[1, 2]),
+            None
+        );
+        // A jittery sample below the installed leader's round trip is no
+        // reason to move: less than 5 ms better.
+        d.sample_rtt(1, 29_500 * Duration::from_micros(1), t0);
+        assert_eq!(
+            tick_reorder(&mut d, t0 + after, 20, &[3, 2, 1], &[1, 2]),
+            None
+        );
+    }
+
+    #[test]
+    fn a_lan_never_reorders() {
+        let t0 = Instant::now();
+        let mut d = measured(t0, Duration::from_micros(300), Duration::from_micros(90));
+        assert_eq!(tick_reorder(&mut d, t0, 50, &[3, 1, 2], &[1, 2]), None);
+    }
+
+    #[test]
+    fn unmeasured_peers_hold_the_order() {
+        let t0 = Instant::now();
+        let mut d = measured(t0, 40 * MS, 30 * MS);
+        d.add_peer(4, t0);
+        let now = t0 + TICK * 5;
+        for peer in [1, 2, 4] {
+            d.heard(peer, now);
+        }
+        let order = d.reorder(now, &[3, 1, 2, 4], &[1, 2, 3, 4]);
+        assert_eq!(order, None, "4 has no round trip yet");
+    }
+
+    #[test]
+    fn a_silent_peer_is_late_long_before_it_is_suspected() {
+        let t0 = Instant::now();
+        let mut d = measured(t0, 40 * MS, 10 * MS);
+        // 2 falls silent; 1 keeps talking. Late past 2 ticks plus 2's
+        // round trip (30 ms), left out four ticks later.
+        let (order, after) = tick_reorder(&mut d, t0, 20, &[3, 2, 1], &[1]).unwrap();
+        assert_eq!(order, vec![3, 1]);
+        assert_eq!(after, TICK * 8);
+        assert!(after < SUSPECT && !d.is_suspected(2));
+        // Audible again: it is measured back in.
+        let back = t0 + after;
+        let (order, _) = tick_reorder(&mut d, back, 10, &[3, 1], &[1, 2]).unwrap();
+        assert_eq!(order, vec![3, 2, 1]);
+    }
+
+    #[test]
+    fn a_peer_that_stalls_now_and_then_is_late_only_beyond_its_stalls() {
+        let t0 = Instant::now();
+        let mut d = measured(t0, 40 * MS, 10 * MS);
+        // 2 goes quiet for 90 ms once (a snapshot cut), 1 keeps talking.
+        let stall = tick_reorder(&mut d, t0, 9, &[3, 2, 1], &[1]);
+        assert_eq!(stall.map(|(order, _)| order), Some(vec![3, 1]));
+        let back = t0 + 90 * MS;
+        d.heard(2, back);
+        // From then on a stall that long is 2's usual: no reorder...
+        assert_eq!(tick_reorder(&mut d, back, 10, &[3, 2, 1], &[1]), None);
+        // ...but a silence two ticks beyond it is.
+        let (order, after) = tick_reorder(&mut d, back, 30, &[3, 2, 1], &[1]).unwrap();
+        assert_eq!(order, vec![3, 1]);
+        assert!(after > 90 * MS + TICK * LATE_TICKS, "{after:?}");
+    }
+
+    #[test]
+    fn a_late_peer_leaves_even_when_it_sorts_last() {
+        let t0 = Instant::now();
+        let mut d = measured(t0, 40 * MS, 30 * MS);
+        let (order, _) = tick_reorder(&mut d, t0, 20, &[3, 2, 1], &[2]).unwrap();
+        assert_eq!(order, vec![3, 2]);
+    }
+
+    #[test]
+    fn no_peer_is_late_when_every_peer_is_silent() {
+        let t0 = Instant::now();
+        let mut d = measured(t0, 40 * MS, 30 * MS);
+        assert_eq!(tick_reorder(&mut d, t0, 9, &[3, 2, 1], &[]), None);
+        // A peer never heard is still booting, not late.
+        let mut d = FailureDetector::new(3, 1..=3, SUSPECT, TRUST, TICK, t0);
+        d.heard(1, t0);
+        sample(&mut d, 1, 40 * MS, t0);
+        assert_eq!(tick_reorder(&mut d, t0, 9, &[3, 2, 1], &[1]), None);
+        // Suspected, it is infinitely far.
+        d.tick(t0 + SUSPECT);
+        let (order, _) = tick_reorder(&mut d, t0 + SUSPECT, 5, &[3, 2, 1], &[1]).unwrap();
+        assert_eq!(order, vec![3, 1]);
     }
 
     #[test]

@@ -111,6 +111,14 @@ pub enum JournalRecord {
         /// Address of every process in the view (current and outgoing).
         addrs: Vec<(ProcessId, String)>,
     },
+    /// The failure detector measured a new distance order and the replica
+    /// dispatched [`Protocol::discover`](atlas_core::Protocol::discover) —
+    /// an input like `Suspect`: it re-draws quorums and can mint recovery
+    /// ballots. Appended last so older journals still decode.
+    Discover {
+        /// The processes reached, closest first.
+        by_distance: Vec<ProcessId>,
+    },
 }
 
 /// Everything a snapshot captures. Restoring this plus replaying the

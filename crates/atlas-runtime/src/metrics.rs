@@ -114,6 +114,8 @@ pub struct ReplicaMetrics {
     pub trusts: Counter,
     /// Recovery takeovers dispatched to the protocol.
     pub takeovers: Counter,
+    /// Measured distance orders dispatched to the protocol.
+    pub reorders: Counter,
 
     /// GC rounds that advanced the horizon.
     pub gc_rounds: Counter,
@@ -208,6 +210,7 @@ impl ReplicaMetrics {
             suspicions: self.suspicions.get(),
             trusts: self.trusts.get(),
             takeovers: self.takeovers.get(),
+            reorders: self.reorders.get(),
         }
     }
 

@@ -90,25 +90,33 @@
 //! crashed replica that restarts (journal recovery) or rejoins wiped
 //! (`catch_up`) announces itself through its own heartbeats and catch-up
 //! requests, so it is never permanently suspected.
+//!
+//! The heartbeats also measure each link's round trip (see
+//! [`crate::transport`]), and the detector turns round trips and silence
+//! into a distance order. When it finds a better one for good, the order is
+//! journaled (as [`JournalRecord::Discover`]) and dispatched to
+//! [`Protocol::discover`], from which every quorum is drawn — so a replica
+//! commits at its closest live quorum, and a silent quorum member is left
+//! out within a few ticks, long before `suspect_after`.
 
 use crate::detector::{DetectorEvent, FailureDetector};
 use crate::executor::{ExecCtx, ExecutorPool};
 use crate::journal::{corrupt, Host, Journal, JournalRecord, ReplicaSnapshot};
 use crate::metrics::ReplicaMetrics;
 use crate::netem::NetProfile;
-use crate::transport::{PeerLink, DEFAULT_RESEND_BUFFER_CAP};
+use crate::transport::{clock_us, PeerLink, DEFAULT_RESEND_BUFFER_CAP};
 use crate::turn::{Outbox, TURN_EVENTS};
 use crate::wire::{
     append_frame, decode_payload, decode_peer_frame, frame_payload_into, read_frame, write_frame,
     CatchUpChunk, CatchUpPayload, ClientReply, ClientRequest, EpochUpdate, FrameReader, Hello,
-    PeerBodyView, MAX_FRAME_BYTES,
+    PeerBodyView, Probe, MAX_FRAME_BYTES,
 };
 use atlas_core::{
     Action, ClientId, ClusterView, Command, Config, Dot, IdMap, Key, ProcessId, Protocol,
     ReconfigOp, Rifl, Topology, Value,
 };
 use atlas_log::FlushPolicy;
-use atlas_metrics::MetricsSnapshot;
+use atlas_metrics::{LinkSnapshot, MetricsSnapshot};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -314,6 +322,17 @@ enum Event<M> {
         epoch: u64,
         /// Its executed watermarks, per identifier space.
         watermarks: Vec<(ProcessId, u64)>,
+    },
+    /// Peer `from` sent a heartbeat probe, which arrived at `at`.
+    PeerProbe {
+        /// The probing replica.
+        from: ProcessId,
+        /// The sender's configuration epoch.
+        epoch: u64,
+        /// Its stamps.
+        probe: Probe,
+        /// When the reader took the frame off the socket.
+        at: Instant,
     },
     /// Peer `from` announced a configuration epoch.
     PeerEpoch {
@@ -603,6 +622,12 @@ where
                 watermarks,
             },
             PeerBodyView::Epoch(update) => Event::PeerEpoch { from, update },
+            PeerBodyView::Probe(probe) => Event::PeerProbe {
+                from,
+                epoch: frame.epoch,
+                probe,
+                at: Instant::now(),
+            },
         };
         if event_tx.send(event).is_err() {
             return; // event loop gone: replica is shutting down
@@ -740,6 +765,8 @@ struct Core<P: Protocol> {
     /// Highest configuration epoch observed in frames from each peer —
     /// drives targeted re-announcements to lagging peers.
     peer_epochs: HashMap<ProcessId, u64>,
+    /// Stamp and arrival of each peer's last probe, echoed by our next.
+    probes: HashMap<ProcessId, (u64, Instant)>,
     /// Tick at which the current joint window was entered (drives the
     /// auto-`Finalize` dwell). `None` outside a joint window.
     joint_since: Option<u64>,
@@ -798,17 +825,16 @@ where
         } else {
             (cfg.config, ClusterView::initial(cfg.config))
         };
-        let topology = if cfg.join {
-            Topology::from_members(cfg.id, &view.all_members())
-        } else {
-            Topology::identity(cfg.id, cfg.config.n)
-        };
+        // Boot does not wait for round trips: it starts from identifier
+        // order and the detector installs the measured one.
+        let topology = Topology::from_members(cfg.id, &view.all_members());
         let detector = cfg.suspect_after.map(|suspect_after| {
             FailureDetector::new(
                 cfg.id,
                 cfg.addrs.keys().copied(),
                 suspect_after,
                 cfg.trust_after,
+                cfg.tick_interval,
                 Instant::now(),
             )
         });
@@ -845,6 +871,7 @@ where
             addrs: cfg.addrs.clone(),
             epoch_ctr,
             peer_epochs: HashMap::new(),
+            probes: HashMap::new(),
             joint_since: None,
             finalize_sent: None,
             stop,
@@ -946,6 +973,10 @@ where
                 let actions = self.protocol.suspect(peer, 0);
                 self.perform(actions, 0)?;
             }
+            JournalRecord::Discover { by_distance } => {
+                let actions = self.protocol.discover(&by_distance, 0);
+                self.perform(actions, 0)?;
+            }
         }
         self.release()
     }
@@ -983,6 +1014,46 @@ where
         let now = self.now();
         let actions = self.protocol.suspect(peer, now);
         self.perform(actions, now)
+    }
+
+    /// The detector found a better distance order for good: journal it (a
+    /// protocol input that can mint recovery ballots, like a suspicion),
+    /// then install it, which re-drives proposals waiting on a member it
+    /// leaves out.
+    fn dispatch_discover(&mut self, by_distance: Vec<ProcessId>) -> io::Result<()> {
+        let rtts: Vec<String> = by_distance
+            .iter()
+            .filter_map(|&p| {
+                let rtt = self.detector.as_ref()?.rtt(p)?;
+                Some(format!("{p}: {:.1} ms", rtt.as_secs_f64() * 1e3))
+            })
+            .collect();
+        eprintln!(
+            "replica {}: distance order {by_distance:?} (round trips {})",
+            self.id,
+            rtts.join(", ")
+        );
+        let record = JournalRecord::Discover {
+            by_distance: by_distance.clone(),
+        };
+        self.stage(&record, true);
+        self.metrics.reorders.inc();
+        let now = self.now();
+        let actions = self.protocol.discover(&by_distance, now);
+        self.perform(actions, now)
+    }
+
+    /// Peer `from`'s heartbeat arrived at `at`: remember its stamp for our
+    /// next probe to echo, and if it echoes one of ours, sample the round
+    /// trip — the time since our stamp, less the time the peer held it.
+    fn probe(&mut self, from: ProcessId, probe: Probe, at: Instant) {
+        self.heard(from);
+        self.probes.insert(from, (probe.stamp, at));
+        let (Some(detector), true) = (&mut self.detector, probe.echo != 0) else {
+            return;
+        };
+        let rtt = clock_us(at).saturating_sub(probe.echo.saturating_add(probe.held));
+        detector.sample_rtt(from, Duration::from_micros(rtt), at);
     }
 
     /// A local client submitted the request `cmds`. This replica owns each
@@ -1062,9 +1133,10 @@ where
 
     /// Periodic tick: owe every pending ack, probe (heartbeat) every outbound
     /// link, advance the failure detector — suspicions it reports are
-    /// journaled and dispatched to [`Protocol::suspect`] right here, through
-    /// the same action pipeline as every other protocol input — and, on the
-    /// GC cadence, exchange executed watermarks and run a garbage-collection
+    /// journaled and dispatched to [`Protocol::suspect`] right here, and a
+    /// better distance order to [`Protocol::discover`], through the same
+    /// action pipeline as every other protocol input — and, on the GC
+    /// cadence, exchange executed watermarks and run a garbage-collection
     /// round.
     fn tick(&mut self) -> io::Result<()> {
         // The tick observes (watermark reports, the metrics dump).
@@ -1081,13 +1153,15 @@ where
         }
         self.outbox.ack_all();
         // Heartbeat every link (self-suppressed while a link is
-        // mid-reconnect): keeps silently dead connections surfacing *and*
-        // gives idle-but-alive peers the traffic their detectors listen for.
-        for link in self.links.values() {
-            link.probe();
+        // mid-reconnect): keeps silently dead connections surfacing, gives
+        // idle-but-alive peers the traffic their detectors listen for and
+        // echoes their stamps.
+        for (peer, link) in &self.links {
+            link.probe(self.probes.get(peer).copied());
         }
+        let now = Instant::now();
         if let Some(detector) = &mut self.detector {
-            for event in detector.tick(Instant::now()) {
+            for event in detector.tick(now) {
                 match event {
                     DetectorEvent::Suspect(peer) => {
                         self.metrics.suspicions.inc();
@@ -1101,6 +1175,13 @@ where
                         );
                     }
                 }
+            }
+        }
+        // After the suspicions: a peer suspected this tick is left out.
+        if let Some(detector) = &mut self.detector {
+            let base = self.protocol.base();
+            if let Some(order) = detector.reorder(now, base.by_distance(), &base.everyone()) {
+                self.dispatch_discover(order)?;
             }
         }
         self.announce_epoch();
@@ -1355,11 +1436,18 @@ where
         horizon.sort_unstable();
         let mut links: Vec<_> = self
             .links
-            .values()
-            .map(|link| link.status().snapshot())
+            .iter()
+            .map(|(&peer, link)| {
+                let rtt = self.detector.as_ref().and_then(|d| d.rtt(peer));
+                LinkSnapshot {
+                    rtt_us: rtt.map_or(0, |rtt| rtt.as_micros() as u64),
+                    ..link.status().snapshot()
+                }
+            })
             .collect();
         links.sort_by_key(|link| link.peer);
         MetricsSnapshot {
+            version: Default::default(),
             replica: self.id,
             protocol: P::name().to_string(),
             uptime_us: self.now(),
@@ -1530,6 +1618,7 @@ where
             self.links.remove(&peer);
             self.peer_watermarks.remove(&peer);
             self.peer_epochs.remove(&peer);
+            self.probes.remove(&peer);
             self.outbox.forget(peer);
             if let Some(detector) = &mut self.detector {
                 detector.remove_peer(peer);
@@ -1742,6 +1831,16 @@ where
                 Ok(())
             }
             Event::PeerEpoch { from, update } => self.handle_epoch_frame(from, update),
+            Event::PeerProbe {
+                from,
+                epoch,
+                probe,
+                at,
+            } => {
+                self.note_peer_epoch(from, epoch);
+                self.probe(from, probe, at);
+                Ok(())
+            }
             Event::Submit { cmds, session } => self.submit(cmds, session),
             Event::SnapshotWritten { index, result } => match &mut self.journal {
                 Some(journal) => journal.snapshot_written(index, result),

@@ -41,13 +41,18 @@
 //! ## Liveness signal
 //!
 //! [`PeerLink::probe`], called on every replica tick, makes the writer send
-//! a **heartbeat** frame (`Ack(0)`, acknowledging nothing) and dial the peer
-//! if the link is down. The heartbeat serves double duty: a write to a
-//! silently dead peer eventually errors (triggering reconnect + resend of
-//! anything the kernel swallowed), and on the receiving side *any* inbound
-//! frame counts as evidence of life for the
-//! [`FailureDetector`](crate::detector::FailureDetector) — so an idle but
-//! alive peer is never mistaken for a dead one. Each link's coarse state is
+//! a **heartbeat** frame ([`Probe`]) and dial the peer if the link is down.
+//! The heartbeat serves three duties: a write to a silently dead peer
+//! eventually errors (triggering reconnect + resend of anything the kernel
+//! swallowed); on the receiving side *any* inbound frame counts as evidence
+//! of life for the [`FailureDetector`](crate::detector::FailureDetector) —
+//! so an idle but alive peer is never mistaken for a dead one; and the
+//! probe echoes the peer's last stamp with the time it was held, so the
+//! peer measures its round trip to us without a frame of its own. Stamp
+//! and hold time are taken when the probe is handed to the link, the
+//! instant its shaped release deadline is measured from: time the writer
+//! spends behind earlier frames is then network time, exactly like the
+//! injected delay. Each link's coarse state is
 //! published in a shared [`LinkStatus`] ([`PeerLink::status`]); the event
 //! loop skips probing a link that is mid-reconnect so probe commands cannot
 //! pile up behind a backoff loop while a peer is down.
@@ -82,11 +87,11 @@
 //! model.
 
 use crate::netem::LinkShaper;
-use crate::wire::{encode_peer_frame_into, write_frame, EpochUpdate, Hello, PeerBodyRef};
+use crate::wire::{encode_peer_frame_into, write_frame, EpochUpdate, Hello, PeerBodyRef, Probe};
 use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 use tokio::io::AsyncWriteExt;
 use tokio::net::tcp::OwnedWriteHalf;
@@ -108,6 +113,14 @@ const MAX_BACKOFF: Duration = Duration::from_millis(1_000);
 /// Default cap on buffered-but-unacknowledged message frames per link (see
 /// the module docs for what overflowing it means).
 pub const DEFAULT_RESEND_BUFFER_CAP: usize = 65_536;
+
+/// `at` in µs on the process's probe clock (never 0: a zero
+/// [`Probe::echo`] means "nothing to echo").
+pub(crate) fn clock_us(at: Instant) -> u64 {
+    static ORIGIN: OnceLock<Instant> = OnceLock::new();
+    let origin = *ORIGIN.get_or_init(Instant::now);
+    at.saturating_duration_since(origin).as_micros() as u64 + 1
+}
 
 /// Link connection states published in [`LinkStatus`].
 mod state {
@@ -198,6 +211,7 @@ impl LinkStatus {
             dropped: self.dropped(),
             resent: self.resent(),
             writes: self.writes(),
+            rtt_us: 0,
         }
     }
 
@@ -234,13 +248,13 @@ enum LinkCmd {
     /// The peer acknowledged every sequence `<= .0`: trim the resend buffer.
     Acked(u64),
     /// Tick-driven heartbeat: dial the peer if the link is down, then write
-    /// an empty `Ack(0)` frame. A TCP write to a silently dead peer
+    /// the [`Probe`]. A TCP write to a silently dead peer
     /// "succeeds" into its kernel buffers, so a link whose every frame is
     /// written but unacknowledged would otherwise never learn the frames are
     /// gone — the heartbeat forces a write, and a failing write triggers
     /// reconnect + resend. On the peer's side the heartbeat is the liveness
     /// signal its failure detector listens for.
-    Probe(Option<Instant>),
+    Probe(Option<Instant>, Probe),
 }
 
 /// Handle to the outbound link to one peer.
@@ -274,7 +288,7 @@ impl std::fmt::Debug for LinkCmd {
             LinkCmd::SendWatermarks(wm, _) => write!(f, "SendWatermarks({} spaces)", wm.len()),
             LinkCmd::SendEpoch(update, _) => write!(f, "SendEpoch({})", update.view.epoch),
             LinkCmd::Acked(upto) => write!(f, "Acked({upto})"),
-            LinkCmd::Probe(_) => write!(f, "Probe"),
+            LinkCmd::Probe(..) => write!(f, "Probe"),
         }
     }
 }
@@ -417,16 +431,29 @@ impl PeerLink {
     }
 
     /// Asks the writer to heartbeat the peer (dialing first if the link is
-    /// down); called on every replica tick. Skipped while the writer is
-    /// mid-reconnect — it could not serve the probe anyway, and unserved
+    /// down), echoing `echo` — the stamp of the peer's last probe and when
+    /// it arrived; called on every replica tick. Skipped while the writer
+    /// is mid-reconnect — it could not serve the probe anyway, and unserved
     /// probes would pile up in the command queue for as long as the peer
     /// stays dead.
-    pub fn probe(&self) {
+    pub fn probe(&self, echo: Option<(u64, Instant)>) {
         if self.status.is_reconnecting() {
             return;
         }
+        let now = Instant::now();
+        let (echo, held) = echo.map_or((0, 0), |(stamp, arrived)| {
+            (
+                stamp,
+                now.saturating_duration_since(arrived).as_micros() as u64,
+            )
+        });
+        let probe = Probe {
+            stamp: clock_us(now),
+            echo,
+            held,
+        };
         let deadline = self.stamp(FRAME_OVERHEAD_BYTES);
-        let _ = self.tx.send(LinkCmd::Probe(deadline));
+        let _ = self.tx.send(LinkCmd::Probe(deadline, probe));
     }
 }
 
@@ -550,11 +577,11 @@ async fn writer_task(
                 control(&mut scratch, PeerBodyRef::Epoch(&update));
                 lone = Some(deadline);
             }
-            LinkCmd::Probe(deadline) => {
-                // Heartbeat: `Ack(0)` acknowledges nothing, so the frame is
-                // pure signal — it forces a write (surfacing a silently
-                // dead connection) and tells the peer's detector we live.
-                control(&mut scratch, PeerBodyRef::Ack(0));
+            LinkCmd::Probe(deadline, probe) => {
+                // Heartbeat: it forces a write (surfacing a silently dead
+                // connection), tells the peer's detector we live and hands
+                // its own stamp back for its round-trip sample.
+                control(&mut scratch, PeerBodyRef::Probe(probe));
                 lone = Some(deadline);
             }
             LinkCmd::Turn {
@@ -833,7 +860,7 @@ mod tests {
                 tokio::time::sleep(Duration::from_millis(5)).await;
             }
             // While reconnecting, probe() is a no-op at the handle level.
-            link.probe();
+            link.probe(None);
             assert!(link.status().is_reconnecting());
             stop.store(true, Ordering::Relaxed);
         });
@@ -919,10 +946,10 @@ mod tests {
 
             // Probes during the cut are dropped without dialing; a message
             // parks in the resend buffer behind the cut.
-            link.probe();
+            link.probe(None);
             link.hand_off(vec![Arc::new(vec![7; 8])], None);
             tokio::time::sleep(CUT / 4).await;
-            link.probe();
+            link.probe(None);
             assert!(
                 !link.status().is_connected(),
                 "link connected across an open cut"
@@ -937,6 +964,31 @@ mod tests {
                 epoch + CUT - *arrived
             );
             assert!(matches!(frame.body, PeerBody::Msg(_)));
+            stop.store(true, Ordering::Relaxed);
+        });
+    }
+
+    /// A heartbeat echoes the peer's last stamp with the time it was held,
+    /// and stamps itself on the probe clock.
+    #[test]
+    fn a_probe_echoes_the_peers_stamp_and_hold_time() {
+        let rt = tokio::runtime::Runtime::new().unwrap();
+        rt.block_on(async {
+            let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.unwrap();
+            let addr = listener.local_addr().unwrap();
+            let reader = tokio::spawn(accept_and_time(listener, 1));
+            let stop = Arc::new(AtomicBool::new(false));
+            let link = PeerLink::spawn(1, 2, addr, Arc::clone(&stop), 8, None, Arc::default());
+            let held = Duration::from_millis(30);
+            let before = clock_us(Instant::now());
+            link.probe(Some((77, Instant::now() - held)));
+            let (_, frames) = reader.await.unwrap();
+            let PeerBody::Probe(probe) = frames[0].0.body else {
+                panic!("a heartbeat is a probe: {:?}", frames[0].0.body);
+            };
+            assert_eq!(probe.echo, 77);
+            assert!(probe.held >= held.as_micros() as u64, "{probe:?}");
+            assert!(probe.stamp >= before, "{probe:?}");
             stop.store(true, Ordering::Relaxed);
         });
     }

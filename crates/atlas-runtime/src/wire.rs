@@ -112,6 +112,23 @@ pub enum PeerBody {
     /// replicas that have not executed the barrier yet — e.g. a joiner
     /// that must dial members it has never met.
     Epoch(EpochUpdate),
+    /// The tick heartbeat, which also measures the link's round trip.
+    Probe(Probe),
+}
+
+/// A heartbeat that carries an NTP-style round-trip sample. The receiver of
+/// a probe whose `echo` is its own earlier `stamp` measures the round trip
+/// as `now − echo − held`, all but `held` on its own clock, so the two
+/// replicas' clocks need not agree.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Probe {
+    /// When the sender wrote this probe (µs, sender's clock; never 0).
+    pub stamp: u64,
+    /// The `stamp` of the last probe the sender received from the
+    /// receiver (0: none yet).
+    pub echo: u64,
+    /// µs between the sender receiving that probe and writing this one.
+    pub held: u64,
 }
 
 /// Payload of a [`PeerBody::Epoch`] announcement.
@@ -295,6 +312,8 @@ pub enum PeerBodyRef<'a> {
     Watermarks(&'a [(ProcessId, u64)]),
     /// See [`PeerBody::Epoch`].
     Epoch(&'a EpochUpdate),
+    /// See [`PeerBody::Probe`].
+    Probe(Probe),
 }
 
 impl Serialize for PeerBodyRef<'_> {
@@ -315,6 +334,10 @@ impl Serialize for PeerBodyRef<'_> {
             PeerBodyRef::Epoch(update) => {
                 3u32.serialize(out);
                 update.serialize(out);
+            }
+            PeerBodyRef::Probe(probe) => {
+                4u32.serialize(out);
+                probe.serialize(out);
             }
         }
     }
@@ -373,6 +396,8 @@ pub enum PeerBodyView<'a> {
     Watermarks(Vec<(ProcessId, u64)>),
     /// See [`PeerBody::Epoch`].
     Epoch(EpochUpdate),
+    /// See [`PeerBody::Probe`].
+    Probe(Probe),
 }
 
 fn decode_err(e: serde::Error) -> io::Error {
@@ -398,6 +423,7 @@ pub fn decode_peer_frame(payload: &[u8]) -> io::Result<PeerFrameView<'_>> {
             Vec::<(ProcessId, u64)>::deserialize(&mut reader).map_err(decode_err)?,
         ),
         3 => PeerBodyView::Epoch(EpochUpdate::deserialize(&mut reader).map_err(decode_err)?),
+        4 => PeerBodyView::Probe(Probe::deserialize(&mut reader).map_err(decode_err)?),
         other => {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -705,6 +731,11 @@ mod tests {
         };
         let watermarks = vec![(1u32, 10u64), (2, 7)];
         let msg = vec![0xABu8; 48];
+        let probe = Probe {
+            stamp: 9_000,
+            echo: 8_000,
+            held: 120,
+        };
         let cases: Vec<(PeerBody, PeerBodyRef<'_>)> = vec![
             (PeerBody::Msg(msg.clone()), PeerBodyRef::Msg(&msg)),
             (PeerBody::Ack(41), PeerBodyRef::Ack(41)),
@@ -713,6 +744,7 @@ mod tests {
                 PeerBodyRef::Watermarks(&watermarks),
             ),
             (PeerBody::Epoch(update.clone()), PeerBodyRef::Epoch(&update)),
+            (PeerBody::Probe(probe), PeerBodyRef::Probe(probe)),
         ];
         for (seq, (owned, borrowed)) in cases.into_iter().enumerate() {
             let seq = seq as u64;
@@ -738,6 +770,7 @@ mod tests {
                 (PeerBody::Ack(a), PeerBodyView::Ack(b)) => assert_eq!(a, b),
                 (PeerBody::Watermarks(a), PeerBodyView::Watermarks(b)) => assert_eq!(a, b),
                 (PeerBody::Epoch(a), PeerBodyView::Epoch(b)) => assert_eq!(a, b),
+                (PeerBody::Probe(a), PeerBodyView::Probe(b)) => assert_eq!(a, b),
                 (owned, view) => panic!("variant mismatch: {owned:?} decoded as {view:?}"),
             }
         }

@@ -235,6 +235,10 @@ where
             assert!(s.gc.rounds > 0, "replica {id} never ran GC");
             assert_eq!(s.detector.suspicions, 0, "replica {id} spurious suspicion");
             assert_eq!(s.detector.takeovers, 0, "replica {id} spurious takeover");
+            // Loopback round trips differ by far less than a millisecond:
+            // the boot order stands and nothing is re-driven.
+            assert_eq!(s.detector.reorders, 0, "replica {id} reordered a LAN");
+            assert_eq!(s.protocol_stats.recoveries, 0, "replica {id} re-drove");
 
             // The runtime's vitals (process-wide: every replica here reports
             // the one shared pool). Each wake-up of a sleeping worker was
@@ -269,6 +273,8 @@ where
                     "\"snapshots_coalesced\":",
                     "\"wal_writes\":",
                     "\"resent\":0,\"writes\":",
+                    "\"rtt_us\":",
+                    "\"takeovers\":0,\"reorders\":0}",
                     "\"reactor\":{\"epoll_waits\":",
                     "\"io_events\":",
                     "\"tasks_polled\":",

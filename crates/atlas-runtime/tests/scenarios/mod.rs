@@ -25,52 +25,80 @@ pub fn serial() -> MutexGuard<'static, ()> {
 
 const MS: Duration = Duration::from_millis(1);
 
-/// Both directions of the `a ↔ b` link get `delay` ± 2 ms jitter.
-fn geo_link(profile: NetProfile, a: ProcessId, b: ProcessId, delay: Duration) -> NetProfile {
-    profile
-        .rule(LinkRule::link(a, b).delay(delay).jitter(2 * MS))
-        .rule(LinkRule::link(b, a).delay(delay).jitter(2 * MS))
-}
+/// One-way delays between replicas `a` and `b`, in milliseconds.
+pub type Links = [(ProcessId, ProcessId, u64)];
 
 /// A 3-site geo profile: one-way peer delays of 10/15/20 ms — the shape of
 /// the paper's 3-region deployments, scaled down so a scenario finishes in
-/// CI time. The cheapest fast quorum from replica 1 is `{1, 2}` at a 20 ms
-/// round trip, which is the latency floor [`fast_path`] scenarios assert.
-pub fn geo3(seed: u64) -> NetProfile {
-    let mut profile = NetProfile::new(seed);
-    for (a, b, ms) in [(1, 2, 10), (1, 3, 20), (2, 3, 15)] {
-        profile = geo_link(profile, a, b, ms * MS);
-    }
-    profile
-}
-
-/// Round-trip time of replica 1's cheapest [`geo3`] fast-path quorum.
-pub const GEO3_FLOOR: Duration = Duration::from_millis(20);
+/// CI time. Each site's closest fast quorum is 2 sites, so the round trips
+/// to beat are 20/20/30 ms.
+pub const GEO3_LINKS: [(ProcessId, ProcessId, u64); 3] = [(1, 2, 10), (1, 3, 20), (2, 3, 15)];
 
 /// A 5-site geo profile (one-way delays 10–40 ms). With `f = 2` a fast
-/// quorum from replica 1 is 4 replicas, so commits wait on the 3rd-closest
-/// peer — a 40 ms round trip to replica 4.
-pub fn geo5(seed: u64) -> NetProfile {
+/// quorum is 4 sites, so commits wait on the 3rd-closest peer.
+pub const GEO5_LINKS: [(ProcessId, ProcessId, u64); 10] = [
+    (1, 2, 10),
+    (1, 3, 15),
+    (1, 4, 20),
+    (1, 5, 40),
+    (2, 3, 10),
+    (2, 4, 25),
+    (2, 5, 35),
+    (3, 4, 15),
+    (3, 5, 30),
+    (4, 5, 20),
+];
+
+/// Every link of `links`, both directions, at its delay plus up to
+/// `jitter`.
+pub fn geo(seed: u64, links: &Links, jitter: Duration) -> NetProfile {
     let mut profile = NetProfile::new(seed);
-    for (a, b, ms) in [
-        (1, 2, 10),
-        (1, 3, 15),
-        (1, 4, 20),
-        (1, 5, 40),
-        (2, 3, 10),
-        (2, 4, 25),
-        (2, 5, 35),
-        (3, 4, 15),
-        (3, 5, 30),
-        (4, 5, 20),
-    ] {
-        profile = geo_link(profile, a, b, ms * MS);
+    for &(a, b, ms) in links {
+        let delay = Duration::from_millis(ms);
+        profile = profile
+            .rule(LinkRule::link(a, b).delay(delay).jitter(jitter))
+            .rule(LinkRule::link(b, a).delay(delay).jitter(jitter));
     }
     profile
 }
 
-/// Round-trip time to replica 1's 3rd-closest [`geo5`] peer.
-pub const GEO5_FLOOR: Duration = Duration::from_millis(40);
+/// [`GEO3_LINKS`] with 2 ms of jitter.
+pub fn geo3(seed: u64) -> NetProfile {
+    geo(seed, &GEO3_LINKS, 2 * MS)
+}
+
+/// [`GEO5_LINKS`] with 2 ms of jitter.
+pub fn geo5(seed: u64) -> NetProfile {
+    geo(seed, &GEO5_LINKS, 2 * MS)
+}
+
+/// The same sites with replicas `a` and `b` trading places: another
+/// identifier-to-site assignment, so identifier order is not distance
+/// order.
+pub fn swap(links: &Links, a: ProcessId, b: ProcessId) -> Vec<(ProcessId, ProcessId, u64)> {
+    let trade = |p: ProcessId| match p {
+        p if p == a => b,
+        p if p == b => a,
+        p => p,
+    };
+    links
+        .iter()
+        .map(|&(x, y, ms)| (trade(x), trade(y), ms))
+        .collect()
+}
+
+/// The round trip of replica `id`'s closest quorum of `size` (itself
+/// included) over `links`: twice the one-way delay to its `size − 1`-th
+/// closest peer — the latency floor of a command it coordinates.
+pub fn quorum_floor(links: &Links, id: ProcessId, size: usize) -> Duration {
+    let mut delays: Vec<u64> = links
+        .iter()
+        .filter(|&&(a, b, _)| a == id || b == id)
+        .map(|&(_, _, ms)| ms)
+        .collect();
+    delays.sort_unstable();
+    Duration::from_millis(2 * delays[size - 2])
+}
 
 /// Runs `ops` sequential puts on non-conflicting per-client keys and
 /// returns each put's measured latency.

@@ -10,6 +10,8 @@
 //! | scenario | paper figure / claim | injected condition |
 //! |---|---|---|
 //! | `fast_path_geo3/geo5` | §5.3 fast-path latency at 3/5 sites | geo delay+jitter profile |
+//! | `closest_quorum_geo3/geo5` | §3: every site commits at its closest quorum | geo profile, permuted sites, a client per site |
+//! | `quorum_member_loss_geo3` | §5.6: a site failure does not stop the survivors | the one member of a replica's quorum killed |
 //! | `availability_under_region_loss` | §5.6 availability under region failure | permanent symmetric cut isolating a coordinator |
 //! | `link_failure_and_recovery` | §5.6 link blips below the suspicion threshold | bounded symmetric cut |
 //! | `asymmetric_partition` | simulator-inexpressible | one **directed** link cut |
@@ -24,6 +26,7 @@ mod scenarios;
 
 use atlas_core::{Config, ProcessId};
 use atlas_log::FlushPolicy;
+use atlas_metrics::MetricsSnapshot;
 use atlas_protocol::Atlas;
 use atlas_runtime::{Client, Cluster, ClusterOptions, Cut, LinkRule, NetProfile, OpenLoopClient};
 use scenarios::*;
@@ -112,7 +115,7 @@ fn fast_path_geo3_over_real_tcp() {
     report.check(
         "p50_put_ms",
         percentile_ms(&latencies, 0.50),
-        Some(GEO3_FLOOR.as_secs_f64() * 1e3 * 0.75),
+        Some(quorum_floor(&GEO3_LINKS, 1, 2).as_secs_f64() * 1e3 * 0.75),
         Some(500.0),
     );
     report.note("p95_put_ms", percentile_ms(&latencies, 0.95));
@@ -137,7 +140,7 @@ fn fast_path_geo5_over_real_tcp() {
     report.check(
         "p50_put_ms",
         percentile_ms(&latencies, 0.50),
-        Some(GEO5_FLOOR.as_secs_f64() * 1e3 * 0.75),
+        Some(quorum_floor(&GEO5_LINKS, 1, 4).as_secs_f64() * 1e3 * 0.75),
         Some(500.0),
     );
     report.note("p95_put_ms", percentile_ms(&latencies, 0.95));
@@ -167,9 +170,159 @@ fn negative_drill_no_injector_means_no_wan() {
         "p50_put_ms",
         percentile_ms(&latencies, 0.50),
         None,
-        Some(GEO3_FLOOR.as_secs_f64() * 1e3 * 0.5),
+        Some(quorum_floor(&GEO3_LINKS, 1, 2).as_secs_f64() * 1e3 * 0.5),
     );
     report.emit();
+}
+
+/// Boots an `n`-replica Atlas cluster over `links` (jitter-free, so a
+/// round trip is exactly its floor) at the default tick, waits until every
+/// replica has measured every link, then runs `ops`
+/// non-conflicting closed-loop writes through **every** replica at once.
+/// Returns each replica's latencies and final snapshot.
+fn measure_every_site(
+    n: usize,
+    f: usize,
+    links: &scenarios::Links,
+    seed: u64,
+    ops: u64,
+) -> Vec<(Vec<Duration>, MetricsSnapshot)> {
+    let options = ClusterOptions::default().with_net(geo(seed, links, Duration::ZERO));
+    let rt = tokio::runtime::Runtime::new().unwrap();
+    rt.block_on(async {
+        let cluster = Cluster::spawn_with::<Atlas>(Config::new(n, f), options)
+            .await
+            .expect("cluster boots");
+        let ids: Vec<ProcessId> = (1..=n as ProcessId).collect();
+        for &id in &ids {
+            let measured = |s: &MetricsSnapshot| s.links.iter().all(|l| l.rtt_us > 0);
+            snapshot_when(&cluster, id, Duration::from_secs(10), "rtts", measured).await;
+        }
+        // Two ticks for a better order to hold, plus slack.
+        tokio::time::sleep(200 * MS).await;
+        let clients: Vec<_> = ids
+            .iter()
+            .map(|&id| tokio::spawn(timed_writes(cluster.addr(id), id as u64, ops)))
+            .collect();
+        let mut results = Vec::new();
+        for (&id, client) in ids.iter().zip(clients) {
+            let latencies = client.await.expect("client task").expect("workload");
+            results.push((latencies, snapshot(&cluster, id).await.expect("stats")));
+        }
+        let mut must = std::collections::HashSet::new();
+        for &id in &ids {
+            must.extend(rifls_of(id as u64, 0, ops));
+        }
+        converge_on(&cluster, &ids, &must, Duration::from_secs(60)).await;
+        cluster.shutdown();
+        results
+    })
+}
+
+/// Asserts every replica's p50 within 15 % of its closest-quorum round
+/// trip over `links`, and emits the figure.
+fn check_closest_quorums(
+    figure: &'static str,
+    links: &scenarios::Links,
+    quorum: usize,
+    results: &[(Vec<Duration>, MetricsSnapshot)],
+) {
+    const P50: [&str; 5] = [
+        "p50_ms_r1",
+        "p50_ms_r2",
+        "p50_ms_r3",
+        "p50_ms_r4",
+        "p50_ms_r5",
+    ];
+    const REORDERS: [&str; 5] = [
+        "reorders_r1",
+        "reorders_r2",
+        "reorders_r3",
+        "reorders_r4",
+        "reorders_r5",
+    ];
+    let mut report = FigureReport::new(figure);
+    for (i, (latencies, s)) in results.iter().enumerate() {
+        let floor = quorum_floor(links, i as ProcessId + 1, quorum).as_secs_f64() * 1e3;
+        let p50 = percentile_ms(latencies, 0.50);
+        report.check(P50[i], p50, Some(floor * 0.85), Some(floor * 1.15));
+        report.note(REORDERS[i], s.detector.reorders as f64);
+        assert_eq!(s.protocol_stats.recoveries, 0, "replica {}", i + 1);
+    }
+    report.emit();
+}
+
+/// §3's latency claim at 3 sites: with replicas 2 and 3 trading sites,
+/// identifier order is wrong for two replicas of three, and every site must
+/// still commit at the round trip to its closest quorum (20/30/20 ms).
+#[test]
+fn closest_quorum_geo3_permuted() {
+    let _guard = serial();
+    let links = swap(&GEO3_LINKS, 2, 3);
+    let results = measure_every_site(3, 1, &links, 0xC103, 60);
+    check_closest_quorums("fig_closest_quorum_geo3", &links, 2, &results);
+}
+
+/// The same at 5 sites, `f = 2` (fast quorums of 4), with replicas 4 and 5
+/// trading sites: identifier order is more than 15 % off for four of five.
+#[test]
+fn closest_quorum_geo5_permuted() {
+    let _guard = serial();
+    let links = swap(&GEO5_LINKS, 4, 5);
+    let results = measure_every_site(5, 2, &links, 0xC105, 40);
+    check_closest_quorums("fig_closest_quorum_geo5", &links, 4, &results);
+}
+
+/// §5.6 from the survivor's side: replica 3's fast quorum is {3, 1} (1 is
+/// its closest site). Killing replica 1 must not stop 3's non-conflicting
+/// puts: 1 falls out of 3's order a few ticks into its silence, the put in
+/// flight is re-driven by 3 itself and the next ones go to {3, 2} — well
+/// before the default 1.5 s suspicion.
+#[test]
+fn quorum_member_loss_geo3() {
+    let _guard = serial();
+    const KILL_AT: Duration = Duration::from_millis(1_000);
+    const RUN: Duration = Duration::from_millis(3_000);
+    let links = swap(&GEO3_LINKS, 2, 3);
+    let options = ClusterOptions::default().with_net(geo(0xD13, &links, 2 * MS));
+    let rt = tokio::runtime::Runtime::new().unwrap();
+    rt.block_on(async {
+        let mut cluster = Cluster::spawn_with::<Atlas>(Config::new(3, 1), options)
+            .await
+            .expect("cluster boots");
+        let addr = cluster.addr(3);
+        let t0 = Instant::now();
+        let puts = tokio::spawn(async move {
+            let mut client = Client::connect(addr, 3).await.expect("client");
+            let mut latencies = Vec::new();
+            let mut i = 0u64;
+            while t0.elapsed() < RUN {
+                let t = Instant::now();
+                client.put(30_000 + (i % 32), i).await.expect("put");
+                latencies.push((t - t0, t.elapsed()));
+                i += 1;
+            }
+            latencies
+        });
+        sleep_until(t0, KILL_AT).await;
+        cluster.kill(1);
+        let latencies = puts.await.expect("client task");
+        let s3 = snapshot(&cluster, 3).await.expect("stats 3");
+        let after: Vec<Duration> = latencies
+            .iter()
+            .filter(|(at, _)| *at >= KILL_AT)
+            .map(|(_, latency)| *latency)
+            .collect();
+        let all: Vec<Duration> = latencies.iter().map(|(_, latency)| *latency).collect();
+        let mut report = FigureReport::new("fig_quorum_member_loss");
+        report.check("puts_after_kill", after.len() as f64, Some(20.0), None);
+        report.check("max_put_ms", max_ms(&all), None, Some(400.0));
+        report.check("reorders_r3", s3.detector.reorders as f64, Some(1.0), None);
+        report.note("p50_after_kill_ms", percentile_ms(&after, 0.50));
+        report.note("redrives_r3", s3.protocol_stats.recoveries as f64);
+        report.emit();
+        cluster.shutdown();
+    });
 }
 
 /// §5.6 availability: a replica coordinating an in-flight conflicting

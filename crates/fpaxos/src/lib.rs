@@ -254,16 +254,39 @@ impl FPaxos {
         self.current_leader() == self.base.id()
     }
 
-    /// The phase-2 quorum: the `f + 1` closest replicas (leader included),
-    /// restricted to replicas not suspected of having failed.
+    /// The phase-2 quorum: the `f + 1` closest replicas (leader included);
+    /// suspected and late replicas sort last.
     fn phase2_quorum(&self) -> Vec<ProcessId> {
         if self.base.view().is_joint() {
             // Joint window: the accept needs `f + 1` in both configurations;
             // send to everyone and let `handle_accepted`'s dual count decide.
             return self.base.everyone();
         }
-        let size = self.base.config().slow_quorum_size();
-        self.base.closest_unsuspected(size, &self.suspected)
+        self.base.closest(self.base.config().slow_quorum_size())
+    }
+
+    /// Leader side: once `late` left the distance order, re-sends every
+    /// undecided slot of the leading ballot to the phase-2 quorum members
+    /// that have not accepted it — the quorum it went to may never answer.
+    fn redrive(&self, late: &[ProcessId]) -> Vec<Action<Message>> {
+        if late.is_empty() || !self.is_leader() {
+            return Vec::new();
+        }
+        let quorum = self.phase2_quorum();
+        let undecided = self.log.iter();
+        let undecided = undecided.filter(|(_, s)| !s.committed && s.ballot == self.leader_ballot);
+        undecided
+            .filter_map(|(&slot, state)| {
+                let targets: Vec<ProcessId> = quorum
+                    .iter()
+                    .copied()
+                    .filter(|p| *p != self.base.id() && !state.acks.contains(p))
+                    .collect();
+                let (ballot, cmd) = (state.ballot, state.cmd.clone());
+                let accept = Message::MAccept { slot, ballot, cmd };
+                (!targets.is_empty()).then(|| Action::send(targets, accept))
+            })
+            .collect()
     }
 
     /// Leader side: assign the next slot to `cmd` and replicate it.
@@ -802,11 +825,17 @@ impl Protocol for FPaxos {
             return Vec::new();
         }
         self.suspected.insert(suspected);
+        let late = self.base.suspect(suspected);
         if suspected != self.current_leader() {
-            return Vec::new();
+            return self.redrive(&late);
         }
         // The leader failed: the smallest-id surviving replica campaigns.
         self.campaign_if_successor()
+    }
+
+    fn discover(&mut self, by_distance: &[ProcessId], _time: Time) -> Vec<Action<Message>> {
+        let late = self.base.discover(by_distance);
+        self.redrive(&late)
     }
 
     fn reconfigure(&mut self, view: &ClusterView, _time: Time) -> Vec<Action<Message>> {
@@ -914,6 +943,20 @@ mod tests {
         net.submit(2, put(2, 2, 0));
         assert_eq!(net.rifls_at(2).len(), 3);
         assert_eq!(net.rifls_at(3).len(), 3);
+    }
+
+    #[test]
+    fn a_suspected_acceptor_leaves_the_phase2_quorum() {
+        // Leader 1 accepts at {1, 2}; 2 halts with a slot in flight.
+        let mut net = cluster(3, 1);
+        net.crash(2);
+        net.submit(1, put(1, 1, 0));
+        assert!(net.rifls_at(1).is_empty(), "stuck waiting for 2");
+        net.suspect(1, 2);
+        net.submit(1, put(1, 2, 0));
+        for id in [1, 3] {
+            assert_eq!(net.rifls_at(id).len(), 2, "replica {id}");
+        }
     }
 
     /// The old leader's commit broadcast reached replica 2 but not replica

@@ -1040,6 +1040,7 @@ impl Protocol for Mencius {
             return Vec::new();
         }
         self.suspected.insert(suspected);
+        self.base.suspect(suspected);
         let mut actions = Vec::new();
         // Proposals that were only waiting for the suspected replica's ack
         // can commit now (deterministic slot order for journal replay).
@@ -1061,6 +1062,13 @@ impl Protocol for Mencius {
         // observed frontier, re-driving in-flight revocations.
         actions.extend(self.revoke_suspected_below(true));
         actions
+    }
+
+    /// Every replica takes part in every slot: distance decides no quorum
+    /// here, so installing the order is all there is to do.
+    fn discover(&mut self, by_distance: &[ProcessId], _time: Time) -> Vec<Action<Message>> {
+        self.base.discover(by_distance);
+        Vec::new()
     }
 
     /// Installs the epoch's ownership ring (see [`RECONFIG_ALPHA`] and the
