@@ -144,11 +144,20 @@ impl Base {
         self.topology.by_distance.contains(&process)
     }
 
+    /// Whether the [discovered](Self::discover) order leaves out no member.
+    /// Cheap enough for every commit: no allocation, no scan.
+    pub fn reaches_all(&self) -> bool {
+        let (order, members) = (&self.topology.by_distance, &self.topology.processes);
+        // The order holds this replica, always, and members only.
+        let joiner = members.binary_search(&self.id).is_err();
+        order.len() == members.len() + usize::from(joiner)
+    }
+
     /// Installs a measured order: `by_distance` ranks the processes this
     /// replica reaches, closest first. This replica always leads it,
     /// non-members are ignored, and a member left out is late or suspected
     /// and sorts last. Returns the members the order just left out, whose
-    /// proposals in flight the protocol must re-drive.
+    /// commands in flight the protocol must take over.
     pub fn discover(&mut self, by_distance: &[ProcessId]) -> Vec<ProcessId> {
         let mut order = vec![self.id];
         for &p in by_distance {
@@ -240,6 +249,22 @@ mod tests {
         assert_eq!(b.closest(3), vec![1, 3, 5]);
         assert_eq!(b.closest(4), vec![1, 3, 5, 2], "suspects sort last");
         assert!(!b.reaches(2) && b.reaches(5));
+        assert!(!b.reaches_all());
+    }
+
+    #[test]
+    fn reaches_all_counts_members_and_a_joiner() {
+        let mut b = base(3);
+        assert!(b.reaches_all());
+        b.discover(&[2, 1]);
+        assert!(b.reaches_all(), "a reorder leaves nobody out");
+        b.discover(&[1]);
+        assert!(!b.reaches_all());
+        // A joiner leads its order without being one of the members.
+        let mut joiner = Base::new(4, Config::new(3, 1), Topology::from_members(4, &[1, 2, 3]));
+        assert!(joiner.reaches_all());
+        joiner.suspect(2);
+        assert!(!joiner.reaches_all());
     }
 
     #[test]

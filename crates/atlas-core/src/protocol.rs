@@ -185,15 +185,18 @@ pub trait Protocol: Sized {
     ) -> Vec<Action<Self::Message>>;
 
     /// `suspected` is believed to have failed: it leaves the distance order
-    /// (as if a [`discover`](Protocol::discover) had left it out), and its
-    /// in-flight commands are recovered (leaderless) or it is replaced as
-    /// leader.
+    /// (as if a [`discover`](Protocol::discover) had left it out) and is
+    /// replaced as leader or slot owner. A leaderless protocol takes its
+    /// in-flight commands over again, which makes a repeated suspicion the
+    /// retry of a takeover whose ballot was outbid.
     fn suspect(&mut self, suspected: ProcessId, time: Time) -> Vec<Action<Self::Message>>;
 
     /// The runtime measured a new distance order ([`Base::discover`]):
     /// quorums of new proposals come from it, and proposals this replica
     /// drives that wait on a member the order just left out (late or
-    /// suspected) are re-driven without it.
+    /// suspected) are re-driven without it. A leaderless protocol also
+    /// takes over at once the in-flight commands of such a member that can
+    /// block execution here.
     fn discover(&mut self, by_distance: &[ProcessId], time: Time) -> Vec<Action<Self::Message>>;
 
     /// Installs a newer [`ClusterView`] (called when a `Reconfigure` barrier

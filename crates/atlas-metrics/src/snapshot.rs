@@ -156,7 +156,8 @@ pub struct DetectorStats {
     pub suspicions: u64,
     /// Suspected → Trusted (probation passed) transitions observed.
     pub trusts: u64,
-    /// Recovery takeovers dispatched to the protocol (`Protocol::suspect`).
+    /// Recovery takeovers dispatched to the protocol: `Protocol::suspect`,
+    /// and `Protocol::discover` with an order that leaves a member out.
     pub takeovers: u64,
     /// Measured distance orders installed (`Protocol::discover`).
     pub reorders: u64,

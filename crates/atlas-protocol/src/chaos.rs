@@ -212,6 +212,13 @@ impl<P: Protocol> ChaosNet<P> {
         self.run(at, actions);
     }
 
+    /// Installs a measured distance order at `at` and runs the takeover
+    /// traffic it produces to quiescence.
+    pub fn discover(&mut self, at: ProcessId, order: &[ProcessId]) {
+        let actions = self.replica(at).discover(order, 0);
+        self.run(at, actions);
+    }
+
     /// The identifiers executed at `id`, in execution order.
     pub fn executed_at(&self, id: ProcessId) -> Vec<Dot> {
         let executed = self.executed.get(&id).into_iter().flatten();

@@ -492,6 +492,20 @@ impl State {
         // One copy stays for `committed_log`, one goes to the executor.
         info.cmd = Some(cmd.clone());
         info.deps = deps.clone();
+        // Re-armed on progress: a dependency that a member outside the order
+        // coordinates, neither committed nor under a takeover here, may wait
+        // for it forever — take it over in this same step. With nobody left
+        // out (the LAN case) this costs a length comparison.
+        let stranded: Vec<Dot> = if base.reaches_all() {
+            Vec::new()
+        } else {
+            let (graph, table) = (&self.graph, &*table);
+            let recovering = |dep: &Dot| table.get(dep).is_some_and(|i| i.phase == Phase::Recover);
+            let stranded = deps.iter().copied();
+            let stranded = stranded.filter(|dep| !base.reaches(dep.coordinator()));
+            let stranded = stranded.filter(|dep| !graph.is_committed(dep) && !recovering(dep));
+            stranded.collect()
+        };
         self.graph.commit_with(dot, cmd, deps, &mut |dot, cmd| {
             let committed_at = table.get_mut(&dot).map(|info| {
                 let committed_at = info.committed_at;
@@ -502,6 +516,9 @@ impl State {
             actions.push(Action::Execute { dot, cmd });
         });
         base.metrics.set_batches(self.graph.batches());
+        for dep in stranded {
+            actions.extend(self.recover(dep));
+        }
         actions
     }
 
@@ -572,16 +589,17 @@ impl<R: CommitRule> Protocol for Deps<R> {
         self.state.handle::<R>(from, msg, time)
     }
 
+    /// The order without `suspected`, and its takeover whether or not it
+    /// just left: a repeat is the retry of a takeover whose ballot was
+    /// outbid.
     fn suspect(&mut self, suspected: ProcessId, _time: Time) -> Vec<Action<Message>> {
-        let late = self.state.base.suspect(suspected);
-        let mut actions = self.state.redrive(&late);
-        actions.extend(self.state.recover_suspected(suspected));
-        actions
+        self.state.base.suspect(suspected);
+        self.state.take_over(&[suspected])
     }
 
     fn discover(&mut self, by_distance: &[ProcessId], _time: Time) -> Vec<Action<Message>> {
-        let late = self.state.base.discover(by_distance);
-        self.state.redrive(&late)
+        let gone = self.state.base.discover(by_distance);
+        self.state.take_over(&gone)
     }
 
     fn reconfigure(&mut self, view: &ClusterView, _time: Time) -> Vec<Action<Message>> {
@@ -850,6 +868,90 @@ mod tests {
         assert_eq!(reference.len(), 4);
         for id in [4, 5] {
             assert_eq!(net.executed_at(id), reference, "replica {id}");
+        }
+    }
+
+    /// Whether `actions` send an `MRec`.
+    fn takes_over(actions: &[Action<Message>]) -> bool {
+        let takeover = |a: &Action<Message>| {
+            matches!(
+                a,
+                Action::Send {
+                    msg: Message::MRec { .. },
+                    ..
+                }
+            )
+        };
+        actions.iter().any(takeover)
+    }
+
+    #[test]
+    fn a_dependency_a_takeover_surfaces_is_taken_over_in_the_same_pass() {
+        // Replica 2 collects a at 1 and b, which depends on a, at 3; then it
+        // halts. 3 knows b but not a: only b's commit names a. One suspicion
+        // at 3 must commit both — a in the step that commits b, not at the
+        // next re-dispatch.
+        let mut net = cluster(3, 1);
+        let (a, b) = (Dot::new(2, 1), Dot::new(2, 2));
+        net.submit_reaching(2, put(2, 1, 0), &[2, 1]);
+        net.discover(2, &[2, 3, 1]);
+        net.submit_reaching(2, put(2, 2, 0), &[2, 3]);
+        net.crash(2);
+        net.suspect(3, 2);
+        for id in [1, 3] {
+            assert_eq!(net.executed_at(id), vec![a, b], "replica {id}");
+            let rifls = net.rifls_at(id);
+            assert_eq!(rifls, vec![Rifl::new(2, 1), Rifl::new(2, 2)]);
+        }
+        assert_eq!(net.replicas[2].metrics().recoveries, 2);
+    }
+
+    #[test]
+    fn a_late_but_live_coordinator_keeps_its_command() {
+        // Replica 2 is alive, but 3 leaves it out of its order while 2's
+        // command c2 is still collecting (its acks are in flight) and blocks
+        // 3's c3. The takeover must commit c2 with its own payload, and c2
+        // must execute exactly once everywhere, 2 included.
+        let mut net = cluster(3, 1);
+        let (c2, c3) = (Dot::new(2, 1), Dot::new(3, 1));
+        net.submit_reaching(2, put(2, 1, 0), &[2, 1]);
+        net.submit(3, put(3, 1, 0));
+        assert!(net.executed_at(3).is_empty(), "c3 waits on c2");
+        net.discover(3, &[3, 1]);
+        // 2's own round, answered late, changes nothing.
+        let late_ack = Message::MCollectAck {
+            dot: c2,
+            deps: DepSet::new(),
+        };
+        assert!(net.replica(2).handle(1, late_ack, 0).is_empty());
+        for id in 1..=3 {
+            assert_eq!(net.executed_at(id), vec![c2, c3], "replica {id}");
+            let rifls = net.rifls_at(id);
+            assert_eq!(rifls, vec![Rifl::new(2, 1), Rifl::new(3, 1)]);
+            assert_eq!(net.replicas[(id - 1) as usize].metrics().noops, 0);
+        }
+    }
+
+    #[test]
+    fn a_reorder_that_leaves_nobody_out_takes_nothing_over() {
+        // c2 is stranded (collected at 1, coordinator halted) and c3 waits
+        // on it at 3. Reordering 3's peers, and a further commit naming c2,
+        // send no MRec while 2 is in the order; leaving 2 out takes it over.
+        let mut net = cluster(3, 1);
+        net.submit_reaching(2, put(2, 1, 0), &[1]);
+        net.crash(2);
+        net.submit(3, put(3, 1, 0));
+        for order in [[3, 2, 1], [3, 1, 2]] {
+            assert!(!takes_over(&net.replica(3).discover(&order, 0)));
+        }
+        net.submit(3, put(3, 2, 0));
+        assert_eq!(net.replicas[2].metrics().recoveries, 0);
+        assert!(net.executed_at(3).is_empty(), "everything waits on c2");
+        let actions = net.replica(3).discover(&[3, 1], 0);
+        assert!(takes_over(&actions));
+        net.run(3, actions);
+        for id in [1, 3] {
+            assert_eq!(net.executed_at(id).len(), 3, "replica {id}");
         }
     }
 

@@ -2,10 +2,11 @@
 //! paper), plus the ballot machinery shared by every takeover-style recovery
 //! in this workspace.
 //!
-//! When a replica suspects that the initial coordinator of a command has
-//! failed, it takes over by running an analogue of Paxos phase 1 with a
-//! ballot it owns (see [`takeover_ballot_in`]). From a recovery quorum of
-//! replies it either:
+//! When the initial coordinator of a command leaves a replica's distance
+//! order — late or suspected — the replica takes over every command of it
+//! that can block execution there, by running an analogue of Paxos phase 1
+//! with a ballot it owns (see [`takeover_ballot_in`]). From a recovery
+//! quorum of replies it either:
 //!
 //! 1. adopts the consensus proposal accepted at the highest ballot, if any;
 //! 2. reconstructs the (possible) fast-path proposal from what the
@@ -82,19 +83,36 @@ pub struct RecAck {
 }
 
 impl State {
-    /// Starts (or re-drives) recovery for every in-flight command
-    /// coordinated by `suspected`, including commands this replica only
-    /// knows as missing dependencies of committed commands.
-    pub(crate) fn recover_suspected(&mut self, suspected: ProcessId) -> Vec<Action<Message>> {
-        if suspected == self.base.id() {
-            return Vec::new();
+    /// Takes over, in one pass, every identifier that can block execution
+    /// here and waits on a member of `gone` — members the distance order
+    /// leaves out, late or suspected, which may never answer:
+    ///
+    /// * the undecided identifiers they coordinate, including those this
+    ///   replica only knows as missing dependencies of committed commands;
+    /// * the undecided identifiers this replica coordinates whose quorum
+    ///   holds one of them (the coordinator answers its own `MRec`, so the
+    ///   rule proposes the union of what the live replies report).
+    ///
+    /// Identifiers a takeover's commit surfaces are `handle_commit`'s.
+    pub(crate) fn take_over(&mut self, gone: &[ProcessId]) -> Vec<Action<Message>> {
+        let id = self.base.id();
+        if gone.iter().all(|p| *p == id) {
+            return Vec::new(); // a reorder that leaves nobody out
         }
-        let in_flight = self.info.iter();
-        let mut dots: Vec<Dot> = in_flight
-            .filter(|(_, info)| !info.phase.is_committed())
+        let gone = |p: &ProcessId| *p != id && gone.contains(p);
+        let undecided = self.info.iter();
+        let mut dots: Vec<Dot> = undecided
+            .filter(|(dot, info)| {
+                let own = dot.coordinator() == id && info.quorum.iter().any(gone);
+                !info.phase.is_committed() && (own || gone(&dot.coordinator()))
+            })
             .map(|(dot, _)| *dot)
-            .chain(self.graph.missing_dependencies())
-            .filter(|dot| dot.coordinator() == suspected)
+            .chain(
+                self.graph
+                    .missing_dependencies()
+                    .into_iter()
+                    .filter(|dot| gone(&dot.coordinator())),
+            )
             .collect();
         // Deterministic recovery order keeps runs reproducible.
         dots.sort_unstable();
@@ -102,36 +120,15 @@ impl State {
         dots.into_iter().flat_map(|dot| self.recover(dot)).collect()
     }
 
-    /// Re-drives, through this replica's own takeover, every undecided
-    /// identifier it coordinates whose quorum holds one of `late` — members
-    /// the distance order just left out, which may never answer. The
-    /// coordinator answers its own `MRec`, so the rule proposes the union
-    /// of what the live replies report.
-    pub(crate) fn redrive(&mut self, late: &[ProcessId]) -> Vec<Action<Message>> {
-        if late.is_empty() {
-            return Vec::new();
-        }
-        let id = self.base.id();
-        let mut dots: Vec<Dot> = self
-            .info
-            .iter()
-            .filter(|(dot, info)| dot.coordinator() == id && !info.phase.is_committed())
-            .filter(|(_, info)| info.quorum.iter().any(|p| late.contains(p)))
-            .map(|(dot, _)| *dot)
-            .collect();
-        dots.sort_unstable();
-        dots.into_iter().flat_map(|dot| self.recover(dot)).collect()
-    }
-
     /// Takes over as coordinator of `dot` (Algorithm 2, line 31).
     ///
     /// **Idempotent under re-dispatch**: the runtime repeats a suspicion
-    /// every `suspect_after` while the peer stays silent (recovering one
-    /// command can surface further identifiers of the dead peer). While
-    /// this replica still owns the identifier's current ballot, a repeat
-    /// re-sends the *same* `MRec` — lost-message recovery, which acceptors
-    /// re-acknowledge — instead of opening a second ballot; only a ballot
-    /// minted by someone else, or in an older epoch, is outbid.
+    /// every `suspect_after` while the peer stays silent — the retry of a
+    /// takeover whose ballot was outbid. While this replica still owns the
+    /// identifier's current ballot, a repeat re-sends the *same* `MRec` —
+    /// lost-message recovery, which acceptors re-acknowledge — instead of
+    /// opening a second ballot; only a ballot minted by someone else, or in
+    /// an older epoch, is outbid.
     pub(crate) fn recover(&mut self, dot: Dot) -> Vec<Action<Message>> {
         if self.collected(&dot) {
             // Executed everywhere and garbage-collected; nothing can be

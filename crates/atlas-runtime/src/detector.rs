@@ -36,7 +36,12 @@
 //! stay audible for a full `trust_after` window before it is trusted again,
 //! so one stray frame from a flapping link does not oscillate the cluster
 //! between suspecting and trusting (each `Suspected` transition triggers a
-//! protocol recovery broadcast — safe to repeat, but not free). In failure
+//! protocol recovery broadcast — safe to repeat, but not free). The
+//! re-dispatch while a peer stays suspected is the *retry* of a takeover
+//! whose ballot was outbid: Atlas and EPaxos already took the peer's
+//! commands over when it became late (see "Distance" below), and a
+//! dependency that a takeover's commit surfaces is taken over by that
+//! commit's own handler, not by a later pass. In failure
 //! detector terms this trades detection *speed* for *accuracy*: ◇P-style
 //! eventual accuracy is what the protocols' recovery needs for liveness, and wrong
 //! suspicions, while safe (recovery is consensus-protected), can replace a
@@ -58,7 +63,8 @@
 //! a peer that stalls now and then in a snapshot cut is not taken for a
 //! dead one — is **late**, and a suspected one is too: both are left out
 //! of the order, i.e. infinitely far, so a dead quorum member leaves the
-//! quorum within a few ticks, long before it is suspected. A peer never
+//! quorum — and a dead coordinator's stranded commands are taken over —
+//! within a few ticks, long before it is suspected. A peer never
 //! heard since boot is not late (it may still be booting), and no peer is
 //! late while *every* peer is silent: then the stall is our own. A new
 //! order is emitted only when it is better for four ticks running — the
@@ -113,12 +119,12 @@ enum Trust {
     Trusted,
     /// Peer exceeded `suspect_after` of silence; `Protocol::suspect` was
     /// last dispatched at the contained instant. While the peer stays
-    /// suspected, the dispatch repeats every `suspect_after` — recovery of
-    /// one in-flight command can *surface* further identifiers of the dead
-    /// peer (a recovered command's dependencies may name dots no survivor
-    /// had seen before the recovery committed), and only a later `suspect`
-    /// pass can pick those up. Re-dispatch is idempotent for everything
-    /// already recovered.
+    /// suspected, the dispatch repeats every `suspect_after`: the retry of
+    /// a takeover whose ballot another recoverer outbid. Identifiers that
+    /// recovery itself surfaces (a recovered command's dependencies may
+    /// name dots no survivor had seen) need no repeat — the commit that
+    /// names them takes them over. Re-dispatch is idempotent for
+    /// everything already recovered.
     Suspected(Instant),
     /// A suspected peer has been heard again and is serving out the
     /// `trust_after` hysteresis window that started at the contained
@@ -375,9 +381,8 @@ impl FailureDetector {
                     state.trust = Trust::Suspected(now);
                     events.push(DetectorEvent::Suspect(peer));
                 }
-                // Still dead, another `suspect_after` served: re-dispatch so
-                // identifiers of the dead peer that recovery itself surfaced
-                // (as dependencies of what it committed) get recovered too.
+                // Still dead, another `suspect_after` served: re-dispatch,
+                // which retries any takeover whose ballot was outbid.
                 Trust::Suspected(last_dispatch)
                     if now.saturating_duration_since(last_dispatch) >= self.suspect_after =>
                 {
@@ -479,7 +484,7 @@ mod tests {
         assert!(d.tick(t0 + SUSPECT + SUSPECT / 4).is_empty());
         assert!(d.tick(t0 + SUSPECT + SUSPECT / 2).is_empty());
         // ...but a peer that *stays* dead is re-dispatched each window, so
-        // identifiers surfaced by recovery itself get recovered too.
+        // a takeover whose ballot was outbid is retried.
         assert_eq!(d.tick(t0 + SUSPECT * 2).len(), 2);
     }
 

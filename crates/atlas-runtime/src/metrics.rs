@@ -112,7 +112,8 @@ pub struct ReplicaMetrics {
     pub suspicions: Counter,
     /// Detector Suspected → Trusted (probation passed) transitions.
     pub trusts: Counter,
-    /// Recovery takeovers dispatched to the protocol.
+    /// Recovery takeovers dispatched to the protocol: suspicions, and
+    /// distance orders that leave a member out.
     pub takeovers: Counter,
     /// Measured distance orders dispatched to the protocol.
     pub reorders: Counter,

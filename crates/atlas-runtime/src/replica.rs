@@ -96,8 +96,11 @@
 //! into a distance order. When it finds a better one for good, the order is
 //! journaled (as [`JournalRecord::Discover`]) and dispatched to
 //! [`Protocol::discover`], from which every quorum is drawn — so a replica
-//! commits at its closest live quorum, and a silent quorum member is left
-//! out within a few ticks, long before `suspect_after`.
+//! commits at its closest live quorum, and a silent peer is left out within
+//! a few ticks, long before `suspect_after`. Leaving a peer out is a
+//! takeover: Atlas and EPaxos take over at once its commands that can block
+//! execution here, and the suspicion that follows only retries what was
+//! outbid.
 
 use crate::detector::{DetectorEvent, FailureDetector};
 use crate::executor::{ExecCtx, ExecutorPool};
@@ -200,14 +203,19 @@ pub struct ReplicaConfig {
     /// current (pre-join) configuration.
     pub join: bool,
     /// Suspect a peer after this much silence and hand it to
-    /// [`Protocol::suspect`]. `None` disables failure detection (the
-    /// pre-detector behaviour: a dead coordinator's in-flight commands
-    /// stall everything that conflicts with them forever). Must comfortably
-    /// exceed `tick_interval` — the silence clock only advances between
-    /// heartbeats — and should leave headroom for scheduling noise: a
-    /// false suspicion is *safe* (recovery is consensus-protected) but can
-    /// replace a live coordinator's not-yet-propagated commands with
-    /// `noOp`s, which drops those commands.
+    /// [`Protocol::suspect`]. Atlas and EPaxos take a silent peer's
+    /// commands over as soon as it is late (it leaves the distance order a
+    /// few ticks into its silence, see [`crate::detector`]); this threshold
+    /// governs FPaxos leader change, Mencius slot revocation and the retry
+    /// of a takeover whose ballot was outbid, repeated every
+    /// `suspect_after` while the peer stays silent. `None` disables failure
+    /// detection (the pre-detector behaviour: a dead coordinator's
+    /// in-flight commands stall everything that conflicts with them
+    /// forever). Must comfortably exceed `tick_interval` — the silence
+    /// clock only advances between heartbeats — and should leave headroom
+    /// for scheduling noise: a false suspicion is *safe* (recovery is
+    /// consensus-protected) but can replace a live coordinator's
+    /// not-yet-propagated commands with `noOp`s, which drops those commands.
     pub suspect_after: Option<Duration>,
     /// Hysteresis: a suspected peer must stay audible this long before it
     /// is trusted again, so a flapping link does not oscillate between
@@ -1018,8 +1026,8 @@ where
 
     /// The detector found a better distance order for good: journal it (a
     /// protocol input that can mint recovery ballots, like a suspicion),
-    /// then install it, which re-drives proposals waiting on a member it
-    /// leaves out.
+    /// then install it, which takes over what waits on a member it leaves
+    /// out — a takeover dispatch, counted as one.
     fn dispatch_discover(&mut self, by_distance: Vec<ProcessId>) -> io::Result<()> {
         let rtts: Vec<String> = by_distance
             .iter()
@@ -1038,6 +1046,10 @@ where
         };
         self.stage(&record, true);
         self.metrics.reorders.inc();
+        let installed = self.protocol.base().by_distance();
+        if installed.iter().any(|p| !by_distance.contains(p)) {
+            self.metrics.takeovers.inc();
+        }
         let now = self.now();
         let actions = self.protocol.discover(&by_distance, now);
         self.perform(actions, now)
@@ -1127,7 +1139,13 @@ where
             self.outbox.received(from, seq);
         }
         let now = self.now();
+        let minted = self.protocol.metrics().recoveries;
         let actions = self.protocol.handle(from, msg, now);
+        if self.protocol.metrics().recoveries != minted {
+            // The message made the protocol mint a ballot: a commit that
+            // names a stranded dependency, a revocation or a campaign.
+            self.outbox.minted();
+        }
         self.perform(actions, now)
     }
 

@@ -128,6 +128,13 @@ impl<X> Outbox<X> {
         }
     }
 
+    /// The input staged last minted a ballot after all (a peer message the
+    /// protocol answered with a takeover, a revocation or a campaign): its
+    /// record is synced before anything leaves, as a minting one's would be.
+    pub fn minted(&mut self) {
+        self.must_sync |= self.staged;
+    }
+
     /// Collects one protocol message for `peer`.
     pub fn send(&mut self, peer: ProcessId, payload: Arc<Vec<u8>>) {
         self.peer(peer).frames.push(payload);
@@ -336,6 +343,18 @@ mod tests {
         assert_eq!(
             seen(&calls),
             ["stage", "write", "sync(true)", "to 3: frames [2] ack None"]
+        );
+
+        // A peer message the protocol answered with a takeover is synced
+        // the same way.
+        calls.borrow_mut().clear();
+        outbox.stage(Some(&mut log), &peer_record(), false);
+        outbox.minted();
+        outbox.send(3, frame(3));
+        outbox.release(Some(&mut log), &links, &mut stage).unwrap();
+        assert_eq!(
+            seen(&calls),
+            ["stage", "write", "sync(true)", "to 3: frames [3] ack None"]
         );
 
         // Acks: none below the threshold, one — after a forced sync — once

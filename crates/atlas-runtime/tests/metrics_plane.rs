@@ -528,11 +528,20 @@ fn detector_counters_record_the_takeover() {
             .await
             .expect("workload stalled after the kill");
 
+        // The writes resume once the victim is late, before the 300 ms
+        // suspicion: wait for it the way `wan_scenarios` does.
         for id in [1 as ProcessId, 2] {
             let mut probe = Client::connect(cluster.addr(id), 900 + id as u64)
                 .await
                 .expect("stats probe connects");
-            let s = probe.stats().await.expect("stats");
+            let deadline = Instant::now() + Duration::from_secs(20);
+            let s = loop {
+                let s = probe.stats().await.expect("stats");
+                if s.detector.suspicions >= 1 || Instant::now() >= deadline {
+                    break s;
+                }
+                tokio::time::sleep(Duration::from_millis(50)).await;
+            };
             assert!(
                 s.detector.suspicions >= 1,
                 "survivor {id} never recorded the suspicion: {:?}",

@@ -20,7 +20,7 @@
 
 use atlas_core::{ClientId, Command, Config, Dot, Key, ProcessId, Protocol, Rifl};
 use atlas_protocol::Atlas;
-use atlas_runtime::{Client, Cluster, ClusterOptions, OpenLoopClient};
+use atlas_runtime::{Client, Cluster, ClusterOptions, LinkRule, NetProfile, OpenLoopClient};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
@@ -249,8 +249,12 @@ fn killed_leader_recovers_fpaxos() {
 /// same scenario with the failure detector disabled must stall. For
 /// Mencius the stall is structural (every commit waits for the dead
 /// replica's acknowledgement); for EPaxos the survivors' conflicting
-/// commands wait on the dead coordinator's in-flight instances, so the
-/// kill is timed right after the burst demonstrably started propagating.
+/// commands wait on the dead coordinator's in-flight instances.
+///
+/// The survivor→victim links carry a 150 ms injected delay, and the victim
+/// is killed as soon as its burst reached survivor 1: the burst provably
+/// dies collected but uncommitted, so the stall is required on the first
+/// attempt. (Unshaped, the burst could commit before the kill landed.)
 fn killed_coordinator_stalls_without_recovery<P>()
 where
     P: Protocol + Send + 'static,
@@ -258,78 +262,72 @@ where
 {
     const PHASE_A: u64 = 30;
     const BURST: u64 = 600;
-    // Killing "mid-burst" races the burst's propagation; if the whole burst
-    // happens to finish before the kill lands, nothing is left in flight
-    // and the workload legitimately completes. One observed stall proves
-    // the point; with recovery enabled a stall can *never* happen, so the
-    // retry loop cannot mask a regression.
-    const ATTEMPTS: u32 = 3;
+    const ACK_DELAY: Duration = Duration::from_millis(150);
     let rt = tokio::runtime::Runtime::new().unwrap();
     rt.block_on(async {
-        for attempt in 1..=ATTEMPTS {
-            let options = ClusterOptions {
-                tick_interval: Duration::from_millis(10),
-                suspect_after: None, // the recovery path under test, disabled
-                ..ClusterOptions::default()
-            };
-            let mut cluster = Cluster::spawn_with::<P>(Config::new(REPLICAS, 1), options)
-                .await
-                .expect("cluster boots");
-            run_writes(cluster.addr(1), 1, 0, PHASE_A)
-                .await
-                .expect("phase A");
-
-            let mut probe = Client::connect(cluster.addr(1), 901)
-                .await
-                .expect("probe client");
-            let mut burst = OpenLoopClient::connect(cluster.addr(3), 3)
-                .await
-                .expect("burst client");
-            let cmds: Vec<Command> = (0..BURST)
-                .map(|i| {
-                    let rifl = burst.next_rifl();
-                    Command::put(rifl, write_key(3, i), 3_000_000 + i, 64)
-                })
-                .collect();
-            burst.submit_batch(cmds).await.expect("burst fired");
-            // Kill the coordinator as soon as the burst demonstrably
-            // started propagating (its first command executed at a
-            // survivor), while the rest of it is still in flight.
-            let first_burst_rifl = Rifl::new(3, 1);
-            let started = Instant::now();
-            'wait: loop {
-                assert!(
-                    started.elapsed() < Duration::from_secs(20),
-                    "burst never started propagating"
-                );
-                if let Ok((entries, _)) = probe.execution_log().await {
-                    if entries.iter().any(|(_, rifl)| *rifl == first_burst_rifl) {
-                        break 'wait;
-                    }
-                }
-            }
-            cluster.kill(3);
-
-            // With no failure detector nothing ever resolves the dead
-            // coordinator's in-flight state: the conflicting workload below
-            // must hang until the timeout.
-            let stalled = tokio::time::timeout(
-                Duration::from_secs(8),
-                run_writes(cluster.addr(1), 1, PHASE_A, 30),
-            )
-            .await;
-            cluster.shutdown();
-            if stalled.is_err() {
-                return; // stall observed: the recovery path is load-bearing
-            }
-            eprintln!(
-                "attempt {attempt}: the burst fully propagated before the \
-                 kill landed; retrying"
-            );
+        let options = ClusterOptions {
+            tick_interval: Duration::from_millis(10),
+            suspect_after: None, // the recovery path under test, disabled
+            ..ClusterOptions::default()
         }
-        panic!(
-            "the workload completed without {} recovery in {ATTEMPTS} \
-             attempts — the suspect path is not load-bearing",
+        .with_net(
+            NetProfile::new(0x5A)
+                .rule(LinkRule::link(1, 3).delay(ACK_DELAY))
+                .rule(LinkRule::link(2, 3).delay(ACK_DELAY)),
+        );
+        let mut cluster = Cluster::spawn_with::<P>(Config::new(REPLICAS, 1), options)
+            .await
+            .expect("cluster boots");
+        run_writes(cluster.addr(1), 1, 0, PHASE_A)
+            .await
+            .expect("phase A");
+
+        let mut probe = Client::connect(cluster.addr(1), 901)
+            .await
+            .expect("probe client");
+        async fn tracked(probe: &mut Client) -> u64 {
+            probe.stats().await.expect("stats").tracked_entries
+        }
+        let before = tracked(&mut probe).await;
+        let mut burst = OpenLoopClient::connect(cluster.addr(3), 3)
+            .await
+            .expect("burst client");
+        let cmds: Vec<Command> = (0..BURST)
+            .map(|i| {
+                let rifl = burst.next_rifl();
+                Command::put(rifl, write_key(3, i), 3_000_000 + i, 64)
+            })
+            .collect();
+        let fired = Instant::now();
+        burst.submit_batch(cmds).await.expect("burst fired");
+        // Kill the coordinator once the burst reached survivor 1: its acks
+        // are still in flight, so nothing of the burst can have committed.
+        while tracked(&mut probe).await == before {
+            assert!(
+                fired.elapsed() < Duration::from_secs(20),
+                "the burst never reached survivor 1"
+            );
+            tokio::time::sleep(Duration::from_millis(2)).await;
+        }
+        cluster.kill(3);
+        assert!(
+            fired.elapsed() < ACK_DELAY,
+            "the kill landed after the first acks could arrive"
+        );
+
+        // With no failure detector nothing ever resolves the dead
+        // coordinator's in-flight state: the conflicting workload below
+        // must hang until the timeout.
+        let completed = tokio::time::timeout(
+            Duration::from_secs(8),
+            run_writes(cluster.addr(1), 1, PHASE_A, 30),
+        )
+        .await;
+        cluster.shutdown();
+        assert!(
+            completed.is_err(),
+            "the workload completed without {} recovery — the suspect path \
+             is not load-bearing",
             P::name()
         );
     });

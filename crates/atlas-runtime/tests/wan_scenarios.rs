@@ -12,6 +12,7 @@
 //! | `fast_path_geo3/geo5` | §5.3 fast-path latency at 3/5 sites | geo delay+jitter profile |
 //! | `closest_quorum_geo3/geo5` | §3: every site commits at its closest quorum | geo profile, permuted sites, a client per site |
 //! | `quorum_member_loss_geo3` | §5.6: a site failure does not stop the survivors | the one member of a replica's quorum killed |
+//! | `stranded_takeover_geo3` | §5.6: the survivors take a dead coordinator's commands over | a coordinator killed holding 5/25/100 collected commands |
 //! | `availability_under_region_loss` | §5.6 availability under region failure | permanent symmetric cut isolating a coordinator |
 //! | `link_failure_and_recovery` | §5.6 link blips below the suspicion threshold | bounded symmetric cut |
 //! | `asymmetric_partition` | simulator-inexpressible | one **directed** link cut |
@@ -323,6 +324,78 @@ fn quorum_member_loss_geo3() {
         report.emit();
         cluster.shutdown();
     });
+}
+
+/// §5.6, the stranded side: replica 2 coordinates `stranded` conflicting
+/// commands that replica 1 has collected and dies before any of them
+/// commits. Replica 3's conflicting writes, which depend on them, must
+/// resume within 600 ms of the kill — when 2 leaves the survivors' orders
+/// and they take its commands over in one pass — not at the default 1.5 s
+/// suspicion. The survivor→victim links carry 50 ms instead of their geo
+/// delay, and the victim is killed as soon as replica 1 holds the whole
+/// burst, so no ack can have reached it: the burst provably dies collected
+/// but uncommitted.
+#[test]
+fn stranded_takeover_geo3() {
+    let _guard = serial();
+    const ACK_DELAY: Duration = Duration::from_millis(50);
+    const RESUME_MS: f64 = 600.0;
+    let mut report = FigureReport::new("fig_stranded_takeover_geo3");
+    for (stranded, name) in [
+        (5, "resume_ms_5"),
+        (25, "resume_ms_25"),
+        (100, "resume_ms_100"),
+    ] {
+        let net = geo(0x57A + stranded, &GEO3_LINKS, 2 * MS)
+            .rule(LinkRule::link(1, 2).delay(ACK_DELAY))
+            .rule(LinkRule::link(3, 2).delay(ACK_DELAY));
+        let options = ClusterOptions::default().with_net(net);
+        let rt = tokio::runtime::Runtime::new().unwrap();
+        let resume = rt.block_on(async {
+            let mut cluster = Cluster::spawn_with::<Atlas>(Config::new(3, 1), options)
+                .await
+                .expect("cluster boots");
+            // Warm-up: every link carries traffic before the burst.
+            conflicting_writes(cluster.addr(3), 3, 0, 10)
+                .await
+                .expect("warm-up");
+            let mut probe = Client::connect(cluster.addr(1), 901).await.expect("probe");
+            let before = probe.stats().await.expect("stats").tracked_entries;
+            let mut burst = OpenLoopClient::connect(cluster.addr(2), 2)
+                .await
+                .expect("burst client");
+            let cmds: Vec<atlas_core::Command> = (0..stranded)
+                .map(|i| {
+                    let rifl = burst.next_rifl();
+                    atlas_core::Command::put(rifl, i % 4, 2_000_000 + i, 64)
+                })
+                .collect();
+            let fired = Instant::now();
+            burst.submit_batch(cmds).await.expect("burst fired");
+            while probe.stats().await.expect("stats").tracked_entries < before + stranded {
+                assert!(
+                    fired.elapsed() < Duration::from_secs(5),
+                    "burst never collected"
+                );
+            }
+            cluster.kill(2);
+            let killed = Instant::now();
+            assert!(
+                killed - fired < ACK_DELAY,
+                "the kill landed after the first acks could arrive"
+            );
+            conflicting_writes(cluster.addr(3), 3, 10, 1)
+                .await
+                .expect("resumed write");
+            let resume = killed.elapsed();
+            let more = conflicting_writes(cluster.addr(3), 3, 11, 10).await;
+            more.expect("writes after the takeover");
+            cluster.shutdown();
+            resume
+        });
+        report.check(name, resume.as_secs_f64() * 1e3, None, Some(RESUME_MS));
+    }
+    report.emit();
 }
 
 /// §5.6 availability: a replica coordinating an in-flight conflicting

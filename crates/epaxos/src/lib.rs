@@ -291,6 +291,37 @@ mod tests {
         assert_eq!(net.executed_at(3), vec![blocked]);
     }
 
+    /// Replica 2's command is collected at 1 only, then 2 halts; 3's
+    /// conflicting command commits depending on it. Leaving 2 out of 3's
+    /// order — lateness, no suspicion — takes the stranded command over,
+    /// and both execute at 1 and 3.
+    fn lateness_takes_a_dead_coordinator_over<R: CommitRule>() {
+        let mut net = cluster::<R>(3, 1);
+        let (stranded, blocked) = (Dot::new(2, 1), Dot::new(3, 1));
+        net.submit_reaching(2, put(2, 1, 0), &[1]);
+        net.crash(2);
+        net.submit(3, put(3, 1, 0));
+        let (_, deps) = committed(net.replica(3), blocked).expect("3 commits");
+        assert_eq!(deps, DepSet::from([stranded]));
+        assert!(net.executed_at(3).is_empty(), "blocked on ⟨2,1⟩");
+        net.discover(3, &[3, 1]);
+        for id in [1, 3] {
+            assert_eq!(net.executed_at(id), vec![stranded, blocked], "replica {id}");
+            let (cmd, _) = committed(net.replica(id), stranded).expect("recovered");
+            assert_eq!(cmd.rifl, Rifl::new(2, 1), "the real command, not a noOp");
+        }
+    }
+
+    #[test]
+    fn lateness_takes_a_dead_coordinator_over_epaxos() {
+        lateness_takes_a_dead_coordinator_over::<EPaxosRule>();
+    }
+
+    #[test]
+    fn lateness_takes_a_dead_coordinator_over_atlas() {
+        lateness_takes_a_dead_coordinator_over::<AtlasRule>();
+    }
+
     /// Dispatches a suspicion at `at` and returns the takeover ballot it
     /// (re-)sent for `dot`.
     fn suspect_ballot<R: CommitRule>(
@@ -500,9 +531,9 @@ mod tests {
         // Every survivor suspects the coordinator, in random order, with
         // chaotic delivery of the recovery traffic. Two passes, mirroring
         // the runtime's periodic re-dispatch while a peer stays suspected:
-        // recovering one command can *surface* further identifiers of the
-        // dead coordinator (a recovered command's dependencies may name
-        // dots no survivor had seen), and only a later pass can noOp those.
+        // concurrent recoverers outbid each other's ballots, and the second
+        // pass retries what was outbid. (Identifiers a recovered command
+        // surfaces are taken over by the commit that names them.)
         for _pass in 0..2 {
             let mut suspecters = vec![2u32, 3, 4, 5];
             while !suspecters.is_empty() {
