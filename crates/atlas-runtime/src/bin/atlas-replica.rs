@@ -30,9 +30,10 @@
 //! `--trust-after` (default 250). `--no-failure-detector` turns it off.
 //!
 //! `--gc-every <ticks>` enables executed-entry garbage collection: the
-//! replicas exchange executed watermarks on that cadence and drop
-//! per-command bookkeeping once **every** replica has executed an entry,
-//! keeping protocol maps, the journal and the snapshots bounded.
+//! replicas exchange executed watermarks every tick and, on that cadence
+//! and before every snapshot cut, drop per-command bookkeeping once
+//! **every** replica has executed an entry, keeping protocol maps, the
+//! journal and the snapshots bounded.
 //! `--catch-up-chunk-bytes <bytes>` bounds each frame of the streamed
 //! catch-up a recovering replica receives (default 4 MiB).
 //!

@@ -14,8 +14,10 @@
 //! every interval — `atlas-top` can outlive restarts and watch a recovery
 //! happen. A replica whose stats encoding has another layout version shows
 //! as `refused`, with both versions named, rather than as misread numbers.
-//! The `rtt(ms)` column lists each link's measured round trip as
-//! `peer:ms`. `--iterations 0` polls forever; any other value exits after
+//! The `cut p99(ms)` column is the 99th percentile of the time the event
+//! loop spent on a snapshot cut (`durability.snapshot_cut_us`; `-` before
+//! the first cut). The `rtt(ms)` column lists each link's measured round
+//! trip as `peer:ms`. `--iterations 0` polls forever; any other value exits after
 //! that many screens (useful in scripts).
 
 use atlas_metrics::{BoundedHistogram, HistogramSummary, MetricsSnapshot};
@@ -134,7 +136,7 @@ fn rtts(s: &MetricsSnapshot) -> String {
 
 fn render(snapshots: &[Result<MetricsSnapshot, String>]) {
     println!(
-        "{:<3} {:<8} {:>8} {:>10} {:>9} {:>9} {:>9} {:>6} {:>8} {:>7} {:>5} {:>7} {:>8} {:>8} rtt(ms)",
+        "{:<3} {:<8} {:>8} {:>10} {:>9} {:>9} {:>9} {:>6} {:>8} {:>7} {:>5} {:>7} {:>8} {:>8} {:>12} rtt(ms)",
         "id",
         "proto",
         "uptime",
@@ -148,7 +150,8 @@ fn render(snapshots: &[Result<MetricsSnapshot, String>]) {
         "takeo",
         "links",
         "wal-wr",
-        "sock-wr"
+        "sock-wr",
+        "cut p99(ms)"
     );
     let mut merged = BoundedHistogram::new();
     for (i, snapshot) in snapshots.iter().enumerate() {
@@ -168,8 +171,14 @@ fn render(snapshots: &[Result<MetricsSnapshot, String>]) {
         };
         let up = s.links.iter().filter(|l| l.connected).count();
         let socket_writes: u64 = s.links.iter().map(|l| l.writes).sum();
+        let cuts = &s.durability.snapshot_cut_us;
+        let cut = if cuts.is_empty() {
+            "-".to_string()
+        } else {
+            format!("{:.2}", HistogramSummary::of(cuts).p99_us as f64 / 1_000.0)
+        };
         println!(
-            "{id:<3} {:<8} {:>7}s {:>10} {:>9} {:>9.2} {:>9.2} {fast} {:>8} {:>7} {:>5} {:>4}/{} {:>8} {:>8} {}",
+            "{id:<3} {:<8} {:>7}s {:>10} {:>9} {:>9.2} {:>9.2} {fast} {:>8} {:>7} {:>5} {:>4}/{} {:>8} {:>8} {cut:>12} {}",
             s.protocol,
             s.uptime_us / 1_000_000,
             s.lifecycle.submitted,

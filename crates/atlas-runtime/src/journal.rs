@@ -18,9 +18,17 @@
 //!   key–value store and the execution record) in three steps, of which
 //!   only the first runs on the event loop:
 //!   1. **cut** (`Journal::save_snapshot`): at a turn boundary — every
-//!      journaled record applied — the loop copies its state, fsyncs the
-//!      WAL and stamps the copy with the WAL's next index;
-//!   2. **write**: the journal's writer thread serialises the cut and
+//!      journaled record applied — the loop first runs a GC round (when GC
+//!      is on), so the protocol state it encodes is the in-flight window
+//!      rather than everything executed since the last round; the round's
+//!      `Gc` record is journaled before the cut, which covers it. The loop
+//!      then encodes the protocol state and copies the store, but
+//!      **shares** the execution record (`ExecutionRecord`): its growing
+//!      tail is frozen into one more `Arc` chunk, and the cut takes the
+//!      chunk list, one pointer per chunk. Last it fsyncs the WAL and
+//!      stamps the cut with the WAL's next index;
+//!   2. **write**: the journal's writer thread flattens the record's chunks
+//!      into [`ReplicaSnapshot::log`], serialises the snapshot and
 //!      publishes it (temporary file, fsync, rename, directory fsync, prune
 //!      older snapshots) while the loop keeps serving, then reports back;
 //!   3. **truncate** (`Journal::snapshot_written`): the loop drops the
@@ -142,6 +150,103 @@ pub struct ReplicaSnapshot {
     pub addrs: Vec<(ProcessId, String)>,
 }
 
+/// The execution record as the event loop keeps it: `(dot, rifl)` in local
+/// execution order, held as frozen chunks shared behind `Arc`s plus the
+/// tail that still grows. [`ExecutionRecord::freeze`] moves the tail into a
+/// chunk of its own — no entry is copied — and returns the record up to
+/// there, sharing every chunk; that is all a snapshot cut takes of it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ExecutionRecord {
+    frozen: Vec<Arc<Vec<(Dot, Rifl)>>>,
+    tail: Vec<(Dot, Rifl)>,
+}
+
+impl ExecutionRecord {
+    /// Appends one executed command.
+    pub fn push(&mut self, entry: (Dot, Rifl)) {
+        self.tail.push(entry);
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.frozen.iter().map(|chunk| chunk.len()).sum::<usize>() + self.tail.len()
+    }
+
+    /// Whether nothing executed yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Freezes the tail into a new chunk (a move, not a copy) and returns
+    /// the whole record as it stands, cloning one `Arc` per chunk.
+    pub fn freeze(&mut self) -> Self {
+        if !self.tail.is_empty() {
+            self.frozen.push(Arc::new(std::mem::take(&mut self.tail)));
+        }
+        Self {
+            frozen: self.frozen.clone(),
+            tail: Vec::new(),
+        }
+    }
+
+    /// The entries in execution order.
+    pub fn iter(&self) -> impl Iterator<Item = &(Dot, Rifl)> {
+        self.frozen
+            .iter()
+            .flat_map(|chunk| chunk.iter())
+            .chain(&self.tail)
+    }
+
+    /// The entries flattened into one vector, in execution order.
+    pub fn to_vec(&self) -> Vec<(Dot, Rifl)> {
+        let mut entries = Vec::with_capacity(self.len());
+        entries.extend(self.iter().copied());
+        entries
+    }
+}
+
+impl From<Vec<(Dot, Rifl)>> for ExecutionRecord {
+    /// A restored record: the vector becomes the first frozen chunk as is.
+    fn from(entries: Vec<(Dot, Rifl)>) -> Self {
+        let mut record = Self {
+            frozen: Vec::new(),
+            tail: entries,
+        };
+        record.freeze();
+        record
+    }
+}
+
+/// A snapshot as the event loop cuts it: the fields of a
+/// [`ReplicaSnapshot`], with the execution record still shared with the
+/// loop. The writer flattens it ([`SnapshotCut::flatten`]) before encoding,
+/// so the bytes on disk are a plain [`ReplicaSnapshot`].
+pub(crate) struct SnapshotCut {
+    /// [`Protocol::save_state`](atlas_core::Protocol::save_state) bytes.
+    pub protocol: Vec<u8>,
+    /// The flat (merged) key–value store.
+    pub store: KVStore,
+    /// The execution record up to the cut.
+    pub log: ExecutionRecord,
+    /// The runtime's configuration view.
+    pub view: ClusterView,
+    /// Address of every process in `view`.
+    pub addrs: Vec<(ProcessId, String)>,
+}
+
+impl SnapshotCut {
+    /// The [`ReplicaSnapshot`] this cut stands for.
+    fn flatten(self) -> ReplicaSnapshot {
+        ReplicaSnapshot {
+            protocol: self.protocol,
+            store: self.store,
+            log: self.log.to_vec(),
+            view: self.view,
+            addrs: self.addrs,
+        }
+    }
+}
+
 /// What a [`Journal`] needs from the replica that hosts it.
 pub(crate) struct Host {
     /// Where disk time and counts are recorded (shared with the writer).
@@ -175,9 +280,9 @@ impl Disk {
         self.host.metrics.fsync_us.record(us);
     }
 
-    /// Serialises `snapshot` and publishes it as covering WAL records below
-    /// `index` — the one write path, run by the writer thread and by the
-    /// synchronous snapshot that ends catch-up. `Ok(false)`: abandoned
+    /// Flattens and serialises `cut` and publishes it as covering WAL
+    /// records below `index` — the one write path, run by the writer thread
+    /// and by the synchronous snapshot that ends catch-up. `Ok(false)`: abandoned
     /// unpublished because the replica stopped meanwhile; its directory may
     /// already belong to the next incarnation (wiped and recreated, even),
     /// where this journal's snapshot would cover records never written.
@@ -187,9 +292,9 @@ impl Disk {
     /// so a wipe or the next `SnapshotStore::open` removes it and the rename
     /// fails; landing in a directory restarted as is, the rename publishes
     /// a valid snapshot of that same WAL (its prefix was synced at the cut).
-    fn write(&self, index: u64, snapshot: &ReplicaSnapshot) -> io::Result<bool> {
+    fn write(&self, index: u64, cut: SnapshotCut) -> io::Result<bool> {
         let t0 = Instant::now();
-        let bytes = bincode::serialize(snapshot).expect("snapshots always encode");
+        let bytes = bincode::serialize(&cut.flatten()).expect("snapshots always encode");
         let stopped = || self.host.stop.load(Ordering::Relaxed);
         let synced = |t0| self.fsynced(t0);
         let published = self.snapshots.save_with(index, &bytes, synced, stopped)?;
@@ -201,7 +306,7 @@ impl Disk {
 }
 
 /// What the writer is handed: the WAL index the snapshot covers up to, and it.
-type Cut = (u64, ReplicaSnapshot);
+type Cut = (u64, SnapshotCut);
 
 /// The open durable state of a running replica.
 pub(crate) struct Journal {
@@ -298,14 +403,15 @@ impl Journal {
         self.in_flight.is_none() && (self.wanted || cadence)
     }
 
-    /// Takes `snapshot` — the replica's state after applying **every**
-    /// record journaled so far, so only ever cut at a turn boundary — as
-    /// covering the journal up to here, and hands it to the writer thread;
+    /// Takes `cut` — the replica's state after applying **every** record
+    /// journaled so far, so only ever cut at a turn boundary — as covering
+    /// the journal up to here, and hands it to the writer thread;
     /// [`Journal::snapshot_written`] finishes the job when the writer
-    /// reports. `cut_started` is when the caller began copying its state:
-    /// `snapshot_cut_us` runs from there to the hand-off. `inline` writes on
-    /// the calling thread instead (the snapshot that ends catch-up must be
-    /// on disk before the replica serves).
+    /// reports. `cut_started` is when the caller began working on the cut
+    /// (the GC round before it included): `snapshot_cut_us` runs from there
+    /// to the hand-off. `inline` writes on the calling thread instead (the
+    /// snapshot that ends catch-up must be on disk before the replica
+    /// serves).
     ///
     /// The WAL is fsynced first, whatever the flush policy: the snapshot
     /// may only become loadable once the records below its index are
@@ -316,7 +422,7 @@ impl Journal {
     /// a truncation that drops a segment ([`Journal::snapshot_written`]).
     pub fn save_snapshot(
         &mut self,
-        snapshot: ReplicaSnapshot,
+        cut: SnapshotCut,
         cut_started: Instant,
         inline: bool,
     ) -> io::Result<()> {
@@ -329,7 +435,7 @@ impl Journal {
         self.since_snapshot = 0;
         self.wanted = false;
         if inline {
-            let result = self.disk.write(index, &snapshot);
+            let result = self.disk.write(index, cut);
             return self.snapshot_written(index, result);
         }
         if self.writer.is_none() {
@@ -338,15 +444,15 @@ impl Journal {
             let handle = std::thread::Builder::new()
                 .name("snapshot-writer".into())
                 .spawn(move || {
-                    for (index, snapshot) in rx {
-                        (disk.host.report)(index, disk.write(index, &snapshot));
+                    for (index, cut) in rx {
+                        (disk.host.report)(index, disk.write(index, cut));
                     }
                 })?;
             self.writer = Some((tx, handle));
         }
         let (inbox, _) = self.writer.as_ref().expect("spawned above");
         inbox
-            .send((index, snapshot))
+            .send((index, cut))
             .map_err(|_| io::Error::other("snapshot writer thread is gone"))?;
         self.in_flight = Some(index);
         let cut_us = cut_started.elapsed().as_micros() as u64;
@@ -461,11 +567,11 @@ mod tests {
         Journal::open(dir.path(), FlushPolicy::OsBuffered, every, host().0).unwrap()
     }
 
-    fn snapshot(marker: u8) -> ReplicaSnapshot {
-        ReplicaSnapshot {
+    fn snapshot(marker: u8) -> SnapshotCut {
+        SnapshotCut {
             protocol: vec![marker, marker],
             store: KVStore::new(),
-            log: vec![(Dot::new(1, 1), Rifl::new(1, 1))],
+            log: vec![(Dot::new(1, 1), Rifl::new(1, 1))].into(),
             view: ClusterView::at(2, [1, 2, 4], 1),
             addrs: vec![(1, "a:1".into()), (2, "a:2".into()), (4, "a:4".into())],
         }
@@ -636,6 +742,74 @@ mod tests {
         let (_, snap, records) = open(&dir, 2);
         assert!(snap.is_none());
         assert_eq!(records, vec![submit(0), submit(1)]);
+    }
+
+    /// The chunked execution record against a plain `Vec` model: a seeded
+    /// mix of pushes and freezes (consecutive freezes, empty tails and a
+    /// restored record among them) reads back entry for entry at every
+    /// step, and every frozen view keeps the prefix it was cut at while
+    /// the record grows behind it.
+    #[test]
+    fn execution_record_matches_a_vec_model() {
+        let entry = |n: u64| (Dot::new(1 + (n % 3) as ProcessId, n), Rifl::new(n % 5, n));
+        for restored in [0, 1, 40] {
+            let mut model: Vec<(Dot, Rifl)> = (0..restored).map(entry).collect();
+            let mut record = ExecutionRecord::from(model.clone());
+            let mut cuts: Vec<(ExecutionRecord, Vec<(Dot, Rifl)>)> = Vec::new();
+            let mut rng = 0x9e37_79b9_7f4a_7c15_u64 ^ restored;
+            for step in 0..600 {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                if rng.is_multiple_of(8) {
+                    cuts.push((record.freeze(), model.clone()));
+                } else {
+                    let next = entry(restored + step);
+                    record.push(next);
+                    model.push(next);
+                }
+                assert_eq!(record.len(), model.len());
+                assert_eq!(record.is_empty(), model.is_empty());
+                assert!(record.iter().eq(model.iter()));
+            }
+            assert_eq!(record.to_vec(), model);
+            assert!(cuts.len() > 10, "the seed must exercise freezing");
+            for (cut, prefix) in &cuts {
+                assert_eq!(cut.len(), prefix.len());
+                assert_eq!(&cut.to_vec(), prefix);
+            }
+            let frozen = record.freeze();
+            assert_eq!(frozen.to_vec(), model);
+            assert_eq!(ExecutionRecord::from(frozen.to_vec()).to_vec(), model);
+        }
+    }
+
+    /// What the writer persists is the flattened record, so a snapshot's
+    /// bytes do not depend on how the loop chunked its record.
+    #[test]
+    fn a_cut_encodes_as_the_flat_snapshot() {
+        let entries: Vec<(Dot, Rifl)> =
+            (1..=9).map(|n| (Dot::new(2, n), Rifl::new(7, n))).collect();
+        let mut record = ExecutionRecord::from(entries[..4].to_vec());
+        for &e in &entries[4..7] {
+            record.push(e);
+        }
+        record.freeze();
+        for &e in &entries[7..] {
+            record.push(e);
+        }
+        let cut = SnapshotCut {
+            log: record.freeze(),
+            ..snapshot(5)
+        };
+        let flat = ReplicaSnapshot {
+            log: entries,
+            ..snapshot(5).flatten()
+        };
+        assert_eq!(
+            bincode::serialize(&cut.flatten()).unwrap(),
+            bincode::serialize(&flat).unwrap()
+        );
     }
 
     #[test]

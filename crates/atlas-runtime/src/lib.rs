@@ -67,14 +67,16 @@
 //!
 //! With [`gc_every`](replica::ReplicaConfig::gc_every) set, replicas
 //! exchange their [`executed
-//! watermarks`](atlas_core::Protocol::executed_watermarks) on the tick
-//! cadence (piggybacked on the peer links) and hand the pointwise minimum
+//! watermarks`](atlas_core::Protocol::executed_watermarks) every tick
+//! (piggybacked on the peer links) and, on the GC cadence and before every
+//! snapshot cut, hand the pointwise minimum
 //! — entries executed at **every** replica — to
 //! [`Protocol::gc_executed`](atlas_core::Protocol::gc_executed), dropping
 //! per-command bookkeeping that can never be needed again. Each advancing
 //! round is journaled and asks for a snapshot, which truncates the WAL
 //! and prunes older snapshots — protocol maps, journal and on-disk state
-//! all stay bounded on a long-lived cluster.
+//! all stay bounded on a long-lived cluster, and a cut encodes the
+//! in-flight window rather than the history.
 //!
 //! ## Failure detection
 //!

@@ -97,10 +97,12 @@ pub struct ReplicaMetrics {
     /// Replica snapshots published (renamed into place) and the journal
     /// prefix they cover truncated.
     pub snapshots_saved: Counter,
-    /// Event-loop time per snapshot cut (µs): protocol state, store and
-    /// execution record copied, one WAL fsync, hand-off to the writer.
+    /// Event-loop time per snapshot cut (µs): the GC round before it (GC
+    /// on), protocol state encoded, store copied, execution record shared,
+    /// one WAL fsync, hand-off to the writer.
     pub snapshot_cut_us: AtomicHistogram,
-    /// Snapshot-writer time per snapshot (µs): serialise → directory fsync.
+    /// Snapshot-writer time per snapshot (µs): flatten, serialise →
+    /// directory fsync.
     pub snapshot_write_us: AtomicHistogram,
     /// Encoded size of the last snapshot written (bytes).
     pub snapshot_bytes: Gauge,

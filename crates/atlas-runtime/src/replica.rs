@@ -57,19 +57,23 @@
 //!
 //! ## Log compaction (garbage collection)
 //!
-//! With [`ReplicaConfig::gc_every`] set, every `gc_every`-th tick the
-//! replica broadcasts its [`executed
-//! watermarks`](Protocol::executed_watermarks) to all peers (piggybacked on
-//! the existing links as unsequenced control frames) and, once every peer
-//! has reported, hands the **pointwise minimum** — identifiers executed at
-//! *every* replica — to [`Protocol::gc_executed`]. Each advancing GC round
-//! is journaled (as [`JournalRecord::Gc`], a protocol input like any
-//! other) and marks a snapshot wanted, which truncates the WAL below the
-//! new snapshot and prunes older snapshot files — so the protocol's
-//! per-command maps, the journal *and* the on-disk history all stay
-//! bounded while the cluster runs. See `ARCHITECTURE.md` for the safety
-//! argument (why collecting below the all-executed horizon can never
-//! strand a recovering replica).
+//! With [`ReplicaConfig::gc_every`] set, every tick the replica sends its
+//! [`executed watermarks`](Protocol::executed_watermarks) to all peers
+//! (piggybacked on the existing links as unsequenced control frames), and
+//! a GC round runs every `gc_every`-th tick **and right before every
+//! snapshot cut**: once every peer has reported, it hands the **pointwise
+//! minimum** — identifiers executed at *every* replica — to
+//! [`Protocol::gc_executed`]. Each advancing GC round is journaled (as
+//! [`JournalRecord::Gc`], a protocol input like any other) and marks a
+//! snapshot wanted, which truncates the WAL below the new snapshot and
+//! prunes older snapshot files — so the protocol's per-command maps, the
+//! journal *and* the on-disk history all stay bounded while the cluster
+//! runs. The round before a cut folds reports about a tick old, so what
+//! the cut encodes on the event loop is the in-flight window, not the
+//! history since the last cadence round; the execution record the cut
+//! shares, not copies (see [`crate::journal`]). See `ARCHITECTURE.md` for
+//! the safety argument (why collecting below the all-executed horizon can
+//! never strand a recovering replica).
 //!
 //! ## Failure detection
 //!
@@ -104,7 +108,7 @@
 
 use crate::detector::{DetectorEvent, FailureDetector};
 use crate::executor::{ExecCtx, ExecutorPool};
-use crate::journal::{corrupt, Host, Journal, JournalRecord, ReplicaSnapshot};
+use crate::journal::{corrupt, ExecutionRecord, Host, Journal, JournalRecord, SnapshotCut};
 use crate::metrics::ReplicaMetrics;
 use crate::netem::NetProfile;
 use crate::transport::{clock_us, PeerLink, DEFAULT_RESEND_BUFFER_CAP};
@@ -224,10 +228,13 @@ pub struct ReplicaConfig {
     /// `trust_after`, and heartbeats only arrive once per tick.
     pub trust_after: Duration,
     /// Run an executed-entry garbage-collection round every this many
-    /// ticks: broadcast this replica's executed watermarks to the peers
-    /// and, once every peer has reported, hand the pointwise minimum to
-    /// [`Protocol::gc_executed`] (journaled, and a snapshot follows that
-    /// trims the WAL and prunes older snapshots). 0 disables GC — the
+    /// ticks: once every peer has reported its executed watermarks, hand
+    /// the pointwise minimum to [`Protocol::gc_executed`] (journaled, and a
+    /// snapshot follows that trims the WAL and prunes older snapshots).
+    /// While GC is on, the watermarks go out every tick whatever this
+    /// value, and a round also runs right before every snapshot cut, so a
+    /// cut encodes the in-flight window rather than the executed history.
+    /// 0 disables GC — the
     /// protocol's per-command maps then grow with the full history, the
     /// pre-compaction behaviour. GC only ever collects entries executed at
     /// **every** replica, so while any current member is down (or has
@@ -718,7 +725,9 @@ struct Core<P: Protocol> {
     /// protocol-order artifacts (`log`, journal, `pending`/`commit_times`)
     /// stay on this thread.
     exec: ExecutorPool,
-    log: Vec<(Dot, Rifl)>,
+    /// The execution record: shared chunks, so a snapshot cut takes it
+    /// without copying the history.
+    log: ExecutionRecord,
     sessions: HashMap<ClientId, UnboundedSender<ClientReply>>,
     journal: Option<Journal>,
     /// What the current turn produced and still holds ([`crate::turn`]).
@@ -857,7 +866,7 @@ where
             protocol: P::new(cfg.id, config, topology.clone()),
             links,
             exec,
-            log: Vec::new(),
+            log: ExecutionRecord::default(),
             sessions: HashMap::new(),
             journal: None,
             outbox: Outbox::new(),
@@ -905,7 +914,7 @@ where
                     corrupt(format!("replica {}: snapshot failed to restore", cfg.id))
                 })?;
             core.exec.install_flat(snapshot.store);
-            core.log = snapshot.log;
+            core.log = snapshot.log.into();
             // The snapshot's view may name members the boot address book
             // does not (a restart after an expand): install it before
             // replay so links exist and Epoch records replay idempotently.
@@ -1166,8 +1175,11 @@ where
         for client in self.exec.take_dead_clients() {
             self.sessions.remove(&client);
         }
-        if self.gc_every > 0 && self.ticks.is_multiple_of(self.gc_every) {
-            self.gc_round()?;
+        if self.gc_every > 0 {
+            self.send_watermarks();
+            if self.ticks.is_multiple_of(self.gc_every) {
+                self.gc_round()?;
+            }
         }
         self.outbox.ack_all();
         // Heartbeat every link (self-suppressed while a link is
@@ -1235,19 +1247,25 @@ where
         }
     }
 
-    /// One garbage-collection round: broadcast this replica's executed
-    /// watermarks, then — once every peer has reported — compute the
-    /// pointwise minimum (the all-executed horizon) and, if it advanced,
-    /// journal it and hand it to [`Protocol::gc_executed`]. A round that
-    /// dropped entries marks a snapshot wanted; the one cut at the end of
-    /// this event (or when the busy writer reports) truncates the WAL below
-    /// the now smaller snapshot and prunes older snapshot files — the
-    /// on-disk half of compaction.
-    fn gc_round(&mut self) -> io::Result<()> {
+    /// Reports this replica's executed watermarks to every peer — each tick
+    /// while GC is on, so a round (on the cadence, or before a cut) folds
+    /// reports at most about a tick old.
+    fn send_watermarks(&self) {
         let mine = self.protocol.executed_watermarks();
         for link in self.links.values() {
             link.send_watermarks(mine.clone());
         }
+    }
+
+    /// One garbage-collection round: once every peer has reported, compute
+    /// the pointwise minimum of its own and the peers' executed watermarks
+    /// (the all-executed horizon) and, if it advanced, journal it and hand
+    /// it to [`Protocol::gc_executed`]. A round that dropped entries marks
+    /// a snapshot wanted; the one cut at the end of this turn (or when the
+    /// busy writer reports) truncates the WAL below the now smaller
+    /// snapshot and prunes older snapshot files — the on-disk half of
+    /// compaction.
+    fn gc_round(&mut self) -> io::Result<()> {
         if self
             .links
             .keys()
@@ -1261,7 +1279,8 @@ where
             // replica is swapped out.
             return Ok(());
         }
-        let mut horizon: HashMap<ProcessId, u64> = mine.into_iter().collect();
+        let mut horizon: HashMap<ProcessId, u64> =
+            self.protocol.executed_watermarks().into_iter().collect();
         for report in self.peer_watermarks.values() {
             let report: HashMap<ProcessId, u64> = report.iter().copied().collect();
             horizon.retain(|space, h| match report.get(space) {
@@ -1324,6 +1343,25 @@ where
                     self.encode(prev, false);
                 }
             }
+            /// Pushes `items` in payloads of `per` items (the last one
+            /// shorter; none when `items` is empty).
+            fn push_batched<T>(
+                &mut self,
+                items: impl Iterator<Item = T>,
+                per: usize,
+                payload: impl Fn(Vec<T>) -> CatchUpPayload,
+            ) {
+                let mut batch = Vec::with_capacity(per);
+                for item in items {
+                    batch.push(item);
+                    if batch.len() == per {
+                        self.push(payload(std::mem::take(&mut batch)));
+                    }
+                }
+                if !batch.is_empty() {
+                    self.push(payload(batch));
+                }
+            }
             fn finish(mut self) -> Vec<Vec<u8>> {
                 if let Some(prev) = self.held.take() {
                     self.encode(prev, true);
@@ -1360,22 +1398,11 @@ where
         });
         // Fixed-size records: chunk by count against the byte budget,
         // batching straight off the iterators (no full intermediate
-        // copy of the store).
+        // copy of the store or the execution record).
         let per_store = (budget / 24).max(1);
-        let mut batch: Vec<(Key, Value)> = Vec::with_capacity(per_store);
-        for record in store.records() {
-            batch.push(record);
-            if batch.len() == per_store {
-                stream.push(CatchUpPayload::Store(std::mem::take(&mut batch)));
-            }
-        }
-        if !batch.is_empty() {
-            stream.push(CatchUpPayload::Store(batch));
-        }
+        stream.push_batched(store.records(), per_store, CatchUpPayload::Store);
         let per_log = (budget / 40).max(1);
-        for slice in self.log.chunks(per_log) {
-            stream.push(CatchUpPayload::Log(slice.to_vec()));
-        }
+        stream.push_batched(self.log.iter().copied(), per_log, CatchUpPayload::Log);
         // Messages vary in size: pack by actual encoded bytes.
         let mut group: Vec<Vec<u8>> = Vec::new();
         let mut group_bytes = 0usize;
@@ -1422,7 +1449,7 @@ where
     fn query(&mut self, session: UnboundedSender<ClientReply>) -> io::Result<()> {
         self.release()?;
         let _ = session.send(ClientReply::ExecutionLog {
-            entries: self.log.clone(),
+            entries: self.log.to_vec(),
             digest: self.exec.digest(),
         });
         Ok(())
@@ -1486,41 +1513,50 @@ where
         }
     }
 
-    /// Cuts a snapshot when one is due and the writer is free. Called
-    /// between turns only: records are staged before they are applied, and
-    /// a cut in between would claim to cover inputs the protocol has not
-    /// seen.
+    /// Cuts a snapshot when one is due and the writer is free, running a
+    /// GC round first while GC is on: the cut then encodes the in-flight
+    /// window, not every entry executed since the last cadence round.
+    /// Called between turns only: records are staged before they are
+    /// applied, and a cut in between would claim to cover inputs the
+    /// protocol has not seen.
     fn maybe_snapshot(&mut self) -> io::Result<()> {
-        match &self.journal {
-            Some(journal) if journal.snapshot_due() => self.snapshot_now(false),
-            _ => Ok(()),
+        if !self.journal.as_ref().is_some_and(Journal::snapshot_due) {
+            return Ok(());
         }
+        let started = Instant::now();
+        if self.gc_every > 0 {
+            self.gc_round()?;
+        }
+        self.snapshot_now(started, false)
     }
 
-    /// The cut: copies everything a snapshot captures and gives it to the
-    /// journal, which fsyncs the WAL, stamps the index and has its writer
-    /// thread persist it (`inline`: this thread does, before returning).
-    /// No-op without a journal.
-    fn snapshot_now(&mut self, inline: bool) -> io::Result<()> {
+    /// The cut: encodes the protocol state, copies the store, freezes and
+    /// shares the execution record (one `Arc` per chunk, no entry copied)
+    /// and gives it all to the journal, which fsyncs the WAL, stamps the
+    /// index and has its writer thread flatten and persist it (`inline`:
+    /// this thread does, before returning). Releasing the turn first also
+    /// writes the `Gc` record of a round run just before, so the cut covers
+    /// it. `started` is when the loop began on the cut, for
+    /// `snapshot_cut_us`. No-op without a journal.
+    fn snapshot_now(&mut self, started: Instant, inline: bool) -> io::Result<()> {
         if self.journal.is_none() {
             return Ok(());
         }
         // The cut observes the store: everything collected executes first.
         self.release()?;
-        let t0 = Instant::now();
         let protocol = self.protocol.save_state();
         // Snapshots always store the *flat* (merged) KVS, never per-shard
         // parts: the on-disk format stays shard-count independent, so a
         // replica may restart with a different `--shards` and re-split.
-        let snapshot = ReplicaSnapshot {
+        let cut = SnapshotCut {
             protocol: protocol.expect("every protocol snapshots its state"),
             store: self.exec.flat_store(),
-            log: self.log.clone(),
+            log: self.log.freeze(),
             view: self.view.clone(),
             addrs: self.addrs_wire(),
         };
         let journal = self.journal.as_mut().expect("checked above");
-        journal.save_snapshot(snapshot, t0, inline)
+        journal.save_snapshot(cut, started, inline)
     }
 
     /// Remembers the highest configuration epoch seen in frames from `from`
@@ -2020,7 +2056,7 @@ impl PendingBase {
                 core.exec.restore_record(key, value);
             }
             core.exec.restore_executed_count(self.store_executed);
-            core.log = self.log;
+            core.log = self.log.into();
             *base_installed = true;
             return Ok(());
         }
@@ -2217,7 +2253,7 @@ where
         }
         // Persist the caught-up state in one stroke, before serving (hence
         // on this thread); until this completes a crash redoes the catch-up.
-        core.snapshot_now(true)?;
+        core.snapshot_now(Instant::now(), true)?;
     }
     Ok(())
 }

@@ -10,7 +10,8 @@
 //!   (batched journal writes and held effects) and nothing acknowledged is
 //!   lost;
 //! * a small snapshot cadence forces the snapshot + journal-suffix restore
-//!   path (not just full replay);
+//!   path (not just full replay), and a replica restarted after several
+//!   published cuts rebuilds its execution record entry for entry;
 //! * a restart smoke test runs for all four protocols.
 
 use atlas_core::{ClientId, Command, Config, Dot, Key, ProcessId, Protocol, Rifl};
@@ -275,42 +276,68 @@ fn replica_killed_mid_burst_of_batched_requests_recovers() {
 }
 
 /// A tiny snapshot cadence forces the restart to take the snapshot +
-/// journal-suffix path rather than a full replay.
+/// journal-suffix path rather than a full replay. The record the restart
+/// rebuilds is the one the replica held: after at least three published
+/// cuts — each freezing one more shared chunk of its execution record —
+/// replica 3 is killed, and restarted it answers the same record, entry
+/// for entry.
 #[test]
 fn restart_restores_snapshot_plus_journal_suffix() {
+    const CUTS: u64 = 3;
     let options = ClusterOptions {
         snapshot_every: 64,
         ..ClusterOptions::default()
     };
     kill_restart_scenario(options.clone(), false);
-    // The cadence is small enough that snapshots must actually have been
-    // taken during the run; spot-check the mechanism on a fresh cluster.
     let rt = tokio::runtime::Runtime::new().unwrap();
     rt.block_on(async {
-        let cluster = Cluster::spawn_with::<Atlas>(Config::new(REPLICAS, 1), options)
+        let mut cluster = Cluster::spawn_with::<Atlas>(Config::new(REPLICAS, 1), options)
             .await
             .expect("cluster boots");
-        run_writes(cluster.addr(1), 1, 0, 200)
-            .await
-            .expect("writes");
-        let deadline = Instant::now() + Duration::from_secs(30);
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let mut ops = 0;
         loop {
-            let snapshots = std::fs::read_dir(cluster.data_dir(1))
-                .map(|dir| {
-                    dir.filter_map(|e| e.ok())
-                        .filter(|e| e.file_name().to_string_lossy().starts_with("snap-"))
-                        .count()
-                })
-                .unwrap_or(0);
-            if snapshots > 0 {
+            run_writes(cluster.addr(1), 1, ops, 50)
+                .await
+                .expect("writes");
+            ops += 50;
+            converge(&cluster, ops as usize, Duration::from_secs(60)).await;
+            let mut probe = Client::connect(cluster.addr(3), 903).await.expect("probe");
+            let saved = probe
+                .stats()
+                .await
+                .expect("stats")
+                .durability
+                .snapshots_saved;
+            if saved >= CUTS {
                 break;
             }
             assert!(
                 Instant::now() < deadline,
-                "no snapshot appeared despite snapshot_every=64"
+                "{saved} snapshots published despite snapshot_every=64"
+            );
+        }
+        let mut probe = Client::connect(cluster.addr(3), 904).await.expect("probe");
+        let (before, digest) = probe.execution_log().await.expect("record");
+        drop(probe);
+        cluster.kill(3);
+        cluster.restart::<Atlas>(3).await.expect("restart");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let (after, restored_digest) = loop {
+            if let Ok(mut probe) = Client::connect(cluster.addr(3), 905).await {
+                if let Ok(log) = probe.execution_log().await {
+                    break log;
+                }
+            }
+            assert!(
+                Instant::now() < deadline,
+                "restarted replica never answered"
             );
             tokio::time::sleep(Duration::from_millis(50)).await;
-        }
+        };
+        assert_eq!(before.len(), ops as usize);
+        assert_eq!(after, before, "restored execution record differs");
+        assert_eq!(restored_digest, digest);
         cluster.shutdown();
     });
 }

@@ -2,8 +2,10 @@
 //! TCP: a 5k-command Atlas run with GC enabled must keep the protocol's
 //! per-command bookkeeping (`info` map) bounded — orders of magnitude
 //! below the command count — while converging to exactly the same store
-//! digest as a GC-disabled run of the same workload. Also the CI memory
-//! sanity check: without GC the map holds every command ever committed.
+//! digest as a GC-disabled run of the same workload — both with a GC round
+//! every 4 ticks and with the cadence never firing, where only the round
+//! that runs before each snapshot cut compacts. Also the CI memory sanity
+//! check: without GC the map holds every command ever committed.
 
 use atlas_core::{ClientId, Config, Key, ProcessId};
 use atlas_protocol::Atlas;
@@ -13,6 +15,9 @@ use std::time::{Duration, Instant};
 const REPLICAS: usize = 3;
 const OPS_PER_CLIENT: u64 = 2_500; // × 2 clients = 5k commands
 const TOTAL: u64 = 2 * OPS_PER_CLIENT;
+/// A GC cadence no run reaches (10 ms ticks): GC is on, but only the
+/// rounds before snapshot cuts run.
+const NEVER: u64 = 1_000_000;
 
 /// Deterministic workload: each client cycles through its own key range,
 /// so the final value of every key is fixed by the workload alone and two
@@ -29,8 +34,10 @@ async fn run_writes(addr: std::net::SocketAddr, client_id: ClientId) -> std::io:
 
 /// Runs the workload on a fresh cluster, waits for convergence, and
 /// returns `(digest, final tracked-entry count per replica)`. With
-/// `gc_every > 0` the tracked count is polled until the collector has
-/// caught up with the workload tail.
+/// `gc_every > 0` the tracked count is polled until it is below a quarter
+/// of the commands: the cadence drains the workload tail, and with
+/// [`NEVER`] the cuts every 1 024 records have already compacted all but
+/// the commands since the last one.
 fn run(gc_every: u64) -> (u64, Vec<u64>) {
     let options = ClusterOptions {
         tick_interval: Duration::from_millis(10),
@@ -103,12 +110,17 @@ fn run(gc_every: u64) -> (u64, Vec<u64>) {
 #[test]
 fn gc_keeps_info_map_bounded_and_digest_identical() {
     let (gc_digest, gc_tracked) = run(4);
+    let (cut_digest, cut_tracked) = run(NEVER);
     let (plain_digest, plain_tracked) = run(0);
 
     // Same workload, same final state — GC is observationally invisible.
     assert_eq!(
         gc_digest, plain_digest,
         "GC-enabled run diverged from the GC-disabled run"
+    );
+    assert_eq!(
+        cut_digest, plain_digest,
+        "GC-at-the-cut run diverged from the GC-disabled run"
     );
 
     // Without GC the info map holds (at least) every command; with GC it
@@ -124,6 +136,15 @@ fn gc_keeps_info_map_bounded_and_digest_identical() {
         assert!(
             t < TOTAL / 4,
             "replica {}: info map not bounded under GC: {t} entries for {TOTAL} commands",
+            id + 1
+        );
+    }
+    // The cadence never fired, so every collected entry went in a round
+    // before a snapshot cut.
+    for (id, &t) in cut_tracked.iter().enumerate() {
+        assert!(
+            t < TOTAL / 4,
+            "replica {}: info map not bounded by GC at the cut: {t} entries for {TOTAL} commands",
             id + 1
         );
     }
