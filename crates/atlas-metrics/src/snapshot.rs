@@ -221,8 +221,8 @@ pub struct ExecutorShardStats {
 /// The sharded executor pool's section of the snapshot.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExecutorStats {
-    /// Configured shard count (1 = inline execution on the protocol
-    /// thread; the `shards` list is empty in that mode).
+    /// Configured shard count (1 = no executor thread: the protocol
+    /// thread applies each command, and the `shards` list is empty).
     pub shards_configured: u64,
     /// Commands that spanned more than one shard and took the
     /// deterministic cross-shard barrier.

@@ -47,8 +47,8 @@
 //! committed commands are routed by key hash onto `n` executor threads, so
 //! commands touching disjoint shards execute concurrently while per-key
 //! order, replies, digests and crash-replay stay byte-identical to the
-//! single-threaded run. `--shards 1` keeps execution inline on the event
-//! loop (no executor threads at all).
+//! single-threaded run. `--shards 1` spawns no executor thread: the event
+//! loop applies each command itself.
 //!
 //! `--net-profile <spec>` injects WAN conditions on this replica's
 //! **outbound** peer links — per-directed-link delay/jitter/bandwidth,

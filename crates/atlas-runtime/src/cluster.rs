@@ -61,14 +61,16 @@ pub struct ClusterOptions {
     /// drill. Replicas absent from the map run unstalled.
     pub fsync_stall: HashMap<ProcessId, Duration>,
     /// Executor shard count on every replica
-    /// ([`ReplicaConfig::shards`]): values above 1 run the sharded
-    /// parallel executor pool; 1 keeps execution inline on the event loop.
+    /// ([`ReplicaConfig::shards`]): values above 1 run one executor thread
+    /// per shard; 1 applies on the event loop.
     pub shards: usize,
 }
 
 impl Default for ClusterOptions {
     fn default() -> Self {
-        // Mirrors the `ReplicaConfig::new` defaults.
+        // Mirrors the `ReplicaConfig::new` defaults except `flush_policy`:
+        // `OsBuffered` here, `EveryN(64)` there, because in-process tests
+        // crash processes, never the host, so fsyncs would only slow them.
         Self {
             tick_interval: Duration::from_millis(25),
             flush_policy: FlushPolicy::OsBuffered,

@@ -14,9 +14,8 @@
 //!   shard (at the same position of each shard's FIFO, because one dispatcher
 //!   enqueues it everywhere before dispatching anything else); each involved
 //!   executor parks at it, and the **last** executor to arrive runs the whole
-//!   command — locking the involved shard stores in ascending shard order —
-//!   then releases the others. That barrier is what keeps cross-shard
-//!   commands atomic and deterministic.
+//!   command, then releases the others. That barrier is what keeps
+//!   cross-shard commands atomic and deterministic.
 //!
 //! ## Why replay stays exact
 //!
@@ -39,13 +38,15 @@
 //! command completed. Executors never wait on the protocol thread, so the
 //! drain cannot deadlock.
 //!
-//! With `shards <= 1` the pool runs **inline**: no threads, no queues, the
-//! protocol thread applies commands directly (the pre-pool behaviour, and
-//! the guarantee that `--shards 1` regresses nothing).
+//! One shard is the same pool with one partition: the store still lives in
+//! the shared slice and every command is applied and completed by the same
+//! functions, but no executor thread is spawned and [`ExecutorPool::dispatch`]
+//! applies on the calling thread — a queue hand-off would buy no overlap.
+//! Those two places are the only ones that know whether threads exist.
 
 use crate::metrics::ReplicaMetrics;
 use crate::wire::ClientReply;
-use atlas_core::{shard_of, ClientId, Command, Key, Rifl, Value};
+use atlas_core::{shard_of, ClientId, Command, Key, Rifl};
 use kvstore::{KVStore, Output};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -92,8 +93,6 @@ struct MultiJob {
     work: Mutex<Option<(Command, ExecCtx)>>,
     /// Involved shards still on their way to this job.
     remaining: AtomicUsize,
-    /// Ascending shard indices this command touches.
-    involved: Vec<usize>,
     done: Mutex<bool>,
     cv: Condvar,
 }
@@ -109,7 +108,7 @@ enum Job {
 struct Shared {
     /// One store slice per shard; an executor locks only its own slice,
     /// except inside a multi-shard barrier, where the running executor
-    /// locks every involved slice (the others are parked, so the locks are
+    /// locks each involved slice (the others are parked, so the locks are
     /// uncontended — the Mutex exists for the type system and the barrier,
     /// not for contention).
     stores: Vec<Mutex<KVStore>>,
@@ -128,8 +127,8 @@ struct Shared {
     start: Instant,
     /// Artificial per-command apply latency (zero in production): the
     /// scaling bench's stand-in for a heavier, latency-bound state machine
-    /// (disk-backed apply, document store). Slept while holding the shard
-    /// store lock, so disjoint shards overlap their stalls and a serial
+    /// (disk-backed apply, document store). Slept by whoever applies the
+    /// command, so disjoint shards overlap their stalls and a serial
     /// executor pays them back to back.
     stall: Duration,
 }
@@ -139,14 +138,40 @@ impl Shared {
         self.start.elapsed().as_micros() as u64
     }
 
-    /// Applies the configured artificial apply latency, if any.
-    fn apply_stall(&self) {
+    /// Applies `cmd`'s operations, each to the store of the shard owning
+    /// its key, after the configured stall: the one place the pool applies
+    /// operations — an executor thread's single- and multi-shard jobs, a
+    /// barrier, and a one-shard pool's dispatch all come here. The caller
+    /// guarantees that no other thread applies to the owning shards
+    /// meanwhile (the shard's own executor, or a parked barrier).
+    fn apply(&self, cmd: &Command) -> Vec<(Key, Output)> {
         if !self.stall.is_zero() {
             std::thread::sleep(self.stall);
         }
+        let shards = self.stores.len();
+        cmd.ops()
+            .map(|(&key, op)| {
+                let mut store = self.stores[shard_of(key, shards)]
+                    .lock()
+                    .expect("shard store poisoned");
+                (key, store.apply_op(key, op))
+            })
+            .collect()
     }
 
-    /// The completion path, identical for inline and threaded execution:
+    /// An executor thread's run of one command: applied, timed into its
+    /// shard's apply-latency histogram, then completed.
+    fn execute_on(&self, shard: usize, (cmd, ctx): (Command, ExecCtx)) {
+        let t0 = Instant::now();
+        let outputs = self.apply(&cmd);
+        if let Some(cell) = self.metrics.executor_shards.get(shard) {
+            cell.execute_us
+                .record((t0.elapsed().as_micros() as u64).max(1));
+        }
+        self.complete(&cmd, ctx, outputs);
+    }
+
+    /// The completion path of every command, whichever thread applied it:
     /// count the execution, record the lifecycle samples this replica owns
     /// (commit ≤ execute ≤ reply by construction — all three stamps are
     /// taken here, in order, on one thread), and hand the reply to the
@@ -207,41 +232,32 @@ fn stage_us(t0: u64, t1: u64) -> u64 {
     t1.saturating_sub(t0).max(1)
 }
 
-enum Mode {
-    /// `shards <= 1`: the protocol thread executes directly against one
-    /// store — no queues, no handoff, no extra latency.
-    Inline(KVStore),
-    Threaded {
-        senders: Vec<Sender<Job>>,
-        /// Per-shard dispatched counts. Written only by the dispatching
-        /// (protocol) thread; `drain` compares them against
-        /// `Shared::completed`.
-        dispatched: Vec<u64>,
-    },
-}
-
 /// The execute stage: see the module docs for the dispatch rule, the
 /// cross-shard barrier and the replay-exactness argument.
 pub struct ExecutorPool {
-    shards: usize,
     shared: Arc<Shared>,
-    mode: Mode,
+    /// One queue per executor thread; empty for a one-shard pool.
+    senders: Vec<Sender<Job>>,
+    /// Per-shard dispatched counts, one per executor thread. Written only
+    /// by the dispatching (protocol) thread; `drain` compares them against
+    /// `Shared::completed`.
+    dispatched: Vec<u64>,
 }
 
 impl ExecutorPool {
-    /// Builds a pool with `shards` executor threads (inline execution for
-    /// `shards <= 1`) over an empty store. `metrics` should carry matching
-    /// per-shard cells (see `ReplicaMetrics::with_shards`); `start` is the
-    /// replica's clock base.
+    /// Builds a pool with `shards` partitions (at least one) over an empty
+    /// store: an executor thread per shard, none for one shard. `metrics`
+    /// should carry matching per-shard cells (see
+    /// `ReplicaMetrics::with_shards`); `start` is the replica's clock base.
     pub fn new(shards: usize, metrics: Arc<ReplicaMetrics>, start: Instant) -> Self {
         Self::new_with_stall(shards, metrics, start, Duration::ZERO)
     }
 
     /// Like [`ExecutorPool::new`] with an artificial per-command apply
-    /// latency, slept inside the shard store lock. Bench-only: it lets the
-    /// shard-scaling benchmark measure pipeline *overlap* (wall-clock =
-    /// slowest shard, not the sum) independently of how many physical cores
-    /// the runner has. Replicas always pass [`Duration::ZERO`].
+    /// latency. Bench-only: it lets the shard-scaling benchmark measure
+    /// pipeline *overlap* (wall-clock = slowest shard, not the sum)
+    /// independently of how many physical cores the runner has. Replicas
+    /// always pass [`Duration::ZERO`].
     pub fn new_with_stall(
         shards: usize,
         metrics: Arc<ReplicaMetrics>,
@@ -258,34 +274,28 @@ impl ExecutorPool {
             start,
             stall,
         });
-        let mode = if shards == 1 {
-            Mode::Inline(KVStore::new())
-        } else {
-            let mut senders = Vec::with_capacity(shards);
-            for shard in 0..shards {
+        let threads = if shards > 1 { shards } else { 0 };
+        let senders = (0..threads)
+            .map(|shard| {
                 let (tx, rx) = mpsc::channel::<Job>();
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("exec-shard-{shard}"))
                     .spawn(move || executor_loop(shard, rx, shared))
                     .expect("spawn executor thread");
-                senders.push(tx);
-            }
-            Mode::Threaded {
-                senders,
-                dispatched: vec![0; shards],
-            }
-        };
+                tx
+            })
+            .collect();
         Self {
-            shards,
             shared,
-            mode,
+            senders,
+            dispatched: vec![0; threads],
         }
     }
 
     /// Configured shard count (≥ 1).
     pub fn shards(&self) -> usize {
-        self.shards
+        self.shared.stores.len()
     }
 
     /// Dispatches one protocol-ordered command to the execute stage. The
@@ -297,93 +307,68 @@ impl ExecutorPool {
             !cmd.is_noop() && !cmd.is_reconfig(),
             "barriers execute inline on the protocol thread"
         );
-        match &mut self.mode {
-            Mode::Inline(store) => {
-                self.shared.apply_stall();
-                let outputs = sorted_outputs(store.execute(&cmd));
-                self.shared.complete(&cmd, ctx, outputs);
+        if self.senders.is_empty() {
+            let outputs = self.shared.apply(&cmd);
+            self.shared.complete(&cmd, ctx, outputs);
+            return;
+        }
+        let involved = cmd.shard_ids(self.shards());
+        let mut note_dispatch = |shard: usize| {
+            self.dispatched[shard] += 1;
+            if let Some(cell) = self.shared.metrics.executor_shards.get(shard) {
+                cell.dispatched.inc();
+                cell.queue_depth.set(
+                    self.dispatched[shard]
+                        .saturating_sub(self.shared.completed[shard].load(Ordering::Acquire)),
+                );
             }
-            Mode::Threaded {
-                senders,
-                dispatched,
-            } => {
-                let involved = cmd.shard_ids(self.shards);
-                let note_dispatch =
-                    |shard: usize, dispatched: &mut Vec<u64>| {
-                        dispatched[shard] += 1;
-                        if let Some(cell) = self.shared.metrics.executor_shards.get(shard) {
-                            cell.dispatched.inc();
-                            cell.queue_depth.set(dispatched[shard].saturating_sub(
-                                self.shared.completed[shard].load(Ordering::Acquire),
-                            ));
-                        }
-                    };
-                match involved.as_slice() {
-                    [] => {
-                        // No keyed operations and not a barrier: nothing to
-                        // apply, but the command still counts as executed
-                        // and still gets its reply.
-                        self.shared.complete(&cmd, ctx, Vec::new());
-                    }
-                    [shard] => {
-                        let shard = *shard;
-                        note_dispatch(shard, dispatched);
-                        let job = Job::Single(Box::new((cmd, ctx)));
-                        senders[shard].send(job).expect("executor thread alive");
-                    }
-                    _ => {
-                        self.shared.metrics.multi_shard_commands.inc();
-                        let job = Arc::new(MultiJob {
-                            work: Mutex::new(Some((cmd, ctx))),
-                            remaining: AtomicUsize::new(involved.len()),
-                            involved: involved.clone(),
-                            done: Mutex::new(false),
-                            cv: Condvar::new(),
-                        });
-                        // Enqueue on every involved shard before dispatching
-                        // anything else: single dispatcher ⇒ the job sits at
-                        // a consistent position of every involved FIFO,
-                        // which is what makes the barrier deadlock-free.
-                        for &shard in &involved {
-                            note_dispatch(shard, dispatched);
-                            senders[shard]
-                                .send(Job::Multi(Arc::clone(&job)))
-                                .expect("executor thread alive");
-                        }
-                    }
+        };
+        match involved.as_slice() {
+            [] => {
+                // No keyed operations and not a barrier: nothing to apply,
+                // but the command still counts as executed and still gets
+                // its reply.
+                self.shared.complete(&cmd, ctx, Vec::new());
+            }
+            [shard] => {
+                note_dispatch(*shard);
+                let job = Job::Single(Box::new((cmd, ctx)));
+                self.senders[*shard]
+                    .send(job)
+                    .expect("executor thread alive");
+            }
+            _ => {
+                self.shared.metrics.multi_shard_commands.inc();
+                let job = Arc::new(MultiJob {
+                    work: Mutex::new(Some((cmd, ctx))),
+                    remaining: AtomicUsize::new(involved.len()),
+                    done: Mutex::new(false),
+                    cv: Condvar::new(),
+                });
+                // Enqueue on every involved shard before dispatching
+                // anything else: single dispatcher ⇒ the job sits at a
+                // consistent position of every involved FIFO, which is what
+                // makes the barrier deadlock-free.
+                for &shard in &involved {
+                    note_dispatch(shard);
+                    self.senders[shard]
+                        .send(Job::Multi(Arc::clone(&job)))
+                        .expect("executor thread alive");
                 }
             }
         }
     }
 
-    /// Executes a total-order barrier (`noOp` or `Reconfigure`) inline on
-    /// the calling (protocol) thread, after draining the pool — barriers
+    /// Executes a total-order barrier (`noOp` or `Reconfigure`) on the
+    /// calling (protocol) thread, after draining the pool — barriers
     /// conflict with every command, so everything ordered before them must
     /// have executed, and nothing ordered after them has been dispatched
-    /// yet. Completion (counting, lifecycle samples, the reply) runs
-    /// through the same path as dispatched commands.
+    /// yet. Applying (barriers carry no keyed operations today) and
+    /// completion run through the same path as dispatched commands.
     pub fn execute_barrier(&mut self, cmd: &Command, ctx: ExecCtx) {
         self.drain();
-        match &mut self.mode {
-            Mode::Inline(store) => {
-                let outputs = sorted_outputs(store.execute(cmd));
-                self.shared.complete(cmd, ctx, outputs);
-            }
-            Mode::Threaded { .. } => {
-                // Barriers carry no keyed operations today, but apply any
-                // defensively so the identity with `KVStore::execute` holds.
-                let mut outputs = Vec::with_capacity(cmd.key_count());
-                if !cmd.is_noop() {
-                    for (&key, op) in cmd.ops() {
-                        let mut store = self.shared.stores[shard_of(key, self.shards)]
-                            .lock()
-                            .expect("shard store poisoned");
-                        outputs.push((key, store.apply_op(key, op)));
-                    }
-                }
-                self.shared.complete(cmd, ctx, outputs);
-            }
-        }
+        let outputs = self.shared.apply(cmd);
+        self.shared.complete(cmd, ctx, outputs);
     }
 
     /// Waits until every dispatched command has completed. Called by every
@@ -391,10 +376,7 @@ impl ExecutorPool {
     /// before barriers. Executors never block on the caller, so this always
     /// terminates.
     pub fn drain(&self) {
-        let Mode::Threaded { dispatched, .. } = &self.mode else {
-            return;
-        };
-        for (shard, &target) in dispatched.iter().enumerate() {
+        for (shard, &target) in self.dispatched.iter().enumerate() {
             let mut spins = 0u32;
             while self.shared.completed[shard].load(Ordering::Acquire) < target {
                 spins += 1;
@@ -412,21 +394,12 @@ impl ExecutorPool {
     /// Commands executed so far (any coordinator) — the pool-level
     /// `store_executed`. Exact after a [`ExecutorPool::drain`].
     pub fn executed(&self) -> u64 {
-        match &self.mode {
-            Mode::Inline(store) => store.executed(),
-            Mode::Threaded { .. } => self.shared.executed.load(Ordering::Acquire),
-        }
+        self.shared.executed.load(Ordering::Acquire)
     }
 
     /// Digest of the merged (flat) store — shard-count independent. Drains.
     pub fn digest(&self) -> u64 {
-        match &self.mode {
-            Mode::Inline(store) => store.digest(),
-            Mode::Threaded { .. } => {
-                self.drain();
-                self.flat_store().digest()
-            }
-        }
+        self.flat_store().digest()
     }
 
     /// The merged flat view of the store, executed counter included — what
@@ -434,80 +407,40 @@ impl ExecutorPool {
     /// whatever the shard count so a replica can restart with a different
     /// `--shards`. Drains.
     pub fn flat_store(&self) -> KVStore {
-        match &self.mode {
-            Mode::Inline(store) => store.clone(),
-            Mode::Threaded { .. } => {
-                self.drain();
-                let mut flat = KVStore::new();
-                for store in &self.shared.stores {
-                    flat.absorb(&store.lock().expect("shard store poisoned"));
-                }
-                flat.restore_executed_count(self.shared.executed.load(Ordering::Acquire));
-                flat
-            }
+        self.drain();
+        let mut stores = self
+            .shared
+            .stores
+            .iter()
+            .map(|store| store.lock().expect("shard store poisoned"));
+        let mut flat = stores.next().expect("a pool has a shard").clone();
+        for store in stores {
+            flat.absorb(&store);
         }
+        flat.restore_executed_count(self.executed());
+        flat
     }
 
     /// Whether the store holds no records. Drains.
     pub fn is_empty(&self) -> bool {
-        match &self.mode {
-            Mode::Inline(store) => store.is_empty(),
-            Mode::Threaded { .. } => {
-                self.drain();
-                self.shared
-                    .stores
-                    .iter()
-                    .all(|s| s.lock().expect("shard store poisoned").is_empty())
-            }
-        }
+        self.drain();
+        self.shared
+            .stores
+            .iter()
+            .all(|s| s.lock().expect("shard store poisoned").is_empty())
     }
 
-    /// Replaces the pool's state with a flat store (snapshot restore).
-    /// Drains first; the flat view is split back into shards by key hash.
+    /// Replaces the pool's state with a flat store (snapshot restore,
+    /// catch-up base). Drains first; the flat view is split back into
+    /// shards by key hash.
     pub fn install_flat(&mut self, store: KVStore) {
         self.drain();
-        match &mut self.mode {
-            Mode::Inline(slot) => *slot = store,
-            Mode::Threaded { .. } => {
-                self.shared
-                    .executed
-                    .store(store.executed(), Ordering::Release);
-                for (slot, part) in self
-                    .shared
-                    .stores
-                    .iter()
-                    .zip(store.split_by_shard(self.shards))
-                {
-                    *slot.lock().expect("shard store poisoned") = part;
-                }
-            }
-        }
-    }
-
-    /// Installs one record transferred from a peer (catch-up base); routed
-    /// to the owning shard. Drains (the catch-up path interleaves peer
-    /// message application — which dispatches executes — with base
-    /// installation).
-    pub fn restore_record(&mut self, key: Key, value: Value) {
-        self.drain();
-        match &mut self.mode {
-            Mode::Inline(store) => store.restore_record(key, value),
-            Mode::Threaded { .. } => {
-                self.shared.stores[shard_of(key, self.shards)]
-                    .lock()
-                    .expect("shard store poisoned")
-                    .restore_record(key, value);
-            }
-        }
-    }
-
-    /// Sets the executed-command counter when installing a transferred base
-    /// (pairs with [`ExecutorPool::restore_record`]).
-    pub fn restore_executed_count(&mut self, executed: u64) {
-        self.drain();
-        match &mut self.mode {
-            Mode::Inline(store) => store.restore_executed_count(executed),
-            Mode::Threaded { .. } => self.shared.executed.store(executed, Ordering::Release),
+        self.shared
+            .executed
+            .store(store.executed(), Ordering::Release);
+        let parts = store.split_by_shard(self.shards());
+        for (slot, part) in self.shared.stores.iter().zip(parts) {
+            *slot.lock().expect("shard store poisoned") = part;
         }
     }
 
@@ -530,13 +463,6 @@ impl crate::turn::Execute<(Command, ExecCtx)> for ExecutorPool {
     }
 }
 
-/// Sorts a command's output map by key (the reply wire order).
-fn sorted_outputs(outputs: std::collections::HashMap<Key, Output>) -> Vec<(Key, Output)> {
-    let mut outputs: Vec<_> = outputs.into_iter().collect();
-    outputs.sort_by_key(|(key, _)| *key);
-    outputs
-}
-
 /// One shard's executor: applies its FIFO sub-sequence of the protocol
 /// order to its store slice; parks at multi-shard barriers unless it is the
 /// last arriver, which runs them. Exits when the dispatcher drops the
@@ -545,59 +471,19 @@ fn sorted_outputs(outputs: std::collections::HashMap<Key, Output>) -> Vec<(Key, 
 fn executor_loop(shard: usize, rx: Receiver<Job>, shared: Arc<Shared>) {
     while let Ok(job) = rx.recv() {
         match job {
-            Job::Single(job) => {
-                let (cmd, ctx) = *job;
-                let t0 = Instant::now();
-                let outputs = {
-                    let mut store = shared.stores[shard].lock().expect("shard store poisoned");
-                    shared.apply_stall();
-                    let mut outputs = Vec::with_capacity(cmd.key_count());
-                    for (&key, op) in cmd.ops() {
-                        outputs.push((key, store.apply_op(key, op)));
-                    }
-                    outputs
-                };
-                if let Some(cell) = shared.metrics.executor_shards.get(shard) {
-                    cell.execute_us
-                        .record((t0.elapsed().as_micros() as u64).max(1));
-                }
-                shared.complete(&cmd, ctx, outputs);
-            }
+            Job::Single(job) => shared.execute_on(shard, *job),
             Job::Multi(job) => {
                 if job.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
                     // Last arriver: every other involved executor is parked
-                    // at this job, so their store slices are untouched —
-                    // lock them in ascending shard order and run the whole
-                    // command.
-                    let (cmd, ctx) = job
+                    // at this job, so their store slices are untouched — run
+                    // the whole command.
+                    let work = job
                         .work
                         .lock()
                         .expect("multi-shard job poisoned")
                         .take()
                         .expect("multi-shard job executed twice");
-                    let t0 = Instant::now();
-                    let mut guards: Vec<_> = job
-                        .involved
-                        .iter()
-                        .map(|&s| (s, shared.stores[s].lock().expect("shard store poisoned")))
-                        .collect();
-                    shared.apply_stall();
-                    let mut outputs = Vec::with_capacity(cmd.key_count());
-                    for (&key, op) in cmd.ops() {
-                        let owner = shard_of(key, shared.stores.len());
-                        let store = &mut guards
-                            .iter_mut()
-                            .find(|(s, _)| *s == owner)
-                            .expect("key owner among involved shards")
-                            .1;
-                        outputs.push((key, store.apply_op(key, op)));
-                    }
-                    drop(guards);
-                    if let Some(cell) = shared.metrics.executor_shards.get(shard) {
-                        cell.execute_us
-                            .record((t0.elapsed().as_micros() as u64).max(1));
-                    }
-                    shared.complete(&cmd, ctx, outputs);
+                    shared.execute_on(shard, work);
                     let mut done = job.done.lock().expect("multi-shard job poisoned");
                     *done = true;
                     job.cv.notify_all();

@@ -128,8 +128,8 @@ pub struct ReplicaMetrics {
     /// Commands that spanned more than one shard and took the executor
     /// pool's deterministic cross-shard barrier.
     pub multi_shard_commands: Counter,
-    /// Per-shard executor telemetry; empty when the pool runs inline
-    /// (shards = 1).
+    /// Per-shard executor telemetry; empty for a one-shard pool, which has
+    /// no executor thread.
     pub executor_shards: Vec<ShardExecutorMetrics>,
 }
 
@@ -140,7 +140,7 @@ impl ReplicaMetrics {
     }
 
     /// Creates a zeroed registry with `shards` per-shard executor cells
-    /// (none for an inline pool — shard telemetry would be noise when
+    /// (none for one shard — shard telemetry would be noise when
     /// execution happens on the protocol thread).
     pub fn with_shards(shards: usize) -> Self {
         let mut metrics = Self::default();
@@ -153,7 +153,7 @@ impl ReplicaMetrics {
     }
 
     /// Exports the executor-pool section. `shards_configured` comes from
-    /// the caller because an inline pool has no shard cells to count.
+    /// the caller because a one-shard pool has no shard cells to count.
     pub fn executor_stats(&self, shards_configured: usize) -> ExecutorStats {
         ExecutorStats {
             shards_configured: shards_configured as u64,

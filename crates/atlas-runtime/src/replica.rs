@@ -119,11 +119,12 @@ use crate::wire::{
     PeerBodyView, Probe, MAX_FRAME_BYTES,
 };
 use atlas_core::{
-    Action, ClientId, ClusterView, Command, Config, Dot, IdMap, Key, ProcessId, Protocol,
-    ReconfigOp, Rifl, Topology, Value,
+    Action, ClientId, ClusterView, Command, Config, Dot, IdMap, ProcessId, Protocol, ReconfigOp,
+    Rifl, Topology,
 };
 use atlas_log::FlushPolicy;
 use atlas_metrics::{LinkSnapshot, MetricsSnapshot};
+use kvstore::KVStore;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -270,10 +271,11 @@ pub struct ReplicaConfig {
     /// and execute protocol-ordered commands on one executor thread per
     /// shard ([`crate::executor`]). Commands touching disjoint shards
     /// execute concurrently; multi-shard commands take a deterministic
-    /// cross-shard barrier. `1` (the default) executes inline on the event
-    /// loop — the pre-pool behaviour, with zero handoff overhead. Execution
-    /// output is shard-count independent, so replicas of one cluster (and
-    /// successive incarnations of one replica) may use different values.
+    /// cross-shard barrier. `1` (the default) is the same pool with one
+    /// shard and no executor thread: the event loop applies each command
+    /// itself, with no hand-off. Execution output is shard-count
+    /// independent, so replicas of one cluster (and successive incarnations
+    /// of one replica) may use different values.
     pub shards: usize,
 }
 
@@ -1380,9 +1382,8 @@ where
         }
 
         self.heard(from);
-        // Serve a quiesced store: everything protocol-ordered so far must
-        // be applied before its records are streamed out.
-        self.exec.drain();
+        // A quiesced store (`flat_store` drains): everything
+        // protocol-ordered so far is applied before its records stream out.
         let store = self.exec.flat_store();
         let budget = self.catch_up_chunk_bytes;
         let mut stream = ChunkStream {
@@ -2026,8 +2027,7 @@ where
 /// fine, because message application is idempotent on top of the base.
 struct PendingBase {
     marker: Vec<u8>,
-    store_executed: u64,
-    records: Vec<(Key, Value)>,
+    store: KVStore,
     log: Vec<(Dot, Rifl)>,
 }
 
@@ -2052,10 +2052,7 @@ impl PendingBase {
             return Ok(());
         }
         if core.protocol.restore_executed(&self.marker) {
-            for (key, value) in self.records {
-                core.exec.restore_record(key, value);
-            }
-            core.exec.restore_executed_count(self.store_executed);
+            core.exec.install_flat(self.store);
             core.log = self.log.into();
             *base_installed = true;
             return Ok(());
@@ -2139,6 +2136,16 @@ where
                 ),
             ));
         }
+        // `Start` opens the stream and only opens it: base sections or
+        // messages without it would be applied with no base (a silent
+        // truncation once peers garbage-collect), and a second one would
+        // restart the base mid-stream.
+        if matches!(chunk.payload, CatchUpPayload::Start { .. }) != (expected_seq == 0) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("catch-up stream must open with exactly one Start (chunk {expected_seq})"),
+            ));
+        }
         expected_seq += 1;
         match chunk.payload {
             CatchUpPayload::Start {
@@ -2157,17 +2164,20 @@ where
                     core.protocol.advance_identifiers(horizon);
                 }
                 if !*base_installed {
+                    let mut store = KVStore::new();
+                    store.restore_executed_count(store_executed);
                     pending = Some(PendingBase {
                         marker: executed,
-                        store_executed,
-                        records: Vec::new(),
+                        store,
                         log: Vec::new(),
                     });
                 }
             }
             CatchUpPayload::Store(records) => {
                 if let Some(base) = &mut pending {
-                    base.records.extend(records);
+                    for (key, value) in records {
+                        base.store.restore_record(key, value);
+                    }
                 }
             }
             CatchUpPayload::Log(entries) => {

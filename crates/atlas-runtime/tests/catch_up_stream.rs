@@ -10,9 +10,9 @@
 //!   within budget, exactly one `last`; a client that hangs up mid-stream
 //!   leaves the serving replica fully functional;
 //! * a rejoiner whose first catch-up stream dies mid-base (a fake peer
-//!   drops the connection before the base completes) retries cleanly and
-//!   converges — the executed-state base installs atomically or not at
-//!   all.
+//!   drops the connection before the base completes) or opens without
+//!   `Start` retries cleanly and converges — the executed-state base
+//!   installs atomically or not at all, and never goes missing.
 
 use atlas_core::{
     Action, ClientId, ClusterView, Command, Config, Dot, Key, ProcessId, Protocol, Rifl, Topology,
@@ -276,16 +276,33 @@ fn chunk_frame(seq: u32, last: bool, payload: CatchUpPayload) -> Vec<u8> {
     bincode::serialize(&CatchUpChunk { seq, last, payload }).unwrap()
 }
 
-/// A rejoiner whose **first** catch-up stream dies mid-base must retry
-/// cleanly: a fake peer serves `Start` + half the store records and drops
-/// the connection; the next stream (here: the other peer, served by the
+/// How the fake peer's first catch-up stream goes wrong.
+#[derive(Clone, Copy, Debug)]
+enum FirstStream {
+    /// `Start` + half the store records, then the connection drops.
+    DiesMidBase,
+    /// The whole base and message tail, but chunk 0 is `Store`, not
+    /// `Start`: applied, the messages would replay with no base under them.
+    OpensWithoutStart,
+}
+
+/// A rejoiner whose **first** catch-up stream is cut short or malformed
+/// must retry cleanly: the next stream (here: the other peer, served by the
 /// same fake listener — and a later full retry of the first) serves
-/// everything. The rejoiner must end up with exactly the server's state —
-/// nothing double-applied, nothing lost — proving the base installs
-/// atomically or not at all, and that repeated full streams are absorbed
-/// idempotently.
+/// everything. Every stream serves a committed log without its oldest
+/// commands, as a peer that garbage-collected would, so only the base can
+/// rebuild the state. The rejoiner must end up with exactly the server's
+/// state — nothing double-applied, nothing lost — proving the base installs
+/// atomically or not at all, that a stream without `Start` is refused, and
+/// that repeated full streams are absorbed idempotently.
 #[test]
 fn mid_stream_disconnect_leaves_rejoiner_able_to_retry() {
+    for first in [FirstStream::DiesMidBase, FirstStream::OpensWithoutStart] {
+        rejoin_after(first);
+    }
+}
+
+fn rejoin_after(first: FirstStream) {
     let rt = tokio::runtime::Runtime::new().unwrap();
     rt.block_on(async {
         let (server, executed) = build_server_history(40);
@@ -301,19 +318,35 @@ fn mid_stream_disconnect_leaves_rejoiner_able_to_retry() {
         let expected_digest = store.digest();
         let expected_entries = log.len();
 
-        // Fake "replica 1": first catch-up connection dies mid-base, the
-        // second serves the full stream. Peer hellos are drained silently.
+        // Fake "replica 1": the first catch-up connection goes wrong as
+        // `first` says, later ones serve the full stream. Peer hellos are
+        // drained silently.
         let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.unwrap();
         let fake_addr = listener.local_addr().unwrap();
-        let store_executed = store.executed();
         let half = records.len() / 2;
-        let (first_half, second_half) = (records[..half].to_vec(), records[half..].to_vec());
+        // The served log lacks the three oldest commands (keys 1–3's first
+        // writes), as if garbage-collected: messages alone rebuild keys 0
+        // and 4 but leave keys 1–3 blocked, so only the base completes them.
+        let collected: HashSet<Dot> = executed[..3].iter().map(|(dot, _)| *dot).collect();
         let msgs: Vec<Vec<u8>> = server
             .committed_log()
             .iter()
+            .filter(|m| !collected.contains(&m.dot()))
             .map(|m| bincode::serialize(m).unwrap())
             .collect();
-        let served_log = log.clone();
+        let full = [
+            CatchUpPayload::Start {
+                horizon,
+                executed: marker,
+                store_executed: store.executed(),
+                view: ClusterView::initial(Config::new(3, 1)),
+                addrs: Vec::new(),
+            },
+            CatchUpPayload::Store(records[..half].to_vec()),
+            CatchUpPayload::Store(records[half..].to_vec()),
+            CatchUpPayload::Log(log.clone()),
+            CatchUpPayload::Msgs(msgs),
+        ];
         tokio::spawn(async move {
             let mut catch_ups = 0u32;
             loop {
@@ -324,36 +357,15 @@ fn mid_stream_disconnect_leaves_rejoiner_able_to_retry() {
                 match read_frame::<_, Hello>(&mut reader).await {
                     Ok(Hello::CatchUp { .. }) => {
                         catch_ups += 1;
-                        let start = chunk_frame(
-                            0,
-                            false,
-                            CatchUpPayload::Start {
-                                horizon,
-                                executed: marker.clone(),
-                                store_executed,
-                                view: ClusterView::initial(Config::new(3, 1)),
-                                addrs: Vec::new(),
-                            },
-                        );
-                        if write_raw_frame(&mut writer, &start).await.is_err() {
-                            continue;
-                        }
-                        let partial =
-                            chunk_frame(1, false, CatchUpPayload::Store(first_half.clone()));
-                        if write_raw_frame(&mut writer, &partial).await.is_err() {
-                            continue;
-                        }
-                        if catch_ups == 1 {
-                            // Mid-base disconnect: drop the connection with
-                            // the store half-sent and no Log/Msgs/last.
-                            continue;
-                        }
-                        let rest = [
-                            chunk_frame(2, false, CatchUpPayload::Store(second_half.clone())),
-                            chunk_frame(3, false, CatchUpPayload::Log(served_log.clone())),
-                            chunk_frame(4, true, CatchUpPayload::Msgs(msgs.clone())),
-                        ];
-                        for frame in rest {
+                        let served = match (catch_ups, first) {
+                            // The store half-sent, then no Log/Msgs/last.
+                            (1, FirstStream::DiesMidBase) => &full[..2],
+                            (1, FirstStream::OpensWithoutStart) => &full[1..],
+                            _ => &full[..],
+                        };
+                        for (seq, payload) in served.iter().enumerate() {
+                            let last = matches!(payload, CatchUpPayload::Msgs(_));
+                            let frame = chunk_frame(seq as u32, last, payload.clone());
                             if write_raw_frame(&mut writer, &frame).await.is_err() {
                                 break;
                             }
@@ -408,7 +420,7 @@ fn mid_stream_disconnect_leaves_rejoiner_able_to_retry() {
             }
             assert!(
                 Instant::now() < deadline,
-                "rejoiner never converged after the mid-stream disconnect"
+                "{first:?}: rejoiner never converged"
             );
             tokio::time::sleep(Duration::from_millis(100)).await;
         }

@@ -2,7 +2,7 @@
 
 use atlas_core::{shard_of, Command, Key, KvOp, Rifl, Value};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// The result of executing one operation of a command.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -53,39 +53,25 @@ impl KVStore {
         self.executed
     }
 
-    /// Executes a command, returning one output per operation (keyed by the
-    /// accessed key). `noOp` commands produce no output and leave the state
-    /// untouched.
-    pub fn execute(&mut self, cmd: &Command) -> HashMap<Key, Output> {
-        let mut outputs = HashMap::new();
+    /// Executes a command, returning one output per operation in key order
+    /// (a command's operations are sorted by key, one per key). `noOp`
+    /// commands produce no output, leave the state untouched and are not
+    /// counted.
+    pub fn execute(&mut self, cmd: &Command) -> Vec<(Key, Output)> {
         if cmd.is_noop() {
-            return outputs;
+            return Vec::new();
         }
         self.executed += 1;
-        for (key, op) in cmd.ops() {
-            let output = match op {
-                KvOp::Get => Output::Value(self.data.get(key).copied()),
-                KvOp::Put(value) => {
-                    self.data.insert(*key, *value);
-                    Output::Done
-                }
-                KvOp::Delete => {
-                    self.data.remove(key);
-                    Output::Done
-                }
-            };
-            outputs.insert(*key, output);
-        }
-        outputs
+        cmd.ops()
+            .map(|(&key, op)| (key, self.apply_op(key, op)))
+            .collect()
     }
 
     /// Applies **one** keyed operation without touching the
-    /// executed-command counter — the building block of sharded execution,
-    /// where a multi-shard command's operations are applied by key owner
-    /// and the *command* is counted exactly once by whoever sequences it
-    /// (the executor pool's global counter). Equivalent to the matching
-    /// slice of [`KVStore::execute`]: per-key state transitions and outputs
-    /// are identical.
+    /// executed-command counter: [`KVStore::execute`] maps it over a
+    /// command's operations, and sharded execution applies a multi-shard
+    /// command's operations by key owner while counting the *command* once
+    /// (the executor pool's global counter).
     pub fn apply_op(&mut self, key: Key, op: &KvOp) -> Output {
         match op {
             KvOp::Get => Output::Value(self.data.get(&key).copied()),
@@ -100,23 +86,21 @@ impl KVStore {
         }
     }
 
-    /// Executes a protocol-ordered batch of commands, returning each
-    /// command's outputs in order — the execute-batch hook a shard executor
-    /// drains its queue through. Same semantics as calling
-    /// [`KVStore::execute`] in a loop (it is exactly that); batching exists
-    /// so the per-batch dispatch overhead amortizes over its commands.
-    pub fn execute_batch(&mut self, cmds: &[Command]) -> Vec<HashMap<Key, Output>> {
-        cmds.iter().map(|cmd| self.execute(cmd)).collect()
-    }
-
     /// Partitions the records into `shards` stores by [`shard_of`] — the
-    /// flat→sharded direction when an executor pool boots from a snapshot.
-    /// The executed-command counter is a whole-store property, not a
-    /// per-shard one: it stays with the caller (the pool's global counter),
-    /// and every returned part reports 0.
-    pub fn split_by_shard(&self, shards: usize) -> Vec<KVStore> {
-        let mut parts = vec![KVStore::new(); shards.max(1)];
-        for (&key, &value) in &self.data {
+    /// flat→sharded direction when an executor pool boots from a snapshot;
+    /// one shard takes the records over without copying them. The
+    /// executed-command counter is a whole-store property, not a per-shard
+    /// one: it stays with the caller (the pool's global counter), and every
+    /// returned part reports 0.
+    pub fn split_by_shard(self, shards: usize) -> Vec<KVStore> {
+        if shards <= 1 {
+            return vec![KVStore {
+                data: self.data,
+                executed: 0,
+            }];
+        }
+        let mut parts = vec![KVStore::new(); shards];
+        for (key, value) in self.data {
             parts[shard_of(key, shards)].data.insert(key, value);
         }
         parts
@@ -206,14 +190,14 @@ mod tests {
         let mut store = KVStore::new();
         store.execute(&Command::put(rifl(1), 7, 42, 8));
         let out = store.execute(&Command::get(rifl(2), 7));
-        assert_eq!(out.get(&7), Some(&Output::Value(Some(42))));
+        assert_eq!(out, vec![(7, Output::Value(Some(42)))]);
     }
 
     #[test]
     fn get_of_missing_key_returns_none() {
         let mut store = KVStore::new();
         let out = store.execute(&Command::get(rifl(1), 9));
-        assert_eq!(out.get(&9), Some(&Output::Value(None)));
+        assert_eq!(out, vec![(9, Output::Value(None))]);
     }
 
     #[test]
@@ -311,36 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_op_matches_execute_outputs() {
-        let mut a = KVStore::new();
-        let mut b = KVStore::new();
-        let cmd = Command::new(
-            rifl(1),
-            [(1, KvOp::Put(10)), (2, KvOp::Get), (3, KvOp::Delete)],
-            8,
-        );
-        let out = a.execute(&cmd);
-        for (&key, op) in cmd.ops() {
-            assert_eq!(b.apply_op(key, op), out[&key]);
-        }
-    }
-
-    #[test]
-    fn execute_batch_equals_sequential_execute() {
-        let cmds: Vec<Command> = (0..50)
-            .map(|i| Command::put(Rifl::new(i, 1), i % 5, i, 8))
-            .collect();
-        let mut batched = KVStore::new();
-        let mut sequential = KVStore::new();
-        let outs = batched.execute_batch(&cmds);
-        for (cmd, out) in cmds.iter().zip(&outs) {
-            assert_eq!(&sequential.execute(cmd), out);
-        }
-        assert_eq!(batched, sequential);
-        assert_eq!(batched.executed(), 50);
-    }
-
-    #[test]
     fn multi_key_command_executes_all_operations() {
         let mut store = KVStore::new();
         let cmd = Command::new(
@@ -352,5 +306,31 @@ mod tests {
         assert_eq!(out.len(), 3);
         assert_eq!(store.peek(1), Some(10));
         assert_eq!(store.peek(2), Some(20));
+
+        // Unsorted ops repeating a key: one output per distinct key, in key
+        // order, and the later op on a repeated key wins.
+        let cmd = Command::new(
+            rifl(2),
+            [
+                (3, KvOp::Put(30)),
+                (1, KvOp::Get),
+                (2, KvOp::Delete),
+                (1, KvOp::Put(11)),
+                (3, KvOp::Get),
+            ],
+            8,
+        );
+        assert_eq!(
+            store.execute(&cmd),
+            vec![
+                (1, Output::Done),
+                (2, Output::Done),
+                (3, Output::Value(None)),
+            ]
+        );
+        assert_eq!(store.peek(1), Some(11));
+        assert_eq!(store.peek(2), None);
+        assert_eq!(store.peek(3), None);
+        assert_eq!(store.executed(), 2);
     }
 }
