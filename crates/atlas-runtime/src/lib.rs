@@ -113,11 +113,11 @@
 //!   ([`ReplicaMetrics`]): command-lifecycle stage latencies, durability,
 //!   detector and GC counters, exported as a
 //!   [`MetricsSnapshot`] over the stats plane;
-//! * [`replica`] — the event loop, acceptor, peer readers, client sessions
-//!   and ticker; its private `turn` module is the loop's unit of I/O — the
-//!   outbox that holds a turn's frames, acks and executions until the
-//!   turn's journal records are written (the write-ahead rule, in one
-//!   place);
+//! * [`replica`] — the event loop, composed of private modules that own
+//!   their state: the inbound tasks (acceptor, peer readers, client
+//!   sessions, ticker), the turn (the outbox that holds a turn's frames,
+//!   acks and executions until its journal records are written — the
+//!   write-ahead rule, in one place), durability, membership and catch-up;
 //! * [`client`] — closed-loop ([`Client`]) and open-loop
 //!   ([`OpenLoopClient`]) drivers with per-command latency capture;
 //! * [`cluster`] — [`Cluster`], a harness booting an n-replica localhost
@@ -145,10 +145,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod catch_up;
 pub mod client;
 pub mod cluster;
+mod config;
 pub mod detector;
+mod durability;
+mod epochs;
 pub mod executor;
+mod inbound;
 pub mod journal;
 pub mod metrics;
 pub mod netem;

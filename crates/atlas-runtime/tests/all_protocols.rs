@@ -68,3 +68,87 @@ fn fpaxos_over_tcp() {
 fn mencius_over_tcp() {
     exercise::<mencius::Mencius>(Config::new(3, 1));
 }
+
+/// Whether the replica closes `stream` (end of stream, nothing read)
+/// within a few seconds.
+async fn hung_up(mut stream: tokio::net::TcpStream) -> bool {
+    use tokio::io::AsyncReadExt;
+    let read = tokio::time::timeout(std::time::Duration::from_secs(5), async move {
+        let mut buf = [0u8; 64];
+        stream.read(&mut buf).await
+    });
+    matches!(read.await, Ok(Ok(0)))
+}
+
+/// A session may only submit under its own client identifier: replies are
+/// routed by that identifier, so a connection that says hello as client 1
+/// and submits with client 2's rifl would otherwise take over 2's replies
+/// (and 2's closed loop would hang). The replica drops such a connection
+/// before the request reaches the journal or the protocol, in every build.
+#[test]
+fn a_session_cannot_submit_as_another_client() {
+    use atlas_core::Rifl;
+    use atlas_runtime::wire::{write_frame, ClientRequest, Hello};
+    use std::time::Duration;
+
+    let rt = tokio::runtime::Runtime::new().unwrap();
+    rt.block_on(async {
+        let cluster = Cluster::spawn::<atlas_protocol::Atlas>(Config::new(3, 1))
+            .await
+            .expect("cluster boots");
+        let addr = cluster.addr(1);
+        let mut victim = Client::connect(addr, 2).await.unwrap();
+        victim.put(5, 1).await.unwrap();
+
+        let forged = Rifl::new(2, 1_000_000);
+        let mut hostile = tokio::net::TcpStream::connect(addr).await.unwrap();
+        write_frame(&mut hostile, &Hello::Client { client: 1 })
+            .await
+            .unwrap();
+        let cmds = vec![Command::put(forged, 5, 666, 64)];
+        write_frame(&mut hostile, &ClientRequest::Submit { cmds })
+            .await
+            .unwrap();
+        assert!(hung_up(hostile).await, "the forged session stays open");
+
+        // The victim is still answered, and the forged command never ran.
+        let put = tokio::time::timeout(Duration::from_secs(5), victim.put(5, 2));
+        put.await.expect("victim answered").unwrap();
+        assert_eq!(victim.get(5).await.unwrap(), Some(2));
+        let (log, _) = victim.execution_log().await.unwrap();
+        assert!(
+            log.iter().all(|&(_, rifl)| rifl != forged),
+            "the forged command executed"
+        );
+        cluster.shutdown();
+    });
+}
+
+/// Likewise a peer connection: a frame naming another sender than the
+/// connection's hello drops the connection.
+#[test]
+fn a_peer_frame_must_name_its_hello_sender() {
+    use atlas_runtime::wire::{write_frame, Hello, PeerBody, PeerFrame};
+
+    let rt = tokio::runtime::Runtime::new().unwrap();
+    rt.block_on(async {
+        let cluster = Cluster::spawn::<atlas_protocol::Atlas>(Config::new(3, 1))
+            .await
+            .expect("cluster boots");
+        let mut posing = tokio::net::TcpStream::connect(cluster.addr(1))
+            .await
+            .unwrap();
+        write_frame(&mut posing, &Hello::Peer { from: 2 })
+            .await
+            .unwrap();
+        let frame = PeerFrame {
+            from: 3,
+            seq: 0,
+            epoch: 0,
+            body: PeerBody::Ack(0),
+        };
+        write_frame(&mut posing, &frame).await.unwrap();
+        assert!(hung_up(posing).await, "the posing peer stays connected");
+        cluster.shutdown();
+    });
+}
