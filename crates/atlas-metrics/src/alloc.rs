@@ -14,10 +14,10 @@
 //! and every `MetricsSnapshot` assembled in that process then carries a
 //! live allocation count (see `MetricsSnapshot::alloc_count`); without the
 //! opt-in [`allocations`] stays at zero and the gauge reads as absent. The
-//! loopback bench installs it so CI can gate allocations-per-command the
-//! same way it gates latency — a pooled wire path that silently regresses
-//! to per-frame clones moves this counter by orders of magnitude while
-//! barely moving a loopback latency number.
+//! benchmark installs it, and CI gates its allocations per operation
+//! between two revisions (`ci/ab.py --traced`) — a pooled wire path that
+//! silently regresses to per-frame clones moves this counter while barely
+//! moving a loopback latency number.
 //!
 //! One counter per *process*: a multi-replica test cluster sees the sum of
 //! all of its replicas (plus any in-process clients), which still works as

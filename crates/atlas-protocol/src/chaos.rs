@@ -54,6 +54,9 @@ const DUPLICATION_PROBABILITY: f64 = 0.2;
 /// schedule cannot amplify itself without bound.
 const DUPLICATION_QUEUE_CAP: usize = 4096;
 
+/// A callback on a message sent from one replica to another.
+pub type OnSend<M> = Box<dyn FnMut(&M)>;
+
 /// A cluster of `P` replicas driven with seeded-chaotic (or in-order)
 /// message delivery.
 pub struct ChaosNet<P: Protocol> {
@@ -64,6 +67,9 @@ pub struct ChaosNet<P: Protocol> {
     pub crashed: HashSet<ProcessId>,
     /// What each process executed, in execution order.
     pub executed: HashMap<ProcessId, Vec<(Dot, Rifl)>>,
+    /// Sees every message sent to another replica, once per target: what
+    /// would cross the wire.
+    pub on_send: Option<OnSend<P::Message>>,
     rng: SmallRng,
     /// Reorder and duplicate deliveries (else: in order, exactly once).
     chaotic: bool,
@@ -90,6 +96,7 @@ impl<P: Protocol> ChaosNet<P> {
             replicas,
             crashed: HashSet::new(),
             executed: HashMap::new(),
+            on_send: None,
             rng: SmallRng::seed_from_u64(0),
             chaotic: false,
         }
@@ -170,6 +177,9 @@ impl<P: Protocol> ChaosNet<P> {
                         if to == source {
                             local.push(msg.clone());
                         } else {
+                            if let Some(on_send) = &mut self.on_send {
+                                on_send(&msg);
+                            }
                             queue.push((source, to, msg.clone()));
                         }
                     }

@@ -49,6 +49,13 @@ fn usage() -> ! {
     exit(2);
 }
 
+/// Reports a failed step as one line and exits 1: a replica that dies or
+/// hangs up mid-run is an outcome to report, not a bug in this tool.
+fn fail(what: &str, err: impl std::fmt::Display) -> ! {
+    eprintln!("atlas-client: {what}: {err}");
+    exit(1);
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         addr: "127.0.0.1:4001".parse().unwrap(),
@@ -155,16 +162,16 @@ async fn admin(addr: SocketAddr, op: ReconfigOp) -> std::io::Result<()> {
 
 fn main() {
     let args = parse_args();
-    let rt = tokio::runtime::Runtime::new().expect("runtime");
+    let rt = tokio::runtime::Runtime::new().unwrap_or_else(|e| fail("runtime", e));
     if let Some(members) = args.enter.clone() {
         let f = args.f;
         rt.block_on(admin(args.addr, ReconfigOp::Enter { members, f }))
-            .expect("enter barrier");
+            .unwrap_or_else(|e| fail("enter barrier", e));
         return;
     }
     if args.finalize {
         rt.block_on(admin(args.addr, ReconfigOp::Finalize))
-            .expect("finalize barrier");
+            .unwrap_or_else(|e| fail("finalize barrier", e));
         return;
     }
     rt.block_on(async {
@@ -189,7 +196,8 @@ fn main() {
         }
         let mut hist = BoundedHistogram::new();
         for task in tasks {
-            for latency_us in task.await.expect("client task").expect("client run") {
+            let run = task.await.unwrap_or_else(|e| fail("client task", e));
+            for latency_us in run.unwrap_or_else(|e| fail("client run", e)) {
                 hist.record(latency_us);
             }
         }
@@ -206,8 +214,8 @@ fn main() {
         // the protocol path split, straight from the stats plane.
         let mut probe = Client::connect(args.addr, namespace | (args.clients + 1))
             .await
-            .expect("stats probe connects");
-        let snapshot = probe.stats().await.expect("stats");
+            .unwrap_or_else(|e| fail("stats probe connects", e));
+        let snapshot = probe.stats().await.unwrap_or_else(|e| fail("stats", e));
         print_latency(
             "replica reply  ",
             &HistogramSummary::of(&snapshot.lifecycle.submit_to_replied),

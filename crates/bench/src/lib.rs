@@ -2,9 +2,9 @@
 //!
 //! The benchmark harness: one binary per table/figure of the paper's
 //! evaluation (run with `cargo run -p bench --release --bin fig<N>_...`),
-//! plus the two Criterion CI gates over the networked runtime
-//! (`cargo bench -p bench --bench runtime_loopback` / `--bench shard_scaling`;
-//! per-layer timings live in `benchmark/src/walk.rs`).
+//! plus the executor pool's scaling gate (`cargo bench -p bench --bench
+//! shard_scaling`). End-to-end and per-layer numbers of the networked
+//! runtime come from `benchmark/`.
 //!
 //! Every figure binary accepts:
 //!
