@@ -39,9 +39,18 @@ a count whose BASE median is 0 is `WORSE` on any rise.
 Each run's share of the guest's CPU time stolen by the hypervisor
 (`steal` in /proc/stat, before and after the child) is printed on its
 status line and kept in the `--emit` file, so a noisy set explains itself.
+
+Before each run a host-speed probe times a fixed single-threaded kernel
+(the best of three SHA-256 passes over a 64 MiB buffer); the time is
+printed on the run's status line and kept per run in `--emit`
+(`probe_s`). A pair whose two probes differ by more than the end-to-end
+bound ran on hosts of different speed: it is run again, at most twice. A
+pair whose probes never match is kept, counted and flagged in the table
+(`probe_mismatched` in `--emit`), so no run is dropped unseen.
 """
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -49,6 +58,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -75,6 +85,11 @@ COUNT_GATES = {
 # lan_durable follow fsync wake-ups on both cores and ranged 12 % over the
 # twelve runs: under a 5 % bound, one 3-pair set in 15 reads WORSE by chance.
 NOT_GATED = {("lan_durable", "proc.ctx_switches_per_op")}
+
+# The host-speed probe's input, and how often a pair whose probes differ
+# is run again.
+PROBE_BYTES = 64 << 20
+PROBE_RERUNS = 2
 
 
 def quartiles(values):
@@ -168,6 +183,34 @@ def steal_share(before, after):
     return (after[0] - before[0]) / (after[1] - before[1])
 
 
+def host_probe(buf):
+    """Seconds for the best of three SHA-256 passes over `buf`."""
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        hashlib.sha256(buf).digest()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def probes_match(a, b, bound):
+    """Whether two probe times differ by at most `bound` of the smaller."""
+    return abs(a - b) <= bound * min(a, b)
+
+
+def probed_pair(attempt, bound):
+    """Runs `attempt()` until its two runs' probes match, at most
+    1 + PROBE_RERUNS times. `attempt` returns {label: run}, each run a dict
+    with a "probe_s"; returns (the last attempt's runs, attempts made,
+    whether its probes matched)."""
+    for made in range(1, PROBE_RERUNS + 2):
+        runs = attempt()
+        base, head = (runs[label]["probe_s"] for label in ("base", "head"))
+        if probes_match(base, head, bound):
+            return runs, made, True
+    return runs, made, False
+
+
 def run_child(argv, cwd, limit):
     """Runs one child under a wall-clock limit: (parsed JSON or None, status)."""
     try:
@@ -228,10 +271,13 @@ def fmt(v):
     return "{:.3g}".format(v)
 
 
-def table(workload, stats, failures):
+def table(workload, stats, failures, mismatched):
     print("\n## {}".format(workload))
     for note in failures:
         print("  ! {}".format(note))
+    if mismatched:
+        print("  ! {} pair(s) kept whose host-speed probes never matched: {}".format(
+            len(mismatched), mismatched))
     print(
         "  {:<28} {:>24} {:>24} {:>7} {:>5} {:>7} {:>7}  {}".format(
             "metric", "base q1/med/q3", "head q1/med/q3", "ratio", "won",
@@ -296,32 +342,50 @@ def main(argv):
         "seconds": seconds, "traced": args.traced, "timeout_s": limit,
         "workloads": {},
     }
+    probe_bound = contract["end_to_end"][0]["bound"]
+    probe_buf = bytes(PROBE_BYTES)
     bad = False
     for workload in workloads:
         runs = {"base": [], "head": []}
         steal = {"base": [], "head": []}
+        probe = {"base": [], "head": []}
         failures = []
+        mismatched = []
+
+        def run_one(i, label):
+            tree, binary = sides[label]
+            argv = [
+                binary, "run", "--workload", workload, "--seed", str(seeds[i]),
+                "--seconds", str(seconds), "--trace", "1" if args.traced else "0",
+            ]
+            probe_s = host_probe(probe_buf)
+            before = steal_ticks()
+            report, status = run_child(argv, tree, limit)
+            stolen = steal_share(before, steal_ticks())
+            print("  {} pair {} {}: {} (steal {}, probe {:.3f} s)".format(
+                workload, i, label, status,
+                "n/a" if stolen is None else "{:.1%}".format(stolen), probe_s), flush=True)
+            # A failure counts even in an attempt that is run again.
+            if report is None or status != "ok":
+                failures.append("{} pair {}: {}".format(label, i, status))
+            elif not report.get("correct", False) or report.get("failed", 0) > 0:
+                failures.append("{} pair {}: correct={} failed={}".format(
+                    label, i, report.get("correct"), report.get("failed")))
+            return {"report": report, "steal": stolen, "probe_s": probe_s}
+
         for i in range(args.pairs):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
-            for label in order:
-                tree, binary = sides[label]
-                argv = [
-                    binary, "run", "--workload", workload, "--seed", str(seeds[i]),
-                    "--seconds", str(seconds), "--trace", "1" if args.traced else "0",
-                ]
-                before = steal_ticks()
-                report, status = run_child(argv, tree, limit)
-                stolen = steal_share(before, steal_ticks())
-                steal[label].append(stolen)
-                print("  {} pair {} {}: {} (steal {})".format(
-                    workload, i, label, status,
-                    "n/a" if stolen is None else "{:.1%}".format(stolen)), flush=True)
-                if report is None or status != "ok":
-                    failures.append("{} pair {}: {}".format(label, i, status))
-                elif not report.get("correct", False) or report.get("failed", 0) > 0:
-                    failures.append("{} pair {}: correct={} failed={}".format(
-                        label, i, report.get("correct"), report.get("failed")))
-                runs[label].append(report)
+            pair, made, matched = probed_pair(
+                lambda: {label: run_one(i, label) for label in order}, probe_bound)
+            if made > 1:
+                print("  {} pair {}: {} attempts, probes {}".format(
+                    workload, i, made, "matched" if matched else "never matched"))
+            if not matched:
+                mismatched.append(i)
+            for label in runs:
+                runs[label].append(pair[label]["report"])
+                steal[label].append(pair[label]["steal"])
+                probe[label].append(pair[label]["probe_s"])
         complete = [
             i for i in range(args.pairs)
             if runs["base"][i] is not None and runs["head"][i] is not None
@@ -343,7 +407,7 @@ def main(argv):
                 values["base"], values["head"], spec["better"], bound, name in e2e or counted
             )
         bad |= bool(failures) or any(s["verdict"] == "WORSE" for s in stats.values())
-        table(workload, stats, failures)
+        table(workload, stats, failures, mismatched)
         result["workloads"][workload] = {
             "failures": failures,
             "failed_ops": {
@@ -351,6 +415,8 @@ def main(argv):
             },
             "metrics": stats,
             "steal": steal,
+            "probe_s": probe,
+            "probe_mismatched": mismatched,
         }
     if args.emit:
         with open(args.emit, "w") as out:
@@ -408,6 +474,24 @@ def self_test():
     assert steal_share(None, (20, 1100)) is None
     now = steal_ticks()
     assert now is None or 0 <= now[0] <= now[1], now
+
+    # Host-speed probes match within the bound of the faster one, either
+    # way round; a pair is run again until they match, at most twice more,
+    # and kept (flagged) when they never do.
+    assert probes_match(1.0, 1.25, 0.25) and probes_match(1.25, 1.0, 0.25)
+    assert not probes_match(1.0, 1.3, 0.25) and not probes_match(1.3, 1.0, 0.25)
+    speeds = iter([(1.0, 1.5), (1.0, 1.1), (9.0, 9.0)])
+
+    def attempt():
+        base, head = next(speeds)
+        return {"base": {"probe_s": base}, "head": {"probe_s": head}}
+
+    runs, made, matched = probed_pair(attempt, 0.25)
+    assert (made, matched, runs["head"]["probe_s"]) == (2, True, 1.1), (made, runs)
+    speeds = iter([(1.0, 2.0), (2.0, 1.0), (1.0, 1.5), (1.0, 1.0)])
+    runs, made, matched = probed_pair(attempt, 0.25)
+    assert (made, matched, runs["base"]["probe_s"]) == (3, False, 1.0), (made, runs)
+    assert 0 < host_probe(bytes(1 << 16)) < 1
 
     # The JSON object is the last line, whatever precedes it.
     out = 'lan_rt/x 1 us\n{"correct": true, "failed": 0, "metrics": {}}\n'

@@ -5,9 +5,10 @@
 //! random duplication — the message schedule of a real network with
 //! at-least-once links; [`ChaosNet::fifo`] delivers them in order, exactly
 //! once, for tests that pin one schedule. In both, messages to or from
-//! crashed processes are lost, and self-addressed messages
-//! are delivered immediately to fixpoint, exactly like the networked
-//! runtime's `perform` (the paper's zero-delay self-delivery assumption:
+//! crashed processes are lost, and self-addressed messages are delivered
+//! immediately to fixpoint, in the order they were sent, exactly like the
+//! networked runtime's `perform` (the paper's zero-delay self-delivery
+//! assumption:
 //! e.g. a coordinator always processes its own `MCollect` before any of the
 //! acks it provokes).
 //!
@@ -23,7 +24,7 @@
 use atlas_core::{Action, Command, Config, Dot, ProcessId, Protocol, Rifl, Topology};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Runs `body` once per seed in `base + offsets`, naming the scenario and
 /// the exact failing seed before re-raising any panic. A bare seeded sweep
@@ -148,16 +149,16 @@ impl<P: Protocol> ChaosNet<P> {
     }
 
     /// Remote sends go into the chaotic queue; self-addressed messages are
-    /// delivered immediately to fixpoint.
+    /// delivered immediately to fixpoint, first sent first handled.
     fn enqueue(
         &mut self,
         source: ProcessId,
         actions: Vec<Action<P::Message>>,
         queue: &mut Vec<(ProcessId, ProcessId, P::Message)>,
     ) {
-        let mut local: Vec<P::Message> = Vec::new();
+        let mut local: VecDeque<P::Message> = VecDeque::new();
         self.sort_actions(source, actions, &mut local, queue);
-        while let Some(msg) = local.pop() {
+        while let Some(msg) = local.pop_front() {
             let out = self.replica(source).handle(source, msg, 0);
             self.sort_actions(source, out, &mut local, queue);
         }
@@ -167,7 +168,7 @@ impl<P: Protocol> ChaosNet<P> {
         &mut self,
         source: ProcessId,
         actions: Vec<Action<P::Message>>,
-        local: &mut Vec<P::Message>,
+        local: &mut VecDeque<P::Message>,
         queue: &mut Vec<(ProcessId, ProcessId, P::Message)>,
     ) {
         for action in actions {
@@ -175,7 +176,7 @@ impl<P: Protocol> ChaosNet<P> {
                 Action::Send { targets, msg } => {
                     for to in targets {
                         if to == source {
-                            local.push(msg.clone());
+                            local.push_back(msg.clone());
                         } else {
                             if let Some(on_send) = &mut self.on_send {
                                 on_send(&msg);
@@ -239,5 +240,105 @@ impl<P: Protocol> ChaosNet<P> {
     pub fn rifls_at(&self, id: ProcessId) -> Vec<Rifl> {
         let executed = self.executed.get(&id).into_iter().flatten();
         executed.map(|(_, rifl)| *rifl).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use atlas_core::protocol::Time;
+    use atlas_core::{Base, ClusterView};
+
+    /// A protocol whose `submit` sends itself messages 1 and 2, and whose
+    /// message 1 sends itself 3; it records the order `handle` sees them.
+    struct SelfTalk {
+        base: Base,
+        handled: Vec<u8>,
+    }
+
+    fn to_self(id: ProcessId, msg: u8) -> Action<u8> {
+        Action::Send {
+            targets: vec![id],
+            msg,
+        }
+    }
+
+    impl Protocol for SelfTalk {
+        type Message = u8;
+        fn name() -> &'static str {
+            "self-talk"
+        }
+        fn new(id: ProcessId, config: Config, topology: Topology) -> Self {
+            let base = Base::new(id, config, topology);
+            Self {
+                base,
+                handled: Vec::new(),
+            }
+        }
+        fn base(&self) -> &Base {
+            &self.base
+        }
+        fn submit(&mut self, _: Command, _: Time) -> Vec<Action<u8>> {
+            vec![to_self(self.id(), 1), to_self(self.id(), 2)]
+        }
+        fn handle(&mut self, _: ProcessId, msg: u8, _: Time) -> Vec<Action<u8>> {
+            self.handled.push(msg);
+            if msg == 1 {
+                vec![to_self(self.id(), 3)]
+            } else {
+                Vec::new()
+            }
+        }
+        fn suspect(&mut self, _: ProcessId, _: Time) -> Vec<Action<u8>> {
+            Vec::new()
+        }
+        fn discover(&mut self, _: &[ProcessId], _: Time) -> Vec<Action<u8>> {
+            Vec::new()
+        }
+        fn reconfigure(&mut self, _: &ClusterView, _: Time) -> Vec<Action<u8>> {
+            Vec::new()
+        }
+        fn message_size(_: &u8) -> usize {
+            1
+        }
+        fn save_state(&self) -> Option<Vec<u8>> {
+            None
+        }
+        fn restore_state(_: ProcessId, _: Config, _: Topology, _: &[u8]) -> Option<Self> {
+            None
+        }
+        fn committed_log(&self) -> Vec<u8> {
+            Vec::new()
+        }
+        fn executed_watermarks(&self) -> Vec<(ProcessId, u64)> {
+            Vec::new()
+        }
+        fn gc_executed(&mut self, _: &[(ProcessId, u64)]) -> u64 {
+            0
+        }
+        fn save_executed(&self) -> Vec<u8> {
+            Vec::new()
+        }
+        fn restore_executed(&mut self, _: &[u8]) -> bool {
+            false
+        }
+        fn tracked_entries(&self) -> usize {
+            0
+        }
+        fn advance_identifiers(&mut self, _: u64) {}
+    }
+
+    /// Self-addressed messages are handled in the order they were sent, a
+    /// message's own self-sends after those already queued — the runtime's
+    /// `perform` drains a FIFO queue the same way.
+    #[test]
+    fn self_addressed_messages_are_handled_first_sent_first() {
+        for mut net in [
+            ChaosNet::<SelfTalk>::fifo(Config::new(3, 1)),
+            ChaosNet::new(3, 1, 7),
+        ] {
+            net.submit(1, Command::get(Rifl::new(1, 1), 0));
+            assert_eq!(net.replica(1).handled, [1, 2, 3]);
+        }
     }
 }

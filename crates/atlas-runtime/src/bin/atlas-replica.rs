@@ -9,272 +9,257 @@
 //! written `id=addr` (`--addrs 1=127.0.0.1:4001,2=127.0.0.1:4002,5=...`);
 //! the two syntaxes cannot be mixed.
 //!
-//! `--join` starts the replica as an **incoming member**: its address book
-//! must list the current members plus itself, it boots as a non-voting
-//! learner of the existing configuration (peer-assisted catch-up is
-//! implied) and starts voting only once the `Enter` barrier that admits it
-//! executes. Submit that barrier through any current member (e.g.
-//! `atlas-client --enter`) *before* starting the joiner — see the
-//! membership-change runbook in the README.
-//!
-//! With `--data-dir` the replica journals every input and snapshots its
-//! state there; after a crash (SIGKILL included), rerunning the same command
-//! line recovers the replica before it serves traffic. `--flush` trades
-//! durability against fsync cost (`always`, `every:<n>`, `os`), and
-//! `--catch-up` makes a replica whose data dir was lost rebuild committed
-//! state from its peers.
-//!
-//! Failure detection is on by default: a peer silent past `--suspect-after`
-//! (milliseconds, default 1500) is handed to the protocol's recovery
-//! (`Protocol::suspect`), and trusted again only after being audible for
-//! `--trust-after` (default 250). `--no-failure-detector` turns it off.
-//!
-//! `--gc-every <ticks>` enables executed-entry garbage collection: the
-//! replicas exchange executed watermarks every tick and, on that cadence
-//! and before every snapshot cut, drop per-command bookkeeping once
-//! **every** replica has executed an entry, keeping protocol maps, the
-//! journal and the snapshots bounded.
-//! `--catch-up-chunk-bytes <bytes>` bounds each frame of the streamed
-//! catch-up a recovering replica receives (default 4 MiB).
-//!
-//! `--metrics-every <ticks>` appends one JSON line of the replica's full
-//! metrics snapshot (lifecycle latencies, fast/slow path counters,
-//! fsync/detector/GC/link telemetry) to `metrics.jsonl` in the data
-//! directory on that cadence. The live stats plane — `atlas-top`, or any
-//! client sending a `Stats` request — works without this flag.
-//!
-//! `--shards <n>` (default 1) runs the sharded parallel executor pool:
-//! committed commands are routed by key hash onto `n` executor threads, so
-//! commands touching disjoint shards execute concurrently while per-key
-//! order, replies, digests and crash-replay stay byte-identical to the
-//! single-threaded run. `--shards 1` spawns no executor thread: the event
-//! loop applies each command itself.
-//!
-//! `--net-profile <spec>` injects WAN conditions on this replica's
-//! **outbound** peer links — per-directed-link delay/jitter/bandwidth,
-//! scheduled cuts (symmetric when both sides carry the rule, asymmetric
-//! otherwise) and probabilistic connection resets. The spec is a
-//! semicolon-separated rule list, e.g.
-//! `delay=25ms,jitter=2ms;1->3:cut=10s+2s;seed=7` — see
-//! `atlas_runtime::NetProfile::parse` for the grammar. Run every replica
-//! with its own profile (rules select links by `<from>-><to>` identifiers,
-//! so the same spec can be shared cluster-wide).
+//! Every flag, with its default, is listed in the README's "`atlas-replica`
+//! flags" table; each sets one field of [`ReplicaConfig`] or of its
+//! [`ClusterOptions`].
 
 use atlas_core::{Config, ProcessId, Protocol};
 use atlas_log::FlushPolicy;
-use atlas_runtime::replica::{self, ReplicaConfig};
-use atlas_runtime::NetProfile;
+use atlas_runtime::replica::{self, Boot, ReplicaConfig};
+use atlas_runtime::{ClusterOptions, NetProfile};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::exit;
+use std::str::FromStr;
+use std::time::Duration;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: atlas-replica --id <id> --addrs <a1,a2,...|id=addr,...> [--f <f>] \
-         [--protocol atlas|epaxos|fpaxos|mencius] [--nfr] \
-         [--data-dir <path>] [--flush always|every:<n>|os] \
-         [--snapshot-every <records>] [--catch-up] [--join] \
-         [--suspect-after <ms>] [--trust-after <ms>] [--no-failure-detector] \
-         [--gc-every <ticks>] [--catch-up-chunk-bytes <bytes>] \
-         [--metrics-every <ticks>] [--shards <n>] [--net-profile <spec>]"
-    );
-    exit(2);
+const USAGE: &str = "usage: atlas-replica --id <id> --addrs <a1,a2,...|id=addr,...> [--f <f>] \
+     [--protocol atlas|epaxos|fpaxos|mencius] [--nfr] \
+     [--data-dir <path>] [--flush always|every:<n>|os] \
+     [--snapshot-every <records>] [--catch-up] [--join] \
+     [--suspect-after <ms>] [--trust-after <ms>] [--no-failure-detector] \
+     [--gc-every <ticks>] [--catch-up-chunk-bytes <bytes>] \
+     [--metrics-every <ticks>] [--shards <n>] [--net-profile <spec>]";
+
+fn number<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("bad value for {flag}: {value:?}"))
 }
 
-struct Args {
-    id: ProcessId,
-    addrs: Vec<(ProcessId, SocketAddr)>,
-    f: usize,
-    protocol: String,
-    nfr: bool,
-    data_dir: Option<PathBuf>,
-    flush: FlushPolicy,
-    snapshot_every: u64,
-    catch_up: bool,
-    join: bool,
-    suspect_after: Option<u64>,
-    trust_after: Option<u64>,
-    failure_detector: bool,
-    gc_every: u64,
-    catch_up_chunk_bytes: Option<usize>,
-    metrics_every: u64,
-    shards: usize,
-    net: Option<NetProfile>,
+/// Parses `--addrs`: positional `addr,...` (identifier = position) or
+/// explicit `id=addr,...`, the form non-contiguous identifiers need.
+fn parse_addrs(list: &str) -> Result<Vec<(ProcessId, SocketAddr)>, String> {
+    let explicit = list.contains('=');
+    list.split(',')
+        .enumerate()
+        .map(|(i, entry)| match entry.split_once('=') {
+            Some((id, addr)) => Ok((number("--addrs", id)?, number("--addrs", addr)?)),
+            None if !explicit => Ok((i as ProcessId + 1, number("--addrs", entry)?)),
+            None => Err("--addrs mixes id=addr and positional entries".into()),
+        })
+        .collect()
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        id: 0,
-        addrs: Vec::new(),
-        f: 1,
-        protocol: "atlas".to_string(),
-        nfr: false,
-        data_dir: None,
-        flush: FlushPolicy::default(),
-        snapshot_every: 4096,
-        catch_up: false,
-        join: false,
-        suspect_after: None,
-        trust_after: None,
-        failure_detector: true,
-        gc_every: 0,
-        catch_up_chunk_bytes: None,
-        metrics_every: 0,
-        shards: 1,
-        net: None,
+/// Parses the flags (program name excluded) into the protocol to host and
+/// the replica's configuration.
+fn parse(args: impl IntoIterator<Item = String>) -> Result<(String, ReplicaConfig), String> {
+    let mut options = ClusterOptions {
+        flush_policy: FlushPolicy::default(),
+        ..ClusterOptions::default()
     };
-    let mut iter = std::env::args().skip(1);
-    while let Some(flag) = iter.next() {
-        let mut value = |flag: &str| iter.next().unwrap_or_else(|| usage_for(flag));
-        fn usage_for(flag: &str) -> String {
-            eprintln!("missing value for {flag}");
-            usage()
-        }
+    let (mut id, mut f, mut nfr) = (0, 1, false);
+    let mut addrs = Vec::new();
+    let mut protocol = "atlas".to_string();
+    let mut data_dir = None;
+    let mut boot = Boot::Resume;
+    let mut detector = true;
+    let mut args = args.into_iter();
+    while let Some(flag) = args.next() {
+        let mut value = || {
+            args.next()
+                .ok_or_else(|| format!("missing value for {flag}"))
+        };
         match flag.as_str() {
-            "--id" => args.id = value("--id").parse().unwrap_or_else(|_| usage()),
-            "--f" => args.f = value("--f").parse().unwrap_or_else(|_| usage()),
-            "--protocol" => args.protocol = value("--protocol"),
-            "--nfr" => args.nfr = true,
-            "--addrs" => {
-                args.addrs = value("--addrs")
-                    .split(',')
-                    .enumerate()
-                    .map(|(i, entry)| match entry.split_once('=') {
-                        // Explicit `id=addr` — the post-reconfiguration
-                        // form, where identifiers are not contiguous.
-                        Some((id, addr)) => (
-                            id.parse().unwrap_or_else(|_| usage()),
-                            addr.parse().unwrap_or_else(|_| usage()),
-                        ),
-                        // Bare `addr` — positional, identifier `i + 1`.
-                        None => (
-                            i as ProcessId + 1,
-                            entry.parse().unwrap_or_else(|_| usage()),
-                        ),
-                    })
-                    .collect()
-            }
-            "--data-dir" => args.data_dir = Some(PathBuf::from(value("--data-dir"))),
+            "--id" => id = number(&flag, &value()?)?,
+            "--f" => f = number(&flag, &value()?)?,
+            "--protocol" => protocol = value()?,
+            "--nfr" => nfr = true,
+            "--addrs" => addrs = parse_addrs(&value()?)?,
+            "--data-dir" => data_dir = Some(PathBuf::from(value()?)),
             "--flush" => {
-                args.flush = FlushPolicy::parse(&value("--flush")).unwrap_or_else(|| usage())
+                let spec = value()?;
+                options.flush_policy =
+                    FlushPolicy::parse(&spec).ok_or_else(|| format!("bad --flush: {spec:?}"))?
             }
-            "--snapshot-every" => {
-                args.snapshot_every = value("--snapshot-every")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--catch-up" => args.catch_up = true,
-            "--join" => args.join = true,
+            "--snapshot-every" => options.snapshot_every = number(&flag, &value()?)?,
+            "--catch-up" if boot == Boot::Resume => boot = Boot::CatchUp,
+            "--catch-up" => {}
+            // A joiner has no configuration prefix of its own: catch-up is
+            // how it reaches the `Enter` barrier that admits it.
+            "--join" => boot = Boot::Join,
             "--suspect-after" => {
-                args.suspect_after =
-                    Some(value("--suspect-after").parse().unwrap_or_else(|_| usage()))
+                options.suspect_after = Some(Duration::from_millis(number(&flag, &value()?)?))
             }
             "--trust-after" => {
-                args.trust_after = Some(value("--trust-after").parse().unwrap_or_else(|_| usage()))
+                options.trust_after = Duration::from_millis(number(&flag, &value()?)?)
             }
-            "--no-failure-detector" => args.failure_detector = false,
-            "--gc-every" => args.gc_every = value("--gc-every").parse().unwrap_or_else(|_| usage()),
-            "--catch-up-chunk-bytes" => {
-                args.catch_up_chunk_bytes = Some(
-                    value("--catch-up-chunk-bytes")
-                        .parse()
-                        .unwrap_or_else(|_| usage()),
-                )
-            }
-            "--metrics-every" => {
-                args.metrics_every = value("--metrics-every").parse().unwrap_or_else(|_| usage())
-            }
+            "--no-failure-detector" => detector = false,
+            "--gc-every" => options.gc_every = number(&flag, &value()?)?,
+            "--catch-up-chunk-bytes" => options.catch_up_chunk_bytes = number(&flag, &value()?)?,
+            "--metrics-every" => options.metrics_every = number(&flag, &value()?)?,
             "--shards" => {
-                args.shards = value("--shards").parse().unwrap_or_else(|_| usage());
-                if args.shards == 0 {
-                    eprintln!("--shards must be at least 1");
-                    usage();
+                options.shards = number(&flag, &value()?)?;
+                if options.shards == 0 {
+                    return Err("--shards must be at least 1".into());
                 }
             }
             "--net-profile" => {
-                args.net = Some(
-                    NetProfile::parse(&value("--net-profile")).unwrap_or_else(|e| {
-                        eprintln!("bad --net-profile: {e}");
-                        usage()
-                    }),
-                )
+                let net =
+                    NetProfile::parse(&value()?).map_err(|e| format!("bad --net-profile: {e}"))?;
+                options.net = Some(net)
             }
-            _ => usage(),
+            _ => return Err(format!("unknown flag {flag:?}")),
         }
     }
-    let mut ids: Vec<ProcessId> = args.addrs.iter().map(|&(id, _)| id).collect();
-    ids.sort_unstable();
-    let unique = ids.windows(2).all(|w| w[0] != w[1]);
-    if args.id == 0 || args.addrs.is_empty() || !unique || !ids.contains(&args.id) {
-        usage();
+    if !detector {
+        options.suspect_after = None;
     }
-    args
+    let n = addrs.len();
+    let addrs: HashMap<ProcessId, SocketAddr> = addrs.into_iter().collect();
+    if id == 0 || addrs.len() != n || !addrs.contains_key(&id) {
+        return Err("--id must name one of the distinct --addrs entries".into());
+    }
+    let replica = ReplicaConfig {
+        id,
+        config: Config::new(n, f).with_nfr(nfr),
+        addrs,
+        data_dir,
+        boot,
+        options,
+    };
+    Ok((protocol, replica))
 }
 
-fn run<P>(args: &Args)
+fn run<P>(cfg: ReplicaConfig)
 where
     P: Protocol + Send + 'static,
     P::Message: Serialize + Deserialize + Send + 'static,
 {
-    let n = args.addrs.len();
-    let config = Config::new(n, args.f).with_nfr(args.nfr);
-    let addrs: HashMap<ProcessId, SocketAddr> = args.addrs.iter().copied().collect();
-    let mut cfg = ReplicaConfig::new(args.id, config, addrs);
-    cfg.data_dir = args.data_dir.clone();
-    cfg.flush_policy = args.flush;
-    cfg.snapshot_every = args.snapshot_every;
-    // A joiner has no configuration prefix of its own: peer-assisted
-    // catch-up is how it reaches the `Enter` barrier that admits it.
-    cfg.catch_up = args.catch_up || args.join;
-    cfg.join = args.join;
-    if !args.failure_detector {
-        cfg.suspect_after = None;
-    } else if let Some(ms) = args.suspect_after {
-        cfg.suspect_after = Some(std::time::Duration::from_millis(ms));
-    }
-    if let Some(ms) = args.trust_after {
-        cfg.trust_after = std::time::Duration::from_millis(ms);
-    }
-    cfg.gc_every = args.gc_every;
-    if let Some(bytes) = args.catch_up_chunk_bytes {
-        cfg.catch_up_chunk_bytes = bytes;
-    }
-    cfg.metrics_every = args.metrics_every;
-    cfg.shards = args.shards;
-    cfg.net = args.net.clone();
+    let (n, f) = (cfg.config.n, cfg.config.f);
+    let journal = match &cfg.data_dir {
+        Some(dir) => format!("journaling to {}", dir.display()),
+        None => "ephemeral".to_string(),
+    };
     let rt = tokio::runtime::Runtime::new().expect("runtime");
     rt.block_on(async {
         let handle = replica::spawn::<P>(cfg).await.expect("replica spawn");
         println!(
-            "{} replica {} listening on {} (n={n}, f={}, {})",
+            "{} replica {} listening on {} (n={n}, f={f}, {journal})",
             P::name(),
             handle.id,
             handle.addr,
-            args.f,
-            match &args.data_dir {
-                Some(dir) => format!("journaling to {}", dir.display()),
-                None => "ephemeral".to_string(),
-            }
         );
         // Serve until killed.
         loop {
-            tokio::time::sleep(std::time::Duration::from_secs(3600)).await;
+            tokio::time::sleep(Duration::from_secs(3600)).await;
         }
     });
 }
 
+fn usage(error: &str) -> ! {
+    eprintln!("{error}\n{USAGE}");
+    exit(2);
+}
+
 fn main() {
-    let args = parse_args();
-    match args.protocol.as_str() {
-        "atlas" => run::<atlas_protocol::Atlas>(&args),
-        "epaxos" => run::<epaxos::EPaxos>(&args),
-        "fpaxos" => run::<fpaxos::FPaxos>(&args),
-        "mencius" => run::<mencius::Mencius>(&args),
-        other => {
-            eprintln!("unknown protocol {other:?}");
-            usage();
+    let (protocol, cfg) = parse(std::env::args().skip(1)).unwrap_or_else(|e| usage(&e));
+    match protocol.as_str() {
+        "atlas" => run::<atlas_protocol::Atlas>(cfg),
+        "epaxos" => run::<epaxos::EPaxos>(cfg),
+        "fpaxos" => run::<fpaxos::FPaxos>(cfg),
+        "mencius" => run::<mencius::Mencius>(cfg),
+        other => usage(&format!("unknown protocol {other:?}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const ADDRS: &str = "127.0.0.1:4001,127.0.0.1:4002,127.0.0.1:4003";
+
+    fn parse_flags(flags: &str) -> Result<ReplicaConfig, String> {
+        let args = format!("--id 2 --addrs {ADDRS} {flags}");
+        parse(args.split_whitespace().map(String::from)).map(|(_, cfg)| cfg)
+    }
+
+    #[test]
+    fn no_failure_detector_wins_in_either_order() {
+        for flags in [
+            "--no-failure-detector --suspect-after 800",
+            "--suspect-after 800 --no-failure-detector",
+        ] {
+            assert_eq!(
+                parse_flags(flags).unwrap().options.suspect_after,
+                None,
+                "{flags}"
+            );
         }
+        let on = parse_flags("--suspect-after 800").unwrap();
+        assert_eq!(on.options.suspect_after, Some(Duration::from_millis(800)));
+    }
+
+    #[test]
+    fn join_implies_catch_up_in_either_order() {
+        assert_eq!(parse_flags("").unwrap().boot, Boot::Resume);
+        assert_eq!(parse_flags("--catch-up").unwrap().boot, Boot::CatchUp);
+        for flags in ["--join", "--join --catch-up", "--catch-up --join"] {
+            assert_eq!(parse_flags(flags).unwrap().boot, Boot::Join, "{flags}");
+        }
+    }
+
+    #[test]
+    fn deployments_flush_every_64_records_and_keep_the_other_defaults() {
+        let cfg = parse_flags("").unwrap();
+        assert_eq!(cfg.options.flush_policy, FlushPolicy::EveryN(64));
+        let defaults = ClusterOptions::default();
+        assert_eq!(cfg.options.snapshot_every, defaults.snapshot_every);
+        assert_eq!(cfg.options.suspect_after, defaults.suspect_after);
+        assert_eq!(cfg.options.trust_after, defaults.trust_after);
+        assert_eq!(
+            cfg.options.catch_up_chunk_bytes,
+            defaults.catch_up_chunk_bytes
+        );
+        assert_eq!(cfg.data_dir, None);
+        assert_eq!(
+            parse_flags("--flush os").unwrap().options.flush_policy,
+            FlushPolicy::OsBuffered
+        );
+    }
+
+    #[test]
+    fn value_flags_override_their_defaults() {
+        let cfg = parse_flags("--trust-after 120 --catch-up-chunk-bytes 2048 --shards 4").unwrap();
+        assert_eq!(cfg.options.trust_after, Duration::from_millis(120));
+        assert_eq!(cfg.options.catch_up_chunk_bytes, 2048);
+        assert_eq!(cfg.options.shards, 4);
+        assert!(parse_flags("--shards 0").is_err());
+        assert!(parse_flags("--trust-after").is_err(), "missing value");
+        assert!(parse_flags("--trust-after soon").is_err());
+        assert!(parse_flags("--bogus").is_err());
+    }
+
+    #[test]
+    fn addresses_are_positional_or_explicit() {
+        let positional = parse_flags("").unwrap();
+        assert_eq!((positional.id, positional.config.n), (2, 3));
+        assert_eq!(positional.addrs[&3], "127.0.0.1:4003".parse().unwrap());
+
+        let explicit = "--id 5 --addrs 1=127.0.0.1:4001,2=127.0.0.1:4002,5=127.0.0.1:4005";
+        let (_, cfg) = parse(explicit.split_whitespace().map(String::from)).unwrap();
+        let mut ids: Vec<ProcessId> = cfg.addrs.keys().copied().collect();
+        ids.sort_unstable();
+        assert_eq!(ids, [1, 2, 5]);
+        assert_eq!(cfg.addrs[&5], "127.0.0.1:4005".parse().unwrap());
+
+        let duplicate = "--id 1 --addrs 1=127.0.0.1:4001,1=127.0.0.1:4002,3=127.0.0.1:4003";
+        assert!(parse(duplicate.split_whitespace().map(String::from)).is_err());
+        let stranger = "--id 4 --addrs 127.0.0.1:4001,127.0.0.1:4002,127.0.0.1:4003";
+        assert!(parse(stranger.split_whitespace().map(String::from)).is_err());
+        let mixed = "--id 1 --addrs 127.0.0.1:4001,5=127.0.0.1:4005,127.0.0.1:4003";
+        assert!(parse(mixed.split_whitespace().map(String::from)).is_err());
     }
 }

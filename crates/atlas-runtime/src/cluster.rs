@@ -4,10 +4,10 @@
 //! benches.
 
 use crate::client::Client;
-use crate::netem::NetProfile;
-use crate::replica::{self, ReplicaConfig, ReplicaHandle};
+pub use crate::config::ClusterOptions;
+use crate::replica::{self, Boot, ReplicaConfig, ReplicaHandle};
 use atlas_core::{Config, ProcessId, Protocol, ReconfigOp};
-use atlas_log::{FlushPolicy, TempDir};
+use atlas_log::TempDir;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io;
@@ -19,99 +19,6 @@ use tokio::net::TcpListener;
 /// Client-identity space for the cluster harness's own membership
 /// barriers, far above anything workloads use.
 const ADMIN_CLIENT_BASE: u64 = 0xAD31_0000;
-
-/// Tunables of a [`Cluster`]; the defaults match what tests want (fast
-/// ticks are still explicit, journaling on, OS-buffered flushing — a
-/// process crash keeps the journal, and tests never power-fail the host).
-#[derive(Debug, Clone)]
-pub struct ClusterOptions {
-    /// Cadence of the replica tick (acks, heartbeats, detector, GC).
-    pub tick_interval: Duration,
-    /// fsync batching of the per-replica journals.
-    pub flush_policy: FlushPolicy,
-    /// Snapshot + journal truncation cadence, in journaled records (0 =
-    /// keep the full journal).
-    pub snapshot_every: u64,
-    /// Failure-detector silence threshold
-    /// ([`ReplicaConfig::suspect_after`]); `None` disables suspicion.
-    pub suspect_after: Option<Duration>,
-    /// Failure-detector trust hysteresis ([`ReplicaConfig::trust_after`]).
-    pub trust_after: Duration,
-    /// Executed-entry garbage-collection cadence in ticks
-    /// ([`ReplicaConfig::gc_every`]); 0 disables GC.
-    pub gc_every: u64,
-    /// Payload budget per catch-up chunk
-    /// ([`ReplicaConfig::catch_up_chunk_bytes`]); tests force tiny values
-    /// to exercise many-chunk streams.
-    pub catch_up_chunk_bytes: usize,
-    /// Metrics JSONL dump cadence in ticks
-    /// ([`ReplicaConfig::metrics_every`]); 0 disables the dump. Each
-    /// replica appends to `metrics.jsonl` in its data directory
-    /// ([`Cluster::data_dir`]).
-    pub metrics_every: u64,
-    /// Injected network conditions, handed to every replica
-    /// ([`ReplicaConfig::net`]): rules select **directed** links by the
-    /// sending and receiving replica identifiers, so one profile describes
-    /// the whole cluster's geo topology (and its scheduled partitions).
-    /// `None` runs every link at native localhost speed. Client
-    /// connections are never shaped — only the peer links are.
-    pub net: Option<NetProfile>,
-    /// Injected per-fsync stall for selected replicas
-    /// ([`ReplicaConfig::fsync_stall`]): the WAN harness's slow-disk
-    /// drill. Replicas absent from the map run unstalled.
-    pub fsync_stall: HashMap<ProcessId, Duration>,
-    /// Executor shard count on every replica
-    /// ([`ReplicaConfig::shards`]): values above 1 run one executor thread
-    /// per shard; 1 applies on the event loop.
-    pub shards: usize,
-}
-
-impl Default for ClusterOptions {
-    fn default() -> Self {
-        // Mirrors the `ReplicaConfig::new` defaults except `flush_policy`:
-        // `OsBuffered` here, `EveryN(64)` there, because in-process tests
-        // crash processes, never the host, so fsyncs would only slow them.
-        Self {
-            tick_interval: Duration::from_millis(25),
-            flush_policy: FlushPolicy::OsBuffered,
-            snapshot_every: 4096,
-            suspect_after: Some(Duration::from_millis(1_500)),
-            trust_after: Duration::from_millis(250),
-            gc_every: 0,
-            catch_up_chunk_bytes: replica::DEFAULT_CATCH_UP_CHUNK_BYTES,
-            metrics_every: 0,
-            net: None,
-            fsync_stall: HashMap::new(),
-            shards: 1,
-        }
-    }
-}
-
-impl ClusterOptions {
-    /// Returns a copy with fast failure detection for fault-injection
-    /// tests: suspect after `suspect_after`, restore trust after half of
-    /// it. Keep the threshold a healthy multiple of
-    /// [`ClusterOptions::tick_interval`] so heartbeats can actually refute
-    /// the suspicion.
-    pub fn with_suspicion(mut self, suspect_after: Duration) -> Self {
-        self.suspect_after = Some(suspect_after);
-        self.trust_after = suspect_after / 2;
-        self
-    }
-
-    /// Returns a copy with the given injected network conditions on every
-    /// replica's peer links (see [`NetProfile`]).
-    pub fn with_net(mut self, net: NetProfile) -> Self {
-        self.net = Some(net);
-        self
-    }
-
-    /// Returns a copy running `shards` executor shards on every replica.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-}
 
 /// Root of the cluster's on-disk tree: a self-removing temp dir by
 /// default, or a kept directory under `$ATLAS_DATA_ROOT` when that
@@ -170,23 +77,21 @@ impl DataRoot {
 pub struct Cluster {
     handles: HashMap<ProcessId, Option<ReplicaHandle>>,
     addrs: HashMap<ProcessId, SocketAddr>,
-    config: Config,
-    options: ClusterOptions,
-    dirs: HashMap<ProcessId, PathBuf>,
+    /// Each replica's configuration at its latest boot. A restart changes
+    /// only [`ReplicaConfig::boot`], so a replica added later keeps the
+    /// address book (and the [`Boot::Join`]) of its first spawn — its
+    /// snapshot/journal then re-derives the current membership, whatever
+    /// the cluster looks like by now.
+    replicas: HashMap<ProcessId, ReplicaConfig>,
     /// The current **target** member set (updated the moment a membership
     /// op submits its `Enter` barrier; the joint window dissolves
     /// asynchronously) and its failure budget.
     members: Vec<ProcessId>,
     f: usize,
-    /// Per-replica boot parameters, reused verbatim on restart: a replica
-    /// added later boots with the address book and `join` flag of its
-    /// *first* spawn — its snapshot/journal then re-derives the current
-    /// membership, whatever the cluster looks like by now.
-    boot: HashMap<ProcessId, (Config, HashMap<ProcessId, SocketAddr>, bool)>,
     /// Mints unique admin client identities for membership barriers.
     admin_clients: u64,
     /// Owns the on-disk tree of every replica's data dir.
-    _data_root: DataRoot,
+    data_root: DataRoot,
 }
 
 impl Cluster {
@@ -200,19 +105,6 @@ impl Cluster {
         P::Message: Serialize + Deserialize + Send + 'static,
     {
         Self::spawn_with::<P>(config, ClusterOptions::default()).await
-    }
-
-    /// Like [`Cluster::spawn`], with an explicit replica tick cadence.
-    pub async fn spawn_with_tick<P>(config: Config, tick_interval: Duration) -> io::Result<Self>
-    where
-        P: Protocol + Send + 'static,
-        P::Message: Serialize + Deserialize + Send + 'static,
-    {
-        let options = ClusterOptions {
-            tick_interval,
-            ..ClusterOptions::default()
-        };
-        Self::spawn_with::<P>(config, options).await
     }
 
     /// Boots the cluster with explicit [`ClusterOptions`].
@@ -231,57 +123,64 @@ impl Cluster {
             addrs.insert(id, listener.local_addr()?);
             listeners.push((id, listener));
         }
-        let dirs: HashMap<ProcessId, PathBuf> = (1..=config.n as ProcessId)
-            .map(|id| (id, data_root.path().join(format!("r{id}"))))
-            .collect();
-        let members: Vec<ProcessId> = (1..=config.n as ProcessId).collect();
-        let boot = members
-            .iter()
-            .map(|&id| (id, (config, addrs.clone(), false)))
-            .collect();
         let mut cluster = Self {
             handles: HashMap::new(),
             addrs,
-            config,
-            options,
-            dirs,
-            members,
+            replicas: HashMap::new(),
+            members: (1..=config.n as ProcessId).collect(),
             f: config.f,
-            boot,
             admin_clients: 0,
-            _data_root: data_root,
+            data_root,
         };
         for (id, listener) in listeners {
-            let cfg = cluster.replica_config(id, false);
-            let handle = replica::spawn_on_listener::<P>(cfg, listener)?;
-            cluster.handles.insert(id, Some(handle));
+            let cfg = ReplicaConfig {
+                id,
+                config,
+                addrs: cluster.addrs.clone(),
+                data_dir: Some(cluster.dir(id)),
+                boot: Boot::Resume,
+                options: options.clone(),
+            };
+            cluster.launch::<P>(cfg, listener)?;
         }
         Ok(cluster)
     }
 
-    fn replica_config(&self, id: ProcessId, catch_up: bool) -> ReplicaConfig {
-        let (config, boot_addrs, join) = self.boot[&id].clone();
-        let mut cfg = ReplicaConfig::new(id, config, boot_addrs);
-        cfg.join = join;
-        cfg.tick_interval = self.options.tick_interval;
-        cfg.data_dir = Some(self.dirs[&id].clone());
-        cfg.flush_policy = self.options.flush_policy;
-        cfg.snapshot_every = self.options.snapshot_every;
-        cfg.catch_up = catch_up;
-        cfg.suspect_after = self.options.suspect_after;
-        cfg.trust_after = self.options.trust_after;
-        cfg.gc_every = self.options.gc_every;
-        cfg.catch_up_chunk_bytes = self.options.catch_up_chunk_bytes;
-        cfg.metrics_every = self.options.metrics_every;
-        cfg.shards = self.options.shards;
-        cfg.net = self.options.net.clone();
-        cfg.fsync_stall = self
-            .options
-            .fsync_stall
-            .get(&id)
-            .copied()
-            .unwrap_or(Duration::ZERO);
-        cfg
+    fn dir(&self, id: ProcessId) -> PathBuf {
+        self.data_root.path().join(format!("r{id}"))
+    }
+
+    /// A joiner's configuration: booting with [`Boot::Join`] from `addrs`,
+    /// with the protocol configuration and options every replica shares.
+    fn joiner(&self, id: ProcessId, addrs: HashMap<ProcessId, SocketAddr>) -> ReplicaConfig {
+        let any = self
+            .replicas
+            .values()
+            .next()
+            .expect("a cluster has replicas");
+        ReplicaConfig {
+            id,
+            addrs,
+            data_dir: Some(self.dir(id)),
+            boot: Boot::Join,
+            ..any.clone()
+        }
+    }
+
+    fn next_id(&self) -> ProcessId {
+        self.replicas.keys().copied().max().unwrap_or(0) + 1
+    }
+
+    fn launch<P>(&mut self, cfg: ReplicaConfig, listener: TcpListener) -> io::Result<()>
+    where
+        P: Protocol + Send + 'static,
+        P::Message: Serialize + Deserialize + Send + 'static,
+    {
+        let id = cfg.id;
+        let handle = replica::spawn_on_listener::<P>(cfg.clone(), listener)?;
+        self.handles.insert(id, Some(handle));
+        self.replicas.insert(id, cfg);
+        Ok(())
     }
 
     /// Number of replicas.
@@ -301,7 +200,10 @@ impl Cluster {
 
     /// The data directory of replica `id`.
     pub fn data_dir(&self, id: ProcessId) -> &PathBuf {
-        &self.dirs[&id]
+        self.replicas[&id]
+            .data_dir
+            .as_ref()
+            .expect("cluster replicas journal")
     }
 
     /// Crashes replica `id`: its tasks stop without flushing or
@@ -325,7 +227,7 @@ impl Cluster {
         P: Protocol + Send + 'static,
         P::Message: Serialize + Deserialize + Send + 'static,
     {
-        self.restart_inner::<P>(id, false).await
+        self.restart_inner::<P>(id, Boot::Resume).await
     }
 
     /// Restarts a killed replica with a **wiped** data directory, as after
@@ -340,14 +242,17 @@ impl Cluster {
         P: Protocol + Send + 'static,
         P::Message: Serialize + Deserialize + Send + 'static,
     {
-        let dir = &self.dirs[&id];
+        let dir = self.data_dir(id);
         if dir.exists() {
             std::fs::remove_dir_all(dir)?;
         }
-        self.restart_inner::<P>(id, true).await
+        self.restart_inner::<P>(id, Boot::CatchUp).await
     }
 
-    async fn restart_inner<P>(&mut self, id: ProcessId, catch_up: bool) -> io::Result<()>
+    /// Reboots `id` with `boot`, except that a joiner reboots as one: its
+    /// address book only describes the configuration it joined, and it
+    /// catches up again, as `atlas-replica --join` rerun does.
+    async fn restart_inner<P>(&mut self, id: ProcessId, boot: Boot) -> io::Result<()>
     where
         P: Protocol + Send + 'static,
         P::Message: Serialize + Deserialize + Send + 'static,
@@ -371,10 +276,11 @@ impl Cluster {
                 Err(e) => return Err(e),
             }
         };
-        let cfg = self.replica_config(id, catch_up);
-        let handle = replica::spawn_on_listener::<P>(cfg, listener)?;
-        self.handles.insert(id, Some(handle));
-        Ok(())
+        let mut cfg = self.replicas[&id].clone();
+        if cfg.boot != Boot::Join {
+            cfg.boot = boot;
+        }
+        self.launch::<P>(cfg, listener)
     }
 
     /// The current target member set (sorted).
@@ -434,12 +340,10 @@ impl Cluster {
     {
         let mut new_ids = Vec::with_capacity(count);
         let mut listeners = Vec::with_capacity(count);
-        let next = self.dirs.keys().copied().max().unwrap_or(0) + 1;
+        let next = self.next_id();
         for id in next..next + count as ProcessId {
             let listener = TcpListener::bind("127.0.0.1:0").await?;
             self.addrs.insert(id, listener.local_addr()?);
-            self.dirs
-                .insert(id, self._data_root.path().join(format!("r{id}")));
             new_ids.push(id);
             listeners.push((id, listener));
         }
@@ -448,16 +352,13 @@ impl Cluster {
         target.sort_unstable();
         self.submit_enter(&target, f).await?;
         // Each joiner's address book is the target member set (itself
-        // included); `join` makes it derive the pre-join configuration from
-        // it and bootstrap before voting.
+        // included); `Boot::Join` makes it derive the pre-join configuration
+        // from it and bootstrap before voting.
         let joiner_addrs: HashMap<ProcessId, SocketAddr> =
             target.iter().map(|id| (*id, self.addrs[id])).collect();
         for (id, listener) in listeners {
-            self.boot
-                .insert(id, (self.config, joiner_addrs.clone(), true));
-            let cfg = self.replica_config(id, true);
-            let handle = replica::spawn_on_listener::<P>(cfg, listener)?;
-            self.handles.insert(id, Some(handle));
+            let cfg = self.joiner(id, joiner_addrs.clone());
+            self.launch::<P>(cfg, listener)?;
         }
         Ok(new_ids)
     }
@@ -486,11 +387,9 @@ impl Cluster {
             self.handles.get(&dead).is_none_or(|h| h.is_none()),
             "replica {dead} is still running; kill it before swapping it out"
         );
-        let new_id = self.dirs.keys().copied().max().unwrap_or(0) + 1;
+        let new_id = self.next_id();
         let listener = TcpListener::bind("127.0.0.1:0").await?;
         self.addrs.insert(new_id, listener.local_addr()?);
-        self.dirs
-            .insert(new_id, self._data_root.path().join(format!("r{new_id}")));
         let mut target: Vec<ProcessId> = self
             .members
             .iter()
@@ -510,10 +409,8 @@ impl Cluster {
             .chain(std::iter::once(&dead))
             .map(|id| (*id, self.addrs[id]))
             .collect();
-        self.boot.insert(new_id, (self.config, joiner_addrs, true));
-        let cfg = self.replica_config(new_id, true);
-        let handle = replica::spawn_on_listener::<P>(cfg, listener)?;
-        self.handles.insert(new_id, Some(handle));
+        let cfg = self.joiner(new_id, joiner_addrs);
+        self.launch::<P>(cfg, listener)?;
         Ok(new_id)
     }
 

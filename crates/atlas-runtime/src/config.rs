@@ -1,4 +1,7 @@
-//! Static configuration of one networked replica.
+//! Static configuration of one networked replica: who it is, where it keeps
+//! its state, how it boots ([`Boot`]), and the runtime knobs
+//! ([`ClusterOptions`]) that the library, the in-process
+//! [`Cluster`](crate::Cluster) and the `atlas-replica` binary all share.
 
 use crate::netem::NetProfile;
 #[cfg(doc)]
@@ -14,10 +17,23 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// Default budget for one catch-up chunk's payload. Deliberately far below
-/// [`MAX_FRAME_BYTES`]: the point of chunking is that no frame ever
-/// approaches the cap, however long the served history is.
-pub const DEFAULT_CATCH_UP_CHUNK_BYTES: usize = 4 << 20;
+/// How a replica comes up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Boot {
+    /// Recover from the data directory (if any), then serve.
+    Resume,
+    /// Recover, then fetch committed state from peers before serving — for
+    /// a replica rejoining under its old identifier with a lost data dir.
+    CatchUp,
+    /// Boot as a **joiner**: this replica is not (yet) a member of the
+    /// configuration in [`ReplicaConfig::addrs`] — it bootstraps from the
+    /// listed members by catch-up, stays a non-voting learner until a
+    /// `Reconfigure::Enter` naming it executes, and starts voting only once
+    /// it has replayed that barrier. `addrs` then holds the *current
+    /// members plus this replica*, and [`ReplicaConfig::config`] describes
+    /// the current (pre-join) configuration.
+    Join,
+}
 
 /// Static configuration of one networked replica.
 #[derive(Debug, Clone)]
@@ -28,27 +44,42 @@ pub struct ReplicaConfig {
     pub config: Config,
     /// Listen/dial addresses of **all** replicas, own id included.
     pub addrs: HashMap<ProcessId, SocketAddr>,
-    /// Cadence of the replica tick (acks, heartbeats, detector, GC).
-    pub tick_interval: Duration,
     /// Where to keep the durable journal and snapshots. `None` runs the
     /// replica ephemeral (crash = state loss), the pre-durability behaviour.
     pub data_dir: Option<PathBuf>,
+    /// How the replica comes up.
+    pub boot: Boot,
+    /// The runtime knobs.
+    pub options: ClusterOptions,
+}
+
+impl ReplicaConfig {
+    /// An ephemeral replica (no data directory) that resumes on boot, with
+    /// [`ClusterOptions::default`] knobs.
+    pub fn new(id: ProcessId, config: Config, addrs: HashMap<ProcessId, SocketAddr>) -> Self {
+        Self {
+            id,
+            config,
+            addrs,
+            data_dir: None,
+            boot: Boot::Resume,
+            options: ClusterOptions::default(),
+        }
+    }
+}
+
+/// The runtime knobs of a replica — one declaration, one default each. A
+/// [`Cluster`](crate::Cluster) hands the same options to every replica it
+/// boots; `atlas-replica` parses its flags into them.
+#[derive(Debug, Clone)]
+pub struct ClusterOptions {
+    /// Cadence of the replica tick (acks, heartbeats, detector, GC).
+    pub tick_interval: Duration,
     /// fsync batching for the journal (ignored without a data dir).
     pub flush_policy: FlushPolicy,
     /// Snapshot (and truncate the journal) every this many journaled
     /// records; 0 disables snapshotting and keeps the full journal.
     pub snapshot_every: u64,
-    /// On startup, fetch committed state from peers before serving — for a
-    /// replica rejoining under its old identifier with a lost data dir.
-    pub catch_up: bool,
-    /// Boot as a **joiner**: this replica is not (yet) a member of the
-    /// configuration in `addrs` — it bootstraps from the listed members
-    /// (set `catch_up` too), stays a non-voting learner until a
-    /// `Reconfigure::Enter` naming it executes, and starts voting only
-    /// once it has replayed that barrier. With `join`, `addrs` holds the
-    /// *current members plus this replica*, and `config` describes the
-    /// current (pre-join) configuration.
-    pub join: bool,
     /// Suspect a peer after this much silence and hand it to
     /// [`Protocol::suspect`]. Atlas and EPaxos take a silent peer's
     /// commands over as soon as it is late (it leaves the distance order a
@@ -91,24 +122,29 @@ pub struct ReplicaConfig {
     /// The serving replica packs store records, execution-record slices and
     /// committed messages into chunks of at most this size, so catch-up
     /// works no matter how far the served history has outgrown a single
-    /// frame.
+    /// frame. The default is deliberately far below the frame cap: the
+    /// point of chunking is that no frame ever approaches it.
     pub catch_up_chunk_bytes: usize,
     /// Append one [`MetricsSnapshot`] line to `<data_dir>/metrics.jsonl`
     /// every this many ticks (0 disables the dump; it also needs a data
     /// directory). The live stats plane (`ClientRequest::Stats`,
     /// `atlas-top`) works regardless of this knob.
     pub metrics_every: u64,
-    /// Injected network conditions for this replica's **outbound** peer
+    /// Injected network conditions for the replica's **outbound** peer
     /// links (delay/jitter/bandwidth, scheduled cuts, connection resets —
-    /// see [`crate::netem`]). `None` runs every link unshaped. Cut
-    /// schedules are measured from replica boot.
+    /// see [`crate::netem`]). Rules select **directed** links by the
+    /// sending and receiving replica identifiers, so one profile describes
+    /// a whole cluster's geo topology (and its scheduled partitions).
+    /// `None` runs every link unshaped; client connections are never
+    /// shaped. Cut schedules are measured from replica boot.
     pub net: Option<NetProfile>,
-    /// Injected storage latency: stall this long inside every write-ahead
-    /// fsync (on the event loop, heartbeats included) and every fsync of
-    /// the snapshot writer (on its thread), exactly like a real fsync that
-    /// takes this long; zero disables. A harness knob for slow-disk drills.
-    /// The WAL fsync inside a snapshot cut is metered but not stalled.
-    pub fsync_stall: Duration,
+    /// Injected storage latency per replica: stall this long inside every
+    /// write-ahead fsync (on the event loop, heartbeats included) and every
+    /// fsync of the snapshot writer (on its thread), exactly like a real
+    /// fsync that takes this long. Replicas absent from the map run
+    /// unstalled. A harness knob for slow-disk drills. The WAL fsync inside
+    /// a snapshot cut is metered but not stalled.
+    pub fsync_stall: HashMap<ProcessId, Duration>,
     /// Executor shards: partition the keyspace into this many hash shards
     /// and execute protocol-ordered commands on one executor thread per
     /// shard ([`crate::executor`]). Commands touching disjoint shards
@@ -121,29 +157,49 @@ pub struct ReplicaConfig {
     pub shards: usize,
 }
 
-impl ReplicaConfig {
-    /// Configuration with the default 25 ms tick cadence, no data directory
-    /// (ephemeral state), default flush/snapshot knobs and failure
-    /// detection on (1.5 s suspicion threshold, 250 ms trust hysteresis).
-    pub fn new(id: ProcessId, config: Config, addrs: HashMap<ProcessId, SocketAddr>) -> Self {
+impl Default for ClusterOptions {
+    /// Flushing is OS-buffered: in-process clusters crash processes, never
+    /// the host, so fsyncs would only slow them. `atlas-replica`
+    /// deployments flush [`FlushPolicy::default`] (`every:64`) instead.
+    fn default() -> Self {
         Self {
-            id,
-            config,
-            addrs,
             tick_interval: Duration::from_millis(25),
-            data_dir: None,
-            flush_policy: FlushPolicy::default(),
+            flush_policy: FlushPolicy::OsBuffered,
             snapshot_every: 4096,
-            catch_up: false,
-            join: false,
             suspect_after: Some(Duration::from_millis(1_500)),
             trust_after: Duration::from_millis(250),
             gc_every: 0,
-            catch_up_chunk_bytes: DEFAULT_CATCH_UP_CHUNK_BYTES,
+            catch_up_chunk_bytes: 4 << 20,
             metrics_every: 0,
             net: None,
-            fsync_stall: Duration::ZERO,
+            fsync_stall: HashMap::new(),
             shards: 1,
         }
+    }
+}
+
+impl ClusterOptions {
+    /// Returns a copy with fast failure detection for fault-injection
+    /// tests: suspect after `suspect_after`, restore trust after half of
+    /// it. Keep the threshold a healthy multiple of
+    /// [`ClusterOptions::tick_interval`] so heartbeats can actually refute
+    /// the suspicion.
+    pub fn with_suspicion(mut self, suspect_after: Duration) -> Self {
+        self.suspect_after = Some(suspect_after);
+        self.trust_after = suspect_after / 2;
+        self
+    }
+
+    /// Returns a copy with the given injected network conditions on every
+    /// replica's peer links (see [`NetProfile`]).
+    pub fn with_net(mut self, net: NetProfile) -> Self {
+        self.net = Some(net);
+        self
+    }
+
+    /// Returns a copy running `shards` executor shards on every replica.
+    pub fn with_shards(mut self, shards: usize) -> Self {
+        self.shards = shards;
+        self
     }
 }

@@ -88,8 +88,9 @@ impl Membership {
         stop: Arc<AtomicBool>,
         self_addr: SocketAddr,
     ) -> Self {
-        let detector = cfg.suspect_after.map(|suspect_after| {
-            let (trust_after, tick) = (cfg.trust_after, cfg.tick_interval);
+        let options = &cfg.options;
+        let detector = options.suspect_after.map(|suspect_after| {
+            let (trust_after, tick) = (options.trust_after, options.tick_interval);
             FailureDetector::new(cfg.id, [], suspect_after, trust_after, tick, Instant::now())
         });
         let mut members = Self {
@@ -104,7 +105,7 @@ impl Membership {
             epoch_ctr: Arc::new(AtomicU64::new(0)),
             stop,
             self_addr,
-            net: cfg.net.clone(),
+            net: options.net.clone(),
             boot: Instant::now(),
         };
         members.sync_links();

@@ -251,7 +251,7 @@ impl SnapshotCut {
 pub(crate) struct Host {
     /// Where disk time and counts are recorded (shared with the writer).
     pub metrics: Arc<ReplicaMetrics>,
-    /// `ReplicaConfig::fsync_stall`: injected latency per fsync.
+    /// `ClusterOptions::fsync_stall` for this replica: injected latency per fsync.
     pub fsync_stall: Duration,
     /// The incarnation's stop flag: once set, the writer publishes nothing.
     pub stop: Arc<AtomicBool>,

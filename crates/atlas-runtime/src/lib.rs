@@ -31,7 +31,7 @@
 //!
 //! ## Durability and crash recovery
 //!
-//! With [`ReplicaConfig::data_dir`](replica::ReplicaConfig) set, a replica
+//! With [`ReplicaConfig::data_dir`] set, a replica
 //! journals every protocol input (client submissions, peer messages) to a
 //! write-ahead log — staged **before** processing it, written with one
 //! `write` per event-loop turn before anything derived from it leaves, a
@@ -45,7 +45,7 @@
 //! deterministic state machines, so replay reconstructs exactly the state
 //! its peers observed), and only then serves traffic. A replica that lost
 //! its data directory rejoins with
-//! [`catch_up`](replica::ReplicaConfig::catch_up): it **streams** committed
+//! [`Boot::CatchUp`]: it **streams** committed
 //! state from every reachable peer as a sequence of bounded-size
 //! [`wire::CatchUpChunk`]s — an executed-state base (store records, the
 //! execution record, the protocol's
@@ -65,7 +65,7 @@
 //!
 //! ## Log compaction
 //!
-//! With [`gc_every`](replica::ReplicaConfig::gc_every) set, replicas
+//! With [`gc_every`](ClusterOptions::gc_every) set, replicas
 //! exchange their [`executed
 //! watermarks`](atlas_core::Protocol::executed_watermarks) every tick
 //! (piggybacked on the peer links) and, on the GC cadence and before every
@@ -81,9 +81,9 @@
 //! ## Failure detection
 //!
 //! The event loop runs a timeout-based [`FailureDetector`]
-//! ([`ReplicaConfig::suspect_after`](replica::ReplicaConfig) /
-//! [`trust_after`](replica::ReplicaConfig)): outbound links heartbeat every
-//! tick, any inbound frame counts as evidence its sender is alive, and a
+//! ([`ClusterOptions::suspect_after`] /
+//! [`trust_after`](ClusterOptions::trust_after)): outbound links heartbeat
+//! every tick, any inbound frame counts as evidence its sender is alive, and a
 //! peer silent past the threshold is handed to
 //! [`Protocol::suspect`](atlas_core::Protocol::suspect) through the
 //! journaled input pipeline — every hosted protocol turns this into real
@@ -168,7 +168,7 @@ pub use detector::{DetectorEvent, FailureDetector};
 pub use executor::{ExecCtx, ExecutorPool};
 pub use metrics::{ReplicaMetrics, ShardExecutorMetrics};
 pub use netem::{Cut, LinkRule, LinkShaper, NetProfile};
-pub use replica::{ReplicaConfig, ReplicaHandle};
+pub use replica::{Boot, ReplicaConfig, ReplicaHandle};
 
 // Re-exported so downstream code can consume `Client::stats()` / the
 // `--metrics-every` JSONL without naming the metrics crate directly.

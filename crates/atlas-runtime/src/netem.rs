@@ -203,8 +203,7 @@ impl LinkRule {
 /// the per-link randomness (jitter samples, reset decisions). The same
 /// profile + seed reproduces the same injected schedule, chaos-harness
 /// style. Threaded through
-/// [`ClusterOptions::net`](crate::cluster::ClusterOptions) /
-/// [`ReplicaConfig::net`](crate::replica::ReplicaConfig) / the
+/// [`ClusterOptions::net`](crate::ClusterOptions::net) and the
 /// `atlas-replica --net-profile` flag.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NetProfile {

@@ -23,7 +23,7 @@
 //! tabulates them.
 
 use crate::catch_up::{self, Rebuild};
-pub use crate::config::{ReplicaConfig, DEFAULT_CATCH_UP_CHUNK_BYTES};
+pub use crate::config::{Boot, ReplicaConfig};
 use crate::detector::DetectorEvent;
 use crate::durability::{Durability, Input};
 use crate::epochs::Membership;
@@ -116,7 +116,7 @@ where
     let addr = listener.local_addr()?;
     let id = cfg.id;
     let n = cfg.config.n;
-    if !cfg.join {
+    if cfg.boot != Boot::Join {
         assert_eq!(
             cfg.addrs.len(),
             n,
@@ -137,9 +137,9 @@ where
     let core = Core::<P>::recover(&cfg, Arc::clone(&stop), addr, report)?;
 
     tokio::spawn(acceptor(listener, event_tx.clone(), Arc::clone(&stop)));
-    let tick = cfg.tick_interval;
+    let tick = cfg.options.tick_interval;
     tokio::spawn(ticker(tick, event_tx.clone(), Arc::clone(&stop)));
-    let catch_up = cfg.catch_up.then(|| cfg.addrs.clone());
+    let catch_up = (cfg.boot != Boot::Resume).then(|| cfg.addrs.clone());
     tokio::spawn(event_loop(
         core,
         event_rx,
@@ -236,7 +236,7 @@ where
         // A joiner is not (yet) a member: the configuration it boots into
         // is everyone in the address book *except* itself, and it stays a
         // non-voting learner until an `Enter` barrier naming it replays.
-        let (config, view) = if cfg.join {
+        let (config, view) = if cfg.boot == Boot::Join {
             let members: Vec<ProcessId> =
                 cfg.addrs.keys().copied().filter(|&p| p != cfg.id).collect();
             let view = ClusterView::at(0, members, cfg.config.f);
@@ -251,24 +251,27 @@ where
         // executor pool, so executor-side lifecycle stamps land in the same
         // cells on the same timeline as the event loop's.
         let start = Instant::now();
-        let metrics = Arc::new(ReplicaMetrics::with_shards(cfg.shards));
-        let metrics_dir = cfg.data_dir.as_ref().filter(|_| cfg.metrics_every > 0);
+        let options = &cfg.options;
+        let metrics = Arc::new(ReplicaMetrics::with_shards(options.shards));
+        let metrics_dir = cfg.data_dir.as_ref().filter(|_| options.metrics_every > 0);
         let mut core = Self {
             id: cfg.id,
             protocol: P::new(cfg.id, config, topology.clone()),
-            exec: ExecutorPool::new(cfg.shards, Arc::clone(&metrics), start),
+            exec: ExecutorPool::new(options.shards, Arc::clone(&metrics), start),
             log: ExecutionRecord::default(),
             sessions: HashMap::new(),
             outbox: Outbox::new(),
-            durability: Durability::new(cfg.gc_every),
+            durability: Durability::new(options.gc_every),
             members: Membership::new(cfg, view, Arc::clone(&stop), self_addr),
             start,
             ticks: 0,
-            catch_up_chunk_bytes: cfg.catch_up_chunk_bytes.clamp(1024, MAX_FRAME_BYTES / 2),
+            catch_up_chunk_bytes: options
+                .catch_up_chunk_bytes
+                .clamp(1024, MAX_FRAME_BYTES / 2),
             metrics,
             pending: HashMap::new(),
             commit_times: IdMap::default(),
-            metrics_dump: metrics_dir.map(|dir| (cfg.metrics_every, dir.join("metrics.jsonl"))),
+            metrics_dump: metrics_dir.map(|dir| (options.metrics_every, dir.join("metrics.jsonl"))),
             alloc_baseline: atlas_metrics::allocations(),
         };
         let Some(dir) = &cfg.data_dir else {
@@ -276,12 +279,16 @@ where
         };
         let host = Host {
             metrics: Arc::clone(&core.metrics),
-            fsync_stall: cfg.fsync_stall,
+            fsync_stall: options
+                .fsync_stall
+                .get(&cfg.id)
+                .copied()
+                .unwrap_or_default(),
             stop,
             report,
         };
         let (journal, snapshot, records) =
-            Journal::open(dir, cfg.flush_policy, cfg.snapshot_every, host)?;
+            Journal::open(dir, options.flush_policy, options.snapshot_every, host)?;
         if let Some(snapshot) = snapshot {
             core.protocol = P::restore_state(cfg.id, config, topology, &snapshot.protocol)
                 .ok_or_else(|| {

@@ -18,7 +18,7 @@ use atlas_core::{
     Action, ClientId, ClusterView, Command, Config, Dot, Key, ProcessId, Protocol, Rifl, Topology,
 };
 use atlas_protocol::Atlas;
-use atlas_runtime::replica::{self, ReplicaConfig};
+use atlas_runtime::replica::{self, Boot, ReplicaConfig};
 use atlas_runtime::wire::{
     read_frame, write_frame, write_raw_frame, CatchUpChunk, CatchUpPayload, Hello, MAX_FRAME_BYTES,
 };
@@ -395,8 +395,8 @@ fn rejoin_after(first: FirstStream) {
             .into_iter()
             .collect();
         let mut cfg = ReplicaConfig::new(2, Config::new(3, 1), addrs);
-        cfg.catch_up = true;
-        cfg.suspect_after = None;
+        cfg.boot = Boot::CatchUp;
+        cfg.options.suspect_after = None;
         let handle = replica::spawn_on_listener::<Atlas>(cfg, listener).expect("rejoiner spawns");
 
         // The first stream fails mid-base; the retry round (250 ms later)

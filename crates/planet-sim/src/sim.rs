@@ -305,7 +305,7 @@ impl<P: Protocol> Simulation<P> {
             })
             .collect();
 
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
+        let rng = SmallRng::seed_from_u64(cfg.seed);
         let mut clients = Vec::new();
         // Client placement: either co-located with sites, or spread over
         // arbitrary regions and attached to the closest site.
@@ -320,7 +320,7 @@ impl<P: Protocol> Simulation<P> {
         };
         // Build the workload once (Zipfian construction is expensive) and
         // stamp out one independent copy per client.
-        let workload_prototype = cfg.workload.build(&mut rng);
+        let workload_prototype = cfg.workload.build();
         for (region, count) in placements {
             for _ in 0..count {
                 let id = clients.len() as ClientId + 1;

@@ -3,7 +3,6 @@
 
 use kvstore::workload::YcsbMix;
 use kvstore::{ConflictWorkload, Workload, YcsbWorkload};
-use rand::Rng;
 
 /// A description of the workload every client runs; building it per client
 /// keeps clients independent while the spec itself stays `Clone`.
@@ -29,9 +28,8 @@ pub enum WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// Instantiates the workload for one client. The RNG is only used to
-    /// diversify stateful generators if needed (kept for future extensions).
-    pub fn build(&self, _rng: &mut impl Rng) -> Box<dyn Workload> {
+    /// Instantiates the workload for one client.
+    pub fn build(&self) -> Box<dyn Workload> {
         match self {
             WorkloadSpec::Conflict { rate, payload } => {
                 Box::new(ConflictWorkload::new(*rate, *payload))
@@ -68,7 +66,7 @@ mod tests {
             rate: 0.5,
             payload: 100,
         };
-        let mut workload = spec.build(&mut rng);
+        let mut workload = spec.build();
         let cmd = workload.next_command(1, 1, &mut rng);
         assert!(cmd.is_write());
         assert!(spec.label().contains("conflict=50%"));
@@ -82,7 +80,7 @@ mod tests {
             records: 1_000,
             payload: 100,
         };
-        let mut workload = spec.build(&mut rng);
+        let mut workload = spec.build();
         let cmd = workload.next_command(1, 1, &mut rng);
         assert!(cmd.is_read_only());
         assert!(spec.label().contains("ycsb"));
