@@ -8,9 +8,14 @@
 //! (reads of the same key commute; read/write and write/write on the same key
 //! do not). The microbenchmark of §5.2 uses single-key write commands, for
 //! which "conflict ⇔ same key".
+//!
+//! A client request of several commands is ordered as one command, a
+//! [batch](Command::batch): one consensus instance whose conflicts are the
+//! union of its parts', expanded back into its parts when it executes.
 
 use crate::id::{ProcessId, Rifl};
 use serde::{Deserialize, Error, Reader, Serialize};
+use std::sync::Arc;
 
 /// A membership-change request carried by a [`Command`] (see
 /// [`Command::reconfigure`]). Reconfiguration commands are sequenced through
@@ -96,23 +101,98 @@ impl KvOp {
 /// and a synthetic payload size (bytes). The special [`Command::noop`] command
 /// conflicts with every other command and is used by recovery when a
 /// command's payload cannot be retrieved (paper §3.2.6).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// A [batch](Command::batch) also carries its parts, each a request
+/// identifier and its operations; it shows the protocols only the union of
+/// their keys.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Command {
-    /// Request identifier of the client call that produced this command.
+    /// Request identifier of the client call that produced this command (a
+    /// batch: its first part's).
     pub rifl: Rifl,
-    /// Operations, keyed by the key they access. Empty for `noOp`.
+    /// Operations, keyed by the key they access. Empty for `noOp`. A batch:
+    /// every key of its parts, a write if any part writes it — derived from
+    /// the parts on build and decode, never encoded.
     ops: Ops,
     /// Synthetic payload size in bytes (the paper uses 100 B and 3 KB).
     pub payload_size: usize,
     /// Marks the recovery `noOp` command, which conflicts with everything and
     /// is never applied to the state machine.
     noop: bool,
+    /// A membership change or a batch's parts; `None` for every other
+    /// command. Behind one shared pointer: one command in millions carries
+    /// a membership change and one in sixteen a batch, and every clone and
+    /// table slot of the others would pay for their size.
+    extra: Option<Arc<Extra>>,
+}
+
+/// What a few commands carry beside their operations.
+#[derive(Debug, PartialEq, Eq)]
+enum Extra {
     /// A membership change riding in the log. Like `noOp` it conflicts with
     /// every command (the total-order barrier), but unlike `noOp` it **is**
     /// executed — the runtime intercepts the execution and switches epochs.
-    /// Boxed: one command in millions carries one, and every clone and every
-    /// table slot of the others would pay for its size.
-    reconfig: Option<Box<ReconfigOp>>,
+    Reconfig(ReconfigOp),
+    /// A batch's parts in submission order.
+    Batch(Vec<(Rifl, Ops)>),
+}
+
+impl Extra {
+    /// A batch's parts; empty for a membership change.
+    fn parts(&self) -> &[(Rifl, Ops)] {
+        match self {
+            Extra::Batch(parts) => parts,
+            Extra::Reconfig(_) => &[],
+        }
+    }
+}
+
+/// Where a batch's encoding differs from a plain command's: the last
+/// byte before the parts, which holds the membership change's `Option` tag
+/// (0 or 1) in every other command. Those encode exactly as the derived
+/// layout of `Option<Box<ReconfigOp>>` did, so journals and snapshots
+/// written before batches existed still decode.
+const BATCH_TAG: u8 = 2;
+
+impl Serialize for Command {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        let (rifl, size, noop) = (self.rifl, self.payload_size, self.noop);
+        match self.extra.as_deref() {
+            None => (rifl, &self.ops, size, noop, 0u8).serialize(out),
+            Some(Extra::Reconfig(op)) => (rifl, &self.ops, size, noop, (1u8, op)).serialize(out),
+            // An empty operation list: the union is not encoded.
+            Some(Extra::Batch(parts)) => {
+                (rifl, 0u64, size, noop, (BATCH_TAG, parts)).serialize(out)
+            }
+        }
+    }
+}
+
+impl Deserialize for Command {
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
+        let (rifl, ops, payload_size, noop) = Deserialize::deserialize(input)?;
+        let mut cmd = Self {
+            rifl,
+            ops,
+            payload_size,
+            noop,
+            extra: None,
+        };
+        match u8::deserialize(input)? {
+            0 => {}
+            1 => cmd.extra = Some(Arc::new(Extra::Reconfig(Deserialize::deserialize(input)?))),
+            BATCH_TAG => {
+                let parts: Vec<(Rifl, Ops)> = Deserialize::deserialize(input)?;
+                if noop || !cmd.ops.0.is_empty() || parts.is_empty() {
+                    return Err(Error::custom("malformed batch command"));
+                }
+                cmd.ops = Ops::union(parts.iter().map(|(_, ops)| ops));
+                cmd.extra = Some(Arc::new(Extra::Batch(parts)));
+            }
+            tag => return Err(Error::custom(format!("invalid command tag {tag}"))),
+        }
+        Ok(cmd)
+    }
 }
 
 /// A command's keyed operations: sorted by key, one operation per key (the
@@ -150,6 +230,24 @@ impl Deserialize for Ops {
     }
 }
 
+impl Ops {
+    /// Every key of `parts`, sorted, each once: a write (the last one) if
+    /// any part writes it, else a read. That is all the conflict relation
+    /// reads of a key.
+    fn union<'a>(parts: impl Iterator<Item = &'a Ops>) -> Self {
+        let mut ops: Vec<(Key, KvOp)> = parts.flat_map(|ops| ops.0.iter().copied()).collect();
+        ops.sort_by_key(|(key, _)| *key); // stable: a key's accesses keep their order
+        ops.dedup_by(|later, kept| {
+            let repeat = later.0 == kept.0;
+            if repeat && !later.1.is_read() {
+                *kept = *later;
+            }
+            repeat
+        });
+        Self(ops)
+    }
+}
+
 impl Command {
     /// Creates a command from a list of keyed operations.
     pub fn new(
@@ -162,8 +260,81 @@ impl Command {
             ops: ops.into_iter().collect(),
             payload_size,
             noop: false,
-            reconfig: None,
+            extra: None,
         }
+    }
+
+    /// One command for a client request of several: its parts are the
+    /// commands' request identifiers and operations, in submission order,
+    /// and it conflicts with whatever any part conflicts with. `cmds` are
+    /// plain key–value commands (no `noOp`, membership change or batch), at
+    /// least one.
+    pub fn batch(cmds: Vec<Command>) -> Self {
+        debug_assert!(cmds.iter().all(Command::is_plain), "batches nest nothing");
+        let rifl = cmds.first().expect("a batch has parts").rifl;
+        let payload_size = cmds.iter().map(|cmd| cmd.payload_size).sum();
+        let parts: Vec<(Rifl, Ops)> = cmds.into_iter().map(|cmd| (cmd.rifl, cmd.ops)).collect();
+        Self {
+            rifl,
+            ops: Ops::union(parts.iter().map(|(_, ops)| ops)),
+            payload_size,
+            noop: false,
+            extra: Some(Arc::new(Extra::Batch(parts))),
+        }
+    }
+
+    /// The consensus instances for one client request: several key–value
+    /// commands become one [batch](Command::batch); one command, or a
+    /// request holding a `noOp`, membership change or batch, stays as it
+    /// is.
+    pub fn instances(cmds: Vec<Command>) -> Vec<Command> {
+        if cmds.len() > 1 && cmds.iter().all(Command::is_plain) {
+            vec![Command::batch(cmds)]
+        } else {
+            cmds
+        }
+    }
+
+    /// Whether this is a key–value command that is not a batch.
+    fn is_plain(&self) -> bool {
+        !self.noop && self.extra.is_none()
+    }
+
+    /// A batch's parts; empty for every other command.
+    fn parts(&self) -> &[(Rifl, Ops)] {
+        self.extra.as_deref().map_or(&[], Extra::parts)
+    }
+
+    /// Whether this command is a [batch](Command::batch).
+    pub fn is_batch(&self) -> bool {
+        matches!(self.extra.as_deref(), Some(Extra::Batch(_)))
+    }
+
+    /// The request identifiers this command answers, in submission order:
+    /// a batch's parts', else its own.
+    pub fn rifls(&self) -> impl Iterator<Item = Rifl> + '_ {
+        let whole = (!self.is_batch()).then_some(self.rifl);
+        whole
+            .into_iter()
+            .chain(self.parts().iter().map(|(rifl, _)| *rifl))
+    }
+
+    /// The commands this one stands for at execution, in submission order:
+    /// a batch's parts, each a plain command (of payload size 0: the
+    /// batch's is its parts' sum), else the command itself.
+    pub fn split(self) -> impl Iterator<Item = Command> {
+        let batch = self.extra.clone().filter(|_| self.is_batch());
+        let whole = batch.is_none().then_some(self);
+        let parts = batch.into_iter().flat_map(|batch| {
+            (0..batch.parts().len()).map(move |i| Command {
+                rifl: batch.parts()[i].0,
+                ops: batch.parts()[i].1.clone(),
+                payload_size: 0,
+                noop: false,
+                extra: None,
+            })
+        });
+        whole.into_iter().chain(parts)
     }
 
     /// Creates a single-key `Get` command.
@@ -184,7 +355,7 @@ impl Command {
             ops: Ops(Vec::new()),
             payload_size: 0,
             noop: true,
-            reconfig: None,
+            extra: None,
         }
     }
 
@@ -203,18 +374,21 @@ impl Command {
             ops: Ops(Vec::new()),
             payload_size: 0,
             noop: false,
-            reconfig: Some(Box::new(op)),
+            extra: Some(Arc::new(Extra::Reconfig(op))),
         }
     }
 
     /// The membership change this command carries, if it is one.
     pub fn reconfig_op(&self) -> Option<&ReconfigOp> {
-        self.reconfig.as_deref()
+        match self.extra.as_deref() {
+            Some(Extra::Reconfig(op)) => Some(op),
+            _ => None,
+        }
     }
 
     /// Whether this command carries a membership change.
     pub fn is_reconfig(&self) -> bool {
-        self.reconfig.is_some()
+        self.reconfig_op().is_some()
     }
 
     /// Whether every operation in the command is a read.
@@ -267,7 +441,7 @@ impl Command {
     /// * Otherwise, commands conflict iff they access a common key and at
     ///   least one of the two accesses is a write.
     pub fn conflicts_with(&self, other: &Command) -> bool {
-        if self.noop || other.noop || self.reconfig.is_some() || other.reconfig.is_some() {
+        if self.noop || other.noop || self.is_reconfig() || other.is_reconfig() {
             return true;
         }
         // Search the longer operation list for each key of the shorter.
@@ -286,7 +460,7 @@ impl Command {
     /// optimization is enabled: reads are excluded from dependency
     /// computation (§4, "Non-fault-tolerant reads").
     pub fn conflicts_with_write(&self, other: &Command) -> bool {
-        if self.noop || other.noop || self.reconfig.is_some() || other.reconfig.is_some() {
+        if self.noop || other.noop || self.is_reconfig() || other.is_reconfig() {
             return true;
         }
         if other.is_read_only() {
@@ -455,6 +629,122 @@ mod tests {
         assert_eq!(sorted, encode(&listed));
         let decoded = Ops::deserialize(&mut Reader::new(&encode(&ops))).unwrap();
         assert_eq!(decoded, cmd.ops);
+    }
+
+    /// The bytes of a plain command: the layout every journal, snapshot and
+    /// peer frame written before batches existed holds.
+    #[test]
+    fn a_plain_command_keeps_its_bytes() {
+        let mut bytes = Vec::new();
+        Command::put(Rifl::new(7, 9), 3, 5, 64).serialize(&mut bytes);
+        let mut expected = Vec::new();
+        for word in [7u64, 9, 1, 3] {
+            expected.extend_from_slice(&word.to_le_bytes()); // rifl, one op, its key
+        }
+        expected.extend_from_slice(&1u32.to_le_bytes()); // `Put`
+        expected.extend_from_slice(&5u64.to_le_bytes()); // its value
+        expected.extend_from_slice(&64u64.to_le_bytes()); // payload size
+        expected.extend_from_slice(&[0, 0]); // not a `noOp`, no membership change
+        assert_eq!(bytes, expected);
+        let reconfig = Command::reconfigure(rifl(1), ReconfigOp::Finalize);
+        let mut bytes = Vec::new();
+        reconfig.serialize(&mut bytes);
+        assert_eq!(
+            bytes[bytes.len() - 5],
+            1,
+            "a membership change's option tag"
+        );
+        assert_eq!(
+            Command::deserialize(&mut Reader::new(&bytes)).unwrap(),
+            reconfig
+        );
+        // Batches and membership changes cost the others one pointer.
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(std::mem::size_of::<Command>(), 64);
+    }
+
+    fn batch(parts: &[(u64, Key, KvOp)]) -> Command {
+        let cmds = parts
+            .iter()
+            .map(|&(seq, key, op)| Command::new(rifl(seq), [(key, op)], 8))
+            .collect();
+        Command::batch(cmds)
+    }
+
+    #[test]
+    fn a_batch_conflicts_through_the_union_of_its_parts() {
+        let reads_k = batch(&[(1, 1, KvOp::Get), (2, 2, KvOp::Put(1)), (3, 1, KvOp::Get)]);
+        assert!(!reads_k.is_read_only() && reads_k.is_write());
+        assert_eq!(reads_k.keys().copied().collect::<Vec<_>>(), vec![1, 2]);
+        // Key 1 only read: it conflicts with a put on it, not with a get.
+        assert!(reads_k.conflicts_with(&Command::put(rifl(4), 1, 0, 8)));
+        assert!(Command::put(rifl(4), 1, 0, 8).conflicts_with(&reads_k));
+        assert!(!reads_k.conflicts_with(&Command::get(rifl(5), 1)));
+        assert!(!reads_k.conflicts_with(&Command::get(rifl(5), 3)));
+        // A key any part writes is written, whatever part reads it after.
+        let writes_k = batch(&[(1, 1, KvOp::Put(3)), (2, 1, KvOp::Get)]);
+        assert!(writes_k.conflicts_with(&Command::get(rifl(5), 1)));
+        // Two read-only batches on one key commute.
+        let a = batch(&[(1, 1, KvOp::Get), (2, 2, KvOp::Get)]);
+        let b = batch(&[(3, 1, KvOp::Get), (4, 1, KvOp::Get)]);
+        assert!(a.is_read_only() && b.is_read_only());
+        assert!(!a.conflicts_with(&b) && !b.conflicts_with(&a));
+        assert!(!a.conflicts_with_write(&b));
+        assert!(a.conflicts_with(&writes_k));
+        assert_eq!(writes_k.shard_ids(8), vec![shard_of(1, 8)]);
+    }
+
+    #[test]
+    fn a_batch_survives_encoding_and_splits_into_its_parts() {
+        let parts = [
+            (1, 9, KvOp::Put(1)),
+            (2, 9, KvOp::Get),
+            (3, 4, KvOp::Delete),
+        ];
+        let cmd = batch(&parts);
+        assert!(cmd.is_batch());
+        assert_eq!((cmd.rifl, cmd.payload_size), (rifl(1), 24));
+        let mut bytes = Vec::new();
+        cmd.serialize(&mut bytes);
+        let decoded = Command::deserialize(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!(decoded, cmd, "the union is derived again on decode");
+        let rifls: Vec<Rifl> = decoded.rifls().collect();
+        assert_eq!(rifls, vec![rifl(1), rifl(2), rifl(3)]);
+        let split: Vec<Command> = decoded.split().collect();
+        let expected: Vec<Command> = parts
+            .iter()
+            .map(|&(seq, key, op)| Command::new(rifl(seq), [(key, op)], 0))
+            .collect();
+        assert_eq!(split, expected, "parts in submission order");
+        // A plain command is its own one part.
+        let plain = Command::get(rifl(7), 1);
+        assert_eq!(plain.rifls().collect::<Vec<_>>(), vec![rifl(7)]);
+        assert_eq!(plain.clone().split().collect::<Vec<_>>(), vec![plain]);
+        // A batch that also claims operations of its own is refused.
+        assert_eq!(
+            bytes[16 + 8 + 8 + 1],
+            BATCH_TAG,
+            "after rifl, no ops, size, noOp"
+        );
+        let mut forged = bytes[..16].to_vec();
+        forged.extend_from_slice(&1u64.to_le_bytes());
+        forged.extend_from_slice(&bytes[16..24]); // a key (the count of 0 ops reused)
+        forged.extend_from_slice(&0u32.to_le_bytes());
+        forged.extend_from_slice(&bytes[24..]);
+        assert!(Command::deserialize(&mut Reader::new(&forged)).is_err());
+    }
+
+    #[test]
+    fn a_request_of_several_commands_is_one_instance() {
+        let one = vec![Command::put(rifl(1), 1, 1, 8)];
+        assert_eq!(Command::instances(one.clone()), one);
+        let two = vec![Command::put(rifl(1), 1, 1, 8), Command::get(rifl(2), 1)];
+        let instances = Command::instances(two);
+        assert_eq!(instances.len(), 1);
+        assert!(instances[0].is_batch());
+        let barrier = Command::reconfigure(rifl(3), ReconfigOp::Finalize);
+        let mixed = vec![Command::put(rifl(1), 1, 1, 8), barrier];
+        assert_eq!(Command::instances(mixed.clone()), mixed);
     }
 
     #[test]

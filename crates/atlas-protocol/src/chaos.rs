@@ -66,7 +66,8 @@ pub struct ChaosNet<P: Protocol> {
     pub replicas: Vec<P>,
     /// Processes whose inbound and outbound messages are dropped.
     pub crashed: HashSet<ProcessId>,
-    /// What each process executed, in execution order.
+    /// What each process executed, in execution order (a batch: each of
+    /// its parts under the batch's identifier).
     pub executed: HashMap<ProcessId, Vec<(Dot, Rifl)>>,
     /// Sees every message sent to another replica, once per target: what
     /// would cross the wire.
@@ -186,8 +187,9 @@ impl<P: Protocol> ChaosNet<P> {
                     }
                 }
                 Action::Execute { dot, cmd } => {
+                    // A batch executes as its parts, one entry each.
                     let executed = self.executed.entry(source).or_default();
-                    executed.push((dot, cmd.rifl));
+                    executed.extend(cmd.rifls().map(|rifl| (dot, rifl)));
                 }
                 Action::Commit { .. } => {}
             }

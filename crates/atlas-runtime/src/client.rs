@@ -184,12 +184,18 @@ impl Client {
     }
 
     /// Fetches the replica's execution record: `(dot, rifl)` pairs in local
-    /// execution order, plus a digest of its store state.
+    /// execution order, plus a digest of its store state. A long record
+    /// arrives in parts, reassembled here.
     pub async fn execution_log(&mut self) -> io::Result<(Vec<(Dot, Rifl)>, u64)> {
         self.send_request(&ClientRequest::ExecutionLog).await?;
+        let mut record = Vec::new();
         loop {
             match next_reply(&mut self.replies).await? {
-                ClientReply::ExecutionLog { entries, digest } => return Ok((entries, digest)),
+                ClientReply::ExecutionLogPart { entries } => record.extend(entries),
+                ClientReply::ExecutionLog { entries, digest } => {
+                    record.extend(entries);
+                    return Ok((record, digest));
+                }
                 // Executions of older submissions (or other queries) may
                 // interleave.
                 _ => continue,

@@ -14,12 +14,13 @@
 //!
 //! Outside input is checked here, before it becomes an event: a peer frame
 //! must name the sender its connection said hello as, and a client may only
-//! submit commands under its own identifier. A connection that breaks
-//! either rule is dropped with the offending frame.
+//! submit commands under its own identifier, none of them a batch, in a
+//! request of at most [`MAX_REQUEST_BYTES`]. A connection that breaks any
+//! rule is dropped with the offending frame.
 
 use crate::wire::{
     append_frame, decode_payload, decode_peer_frame, frame_payload_into, read_frame, ClientReply,
-    ClientRequest, EpochUpdate, FrameReader, Hello, PeerBodyView, Probe,
+    ClientRequest, EpochUpdate, FrameReader, Hello, PeerBodyView, Probe, MAX_REQUEST_BYTES,
 };
 use atlas_core::{ClientId, Command, ProcessId};
 use serde::Deserialize;
@@ -248,7 +249,9 @@ where
 /// the session's replies back into the socket. A submission carrying a
 /// command under another client's identifier drops the connection: replies
 /// are routed by that identifier, so accepting it would hand this
-/// connection another client's replies.
+/// connection another client's replies. So does a batch (the replica builds
+/// those, and its parts' identifiers go unchecked here) and a request over
+/// [`MAX_REQUEST_BYTES`], whose instance might not fit in a frame.
 async fn client_session<M>(
     reader: OwnedReadHalf,
     mut writer: OwnedWriteHalf,
@@ -279,10 +282,16 @@ async fn client_session<M>(
     });
     let mut frames = FrameReader::new(reader);
     while let Ok(Some(payload)) = frames.next().await {
+        if payload.len() > MAX_REQUEST_BYTES {
+            return;
+        }
         let session = reply_tx.clone();
         let event = match decode_payload(payload) {
             Ok(ClientRequest::Submit { cmds }) => {
-                if cmds.iter().any(|cmd| cmd.rifl.client != client) {
+                if cmds
+                    .iter()
+                    .any(|cmd| cmd.rifl.client != client || cmd.is_batch())
+                {
                     return; // a command posing as another client's
                 }
                 // One event: the loop journals and syncs a request as a unit.

@@ -18,6 +18,16 @@ use atlas_metrics::{
     Gauge, GcStats, LifecycleStats, ReactorStats,
 };
 
+/// Appends `line` and a newline to the file at `path`, creating it.
+pub(crate) fn append_line(path: &std::path::Path, line: &str) -> std::io::Result<()> {
+    use std::io::Write as _;
+    let mut file = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)?;
+    writeln!(file, "{line}")
+}
+
 /// The runtime's scheduler/reactor counters as a snapshot section — the
 /// process's, not a replica's: every replica hosted here exports the same.
 pub fn reactor_stats() -> ReactorStats {

@@ -1,8 +1,8 @@
 //! The networked replica: an event loop that owns a [`Protocol`] state
-//! machine plus the local store (behind the sharded
-//! [`ExecutorPool`]), and maps the
-//! protocol's [`Action`] output language onto sockets, timers, client
-//! sessions and the durable journal.
+//! machine plus the local store (behind the sharded [`ExecutorPool`]), and
+//! maps the protocol's [`Action`] output language onto sockets, timers,
+//! client sessions and the durable journal. A client request is one
+//! instance: one batched [`Command`], split into its commands to execute.
 //!
 //! One replica runs these tasks (a pool worker that wakes a task usually
 //! runs it itself, so a command's chain is one thread, not a hop per task):
@@ -408,46 +408,52 @@ where
         Ok(())
     }
 
-    /// A local client submitted the request `cmds`. This replica owns each
-    /// command's lifecycle from here: every stage below timestamps against
-    /// the request's arrival `t0`, and the commit/execute/reply stages
-    /// complete in [`Self::do_actions`] via the `pending` entries inserted
-    /// before the protocol runs.
+    /// A local client submitted the request `cmds`: one consensus instance
+    /// ([`Command::instances`]), one `Submit` record. This replica owns
+    /// each command's lifecycle from here: every stage below timestamps
+    /// against the request's arrival `t0`, and the commit/execute/reply
+    /// stages complete in [`Self::do_actions`] via the `pending` entries
+    /// inserted before the protocol runs.
     fn submit(
         &mut self,
         cmds: Vec<Command>,
         session: UnboundedSender<ClientReply>,
     ) -> io::Result<()> {
-        let t0 = self.now();
-        self.metrics.submitted.add(cmds.len() as u64);
-        // The early flush: the request's records are written and synced as
-        // a unit before the protocol sees the first command, so
-        // `journaled` precedes `proposed` for every one of them.
-        for cmd in &cmds {
-            self.stage(&JournalRecord::Submit { cmd: cmd.clone() }, true);
-        }
-        self.outbox.flush(self.durability.journal())?;
-        if self.durability.is_durable() {
-            let journaled = stage_us(t0, self.now());
-            for _ in &cmds {
-                self.metrics.journaled.inc();
-                self.metrics.submit_to_journaled.record(journaled);
-            }
-        }
+        let (t0, count) = (self.now(), cmds.len());
+        self.metrics.submitted.add(count as u64);
         // Route all of this client's replies through its session (a client
         // that reconnects simply re-registers here).
         if let Some(first) = cmds.first() {
             self.sessions.insert(first.rifl.client, session);
         }
-        for cmd in cmds {
+        for cmd in &cmds {
             self.pending.insert(cmd.rifl, t0);
+        }
+        let instances = Command::instances(cmds);
+        // The early flush: the request's records are written and synced as
+        // a unit before the protocol sees them, so `journaled` precedes
+        // `proposed` for every command.
+        for cmd in &instances {
+            self.stage(&JournalRecord::Submit { cmd: cmd.clone() }, true);
+        }
+        self.outbox.flush(self.durability.journal())?;
+        if self.durability.is_durable() {
+            let journaled = stage_us(t0, self.now());
+            for _ in 0..count {
+                self.metrics.journaled.inc();
+                self.metrics.submit_to_journaled.record(journaled);
+            }
+        }
+        for cmd in instances {
             // "Proposed" is the hand-off to the protocol — recorded *before*
             // `submit` runs so the stage series stays monotone even when the
             // self-addressed message cascade commits (or executes) the
             // command within this very call.
-            self.metrics.proposed.inc();
             let now = self.now();
-            self.metrics.submit_to_proposed.record(stage_us(t0, now));
+            for _ in cmd.rifls() {
+                self.metrics.proposed.inc();
+                self.metrics.submit_to_proposed.record(stage_us(t0, now));
+            }
             self.apply(Input::Submit(cmd), now)?;
         }
         Ok(())
@@ -529,19 +535,9 @@ where
         let Some((_, path)) = &self.metrics_dump else {
             return;
         };
-        let line = self.metrics_snapshot().to_json();
-        use std::io::Write as _;
-        let written = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .and_then(|mut file| writeln!(file, "{line}"));
-        if let Err(e) = written {
-            eprintln!(
-                "replica {}: disabling metrics dump to {}: {e}",
-                self.id,
-                path.display()
-            );
+        if let Err(e) = crate::metrics::append_line(path, &self.metrics_snapshot().to_json()) {
+            let path = path.display();
+            eprintln!("replica {}: disabling metrics dump to {path}: {e}", self.id);
             self.metrics_dump = None;
         }
     }
@@ -753,10 +749,10 @@ where
             // that predates the replied command.
             Event::Query { session } => {
                 self.release()?;
-                let _ = session.send(ClientReply::ExecutionLog {
-                    entries: self.log.to_vec(),
-                    digest: self.exec.digest(),
-                });
+                let digest = self.exec.digest();
+                for reply in ClientReply::execution_log(self.log.iter().copied(), digest) {
+                    let _ = session.send(reply);
+                }
                 Ok(())
             }
             Event::Stats { session } => {
@@ -780,6 +776,23 @@ where
             }
             Event::Tick => self.tick(),
             Event::Shutdown => Ok(()), // the loop returns before handling it
+        }
+    }
+
+    /// The protocol executes `rifl`'s command under `dot` (commit seen at
+    /// `commit_t`). Protocol-order artifacts stay on this thread: the
+    /// execution record advances at *dispatch* (protocol order), never at
+    /// completion (execution interleaving). The lifecycle samples only
+    /// count when this replica owns the command (it was submitted here);
+    /// the executor takes the commit/execute/reply stamps in stage order,
+    /// so the percentile series stays monotone under concurrent executors.
+    fn executing(&mut self, dot: Dot, rifl: Rifl, commit_t: Option<u64>) -> ExecCtx {
+        self.log.push((dot, rifl));
+        ExecCtx {
+            rifl,
+            submit_t: self.pending.remove(&rifl),
+            commit_t,
+            session: self.sessions.get(&rifl.client).cloned(),
         }
     }
 
@@ -843,28 +856,13 @@ where
                     }
                 }
                 Action::Execute { dot, cmd } => {
-                    let rifl = cmd.rifl;
-                    // Protocol-order artifacts stay on this thread: the
-                    // execution record advances at *dispatch* (protocol
-                    // order), never at completion (execution interleaving).
-                    self.log.push((dot, rifl));
-                    // Lifecycle: a commit time was remembered for every
-                    // dot; the samples only count when this replica owns
-                    // the command's lifecycle (it was submitted here). The
-                    // commit/execute/reply stamps themselves are taken by
-                    // the executor in stage order, so the percentile series
-                    // stays monotone under concurrent executors.
-                    let ctx = ExecCtx {
-                        rifl,
-                        submit_t: self.pending.remove(&rifl),
-                        commit_t: self.commit_times.remove(&dot),
-                        session: self.sessions.get(&rifl.client).cloned(),
-                    };
+                    let commit_t = self.commit_times.remove(&dot);
                     if cmd.is_noop() || cmd.is_reconfig() {
                         // Total-order barriers execute inline on this
                         // thread (after a release and a pool drain): a
                         // `Reconfigure` mutates the protocol, which only
                         // this thread may touch.
+                        let ctx = self.executing(dot, cmd.rifl, commit_t);
                         self.release()?;
                         let reconfig = cmd.reconfig_op().cloned();
                         self.exec.execute_barrier(&cmd, ctx);
@@ -872,7 +870,12 @@ where
                             self.apply_reconfig_barrier(&op, local, now)?;
                         }
                     } else {
-                        self.outbox.execute((cmd, ctx));
+                        // A batch executes as its parts, in submission
+                        // order, each with its own entry and reply.
+                        for part in cmd.split() {
+                            let ctx = self.executing(dot, part.rifl, commit_t);
+                            self.outbox.execute((part, ctx));
+                        }
                     }
                 }
                 Action::Commit { dot } => {

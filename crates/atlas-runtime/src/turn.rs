@@ -15,9 +15,10 @@
 //! > fresh identifier before it is synced.
 //!
 //! Two kinds of event end the collecting early, so that order and stamps
-//! keep their meaning: a client request [flushes](Outbox::flush) what is
-//! staged, its own records included, before the protocol sees its commands
-//! (the `journaled` stage still precedes `proposed`); and a total-order
+//! keep their meaning: a client request — one instance, one record however
+//! many commands it holds — [flushes](Outbox::flush) what is staged, its
+//! own record included, before the protocol sees it (the `journaled` stage
+//! still precedes `proposed`); and a total-order
 //! barrier or an observer of execution state (execution-record query, stats,
 //! catch-up serving, the tick's reports, a snapshot cut) releases first.
 //!

@@ -48,6 +48,23 @@ use tokio::io::{AsyncReadExt, AsyncWriteExt};
 /// Upper bound on a frame payload; guards against corrupted length prefixes.
 pub const MAX_FRAME_BYTES: usize = 32 << 20;
 
+/// Upper bound on a client request's frame payload; a session that sends a
+/// longer one is dropped. A request becomes one instance, and the instance
+/// must fit in every frame it travels in — a peer frame, a catch-up chunk
+/// — and a journal record, whose envelopes, dot, ballots and quorum take
+/// well under 64 KiB. The instance is its command plus its dependencies:
+/// the command encodes in no more bytes than the request did (a batch's
+/// part spends less than a command), and every key in it costs at least 12
+/// bytes of the request (the key and its operation's tag) and contributes
+/// at most one 12-byte dependency, the key's last write. (A write also
+/// depends on the reads of its key since that write, which this does not
+/// bound.) So an instance stays within twice the request plus 64 KiB.
+pub const MAX_REQUEST_BYTES: usize = (MAX_FRAME_BYTES - (64 << 10)) / 2;
+
+/// Execution-record entries per reply frame answering a query: 28 bytes
+/// each, so a frame stays under 2 MiB however long the record grows.
+pub const LOG_PART_ENTRIES: usize = 1 << 16;
+
 /// First frame on every connection: who is dialing.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Hello {
@@ -206,7 +223,9 @@ pub enum ClientRequest {
         /// The batched commands.
         cmds: Vec<Command>,
     },
-    /// Ask for the replica's execution record (testing/inspection).
+    /// Ask for the replica's execution record (testing/inspection): zero
+    /// or more [`ClientReply::ExecutionLogPart`]s, then one
+    /// [`ClientReply::ExecutionLog`].
     ExecutionLog,
     /// Ask for the replica's full [`MetricsSnapshot`] — command-lifecycle
     /// latencies, protocol path counters, durability/detector/GC/link
@@ -226,9 +245,10 @@ pub enum ClientReply {
         /// Per-key outputs of the execution.
         outputs: Vec<(Key, Output)>,
     },
-    /// The replica's execution record so far.
+    /// The replica's execution record so far, or its last part.
     ExecutionLog {
-        /// Executed commands — `(dot, rifl)` — in local execution order.
+        /// Executed commands — `(dot, rifl)` — in local execution order,
+        /// after those of the preceding [`ClientReply::ExecutionLogPart`]s.
         entries: Vec<(Dot, Rifl)>,
         /// Digest of the replica's key–value store state.
         digest: u64,
@@ -242,6 +262,39 @@ pub enum ClientReply {
         /// Everything the replica measures, in one coherent-enough cut.
         snapshot: Box<MetricsSnapshot>,
     },
+    /// A part of the execution record, [`LOG_PART_ENTRIES`] long, when the
+    /// whole would not fit in one frame; the [`ClientReply::ExecutionLog`]
+    /// that follows ends the record. Appended last, so the earlier
+    /// variants keep their tags.
+    ExecutionLogPart {
+        /// Executed commands, in local execution order.
+        entries: Vec<(Dot, Rifl)>,
+    },
+}
+
+impl ClientReply {
+    /// The replies answering an execution-record query: `entries` in
+    /// parts of [`LOG_PART_ENTRIES`], the rest with the store's `digest`
+    /// last, so every frame fits whatever the record's length.
+    pub(crate) fn execution_log(
+        entries: impl Iterator<Item = (Dot, Rifl)>,
+        digest: u64,
+    ) -> Vec<ClientReply> {
+        let mut replies = Vec::new();
+        let mut part = Vec::new();
+        for entry in entries {
+            if part.len() == LOG_PART_ENTRIES {
+                let entries = std::mem::take(&mut part);
+                replies.push(ClientReply::ExecutionLogPart { entries });
+            }
+            part.push(entry);
+        }
+        replies.push(ClientReply::ExecutionLog {
+            entries: part,
+            digest,
+        });
+        replies
+    }
 }
 
 fn encode_err(e: bincode::Error) -> io::Error {

@@ -3,6 +3,7 @@
 
 use atlas_core::{Command, Config, Protocol};
 use atlas_runtime::{Client, Cluster};
+use kvstore::Output;
 use serde::{Deserialize, Serialize};
 
 fn exercise<P>(config: Config)
@@ -34,16 +35,30 @@ where
             "{}: unexpected final value {last}",
             P::name()
         );
-        // One request of 16 conflicting writes: they execute in submission
-        // order, and the session writer — which drains a burst of replies
-        // into one write — must hand them back in that order too.
-        let cmds: Vec<Command> = (0..16u64)
-            .map(|i| Command::put(b.next_rifl(), 9, i, 64))
-            .collect();
+        // One request of 16 conflicting writes with a read of their key
+        // before and after each, a batch of 33 parts: they execute in
+        // submission order, each read seeing the write just before it, and
+        // the session writer — which drains a burst of replies into one
+        // write — must hand them back in that order too.
+        let mut cmds = vec![Command::get(b.next_rifl(), 9)];
+        let mut expected = vec![Output::Value(None)];
+        for i in 0..16u64 {
+            cmds.push(Command::put(b.next_rifl(), 9, i, 64));
+            cmds.push(Command::get(b.next_rifl(), 9));
+            expected.extend([Output::Done, Output::Value(Some(i))]);
+        }
         let submitted: Vec<_> = cmds.iter().map(|c| c.rifl).collect();
         let replies = b.submit_batch(cmds).await.unwrap();
         let replied: Vec<_> = replies.iter().map(|(rifl, _)| *rifl).collect();
         assert_eq!(replied, submitted, "{}: reply order", P::name());
+        let outputs: Vec<Output> = replies
+            .into_iter()
+            .map(|(_, outputs)| match outputs.as_slice() {
+                [(9, output)] => output.clone(),
+                other => panic!("{}: outputs {other:?}", P::name()),
+            })
+            .collect();
+        assert_eq!(outputs, expected, "{}: sequential outputs", P::name());
         assert_eq!(b.get(9).await.unwrap(), Some(15), "{}", P::name());
         cluster.shutdown();
     });

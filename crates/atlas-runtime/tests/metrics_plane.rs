@@ -384,10 +384,11 @@ fn dependency_wait_lands_in_the_executed_stage() {
 }
 
 /// Cluster-wide I/O counts of one closed-loop run: `clients` clients (client
-/// `i` at replica `i`) each submit `requests` requests of `batch` PUTs on
-/// private keys. Returns `(commands, journal records, WAL writes, message
-/// frames, link writes)`, after checking what batching must leave alone:
-/// five records per command and every commit on the fast path.
+/// `i` at replica `1 + (i - 1) % 3`) each submit `requests` requests of
+/// `batch` PUTs on private keys. Returns `(requests, journal records, WAL
+/// writes, message frames, link writes)`, after checking what batching
+/// must leave alone: a request is one instance, five records (submit,
+/// collect, collect-ack, two commits) and a commit on the fast path.
 fn io_counts(clients: u64, requests: u64, batch: u64) -> (u64, u64, u64, u64, u64) {
     let rt = tokio::runtime::Runtime::new().unwrap();
     rt.block_on(async {
@@ -405,12 +406,15 @@ fn io_counts(clients: u64, requests: u64, batch: u64) -> (u64, u64, u64, u64, u6
             std::io::Result::Ok(())
         };
         let tasks: Vec<_> = (1..=clients)
-            .map(|id| tokio::spawn(drive(cluster.addr(id as ProcessId), id)))
+            .map(|id| {
+                let at = 1 + (id - 1) % REPLICAS as u64;
+                tokio::spawn(drive(cluster.addr(at as ProcessId), id))
+            })
             .collect();
         for task in tasks {
             task.await.expect("client task").expect("client run");
         }
-        let total = clients * requests * batch;
+        let (total, instances) = (clients * requests * batch, clients * requests);
         let all = snapshots_when(
             &cluster,
             |all| all.iter().all(|s| s.store_executed == total),
@@ -420,51 +424,60 @@ fn io_counts(clients: u64, requests: u64, batch: u64) -> (u64, u64, u64, u64, u6
         cluster.shutdown();
 
         let sum = |f: &dyn Fn(&MetricsSnapshot) -> u64| all.iter().map(f).sum::<u64>();
+        assert_eq!(sum(&|s| s.lifecycle.submitted), total, "commands");
         let records = sum(&|s| s.durability.journal_records);
-        // Submit, collect, collect-ack, two commits: batching writes records
-        // together, it does not merge them.
-        assert_eq!(records, 5 * total, "journal records per command");
-        assert_eq!(sum(&|s| s.protocol_stats.fast_paths), total, "fast paths");
+        assert_eq!(records, 5 * instances, "journal records per request");
+        assert_eq!(
+            sum(&|s| s.protocol_stats.fast_paths),
+            instances,
+            "fast paths"
+        );
         assert_eq!(sum(&|s| s.protocol_stats.slow_paths), 0, "slow paths");
         assert_eq!(sum(&|s| s.links.iter().map(|l| l.resent).sum()), 0);
-        // Every journaled record that is not a submission is a message
-        // frame some peer sent.
-        let frames = records - sum(&|s| s.lifecycle.submitted);
+        // Every journaled record that is not a request's `Submit` is a
+        // message frame some peer sent.
+        let frames = records - instances;
         let wal_writes = sum(&|s| s.durability.wal_writes);
         let link_writes = sum(&|s| s.links.iter().map(|l| l.writes).sum());
-        (total, records, wal_writes, frames, link_writes)
+        (instances, records, wal_writes, frames, link_writes)
     })
 }
 
-/// One write and one send per turn, counted where the work happens: under
-/// 16-command requests from two clients the replicas put at least four
-/// records in every WAL write and four message frames in every socket write
-/// (heartbeats and acks included in the writes), while a single-PUT closed
-/// loop — every turn one event — pays no more writes than it has records.
+/// One write and one send per turn, counted where the work happens. Many
+/// closed-loop clients at every replica keep several requests in each
+/// turn: the replicas put at least two records in every WAL write (each
+/// request's `Submit` is written before it is proposed, alone) and four
+/// message frames in every socket write (heartbeats and acks included in
+/// the writes; ~3.4 and ~6 read), while a single-PUT closed loop — every turn one event —
+/// pays no more writes than it has records. A 16-command request is one
+/// instance: five records, as a one-command request is.
 #[test]
 fn a_turn_is_one_wal_write_and_one_send_per_link() {
-    let (total, records, wal_writes, frames, link_writes) = io_counts(2, 100, 16);
+    let (requests, records, wal_writes, frames, link_writes) = io_counts(24, 40, 1);
     assert!(
-        4 * wal_writes <= records,
-        "{wal_writes} WAL writes for {records} records ({total} commands)"
+        2 * wal_writes <= records,
+        "{wal_writes} WAL writes for {records} records ({requests} requests)"
     );
     assert!(
         4 * link_writes <= frames,
-        "{link_writes} socket writes for {frames} message frames ({total} commands)"
+        "{link_writes} socket writes for {frames} message frames ({requests} requests)"
     );
 
-    let (total, records, wal_writes, frames, link_writes) = io_counts(1, 300, 1);
-    assert!(
-        wal_writes <= records,
-        "{wal_writes} WAL writes for {records} records ({total} commands)"
-    );
-    // Beside the frames: a heartbeat and at most one ack per link and tick
-    // (a generous bound on the ticks: the run takes well under 5 s).
-    let ticks = 5_000 / ClusterOptions::default().tick_interval.as_millis() as u64;
-    assert!(
-        link_writes <= frames + 6 * 2 * ticks,
-        "{link_writes} socket writes for {frames} message frames ({total} commands)"
-    );
+    for batch in [1, 16] {
+        let (requests, records, wal_writes, frames, link_writes) = io_counts(1, 300, batch);
+        assert!(
+            wal_writes <= records,
+            "{wal_writes} WAL writes for {records} records ({requests} requests)"
+        );
+        // Beside the frames: a heartbeat and at most one ack per link and
+        // tick (a generous bound on the ticks: the run takes well under
+        // 5 s).
+        let ticks = 5_000 / ClusterOptions::default().tick_interval.as_millis() as u64;
+        assert!(
+            link_writes <= frames + 6 * 2 * ticks,
+            "{link_writes} socket writes for {frames} message frames ({requests} requests)"
+        );
+    }
 }
 
 /// Kill-the-coordinator drill, metrics edition: replica 3 coordinates a

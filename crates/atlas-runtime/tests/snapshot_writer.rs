@@ -17,7 +17,7 @@
 #[allow(dead_code)]
 mod scenarios;
 
-use atlas_core::{Command, Config, Key, ProcessId};
+use atlas_core::{Command, Config, Key, ProcessId, ReconfigOp};
 use atlas_log::FlushPolicy;
 use atlas_metrics::MetricsSnapshot;
 use atlas_protocol::Atlas;
@@ -252,10 +252,11 @@ fn crash_while_writer_is_stalled_then_wiped_loses_nothing() {
     crash_while_writer_is_stalled(true);
 }
 
-/// One 16-PUT request: its 16 `Submit` records share one write-ahead fsync
-/// (at the parent commit each command paid its own). The tick is slowed to
-/// 2 s so at most one ack flush — the only other source of fsyncs here —
-/// can fall into the measured window.
+/// One 16-PUT request: one instance, so one `Submit` record and one
+/// write-ahead fsync (before requests were batched, its 16 records shared
+/// that fsync; before that, each paid its own). The tick is slowed to 2 s
+/// so at most one ack flush — the only other source of fsyncs here — can
+/// fall into the measured window.
 #[test]
 fn a_request_is_one_fsync() {
     let options = ClusterOptions {
@@ -284,9 +285,9 @@ fn a_request_is_one_fsync() {
             (1..=2).contains(&fsyncs),
             "a 16-command request cost its coordinator {fsyncs} fsyncs"
         );
-        // What is journaled is unchanged: 16 submissions, and the 16
-        // collect acks of the one other fast-quorum member.
-        assert_eq!(after.journal_records - before.journal_records, 32);
+        // What is journaled: one submission, and the collect ack of the
+        // one other fast-quorum member.
+        assert_eq!(after.journal_records - before.journal_records, 2);
         assert_eq!(after.fsync_us.count(), after.fsyncs);
         shutdown_leaving_no_temporary_files(cluster).await;
     });
@@ -294,8 +295,10 @@ fn a_request_is_one_fsync() {
 
 /// A request's records are all journaled before its first command is
 /// applied, so a snapshot cut *inside* a request would claim to cover
-/// inputs the protocol never saw — and lose them on restart. With a cadence
-/// of 8 records every 16-command request crosses it mid-way. The slow
+/// inputs the protocol never saw — and lose them on restart. A request
+/// holding a membership change is not batched, so a `Finalize` (a no-op
+/// outside a joint window) ahead of 16 PUTs makes 17 records, and with a
+/// cadence of 8 records every request crosses it mid-way. The slow
 /// writer pins which snapshot the restart finds: the first one cut, and
 /// nothing newer — a later, well-placed snapshot cannot paper over it.
 #[test]
@@ -317,20 +320,24 @@ fn batched_requests_survive_a_cut_between_them() {
         // Batches through replica 3 until its first snapshot is published.
         while snapshot_files(&dir, ".bin").is_empty() {
             let base = written.len() as u64;
-            let cmds: Vec<Command> = (base..base + 16)
-                .map(|key| Command::put(client.next_rifl(), key, key + 7, 64))
+            let finalize = Command::reconfigure(client.next_rifl(), ReconfigOp::Finalize);
+            let cmds: Vec<Command> = std::iter::once(finalize)
+                .chain(
+                    (base..base + 16).map(|key| Command::put(client.next_rifl(), key, key + 7, 64)),
+                )
                 .collect();
             let done = client.submit_batch(cmds).await.expect("batch");
-            assert_eq!(done.len(), 16);
+            assert_eq!(done.len(), 17);
             written.extend((base..base + 16).map(|key| (key, key + 7)));
             assert!(Instant::now() < deadline, "no snapshot published");
         }
         cluster.kill(3);
         cluster.restart::<Atlas>(3).await.expect("restart");
-        converge(&cluster, 3, written.len() as u64).await;
+        let sent = written.len() as u64 / 16 * 17;
+        converge(&cluster, 3, sent).await;
         // Every acknowledged write reads back through the restarted
         // replica (a read executes against its coordinator's store).
-        let next = written.len() as u64 + 1;
+        let next = sent + 1;
         let mut client = Client::connect_with_seq(cluster.addr(3), 3, next)
             .await
             .expect("client");

@@ -370,8 +370,12 @@ fn stranded_takeover_geo3() {
                     atlas_core::Command::put(rifl, i % 4, 2_000_000 + i, 64)
                 })
                 .collect();
+            // One request per command: a request of several is one
+            // instance, and the burst must strand `stranded` of them.
             let fired = Instant::now();
-            burst.submit_batch(cmds).await.expect("burst fired");
+            for cmd in cmds {
+                burst.submit_batch(vec![cmd]).await.expect("burst fired");
+            }
             while probe.stats().await.expect("stats").tracked_entries < before + stranded {
                 assert!(
                     fired.elapsed() < Duration::from_secs(5),

@@ -495,6 +495,100 @@ mod tests {
         recovery_chaos_at::<EPaxosRule>(0xE9A05 + 13);
     }
 
+    /// Batches (one instance per client request) through a takeover, for
+    /// either rule: coordinator 1 strands batches whose parts read and
+    /// write keys the survivors' batches also touch, crashes, and the
+    /// survivors recover under reordering and duplication. Every part of a
+    /// committed batch executes exactly once, next to its siblings in
+    /// submission order, and every survivor executes the same parts in
+    /// the same order.
+    #[test]
+    fn atlas_batches_execute_once_in_one_order_through_a_takeover() {
+        let body = batch_takeover_at::<AtlasRule>;
+        sweep("atlas-batch-takeover", 0xBA7C4, 0..10, body);
+    }
+
+    #[test]
+    fn epaxos_batches_execute_once_in_one_order_through_a_takeover() {
+        let body = batch_takeover_at::<EPaxosRule>;
+        sweep("epaxos-batch-takeover", 0xEBA7C, 0..10, body);
+    }
+
+    /// The per-seed body of the batch takeover sweeps.
+    fn batch_takeover_at<R: CommitRule>(seed: u64) {
+        use atlas_core::KvOp;
+        use rand::Rng;
+        let mut net = ChaosNet::<Deps<R>>::new(5, 2, seed);
+        // Client `client`'s request `req`: four parts over keys 0..3, a
+        // read between two writes of one key among them.
+        let request = |net: &mut ChaosNet<Deps<R>>, client: u64, req: u64| {
+            let cmds = (0..4u64)
+                .map(|i| {
+                    let key = net.rng().gen_range(0..3u64);
+                    let op = if i == 1 { KvOp::Get } else { KvOp::Put(req) };
+                    Command::new(Rifl::new(client, req * 4 + i), [(key, op)], 8)
+                })
+                .collect();
+            Command::batch(cmds)
+        };
+        let mut parts: HashMap<Rifl, (Rifl, u64)> = HashMap::new();
+        let mut record = |cmd: &Command| {
+            for (i, rifl) in cmd.rifls().enumerate() {
+                parts.insert(rifl, (cmd.rifl, i as u64));
+            }
+        };
+        for req in 1..=3u64 {
+            let cmd = request(&mut net, 1, req);
+            record(&cmd);
+            let mut reach = vec![1u32];
+            reach.extend([2u32, 3, 4].into_iter().filter(|_| net.rng().gen_bool(0.6)));
+            net.submit_reaching(1, cmd, &reach);
+        }
+        for (at, req) in [(2u32, 1u64), (3, 1), (2, 2)] {
+            let cmd = request(&mut net, u64::from(at), req);
+            record(&cmd);
+            net.submit(at, cmd);
+        }
+        net.crash(1);
+        for _pass in 0..2 {
+            for at in [2u32, 3, 4, 5] {
+                net.suspect(at, 1);
+            }
+        }
+        let reference = net.rifls_at(2);
+        for id in [2u32, 3, 4, 5] {
+            let executed = net.rifls_at(id);
+            assert_eq!(executed, reference, "seed {seed}: order diverges at {id}");
+            let mut seen = std::collections::HashSet::new();
+            assert!(
+                executed.iter().all(|rifl| seen.insert(*rifl)),
+                "seed {seed}: a part executed twice at {id}"
+            );
+            // Parts run as one block, in submission order.
+            for pair in executed.windows(2) {
+                let (batch, i) = parts[&pair[0]];
+                let (next_batch, j) = parts[&pair[1]];
+                assert!(
+                    next_batch != batch || j == i + 1,
+                    "seed {seed}: parts of one batch out of order at {id}"
+                );
+                assert!(
+                    next_batch == batch || (i == 3 && j == 0),
+                    "seed {seed}: a batch cut short at {id}"
+                );
+            }
+        }
+        // The survivors' own batches executed, every part.
+        for client in 2..=3u64 {
+            let done = reference
+                .iter()
+                .filter(|rifl| rifl.client == client)
+                .count();
+            let expected = if client == 2 { 8 } else { 4 };
+            assert_eq!(done, expected, "seed {seed}: client {client}'s parts");
+        }
+    }
+
     /// The per-seed body of the recovery chaos sweeps.
     fn recovery_chaos_at<R: CommitRule>(seed: u64) {
         use rand::Rng;
