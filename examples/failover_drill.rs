@@ -86,7 +86,11 @@ fn main() {
                 Command::put(rifl, i % SHARED_KEYS, 900_000 + i, 64)
             })
             .collect();
-        burst.submit_batch(cmds).await.expect("burst fired");
+        // One request per command: a request is one instance, and the
+        // burst must leave many instances at different stages.
+        for cmd in cmds {
+            burst.submit_batch(vec![cmd]).await.expect("burst fired");
+        }
         tokio::time::sleep(Duration::from_micros(500)).await;
         cluster.kill(victim);
         let killed_at = t0.elapsed();
