@@ -6,8 +6,7 @@ Usage: bench_guard.py --fig <BENCH_fig*.json> [...]
 
 ``--fig`` ingests the ``BENCH_fig*.json`` artifacts the WAN scenario
 harness (``crates/atlas-runtime/tests/wan_scenarios.rs``), the
-reconfiguration drills, the 10k-client drill and the shard-scaling bench
-emit: each file is ``{"figure": "...", "checks": [{"name", "value",
+reconfiguration drills and the 10k-client drill emit: each file is ``{"figure": "...", "checks": [{"name", "value",
 "min"?, "max"?}]}`` with the bounds the scenario asserted in-process. The
 guard re-validates every bounded check — so a stale or hand-edited
 artifact can never pass CI claiming bounds its run did not meet — and

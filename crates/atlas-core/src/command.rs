@@ -46,29 +46,6 @@ pub enum ReconfigOp {
 /// A key of the replicated key–value store.
 pub type Key = u64;
 
-/// Maps a key to its executor shard under a `shards`-way keyspace
-/// partition: FNV-1a over the key's little-endian bytes, reduced modulo the
-/// shard count. Hashing (rather than range-splitting) spreads hot adjacent
-/// keys — client `i` writing `i*10_000 + j` — across shards; FNV matches
-/// the digest/Zipf-scramble hash already used by the store so the whole
-/// code base keys off one function family.
-///
-/// Every replica must use the same `shards` value for the same command
-/// stream only insofar as *dispatch* is concerned — execution output is
-/// shard-count independent (see the determinism oracle test), so replicas
-/// may legally run with different shard counts.
-pub fn shard_of(key: Key, shards: usize) -> usize {
-    if shards <= 1 {
-        return 0;
-    }
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in key.to_le_bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    (hash % shards as u64) as usize
-}
-
 /// A value stored in the replicated key–value store.
 ///
 /// Values carry an explicit payload size so that the simulator can model the
@@ -419,22 +396,6 @@ impl Command {
         self.ops.0.len()
     }
 
-    /// The executor shards this command's keys hash to under an `shards`-way
-    /// keyspace partition: sorted, deduplicated shard indices (empty for
-    /// `noOp`/`Reconfigure`, which carry no keyed operations — the runtime
-    /// treats those as total-order barriers, not shardable work).
-    ///
-    /// Sorted order is load-bearing: a multi-shard command acquires its
-    /// shards in exactly this order, which is what makes the cross-shard
-    /// barrier deadlock-free (every executor orders its acquisitions the
-    /// same way).
-    pub fn shard_ids(&self, shards: usize) -> Vec<usize> {
-        let mut ids: Vec<usize> = self.keys().map(|&key| shard_of(key, shards)).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
     /// Whether two commands conflict, i.e. do **not** commute (paper §2).
     ///
     /// * `noOp` conflicts with every command (including another `noOp`).
@@ -576,35 +537,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_routing_is_stable_sorted_and_complete() {
-        // One shard: everything routes to shard 0.
-        assert_eq!(shard_of(42, 1), 0);
-        assert_eq!(shard_of(42, 0), 0);
-        // Deterministic: the same key maps to the same shard every time.
-        for key in 0..1_000u64 {
-            assert_eq!(shard_of(key, 8), shard_of(key, 8));
-            assert!(shard_of(key, 8) < 8);
-        }
-        // An 8-way split of a contiguous key range touches every shard
-        // (hashing, not range partitioning).
-        let mut seen = [false; 8];
-        for key in 0..1_000u64 {
-            seen[shard_of(key, 8)] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "contiguous keys left a shard cold");
-
-        let multi = Command::new(rifl(1), (0..64).map(|k| (k, KvOp::Put(k))), 8);
-        let ids = multi.shard_ids(8);
-        assert!(ids.windows(2).all(|w| w[0] < w[1]), "not sorted/deduped");
-        assert!(!ids.is_empty());
-        // Barriers carry no keys: they are scheduled inline, not sharded.
-        assert!(Command::noop().shard_ids(8).is_empty());
-        assert!(Command::reconfigure(rifl(2), ReconfigOp::Finalize)
-            .shard_ids(8)
-            .is_empty());
-    }
-
-    #[test]
     fn operations_are_sorted_by_key_and_the_last_one_per_key_wins() {
         let ops = [
             (7, KvOp::Get),
@@ -691,7 +623,7 @@ mod tests {
         assert!(!a.conflicts_with(&b) && !b.conflicts_with(&a));
         assert!(!a.conflicts_with_write(&b));
         assert!(a.conflicts_with(&writes_k));
-        assert_eq!(writes_k.shard_ids(8), vec![shard_of(1, 8)]);
+        assert_eq!(writes_k.keys().copied().collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod util;
 pub mod view;
 
 pub use base::Base;
-pub use command::{shard_of, Command, Key, KvOp, ReconfigOp, Value};
+pub use command::{Command, Key, KvOp, ReconfigOp, Value};
 pub use config::Config;
 pub use depset::DepSet;
 pub use hash::{IdMap, IdSet};

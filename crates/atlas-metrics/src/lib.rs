@@ -35,6 +35,6 @@ pub use alloc::{allocated_bytes, allocations, CountingAllocator};
 pub use histogram::{BoundedHistogram, BUCKETS, SUBBUCKETS};
 pub use registry::{AtomicHistogram, Counter, Gauge};
 pub use snapshot::{
-    DetectorStats, DurabilityStats, ExecutorShardStats, ExecutorStats, GcStats, HistogramSummary,
-    LifecycleStats, LinkSnapshot, MetricsSnapshot, ReactorStats, StatsVersion, STATS_VERSION,
+    DetectorStats, DurabilityStats, GcStats, HistogramSummary, LifecycleStats, LinkSnapshot,
+    MetricsSnapshot, ReactorStats, StatsVersion, STATS_VERSION,
 };

@@ -12,14 +12,14 @@
 //! The binary encoding is positional, so it leads with [`StatsVersion`]:
 //! a reader built against another layout refuses the snapshot with an error
 //! naming both versions instead of misreading every field after the first
-//! one that moved. Bump [`STATS_VERSION`] whenever a field is added.
+//! one that moved. Bump [`STATS_VERSION`] whenever a field is added or removed.
 
 use crate::histogram::BoundedHistogram;
 use atlas_core::{ProcessId, ProtocolStats};
 use serde::{Deserialize, Serialize};
 
 /// Layout version of the [`MetricsSnapshot`] encoding (see the module docs).
-pub const STATS_VERSION: u32 = 2;
+pub const STATS_VERSION: u32 = 3;
 
 /// The version stamp leading a [`MetricsSnapshot`]: always
 /// [`STATS_VERSION`] in this build, and decoding refuses any other value.
@@ -198,39 +198,6 @@ pub struct LinkSnapshot {
     pub rtt_us: u64,
 }
 
-/// One executor shard's telemetry: dispatch/completion counters (their
-/// difference is the live queue depth) and the per-command execute latency
-/// observed on that shard's thread.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ExecutorShardStats {
-    /// Shard index (`0..shards`).
-    pub shard: u64,
-    /// Commands dispatched to this shard's queue (a multi-shard command
-    /// counts once per involved shard).
-    pub dispatched: u64,
-    /// Dispatched entries this shard has finished with.
-    pub completed: u64,
-    /// `dispatched - completed` at snapshot time: commands queued or in
-    /// flight on this shard.
-    pub queue_depth: u64,
-    /// Per-command execute latency on this shard's thread (µs). Multi-shard
-    /// commands are timed on the shard that ends up running them.
-    pub execute_us: BoundedHistogram,
-}
-
-/// The sharded executor pool's section of the snapshot.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ExecutorStats {
-    /// Configured shard count (1 = no executor thread: the protocol
-    /// thread applies each command, and the `shards` list is empty).
-    pub shards_configured: u64,
-    /// Commands that spanned more than one shard and took the
-    /// deterministic cross-shard barrier.
-    pub multi_shard_commands: u64,
-    /// Per-shard counters and latencies.
-    pub shards: Vec<ExecutorShardStats>,
-}
-
 /// The async runtime's scheduler and reactor vitals since it booted.
 /// **Process-wide, not per-replica**: replicas hosted in one process share
 /// one runtime and report the same numbers.
@@ -285,9 +252,6 @@ pub struct MetricsSnapshot {
     /// reconfiguration; odd epochs are joint windows in the two-phase
     /// lifecycle).
     pub epoch: u64,
-    /// Sharded executor pool telemetry. The snapshot's serde encoding is
-    /// positional, so new sections must extend the tail.
-    pub executor: ExecutorStats,
     /// Heap allocator calls in this replica's process since the replica
     /// started, counted by [`crate::CountingAllocator`] — zero when that
     /// allocator is not installed as the process's `#[global_allocator]`.
@@ -445,24 +409,6 @@ impl MetricsSnapshot {
             self.tracked_entries, self.store_executed, self.epoch
         ));
 
-        let e = &self.executor;
-        o.push_str(&format!(
-            ",\"executor\":{{\"shards_configured\":{},\"multi_shard_commands\":{},\"shards\":[",
-            e.shards_configured, e.multi_shard_commands
-        ));
-        for (i, shard) in e.shards.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push_str(&format!(
-                "{{\"shard\":{},\"dispatched\":{},\"completed\":{},\"queue_depth\":{},\"execute_us\":",
-                shard.shard, shard.dispatched, shard.completed, shard.queue_depth
-            ));
-            push_summary(&mut o, &shard.execute_us);
-            o.push('}');
-        }
-        o.push_str("]}");
-
         o.push_str(&format!(
             ",\"alloc_count\":{},\"allocs_per_cmd\":",
             self.alloc_count
@@ -517,17 +463,6 @@ mod tests {
         });
         s.detector.reorders = 1;
         s.epoch = 2;
-        s.executor.shards_configured = 4;
-        s.executor.multi_shard_commands = 3;
-        let mut shard = ExecutorShardStats {
-            shard: 1,
-            dispatched: 20,
-            completed: 18,
-            queue_depth: 2,
-            ..Default::default()
-        };
-        shard.execute_us.record(55);
-        s.executor.shards.push(shard);
         s.store_executed = 10;
         s.alloc_count = 1234;
         s.reactor.epoll_waits = 40;
@@ -584,8 +519,6 @@ mod tests {
             "\"resent\":0,\"writes\":5,\"rtt_us\":30250}",
             "\"takeovers\":0,\"reorders\":1}",
             "\"epoch\":2",
-            "\"executor\":{\"shards_configured\":4",
-            "\"queue_depth\":2,\"execute_us\":{\"count\":1",
             "\"alloc_count\":1234,\"allocs_per_cmd\":123.400",
             "\"reactor\":{\"epoll_waits\":40,\"io_events\":0",
             "\"timers_fired\":0,\"queue_depth_max\":6}}",

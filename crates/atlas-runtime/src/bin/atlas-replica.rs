@@ -31,7 +31,7 @@ const USAGE: &str = "usage: atlas-replica --id <id> --addrs <a1,a2,...|id=addr,.
      [--snapshot-every <records>] [--catch-up] [--join] \
      [--suspect-after <ms>] [--trust-after <ms>] [--no-failure-detector] \
      [--gc-every <ticks>] [--catch-up-chunk-bytes <bytes>] \
-     [--metrics-every <ticks>] [--shards <n>] [--net-profile <spec>]";
+     [--metrics-every <ticks>] [--net-profile <spec>]";
 
 fn number<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
     value
@@ -100,12 +100,6 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<(String, ReplicaConfi
             "--gc-every" => options.gc_every = number(&flag, &value()?)?,
             "--catch-up-chunk-bytes" => options.catch_up_chunk_bytes = number(&flag, &value()?)?,
             "--metrics-every" => options.metrics_every = number(&flag, &value()?)?,
-            "--shards" => {
-                options.shards = number(&flag, &value()?)?;
-                if options.shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-            }
             "--net-profile" => {
                 let net =
                     NetProfile::parse(&value()?).map_err(|e| format!("bad --net-profile: {e}"))?;
@@ -232,14 +226,18 @@ mod tests {
 
     #[test]
     fn value_flags_override_their_defaults() {
-        let cfg = parse_flags("--trust-after 120 --catch-up-chunk-bytes 2048 --shards 4").unwrap();
+        let cfg = parse_flags("--trust-after 120 --catch-up-chunk-bytes 2048").unwrap();
         assert_eq!(cfg.options.trust_after, Duration::from_millis(120));
         assert_eq!(cfg.options.catch_up_chunk_bytes, 2048);
-        assert_eq!(cfg.options.shards, 4);
-        assert!(parse_flags("--shards 0").is_err());
         assert!(parse_flags("--trust-after").is_err(), "missing value");
         assert!(parse_flags("--trust-after soon").is_err());
         assert!(parse_flags("--bogus").is_err());
+        // The executor-pool knob is gone: a script still passing it fails
+        // loudly instead of running something else.
+        assert_eq!(
+            parse_flags("--shards 4").unwrap_err(),
+            "unknown flag \"--shards\""
+        );
     }
 
     #[test]

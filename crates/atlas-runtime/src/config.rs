@@ -145,16 +145,6 @@ pub struct ClusterOptions {
     /// unstalled. A harness knob for slow-disk drills. The WAL fsync inside
     /// a snapshot cut is metered but not stalled.
     pub fsync_stall: HashMap<ProcessId, Duration>,
-    /// Executor shards: partition the keyspace into this many hash shards
-    /// and execute protocol-ordered commands on one executor thread per
-    /// shard ([`crate::executor`]). Commands touching disjoint shards
-    /// execute concurrently; multi-shard commands take a deterministic
-    /// cross-shard barrier. `1` (the default) is the same pool with one
-    /// shard and no executor thread: the event loop applies each command
-    /// itself, with no hand-off. Execution output is shard-count
-    /// independent, so replicas of one cluster (and successive incarnations
-    /// of one replica) may use different values.
-    pub shards: usize,
 }
 
 impl Default for ClusterOptions {
@@ -173,7 +163,6 @@ impl Default for ClusterOptions {
             metrics_every: 0,
             net: None,
             fsync_stall: HashMap::new(),
-            shards: 1,
         }
     }
 }
@@ -194,12 +183,6 @@ impl ClusterOptions {
     /// replica's peer links (see [`NetProfile`]).
     pub fn with_net(mut self, net: NetProfile) -> Self {
         self.net = Some(net);
-        self
-    }
-
-    /// Returns a copy running `shards` executor shards on every replica.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 }

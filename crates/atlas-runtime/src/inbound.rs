@@ -82,6 +82,13 @@ pub(crate) enum Event<M> {
         cmds: Vec<Command>,
         session: UnboundedSender<ClientReply>,
     },
+    /// The connection of client `client` whose replies went to `session`
+    /// stopped reading: its route goes, unless a newer connection of the
+    /// client owns it by now.
+    SessionClosed {
+        client: ClientId,
+        session: UnboundedSender<ClientReply>,
+    },
     /// The journal's snapshot writer finished the cut covering the WAL up
     /// to `index`; `Ok(false)`: abandoned, the replica is stopping.
     SnapshotWritten {
@@ -251,7 +258,9 @@ where
 /// are routed by that identifier, so accepting it would hand this
 /// connection another client's replies. So does a batch (the replica builds
 /// those, and its parts' identifiers go unchecked here) and a request over
-/// [`MAX_REQUEST_BYTES`], whose instance might not fit in a frame.
+/// [`MAX_REQUEST_BYTES`], whose instance might not fit in a frame. However
+/// the reader ends, the loop hears of it, so the route it holds to the
+/// writer goes and the writer ends with the socket.
 async fn client_session<M>(
     reader: OwnedReadHalf,
     mut writer: OwnedWriteHalf,
@@ -283,7 +292,7 @@ async fn client_session<M>(
     let mut frames = FrameReader::new(reader);
     while let Ok(Some(payload)) = frames.next().await {
         if payload.len() > MAX_REQUEST_BYTES {
-            return;
+            break;
         }
         let session = reply_tx.clone();
         let event = match decode_payload(payload) {
@@ -292,19 +301,23 @@ async fn client_session<M>(
                     .iter()
                     .any(|cmd| cmd.rifl.client != client || cmd.is_batch())
                 {
-                    return; // a command posing as another client's
+                    break; // a command posing as another client's
                 }
                 // One event: the loop journals and syncs a request as a unit.
                 Event::Submit { cmds, session }
             }
             Ok(ClientRequest::ExecutionLog) => Event::Query { session },
             Ok(ClientRequest::Stats) => Event::Stats { session },
-            Err(_) => return, // garbage; drop the connection
+            Err(_) => break, // garbage; drop the connection
         };
         if event_tx.send(event).is_err() {
             return;
         }
     }
+    let _ = event_tx.send(Event::SessionClosed {
+        client,
+        session: reply_tx,
+    });
 }
 
 /// Emits `Event::Tick` at a fixed cadence until shutdown.

@@ -135,10 +135,7 @@ pub enum JournalRecord {
 pub struct ReplicaSnapshot {
     /// [`Protocol::save_state`](atlas_core::Protocol::save_state) bytes.
     pub protocol: Vec<u8>,
-    /// The replicated key–value store, always in **flat** (merged) form —
-    /// never per-shard parts. A replica running the sharded executor pool
-    /// merges its shard stores before snapshotting, so on-disk state is
-    /// independent of `--shards` and a restart may use a different count.
+    /// The replicated key–value store.
     pub store: KVStore,
     /// The execution record: `(dot, rifl)` in local execution order.
     pub log: Vec<(Dot, Rifl)>,

@@ -152,7 +152,7 @@ mod config;
 pub mod detector;
 mod durability;
 mod epochs;
-pub mod executor;
+mod executor;
 mod inbound;
 pub mod journal;
 pub mod metrics;
@@ -165,8 +165,7 @@ pub mod wire;
 pub use client::{Client, OpenLoopClient};
 pub use cluster::{Cluster, ClusterOptions};
 pub use detector::{DetectorEvent, FailureDetector};
-pub use executor::{ExecCtx, ExecutorPool};
-pub use metrics::{ReplicaMetrics, ShardExecutorMetrics};
+pub use metrics::ReplicaMetrics;
 pub use netem::{Cut, LinkRule, LinkShaper, NetProfile};
 pub use replica::{Boot, ReplicaConfig, ReplicaHandle};
 

@@ -14,8 +14,8 @@
 //! [`crate::replica`].
 
 use atlas_metrics::{
-    AtomicHistogram, Counter, DetectorStats, DurabilityStats, ExecutorShardStats, ExecutorStats,
-    Gauge, GcStats, LifecycleStats, ReactorStats,
+    AtomicHistogram, Counter, DetectorStats, DurabilityStats, Gauge, GcStats, LifecycleStats,
+    ReactorStats,
 };
 
 /// Appends `line` and a newline to the file at `path`, creating it.
@@ -42,26 +42,6 @@ pub fn reactor_stats() -> ReactorStats {
         timers_fired: s.timers_fired,
         queue_depth_max: s.queue_depth_max,
     }
-}
-
-/// One executor shard's metric cells, recorded from that shard's thread
-/// (dispatch counters from the protocol thread): everything is a relaxed
-/// atomic, so the export plane reads a consistent-enough view without
-/// stopping the pool.
-#[derive(Debug, Default)]
-pub struct ShardExecutorMetrics {
-    /// Commands enqueued on this shard (multi-shard commands count once per
-    /// involved shard). Written by the protocol thread at dispatch.
-    pub dispatched: Counter,
-    /// Queue entries this shard's executor has finished with. Written by
-    /// executor threads.
-    pub completed: Counter,
-    /// `dispatched - completed`, maintained at both ends so consumers get a
-    /// plain gauge instead of re-deriving it.
-    pub queue_depth: Gauge,
-    /// Per-command execute latency on this shard (µs); multi-shard commands
-    /// land on the shard whose executor ran them.
-    pub execute_us: AtomicHistogram,
 }
 
 /// Every runtime-level metric one replica maintains.
@@ -134,53 +114,12 @@ pub struct ReplicaMetrics {
     pub gc_rounds: Counter,
     /// Executed entries dropped across all GC rounds.
     pub gc_entries_dropped: Counter,
-
-    /// Commands that spanned more than one shard and took the executor
-    /// pool's deterministic cross-shard barrier.
-    pub multi_shard_commands: Counter,
-    /// Per-shard executor telemetry; empty for a one-shard pool, which has
-    /// no executor thread.
-    pub executor_shards: Vec<ShardExecutorMetrics>,
 }
 
 impl ReplicaMetrics {
     /// Creates a zeroed registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a zeroed registry with `shards` per-shard executor cells
-    /// (none for one shard — shard telemetry would be noise when
-    /// execution happens on the protocol thread).
-    pub fn with_shards(shards: usize) -> Self {
-        let mut metrics = Self::default();
-        if shards > 1 {
-            metrics.executor_shards = (0..shards)
-                .map(|_| ShardExecutorMetrics::default())
-                .collect();
-        }
-        metrics
-    }
-
-    /// Exports the executor-pool section. `shards_configured` comes from
-    /// the caller because a one-shard pool has no shard cells to count.
-    pub fn executor_stats(&self, shards_configured: usize) -> ExecutorStats {
-        ExecutorStats {
-            shards_configured: shards_configured as u64,
-            multi_shard_commands: self.multi_shard_commands.get(),
-            shards: self
-                .executor_shards
-                .iter()
-                .enumerate()
-                .map(|(i, cell)| ExecutorShardStats {
-                    shard: i as u64,
-                    dispatched: cell.dispatched.get(),
-                    completed: cell.completed.get(),
-                    queue_depth: cell.queue_depth.get(),
-                    execute_us: cell.execute_us.load(),
-                })
-                .collect(),
-        }
     }
 
     /// Exports the command-lifecycle section.

@@ -1,5 +1,5 @@
 //! The networked replica: an event loop that owns a [`Protocol`] state
-//! machine plus the local store (behind the sharded [`ExecutorPool`]), and
+//! machine plus the local store (the execute stage, `executor.rs`), and
 //! maps the protocol's [`Action`] output language onto sockets, timers,
 //! client sessions and the durable journal. A client request is one
 //! instance: one batched [`Command`], split into its commands to execute.
@@ -18,7 +18,7 @@
 //! * one **writer task per outbound peer link** (see [`crate::transport`]).
 //!
 //! The loop composes subsystems that each own their state: the execute
-//! stage ([`crate::executor`]), the turn, durability (`durability.rs`),
+//! stage (`executor.rs`), the turn, durability (`durability.rs`),
 //! membership (`epochs.rs`) and catch-up (`catch_up.rs`); `ARCHITECTURE.md`
 //! tabulates them.
 
@@ -27,15 +27,14 @@ pub use crate::config::{Boot, ReplicaConfig};
 use crate::detector::DetectorEvent;
 use crate::durability::{Durability, Input};
 use crate::epochs::Membership;
-use crate::executor::{ExecCtx, ExecutorPool};
+use crate::executor::{stage_us, ExecCtx, Executor};
 use crate::inbound::{acceptor, ticker, Event};
 use crate::journal::{corrupt, ExecutionRecord, Host, Journal, JournalRecord, SnapshotCut};
 use crate::metrics::ReplicaMetrics;
 use crate::turn::{Outbox, TURN_EVENTS};
 use crate::wire::{CatchUpPayload, ClientReply, EpochUpdate, MAX_FRAME_BYTES};
 use atlas_core::{
-    Action, ClientId, ClusterView, Command, Dot, IdMap, ProcessId, Protocol, ReconfigOp, Rifl,
-    Topology,
+    Action, ClusterView, Command, Dot, IdMap, ProcessId, Protocol, ReconfigOp, Rifl, Topology,
 };
 use atlas_metrics::MetricsSnapshot;
 use kvstore::KVStore;
@@ -165,15 +164,11 @@ where
 struct Core<P: Protocol> {
     id: ProcessId,
     protocol: P,
-    /// The execute stage: owns the (sharded) store. Every observer of
-    /// execution state below goes through it and drains first; the
-    /// protocol-order artifacts (`log`, journal, `pending`/`commit_times`)
-    /// stay on this thread.
-    exec: ExecutorPool,
+    /// The execute stage: the store and the client reply routes.
+    exec: Executor,
     /// The execution record: shared chunks, so a snapshot cut takes it
     /// without copying the history.
     log: ExecutionRecord,
-    sessions: HashMap<ClientId, UnboundedSender<ClientReply>>,
     /// What the current turn produced and still holds ([`crate::turn`]).
     outbox: Outbox<(Command, ExecCtx)>,
     /// Journal, snapshots and GC rounds.
@@ -211,12 +206,6 @@ struct Core<P: Protocol> {
     alloc_baseline: u64,
 }
 
-/// Lifecycle stage latency in µs, clamped to ≥ 1 so a stage completing
-/// within the clock's resolution still registers as a non-zero sample.
-fn stage_us(t0: u64, t1: u64) -> u64 {
-    t1.saturating_sub(t0).max(1)
-}
-
 impl<P> Core<P>
 where
     P: Protocol,
@@ -248,18 +237,17 @@ where
         // order and the detector installs the measured one.
         let topology = Topology::from_members(cfg.id, &view.all_members());
         // The metric registry and the clock base are shared with the
-        // executor pool, so executor-side lifecycle stamps land in the same
-        // cells on the same timeline as the event loop's.
+        // execute stage, so its lifecycle stamps land in the same cells on
+        // the same timeline as the event loop's.
         let start = Instant::now();
         let options = &cfg.options;
-        let metrics = Arc::new(ReplicaMetrics::with_shards(options.shards));
+        let metrics = Arc::new(ReplicaMetrics::new());
         let metrics_dir = cfg.data_dir.as_ref().filter(|_| options.metrics_every > 0);
         let mut core = Self {
             id: cfg.id,
             protocol: P::new(cfg.id, config, topology.clone()),
-            exec: ExecutorPool::new(options.shards, Arc::clone(&metrics), start),
+            exec: Executor::new(Arc::clone(&metrics), start),
             log: ExecutionRecord::default(),
-            sessions: HashMap::new(),
             outbox: Outbox::new(),
             durability: Durability::new(options.gc_every),
             members: Membership::new(cfg, view, Arc::clone(&stop), self_addr),
@@ -294,7 +282,7 @@ where
                 .ok_or_else(|| {
                     corrupt(format!("replica {}: snapshot failed to restore", cfg.id))
                 })?;
-            core.exec.install_flat(snapshot.store);
+            core.exec.install(snapshot.store);
             core.log = snapshot.log.into();
             // The snapshot's view may name members the boot address book
             // does not (a restart after an expand): install it before
@@ -305,10 +293,6 @@ where
             core.apply(Input::decode(record)?, 0)?;
             core.release()?;
         }
-        // Replay dispatched executes through the pool like a live run;
-        // quiesce before serving so recovery is externally indistinguishable
-        // from the single-threaded path.
-        core.exec.drain();
         core.durability.attach(journal);
         Ok(core)
     }
@@ -421,10 +405,8 @@ where
     ) -> io::Result<()> {
         let (t0, count) = (self.now(), cmds.len());
         self.metrics.submitted.add(count as u64);
-        // Route all of this client's replies through its session (a client
-        // that reconnects simply re-registers here).
         if let Some(first) = cmds.first() {
-            self.sessions.insert(first.rifl.client, session);
+            self.exec.route(first.rifl.client, session);
         }
         for cmd in &cmds {
             self.pending.insert(cmd.rifl, t0);
@@ -467,12 +449,6 @@ where
         // The tick observes (watermark reports, the metrics dump).
         self.release()?;
         self.ticks += 1;
-        // Sessions whose reply channel an executor thread found closed are
-        // reported back here and dropped on the protocol thread, which owns
-        // the session map.
-        for client in self.exec.take_dead_clients() {
-            self.sessions.remove(&client);
-        }
         if self.durability.gc_on() {
             // Every tick, so a round (on the cadence, or before a cut)
             // folds reports at most about a tick old.
@@ -559,11 +535,11 @@ where
         Ok(())
     }
 
-    /// The catch-up stream for `from` ([`catch_up::serve`]). A quiesced
-    /// store (`flat_store` drains): everything protocol-ordered so far is
-    /// applied before its records stream out.
-    fn catch_up_chunks(&mut self, from: ProcessId) -> Vec<Vec<u8>> {
-        let store = self.exec.flat_store();
+    /// The catch-up stream for `from` ([`catch_up::serve`]), served after a
+    /// release: everything protocol-ordered so far is applied before its
+    /// records stream out.
+    fn catch_up_chunks(&self, from: ProcessId) -> Vec<Vec<u8>> {
+        let store = self.exec.store();
         let start = CatchUpPayload::Start {
             horizon: self.protocol.seen_horizon(from),
             executed: self.protocol.save_executed(),
@@ -573,17 +549,13 @@ where
         };
         let log = self.log.iter().copied();
         let committed = self.protocol.committed_log();
-        catch_up::serve(start, &store, log, committed, self.catch_up_chunk_bytes)
+        catch_up::serve(start, store, log, committed, self.catch_up_chunk_bytes)
     }
 
     /// Assembles the export snapshot: the registry's counters/histograms,
     /// the hosted protocol's own digest, and the event-loop state that is
     /// not a metric cell (GC horizon, link health, bookkeeping sizes).
     fn metrics_snapshot(&self) -> MetricsSnapshot {
-        // Quiesce the executor pool first so lifecycle counters satisfy the
-        // stage invariants (`executed == replied` for locally owned
-        // commands) and `store_executed` matches what the pool has applied.
-        self.exec.drain();
         let wal_segments = self.durability.wal_segments();
         MetricsSnapshot {
             version: Default::default(),
@@ -597,9 +569,8 @@ where
             gc: self.metrics.gc_stats(self.durability.collected_horizon()),
             links: self.members.link_snapshots(),
             tracked_entries: self.protocol.tracked_entries() as u64,
-            store_executed: self.exec.executed(),
+            store_executed: self.exec.store().executed(),
             epoch: self.members.view().epoch,
-            executor: self.metrics.executor_stats(self.exec.shards()),
             alloc_count: atlas_metrics::allocations().saturating_sub(self.alloc_baseline),
             reactor: crate::metrics::reactor_stats(),
         }
@@ -636,15 +607,12 @@ where
         }
         // The cut observes the store: everything collected executes first.
         self.release()?;
-        // Snapshots always store the *flat* (merged) KVS, never per-shard
-        // parts: the on-disk format stays shard-count independent, so a
-        // replica may restart with a different `--shards` and re-split.
         let cut = SnapshotCut {
             protocol: self
                 .protocol
                 .save_state()
                 .expect("every protocol snapshots its state"),
-            store: self.exec.flat_store(),
+            store: self.exec.store().clone(),
             log: self.log.freeze(),
             view: self.members.view().clone(),
             addrs: self.members.addrs_wire(),
@@ -740,16 +708,20 @@ where
                 Ok(())
             }
             Event::Submit { cmds, session } => self.submit(cmds, session),
+            Event::SessionClosed { client, session } => {
+                self.exec.unroute(client, &session);
+                Ok(())
+            }
             Event::SnapshotWritten { index, result } => {
                 self.durability.snapshot_written(index, result)
             }
-            // Observers: the turn so far is released first and the pool
-            // drains, so the reply reflects everything protocol-ordered so
-            // far — a client that observed a reply can never see a digest
-            // that predates the replied command.
+            // Observers: the turn so far is released first, so the reply
+            // reflects everything protocol-ordered so far — a client that
+            // observed a reply can never see a digest that predates the
+            // replied command.
             Event::Query { session } => {
                 self.release()?;
-                let digest = self.exec.digest();
+                let digest = self.exec.store().digest();
                 for reply in ClientReply::execution_log(self.log.iter().copied(), digest) {
                     let _ = session.send(reply);
                 }
@@ -780,19 +752,15 @@ where
     }
 
     /// The protocol executes `rifl`'s command under `dot` (commit seen at
-    /// `commit_t`). Protocol-order artifacts stay on this thread: the
-    /// execution record advances at *dispatch* (protocol order), never at
-    /// completion (execution interleaving). The lifecycle samples only
-    /// count when this replica owns the command (it was submitted here);
-    /// the executor takes the commit/execute/reply stamps in stage order,
-    /// so the percentile series stays monotone under concurrent executors.
+    /// `commit_t`): the execution record advances now, in protocol order,
+    /// and the command's lifecycle samples count only if this replica owns
+    /// it (it was submitted here).
     fn executing(&mut self, dot: Dot, rifl: Rifl, commit_t: Option<u64>) -> ExecCtx {
         self.log.push((dot, rifl));
         ExecCtx {
             rifl,
             submit_t: self.pending.remove(&rifl),
             commit_t,
-            session: self.sessions.get(&rifl.client).cloned(),
         }
     }
 
@@ -858,14 +826,13 @@ where
                 Action::Execute { dot, cmd } => {
                     let commit_t = self.commit_times.remove(&dot);
                     if cmd.is_noop() || cmd.is_reconfig() {
-                        // Total-order barriers execute inline on this
-                        // thread (after a release and a pool drain): a
-                        // `Reconfigure` mutates the protocol, which only
-                        // this thread may touch.
+                        // Total-order barriers execute at once, after a
+                        // release: a `Reconfigure` moves the protocol's
+                        // membership before the next action.
                         let ctx = self.executing(dot, cmd.rifl, commit_t);
                         self.release()?;
                         let reconfig = cmd.reconfig_op().cloned();
-                        self.exec.execute_barrier(&cmd, ctx);
+                        self.exec.apply(&cmd, ctx);
                         if let Some(op) = reconfig {
                             self.apply_reconfig_barrier(&op, local, now)?;
                         }
@@ -910,13 +877,13 @@ where
         if !self.protocol.restore_executed(marker) {
             return false;
         }
-        self.exec.install_flat(store);
+        self.exec.install(store);
         self.log = log.into();
         true
     }
 
     fn is_fresh(&self) -> bool {
-        self.log.is_empty() && self.exec.is_empty()
+        self.log.is_empty() && self.exec.store().is_empty()
     }
 
     fn apply_msgs(&mut self, from: ProcessId, msgs: Vec<Vec<u8>>) -> io::Result<()> {

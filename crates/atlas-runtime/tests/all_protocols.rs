@@ -1,10 +1,15 @@
 //! The runtime is generic over the hosted protocol: boot a small TCP cluster
 //! of every protocol in the workspace and drive traffic through it.
 
-use atlas_core::{Command, Config, Protocol};
+use atlas_core::{Command, Config, ProcessId, Protocol};
 use atlas_runtime::{Client, Cluster};
 use kvstore::Output;
 use serde::{Deserialize, Serialize};
+use std::time::{Duration, Instant};
+
+/// The commands `exercise` submits: 20 rounds of three puts and a get, one
+/// get, the 33-part batch and its closing get.
+const ISSUED: usize = 20 * 4 + 1 + 33 + 1;
 
 fn exercise<P>(config: Config)
 where
@@ -60,6 +65,37 @@ where
             .collect();
         assert_eq!(outputs, expected, "{}: sequential outputs", P::name());
         assert_eq!(b.get(9).await.unwrap(), Some(15), "{}", P::name());
+
+        // Every replica ends with the same store, having executed the same
+        // commands: the clients' entries of each execution record, as a
+        // set (commuting commands may execute in different orders), and
+        // the digest. A replica may still be executing the tail.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let mut views = Vec::new();
+            for id in 1..=config.n as ProcessId {
+                let mut probe = Client::connect(cluster.addr(id), 900 + id as u64)
+                    .await
+                    .unwrap();
+                let (mut log, digest) = probe.execution_log().await.unwrap();
+                log.retain(|(_, rifl)| rifl.client <= 2);
+                log.sort_unstable_by_key(|&(_, rifl)| rifl);
+                views.push((log, digest));
+            }
+            if views.iter().all(|view| *view == views[0]) && views[0].0.len() == ISSUED {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{}: replicas disagree: {:?}",
+                P::name(),
+                views
+                    .iter()
+                    .map(|(log, digest)| (log.len(), digest))
+                    .collect::<Vec<_>>()
+            );
+            tokio::time::sleep(Duration::from_millis(50)).await;
+        }
         cluster.shutdown();
     });
 }

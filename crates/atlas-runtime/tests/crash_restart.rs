@@ -189,25 +189,6 @@ fn wiped_replica_catches_up_via_peer_snapshot() {
     kill_restart_scenario(ClusterOptions::default(), true);
 }
 
-/// Crash mid-parallel-execution: every replica runs the sharded executor
-/// pool (8 shards), so the kill lands with executor batches in flight on
-/// replica 3's pool threads. The journal records the protocol order, never
-/// the thread interleaving, so replay through a fresh pool must reconverge
-/// to the survivors' digest — and the per-key conflict order must match
-/// everywhere.
-#[test]
-fn killed_replica_with_sharded_executors_replays_to_same_digest() {
-    kill_restart_scenario(ClusterOptions::default().with_shards(8), false);
-}
-
-/// The wiped variant under sharded executors: peer-assisted catch-up streams
-/// the survivors' **flat** (merged) store view, and the rejoining replica
-/// re-splits it across its own shards.
-#[test]
-fn wiped_replica_with_sharded_executors_catches_up() {
-    kill_restart_scenario(ClusterOptions::default().with_shards(8), true);
-}
-
 /// The batched write path under a crash: two clients drive 16-PUT requests —
 /// every turn of replica 3 journals a burst of records with one write and
 /// holds a burst of effects — and replica 3 is killed, then restarted on the

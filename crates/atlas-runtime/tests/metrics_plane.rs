@@ -63,16 +63,11 @@ async fn run_writes(
     Ok(())
 }
 
-/// The ~1k-command invariant run, generic over the hosted protocol and the
-/// executor shard count. Two closed-loop clients submit through replicas 1
-/// and 2; replica 3 only executes. Every invariant below is checked against
-/// snapshots fetched over the stats plane — the same bytes `atlas-top`
-/// renders. With `shards > 1` the executed/replied stamps are taken on
-/// executor threads, so this doubles as the proof that the stage chain and
-/// the percentile monotonicity survive concurrent executors: the snapshot
-/// path drains the pool first, and commit stamps (protocol thread) always
-/// precede execute stamps (executor thread) on the shared clock.
-fn lifecycle_invariants<P>(shards: usize)
+/// The ~1k-command invariant run, generic over the hosted protocol. Two
+/// closed-loop clients submit through replicas 1 and 2; replica 3 only
+/// executes. Every invariant below is checked against snapshots fetched
+/// over the stats plane — the same bytes `atlas-top` renders.
+fn lifecycle_invariants<P>()
 where
     P: Protocol + Send + 'static,
     P::Message: Serialize + Deserialize + Send + 'static,
@@ -83,7 +78,6 @@ where
         tick_interval: Duration::from_millis(10),
         gc_every: 4,
         metrics_every: 5,
-        shards,
         ..ClusterOptions::default()
     };
     let rt = tokio::runtime::Runtime::new().unwrap();
@@ -161,31 +155,6 @@ where
                         q * 100.0
                     );
                 }
-            }
-
-            // The executor section reflects the configured pool, and the
-            // drained snapshot sees it quiesced: every dispatched command
-            // completed, every queue empty. The workload is single-key, so
-            // nothing took the cross-shard barrier and every execution left
-            // a latency sample on its shard.
-            let e = &s.executor;
-            assert_eq!(e.shards_configured, shards as u64, "replica {id} shards");
-            if shards > 1 {
-                assert_eq!(e.shards.len(), shards, "replica {id} shard cells");
-                let dispatched: u64 = e.shards.iter().map(|c| c.dispatched).sum();
-                let completed: u64 = e.shards.iter().map(|c| c.completed).sum();
-                assert_eq!(dispatched, TOTAL, "replica {id} dispatched");
-                assert_eq!(dispatched, completed, "replica {id} not quiesced");
-                assert!(
-                    e.shards.iter().all(|c| c.queue_depth == 0),
-                    "replica {id} residual queue depth: {:?}",
-                    e.shards
-                );
-                let samples: u64 = e.shards.iter().map(|c| c.execute_us.count()).sum();
-                assert_eq!(samples, TOTAL, "replica {id} execute histogram");
-                assert_eq!(e.multi_shard_commands, 0, "replica {id} barrier count");
-            } else {
-                assert!(e.shards.is_empty(), "inline pool exports shard cells");
             }
 
             // Durability: at least one journal record per submission, and
@@ -304,25 +273,12 @@ where
 
 #[test]
 fn lifecycle_invariants_atlas() {
-    lifecycle_invariants::<Atlas>(1);
+    lifecycle_invariants::<Atlas>();
 }
 
 #[test]
 fn lifecycle_invariants_epaxos() {
-    lifecycle_invariants::<epaxos::EPaxos>(1);
-}
-
-/// The same invariants with the sharded parallel executor pool on every
-/// replica: `executed == replied` and the monotone percentile series must
-/// hold even though those stamps are taken on executor threads.
-#[test]
-fn lifecycle_invariants_atlas_sharded() {
-    lifecycle_invariants::<Atlas>(8);
-}
-
-#[test]
-fn lifecycle_invariants_epaxos_sharded() {
-    lifecycle_invariants::<epaxos::EPaxos>(8);
+    lifecycle_invariants::<epaxos::EPaxos>();
 }
 
 /// Commit and execution are stamped apart: a command that commits at once

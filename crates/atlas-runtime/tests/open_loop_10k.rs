@@ -4,9 +4,8 @@
 //! Under the old thread-per-task runtime this workload would have meant
 //! tens of thousands of threads (two tasks per connection on the client
 //! side alone); the epoll reactor runs it on single-digit worker threads
-//! (which poll epoll themselves — there is no reactor thread) plus the
-//! configured shard executors. The drill asserts exactly
-//! that — the process thread count stays bounded while every client's
+//! (which poll epoll themselves — there is no reactor thread). The drill
+//! asserts exactly that — the process thread count stays bounded while every client's
 //! commands execute — and emits `BENCH_open_loop_10k.json` for
 //! `ci/bench_guard.py --fig`.
 //!
@@ -33,15 +32,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Executor shards per replica for the drill (the thread-count bound below
-/// accounts for `3 * SHARDS` executor threads).
-const SHARDS: usize = 2;
-
 /// Ceiling on the process's OS thread count while 10k clients are in
-/// flight: test harness + worker pool + `3 * SHARDS` executor threads +
-/// three snapshot writers + the sampler thread is ~15; the bound leaves slack for the
-/// harness without ever tolerating per-connection threads.
-const MAX_THREADS: u64 = 24;
+/// flight: test harness + worker pool + three snapshot writers + the
+/// sampler thread is ~9; the bound leaves slack for the harness without
+/// ever tolerating per-connection threads.
+const MAX_THREADS: u64 = 18;
 
 /// Fds held back from the budget for the cluster itself (listeners, peer
 /// links, journals, epoll/eventfd plumbing) and general slack.
@@ -119,7 +114,6 @@ fn ten_thousand_open_loop_clients_on_bounded_threads() {
             Config::new(3, 1),
             ClusterOptions {
                 suspect_after: None,
-                shards: SHARDS,
                 ..ClusterOptions::default()
             },
         )

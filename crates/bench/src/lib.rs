@@ -1,10 +1,9 @@
 //! # bench
 //!
 //! The benchmark harness: one binary per table/figure of the paper's
-//! evaluation (run with `cargo run -p bench --release --bin fig<N>_...`),
-//! plus the executor pool's scaling gate (`cargo bench -p bench --bench
-//! shard_scaling`). End-to-end and per-layer numbers of the networked
-//! runtime come from `benchmark/`.
+//! evaluation (run with `cargo run -p bench --release --bin fig<N>_...`).
+//! End-to-end and per-layer numbers of the networked runtime come from
+//! `benchmark/`.
 //!
 //! Every figure binary accepts:
 //!

@@ -1,6 +1,6 @@
 //! The key–value store state machine.
 
-use atlas_core::{shard_of, Command, Key, KvOp, Rifl, Value};
+use atlas_core::{Command, Key, KvOp, Rifl, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -67,12 +67,9 @@ impl KVStore {
             .collect()
     }
 
-    /// Applies **one** keyed operation without touching the
-    /// executed-command counter: [`KVStore::execute`] maps it over a
-    /// command's operations, and sharded execution applies a multi-shard
-    /// command's operations by key owner while counting the *command* once
-    /// (the executor pool's global counter).
-    pub fn apply_op(&mut self, key: Key, op: &KvOp) -> Output {
+    /// Applies one keyed operation; the executed counter is
+    /// [`KVStore::execute`]'s, which counts the command once.
+    fn apply_op(&mut self, key: Key, op: &KvOp) -> Output {
         match op {
             KvOp::Get => Output::Value(self.data.get(&key).copied()),
             KvOp::Put(value) => {
@@ -83,38 +80,6 @@ impl KVStore {
                 self.data.remove(&key);
                 Output::Done
             }
-        }
-    }
-
-    /// Partitions the records into `shards` stores by [`shard_of`] — the
-    /// flat→sharded direction when an executor pool boots from a snapshot;
-    /// one shard takes the records over without copying them. The
-    /// executed-command counter is a whole-store property, not a per-shard
-    /// one: it stays with the caller (the pool's global counter), and every
-    /// returned part reports 0.
-    pub fn split_by_shard(self, shards: usize) -> Vec<KVStore> {
-        if shards <= 1 {
-            return vec![KVStore {
-                data: self.data,
-                executed: 0,
-            }];
-        }
-        let mut parts = vec![KVStore::new(); shards];
-        for (key, value) in self.data {
-            parts[shard_of(key, shards)].data.insert(key, value);
-        }
-        parts
-    }
-
-    /// Merges another store's records into this one (sharded→flat
-    /// direction: folding per-shard stores back into the snapshot/catch-up
-    /// view). Key sets must be disjoint for the merge to be order
-    /// independent — true by construction for [`KVStore::split_by_shard`]
-    /// parts. The executed counter is untouched; pair with
-    /// [`KVStore::restore_executed_count`].
-    pub fn absorb(&mut self, part: &KVStore) {
-        for (&key, &value) in &part.data {
-            self.data.insert(key, value);
         }
     }
 
@@ -255,43 +220,6 @@ mod tests {
         b.execute(&w2);
         b.execute(&w1);
         assert_ne!(a.digest(), b.digest());
-    }
-
-    #[test]
-    fn split_execute_merge_matches_flat_execution() {
-        // The sharded-execution identity: executing each command's ops on
-        // the key-owning shard stores, then merging, must equal executing
-        // the same sequence on one flat store — digest included.
-        let cmds: Vec<Command> = (0..200)
-            .map(|i| {
-                Command::new(
-                    Rifl::new(i, 1),
-                    [(i % 13, KvOp::Put(i)), (i % 7 + 100, KvOp::Put(i * 2))],
-                    8,
-                )
-            })
-            .collect();
-        let mut flat = KVStore::new();
-        for cmd in &cmds {
-            flat.execute(cmd);
-        }
-
-        let shards = 4;
-        let mut parts = KVStore::new().split_by_shard(shards);
-        let mut executed = 0u64;
-        for cmd in &cmds {
-            executed += 1;
-            for (&key, op) in cmd.ops() {
-                parts[atlas_core::shard_of(key, shards)].apply_op(key, op);
-            }
-        }
-        let mut merged = KVStore::new();
-        for part in &parts {
-            merged.absorb(part);
-        }
-        merged.restore_executed_count(executed);
-        assert_eq!(merged.digest(), flat.digest());
-        assert_eq!(merged, flat);
     }
 
     #[test]
