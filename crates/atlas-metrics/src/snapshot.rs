@@ -215,7 +215,7 @@ pub struct ReactorStats {
     pub worker_unparks: u64,
     /// Eventfd writes that interrupted a worker blocked in `epoll_wait`.
     pub eventfd_signals: u64,
-    /// Timers the wheel fired.
+    /// Timers the timer queue fired.
     pub timers_fired: u64,
     /// High-water mark of the run queue.
     pub queue_depth_max: u64,

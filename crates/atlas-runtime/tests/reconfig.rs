@@ -3,8 +3,8 @@
 //!
 //! | drill | claim | figure |
 //! |---|---|---|
-//! | `expand_3_to_5_to_7_mid_workload` | two `Enter`/`Finalize` windows grow the cluster under load with zero lost or duplicated client commands | `fig5_scale_out` |
-//! | `swap_dead_replica_unfreezes_gc` | replacing a crashed member re-keys the GC horizon on the new member set and compaction resumes | `fig6_expand` |
+//! | `expand_3_to_5_to_7_mid_workload` | two `Enter`/`Finalize` windows grow the cluster under load with zero lost or duplicated client commands | `fig_reconfig_scale_out` |
+//! | `swap_dead_replica_unfreezes_gc` | replacing a crashed member re-keys the GC horizon on the new member set and compaction resumes | `fig_reconfig_swap` |
 //!
 //! The edge-case tests pin down the boundary behaviours the drills only
 //! exercise implicitly: an old-epoch straggler frame from a removed member
@@ -150,7 +150,7 @@ fn expand_3_to_5_to_7_mid_workload() {
         let logs = converge_on(&cluster, &ids, &must_contain, Duration::from_secs(60)).await;
         assert_no_duplicates(&logs[0].0);
 
-        let mut report = FigureReport::new("fig5_scale_out");
+        let mut report = FigureReport::new("fig_reconfig_scale_out");
         report.check(
             "members_final",
             cluster.members().len() as f64,
@@ -275,7 +275,7 @@ fn swap_dead_replica_unfreezes_gc() {
         .await;
         assert_no_duplicates(&logs[0].0);
 
-        let mut report = FigureReport::new("fig6_expand");
+        let mut report = FigureReport::new("fig_reconfig_swap");
         report.check("horizon_frozen", frozen as f64, Some(1.0), None);
         report.check(
             "horizon_after_swap",

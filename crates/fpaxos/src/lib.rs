@@ -543,7 +543,6 @@ impl FPaxos {
         from: ProcessId,
         ballot: Ballot,
         accepted: BTreeMap<Slot, (Ballot, Command)>,
-        time: Time,
     ) -> Vec<Action<Message>> {
         if ballot != self.ballot || self.leader_ballot == ballot {
             return Vec::new();
@@ -620,7 +619,6 @@ impl FPaxos {
         for cmd in retries {
             actions.extend(self.handle_forward_retry(cmd));
         }
-        let _ = time;
         actions
     }
 }
@@ -697,9 +695,7 @@ impl Protocol for FPaxos {
             Message::MAccepted { slot, ballot } => self.handle_accepted(from, slot, ballot, time),
             Message::MCommit { slot, cmd } => self.handle_commit(slot, cmd, time),
             Message::MPrepare { ballot } => self.handle_prepare(from, ballot),
-            Message::MPromise { ballot, accepted } => {
-                self.handle_promise(from, ballot, accepted, time)
-            }
+            Message::MPromise { ballot, accepted } => self.handle_promise(from, ballot, accepted),
             Message::MNewLeader { ballot } => {
                 if ballot >= self.ballot {
                     self.learn_leader(ballot)

@@ -19,7 +19,6 @@ pub struct Zipfian {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2theta: f64,
     scrambled: bool,
 }
 
@@ -56,7 +55,6 @@ impl Zipfian {
             alpha,
             zetan,
             eta,
-            zeta2theta,
             scrambled: false,
         }
     }
@@ -100,17 +98,6 @@ impl Zipfian {
         } else {
             rank
         }
-    }
-
-    /// The probability mass of the most popular item, `1 / ζ(n, θ)`. Used by
-    /// tests to sanity-check the sampler.
-    pub fn top_item_probability(&self) -> f64 {
-        1.0 / self.zetan
-    }
-
-    /// The zeta constant over the first two items (exposed for tests).
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2theta
     }
 }
 

@@ -105,14 +105,6 @@ impl SimConfig {
         self
     }
 
-    /// Places clients non-uniformly (e.g. 1000 clients spread over 13 sites
-    /// while only a prefix of the sites runs the protocol).
-    pub fn with_clients_per_site(mut self, clients: Vec<usize>) -> Self {
-        assert_eq!(clients.len(), self.regions.len());
-        self.clients_per_site = clients;
-        self
-    }
-
     /// Places clients at arbitrary regions; each client connects to the
     /// closest protocol site over the WAN.
     pub fn with_client_locations(mut self, locations: Vec<(Region, usize)>) -> Self {
