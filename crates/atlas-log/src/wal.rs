@@ -111,6 +111,9 @@ pub struct Wal {
     staged: Vec<u8>,
     /// How many records `staged` holds.
     staged_records: u64,
+    /// What the next [`Wal::sync`] also fsyncs: the directory of a segment
+    /// `open` created, and its parent when `open` created the directory.
+    unsynced_dirs: Vec<PathBuf>,
 }
 
 fn segment_name(start: u64) -> String {
@@ -157,6 +160,10 @@ impl Wal {
         policy: FlushPolicy,
         segment_bytes: u64,
     ) -> io::Result<(Self, Vec<Record>)> {
+        let mut unsynced_dirs = Vec::new();
+        if !dir.exists() {
+            unsynced_dirs.extend(dir.parent().map(Path::to_path_buf));
+        }
         fs::create_dir_all(dir)?;
         let mut segments: Vec<u64> = fs::read_dir(dir)?
             .filter_map(|entry| parse_segment_name(entry.ok()?.file_name().to_str()?))
@@ -191,6 +198,7 @@ impl Wal {
             }
             None => {
                 segments.push(0);
+                unsynced_dirs.push(dir.to_path_buf());
                 (create_segment(dir, 0)?, 0)
             }
         };
@@ -207,6 +215,7 @@ impl Wal {
                 unsynced: 0,
                 staged: Vec::new(),
                 staged_records: 0,
+                unsynced_dirs,
             },
             records,
         ))
@@ -338,10 +347,14 @@ impl Wal {
 
     /// fsyncs what has been written, regardless of policy (staged records
     /// are not written by this: flush first). The one place the log issues
-    /// `fdatasync`.
+    /// `fdatasync`; the first also makes a segment `open` created durable,
+    /// so that opening costs no fsync.
     pub fn sync(&mut self) -> io::Result<()> {
         self.file.sync_data()?;
         self.unsynced = 0;
+        for dir in self.unsynced_dirs.drain(..) {
+            sync_dir(&dir)?;
+        }
         Ok(())
     }
 

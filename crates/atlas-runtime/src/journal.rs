@@ -27,10 +27,12 @@
 //!      tail is frozen into one more `Arc` chunk, and the cut takes the
 //!      chunk list, one pointer per chunk. Last it fsyncs the WAL and
 //!      stamps the cut with the WAL's next index;
-//!   2. **write**: the journal's writer thread flattens the record's chunks
-//!      into [`ReplicaSnapshot::log`], serialises the snapshot and
-//!      publishes it (temporary file, fsync, rename, directory fsync, prune
-//!      older snapshots) while the loop keeps serving, then reports back;
+//!   2. **write**: the journal's writer thread appends the record entries
+//!      executed since the last published cut to the record file (one
+//!      fdatasynced chunk, `RecordFile`), serialises the snapshot with an
+//!      empty [`ReplicaSnapshot::log`] and publishes it (temporary file,
+//!      fsync, rename, directory fsync, prune older snapshots) while the
+//!      loop keeps serving, then reports back;
 //!   3. **truncate** (`Journal::snapshot_written`): the loop drops the
 //!      WAL segments the published snapshot covers, so replay work and
 //!      disk usage stay bounded.
@@ -40,9 +42,10 @@
 //!   published snapshot and a WAL still holding every record at or above
 //!   its index (`ARCHITECTURE.md` has the crash matrix).
 //!
-//! Recovery is then: load the latest snapshot (if any), restore the
-//! protocol with [`restore_state`](atlas_core::Protocol::restore_state),
-//! and replay the journal suffix. A replica whose data directory was wiped
+//! Recovery is then: load the latest snapshot (if any) and the record it
+//! covers, restore the protocol with
+//! [`restore_state`](atlas_core::Protocol::restore_state), and replay the
+//! journal suffix. A replica whose data directory was wiped
 //! additionally performs peer-assisted catch-up (see
 //! [`crate::replica`]).
 
@@ -53,9 +56,9 @@ use atlas_log::{FlushPolicy, SnapshotStore, Wal};
 use kvstore::KVStore;
 use serde::{Deserialize, Serialize};
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -137,7 +140,8 @@ pub struct ReplicaSnapshot {
     pub protocol: Vec<u8>,
     /// The replicated key–value store.
     pub store: KVStore,
-    /// The execution record: `(dot, rifl)` in local execution order.
+    /// The execution record: `(dot, rifl)` in local execution order. Empty
+    /// in a published file, whose record is in the record file.
     pub log: Vec<(Dot, Rifl)>,
     /// The runtime's configuration view when the snapshot was taken, so a
     /// restart resumes with the post-reconfiguration peer set instead of
@@ -188,17 +192,19 @@ impl ExecutionRecord {
 
     /// The entries in execution order.
     pub fn iter(&self) -> impl Iterator<Item = &(Dot, Rifl)> {
-        self.frozen
-            .iter()
-            .flat_map(|chunk| chunk.iter())
-            .chain(&self.tail)
+        self.since(0)
     }
 
-    /// The entries flattened into one vector, in execution order.
-    pub fn to_vec(&self) -> Vec<(Dot, Rifl)> {
-        let mut entries = Vec::with_capacity(self.len());
-        entries.extend(self.iter().copied());
-        entries
+    /// The entries from position `start` on, in execution order; the
+    /// chunks wholly below it are skipped, not walked.
+    pub fn since(&self, start: usize) -> impl Iterator<Item = &(Dot, Rifl)> {
+        let mut skip = start;
+        let parts = self.frozen.iter().map(|chunk| chunk.as_slice());
+        parts.chain([self.tail.as_slice()]).flat_map(move |part| {
+            let below = skip.min(part.len());
+            skip -= below;
+            &part[below..]
+        })
     }
 }
 
@@ -216,8 +222,8 @@ impl From<Vec<(Dot, Rifl)>> for ExecutionRecord {
 
 /// A snapshot as the event loop cuts it: the fields of a
 /// [`ReplicaSnapshot`], with the execution record still shared with the
-/// loop. The writer flattens it ([`SnapshotCut::flatten`]) before encoding,
-/// so the bytes on disk are a plain [`ReplicaSnapshot`].
+/// loop. The writer appends the entries the record file lacks and encodes
+/// the rest ([`SnapshotCut::split`]) with an empty `log`.
 pub(crate) struct SnapshotCut {
     /// [`Protocol::save_state`](atlas_core::Protocol::save_state) bytes.
     pub protocol: Vec<u8>,
@@ -232,15 +238,109 @@ pub(crate) struct SnapshotCut {
 }
 
 impl SnapshotCut {
-    /// The [`ReplicaSnapshot`] this cut stands for.
-    fn flatten(self) -> ReplicaSnapshot {
-        ReplicaSnapshot {
+    /// The cut's [`ReplicaSnapshot`] with an empty `log`, and its record.
+    fn split(self) -> (ReplicaSnapshot, ExecutionRecord) {
+        let snapshot = ReplicaSnapshot {
             protocol: self.protocol,
             store: self.store,
-            log: self.log.to_vec(),
+            log: Vec::new(),
             view: self.view,
             addrs: self.addrs,
+        };
+        (snapshot, self.log)
+    }
+}
+
+/// A snapshot file as published: [`ENVELOPE_TAG`], the record file's chunks
+/// and entries it covers, and the snapshot with an empty `log`. A file from
+/// before the record file is a bare [`ReplicaSnapshot`], record inline; it
+/// starts with the protocol state's length, which is never the tag.
+type Envelope = (u64, u64, u64, ReplicaSnapshot);
+const ENVELOPE_TAG: u64 = u64::MAX;
+
+/// Held over each writer's stop check and chunk write, and over every
+/// opening of a record file: a killed writer still running when
+/// `Cluster::restart` reopens its directory either wrote its chunk before
+/// (an unpublished chunk) or sees the stop flag and writes nothing.
+static RECORD_WRITES: Mutex<()> = Mutex::new(());
+
+/// The execution record's own file, `record/` beside the WAL, framed by a
+/// [`Wal`]: one chunk `(start, entries)` per cut that executed anything,
+/// fdatasynced before that cut's snapshot is renamed into place. The chunks
+/// below a snapshot's count, each overwriting the record from its `start`
+/// on, rebuild exactly the record it covers; an unpublished cut's chunk
+/// lies above, and the next chunk starts where the published record ends.
+#[derive(Default)]
+struct RecordFile {
+    path: PathBuf,
+    /// Opened at boot when a snapshot points into the file, else by the
+    /// first chunk.
+    wal: Option<Wal>,
+    /// Entries and chunks of the file the published snapshot covers.
+    persisted: u64,
+    chunks: u64,
+}
+
+impl RecordFile {
+    /// Rebuilds the record of a snapshot that covers the file's first
+    /// `chunks` chunks and `entries` entries, keeping the file open.
+    fn restore(&mut self, chunks: u64, entries: u64) -> io::Result<Vec<(Dot, Rifl)>> {
+        if chunks == 0 && entries == 0 {
+            return Ok(Vec::new()); // cut before anything executed: no file
         }
+        let _opening = RECORD_WRITES.lock().expect("record lock");
+        let (wal, raw) = Wal::open(&self.path, FlushPolicy::OsBuffered)?;
+        let mut log = Vec::new();
+        for raw in raw.iter().take_while(|raw| raw.index < chunks) {
+            let (start, part): (u64, Vec<(Dot, Rifl)>) = bincode::deserialize(&raw.payload)
+                .map_err(|e| corrupt(format!("undecodable record chunk {}: {e}", raw.index)))?;
+            if start > log.len() as u64 {
+                return Err(corrupt(format!("record chunk {} follows a gap", raw.index)));
+            }
+            log.truncate(start as usize);
+            log.extend(part);
+        }
+        let held = log.len() as u64;
+        if held != entries || wal.next_index() < chunks {
+            return Err(corrupt(format!("record holds {held} of {entries} entries")));
+        }
+        (self.wal, self.persisted, self.chunks) = (Some(wal), entries, chunks);
+        Ok(log)
+    }
+
+    /// Appends the entries of `log` past the persisted ones as one chunk,
+    /// fdatasynced (`synced` meters it), unless `stopped`. Returns the
+    /// `(chunks, entries)` a snapshot of `log` covers.
+    fn append(
+        &mut self,
+        log: &ExecutionRecord,
+        stopped: impl Fn() -> bool,
+        synced: impl FnOnce(Instant),
+    ) -> io::Result<Option<(u64, u64)>> {
+        let (start, entries) = (self.persisted, log.len() as u64);
+        if entries < start {
+            return Err(corrupt(format!("record shrank below {start} entries")));
+        }
+        if entries == start {
+            return Ok(Some((self.chunks, entries))); // nothing new: no chunk, no fsync
+        }
+        let part: Vec<(Dot, Rifl)> = log.since(start as usize).copied().collect();
+        let chunk = bincode::serialize(&(start, part)).expect("chunks always encode");
+        let appending = RECORD_WRITES.lock().expect("record lock");
+        if stopped() {
+            return Ok(None);
+        }
+        if self.wal.is_none() {
+            self.wal = Some(Wal::open(&self.path, FlushPolicy::OsBuffered)?.0);
+        }
+        let wal = self.wal.as_mut().expect("opened above");
+        wal.stage(&chunk);
+        wal.flush()?;
+        drop(appending);
+        let t0 = Instant::now();
+        wal.sync()?;
+        synced(t0);
+        Ok(Some((wal.next_index(), entries)))
     }
 }
 
@@ -260,6 +360,8 @@ pub(crate) struct Host {
 /// What the event loop and the snapshot writer share of the durable state.
 struct Disk {
     snapshots: SnapshotStore,
+    /// Only ever locked by the one thread writing a snapshot.
+    record: Mutex<RecordFile>,
     host: Host,
 }
 
@@ -277,24 +379,36 @@ impl Disk {
         self.host.metrics.fsync_us.record(us);
     }
 
-    /// Flattens and serialises `cut` and publishes it as covering WAL
-    /// records below `index` — the one write path, run by the writer thread
-    /// and by the synchronous snapshot that ends catch-up. `Ok(false)`: abandoned
+    /// Appends the record entries `cut` adds to the record file, then
+    /// serialises the rest of it and publishes it as covering WAL records
+    /// below `index` — the one write path, run by the writer thread and by
+    /// the synchronous snapshot that ends catch-up. `Ok(false)`: abandoned
     /// unpublished because the replica stopped meanwhile; its directory may
     /// already belong to the next incarnation (wiped and recreated, even),
-    /// where this journal's snapshot would cover records never written.
+    /// where this journal's snapshot would cover records never written (the
+    /// flag is checked before the chunk append and before the rename).
     ///
     /// A writer overtaken by a kill between its stop check and its rename
     /// needs no more synchronisation: its temporary file predates the kill,
     /// so a wipe or the next `SnapshotStore::open` removes it and the rename
     /// fails; landing in a directory restarted as is, the rename publishes
-    /// a valid snapshot of that same WAL (its prefix was synced at the cut).
+    /// a valid snapshot of that same WAL (its prefix was synced at the cut)
+    /// and record file (its chunk was written before the file was reopened).
     fn write(&self, index: u64, cut: SnapshotCut) -> io::Result<bool> {
         let t0 = Instant::now();
-        let bytes = bincode::serialize(&cut.flatten()).expect("snapshots always encode");
         let stopped = || self.host.stop.load(Ordering::Relaxed);
         let synced = |t0| self.fsynced(t0);
+        let (snapshot, log) = cut.split();
+        let mut record = self.record.lock().expect("record file lock");
+        let Some((chunks, entries)) = record.append(&log, stopped, synced)? else {
+            return Ok(false);
+        };
+        let envelope = (ENVELOPE_TAG, chunks, entries, snapshot);
+        let bytes = bincode::serialize(&envelope).expect("snapshots always encode");
         let published = self.snapshots.save_with(index, &bytes, synced, stopped)?;
+        if published {
+            (record.persisted, record.chunks) = (entries, chunks);
+        }
         self.host.metrics.snapshot_bytes.set(bytes.len() as u64);
         let us = t0.elapsed().as_micros() as u64;
         self.host.metrics.snapshot_write_us.record(us);
@@ -340,10 +454,23 @@ impl Journal {
     ) -> io::Result<(Self, Option<ReplicaSnapshot>, Vec<JournalRecord>)> {
         let snapshots = SnapshotStore::open(dir)?;
         let (wal, raw_records) = Wal::open(&dir.join("wal"), policy)?;
+        let mut record = RecordFile {
+            path: dir.join("record"),
+            ..RecordFile::default()
+        };
         let (snapshot, covered) = match snapshots.load_latest()? {
             Some((index, bytes)) => {
-                let snapshot: ReplicaSnapshot = bincode::deserialize(&bytes)
-                    .map_err(|e| corrupt(format!("undecodable snapshot {index}: {e}")))?;
+                let undecodable = |e| corrupt(format!("undecodable snapshot {index}: {e}"));
+                // A bare snapshot holds the whole record inline; the first
+                // cut writes all of it to the record file.
+                let snapshot = if bytes.starts_with(&ENVELOPE_TAG.to_le_bytes()) {
+                    let (_, chunks, entries, mut snapshot): Envelope =
+                        bincode::deserialize(&bytes).map_err(undecodable)?;
+                    snapshot.log = record.restore(chunks, entries)?;
+                    snapshot
+                } else {
+                    bincode::deserialize(&bytes).map_err(undecodable)?
+                };
                 (Some(snapshot), index)
             }
             None => (None, 0),
@@ -365,7 +492,11 @@ impl Journal {
         Ok((
             Self {
                 wal,
-                disk: Arc::new(Disk { snapshots, host }),
+                disk: Arc::new(Disk {
+                    snapshots,
+                    record: Mutex::new(record),
+                    host,
+                }),
                 snapshot_every,
                 since_snapshot,
                 wanted: false,
@@ -564,14 +695,40 @@ mod tests {
         Journal::open(dir.path(), FlushPolicy::OsBuffered, every, host().0).unwrap()
     }
 
+    /// Execution-record entry number `n`.
+    fn entry(n: u64) -> (Dot, Rifl) {
+        (Dot::new(2, n), Rifl::new(7, n))
+    }
+
+    /// A cut whose record holds entries `1..=marker`, so each larger marker
+    /// executed more.
     fn snapshot(marker: u8) -> SnapshotCut {
+        cut(marker, (1..=u64::from(marker)).map(entry).collect())
+    }
+
+    fn cut(marker: u8, log: Vec<(Dot, Rifl)>) -> SnapshotCut {
         SnapshotCut {
             protocol: vec![marker, marker],
             store: KVStore::new(),
-            log: vec![(Dot::new(1, 1), Rifl::new(1, 1))].into(),
+            log: log.into(),
             view: ClusterView::at(2, [1, 2, 4], 1),
             addrs: vec![(1, "a:1".into()), (2, "a:2".into()), (4, "a:4".into())],
         }
+    }
+
+    /// The record file's chunks, as the next open would find them.
+    fn chunks(dir: &TempDir) -> Vec<(u64, Vec<(Dot, Rifl)>)> {
+        let path = dir.path().join("record");
+        let (_, raw) = Wal::open(&path, FlushPolicy::OsBuffered).unwrap();
+        raw.iter()
+            .map(|raw| bincode::deserialize(&raw.payload).unwrap())
+            .collect()
+    }
+
+    /// Bytes in the record file's segments.
+    fn record_bytes(dir: &TempDir) -> u64 {
+        let segments = std::fs::read_dir(dir.path().join("record")).unwrap();
+        segments.map(|e| e.unwrap().metadata().unwrap().len()).sum()
     }
 
     #[test]
@@ -635,7 +792,7 @@ mod tests {
         let (_, snap, records) = open(&dir, 3);
         let snap = snap.expect("snapshot restored");
         assert_eq!(snap.protocol, vec![9, 9]);
-        assert_eq!(snap.log.len(), 1);
+        assert_eq!(snap.log, (1..=9).map(entry).collect::<Vec<_>>());
         assert_eq!(snap.view, ClusterView::at(2, [1, 2, 4], 1));
         assert_eq!(snap.addrs.len(), 3);
         assert_eq!(records, vec![submit(7)], "only the suffix replays");
@@ -702,14 +859,18 @@ mod tests {
         assert_eq!(metrics.snapshots_saved.get(), 3);
         assert_eq!(metrics.snapshot_write_us.load().count(), 3);
         assert!(metrics.snapshot_bytes.get() > 0);
-        // Per snapshot: the cut's WAL sync, the file's, the directory's —
-        // and the WAL directory's when a segment went away, which the
-        // second completion (records 6..9 already behind it) could not do.
-        assert_eq!(metrics.fsyncs.get(), 3 * 3 + 2);
+        // Per snapshot: the cut's WAL sync, the record chunk's (each cut
+        // executed one more entry), the file's, the directory's — and the
+        // WAL directory's when a segment went away, which the second
+        // completion (records 6..9 already behind it) could not do.
+        assert_eq!(metrics.fsyncs.get(), 3 * 4 + 2);
+        assert_eq!(chunks(&dir), [1, 2, 3].map(|n| (n - 1, vec![entry(n)])));
         drop(journal);
 
         let (_, snap, records) = open(&dir, 3);
-        assert_eq!(snap.expect("snapshot restored").protocol, vec![3, 3]);
+        let snap = snap.expect("snapshot restored");
+        assert_eq!(snap.protocol, vec![3, 3]);
+        assert_eq!(snap.log, (1..=3).map(entry).collect::<Vec<_>>());
         assert!(records.is_empty());
     }
 
@@ -741,11 +902,15 @@ mod tests {
         assert_eq!(records, vec![submit(0), submit(1)]);
     }
 
+    fn entries(record: &ExecutionRecord) -> Vec<(Dot, Rifl)> {
+        record.iter().copied().collect()
+    }
+
     /// The chunked execution record against a plain `Vec` model: a seeded
     /// mix of pushes and freezes (consecutive freezes, empty tails and a
     /// restored record among them) reads back entry for entry at every
-    /// step, and every frozen view keeps the prefix it was cut at while
-    /// the record grows behind it.
+    /// step, from the start and from any position, and every frozen view
+    /// keeps the prefix it was cut at while the record grows behind it.
     #[test]
     fn execution_record_matches_a_vec_model() {
         let entry = |n: u64| (Dot::new(1 + (n % 3) as ProcessId, n), Rifl::new(n % 5, n));
@@ -768,45 +933,162 @@ mod tests {
                 assert_eq!(record.len(), model.len());
                 assert_eq!(record.is_empty(), model.is_empty());
                 assert!(record.iter().eq(model.iter()));
+                let from = (rng >> 32) as usize % (model.len() + 2);
+                assert!(record.since(from).eq(model.iter().skip(from)));
             }
-            assert_eq!(record.to_vec(), model);
+            assert_eq!(entries(&record), model);
             assert!(cuts.len() > 10, "the seed must exercise freezing");
             for (cut, prefix) in &cuts {
                 assert_eq!(cut.len(), prefix.len());
-                assert_eq!(&cut.to_vec(), prefix);
+                assert_eq!(&entries(cut), prefix);
             }
             let frozen = record.freeze();
-            assert_eq!(frozen.to_vec(), model);
-            assert_eq!(ExecutionRecord::from(frozen.to_vec()).to_vec(), model);
+            assert_eq!(entries(&frozen), model);
+            assert_eq!(entries(&ExecutionRecord::from(entries(&frozen))), model);
         }
     }
 
-    /// What the writer persists is the flattened record, so a snapshot's
-    /// bytes do not depend on how the loop chunked its record.
+    /// The snapshot file holds no record, however long the record and
+    /// however the loop chunked it: it is the cut's other fields in an
+    /// envelope that names the record file's share. The chunk holds the
+    /// record in order, and a reopen reads it back.
     #[test]
-    fn a_cut_encodes_as_the_flat_snapshot() {
-        let entries: Vec<(Dot, Rifl)> =
-            (1..=9).map(|n| (Dot::new(2, n), Rifl::new(7, n))).collect();
-        let mut record = ExecutionRecord::from(entries[..4].to_vec());
-        for &e in &entries[4..7] {
-            record.push(e);
+    fn a_snapshot_file_holds_no_record() {
+        let dir = TempDir::new("journal-envelope").unwrap();
+        let (mut journal, _, _) = open(&dir, 0);
+        let mut record = ExecutionRecord::from((1..=4).map(entry).collect::<Vec<_>>());
+        for n in 5..=7 {
+            record.push(entry(n));
         }
         record.freeze();
-        for &e in &entries[7..] {
-            record.push(e);
+        for n in 8..=9 {
+            record.push(entry(n));
         }
         let cut = SnapshotCut {
             log: record.freeze(),
             ..snapshot(5)
         };
-        let flat = ReplicaSnapshot {
-            log: entries,
-            ..snapshot(5).flatten()
-        };
+        journal.save_snapshot(cut, Instant::now(), true).unwrap();
+        drop(journal);
+
+        let (_, bytes) = SnapshotStore::open(dir.path())
+            .and_then(|store| store.load_latest())
+            .unwrap()
+            .expect("published");
+        let envelope: Envelope = (ENVELOPE_TAG, 1, 9, snapshot(5).split().0);
+        assert_eq!(bytes, bincode::serialize(&envelope).unwrap());
+        assert_eq!(chunks(&dir), [(0, (1..=9).map(entry).collect())]);
+        let (_, snap, _) = open(&dir, 0);
+        assert_eq!(snap.unwrap().log, (1..=9).map(entry).collect::<Vec<_>>());
+    }
+
+    /// A crash after a cut's chunk reached the record file but before its
+    /// snapshot was renamed into place: the restart rebuilds the previous
+    /// snapshot's record exactly. Its next published cut — executing other
+    /// entries than the lost one had — then restores exactly too.
+    #[test]
+    fn an_unpublished_chunk_is_never_read_as_covered() {
+        let dir = TempDir::new("journal-unpublished").unwrap();
+        let (mut journal, _, _) = open(&dir, 0);
+        journal
+            .save_snapshot(snapshot(3), Instant::now(), true)
+            .unwrap();
+        // The next cut's writer appends, then the process dies.
+        let lost: ExecutionRecord = (1..=5).map(entry).collect::<Vec<_>>().into();
+        let mut record = journal.disk.record.lock().unwrap();
+        let covered = record.append(&lost, || false, drop).unwrap();
+        assert_eq!(covered, Some((2, 5)));
+        drop(record);
+        drop(journal);
+        assert_eq!(chunks(&dir).len(), 2);
+
+        let (mut journal, snap, _) = open(&dir, 0);
+        assert_eq!(snap.unwrap().log, (1..=3).map(entry).collect::<Vec<_>>());
+        let mut log: Vec<(Dot, Rifl)> = (1..=3).map(entry).collect();
+        log.push(entry(40));
+        journal
+            .save_snapshot(cut(4, log.clone()), Instant::now(), true)
+            .unwrap();
+        drop(journal);
         assert_eq!(
-            bincode::serialize(&cut.flatten()).unwrap(),
-            bincode::serialize(&flat).unwrap()
+            chunks(&dir)[2],
+            (3, vec![entry(40)]),
+            "appends from the cover"
         );
+
+        let (_, snap, _) = open(&dir, 0);
+        assert_eq!(snap.unwrap().log, log);
+    }
+
+    /// A snapshot written before the record had its own file carries the
+    /// whole record inline: it restores, and the first cut after it writes
+    /// that record once, whole, as the record file's first chunk.
+    #[test]
+    fn a_bare_snapshot_restores_and_its_first_cut_persists_the_whole_record() {
+        let dir = TempDir::new("journal-bare").unwrap();
+        let (journal, _, _) = open(&dir, 0);
+        drop(journal);
+        let (bare, log) = snapshot(5).split();
+        let bare = ReplicaSnapshot {
+            log: entries(&log),
+            ..bare
+        };
+        let store = SnapshotStore::open(dir.path()).unwrap();
+        store.save(0, &bincode::serialize(&bare).unwrap()).unwrap();
+
+        let (mut journal, snap, _) = open(&dir, 0);
+        assert_eq!(snap.unwrap().log, (1..=5).map(entry).collect::<Vec<_>>());
+        assert!(!dir.path().join("record").exists(), "boot writes nothing");
+        journal
+            .save_snapshot(snapshot(7), Instant::now(), true)
+            .unwrap();
+        drop(journal);
+        assert_eq!(chunks(&dir), [(0, (1..=7).map(entry).collect())]);
+        let (_, snap, _) = open(&dir, 0);
+        assert_eq!(snap.unwrap().log, (1..=7).map(entry).collect::<Vec<_>>());
+    }
+
+    /// A record file that lacks what its snapshot covers fails the open
+    /// instead of restoring a shorter record.
+    #[test]
+    fn a_record_file_short_of_its_snapshot_fails_loudly() {
+        let dir = TempDir::new("journal-gap").unwrap();
+        let (mut journal, _, _) = open(&dir, 0);
+        journal
+            .save_snapshot(snapshot(3), Instant::now(), true)
+            .unwrap();
+        drop(journal);
+        std::fs::remove_dir_all(dir.path().join("record")).unwrap();
+        let host = host().0;
+        let open = Journal::open(dir.path(), FlushPolicy::OsBuffered, 0, host);
+        let err = open.err().expect("a gap must not restore");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// What a cut writes does not grow with the history before it: ten
+    /// cuts of 100 new entries each, and the tenth writes as many snapshot
+    /// and record bytes as the first.
+    #[test]
+    fn a_cut_writes_what_it_added_not_the_history() {
+        let dir = TempDir::new("journal-incremental").unwrap();
+        let (host, _) = host();
+        let metrics = Arc::clone(&host.metrics);
+        let (mut journal, _, _) =
+            Journal::open(dir.path(), FlushPolicy::OsBuffered, 0, host).unwrap();
+        let mut written = Vec::new();
+        for n in 1..=10 {
+            let before = if n == 1 { 0 } else { record_bytes(&dir) };
+            let log = (1..=100 * n).map(entry).collect();
+            journal
+                .save_snapshot(cut(1, log), Instant::now(), true)
+                .unwrap();
+            let snapshot = metrics.snapshot_bytes.get();
+            written.push((record_bytes(&dir) - before, snapshot));
+        }
+        assert!(written.iter().all(|&w| w == written[0]), "{written:?}");
+        drop(journal);
+        let (_, snap, _) = open(&dir, 0);
+        assert_eq!(snap.unwrap().log.len(), 1000);
     }
 
     #[test]

@@ -91,10 +91,11 @@ pub struct ReplicaMetrics {
     /// on), protocol state encoded, store copied, execution record shared,
     /// one WAL fsync, hand-off to the writer.
     pub snapshot_cut_us: AtomicHistogram,
-    /// Snapshot-writer time per snapshot (µs): flatten, serialise →
-    /// directory fsync.
+    /// Snapshot-writer time per snapshot (µs): record chunk appended and
+    /// fsynced, snapshot serialised → directory fsync.
     pub snapshot_write_us: AtomicHistogram,
-    /// Encoded size of the last snapshot written (bytes).
+    /// Encoded size of the last snapshot file written (bytes): protocol
+    /// state, store and view; the execution record is in its own file.
     pub snapshot_bytes: Gauge,
     /// Snapshots that fell due (cadence or GC round) while the writer was
     /// busy; they fold into the one cut taken when the writer reports.

@@ -596,7 +596,7 @@ where
     /// The cut: encodes the protocol state, copies the store, freezes and
     /// shares the execution record (one `Arc` per chunk, no entry copied)
     /// and gives it all to the journal, which fsyncs the WAL, stamps the
-    /// index and has its writer thread flatten and persist it (`inline`:
+    /// index and has its writer thread persist it (`inline`:
     /// this thread does, before returning). Releasing the turn first also
     /// writes the `Gc` record of a round run just before, so the cut covers
     /// it. `started` is when the loop began on the cut, for
