@@ -135,12 +135,13 @@ pub struct DurabilityStats {
     /// Event-loop time per snapshot cut (µs) — what a snapshot still costs
     /// the commit path.
     pub snapshot_cut_us: BoundedHistogram,
-    /// Snapshot-writer time per snapshot (µs), record chunk append →
-    /// directory fsync — off the event loop.
+    /// Snapshot-writer time per snapshot (µs), serialisation → directory
+    /// fsync — off the event loop.
     pub snapshot_write_us: BoundedHistogram,
-    /// Encoded size of the last snapshot file written (bytes); the
-    /// execution record is not in it but in the record file, which each
-    /// snapshot extends by the entries executed since the last one.
+    /// Encoded size of the last snapshot file written (bytes): protocol
+    /// state, store and view. The store carries an execution summary of
+    /// O(keys) in place of a record of every executed command, so this
+    /// does not grow with the history.
     pub snapshot_bytes: u64,
     /// Snapshots that fell due while the writer was busy and were folded
     /// into the next cut.

@@ -7,7 +7,7 @@
 //! are not recovered — that is the window the recovery protocol is for.
 
 use crate::wire::{read_frame, write_frame, CatchUpChunk, CatchUpPayload, EpochUpdate, Hello};
-use atlas_core::{Dot, ProcessId, Rifl};
+use atlas_core::ProcessId;
 use kvstore::KVStore;
 use serde::Serialize;
 use std::collections::HashMap;
@@ -33,8 +33,8 @@ pub(crate) trait Rebuild {
     /// reissues identifiers at or below `horizon`; both are journaled.
     fn start(&mut self, server: EpochUpdate, horizon: u64) -> io::Result<()>;
     /// Hands the protocol the server's executed `marker`; if it accepts,
-    /// installs `store` and `log` as the executed state. Whether it did.
-    fn install_base(&mut self, marker: &[u8], store: KVStore, log: Vec<(Dot, Rifl)>) -> bool;
+    /// installs `store` as the executed state. Whether it did.
+    fn install_base(&mut self, marker: &[u8], store: KVStore) -> bool;
     /// Whether nothing has executed here yet.
     fn is_fresh(&self) -> bool;
     /// Applies committed messages from `from` through the message path,
@@ -53,7 +53,6 @@ pub(crate) trait Rebuild {
 struct PendingBase {
     marker: Vec<u8>,
     store: KVStore,
-    log: Vec<(Dot, Rifl)>,
 }
 
 /// The acceptance rules of a catch-up, one peer's stream at a time:
@@ -102,6 +101,7 @@ impl Receiver {
                 horizon,
                 executed,
                 store_executed,
+                store_set,
                 view,
                 addrs,
             } => {
@@ -111,24 +111,18 @@ impl Receiver {
                 replica.start(EpochUpdate { view, addrs }, horizon)?;
                 if !self.base_installed {
                     let mut store = KVStore::new();
-                    store.restore_executed_count(store_executed);
+                    store.restore_executed(store_executed, store_set);
                     self.base = Some(PendingBase {
                         marker: executed,
                         store,
-                        log: Vec::new(),
                     });
                 }
             }
-            CatchUpPayload::Store(records) => {
+            CatchUpPayload::Store(slots) => {
                 if let Some(base) = &mut self.base {
-                    for (key, value) in records {
-                        base.store.restore_record(key, value);
+                    for (key, slot) in slots {
+                        base.store.restore_slot(key, slot);
                     }
-                }
-            }
-            CatchUpPayload::Log(entries) => {
-                if let Some(base) = &mut self.base {
-                    base.log.extend(entries);
                 }
             }
             CatchUpPayload::Msgs(msgs) => {
@@ -155,7 +149,7 @@ impl Receiver {
             return Ok(());
         };
         let fresh = replica.is_fresh();
-        if replica.install_base(&base.marker, base.store, base.log) {
+        if replica.install_base(&base.marker, base.store) {
             self.base_installed = true;
             return Ok(());
         }
@@ -181,26 +175,24 @@ fn invalid(msg: String) -> io::Error {
 
 /// The catch-up stream a serving replica sends, as encoded
 /// [`CatchUpChunk`]s with payloads within `budget` bytes: `start`, the
-/// executed-state base (`store`'s records, the execution record `log`),
-/// then `committed`, the **entire retained committed log** — executed
-/// entries too, since one executed here may be unknown to the peer whose
-/// base the receiver installed (base-covered entries replay as no-ops).
+/// executed-state base (`store`'s slots, which with `start`'s counters
+/// carry its execution summary), then `committed`, the **entire retained
+/// committed log** — executed entries too, since one executed here may be
+/// unknown to the peer whose base the receiver installed (base-covered
+/// entries replay as no-ops).
 /// Payloads are encoded as they are produced: peak memory is one
 /// serialized copy of the state.
 pub(crate) fn serve<M: Serialize>(
     start: CatchUpPayload,
     store: &KVStore,
-    log: impl Iterator<Item = (Dot, Rifl)>,
     committed: impl IntoIterator<Item = M>,
     budget: usize,
 ) -> Vec<Vec<u8>> {
     let mut stream = ChunkStream::default();
     stream.push(start);
-    // Fixed-size records: chunk by count against the byte budget,
-    // batching straight off the iterators (no full intermediate copy of
-    // the store or the execution record).
-    stream.push_batched(store.records(), (budget / 24).max(1), CatchUpPayload::Store);
-    stream.push_batched(log, (budget / 40).max(1), CatchUpPayload::Log);
+    // Slots encode in at most 25 bytes: chunk by count against the byte
+    // budget, batching straight off the store (no intermediate copy).
+    stream.push_batched(store.records(), (budget / 32).max(1), CatchUpPayload::Store);
     // Messages vary in size: pack by actual encoded bytes.
     let mut group: Vec<Vec<u8>> = Vec::new();
     let mut group_bytes = 0usize;
@@ -382,7 +374,8 @@ async fn fetch(
 mod tests {
     use super::*;
     use atlas_core::ClusterView;
-    use CatchUpPayload::{Log, Msgs, Store};
+    use kvstore::Slot;
+    use CatchUpPayload::{Msgs, Store};
 
     /// A replica reduced to the calls a stream makes on it.
     #[derive(Default)]
@@ -400,10 +393,11 @@ mod tests {
             self.calls.push(format!("start {horizon}"));
             Ok(())
         }
-        fn install_base(&mut self, marker: &[u8], store: KVStore, log: Vec<(Dot, Rifl)>) -> bool {
-            let records: Vec<_> = store.records().collect();
-            let (executed, entries) = (store.executed(), log.len());
-            let base = format!("base {marker:?} {records:?} executed {executed} log {entries}");
+        fn install_base(&mut self, marker: &[u8], store: KVStore) -> bool {
+            let values: Vec<_> = store.records().map(|(k, slot)| (k, slot.value)).collect();
+            let summary = store.summary();
+            let (executed, set) = (summary.executed, summary.set);
+            let base = format!("base {marker:?} {values:?} executed {executed} set {set}");
             self.calls.push(base);
             !self.refuse_marker
         }
@@ -427,6 +421,7 @@ mod tests {
             horizon: 42,
             executed,
             store_executed: 3,
+            store_set: 8,
             view,
             addrs,
         }
@@ -444,8 +439,21 @@ mod tests {
         payloads.into_iter().enumerate().map(chunk).collect()
     }
 
-    fn entry(seq: u64) -> (Dot, Rifl) {
-        (Dot::new(1, seq), Rifl::new(5, seq))
+    fn slot(value: u64) -> Slot {
+        Slot {
+            value: Some(value),
+            chain: value * 3,
+        }
+    }
+
+    /// `(key, value)` pairs as store slots.
+    fn slots(pairs: &[(u64, u64)]) -> CatchUpPayload {
+        Store(
+            pairs
+                .iter()
+                .map(|&(key, value)| (key, slot(value)))
+                .collect(),
+        )
     }
 
     /// Feeds `chunks` to one receiver, stopping at the first error: that
@@ -486,14 +494,14 @@ mod tests {
     fn the_base_installs_at_the_first_msgs_chunk() {
         let chunks = stream(vec![
             start(),
-            Store(vec![(1, 10), (2, 20)]),
-            Log(vec![entry(1), entry(2)]),
+            slots(&[(1, 10)]),
+            slots(&[(2, 20)]),
             Msgs(vec![vec![1], vec![2]]),
             Msgs(vec![vec![3]]),
         ]);
         let (done, calls) = feed(&mut Fake::default(), chunks);
         assert!(done.expect("a valid stream"));
-        let base = "base [7] [(1, 10), (2, 20)] executed 3 log 2";
+        let base = "base [7] [(1, Some(10)), (2, Some(20))] executed 3 set 8";
         let after = "msgs 2x2; release; msgs 2x1; release";
         assert_eq!(
             calls,
@@ -505,16 +513,16 @@ mod tests {
     fn a_stream_without_messages_installs_its_base_at_last() {
         let (done, calls) = feed(
             &mut Fake::default(),
-            stream(vec![start(), Store(vec![(4, 40)])]),
+            stream(vec![start(), slots(&[(4, 40)])]),
         );
         assert!(done.expect("a valid stream"));
-        let base = "base [7] [(4, 40)] executed 3 log 0";
+        let base = "base [7] [(4, Some(40))] executed 3 set 8";
         assert_eq!(calls, format!("start 42; release; release; {base}"));
     }
 
     #[test]
     fn a_stream_cut_before_its_tail_installs_nothing() {
-        let mut chunks = stream(vec![start(), Store(vec![(4, 40)]), Msgs(vec![])]);
+        let mut chunks = stream(vec![start(), slots(&[(4, 40)]), Msgs(vec![])]);
         chunks.pop();
         let (done, calls) = feed(&mut Fake::default(), chunks);
         assert!(!done.expect("valid so far"));
@@ -561,12 +569,11 @@ mod tests {
     fn served_chunks_are_dense_bounded_and_end_once() {
         let budget = 1024;
         let mut store = KVStore::new();
-        (0..500).for_each(|key| store.restore_record(key, key * 2));
-        let log: Vec<(Dot, Rifl)> = (1..=300).map(entry).collect();
+        (0..500).for_each(|key| store.restore_slot(key, slot(key * 2)));
         let committed: Vec<Vec<u8>> = (0..200).map(|i| vec![i as u8; 1 + i % 90]).collect();
-        let chunks = decode(&serve(start(), &store, log.into_iter(), committed, budget));
+        let chunks = decode(&serve(start(), &store, committed, budget));
         assert!(chunks.len() > 10, "the budget forces many chunks");
-        let (mut records, mut entries, mut msgs) = (0, 0, 0);
+        let (mut records, mut msgs) = (0, 0);
         for (i, chunk) in chunks.iter().enumerate() {
             assert_eq!(chunk.seq, i as u32, "dense sequence numbers");
             assert_eq!(
@@ -578,7 +585,6 @@ mod tests {
             match &chunk.payload {
                 CatchUpPayload::Start { .. } => assert_eq!(i, 0, "Start opens the stream, only"),
                 Store(slice) => records += slice.len(),
-                Log(slice) => entries += slice.len(),
                 Msgs(group) => {
                     msgs += group.len();
                     bytes = group.iter().map(Vec::len).sum();
@@ -586,13 +592,13 @@ mod tests {
             }
             assert!(i == 0 || bytes <= budget, "chunk {i} carries {bytes} B");
         }
-        assert_eq!((records, entries, msgs), (500, 300, 200), "nothing lost");
+        assert_eq!((records, msgs), (500, 200), "nothing lost");
     }
 
     #[test]
     fn an_empty_replica_serves_a_lone_start() {
         let none: Vec<Vec<u8>> = Vec::new();
-        let frames = serve(start(), &KVStore::new(), std::iter::empty(), none, 1024);
+        let frames = serve(start(), &KVStore::new(), none, 1024);
         assert_eq!(decode(&frames), stream(vec![start()]));
     }
 }

@@ -15,9 +15,9 @@
 use crate::wire::{
     decode_payload, encode_frame_into, write_frame, ClientReply, ClientRequest, FrameReader, Hello,
 };
-use atlas_core::{ClientId, Command, Dot, Key, ReconfigOp, Rifl, Value};
+use atlas_core::{ClientId, Command, Key, ReconfigOp, Rifl, Value};
 use atlas_metrics::MetricsSnapshot;
-use kvstore::Output;
+use kvstore::{ExecutionSummary, Output};
 use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
@@ -183,19 +183,13 @@ impl Client {
         Ok(())
     }
 
-    /// Fetches the replica's execution record: `(dot, rifl)` pairs in local
-    /// execution order, plus a digest of its store state. A long record
-    /// arrives in parts, reassembled here.
-    pub async fn execution_log(&mut self) -> io::Result<(Vec<(Dot, Rifl)>, u64)> {
+    /// Fetches the summary of what the replica executed, plus a digest of
+    /// its store's values.
+    pub async fn execution_log(&mut self) -> io::Result<(ExecutionSummary, u64)> {
         self.send_request(&ClientRequest::ExecutionLog).await?;
-        let mut record = Vec::new();
         loop {
             match next_reply(&mut self.replies).await? {
-                ClientReply::ExecutionLogPart { entries } => record.extend(entries),
-                ClientReply::ExecutionLog { entries, digest } => {
-                    record.extend(entries);
-                    return Ok((record, digest));
-                }
+                ClientReply::ExecutionLog { summary, digest } => return Ok((summary, digest)),
                 // Executions of older submissions (or other queries) may
                 // interleave.
                 _ => continue,

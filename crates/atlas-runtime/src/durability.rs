@@ -16,7 +16,7 @@
 //! `ARCHITECTURE.md` argues why collecting below it never strands a
 //! recovering replica.
 
-use crate::journal::{corrupt, Journal, JournalRecord, SnapshotCut};
+use crate::journal::{corrupt, Journal, JournalRecord, ReplicaSnapshot};
 use atlas_core::{ClusterView, Command, ProcessId};
 use serde::Deserialize;
 use std::collections::HashMap;
@@ -174,7 +174,7 @@ impl Durability {
     /// without a journal.
     pub fn save_snapshot(
         &mut self,
-        cut: SnapshotCut,
+        cut: ReplicaSnapshot,
         started: Instant,
         inline: bool,
     ) -> io::Result<()> {

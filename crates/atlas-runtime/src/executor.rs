@@ -1,10 +1,10 @@
 //! The **execute stage** of the replica pipeline (decode → journal →
-//! protocol → execute → reply): the one store, the client reply routes and
-//! the completion path every executed command takes.
+//! protocol → execute → reply): the one store — whose execution summary is
+//! what the replica keeps of its history — the client reply routes and the
+//! completion path every executed command takes.
 //!
 //! The event loop decides the execution order (the protocol order) and
-//! records it — the execution record and the journal — before a command
-//! gets here; the turn (`turn.rs`) hands the command over once its records
+//! journals its inputs before a command gets here; the turn (`turn.rs`) hands the command over once its records
 //! are written, and the stage applies it on the loop's own thread, in that
 //! order. So the store is always exactly the protocol order applied so far:
 //! a digest, a snapshot cut, a catch-up stream or a stats reply borrows it

@@ -95,7 +95,7 @@ pub(crate) enum Event<M> {
         index: u64,
         result: io::Result<bool>,
     },
-    /// A client asked for the execution record.
+    /// A client asked for the execution summary.
     Query {
         session: UnboundedSender<ClientReply>,
     },

@@ -15,24 +15,19 @@
 //! * every `snapshot_every` records — and after every GC round that shrank
 //!   the protocol state — the replica persists a [`ReplicaSnapshot`] (the
 //!   protocol's [`save_state`](atlas_core::Protocol::save_state), the
-//!   key–value store and the execution record) in three steps, of which
-//!   only the first runs on the event loop:
+//!   key–value store with its execution summary, and the configuration
+//!   view) in three steps, of which only the first runs on the event loop:
 //!   1. **cut** (`Journal::save_snapshot`): at a turn boundary — every
 //!      journaled record applied — the loop first runs a GC round (when GC
 //!      is on), so the protocol state it encodes is the in-flight window
 //!      rather than everything executed since the last round; the round's
 //!      `Gc` record is journaled before the cut, which covers it. The loop
-//!      then encodes the protocol state and copies the store, but
-//!      **shares** the execution record (`ExecutionRecord`): its growing
-//!      tail is frozen into one more `Arc` chunk, and the cut takes the
-//!      chunk list, one pointer per chunk. Last it fsyncs the WAL and
-//!      stamps the cut with the WAL's next index;
-//!   2. **write**: the journal's writer thread appends the record entries
-//!      executed since the last published cut to the record file (one
-//!      fdatasynced chunk, `RecordFile`), serialises the snapshot with an
-//!      empty [`ReplicaSnapshot::log`] and publishes it (temporary file,
-//!      fsync, rename, directory fsync, prune older snapshots) while the
-//!      loop keeps serving, then reports back;
+//!      then encodes the protocol state and copies the store, fsyncs the
+//!      WAL and stamps the cut with the WAL's next index;
+//!   2. **write**: the journal's writer thread serialises the snapshot
+//!      behind `SNAPSHOT_TAG` and publishes it (temporary file, fsync,
+//!      rename, directory fsync, prune older snapshots) while the loop
+//!      keeps serving, then reports back;
 //!   3. **truncate** (`Journal::snapshot_written`): the loop drops the
 //!      WAL segments the published snapshot covers, so replay work and
 //!      disk usage stay bounded.
@@ -42,19 +37,29 @@
 //!   published snapshot and a WAL still holding every record at or above
 //!   its index (`ARCHITECTURE.md` has the crash matrix).
 //!
-//! Recovery is then: load the latest snapshot (if any) and the record it
-//! covers, restore the protocol with
-//! [`restore_state`](atlas_core::Protocol::restore_state), and replay the
-//! journal suffix. A replica whose data directory was wiped
+//! Recovery is then: load the latest snapshot (if any), restore the
+//! protocol with [`restore_state`](atlas_core::Protocol::restore_state),
+//! and replay the journal suffix. A replica whose data directory was wiped
 //! additionally performs peer-assisted catch-up (see
 //! [`crate::replica`]).
+//!
+//! Snapshots from before the store's execution summary load once: a bare
+//! [`ReplicaSnapshot`] with the execution record inline in `log`, or
+//! `RECORD_FILE_TAG` with the record in a `record/` file beside the WAL.
+//! The record folds into the summary's `set` word (the recovery `noOp`
+//! skipped); the count is the store's. The record holds no keys, so the
+//! write order before such a load cannot be rebuilt: every chain starts at
+//! 0, and replicas that loaded at different points disagree on the order
+//! digest for good. The first snapshot published after it removes
+//! `record/`, once its rename and directory fsync are done.
 
 use crate::metrics::ReplicaMetrics;
 use crate::turn::Log;
-use atlas_core::{ClusterView, Command, Dot, ProcessId, Rifl};
+use atlas_core::{ClusterView, Command, Dot, Key, ProcessId, Rifl, Value};
 use atlas_log::{FlushPolicy, SnapshotStore, Wal};
-use kvstore::KVStore;
+use kvstore::{ExecutionSummary, KVStore};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -138,10 +143,10 @@ pub enum JournalRecord {
 pub struct ReplicaSnapshot {
     /// [`Protocol::save_state`](atlas_core::Protocol::save_state) bytes.
     pub protocol: Vec<u8>,
-    /// The replicated key–value store.
+    /// The replicated key–value store, its execution summary included.
     pub store: KVStore,
-    /// The execution record: `(dot, rifl)` in local execution order. Empty
-    /// in a published file, whose record is in the record file.
+    /// Always empty: the store's summary replaced the execution record,
+    /// which older snapshot files carried here.
     pub log: Vec<(Dot, Rifl)>,
     /// The runtime's configuration view when the snapshot was taken, so a
     /// restart resumes with the post-reconfiguration peer set instead of
@@ -151,197 +156,92 @@ pub struct ReplicaSnapshot {
     pub addrs: Vec<(ProcessId, String)>,
 }
 
-/// The execution record as the event loop keeps it: `(dot, rifl)` in local
-/// execution order, held as frozen chunks shared behind `Arc`s plus the
-/// tail that still grows. [`ExecutionRecord::freeze`] moves the tail into a
-/// chunk of its own — no entry is copied — and returns the record up to
-/// there, sharing every chunk; that is all a snapshot cut takes of it.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ExecutionRecord {
-    frozen: Vec<Arc<Vec<(Dot, Rifl)>>>,
-    tail: Vec<(Dot, Rifl)>,
-}
+/// First word of a snapshot file as published now: `(SNAPSHOT_TAG,
+/// ReplicaSnapshot)`. A bare older snapshot starts with the protocol
+/// state's length instead, which is never a tag.
+const SNAPSHOT_TAG: u64 = u64::MAX - 1;
 
-impl ExecutionRecord {
-    /// Appends one executed command.
-    pub fn push(&mut self, entry: (Dot, Rifl)) {
-        self.tail.push(entry);
-    }
+/// First word of an older snapshot file, `(RECORD_FILE_TAG, chunks,
+/// entries, LegacySnapshot)`, whose record is the first `chunks` chunks
+/// and `entries` entries of the `record/` file.
+const RECORD_FILE_TAG: u64 = u64::MAX;
 
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.frozen.iter().map(|chunk| chunk.len()).sum::<usize>() + self.tail.len()
-    }
+/// [`ReplicaSnapshot`]'s fields as older files encode them: the store as
+/// its values and executed count, the execution record in `log`.
+type LegacySnapshot = (
+    Vec<u8>,
+    (BTreeMap<Key, Value>, u64),
+    Vec<(Dot, Rifl)>,
+    ClusterView,
+    Vec<(ProcessId, String)>,
+);
 
-    /// Whether nothing executed yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Freezes the tail into a new chunk (a move, not a copy) and returns
-    /// the whole record as it stands, cloning one `Arc` per chunk.
-    pub fn freeze(&mut self) -> Self {
-        if !self.tail.is_empty() {
-            self.frozen.push(Arc::new(std::mem::take(&mut self.tail)));
-        }
-        Self {
-            frozen: self.frozen.clone(),
-            tail: Vec::new(),
-        }
-    }
-
-    /// The entries in execution order.
-    pub fn iter(&self) -> impl Iterator<Item = &(Dot, Rifl)> {
-        self.since(0)
-    }
-
-    /// The entries from position `start` on, in execution order; the
-    /// chunks wholly below it are skipped, not walked.
-    pub fn since(&self, start: usize) -> impl Iterator<Item = &(Dot, Rifl)> {
-        let mut skip = start;
-        let parts = self.frozen.iter().map(|chunk| chunk.as_slice());
-        parts.chain([self.tail.as_slice()]).flat_map(move |part| {
-            let below = skip.min(part.len());
-            skip -= below;
-            &part[below..]
-        })
+/// Folds an older snapshot's record into the store's summary.
+fn fold((protocol, (values, executed), log, view, addrs): LegacySnapshot) -> ReplicaSnapshot {
+    let mut store = KVStore::new();
+    values
+        .into_iter()
+        .for_each(|(k, v)| store.restore_record(k, v));
+    let rifls = log.into_iter().map(|(_, rifl)| rifl);
+    let set = ExecutionSummary::set_of(rifls.filter(|&rifl| rifl != Rifl::new(0, 0)));
+    store.restore_executed(executed, set);
+    let log = Vec::new();
+    ReplicaSnapshot {
+        protocol,
+        store,
+        log,
+        view,
+        addrs,
     }
 }
 
-impl From<Vec<(Dot, Rifl)>> for ExecutionRecord {
-    /// A restored record: the vector becomes the first frozen chunk as is.
-    fn from(entries: Vec<(Dot, Rifl)>) -> Self {
-        let mut record = Self {
-            frozen: Vec::new(),
-            tail: entries,
-        };
-        record.freeze();
-        record
+/// Decodes snapshot file `index` in any layout it was ever written in;
+/// `record` is where a [`RECORD_FILE_TAG`] file's record lies.
+fn decode_snapshot(index: u64, bytes: &[u8], record: &Path) -> io::Result<ReplicaSnapshot> {
+    let undecodable = |e| corrupt(format!("undecodable snapshot {index}: {e}"));
+    let tag = bytes
+        .get(..8)
+        .map(|word| u64::from_le_bytes(word.try_into().expect("8 bytes")));
+    match tag {
+        Some(SNAPSHOT_TAG) => {
+            let (_, snapshot): (u64, ReplicaSnapshot) =
+                bincode::deserialize(bytes).map_err(undecodable)?;
+            Ok(snapshot)
+        }
+        Some(RECORD_FILE_TAG) => {
+            let (_, chunks, entries, mut legacy): (u64, u64, u64, LegacySnapshot) =
+                bincode::deserialize(bytes).map_err(undecodable)?;
+            legacy.2 = read_record(record, chunks, entries)?;
+            Ok(fold(legacy))
+        }
+        _ => Ok(fold(bincode::deserialize(bytes).map_err(undecodable)?)),
     }
 }
 
-/// A snapshot as the event loop cuts it: the fields of a
-/// [`ReplicaSnapshot`], with the execution record still shared with the
-/// loop. The writer appends the entries the record file lacks and encodes
-/// the rest ([`SnapshotCut::split`]) with an empty `log`.
-pub(crate) struct SnapshotCut {
-    /// [`Protocol::save_state`](atlas_core::Protocol::save_state) bytes.
-    pub protocol: Vec<u8>,
-    /// The flat (merged) key–value store.
-    pub store: KVStore,
-    /// The execution record up to the cut.
-    pub log: ExecutionRecord,
-    /// The runtime's configuration view.
-    pub view: ClusterView,
-    /// Address of every process in `view`.
-    pub addrs: Vec<(ProcessId, String)>,
-}
-
-impl SnapshotCut {
-    /// The cut's [`ReplicaSnapshot`] with an empty `log`, and its record.
-    fn split(self) -> (ReplicaSnapshot, ExecutionRecord) {
-        let snapshot = ReplicaSnapshot {
-            protocol: self.protocol,
-            store: self.store,
-            log: Vec::new(),
-            view: self.view,
-            addrs: self.addrs,
-        };
-        (snapshot, self.log)
+/// Rebuilds the execution record a [`RECORD_FILE_TAG`] snapshot covers:
+/// the first `chunks` chunks `(start, entries)` of the [`Wal`]-framed file
+/// at `path`, each overwriting the record from its `start` on, must hold
+/// exactly `entries` entries (a chunk above them was never published).
+fn read_record(path: &Path, chunks: u64, entries: u64) -> io::Result<Vec<(Dot, Rifl)>> {
+    if chunks == 0 && entries == 0 {
+        return Ok(Vec::new()); // cut before anything executed: no file
     }
-}
-
-/// A snapshot file as published: [`ENVELOPE_TAG`], the record file's chunks
-/// and entries it covers, and the snapshot with an empty `log`. A file from
-/// before the record file is a bare [`ReplicaSnapshot`], record inline; it
-/// starts with the protocol state's length, which is never the tag.
-type Envelope = (u64, u64, u64, ReplicaSnapshot);
-const ENVELOPE_TAG: u64 = u64::MAX;
-
-/// Held over each writer's stop check and chunk write, and over every
-/// opening of a record file: a killed writer still running when
-/// `Cluster::restart` reopens its directory either wrote its chunk before
-/// (an unpublished chunk) or sees the stop flag and writes nothing.
-static RECORD_WRITES: Mutex<()> = Mutex::new(());
-
-/// The execution record's own file, `record/` beside the WAL, framed by a
-/// [`Wal`]: one chunk `(start, entries)` per cut that executed anything,
-/// fdatasynced before that cut's snapshot is renamed into place. The chunks
-/// below a snapshot's count, each overwriting the record from its `start`
-/// on, rebuild exactly the record it covers; an unpublished cut's chunk
-/// lies above, and the next chunk starts where the published record ends.
-#[derive(Default)]
-struct RecordFile {
-    path: PathBuf,
-    /// Opened at boot when a snapshot points into the file, else by the
-    /// first chunk.
-    wal: Option<Wal>,
-    /// Entries and chunks of the file the published snapshot covers.
-    persisted: u64,
-    chunks: u64,
-}
-
-impl RecordFile {
-    /// Rebuilds the record of a snapshot that covers the file's first
-    /// `chunks` chunks and `entries` entries, keeping the file open.
-    fn restore(&mut self, chunks: u64, entries: u64) -> io::Result<Vec<(Dot, Rifl)>> {
-        if chunks == 0 && entries == 0 {
-            return Ok(Vec::new()); // cut before anything executed: no file
+    let (wal, raw) = Wal::open(path, FlushPolicy::OsBuffered)?;
+    let mut log = Vec::new();
+    for raw in raw.iter().take_while(|raw| raw.index < chunks) {
+        let (start, part): (u64, Vec<(Dot, Rifl)>) = bincode::deserialize(&raw.payload)
+            .map_err(|e| corrupt(format!("undecodable record chunk {}: {e}", raw.index)))?;
+        if start > log.len() as u64 {
+            return Err(corrupt(format!("record chunk {} follows a gap", raw.index)));
         }
-        let _opening = RECORD_WRITES.lock().expect("record lock");
-        let (wal, raw) = Wal::open(&self.path, FlushPolicy::OsBuffered)?;
-        let mut log = Vec::new();
-        for raw in raw.iter().take_while(|raw| raw.index < chunks) {
-            let (start, part): (u64, Vec<(Dot, Rifl)>) = bincode::deserialize(&raw.payload)
-                .map_err(|e| corrupt(format!("undecodable record chunk {}: {e}", raw.index)))?;
-            if start > log.len() as u64 {
-                return Err(corrupt(format!("record chunk {} follows a gap", raw.index)));
-            }
-            log.truncate(start as usize);
-            log.extend(part);
-        }
-        let held = log.len() as u64;
-        if held != entries || wal.next_index() < chunks {
-            return Err(corrupt(format!("record holds {held} of {entries} entries")));
-        }
-        (self.wal, self.persisted, self.chunks) = (Some(wal), entries, chunks);
-        Ok(log)
+        log.truncate(start as usize);
+        log.extend(part);
     }
-
-    /// Appends the entries of `log` past the persisted ones as one chunk,
-    /// fdatasynced (`synced` meters it), unless `stopped`. Returns the
-    /// `(chunks, entries)` a snapshot of `log` covers.
-    fn append(
-        &mut self,
-        log: &ExecutionRecord,
-        stopped: impl Fn() -> bool,
-        synced: impl FnOnce(Instant),
-    ) -> io::Result<Option<(u64, u64)>> {
-        let (start, entries) = (self.persisted, log.len() as u64);
-        if entries < start {
-            return Err(corrupt(format!("record shrank below {start} entries")));
-        }
-        if entries == start {
-            return Ok(Some((self.chunks, entries))); // nothing new: no chunk, no fsync
-        }
-        let part: Vec<(Dot, Rifl)> = log.since(start as usize).copied().collect();
-        let chunk = bincode::serialize(&(start, part)).expect("chunks always encode");
-        let appending = RECORD_WRITES.lock().expect("record lock");
-        if stopped() {
-            return Ok(None);
-        }
-        if self.wal.is_none() {
-            self.wal = Some(Wal::open(&self.path, FlushPolicy::OsBuffered)?.0);
-        }
-        let wal = self.wal.as_mut().expect("opened above");
-        wal.stage(&chunk);
-        wal.flush()?;
-        drop(appending);
-        let t0 = Instant::now();
-        wal.sync()?;
-        synced(t0);
-        Ok(Some((wal.next_index(), entries)))
+    let held = log.len() as u64;
+    if held != entries || wal.next_index() < chunks {
+        return Err(corrupt(format!("record holds {held} of {entries} entries")));
     }
+    Ok(log)
 }
 
 /// What a [`Journal`] needs from the replica that hosts it.
@@ -360,8 +260,9 @@ pub(crate) struct Host {
 /// What the event loop and the snapshot writer share of the durable state.
 struct Disk {
     snapshots: SnapshotStore,
-    /// Only ever locked by the one thread writing a snapshot.
-    record: Mutex<RecordFile>,
+    /// The `record/` directory while one exists: the first published
+    /// snapshot removes it.
+    legacy_record: Mutex<Option<PathBuf>>,
     host: Host,
 }
 
@@ -379,35 +280,28 @@ impl Disk {
         self.host.metrics.fsync_us.record(us);
     }
 
-    /// Appends the record entries `cut` adds to the record file, then
-    /// serialises the rest of it and publishes it as covering WAL records
-    /// below `index` — the one write path, run by the writer thread and by
-    /// the synchronous snapshot that ends catch-up. `Ok(false)`: abandoned
+    /// Serialises `cut` and publishes it as covering WAL records below
+    /// `index` — the one write path, run by the writer thread and by the
+    /// synchronous snapshot that ends catch-up. `Ok(false)`: abandoned
     /// unpublished because the replica stopped meanwhile; its directory may
     /// already belong to the next incarnation (wiped and recreated, even),
-    /// where this journal's snapshot would cover records never written (the
-    /// flag is checked before the chunk append and before the rename).
-    ///
-    /// A writer overtaken by a kill between its stop check and its rename
-    /// needs no more synchronisation: its temporary file predates the kill,
-    /// so a wipe or the next `SnapshotStore::open` removes it and the rename
-    /// fails; landing in a directory restarted as is, the rename publishes
-    /// a valid snapshot of that same WAL (its prefix was synced at the cut)
-    /// and record file (its chunk was written before the file was reopened).
-    fn write(&self, index: u64, cut: SnapshotCut) -> io::Result<bool> {
+    /// where this journal's snapshot would cover records never written.
+    /// A writer overtaken by a kill after that check needs no more
+    /// synchronisation (`ARCHITECTURE.md`'s crash matrix, stale writer).
+    fn write(&self, index: u64, cut: ReplicaSnapshot) -> io::Result<bool> {
         let t0 = Instant::now();
         let stopped = || self.host.stop.load(Ordering::Relaxed);
         let synced = |t0| self.fsynced(t0);
-        let (snapshot, log) = cut.split();
-        let mut record = self.record.lock().expect("record file lock");
-        let Some((chunks, entries)) = record.append(&log, stopped, synced)? else {
-            return Ok(false);
-        };
-        let envelope = (ENVELOPE_TAG, chunks, entries, snapshot);
-        let bytes = bincode::serialize(&envelope).expect("snapshots always encode");
+        let bytes = bincode::serialize(&(SNAPSHOT_TAG, cut)).expect("snapshots always encode");
         let published = self.snapshots.save_with(index, &bytes, synced, stopped)?;
         if published {
-            (record.persisted, record.chunks) = (entries, chunks);
+            let retired = self.legacy_record.lock().expect("record path lock").take();
+            match retired.map(std::fs::remove_dir_all) {
+                Some(Err(e)) if e.kind() != io::ErrorKind::NotFound => {
+                    eprintln!("cannot remove the retired record file: {e}")
+                }
+                _ => {}
+            }
         }
         self.host.metrics.snapshot_bytes.set(bytes.len() as u64);
         let us = t0.elapsed().as_micros() as u64;
@@ -417,7 +311,7 @@ impl Disk {
 }
 
 /// What the writer is handed: the WAL index the snapshot covers up to, and it.
-type Cut = (u64, SnapshotCut);
+type Cut = (u64, ReplicaSnapshot);
 
 /// The open durable state of a running replica.
 pub(crate) struct Journal {
@@ -454,25 +348,9 @@ impl Journal {
     ) -> io::Result<(Self, Option<ReplicaSnapshot>, Vec<JournalRecord>)> {
         let snapshots = SnapshotStore::open(dir)?;
         let (wal, raw_records) = Wal::open(&dir.join("wal"), policy)?;
-        let mut record = RecordFile {
-            path: dir.join("record"),
-            ..RecordFile::default()
-        };
+        let record = dir.join("record");
         let (snapshot, covered) = match snapshots.load_latest()? {
-            Some((index, bytes)) => {
-                let undecodable = |e| corrupt(format!("undecodable snapshot {index}: {e}"));
-                // A bare snapshot holds the whole record inline; the first
-                // cut writes all of it to the record file.
-                let snapshot = if bytes.starts_with(&ENVELOPE_TAG.to_le_bytes()) {
-                    let (_, chunks, entries, mut snapshot): Envelope =
-                        bincode::deserialize(&bytes).map_err(undecodable)?;
-                    snapshot.log = record.restore(chunks, entries)?;
-                    snapshot
-                } else {
-                    bincode::deserialize(&bytes).map_err(undecodable)?
-                };
-                (Some(snapshot), index)
-            }
+            Some((index, bytes)) => (Some(decode_snapshot(index, &bytes, &record)?), index),
             None => (None, 0),
         };
         let mut records = Vec::new();
@@ -494,7 +372,7 @@ impl Journal {
                 wal,
                 disk: Arc::new(Disk {
                     snapshots,
-                    record: Mutex::new(record),
+                    legacy_record: Mutex::new(record.exists().then_some(record)),
                     host,
                 }),
                 snapshot_every,
@@ -550,7 +428,7 @@ impl Journal {
     /// a truncation that drops a segment ([`Journal::snapshot_written`]).
     pub fn save_snapshot(
         &mut self,
-        cut: SnapshotCut,
+        cut: ReplicaSnapshot,
         cut_started: Instant,
         inline: bool,
     ) -> io::Result<()> {
@@ -695,40 +573,73 @@ mod tests {
         Journal::open(dir.path(), FlushPolicy::OsBuffered, every, host().0).unwrap()
     }
 
-    /// Execution-record entry number `n`.
-    fn entry(n: u64) -> (Dot, Rifl) {
-        (Dot::new(2, n), Rifl::new(7, n))
+    /// Command number `n` of the tests' history: puts to keys 0..4, every
+    /// third a read.
+    fn command(n: u64) -> Command {
+        let rifl = Rifl::new(7, n);
+        if n.is_multiple_of(3) {
+            Command::get(rifl, n % 4)
+        } else {
+            Command::put(rifl, n % 4, n, 8)
+        }
     }
 
-    /// A cut whose record holds entries `1..=marker`, so each larger marker
-    /// executed more.
-    fn snapshot(marker: u8) -> SnapshotCut {
-        cut(marker, (1..=u64::from(marker)).map(entry).collect())
+    /// The store after executing commands `1..=n`.
+    fn store(n: u64) -> KVStore {
+        let mut store = KVStore::new();
+        (1..=n).for_each(|i| drop(store.execute(&command(i))));
+        store
     }
 
-    fn cut(marker: u8, log: Vec<(Dot, Rifl)>) -> SnapshotCut {
-        SnapshotCut {
+    /// A cut whose store executed commands `1..=marker`, so each larger
+    /// marker executed more.
+    fn snapshot(marker: u8) -> ReplicaSnapshot {
+        ReplicaSnapshot {
             protocol: vec![marker, marker],
-            store: KVStore::new(),
-            log: log.into(),
+            store: store(u64::from(marker)),
+            log: Vec::new(),
             view: ClusterView::at(2, [1, 2, 4], 1),
             addrs: vec![(1, "a:1".into()), (2, "a:2".into()), (4, "a:4".into())],
         }
     }
 
-    /// The record file's chunks, as the next open would find them.
-    fn chunks(dir: &TempDir) -> Vec<(u64, Vec<(Dot, Rifl)>)> {
-        let path = dir.path().join("record");
-        let (_, raw) = Wal::open(&path, FlushPolicy::OsBuffered).unwrap();
-        raw.iter()
-            .map(|raw| bincode::deserialize(&raw.payload).unwrap())
-            .collect()
+    /// The execution-record entry of command `n`.
+    fn entry(n: u64) -> (Dot, Rifl) {
+        (Dot::new(2, n), command(n).rifl)
     }
 
-    /// Bytes in the record file's segments.
-    fn record_bytes(dir: &TempDir) -> u64 {
-        let segments = std::fs::read_dir(dir.path().join("record")).unwrap();
-        segments.map(|e| e.unwrap().metadata().unwrap().len()).sum()
+    /// `snapshot`'s fields as files from before the execution summary
+    /// encode them: the store as its values and count, the record in `log`.
+    fn legacy(snapshot: &ReplicaSnapshot, log: &[(Dot, Rifl)]) -> impl Serialize {
+        let store = &snapshot.store;
+        let values = store
+            .records()
+            .filter_map(|(k, slot)| Some((k, slot.value?)));
+        let values: BTreeMap<Key, Value> = values.collect();
+        let (protocol, view) = (snapshot.protocol.clone(), snapshot.view.clone());
+        let addrs = snapshot.addrs.clone();
+        (
+            protocol,
+            (values, store.executed()),
+            log.to_vec(),
+            view,
+            addrs,
+        )
+    }
+
+    /// Publishes `file`, encoded, as the snapshot at WAL index 0.
+    fn save(dir: &TempDir, file: &impl Serialize) {
+        let store = SnapshotStore::open(dir.path()).unwrap();
+        store.save(0, &bincode::serialize(file).unwrap()).unwrap();
+    }
+
+    /// Writes `chunks` to a `record/` file as the record-file layout did.
+    fn write_record(dir: &TempDir, chunks: &[(u64, Vec<(Dot, Rifl)>)]) {
+        let path = dir.path().join("record");
+        let (mut wal, _) = Wal::open(&path, FlushPolicy::OsBuffered).unwrap();
+        for chunk in chunks {
+            wal.append(&bincode::serialize(chunk).unwrap()).unwrap();
+        }
     }
 
     #[test]
@@ -792,7 +703,7 @@ mod tests {
         let (_, snap, records) = open(&dir, 3);
         let snap = snap.expect("snapshot restored");
         assert_eq!(snap.protocol, vec![9, 9]);
-        assert_eq!(snap.log, (1..=9).map(entry).collect::<Vec<_>>());
+        assert_eq!(snap.store, store(9));
         assert_eq!(snap.view, ClusterView::at(2, [1, 2, 4], 1));
         assert_eq!(snap.addrs.len(), 3);
         assert_eq!(records, vec![submit(7)], "only the suffix replays");
@@ -859,18 +770,16 @@ mod tests {
         assert_eq!(metrics.snapshots_saved.get(), 3);
         assert_eq!(metrics.snapshot_write_us.load().count(), 3);
         assert!(metrics.snapshot_bytes.get() > 0);
-        // Per snapshot: the cut's WAL sync, the record chunk's (each cut
-        // executed one more entry), the file's, the directory's — and the
-        // WAL directory's when a segment went away, which the second
-        // completion (records 6..9 already behind it) could not do.
-        assert_eq!(metrics.fsyncs.get(), 3 * 4 + 2);
-        assert_eq!(chunks(&dir), [1, 2, 3].map(|n| (n - 1, vec![entry(n)])));
+        // Per snapshot: the cut's WAL sync, the file's, the directory's —
+        // and the WAL directory's when a segment went away, which the
+        // second completion (records 6..9 already behind it) could not do.
+        assert_eq!(metrics.fsyncs.get(), 3 * 3 + 2);
         drop(journal);
 
         let (_, snap, records) = open(&dir, 3);
         let snap = snap.expect("snapshot restored");
         assert_eq!(snap.protocol, vec![3, 3]);
-        assert_eq!(snap.log, (1..=3).map(entry).collect::<Vec<_>>());
+        assert_eq!(snap.store, store(3));
         assert!(records.is_empty());
     }
 
@@ -902,193 +811,147 @@ mod tests {
         assert_eq!(records, vec![submit(0), submit(1)]);
     }
 
-    fn entries(record: &ExecutionRecord) -> Vec<(Dot, Rifl)> {
-        record.iter().copied().collect()
-    }
-
-    /// The chunked execution record against a plain `Vec` model: a seeded
-    /// mix of pushes and freezes (consecutive freezes, empty tails and a
-    /// restored record among them) reads back entry for entry at every
-    /// step, from the start and from any position, and every frozen view
-    /// keeps the prefix it was cut at while the record grows behind it.
+    /// The published file is the tag and the cut, summary and all; what it
+    /// writes depends on the keys, not on how long the history behind them
+    /// is: ten cuts of 100 more commands each over the same keys write as
+    /// many bytes.
     #[test]
-    fn execution_record_matches_a_vec_model() {
-        let entry = |n: u64| (Dot::new(1 + (n % 3) as ProcessId, n), Rifl::new(n % 5, n));
-        for restored in [0, 1, 40] {
-            let mut model: Vec<(Dot, Rifl)> = (0..restored).map(entry).collect();
-            let mut record = ExecutionRecord::from(model.clone());
-            let mut cuts: Vec<(ExecutionRecord, Vec<(Dot, Rifl)>)> = Vec::new();
-            let mut rng = 0x9e37_79b9_7f4a_7c15_u64 ^ restored;
-            for step in 0..600 {
-                rng ^= rng << 13;
-                rng ^= rng >> 7;
-                rng ^= rng << 17;
-                if rng.is_multiple_of(8) {
-                    cuts.push((record.freeze(), model.clone()));
-                } else {
-                    let next = entry(restored + step);
-                    record.push(next);
-                    model.push(next);
-                }
-                assert_eq!(record.len(), model.len());
-                assert_eq!(record.is_empty(), model.is_empty());
-                assert!(record.iter().eq(model.iter()));
-                let from = (rng >> 32) as usize % (model.len() + 2);
-                assert!(record.since(from).eq(model.iter().skip(from)));
-            }
-            assert_eq!(entries(&record), model);
-            assert!(cuts.len() > 10, "the seed must exercise freezing");
-            for (cut, prefix) in &cuts {
-                assert_eq!(cut.len(), prefix.len());
-                assert_eq!(&entries(cut), prefix);
-            }
-            let frozen = record.freeze();
-            assert_eq!(entries(&frozen), model);
-            assert_eq!(entries(&ExecutionRecord::from(entries(&frozen))), model);
-        }
-    }
-
-    /// The snapshot file holds no record, however long the record and
-    /// however the loop chunked it: it is the cut's other fields in an
-    /// envelope that names the record file's share. The chunk holds the
-    /// record in order, and a reopen reads it back.
-    #[test]
-    fn a_snapshot_file_holds_no_record() {
-        let dir = TempDir::new("journal-envelope").unwrap();
-        let (mut journal, _, _) = open(&dir, 0);
-        let mut record = ExecutionRecord::from((1..=4).map(entry).collect::<Vec<_>>());
-        for n in 5..=7 {
-            record.push(entry(n));
-        }
-        record.freeze();
-        for n in 8..=9 {
-            record.push(entry(n));
-        }
-        let cut = SnapshotCut {
-            log: record.freeze(),
-            ..snapshot(5)
-        };
-        journal.save_snapshot(cut, Instant::now(), true).unwrap();
-        drop(journal);
-
-        let (_, bytes) = SnapshotStore::open(dir.path())
-            .and_then(|store| store.load_latest())
-            .unwrap()
-            .expect("published");
-        let envelope: Envelope = (ENVELOPE_TAG, 1, 9, snapshot(5).split().0);
-        assert_eq!(bytes, bincode::serialize(&envelope).unwrap());
-        assert_eq!(chunks(&dir), [(0, (1..=9).map(entry).collect())]);
-        let (_, snap, _) = open(&dir, 0);
-        assert_eq!(snap.unwrap().log, (1..=9).map(entry).collect::<Vec<_>>());
-    }
-
-    /// A crash after a cut's chunk reached the record file but before its
-    /// snapshot was renamed into place: the restart rebuilds the previous
-    /// snapshot's record exactly. Its next published cut — executing other
-    /// entries than the lost one had — then restores exactly too.
-    #[test]
-    fn an_unpublished_chunk_is_never_read_as_covered() {
-        let dir = TempDir::new("journal-unpublished").unwrap();
-        let (mut journal, _, _) = open(&dir, 0);
-        journal
-            .save_snapshot(snapshot(3), Instant::now(), true)
-            .unwrap();
-        // The next cut's writer appends, then the process dies.
-        let lost: ExecutionRecord = (1..=5).map(entry).collect::<Vec<_>>().into();
-        let mut record = journal.disk.record.lock().unwrap();
-        let covered = record.append(&lost, || false, drop).unwrap();
-        assert_eq!(covered, Some((2, 5)));
-        drop(record);
-        drop(journal);
-        assert_eq!(chunks(&dir).len(), 2);
-
-        let (mut journal, snap, _) = open(&dir, 0);
-        assert_eq!(snap.unwrap().log, (1..=3).map(entry).collect::<Vec<_>>());
-        let mut log: Vec<(Dot, Rifl)> = (1..=3).map(entry).collect();
-        log.push(entry(40));
-        journal
-            .save_snapshot(cut(4, log.clone()), Instant::now(), true)
-            .unwrap();
-        drop(journal);
-        assert_eq!(
-            chunks(&dir)[2],
-            (3, vec![entry(40)]),
-            "appends from the cover"
-        );
-
-        let (_, snap, _) = open(&dir, 0);
-        assert_eq!(snap.unwrap().log, log);
-    }
-
-    /// A snapshot written before the record had its own file carries the
-    /// whole record inline: it restores, and the first cut after it writes
-    /// that record once, whole, as the record file's first chunk.
-    #[test]
-    fn a_bare_snapshot_restores_and_its_first_cut_persists_the_whole_record() {
-        let dir = TempDir::new("journal-bare").unwrap();
-        let (journal, _, _) = open(&dir, 0);
-        drop(journal);
-        let (bare, log) = snapshot(5).split();
-        let bare = ReplicaSnapshot {
-            log: entries(&log),
-            ..bare
-        };
-        let store = SnapshotStore::open(dir.path()).unwrap();
-        store.save(0, &bincode::serialize(&bare).unwrap()).unwrap();
-
-        let (mut journal, snap, _) = open(&dir, 0);
-        assert_eq!(snap.unwrap().log, (1..=5).map(entry).collect::<Vec<_>>());
-        assert!(!dir.path().join("record").exists(), "boot writes nothing");
-        journal
-            .save_snapshot(snapshot(7), Instant::now(), true)
-            .unwrap();
-        drop(journal);
-        assert_eq!(chunks(&dir), [(0, (1..=7).map(entry).collect())]);
-        let (_, snap, _) = open(&dir, 0);
-        assert_eq!(snap.unwrap().log, (1..=7).map(entry).collect::<Vec<_>>());
-    }
-
-    /// A record file that lacks what its snapshot covers fails the open
-    /// instead of restoring a shorter record.
-    #[test]
-    fn a_record_file_short_of_its_snapshot_fails_loudly() {
-        let dir = TempDir::new("journal-gap").unwrap();
-        let (mut journal, _, _) = open(&dir, 0);
-        journal
-            .save_snapshot(snapshot(3), Instant::now(), true)
-            .unwrap();
-        drop(journal);
-        std::fs::remove_dir_all(dir.path().join("record")).unwrap();
-        let host = host().0;
-        let open = Journal::open(dir.path(), FlushPolicy::OsBuffered, 0, host);
-        let err = open.err().expect("a gap must not restore");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    /// What a cut writes does not grow with the history before it: ten
-    /// cuts of 100 new entries each, and the tenth writes as many snapshot
-    /// and record bytes as the first.
-    #[test]
-    fn a_cut_writes_what_it_added_not_the_history() {
-        let dir = TempDir::new("journal-incremental").unwrap();
+    fn a_snapshot_is_tagged_and_does_not_grow_with_the_history() {
+        let dir = TempDir::new("journal-history").unwrap();
         let (host, _) = host();
         let metrics = Arc::clone(&host.metrics);
         let (mut journal, _, _) =
             Journal::open(dir.path(), FlushPolicy::OsBuffered, 0, host).unwrap();
         let mut written = Vec::new();
         for n in 1..=10 {
-            let before = if n == 1 { 0 } else { record_bytes(&dir) };
-            let log = (1..=100 * n).map(entry).collect();
-            journal
-                .save_snapshot(cut(1, log), Instant::now(), true)
-                .unwrap();
-            let snapshot = metrics.snapshot_bytes.get();
-            written.push((record_bytes(&dir) - before, snapshot));
+            let cut = ReplicaSnapshot {
+                store: store(100 * n),
+                ..snapshot(1)
+            };
+            journal.save_snapshot(cut, Instant::now(), true).unwrap();
+            written.push(metrics.snapshot_bytes.get());
         }
         assert!(written.iter().all(|&w| w == written[0]), "{written:?}");
         drop(journal);
+
+        let (_, bytes) = SnapshotStore::open(dir.path())
+            .and_then(|store| store.load_latest())
+            .unwrap()
+            .expect("published");
+        let last = ReplicaSnapshot {
+            store: store(1000),
+            ..snapshot(1)
+        };
+        assert_eq!(bytes, bincode::serialize(&(SNAPSHOT_TAG, &last)).unwrap());
         let (_, snap, _) = open(&dir, 0);
-        assert_eq!(snap.unwrap().log.len(), 1000);
+        let snap = snap.unwrap();
+        assert_eq!(snap.store.summary(), last.store.summary());
+        assert_eq!(snap.store.summary().len(), 1000);
+    }
+
+    /// Both older layouts load, and the record each carries folds into the
+    /// same `set` word as executing its commands live; the recovery `noOp`
+    /// in the record counts for nothing. The record file's layout also
+    /// holds a chunk of a cut that was never published, which the next
+    /// chunk overwrites.
+    #[test]
+    fn legacy_snapshots_fold_to_the_live_summary() {
+        let live = snapshot(5);
+        let mut log: Vec<(Dot, Rifl)> = (1..=5).map(entry).collect();
+        log.insert(2, (Dot::new(3, 1), Rifl::new(0, 0)));
+        let bare = TempDir::new("journal-bare").unwrap();
+        save(&bare, &legacy(&live, &log));
+        let enveloped = TempDir::new("journal-enveloped").unwrap();
+        let unpublished = vec![entry(40), entry(41)];
+        write_record(
+            &enveloped,
+            &[
+                (0, log[..3].to_vec()),
+                (3, unpublished),
+                (3, log[3..].to_vec()),
+            ],
+        );
+        let covered = (3u64, log.len() as u64);
+        save(
+            &enveloped,
+            &(RECORD_FILE_TAG, covered.0, covered.1, legacy(&live, &[])),
+        );
+
+        let expected = live.store.summary();
+        for dir in [&bare, &enveloped] {
+            let (_, snap, _) = open(dir, 0);
+            let snap = snap.expect("a legacy snapshot loads");
+            let summary = snap.store.summary();
+            assert_eq!(summary.executed, expected.executed);
+            assert_eq!(summary.set, expected.set, "the record folds into the set");
+            assert_eq!(snap.store.digest(), live.store.digest());
+            assert_eq!(
+                (snap.protocol, snap.view),
+                (live.protocol.clone(), live.view.clone())
+            );
+            assert!(snap.log.is_empty());
+        }
+    }
+
+    /// The record file stays until a snapshot in the new layout is
+    /// published — a boot or an abandoned cut leaves it — and goes then.
+    #[test]
+    fn the_record_file_goes_with_the_first_published_snapshot() {
+        let dir = TempDir::new("journal-retire").unwrap();
+        write_record(&dir, &[(0, (1..=3).map(entry).collect())]);
+        save(
+            &dir,
+            &(RECORD_FILE_TAG, 1u64, 3u64, legacy(&snapshot(3), &[])),
+        );
+        let record = dir.path().join("record");
+
+        let (host, reports) = host();
+        let stop = Arc::clone(&host.stop);
+        let (mut journal, _, _) =
+            Journal::open(dir.path(), FlushPolicy::OsBuffered, 0, host).unwrap();
+        assert!(record.exists(), "a boot removes nothing");
+        stop.store(true, Ordering::Relaxed);
+        journal
+            .save_snapshot(snapshot(4), Instant::now(), false)
+            .unwrap();
+        let (index, result) = reports.recv().expect("writer reports");
+        assert!(result.as_ref().is_ok_and(|published| !*published));
+        journal.snapshot_written(index, result).unwrap();
+        drop(journal);
+        assert!(record.exists(), "an abandoned cut removes nothing");
+
+        let (mut journal, snap, _) = open(&dir, 0);
+        assert_eq!(snap.unwrap().store.summary().set, store(3).summary().set);
+        journal
+            .save_snapshot(snapshot(4), Instant::now(), true)
+            .unwrap();
+        assert!(!record.exists(), "the published snapshot retires it");
+        drop(journal);
+        let (_, snap, _) = open(&dir, 0);
+        assert_eq!(snap.unwrap().store, store(4));
+    }
+
+    /// A record file that lacks what its snapshot covers, or has a gap,
+    /// fails the open instead of folding a shorter record.
+    #[test]
+    fn a_record_file_short_of_its_snapshot_fails_loudly() {
+        let first: Vec<(Dot, Rifl)> = (1..=3).map(entry).collect();
+        let files = [
+            (vec![(0, first.clone())], 1u64),
+            (vec![(0, first), (4, vec![entry(5)])], 2),
+        ];
+        for (chunks, covered) in files {
+            let dir = TempDir::new("journal-gap").unwrap();
+            write_record(&dir, &chunks);
+            save(
+                &dir,
+                &(RECORD_FILE_TAG, covered, 5u64, legacy(&snapshot(5), &[])),
+            );
+            let host = host().0;
+            let open = Journal::open(dir.path(), FlushPolicy::OsBuffered, 0, host);
+            let err = open.err().expect("a short record must not load");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! |---|---|
 //! | `Send { targets, msg }`, remote target | `msg` is bincode-encoded once, wrapped in a length-prefixed [`wire::PeerFrame`], and handed to the reconnecting [`transport::PeerLink`] to each target with the rest of the event-loop turn's frames for it (one hand-off, one socket write) |
 //! | `Send { .. }`, own id among targets | delivered back into `Protocol::handle` with zero delay, before the next event is taken (the paper's "self-addressed messages are delivered immediately") |
-//! | `Execute { dot, cmd }` | `dot` is appended to the replica's execution record; when the turn's journal records are written `cmd` is applied to the local KVS and — if the submitting client's session lives on this replica — a [`wire::ClientReply::Executed`] is pushed to it |
+//! | `Execute { dot, cmd }` | when the turn's journal records are written `cmd` is applied to the local KVS, which folds it into its execution summary, and — if the submitting client's session lives on this replica — a [`wire::ClientReply::Executed`] is pushed to it |
 //! | `Commit { dot }` | bookkeeping only; clients are answered at execution time |
 //!
 //! Inbound, the runtime turns every network event back into protocol inputs:
@@ -47,8 +47,8 @@
 //! its data directory rejoins with
 //! [`Boot::CatchUp`]: it **streams** committed
 //! state from every reachable peer as a sequence of bounded-size
-//! [`wire::CatchUpChunk`]s — an executed-state base (store records, the
-//! execution record, the protocol's
+//! [`wire::CatchUpChunk`]s — an executed-state base (the store's slots
+//! and counters, which carry its execution summary, and the protocol's
 //! [`save_executed`](atlas_core::Protocol::save_executed) marker) applied
 //! atomically, then each peer's retained committed log replayed through
 //! the normal message path (base-covered entries are idempotent no-ops) —

@@ -88,14 +88,15 @@ pub struct ReplicaMetrics {
     /// prefix they cover truncated.
     pub snapshots_saved: Counter,
     /// Event-loop time per snapshot cut (µs): the GC round before it (GC
-    /// on), protocol state encoded, store copied, execution record shared,
-    /// one WAL fsync, hand-off to the writer.
+    /// on), protocol state encoded, store copied, one WAL fsync, hand-off
+    /// to the writer.
     pub snapshot_cut_us: AtomicHistogram,
-    /// Snapshot-writer time per snapshot (µs): record chunk appended and
-    /// fsynced, snapshot serialised → directory fsync.
+    /// Snapshot-writer time per snapshot (µs): snapshot serialised →
+    /// directory fsync.
     pub snapshot_write_us: AtomicHistogram,
     /// Encoded size of the last snapshot file written (bytes): protocol
-    /// state, store and view; the execution record is in its own file.
+    /// state, store (its execution summary included) and view — O(keys),
+    /// not O(history).
     pub snapshot_bytes: Gauge,
     /// Snapshots that fell due (cadence or GC round) while the writer was
     /// busy; they fold into the one cut taken when the writer reports.

@@ -29,7 +29,7 @@ use crate::durability::{Durability, Input};
 use crate::epochs::Membership;
 use crate::executor::{stage_us, ExecCtx, Executor};
 use crate::inbound::{acceptor, ticker, Event};
-use crate::journal::{corrupt, ExecutionRecord, Host, Journal, JournalRecord, SnapshotCut};
+use crate::journal::{corrupt, Host, Journal, JournalRecord, ReplicaSnapshot};
 use crate::metrics::ReplicaMetrics;
 use crate::turn::{Outbox, TURN_EVENTS};
 use crate::wire::{CatchUpPayload, ClientReply, EpochUpdate, MAX_FRAME_BYTES};
@@ -159,16 +159,13 @@ where
 }
 
 /// The single-threaded owner of all replica state: the protocol state
-/// machine, the execution record, the client reply routes and the
-/// lifecycle stamps, composed with the subsystems that own the rest.
+/// machine, the client reply routes and the lifecycle stamps, composed with
+/// the subsystems that own the rest.
 struct Core<P: Protocol> {
     id: ProcessId,
     protocol: P,
     /// The execute stage: the store and the client reply routes.
     exec: Executor,
-    /// The execution record: shared chunks, so a snapshot cut takes it
-    /// without copying the history.
-    log: ExecutionRecord,
     /// What the current turn produced and still holds ([`crate::turn`]).
     outbox: Outbox<(Command, ExecCtx)>,
     /// Journal, snapshots and GC rounds.
@@ -247,7 +244,6 @@ where
             id: cfg.id,
             protocol: P::new(cfg.id, config, topology.clone()),
             exec: Executor::new(Arc::clone(&metrics), start),
-            log: ExecutionRecord::default(),
             outbox: Outbox::new(),
             durability: Durability::new(options.gc_every),
             members: Membership::new(cfg, view, Arc::clone(&stop), self_addr),
@@ -283,7 +279,6 @@ where
                     corrupt(format!("replica {}: snapshot failed to restore", cfg.id))
                 })?;
             core.exec.install(snapshot.store);
-            core.log = snapshot.log.into();
             // The snapshot's view may name members the boot address book
             // does not (a restart after an expand): install it before
             // replay so links exist and Epoch records replay idempotently.
@@ -544,12 +539,12 @@ where
             horizon: self.protocol.seen_horizon(from),
             executed: self.protocol.save_executed(),
             store_executed: store.executed(),
+            store_set: store.summary().set,
             view: self.members.view().clone(),
             addrs: self.members.addrs_wire(),
         };
-        let log = self.log.iter().copied();
         let committed = self.protocol.committed_log();
-        catch_up::serve(start, store, log, committed, self.catch_up_chunk_bytes)
+        catch_up::serve(start, store, committed, self.catch_up_chunk_bytes)
     }
 
     /// Assembles the export snapshot: the registry's counters/histograms,
@@ -593,9 +588,8 @@ where
         self.snapshot_now(started, false)
     }
 
-    /// The cut: encodes the protocol state, copies the store, freezes and
-    /// shares the execution record (one `Arc` per chunk, no entry copied)
-    /// and gives it all to the journal, which fsyncs the WAL, stamps the
+    /// The cut: encodes the protocol state, copies the store (its execution
+    /// summary included) and gives both to the journal, which fsyncs the WAL, stamps the
     /// index and has its writer thread persist it (`inline`:
     /// this thread does, before returning). Releasing the turn first also
     /// writes the `Gc` record of a round run just before, so the cut covers
@@ -607,13 +601,13 @@ where
         }
         // The cut observes the store: everything collected executes first.
         self.release()?;
-        let cut = SnapshotCut {
+        let cut = ReplicaSnapshot {
             protocol: self
                 .protocol
                 .save_state()
                 .expect("every protocol snapshots its state"),
             store: self.exec.store().clone(),
-            log: self.log.freeze(),
+            log: Vec::new(),
             view: self.members.view().clone(),
             addrs: self.members.addrs_wire(),
         };
@@ -721,10 +715,9 @@ where
             // replied command.
             Event::Query { session } => {
                 self.release()?;
-                let digest = self.exec.store().digest();
-                for reply in ClientReply::execution_log(self.log.iter().copied(), digest) {
-                    let _ = session.send(reply);
-                }
+                let store = self.exec.store();
+                let (summary, digest) = (store.summary(), store.digest());
+                let _ = session.send(ClientReply::ExecutionLog { summary, digest });
                 Ok(())
             }
             Event::Stats { session } => {
@@ -751,12 +744,10 @@ where
         }
     }
 
-    /// The protocol executes `rifl`'s command under `dot` (commit seen at
-    /// `commit_t`): the execution record advances now, in protocol order,
-    /// and the command's lifecycle samples count only if this replica owns
-    /// it (it was submitted here).
-    fn executing(&mut self, dot: Dot, rifl: Rifl, commit_t: Option<u64>) -> ExecCtx {
-        self.log.push((dot, rifl));
+    /// The protocol executes `rifl`'s command (commit seen at `commit_t`):
+    /// its lifecycle samples count only if this replica owns it (it was
+    /// submitted here).
+    fn executing(&mut self, rifl: Rifl, commit_t: Option<u64>) -> ExecCtx {
         ExecCtx {
             rifl,
             submit_t: self.pending.remove(&rifl),
@@ -785,9 +776,8 @@ where
     /// * `Send` to a remote peer → encode the message once, for that peer's
     ///   (at-least-once) link;
     /// * `Send` to self → queue for immediate local handling;
-    /// * `Execute` → append to the execution record; the execute stage
-    ///   applies the command to the store and answers the submitting
-    ///   client if its session lives here;
+    /// * `Execute` → the execute stage applies the command to the store
+    ///   and answers the submitting client if its session lives here;
     /// * `Commit` → remember the commit time for the lifecycle latency
     ///   histograms (clients are answered at execution).
     fn do_actions(
@@ -829,7 +819,7 @@ where
                         // Total-order barriers execute at once, after a
                         // release: a `Reconfigure` moves the protocol's
                         // membership before the next action.
-                        let ctx = self.executing(dot, cmd.rifl, commit_t);
+                        let ctx = self.executing(cmd.rifl, commit_t);
                         self.release()?;
                         let reconfig = cmd.reconfig_op().cloned();
                         self.exec.apply(&cmd, ctx);
@@ -840,7 +830,7 @@ where
                         // A batch executes as its parts, in submission
                         // order, each with its own entry and reply.
                         for part in cmd.split() {
-                            let ctx = self.executing(dot, part.rifl, commit_t);
+                            let ctx = self.executing(part.rifl, commit_t);
                             self.outbox.execute((part, ctx));
                         }
                     }
@@ -873,17 +863,17 @@ where
         Ok(())
     }
 
-    fn install_base(&mut self, marker: &[u8], store: KVStore, log: Vec<(Dot, Rifl)>) -> bool {
+    fn install_base(&mut self, marker: &[u8], store: KVStore) -> bool {
         if !self.protocol.restore_executed(marker) {
             return false;
         }
         self.exec.install(store);
-        self.log = log.into();
         true
     }
 
     fn is_fresh(&self) -> bool {
-        self.log.is_empty() && self.exec.store().is_empty()
+        let store = self.exec.store();
+        store.executed() == 0 && store.is_empty()
     }
 
     fn apply_msgs(&mut self, from: ProcessId, msgs: Vec<Vec<u8>>) -> io::Result<()> {

@@ -38,9 +38,9 @@
 //! durability subsystem needs so that a replica restarting from its journal
 //! still receives everything peers sent while it was down.
 
-use atlas_core::{ClientId, ClusterView, Command, Dot, Key, ProcessId, Rifl, Value};
+use atlas_core::{ClientId, ClusterView, Command, Key, ProcessId, Rifl};
 use atlas_metrics::MetricsSnapshot;
-use kvstore::Output;
+use kvstore::{ExecutionSummary, Output, Slot};
 use serde::{Deserialize, Serialize};
 use std::io;
 use tokio::io::{AsyncReadExt, AsyncWriteExt};
@@ -60,10 +60,6 @@ pub const MAX_FRAME_BYTES: usize = 32 << 20;
 /// depends on the reads of its key since that write, which this does not
 /// bound.) So an instance stays within twice the request plus 64 KiB.
 pub const MAX_REQUEST_BYTES: usize = (MAX_FRAME_BYTES - (64 << 10)) / 2;
-
-/// Execution-record entries per reply frame answering a query: 28 bytes
-/// each, so a frame stays under 2 MiB however long the record grows.
-pub const LOG_PART_ENTRIES: usize = 1 << 16;
 
 /// First frame on every connection: who is dialing.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -162,9 +158,9 @@ pub struct EpochUpdate {
 /// One frame of the streamed answer to a [`Hello::CatchUp`] request.
 ///
 /// The serving replica sends `Start`, then the executed-state base (its
-/// `Store` records and `Log` slices), then its retained committed log as
-/// `Msgs` — every frame bounded by the configured chunk budget, the
-/// final one flagged [`last`](CatchUpChunk::last). The receiver applies
+/// `Store` slots), then its retained committed log as `Msgs` — every frame
+/// bounded by the configured chunk budget, the final one flagged
+/// [`last`](CatchUpChunk::last). The receiver applies
 /// chunks incrementally, but installs the base **atomically** when the
 /// first post-base chunk arrives, so a mid-stream disconnect leaves it
 /// either untouched or fully based — never half-based — and a retry (same
@@ -195,6 +191,9 @@ pub enum CatchUpPayload {
         executed: Vec<u8>,
         /// The serving store's executed-command counter.
         store_executed: u64,
+        /// The serving store's [`ExecutionSummary::set`] word; the `Store`
+        /// slots carry the rest of its summary.
+        store_set: u64,
         /// The serving replica's runtime configuration view, so a joiner
         /// bootstrapping into a reconfigured cluster learns the current
         /// member set before its first epoch announcement arrives.
@@ -202,10 +201,8 @@ pub enum CatchUpPayload {
         /// Address of every process in `view` (current and outgoing).
         addrs: Vec<(ProcessId, String)>,
     },
-    /// A slice of the serving replica's store records, in key order.
-    Store(Vec<(Key, Value)>),
-    /// A slice of the serving replica's execution record, in order.
-    Log(Vec<(Dot, Rifl)>),
+    /// A slice of the serving replica's store slots, in key order.
+    Store(Vec<(Key, Slot)>),
     /// bincode encodings of the serving replica's retained
     /// [`committed_log`](atlas_core::Protocol::committed_log) — executed
     /// entries included, since an entry executed at this server may be
@@ -223,8 +220,7 @@ pub enum ClientRequest {
         /// The batched commands.
         cmds: Vec<Command>,
     },
-    /// Ask for the replica's execution record (testing/inspection): zero
-    /// or more [`ClientReply::ExecutionLogPart`]s, then one
+    /// Ask for what the replica executed (testing/inspection): one
     /// [`ClientReply::ExecutionLog`].
     ExecutionLog,
     /// Ask for the replica's full [`MetricsSnapshot`] — command-lifecycle
@@ -245,12 +241,12 @@ pub enum ClientReply {
         /// Per-key outputs of the execution.
         outputs: Vec<(Key, Output)>,
     },
-    /// The replica's execution record so far, or its last part.
+    /// The summary of what the replica executed so far, one frame
+    /// whatever the history's length.
     ExecutionLog {
-        /// Executed commands — `(dot, rifl)` — in local execution order,
-        /// after those of the preceding [`ClientReply::ExecutionLogPart`]s.
-        entries: Vec<(Dot, Rifl)>,
-        /// Digest of the replica's key–value store state.
+        /// The store's [`ExecutionSummary`].
+        summary: ExecutionSummary,
+        /// Digest of the store's values.
         digest: u64,
     },
     /// The replica's metrics snapshot. Histograms ship in full (bounded,
@@ -262,39 +258,6 @@ pub enum ClientReply {
         /// Everything the replica measures, in one coherent-enough cut.
         snapshot: Box<MetricsSnapshot>,
     },
-    /// A part of the execution record, [`LOG_PART_ENTRIES`] long, when the
-    /// whole would not fit in one frame; the [`ClientReply::ExecutionLog`]
-    /// that follows ends the record. Appended last, so the earlier
-    /// variants keep their tags.
-    ExecutionLogPart {
-        /// Executed commands, in local execution order.
-        entries: Vec<(Dot, Rifl)>,
-    },
-}
-
-impl ClientReply {
-    /// The replies answering an execution-record query: `entries` in
-    /// parts of [`LOG_PART_ENTRIES`], the rest with the store's `digest`
-    /// last, so every frame fits whatever the record's length.
-    pub(crate) fn execution_log(
-        entries: impl Iterator<Item = (Dot, Rifl)>,
-        digest: u64,
-    ) -> Vec<ClientReply> {
-        let mut replies = Vec::new();
-        let mut part = Vec::new();
-        for entry in entries {
-            if part.len() == LOG_PART_ENTRIES {
-                let entries = std::mem::take(&mut part);
-                replies.push(ClientReply::ExecutionLogPart { entries });
-            }
-            part.push(entry);
-        }
-        replies.push(ClientReply::ExecutionLog {
-            entries: part,
-            digest,
-        });
-        replies
-    }
 }
 
 fn encode_err(e: bincode::Error) -> io::Error {
@@ -619,7 +582,7 @@ impl<R: AsyncReadExt> FrameReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atlas_core::{Command, Config, DepSet, Rifl, Topology};
+    use atlas_core::{Command, Config, DepSet, Dot, Rifl, Topology};
     use atlas_protocol::Message as AtlasMessage;
 
     #[test]
@@ -691,6 +654,15 @@ mod tests {
         let bytes = bincode::serialize(&reply).unwrap();
         assert_eq!(bincode::deserialize::<ClientReply>(&bytes).unwrap(), reply);
 
+        let summary = ExecutionSummary {
+            executed: 3,
+            set: 11,
+            order: 12,
+        };
+        let reply = ClientReply::ExecutionLog { summary, digest: 7 };
+        let bytes = bincode::serialize(&reply).unwrap();
+        assert_eq!(bincode::deserialize::<ClientReply>(&bytes).unwrap(), reply);
+
         let mut snapshot = MetricsSnapshot {
             replica: 2,
             protocol: "atlas".to_string(),
@@ -735,6 +707,13 @@ mod tests {
         assert_eq!(bincode::deserialize::<PeerFrame>(&bytes).unwrap(), epoch);
     }
 
+    fn slot(value: u64) -> Slot {
+        Slot {
+            value: Some(value),
+            chain: value + 1,
+        }
+    }
+
     #[test]
     fn catch_up_chunks_round_trip() {
         let chunks = vec![
@@ -745,6 +724,7 @@ mod tests {
                     horizon: 42,
                     executed: vec![1, 2, 3],
                     store_executed: 17,
+                    store_set: 5,
                     view: atlas_core::ClusterView::initial(Config::new(3, 1)),
                     addrs: vec![(1, "127.0.0.1:7001".to_string())],
                 },
@@ -752,15 +732,10 @@ mod tests {
             CatchUpChunk {
                 seq: 1,
                 last: false,
-                payload: CatchUpPayload::Store(vec![(1, 10), (2, 20)]),
+                payload: CatchUpPayload::Store(vec![(1, slot(10)), (2, slot(20))]),
             },
             CatchUpChunk {
                 seq: 2,
-                last: false,
-                payload: CatchUpPayload::Log(vec![(Dot::new(1, 1), Rifl::new(9, 1))]),
-            },
-            CatchUpChunk {
-                seq: 3,
                 last: true,
                 payload: CatchUpPayload::Msgs(vec![vec![0xAB; 16]]),
             },

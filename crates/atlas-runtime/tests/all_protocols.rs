@@ -1,15 +1,24 @@
 //! The runtime is generic over the hosted protocol: boot a small TCP cluster
 //! of every protocol in the workspace and drive traffic through it.
 
-use atlas_core::{Command, Config, ProcessId, Protocol};
+use atlas_core::{Command, Config, ProcessId, Protocol, Rifl};
 use atlas_runtime::{Client, Cluster};
-use kvstore::Output;
+use kvstore::{ExecutionSummary, Output};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// The commands `exercise` submits: 20 rounds of three puts and a get, one
-/// get, the 33-part batch and its closing get.
-const ISSUED: usize = 20 * 4 + 1 + 33 + 1;
+/// get, the 33-part batch and its closing get — client 1's 61 and client
+/// 2's 54.
+const ISSUED: u64 = 20 * 4 + 1 + 33 + 1;
+
+/// The `set` word of executing the `n` first commands of each client.
+fn set_of(clients: &[(u64, u64)]) -> u64 {
+    let rifls = clients
+        .iter()
+        .flat_map(|&(client, n)| (1..=n).map(move |seq| Rifl::new(client, seq)));
+    ExecutionSummary::set_of(rifls)
+}
 
 fn exercise<P>(config: Config)
 where
@@ -66,10 +75,11 @@ where
         assert_eq!(outputs, expected, "{}: sequential outputs", P::name());
         assert_eq!(b.get(9).await.unwrap(), Some(15), "{}", P::name());
 
-        // Every replica ends with the same store, having executed the same
-        // commands: the clients' entries of each execution record, as a
-        // set (commuting commands may execute in different orders), and
-        // the digest. A replica may still be executing the tail.
+        // Every replica ends with the same store, having executed exactly
+        // the clients' commands (the count and the set word; commuting
+        // commands may execute in different orders) and each key's writes
+        // in the same order. A replica may still be executing the tail.
+        let set = set_of(&[(1, 61), (2, 54)]);
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
             let mut views = Vec::new();
@@ -77,22 +87,19 @@ where
                 let mut probe = Client::connect(cluster.addr(id), 900 + id as u64)
                     .await
                     .unwrap();
-                let (mut log, digest) = probe.execution_log().await.unwrap();
-                log.retain(|(_, rifl)| rifl.client <= 2);
-                log.sort_unstable_by_key(|&(_, rifl)| rifl);
-                views.push((log, digest));
+                views.push(probe.execution_log().await.unwrap());
             }
-            if views.iter().all(|view| *view == views[0]) && views[0].0.len() == ISSUED {
+            let (summary, _) = views[0];
+            if views.iter().all(|view| *view == views[0])
+                && summary.len() == ISSUED
+                && summary.set == set
+            {
                 break;
             }
             assert!(
                 Instant::now() < deadline,
-                "{}: replicas disagree: {:?}",
+                "{}: replicas disagree: {views:?}",
                 P::name(),
-                views
-                    .iter()
-                    .map(|(log, digest)| (log.len(), digest))
-                    .collect::<Vec<_>>()
             );
             tokio::time::sleep(Duration::from_millis(50)).await;
         }
@@ -138,7 +145,6 @@ async fn hung_up(mut stream: tokio::net::TcpStream) -> bool {
 /// before the request reaches the journal or the protocol, in every build.
 #[test]
 fn a_session_cannot_submit_as_another_client() {
-    use atlas_core::Rifl;
     use atlas_runtime::wire::{write_frame, ClientRequest, Hello};
     use std::time::Duration;
 
@@ -162,15 +168,14 @@ fn a_session_cannot_submit_as_another_client() {
             .unwrap();
         assert!(hung_up(hostile).await, "the forged session stays open");
 
-        // The victim is still answered, and the forged command never ran.
+        // The victim is still answered, and the forged command never ran:
+        // the replica executed exactly the victim's three commands.
         let put = tokio::time::timeout(Duration::from_secs(5), victim.put(5, 2));
         put.await.expect("victim answered").unwrap();
         assert_eq!(victim.get(5).await.unwrap(), Some(2));
-        let (log, _) = victim.execution_log().await.unwrap();
-        assert!(
-            log.iter().all(|&(_, rifl)| rifl != forged),
-            "the forged command executed"
-        );
+        let (summary, _) = victim.execution_log().await.unwrap();
+        assert_eq!(summary.len(), 3, "the forged command executed");
+        assert_eq!(summary.set, set_of(&[(2, 3)]));
         cluster.shutdown();
     });
 }

@@ -23,7 +23,7 @@ use atlas_runtime::wire::{
     read_frame, write_frame, write_raw_frame, CatchUpChunk, CatchUpPayload, Hello, MAX_FRAME_BYTES,
 };
 use atlas_runtime::{Client, Cluster, ClusterOptions};
-use kvstore::KVStore;
+use kvstore::{ExecutionSummary, KVStore, Slot};
 use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -55,9 +55,9 @@ async fn run_writes(
 
 async fn converge(
     cluster: &Cluster,
-    expected: usize,
+    expected: u64,
     deadline: Duration,
-) -> Vec<(Vec<(Dot, Rifl)>, u64)> {
+) -> Vec<(ExecutionSummary, u64)> {
     let deadline = Instant::now() + deadline;
     loop {
         let mut logs = Vec::new();
@@ -69,7 +69,7 @@ async fn converge(
             }
         }
         if logs.len() == REPLICAS
-            && logs.iter().all(|(entries, _)| entries.len() >= expected)
+            && logs.iter().all(|(summary, _)| summary.len() >= expected)
             && logs.iter().all(|(_, digest)| *digest == logs[0].1)
         {
             return logs;
@@ -184,39 +184,29 @@ fn wiped_replica_catches_up_over_many_small_chunks() {
             .expect("wiped restart");
         drive(&cluster, PHASE_A + PHASE_B, PHASE_C).await;
 
+        // Every replica executed exactly both clients' commands, and the
+        // writes of every key (conflicting) in the same order.
         let total_ops = PHASE_A + PHASE_B + PHASE_C;
-        let expected = (2 * total_ops) as usize;
-        let logs = converge(&cluster, expected, Duration::from_secs(60)).await;
-        for (entries, _) in &logs {
-            let set: HashSet<(Dot, Rifl)> = entries.iter().copied().collect();
-            assert_eq!(set.len(), entries.len(), "duplicate execution");
-            assert_eq!(entries.len(), expected, "wrong command count");
-        }
-        // Per-key order identical everywhere (conflicting writes).
-        let mut key_of: HashMap<Rifl, Key> = HashMap::new();
-        for client_id in [1u64, 2] {
-            for i in 0..total_ops {
-                key_of.insert(Rifl::new(client_id, i + 1), write_key(client_id, i));
-            }
-        }
-        let keys: HashSet<Key> = key_of.values().copied().collect();
-        for key in keys {
-            let projection = |entries: &[(Dot, Rifl)]| -> Vec<Rifl> {
-                entries
-                    .iter()
-                    .filter(|(_, rifl)| key_of.get(rifl) == Some(&key))
-                    .map(|(_, rifl)| *rifl)
-                    .collect()
-            };
-            let reference = projection(&logs[0].0);
-            for (replica, (entries, _)) in logs.iter().enumerate().skip(1) {
-                assert_eq!(
-                    projection(entries),
-                    reference,
-                    "replica {} ordered writes of key {key} differently",
-                    replica + 1
-                );
-            }
+        let logs = converge(&cluster, 2 * total_ops, Duration::from_secs(60)).await;
+        let rifls = [1u64, 2]
+            .into_iter()
+            .flat_map(|client| (1..=total_ops).map(move |seq| Rifl::new(client, seq)));
+        let set = ExecutionSummary::set_of(rifls);
+        for (i, (summary, _)) in logs.iter().enumerate() {
+            let replica = i + 1;
+            assert_eq!(
+                summary.len(),
+                2 * total_ops,
+                "replica {replica}: wrong command count"
+            );
+            assert_eq!(
+                summary.set, set,
+                "replica {replica} executed another command set"
+            );
+            assert_eq!(
+                summary.order, logs[0].0.order,
+                "replica {replica} ordered the writes of some key differently"
+            );
         }
         cluster.shutdown();
     });
@@ -312,11 +302,9 @@ fn rejoin_after(first: FirstStream) {
         for (_, cmd) in &executed {
             store.execute(cmd);
         }
-        let records: Vec<(Key, u64)> = store.records().collect();
-        let log: Vec<(Dot, Rifl)> = executed.iter().map(|(d, c)| (*d, c.rifl)).collect();
+        let records: Vec<(Key, Slot)> = store.records().collect();
         let horizon = server.seen_horizon(2);
-        let expected_digest = store.digest();
-        let expected_entries = log.len();
+        let (expected, expected_digest) = (store.summary(), store.digest());
 
         // Fake "replica 1": the first catch-up connection goes wrong as
         // `first` says, later ones serve the full stream. Peer hellos are
@@ -338,13 +326,13 @@ fn rejoin_after(first: FirstStream) {
             CatchUpPayload::Start {
                 horizon,
                 executed: marker,
-                store_executed: store.executed(),
+                store_executed: expected.executed,
+                store_set: expected.set,
                 view: ClusterView::initial(Config::new(3, 1)),
                 addrs: Vec::new(),
             },
             CatchUpPayload::Store(records[..half].to_vec()),
             CatchUpPayload::Store(records[half..].to_vec()),
-            CatchUpPayload::Log(log.clone()),
             CatchUpPayload::Msgs(msgs),
         ];
         tokio::spawn(async move {
@@ -358,7 +346,7 @@ fn rejoin_after(first: FirstStream) {
                     Ok(Hello::CatchUp { .. }) => {
                         catch_ups += 1;
                         let served = match (catch_ups, first) {
-                            // The store half-sent, then no Log/Msgs/last.
+                            // The store half-sent, then no Msgs/last.
                             (1, FirstStream::DiesMidBase) => &full[..2],
                             (1, FirstStream::OpensWithoutStart) => &full[1..],
                             _ => &full[..],
@@ -404,17 +392,17 @@ fn rejoin_after(first: FirstStream) {
         let deadline = Instant::now() + Duration::from_secs(20);
         loop {
             if let Ok(mut probe) = Client::connect(own_addr, 900).await {
-                if let Ok((entries, digest)) = probe.execution_log().await {
-                    if entries.len() == expected_entries && digest == expected_digest {
-                        // Exactly the server's record — the half-applied
-                        // first stream neither lost nor duplicated state.
-                        assert_eq!(entries, log);
+                if let Ok((summary, digest)) = probe.execution_log().await {
+                    if summary.len() == expected.len() {
+                        // Exactly the server's summary and values — the
+                        // half-applied first stream neither lost nor
+                        // duplicated state.
+                        assert_eq!((summary, digest), (expected, expected_digest));
                         break;
                     }
                     assert!(
-                        entries.len() <= expected_entries,
-                        "rejoiner over-applied: {} entries (want {expected_entries})",
-                        entries.len()
+                        summary.len() <= expected.len(),
+                        "rejoiner over-applied: {summary:?} (want {expected:?})"
                     );
                 }
             }

@@ -11,14 +11,14 @@
 //!   lost;
 //! * a small snapshot cadence forces the snapshot + journal-suffix restore
 //!   path (not just full replay), and a replica restarted after several
-//!   published cuts rebuilds its execution record entry for entry;
+//!   published cuts restores its execution summary exactly;
 //! * a restart smoke test runs for all four protocols.
 
-use atlas_core::{ClientId, Command, Config, Dot, Key, ProcessId, Protocol, Rifl};
+use atlas_core::{ClientId, Command, Config, Key, ProcessId, Protocol, Rifl};
 use atlas_protocol::Atlas;
 use atlas_runtime::{Client, Cluster, ClusterOptions};
+use kvstore::ExecutionSummary;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -54,12 +54,12 @@ async fn run_writes(
 }
 
 /// Polls every replica until all executed `expected` commands and the store
-/// digests agree; returns each replica's `(entries, digest)`.
+/// digests agree; returns each replica's `(summary, digest)`.
 async fn converge(
     cluster: &Cluster,
-    expected: usize,
+    expected: u64,
     deadline: Duration,
-) -> Vec<(Vec<(Dot, Rifl)>, u64)> {
+) -> Vec<(ExecutionSummary, u64)> {
     let deadline = Instant::now() + deadline;
     loop {
         let mut logs = Vec::new();
@@ -71,7 +71,7 @@ async fn converge(
             }
         }
         if logs.len() == REPLICAS
-            && logs.iter().all(|(entries, _)| entries.len() >= expected)
+            && logs.iter().all(|(summary, _)| summary.len() >= expected)
             && logs.iter().all(|(_, digest)| *digest == logs[0].1)
         {
             return logs;
@@ -86,37 +86,31 @@ async fn converge(
     }
 }
 
-/// Asserts every replica ordered the writes of every key identically
-/// (conflicting commands must execute in the same order everywhere; the
-/// workload is deterministic so the rifl → key mapping can be rebuilt).
-fn assert_same_conflict_order(
-    logs: &[(Vec<(Dot, Rifl)>, u64)],
-    clients: &[(ClientId, u64)], // (client, total ops)
-) {
-    let mut key_of: HashMap<Rifl, Key> = HashMap::new();
-    for &(client_id, ops) in clients {
-        for i in 0..ops {
-            key_of.insert(Rifl::new(client_id, i + 1), write_key(client_id, i));
-        }
-    }
-    let projection = |entries: &[(Dot, Rifl)], key: Key| -> Vec<Rifl> {
-        entries
-            .iter()
-            .filter(|(_, rifl)| key_of.get(rifl) == Some(&key))
-            .map(|(_, rifl)| *rifl)
-            .collect()
-    };
-    let keys: HashSet<Key> = key_of.values().copied().collect();
-    for key in keys {
-        let reference = projection(&logs[0].0, key);
-        for (replica, (entries, _)) in logs.iter().enumerate().skip(1) {
-            assert_eq!(
-                projection(entries, key),
-                reference,
-                "replica {} ordered writes of key {key} differently",
-                replica + 1
-            );
-        }
+/// Asserts every replica executed exactly the `ops` first commands of each
+/// client — the count and the set word — and the writes of every key in
+/// the same order (the order digest: conflicting commands must execute in
+/// the same order everywhere).
+fn assert_same_execution(logs: &[(ExecutionSummary, u64)], clients: &[(ClientId, u64)]) {
+    let rifls = clients
+        .iter()
+        .flat_map(|&(client, ops)| (1..=ops).map(move |seq| Rifl::new(client, seq)));
+    let set = ExecutionSummary::set_of(rifls);
+    let count: u64 = clients.iter().map(|&(_, ops)| ops).sum();
+    for (i, (summary, _)) in logs.iter().enumerate() {
+        let replica = i + 1;
+        assert_eq!(
+            summary.len(),
+            count,
+            "replica {replica}: wrong command count"
+        );
+        assert_eq!(
+            summary.set, set,
+            "replica {replica} executed another command set"
+        );
+        assert_eq!(
+            summary.order, logs[0].0.order,
+            "replica {replica} ordered the writes of some key differently"
+        );
     }
 }
 
@@ -162,14 +156,8 @@ fn kill_restart_scenario(options: ClusterOptions, wipe: bool) {
         drive(&cluster, PHASE_A + PHASE_B, PHASE_C).await;
 
         let total_ops = PHASE_A + PHASE_B + PHASE_C;
-        let expected = (2 * total_ops) as usize;
-        let logs = converge(&cluster, expected, Duration::from_secs(60)).await;
-        for (entries, _) in &logs {
-            let set: HashSet<(Dot, Rifl)> = entries.iter().copied().collect();
-            assert_eq!(set.len(), entries.len(), "duplicate execution");
-            assert_eq!(entries.len(), expected, "wrong command count");
-        }
-        assert_same_conflict_order(&logs, &[(1, total_ops), (2, total_ops)]);
+        let logs = converge(&cluster, 2 * total_ops, Duration::from_secs(60)).await;
+        assert_same_execution(&logs, &[(1, total_ops), (2, total_ops)]);
         cluster.shutdown();
     });
 }
@@ -236,13 +224,8 @@ fn replica_killed_mid_burst_of_batched_requests_recovers() {
         c1.await.expect("client 1 task").expect("client 1 run");
         c2.await.expect("client 2 task").expect("client 2 run");
 
-        let expected = (2 * REQUESTS * BATCH) as usize;
-        let logs = converge(&cluster, expected, Duration::from_secs(60)).await;
-        for (entries, _) in &logs {
-            let set: HashSet<(Dot, Rifl)> = entries.iter().copied().collect();
-            assert_eq!(set.len(), entries.len(), "duplicate execution");
-            assert_eq!(entries.len(), expected, "wrong command count");
-        }
+        let logs = converge(&cluster, 2 * REQUESTS * BATCH, Duration::from_secs(60)).await;
+        assert_same_execution(&logs, &[(1, REQUESTS * BATCH), (2, REQUESTS * BATCH)]);
         let mut reader = Client::connect(cluster.addr(3), 9).await.expect("reader");
         for client in [1, 2] {
             for r in 0..REQUESTS {
@@ -257,11 +240,10 @@ fn replica_killed_mid_burst_of_batched_requests_recovers() {
 }
 
 /// A tiny snapshot cadence forces the restart to take the snapshot +
-/// journal-suffix path rather than a full replay. The record the restart
-/// rebuilds is the one the replica held: after at least three published
-/// cuts — each freezing one more shared chunk of its execution record —
-/// replica 3 is killed, and restarted it answers the same record, entry
-/// for entry.
+/// journal-suffix path rather than a full replay. The summary the restart
+/// restores is the one the replica held: after at least three published
+/// cuts replica 3 is killed, and restarted it answers the same summary and
+/// digest.
 #[test]
 fn restart_restores_snapshot_plus_journal_suffix() {
     const CUTS: u64 = 3;
@@ -282,7 +264,7 @@ fn restart_restores_snapshot_plus_journal_suffix() {
                 .await
                 .expect("writes");
             ops += 50;
-            converge(&cluster, ops as usize, Duration::from_secs(60)).await;
+            converge(&cluster, ops, Duration::from_secs(60)).await;
             let mut probe = Client::connect(cluster.addr(3), 903).await.expect("probe");
             let saved = probe
                 .stats()
@@ -299,7 +281,7 @@ fn restart_restores_snapshot_plus_journal_suffix() {
             );
         }
         let mut probe = Client::connect(cluster.addr(3), 904).await.expect("probe");
-        let (before, digest) = probe.execution_log().await.expect("record");
+        let (before, digest) = probe.execution_log().await.expect("summary");
         drop(probe);
         cluster.kill(3);
         cluster.restart::<Atlas>(3).await.expect("restart");
@@ -316,8 +298,8 @@ fn restart_restores_snapshot_plus_journal_suffix() {
             );
             tokio::time::sleep(Duration::from_millis(50)).await;
         };
-        assert_eq!(before.len(), ops as usize);
-        assert_eq!(after, before, "restored execution record differs");
+        assert_eq!(before.len(), ops);
+        assert_eq!(after, before, "restored execution summary differs");
         assert_eq!(restored_digest, digest);
         cluster.shutdown();
     });
@@ -346,6 +328,7 @@ where
             .expect("phase 2");
         let logs = converge(&cluster, 150, Duration::from_secs(60)).await;
         assert!(logs.iter().all(|(_, d)| *d == logs[0].1));
+        assert_same_execution(&logs, &[(1, 150)]);
         cluster.shutdown();
     });
 }

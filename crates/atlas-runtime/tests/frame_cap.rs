@@ -1,18 +1,17 @@
 //! What a client can send and ask for near the 32 MiB frame cap
 //! (`wire::MAX_FRAME_BYTES`): a request whose instance would not fit in a
-//! peer frame is refused at the session, and an execution record too long
-//! for one frame still reaches the client whole.
+//! peer frame is refused at the session, and the answer to an execution
+//! query is one frame whose size does not grow with the history.
 
-use atlas_core::{ClusterView, Command, Config, Dot, KvOp, ProcessId, Protocol, Rifl, Topology};
-use atlas_log::SnapshotStore;
+use atlas_core::{Command, Config, KvOp, Rifl};
 use atlas_protocol::Atlas;
-use atlas_runtime::journal::ReplicaSnapshot;
 use atlas_runtime::wire::{
     decode_payload, write_frame, ClientReply, ClientRequest, FrameReader, Hello, MAX_FRAME_BYTES,
     MAX_REQUEST_BYTES,
 };
 use atlas_runtime::{Client, Cluster};
-use kvstore::KVStore;
+use kvstore::ExecutionSummary;
+use std::net::SocketAddr;
 use std::time::Duration;
 
 /// Whether the replica closes `stream` (end of stream, nothing read)
@@ -60,99 +59,66 @@ fn a_request_whose_instance_outgrows_a_frame_drops_its_session() {
         let put = tokio::time::timeout(Duration::from_secs(5), client.put(1, 7));
         put.await.expect("the coordinator still serves").unwrap();
         assert_eq!(client.get(1).await.unwrap(), Some(7));
-        let (log, _) = client.execution_log().await.unwrap();
-        assert!(
-            log.iter().all(|&(_, rifl)| rifl != Rifl::new(1, 1)),
+        let (summary, _) = client.execution_log().await.unwrap();
+        let client_2 = ExecutionSummary::set_of([Rifl::new(2, 1), Rifl::new(2, 2)]);
+        assert_eq!(
+            (summary.len(), summary.set),
+            (2, client_2),
             "the oversized command executed"
         );
         cluster.shutdown();
     });
 }
 
-/// An execution record of 1.25 M entries encodes to 35 MB, more than one
-/// frame holds: it arrives in parts, each frame within the cap, and
-/// `Client::execution_log` puts them back together. (The replica reads the
-/// record from a snapshot written for the test; executing that many
-/// commands would take the suite minutes.)
+/// One raw execution query against `addr`: the reply frame's payload
+/// size, and the summary it carries.
+async fn query(addr: SocketAddr) -> (usize, ExecutionSummary) {
+    let stream = tokio::net::TcpStream::connect(addr).await.unwrap();
+    let (reader, mut writer) = stream.into_split();
+    write_frame(&mut writer, &Hello::Client { client: 9 })
+        .await
+        .unwrap();
+    write_frame(&mut writer, &ClientRequest::ExecutionLog)
+        .await
+        .unwrap();
+    let mut frames = FrameReader::new(reader);
+    let payload = frames.next().await.unwrap().expect("a reply frame");
+    let size = payload.len();
+    match decode_payload::<ClientReply>(payload).unwrap() {
+        ClientReply::ExecutionLog { summary, .. } => (size, summary),
+        other => panic!("unexpected reply {other:?}"),
+    }
+}
+
+/// The answer to an execution query is one frame of one size, after 10
+/// commands as after 10 000: it carries the store's summary, not the
+/// history.
 #[test]
-fn an_execution_record_longer_than_a_frame_arrives_whole() {
-    const ENTRIES: u64 = 1_250_000;
+fn a_query_reply_does_not_grow_with_the_history() {
+    const BATCH: u64 = 111;
+    async fn puts(client: &mut Client, n: u64) {
+        let cmds = (0..n)
+            .map(|i| Command::put(client.next_rifl(), i % 64, i, 8))
+            .collect();
+        client.submit_batch(cmds).await.unwrap();
+    }
     let rt = tokio::runtime::Runtime::new().unwrap();
     rt.block_on(async {
-        let config = Config::new(3, 1);
-        let mut cluster = Cluster::spawn::<Atlas>(config)
+        let cluster = Cluster::spawn::<Atlas>(Config::new(3, 1))
             .await
             .expect("cluster boots");
-        cluster.kill(1);
-        let log: Vec<(Dot, Rifl)> = (1..=ENTRIES)
-            .map(|seq| {
-                (
-                    Dot::new(1 + (seq % 3) as ProcessId, seq),
-                    Rifl::new(seq % 7, seq),
-                )
-            })
-            .collect();
-        let protocol = Atlas::new(1, config, Topology::from_members(1, &[1, 2, 3]));
-        let snapshot = ReplicaSnapshot {
-            protocol: protocol.save_state().expect("Atlas snapshots its state"),
-            store: KVStore::new(),
-            log: log.clone(),
-            view: ClusterView::initial(config),
-            addrs: Vec::new(),
-        };
-        let bytes = bincode::serialize(&snapshot).unwrap();
-        drop(snapshot);
-        SnapshotStore::open(cluster.data_dir(1))
-            .and_then(|store| store.save(1, &bytes))
-            .expect("snapshot written");
-        drop(bytes);
-        cluster
-            .restart::<Atlas>(1)
-            .await
-            .expect("replica 1 restarts");
-
-        // Frame by frame: every frame within the cap, the record in order.
         let addr = cluster.addr(1);
-        let stream = tokio::net::TcpStream::connect(addr).await.unwrap();
-        let (reader, mut writer) = stream.into_split();
-        write_frame(&mut writer, &Hello::Client { client: 9 })
-            .await
-            .unwrap();
-        write_frame(&mut writer, &ClientRequest::ExecutionLog)
-            .await
-            .unwrap();
-        let mut frames = FrameReader::new(reader);
-        let mut record = Vec::new();
-        let mut parts = 0;
-        let read = async {
-            loop {
-                let payload = frames.next().await.unwrap().expect("a reply frame");
-                assert!(payload.len() <= MAX_FRAME_BYTES);
-                match decode_payload::<ClientReply>(payload).unwrap() {
-                    ClientReply::ExecutionLogPart { entries } => {
-                        parts += 1;
-                        record.extend(entries);
-                    }
-                    ClientReply::ExecutionLog { entries, .. } => {
-                        record.extend(entries);
-                        return;
-                    }
-                    other => panic!("unexpected reply {other:?}"),
-                }
-            }
-        };
-        tokio::time::timeout(Duration::from_secs(30), read)
-            .await
-            .expect("the record arrives");
-        assert!(parts > 1, "{parts} parts");
-        assert!(record == log, "the record arrives whole and in order");
-        drop(record);
-
-        let mut client = Client::connect(addr, 10).await.unwrap();
-        let query = tokio::time::timeout(Duration::from_secs(30), client.execution_log());
-        let (record, _) = query.await.expect("the record arrives").unwrap();
-        assert_eq!(record.len() as u64, ENTRIES);
-        assert!(record == log, "Client::execution_log reassembles the parts");
+        let mut client = Client::connect(addr, 1).await.unwrap();
+        puts(&mut client, 10).await;
+        let (small, after_10) = query(addr).await;
+        assert_eq!(after_10.len(), 10);
+        for _ in 0..(10_000 - 10) / BATCH {
+            puts(&mut client, BATCH).await;
+        }
+        let (large, after_10_000) = query(addr).await;
+        assert_eq!(after_10_000.len(), 10_000);
+        assert_eq!(large, small, "the reply grew with the history");
+        assert!(large <= MAX_FRAME_BYTES);
         cluster.shutdown();
     });
 }

@@ -55,21 +55,22 @@ fn run(gc_every: u64) -> (u64, Vec<u64>) {
         c1.await.expect("client 1 task").expect("client 1 run");
         c2.await.expect("client 2 task").expect("client 2 run");
 
-        // Convergence: every replica executed everything, same digest.
+        // Convergence: every replica executed everything, same summary and
+        // digest.
         let deadline = Instant::now() + Duration::from_secs(60);
         let digest = loop {
             let mut digests = Vec::new();
             for id in 1..=REPLICAS as ProcessId {
                 if let Ok(mut probe) = Client::connect(cluster.addr(id), 900 + id as u64).await {
-                    if let Ok((entries, digest)) = probe.execution_log().await {
-                        if entries.len() as u64 >= TOTAL {
-                            digests.push(digest);
+                    if let Ok((summary, digest)) = probe.execution_log().await {
+                        if summary.len() >= TOTAL {
+                            digests.push((summary, digest));
                         }
                     }
                 }
             }
             if digests.len() == REPLICAS && digests.iter().all(|d| *d == digests[0]) {
-                break digests[0];
+                break digests[0].1;
             }
             assert!(Instant::now() < deadline, "no convergence: {digests:?}");
             tokio::time::sleep(Duration::from_millis(100)).await;

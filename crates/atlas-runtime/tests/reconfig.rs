@@ -20,6 +20,7 @@ use atlas_core::{Config, ProcessId, Rifl};
 use atlas_protocol::Atlas;
 use atlas_runtime::wire::{Hello, PeerBody, PeerFrame};
 use atlas_runtime::{Client, Cluster, ClusterOptions};
+use kvstore::ExecutionSummary;
 use scenarios::*;
 use std::collections::HashSet;
 use std::time::Duration;
@@ -44,24 +45,31 @@ fn horizon_sum(s: &atlas_runtime::MetricsSnapshot) -> u64 {
     s.gc.horizon.iter().map(|&(_, v)| v).sum()
 }
 
-/// Asserts no rifl appears twice in an execution record (the "zero
-/// duplicated commands across epoch boundaries" half of the drill claim;
-/// the zero-lost half is `converge_on`'s `must_contain`).
-fn assert_no_duplicates(entries: &[(atlas_core::Dot, Rifl)]) {
-    let mut seen = HashSet::new();
-    for &(dot, rifl) in entries {
-        assert!(
-            seen.insert(rifl),
-            "rifl {rifl:?} executed twice (at {dot:?})"
-        );
-    }
+/// Asserts the converged replicas executed each command of `workload` once
+/// and, beside it, only the reconfiguration barriers: one per epoch switch,
+/// as many as replica 1's epoch. That is the "zero duplicated commands
+/// across epoch boundaries" half of the drill claim; the zero-lost half is
+/// `converge_on`'s `must_contain`.
+async fn assert_no_duplicates(
+    cluster: &Cluster,
+    logs: &[(ExecutionSummary, u64)],
+    workload: &HashSet<Rifl>,
+) {
+    let barriers = snapshot(cluster, 1).await.expect("stats").epoch;
+    let executed = logs[0].0.len();
+    assert_eq!(
+        executed,
+        workload.len() as u64 + barriers,
+        "{executed} commands executed: {} workload commands, {barriers} barriers",
+        workload.len()
+    );
 }
 
 /// The scale-out drill: a 3-replica Atlas cluster grows to 5 and then 7
 /// members while a client workload runs, every switch decided through the
 /// replicated log. After the second window finalizes, a fresh client
 /// writes through one of the *joiners* — proof the new members carry
-/// traffic — and all 7 execution records must converge with every
+/// traffic — and all 7 execution summaries must converge with every
 /// workload command present exactly once.
 #[test]
 fn expand_3_to_5_to_7_mid_workload() {
@@ -148,7 +156,7 @@ fn expand_3_to_5_to_7_mid_workload() {
         must_contain.extend(rifls_of(8, 0, JOINER_OPS));
         let ids: Vec<ProcessId> = (1..=7).collect();
         let logs = converge_on(&cluster, &ids, &must_contain, Duration::from_secs(60)).await;
-        assert_no_duplicates(&logs[0].0);
+        assert_no_duplicates(&cluster, &logs, &must_contain).await;
 
         let mut report = FigureReport::new("fig_reconfig_scale_out");
         report.check(
@@ -266,14 +274,9 @@ fn swap_dead_replica_unfreezes_gc() {
         .await;
 
         let survivors: Vec<ProcessId> = vec![1, 2, new_id];
-        let logs = converge_on(
-            &cluster,
-            &survivors,
-            &rifls_of(11, 0, 3 * PHASE_OPS),
-            Duration::from_secs(60),
-        )
-        .await;
-        assert_no_duplicates(&logs[0].0);
+        let workload = rifls_of(11, 0, 3 * PHASE_OPS);
+        let logs = converge_on(&cluster, &survivors, &workload, Duration::from_secs(60)).await;
+        assert_no_duplicates(&cluster, &logs, &workload).await;
 
         let mut report = FigureReport::new("fig_reconfig_swap");
         report.check("horizon_frozen", frozen as f64, Some(1.0), None);
@@ -475,14 +478,9 @@ fn joiner_killed_mid_bootstrap_retries_cleanly() {
         .await;
 
         let ids: Vec<ProcessId> = vec![1, 2, 3, joiner];
-        let logs = converge_on(
-            &cluster,
-            &ids,
-            &rifls_of(31, 0, BASE_OPS + 20),
-            Duration::from_secs(60),
-        )
-        .await;
-        assert_no_duplicates(&logs[0].0);
+        let workload = rifls_of(31, 0, BASE_OPS + 20);
+        let logs = converge_on(&cluster, &ids, &workload, Duration::from_secs(60)).await;
+        assert_no_duplicates(&cluster, &logs, &workload).await;
         cluster.shutdown();
     });
 }
@@ -544,14 +542,9 @@ fn journaled_reconfigure_replays_into_new_member_set() {
         .await;
 
         let ids: Vec<ProcessId> = vec![1, 2, 3, joiner];
-        let logs = converge_on(
-            &cluster,
-            &ids,
-            &rifls_of(41, 0, 60),
-            Duration::from_secs(60),
-        )
-        .await;
-        assert_no_duplicates(&logs[0].0);
+        let workload = rifls_of(41, 0, 60);
+        let logs = converge_on(&cluster, &ids, &workload, Duration::from_secs(60)).await;
+        assert_no_duplicates(&cluster, &logs, &workload).await;
         cluster.shutdown();
     });
 }
@@ -605,14 +598,9 @@ fn removed_replica_retires_itself() {
                 .await
                 .expect("post-removal put");
         }
-        let logs = converge_on(
-            &cluster,
-            &[1, 2, 3],
-            &rifls_of(51, 0, 60),
-            Duration::from_secs(60),
-        )
-        .await;
-        assert_no_duplicates(&logs[0].0);
+        let workload = rifls_of(51, 0, 60);
+        let logs = converge_on(&cluster, &[1, 2, 3], &workload, Duration::from_secs(60)).await;
+        assert_no_duplicates(&cluster, &logs, &workload).await;
         cluster.shutdown();
     });
 }

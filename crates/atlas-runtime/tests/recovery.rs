@@ -18,11 +18,12 @@
 //! protocols), and a suspected replica that rejoins *wiped* under its own
 //! identifier is trusted again rather than staying suspected forever.
 
-use atlas_core::{ClientId, Command, Config, Dot, Key, ProcessId, Protocol, Rifl};
+use atlas_core::{ClientId, Command, Config, Key, ProcessId, Protocol, Rifl};
 use atlas_protocol::Atlas;
 use atlas_runtime::{Client, Cluster, ClusterOptions, LinkRule, NetProfile, OpenLoopClient};
+use kvstore::ExecutionSummary;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 const REPLICAS: usize = 3;
@@ -61,15 +62,17 @@ async fn run_writes(
     Ok(())
 }
 
-/// Polls the replicas in `ids` until their execution records are identical
-/// (same entry set, same digest) and contain at least `expected` rifls from
-/// `must_contain`; returns each polled replica's `(entries, digest)`.
+/// Polls the replicas in `ids` until they report the same execution
+/// summary and digest, with at least as many commands executed as
+/// `must_contain` names; returns each polled replica's `(summary, digest)`.
+/// A replica in `ids` answered each of `must_contain`'s commands, so equal
+/// summaries hold them everywhere.
 async fn converge_on(
     cluster: &Cluster,
     ids: &[ProcessId],
     must_contain: &HashSet<Rifl>,
     deadline: Duration,
-) -> Vec<(Vec<(Dot, Rifl)>, u64)> {
+) -> Vec<(ExecutionSummary, u64)> {
     let deadline = Instant::now() + deadline;
     loop {
         let mut logs = Vec::new();
@@ -80,49 +83,27 @@ async fn converge_on(
                 }
             }
         }
-        let sets: Vec<HashSet<(Dot, Rifl)>> = logs
-            .iter()
-            .map(|(entries, _)| entries.iter().copied().collect())
-            .collect();
         if logs.len() == ids.len()
-            && sets.iter().all(|set| *set == sets[0])
-            && logs.iter().all(|(_, digest)| *digest == logs[0].1)
-            && must_contain
-                .iter()
-                .all(|rifl| logs[0].0.iter().any(|(_, got)| got == rifl))
+            && logs.iter().all(|log| *log == logs[0])
+            && logs[0].0.len() >= must_contain.len() as u64
         {
             return logs;
         }
-        assert!(
-            Instant::now() < deadline,
-            "no convergence: {:?} commands executed, digests {:?}",
-            logs.iter().map(|(e, _)| e.len()).collect::<Vec<_>>(),
-            logs.iter().map(|(_, d)| d).collect::<Vec<_>>(),
-        );
+        assert!(Instant::now() < deadline, "no convergence: {logs:?}");
         tokio::time::sleep(Duration::from_millis(100)).await;
     }
 }
 
-/// Asserts every replica ordered the writes of every key identically.
-fn assert_same_conflict_order(logs: &[(Vec<(Dot, Rifl)>, u64)], key_of: &HashMap<Rifl, Key>) {
-    let projection = |entries: &[(Dot, Rifl)], key: Key| -> Vec<Rifl> {
-        entries
-            .iter()
-            .filter(|(_, rifl)| key_of.get(rifl) == Some(&key))
-            .map(|(_, rifl)| *rifl)
-            .collect()
-    };
-    let keys: HashSet<Key> = key_of.values().copied().collect();
-    for key in keys {
-        let reference = projection(&logs[0].0, key);
-        for (i, (entries, _)) in logs.iter().enumerate().skip(1) {
-            assert_eq!(
-                projection(entries, key),
-                reference,
-                "replica #{i} ordered writes of key {key} differently"
-            );
-        }
-    }
+/// Asserts the converged replicas executed exactly the commands `rifls`,
+/// each once.
+fn assert_executed_once(logs: &[(ExecutionSummary, u64)], rifls: &HashSet<Rifl>) {
+    let summary = logs[0].0;
+    assert_eq!(
+        summary.len(),
+        rifls.len() as u64,
+        "lost or duplicate execution"
+    );
+    assert_eq!(summary.set, ExecutionSummary::set_of(rifls.iter().copied()));
 }
 
 /// **The acceptance scenario**, generic over the hosted protocol. The
@@ -195,28 +176,25 @@ where
              its in-flight commands were never recovered"
         );
 
-        // Survivors must agree exactly — same executed set (the burst
-        // client's committed commands included, its recovered-away ones
-        // excluded everywhere), same digests, same per-key conflict order.
+        // Survivors must agree exactly — same summary (count, set word and
+        // per-key write order) and digest — and have executed every client
+        // command once. The burst is one request, so one instance: it
+        // executes whole everywhere, or recovery turned it into a `noOp`.
         let total = PHASE_A + PHASE_B;
-        let mut key_of: HashMap<Rifl, Key> = HashMap::new();
-        let mut must_contain = HashSet::new();
-        for client_id in [1u64, 2] {
-            for i in 0..total {
-                let rifl = Rifl::new(client_id, i + 1);
-                key_of.insert(rifl, write_key(client_id, i));
-                must_contain.insert(rifl);
-            }
-        }
+        let must_contain: HashSet<Rifl> = [1u64, 2]
+            .into_iter()
+            .flat_map(|client| (1..=total).map(move |seq| Rifl::new(client, seq)))
+            .collect();
         let logs = converge_on(&cluster, &survivors, &must_contain, Duration::from_secs(60)).await;
-        for (entries, _) in &logs {
-            let set: HashSet<(Dot, Rifl)> = entries.iter().copied().collect();
-            assert_eq!(set.len(), entries.len(), "duplicate execution");
-        }
-        for i in 0..BURST {
-            key_of.insert(Rifl::new(3, i + 1), write_key(3, i));
-        }
-        assert_same_conflict_order(&logs, &key_of);
+        let survived = ExecutionSummary::set_of(must_contain.iter().copied());
+        let burst = ExecutionSummary::set_of((1..=BURST).map(|seq| Rifl::new(3, seq)));
+        let summary = logs[0].0;
+        let expected = match summary.len() - 2 * total {
+            0 => survived,
+            BURST => survived.wrapping_add(burst),
+            other => panic!("{other} burst commands executed: a duplicate or a torn batch"),
+        };
+        assert_eq!(summary.set, expected, "lost or duplicate execution");
         cluster.shutdown();
     });
 }
@@ -370,7 +348,7 @@ where
             .expect("phase 2");
         let must_contain: HashSet<Rifl> = (1..=150).map(|seq| Rifl::new(1, seq)).collect();
         let logs = converge_on(&cluster, &[1, 2, 3], &must_contain, Duration::from_secs(60)).await;
-        assert!(logs.iter().all(|(_, d)| *d == logs[0].1));
+        assert_executed_once(&logs, &must_contain);
         cluster.shutdown();
     });
 }
@@ -420,7 +398,7 @@ fn wiped_replica_rejoins_after_suspicion() {
         // would never reach the survivors' digest.
         let must_contain: HashSet<Rifl> = (1..=150).map(|seq| Rifl::new(1, seq)).collect();
         let logs = converge_on(&cluster, &[1, 2, 3], &must_contain, Duration::from_secs(60)).await;
-        assert!(logs.iter().all(|(_, d)| *d == logs[0].1));
+        assert_executed_once(&logs, &must_contain);
         cluster.shutdown();
     });
 }

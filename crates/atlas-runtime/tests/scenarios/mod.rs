@@ -3,9 +3,10 @@
 //! deployments, convergence/workload helpers over real TCP clients, and
 //! the per-figure `BENCH_fig*.json` reports `ci/bench_guard.py` ingests.
 
-use atlas_core::{ClientId, Dot, Key, ProcessId, Rifl};
+use atlas_core::{ClientId, Key, ProcessId, Rifl};
 use atlas_metrics::MetricsSnapshot;
 use atlas_runtime::{Client, Cluster, LinkRule, NetProfile};
+use kvstore::ExecutionSummary;
 use std::collections::HashSet;
 use std::io;
 use std::net::SocketAddr;
@@ -206,15 +207,17 @@ pub fn path_split(snapshots: &[MetricsSnapshot]) -> (u64, u64) {
     })
 }
 
-/// Polls the replicas in `ids` until their execution records are identical
-/// (same entry set, same digest) and contain every rifl in `must_contain`;
-/// returns each polled replica's `(entries, digest)`.
+/// Polls the replicas in `ids` until they report the same execution
+/// summary and digest, with at least as many commands executed as
+/// `must_contain` names; returns each polled replica's `(summary, digest)`.
+/// A replica in `ids` answered each of `must_contain`'s commands, so equal
+/// summaries hold them everywhere.
 pub async fn converge_on(
     cluster: &Cluster,
     ids: &[ProcessId],
     must_contain: &HashSet<Rifl>,
     deadline: Duration,
-) -> Vec<(Vec<(Dot, Rifl)>, u64)> {
+) -> Vec<(ExecutionSummary, u64)> {
     let deadline = Instant::now() + deadline;
     loop {
         let mut logs = Vec::new();
@@ -225,25 +228,13 @@ pub async fn converge_on(
                 }
             }
         }
-        let sets: Vec<HashSet<(Dot, Rifl)>> = logs
-            .iter()
-            .map(|(entries, _)| entries.iter().copied().collect())
-            .collect();
         if logs.len() == ids.len()
-            && sets.iter().all(|set| *set == sets[0])
-            && logs.iter().all(|(_, digest)| *digest == logs[0].1)
-            && must_contain
-                .iter()
-                .all(|rifl| logs[0].0.iter().any(|(_, got)| got == rifl))
+            && logs.iter().all(|log| *log == logs[0])
+            && logs[0].0.len() >= must_contain.len() as u64
         {
             return logs;
         }
-        assert!(
-            Instant::now() < deadline,
-            "no convergence: {:?} commands executed, digests {:?}",
-            logs.iter().map(|(e, _)| e.len()).collect::<Vec<_>>(),
-            logs.iter().map(|(_, d)| d).collect::<Vec<_>>(),
-        );
+        assert!(Instant::now() < deadline, "no convergence: {logs:?}");
         tokio::time::sleep(Duration::from_millis(100)).await;
     }
 }

@@ -52,7 +52,7 @@ async fn stats(cluster: &Cluster, id: ProcessId) -> MetricsSnapshot {
 }
 
 /// Waits until all three replicas executed requests `1..=ops` of `client`
-/// and agree on the execution record and the store digest.
+/// and agree on the execution summary and the store digest.
 async fn converge(cluster: &Cluster, client: u64, ops: u64) {
     let must = rifls_of(client, 0, ops);
     converge_on(cluster, &[1, 2, 3], &must, Duration::from_secs(60)).await;

@@ -19,6 +19,6 @@ pub mod store;
 pub mod workload;
 pub mod zipf;
 
-pub use store::{KVStore, Output};
+pub use store::{ExecutionSummary, KVStore, Output, Slot};
 pub use workload::{ConflictWorkload, Workload, YcsbWorkload};
 pub use zipf::Zipfian;

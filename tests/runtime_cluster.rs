@@ -7,15 +7,16 @@
 //!   from one client are submitted sequentially, so the GET depends on the
 //!   PUT and must execute after it everywhere);
 //! * **identical execution order across replicas**: every replica executes
-//!   the same command set exactly once, conflicting commands (same-key
-//!   writes) in the same relative order, and all stores converge to the same
-//!   digest. (Non-conflicting commands commute — Atlas deliberately leaves
-//!   their interleaving free, which is where its performance comes from.)
+//!   the same command set exactly once (the summary's count and set word),
+//!   conflicting commands (same-key writes) in the same relative order (its
+//!   order digest), and all stores converge to the same digest.
+//!   (Non-conflicting commands commute — Atlas deliberately leaves their
+//!   interleaving free, which is where its performance comes from.)
 
-use atlas::core::{ClientId, Config, Dot, Key, ProcessId, Rifl};
+use atlas::core::{ClientId, Config, Key, ProcessId, Rifl};
+use atlas::kvstore::ExecutionSummary;
 use atlas::protocol::Atlas;
 use atlas_runtime::{Client, Cluster};
-use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 const REPLICAS: usize = 3;
@@ -62,11 +63,11 @@ async fn run_client(addr: std::net::SocketAddr, client_id: ClientId) -> std::io:
 
 /// Polls every replica until all of them executed `expected` commands (the
 /// commit broadcast makes every replica execute every command), returning
-/// each replica's execution record + store digest.
+/// each replica's execution summary + store digest.
 async fn converged_logs(
     cluster: &Cluster,
-    expected: usize,
-) -> std::io::Result<Vec<(Vec<(Dot, Rifl)>, u64)>> {
+    expected: u64,
+) -> std::io::Result<Vec<(ExecutionSummary, u64)>> {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let mut logs = Vec::new();
@@ -74,14 +75,14 @@ async fn converged_logs(
             let mut probe = Client::connect(cluster.addr(id), 900 + id as u64).await?;
             logs.push(probe.execution_log().await?);
         }
-        if logs.iter().all(|(entries, _)| entries.len() >= expected) {
+        if logs.iter().all(|(summary, _)| summary.len() >= expected) {
             return Ok(logs);
         }
         assert!(
             Instant::now() < deadline,
             "replicas did not converge: {:?} of {expected} commands executed",
             logs.iter()
-                .map(|(entries, _)| entries.len())
+                .map(|(summary, _)| summary.len())
                 .collect::<Vec<_>>()
         );
         tokio::time::sleep(Duration::from_millis(50)).await;
@@ -107,57 +108,40 @@ fn three_replica_atlas_cluster_serves_linearizable_traffic() {
             task.await.expect("client task").expect("client run");
         }
 
-        let total = (REPLICAS as u64 * CLIENTS_PER_REPLICA * OPS_PER_CLIENT) as usize;
+        let clients = REPLICAS as u64 * CLIENTS_PER_REPLICA;
+        let total = clients * OPS_PER_CLIENT;
         let logs = converged_logs(&cluster, total).await.expect("log fetch");
 
-        // Same command set everywhere, each executed exactly once.
-        let reference: HashSet<(Dot, Rifl)> = logs[0].0.iter().copied().collect();
-        assert_eq!(reference.len(), logs[0].0.len(), "duplicate execution");
-        assert_eq!(logs[0].0.len(), total);
-        for (entries, _) in &logs {
-            let set: HashSet<(Dot, Rifl)> = entries.iter().copied().collect();
-            assert_eq!(set, reference, "replicas executed different command sets");
-            assert_eq!(entries.len(), total, "duplicate execution on some replica");
+        // Same command set everywhere, each executed exactly once: the
+        // count, and the set word of exactly the clients' commands.
+        let rifls = (1..=clients)
+            .flat_map(|client| (1..=OPS_PER_CLIENT).map(move |seq| Rifl::new(client, seq)));
+        let set = ExecutionSummary::set_of(rifls);
+        for (i, (summary, _)) in logs.iter().enumerate() {
+            let replica = i + 1;
+            assert_eq!(
+                summary.len(),
+                total,
+                "replica {replica}: lost or duplicate execution"
+            );
+            assert_eq!(
+                summary.set, set,
+                "replica {replica} executed another command set"
+            );
         }
 
-        // All stores converged to the same state.
-        let digest = logs[0].1;
-        for (i, (_, d)) in logs.iter().enumerate() {
+        // All stores converged to the same state, and every replica
+        // executed the writes of each key in the same order: writes of the
+        // same key pairwise conflict, so their order is the protocol's.
+        let (reference, digest) = logs[0];
+        for (i, (summary, d)) in logs.iter().enumerate() {
             assert_eq!(*d, digest, "replica {} store diverged", i + 1);
-        }
-
-        // Identical execution order across replicas for everything the
-        // protocol orders: writes of the same key pairwise conflict, so each
-        // per-key write projection of the execution log must be the same
-        // sequence on every replica. The workload is deterministic, so the
-        // rifl → written-key mapping can be reconstructed here.
-        let mut write_key: HashMap<Rifl, Key> = HashMap::new();
-        for client_id in 1..=REPLICAS as u64 * CLIENTS_PER_REPLICA {
-            for i in 0..OPS_PER_CLIENT {
-                if let Some(key) = op_write_key(client_id, i) {
-                    write_key.insert(Rifl::new(client_id, i + 1), key);
-                }
-            }
-        }
-        let projection = |entries: &[(Dot, Rifl)], key: Key| -> Vec<Rifl> {
-            entries
-                .iter()
-                .filter(|(_, rifl)| write_key.get(rifl) == Some(&key))
-                .map(|(_, rifl)| *rifl)
-                .collect()
-        };
-        let keys: HashSet<Key> = write_key.values().copied().collect();
-        for key in keys {
-            let reference_order = projection(&logs[0].0, key);
-            assert!(!reference_order.is_empty());
-            for (replica, (entries, _)) in logs.iter().enumerate().skip(1) {
-                assert_eq!(
-                    projection(entries, key),
-                    reference_order,
-                    "replica {} ordered the writes of key {key} differently",
-                    replica + 1
-                );
-            }
+            assert_eq!(
+                summary.order,
+                reference.order,
+                "replica {} ordered the writes of some key differently",
+                i + 1
+            );
         }
 
         cluster.shutdown();
